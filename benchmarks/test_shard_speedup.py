@@ -13,15 +13,24 @@ hundred *distinct* tuples (duplicates share blocks and cost nothing
 extra), and per-shard work scales with ``num_samples`` — large enough
 here that shard compute, not pool startup, dominates the comparison.
 
+Each executor runs ``REPEATS`` times, alternating serial and process so
+host drift hits both alike, and the gate compares the two medians.  When
+the speedup misses the bar while either executor's runs spread wider than
+``NOISE_MARGIN`` (range over median), the host was too noisy to tell and
+the gate skips instead of failing; bit-identity is asserted either way.
+
 The speedup bar only applies on multi-core hosts: a process pool cannot
 beat serial execution on a single CPU, so single-core runners record the
-honest numbers without failing.  Override via ``REPRO_MIN_SHARD_SPEEDUP``.
+honest numbers without failing.  Override via ``REPRO_MIN_SHARD_SPEEDUP``
+and ``REPRO_SHARD_NOISE_MARGIN``.
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
+import pytest
 
 from repro.api.config import DeriveConfig
 from repro.bench.masking import mask_relation
@@ -35,6 +44,13 @@ from repro.relational import Relation
 MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_SHARD_SPEEDUP", "1.3"))
 
 WORKERS = 4
+
+#: Alternating serial/process runs per executor; the gate uses medians.
+REPEATS = 3
+
+#: Largest (max - min) / median spread of one executor's runs for which a
+#: missed bar counts as a failure rather than host noise.
+NOISE_MARGIN = float(os.environ.get("REPRO_SHARD_NOISE_MARGIN", "0.2"))
 
 
 def _setup(scale):
@@ -62,6 +78,10 @@ def _identical(a, b):
         assert (ba.distribution.probs == bb.distribution.probs).all()
 
 
+def _spread(times):
+    return (max(times) - min(times)) / statistics.median(times)
+
+
 def test_shard_speedup(report, scale):
     model, relation = _setup(scale)
     base = DeriveConfig(
@@ -69,37 +89,46 @@ def test_shard_speedup(report, scale):
         burn_in=50,
         seed=2011,
     )
-    runs = {}
+    results = {}
+    times = {"serial": [], "process": []}
+    shards = {}
+    for _ in range(REPEATS):
+        for executor, workers in (("serial", 1), ("process", WORKERS)):
+            cfg = base.replacing(executor=executor, workers=workers)
+            start = time.perf_counter()
+            result = derive_probabilistic_database(
+                relation, config=cfg, model=model
+            )
+            times[executor].append(time.perf_counter() - start)
+            # Every repeat must agree with the first run, bit for bit.
+            first = results.setdefault(executor, result)
+            _identical(first.database, result.database)
+            shards[executor] = result.exec_report
+
     rows = []
     for executor, workers in (("serial", 1), ("process", WORKERS)):
-        cfg = base.replacing(executor=executor, workers=workers)
-        start = time.perf_counter()
-        result = derive_probabilistic_database(
-            relation, config=cfg, model=model
-        )
-        elapsed = time.perf_counter() - start
-        runs[executor] = (result, elapsed)
-        exec_report = result.exec_report
+        report_ = shards[executor]
         rows.append(
             (
                 executor,
                 workers,
-                exec_report.num_shards,
-                len(result.database.blocks),
-                round(elapsed, 3),
-                len({t.worker for t in exec_report.timings}),
+                report_.num_shards,
+                len(results[executor].database.blocks),
+                round(statistics.median(times[executor]), 3),
+                " ".join(f"{t:.3f}" for t in times[executor]),
+                round(_spread(times[executor]), 3),
+                len({t.worker for t in report_.timings}),
             )
         )
+    speedup = statistics.median(times["serial"]) / max(
+        statistics.median(times["process"]), 1e-9
+    )
+    rows.append(("speedup", "-", "-", "-", round(speedup, 2), "-", "-", "-"))
 
-    serial_time = runs["serial"][1]
-    process_time = runs["process"][1]
-    speedup = serial_time / max(process_time, 1e-9)
-    rows.append(("speedup", "-", "-", "-", round(speedup, 2), "-"))
-
-    # Per-shard placement stats for the process run: where the time went.
+    # Per-shard placement stats for the last process run: where the time went.
     shard_rows = [
         (t.key[:28], t.kind, t.tuples, t.groups, round(t.elapsed, 4), t.worker)
-        for t in runs["process"][0].exec_report.slowest(8)
+        for t in shards["process"].slowest(8)
     ]
     chart_lines = ["slowest process shards (key, kind, tuples, groups, s, worker):"]
     chart_lines += ["  " + "  ".join(str(c) for c in r) for r in shard_rows]
@@ -108,19 +137,30 @@ def test_shard_speedup(report, scale):
 
     report(
         "shard_speedup",
-        ["executor", "workers", "shards", "blocks", "time (s)", "distinct workers"],
+        [
+            "executor", "workers", "shards", "blocks", "median (s)",
+            "runs (s)", "spread", "distinct workers",
+        ],
         rows,
-        title="Sharded derivation: 4-worker process pool vs serial "
-        "(census, single- and multi-missing)",
+        title=f"Sharded derivation: {WORKERS}-worker process pool vs serial "
+        f"(census, single- and multi-missing; median of {REPEATS} "
+        "alternating runs)",
         chart="\n".join(chart_lines),
     )
 
     # Bit-identity is unconditional: sharding is an optimization, never an
     # approximation.
-    _identical(runs["serial"][0].database, runs["process"][0].database)
+    _identical(results["serial"].database, results["process"].database)
 
-    if cpus >= 2:
-        assert speedup >= MIN_SPEEDUP, (
+    if cpus >= 2 and speedup < MIN_SPEEDUP:
+        spread = max(_spread(t) for t in times.values())
+        if spread > NOISE_MARGIN:
+            pytest.skip(
+                f"speedup {speedup:.2f}x below {MIN_SPEEDUP}x, but runs "
+                f"spread {spread:.2f} > noise margin {NOISE_MARGIN}: "
+                "host too noisy to tell"
+            )
+        pytest.fail(
             f"process executor only {speedup:.2f}x faster than serial "
             f"(required {MIN_SPEEDUP}x on a {cpus}-cpu host)"
         )

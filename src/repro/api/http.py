@@ -16,6 +16,7 @@ Routes::
     POST /v1/query                  QueryRequest   -> QueryResponse
     GET  /v1/jobs/{id}              job status + shard-aware progress
     GET  /v1/jobs/{id}/result       the finished job's DeriveResponse
+                                    (byte-identical to the blocking body)
     POST /v1/jobs/{id}/cancel       cooperative cancellation
     GET  /v1/jobs/{id}/events       chunked ndjson shard-completion stream
                                     (?after=N resumes, ?timeout=S bounds it,
@@ -41,7 +42,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable
 from urllib.parse import parse_qs, urlsplit
 
-from .service import InferenceService, ServiceError
+from .service import InferenceService, ServiceError, encode_json
 
 __all__ = ["API_PREFIX", "make_server", "serve"]
 
@@ -62,6 +63,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     quiet: bool = True
     server_version = "repro-serve/1.1"
     protocol_version = "HTTP/1.1"
+    # A response leaves in two sends (head, then body; /events in chunks).
+    # With Nagle on, the second waits for the client's delayed ACK of the
+    # first: a ~40 ms stall per keep-alive response.  TCP_NODELAY on every
+    # accepted socket sends each write at once.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:
         if not self.quiet:
@@ -121,8 +127,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 f"request body is not valid JSON: {exc}"
             ) from exc
 
-    def _respond(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
+    def _respond(self, status: int, body: dict | bytes) -> None:
+        """Send ``body`` as JSON; bytes are taken as already-encoded JSON."""
+        data = body if isinstance(body, bytes) else encode_json(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -164,7 +171,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             elif len(segments) == 3 and segments[0] == "jobs":
                 job_id, tail = segments[1], segments[2]
                 if tail == "result":
-                    self._respond(200, self.service.job_result(job_id))
+                    self._respond(200, self.service.job_result_json(job_id))
                 elif tail == "events":
                     try:
                         after = int(query.get("after", 0))

@@ -16,6 +16,7 @@ serializable AST of :mod:`repro.api.query`; configs as
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -43,7 +44,13 @@ __all__ = [
     "UpdateRequest",
     "UpdateResponse",
     "InferenceService",
+    "encode_json",
 ]
+
+
+def encode_json(payload: Any) -> bytes:
+    """The wire encoding of every JSON response body."""
+    return json.dumps(payload).encode("utf-8")
 
 
 class ServiceError(Exception):
@@ -604,10 +611,12 @@ class InferenceService:
             request.config, executor=request.executor, workers=request.workers
         ).parallelism
 
-        def work(job: Job) -> dict[str, Any]:
-            return self.update(
-                request, progress=job.tracker, cancel=job.should_stop
-            ).to_dict()
+        def work(job: Job) -> bytes:
+            return encode_json(
+                self.update(
+                    request, progress=job.tracker, cancel=job.should_stop
+                ).to_dict()
+            )
 
         # Updates are journaled for visibility but are not resumable: an
         # interrupted update's ChangeSet may be half-applied to the session
@@ -633,7 +642,7 @@ class InferenceService:
         fast with a 400 instead of a failed job.  The job's eventual result
         is the exact :class:`DeriveResponse` payload the blocking endpoint
         would have produced for the same request — bit-identical when the
-        config pins a seed.
+        config pins a seed — kept as its encoded JSON bytes.
 
         When the job manager has a durable store, the submission is
         journaled (request payload + every completed shard), so a killed
@@ -649,13 +658,15 @@ class InferenceService:
             request.config, executor=request.executor, workers=request.workers
         ).parallelism
 
-        def work(job: Job) -> dict[str, Any]:
-            return self.derive(
-                request,
-                progress=job.tracker,
-                cancel=job.should_stop,
-                resume_carry=resume_carry,
-            ).to_dict()
+        def work(job: Job) -> bytes:
+            return encode_json(
+                self.derive(
+                    request,
+                    progress=job.tracker,
+                    cancel=job.should_stop,
+                    resume_carry=resume_carry,
+                ).to_dict()
+            )
 
         job = self.jobs.submit(
             work,
@@ -717,16 +728,24 @@ class InferenceService:
         return self._job(job_id).status_dict()
 
     def job_result(self, job_id: str) -> dict[str, Any]:
-        """``GET /v1/jobs/{id}/result``: the finished job's DeriveResponse.
+        """The finished job's response payload, decoded from
+        :meth:`job_result_json` (same errors)."""
+        return json.loads(self.job_result_json(job_id))
 
-        409 while the job is queued/running or after cancellation (a
-        cancelled job never has a result, partial or otherwise); 500 when
-        the job failed.
+    def job_result_json(self, job_id: str) -> bytes:
+        """``GET /v1/jobs/{id}/result``: the finished job's response.
+
+        Derive and update jobs keep their result as encoded JSON — one
+        bytes object per retained job instead of a dict tree — which is
+        byte-identical to the blocking endpoint's body.  409 while the job
+        is queued/running or after cancellation (a cancelled job never has
+        a result, partial or otherwise); 500 when the job failed.
         """
         job = self._job(job_id)
         state = job.state
         if state == "done":
-            return job.result()
+            result = job.result()
+            return result if isinstance(result, bytes) else encode_json(result)
         if state == "failed":
             raise ServiceError(
                 f"job {job_id} failed: {job.error}", status=500

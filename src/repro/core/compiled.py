@@ -146,23 +146,27 @@ class CompiledMRSL:
 
         # Per-rule ancestors: rows whose body is a proper subset of this
         # row's body.  A match is "best" iff it is no matched rule's ancestor.
-        self._ancestors: tuple[frozenset[int], ...] = tuple(
-            self._ancestor_rows(m.body) for m in rules
-        )
+        # Filled on first use: a derive that matches few rules (a small
+        # delta, a cold engine) should not pay O(R * 2^maxBody) up front.
+        self._ancestors: dict[int, frozenset[int]] = {}
 
         # Attributes mentioned by any body: the evidence *signature* — two
         # code vectors agreeing on these attributes have identical voter sets.
         attrs = sorted({attr for body in self.bodies for attr, _ in body})
         self.signature_attrs = np.array(attrs, dtype=np.intp)
 
-    def _ancestor_rows(self, body: Itemset) -> frozenset[int]:
-        out = set()
-        for size in range(len(body)):
-            for sub in combinations(body, size):
-                row = self._body_index.get(sub)
-                if row is not None:
-                    out.add(row)
-        return frozenset(out)
+    def _ancestor_rows(self, row: int) -> frozenset[int]:
+        out = self._ancestors.get(row)
+        if out is None:
+            body = self.bodies[row]
+            out = frozenset(
+                anc
+                for size in range(len(body))
+                for sub in combinations(body, size)
+                if (anc := self._body_index.get(sub)) is not None
+            )
+            self._ancestors[row] = out
+        return out
 
     # -- collection protocol ---------------------------------------------------
 
@@ -202,7 +206,7 @@ class CompiledMRSL:
             return matched
         dominated: set[int] = set()
         for j in matched:
-            dominated.update(self._ancestors[j])
+            dominated.update(self._ancestor_rows(int(j)))
         if not dominated:
             return matched
         keep = [i for i in matched if int(i) not in dominated]

@@ -10,8 +10,10 @@ CPD.  :class:`BatchInferenceEngine` exploits this:
 2. each distinct group is answered once, by a single vectorized match over
    the compiled rule matrix plus one matrix combine
    (:class:`~repro.core.compiled.CompiledMRSL`);
-3. answers are memoized in a bounded LRU, so repeated batches (and the
-   Gibbs hot loop) skip even the vectorized work.
+3. answers are memoized in a bounded LRU, so repeated batches skip even
+   the vectorized work; the Gibbs hot loop reads them from per-attribute
+   array memos (:meth:`BatchInferenceEngine.conditional_probs_batch`), so
+   a whole batch of chain states costs a handful of NumPy calls.
 
 Results are bit-for-bit identical to the naive path for every
 ``vChoice`` x ``vScheme`` combination — the naive implementation stays in
@@ -58,6 +60,60 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
+def _cdf_rows(cpds: np.ndarray) -> np.ndarray:
+    """Row-wise ``cumsum(p) / cumsum(p)[-1]``: ``Generator.choice``'s CDF."""
+    cdfs = np.cumsum(cpds, axis=1)
+    cdfs /= cdfs[:, -1:]
+    return cdfs
+
+
+#: Memo key past every packed signature (packed spaces stay below 2**63).
+_SENTINEL = np.iinfo(np.int64).max
+
+
+class _CPDMemo:
+    """Packed signatures -> stacked CPD and CDF rows, for one attribute.
+
+    ``keys`` is sorted and ends in :data:`_SENTINEL`, so one
+    ``np.searchsorted`` plus one gather-and-compare finds a whole batch;
+    ``slots`` maps each key to its row of ``cpds`` / ``cdfs``, which fill
+    in insertion order and grow by doubling.
+    """
+
+    __slots__ = ("keys", "slots", "cpds", "cdfs")
+
+    def __init__(self, cardinality: int):
+        self.keys = np.array([_SENTINEL], dtype=np.int64)
+        self.slots = np.zeros(1, dtype=np.intp)
+        self.cpds = np.empty((16, cardinality))
+        self.cdfs = np.empty((16, cardinality))
+
+    def __len__(self) -> int:
+        return self.keys.size - 1
+
+    def find(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``packed`` in ``keys`` and a found mask."""
+        pos = self.keys.searchsorted(packed)
+        return pos, self.keys[pos] == packed
+
+    def insert(self, keys: np.ndarray, cpds: np.ndarray) -> None:
+        """Add sorted, absent ``keys`` with their CPD rows."""
+        size, count = len(self), keys.size
+        if size + count > self.cpds.shape[0]:
+            capacity = max(2 * self.cpds.shape[0], size + count)
+            for name in ("cpds", "cdfs"):
+                grown = np.empty((capacity, self.cpds.shape[1]))
+                grown[:size] = getattr(self, name)[:size]
+                setattr(self, name, grown)
+        self.cpds[size : size + count] = cpds
+        self.cdfs[size : size + count] = _cdf_rows(cpds)
+        at = np.searchsorted(self.keys, keys)
+        self.keys = np.insert(self.keys, at, keys)
+        self.slots = np.insert(
+            self.slots, at, np.arange(size, size + count, dtype=np.intp)
+        )
+
+
 class BatchInferenceEngine:
     """Serves Algorithm 2 CPDs for batches of single-missing tuples.
 
@@ -83,10 +139,16 @@ class BatchInferenceEngine:
         # columns into one int64 per row (None = space too large to pack;
         # the batch path then falls back to row-wise unique).
         self._sig_packers: dict[int, np.ndarray | None] = {}
+        # (attr, vChoice, vScheme) -> array memo of the batch path.
+        self._memos: dict[tuple, _CPDMemo] = {}
         #: distinct (attribute, signature, config) groups actually computed
         self.groups_computed = 0
         #: tuples served across all batch calls
         self.tuples_served = 0
+        #: batch rows served by a memo that already held their signature
+        self.memo_hits = 0
+        #: memos dropped because they outgrew ``cache_size``
+        self.memo_resets = 0
 
     # -- scalar entry points ---------------------------------------------------
 
@@ -147,116 +209,132 @@ class BatchInferenceEngine:
         attr: int,
         v_choice: VoterChoice | str | None = None,
         v_scheme: VotingScheme | str | None = None,
+        cumulative: bool = False,
     ) -> np.ndarray:
         """CPD rows for ``attr`` across a batch of chain states.
 
         ``states`` is an ``(N, width)`` integer matrix of full code vectors
         (column ``attr`` is treated as missing regardless of content) — the
-        shape of a vectorized Gibbs ensemble's state.  Rows are grouped by
-        evidence signature with one ``np.unique`` over the signature
-        columns; each distinct signature costs a single compiled match +
-        combine (or an LRU hit — the cache entries are exactly the scalar
-        :meth:`conditional_probs` ones, so scalar and batch callers warm
-        each other).  Returns the ``(N, cardinality)`` matrix of per-row
-        CPDs.
+        shape of a vectorized Gibbs ensemble's state.  Returns the
+        ``(N, cardinality)`` matrix of per-row CPDs or, with
+        ``cumulative=True``, of their normalized CDFs
+        (``cumsum(p) / cumsum(p)[-1]``, the arithmetic of
+        ``Generator.choice``), which is what an inverse-CDF draw reads.
+
+        Each ``(attr, vChoice, vScheme)`` has an array memo: every row's
+        signature columns are packed into one int64, looked up in the
+        memo's sorted keys with one ``np.searchsorted``, and answered with
+        one gather from its stacked CPD or CDF rows — O(1) Python work per
+        call however many signatures it touches.  Signatures the memo
+        lacks are deduplicated with one ``np.unique``; each is answered
+        from the shared LRU (the scalar :meth:`conditional_probs` entries,
+        so scalar and batch callers warm each other) or computed and put
+        there.  A memo holds at most ``cache_size`` rows: one that would
+        outgrow it is reset, counted in ``evictions``, which never changes
+        a result since a CPD is a function of its signature.  Signature
+        spaces too wide to pack fall back to a row-wise ``np.unique``.
         """
         choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
         scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
-        compiled = self.compiled[attr]
         # int32 matches RelTuple code vectors, so signature bytes are
         # interchangeable with the scalar path's cache keys.
         states = np.ascontiguousarray(states, dtype=np.int32)
-        n = states.shape[0]
-        if n == 0:
-            return np.empty((0, compiled.cardinality), dtype=np.float64)
-        sig_attrs = compiled.signature_attrs
-        if sig_attrs.size == 0:
-            # No meta-rule conditions on anything: one shared CPD.
-            probs = self.conditional_probs(states[0], attr, choice, scheme)
-            self.tuples_served += n
-            return np.broadcast_to(probs, (n, probs.size))
-        sigs = np.ascontiguousarray(states[:, sig_attrs])
-        first, inverse, num_groups = self._group_rows(attr, sigs)
-        group_cpds = np.empty((num_groups, compiled.cardinality))
-        for g in range(num_groups):
-            rep = first[g]
-            # Inlined twin of conditional_probs' memoization: the key is
-            # the same (attr, choice, scheme, signature-bytes) tuple —
-            # sigs[rep] IS compiled.signature(states[rep]) — but built
-            # from the already-gathered signature matrix.  Calling the
-            # scalar path here would redo enum validation and the
-            # signature gather per group and halve kernel throughput;
-            # key compatibility is pinned by the cache-sharing test in
-            # tests/test_gibbs_vectorized.py.
-            key = (attr, choice, scheme, sigs[rep].tobytes())
+        self.tuples_served += states.shape[0]
+        mult = self._sig_packer(attr)
+        if mult is not None:
+            return self._memo_lookup(
+                states, states @ mult, attr, choice, scheme, cumulative
+            )
+        sigs = states[:, self.compiled[attr].signature_attrs]
+        _, first, inverse = np.unique(
+            sigs, axis=0, return_index=True, return_inverse=True
+        )
+        cpds = self._answer(states[first], attr, choice, scheme)
+        if cumulative:
+            cpds = _cdf_rows(cpds)
+        return cpds[inverse.reshape(-1)]
+
+    def _memo_lookup(
+        self,
+        states: np.ndarray,
+        packed: np.ndarray,
+        attr: int,
+        choice: VoterChoice,
+        scheme: VotingScheme,
+        cumulative: bool,
+    ) -> np.ndarray:
+        """Gather ``packed`` signatures' rows, filling the memo's misses."""
+        key = (attr, choice, scheme)
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = _CPDMemo(self.compiled[attr].cardinality)
+        pos, found = memo.find(packed)
+        if found.all():
+            self.memo_hits += packed.size
+        else:
+            missed = np.flatnonzero(~found)
+            new, first = np.unique(packed[missed], return_index=True)
+            limit = self.cache.maxsize
+            if limit is not None and len(memo) + new.size > limit:
+                # Outgrown: start over from this batch's signatures alone.
+                self.memo_resets += 1
+                memo = self._memos[key] = _CPDMemo(memo.cpds.shape[1])
+                missed = np.arange(packed.size)
+                new, first = np.unique(packed, return_index=True)
+            self.memo_hits += packed.size - missed.size
+            reps = states[missed[first]]
+            memo.insert(new, self._answer(reps, attr, choice, scheme))
+            pos = memo.keys.searchsorted(packed)
+            if limit is not None and len(memo) > limit:
+                del self._memos[key]  # one batch alone exceeds the bound
+        return (memo.cdfs if cumulative else memo.cpds)[memo.slots[pos]]
+
+    def _answer(
+        self,
+        reps: np.ndarray,
+        attr: int,
+        choice: VoterChoice,
+        scheme: VotingScheme,
+    ) -> np.ndarray:
+        """CPD rows of distinct-signature states: LRU hit or compiled match."""
+        compiled = self.compiled[attr]
+        out = np.empty((reps.shape[0], compiled.cardinality))
+        for j, codes in enumerate(reps):
+            # The scalar conditional_probs key, so both paths share entries.
+            key = (attr, choice, scheme, compiled.signature(codes))
             cached = self.cache.get(key)
             if cached is None:
-                cached = compiled.infer(states[rep], choice, scheme)
+                cached = compiled.infer(codes, choice, scheme)
                 cached.setflags(write=False)
                 self.cache.put(key, cached)
                 self.groups_computed += 1
-            group_cpds[g] = cached
-        self.tuples_served += n
-        return group_cpds[inverse]
+            out[j] = cached
+        return out
 
     def _sig_packer(self, attr: int) -> np.ndarray | None:
-        """Mixed-radix multipliers packing a signature row into one int64.
+        """Per-column multipliers packing a code row's signature into int64.
 
-        Radix ``cardinality + 1`` per column keeps :data:`MISSING_CODE`
-        (-1, shifted to 0) collision-free; ``None`` when the packed space
-        overflows int64 (pathologically wide signatures).
+        ``codes @ mult`` is a mixed-radix number over the signature
+        columns, with zero weight on every other column.  Radix
+        ``cardinality + 1`` gives each column the digits
+        ``MISSING_CODE`` (-1) to ``cardinality - 1``, so packing is
+        injective; ``None`` when the packed space overflows int64
+        (pathologically wide signatures).
         """
         try:
             return self._sig_packers[attr]
         except KeyError:
             pass
-        radices = [
-            self.schema[int(a)].cardinality + 1
-            for a in self.compiled[attr].signature_attrs
-        ]
-        space = 1
-        for r in radices:
-            space *= r  # Python ints: exact, no wraparound
-        mult: np.ndarray | None
-        if space >= 2**63:
-            mult = None  # packed codes would overflow int64 and collide
-        else:
-            mult = np.empty(len(radices), dtype=np.int64)
-            scale = 1
-            for i in range(len(radices) - 1, -1, -1):
-                mult[i] = scale
-                scale *= radices[i]
+        mult: np.ndarray | None = np.zeros(len(self.schema), dtype=np.int64)
+        scale = 1  # Python int: exact, no wraparound
+        for a in self.compiled[attr].signature_attrs[::-1]:
+            mult[a] = scale
+            scale *= self.schema[int(a)].cardinality + 1
+            if scale >= 2**63:
+                mult = None  # packed codes would overflow int64 and collide
+                break
         self._sig_packers[attr] = mult
         return mult
-
-    def _group_rows(
-        self, attr: int, sigs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Group signature rows: (first-occurrence index per group,
-        per-row group index, group count).
-
-        The hot path packs each row into one integer and groups with a
-        single stable argsort — much cheaper than a row-wise
-        ``np.unique`` — falling back to the latter only when the packed
-        space would overflow.
-        """
-        mult = self._sig_packer(attr)
-        if mult is None:
-            _, first, inverse = np.unique(
-                sigs, axis=0, return_index=True, return_inverse=True
-            )
-            return first, inverse.reshape(-1), len(first)
-        packed = (sigs.astype(np.int64) + 1) @ mult
-        order = np.argsort(packed, kind="stable")
-        sorted_packed = packed[order]
-        boundary = np.empty(order.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_packed[1:], sorted_packed[:-1], out=boundary[1:])
-        group_of_sorted = np.cumsum(boundary) - 1
-        inverse = np.empty(order.size, dtype=np.intp)
-        inverse[order] = group_of_sorted
-        first = order[boundary]
-        return first, inverse, int(first.size)
 
     def infer_batch_codes(
         self,
@@ -332,8 +410,16 @@ class BatchInferenceEngine:
     # -- diagnostics -----------------------------------------------------------
 
     def cache_info(self) -> dict[str, int | None]:
-        """LRU counters plus group/tuple totals, for reporting."""
+        """CPD cache counters plus group/tuple totals, for reporting.
+
+        ``hits`` adds the LRU's hits to the batch rows a memo already held
+        (memo hits count as rows served, LRU hits as distinct
+        signatures); ``misses`` and ``groups_computed`` count signatures
+        computed; ``evictions`` adds LRU evictions to memo resets.
+        """
         info = self.cache.info()
+        info["hits"] += self.memo_hits
+        info["evictions"] += self.memo_resets
         info["groups_computed"] = self.groups_computed
         info["tuples_served"] = self.tuples_served
         return info

@@ -241,7 +241,7 @@ class GibbsEnsemble:
     order — the same per-tuple order the scalar chain uses — and resamples
     every row missing that attribute at once: one
     :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-    call for the CPDs, one ``rng.random(N)`` draw, and one vectorized
+    call for the CDF rows, one ``rng.random(N)`` draw, and one vectorized
     inverse-CDF lookup replace ``N`` ``conditional_probs`` + ``rng.choice``
     round trips.
 
@@ -318,11 +318,15 @@ class GibbsEnsemble:
         states = self.states
         for attr in self.attrs:
             rows = self._rows[attr]
-            probs = engine.conditional_probs_batch(
-                states[rows], attr, sampler.v_choice, sampler.v_scheme
+            # The engine's cached CDF rows: Generator.choice's
+            # cumsum / cdf[-1], computed once per distinct signature.
+            cdf = engine.conditional_probs_batch(
+                states[rows],
+                attr,
+                sampler.v_choice,
+                sampler.v_scheme,
+                cumulative=True,
             )
-            cdf = np.cumsum(probs, axis=1)
-            cdf /= cdf[:, -1:]
             u = rng.random(rows.size)
             # searchsorted(cdf, u, side="right") per row — the exact
             # arithmetic of Generator.choice(n, p=probs).

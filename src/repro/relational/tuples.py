@@ -43,7 +43,7 @@ class RelTuple:
     positions holding real values (Def. 2.1).
     """
 
-    __slots__ = ("schema", "codes", "_hash")
+    __slots__ = ("schema", "codes", "_hash", "_missing")
 
     def __init__(self, schema: Schema, codes: Sequence[int]):
         arr = np.asarray(codes, dtype=np.int32)
@@ -51,8 +51,11 @@ class RelTuple:
             raise SchemaError(
                 f"tuple has {arr.shape} codes for a schema of {len(schema)} attributes"
             )
+        missing = []
         for i, code in enumerate(arr):
-            if code != MISSING_CODE and not 0 <= code < schema[i].cardinality:
+            if code == MISSING_CODE:
+                missing.append(i)
+            elif not 0 <= code < schema[i].cardinality:
                 raise SchemaError(
                     f"code {int(code)} out of range for attribute {schema[i].name!r}"
                 )
@@ -60,6 +63,8 @@ class RelTuple:
         self.schema = schema
         self.codes = arr
         self._hash = hash((schema, arr.tobytes()))
+        # Immutable codes: the planner and kernels ask for these constantly.
+        self._missing = tuple(missing)
 
     def __reduce__(self):
         # Rebuild through __init__ rather than restoring slots: the cached
@@ -105,7 +110,7 @@ class RelTuple:
     @property
     def is_complete(self) -> bool:
         """True if this tuple is a point (Def. 2.2)."""
-        return bool((self.codes != MISSING_CODE).all())
+        return not self._missing
 
     @property
     def complete_positions(self) -> tuple[int, ...]:
@@ -115,11 +120,11 @@ class RelTuple:
     @property
     def missing_positions(self) -> tuple[int, ...]:
         """Positions of attributes whose value is missing."""
-        return tuple(int(i) for i in np.flatnonzero(self.codes == MISSING_CODE))
+        return self._missing
 
     @property
     def num_missing(self) -> int:
-        return int((self.codes == MISSING_CODE).sum())
+        return len(self._missing)
 
     def value(self, name: str) -> Hashable:
         """Return the value of attribute ``name`` (or :data:`MISSING`)."""
@@ -192,8 +197,12 @@ class RelTuple:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelTuple):
             return NotImplemented
-        return self.schema == other.schema and bool(
-            (self.codes == other.codes).all()
+        # Equal schemas mean equal-length int32 code vectors, so comparing
+        # raw bytes is exact — and far cheaper than an elementwise ufunc
+        # on the dict/set probes of every dedupe.
+        return (
+            self.schema == other.schema
+            and self.codes.tobytes() == other.codes.tobytes()
         )
 
     def __hash__(self) -> int:

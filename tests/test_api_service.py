@@ -219,6 +219,41 @@ class TestHttp:
         assert body["status"] == "ok"
         assert body["databases"] == ["default"]
 
+    def test_accepted_connections_disable_nagle(self):
+        """A response leaves in two sends (head, then body); under Nagle
+        the body would wait for the client's delayed ACK.  Every accepted
+        socket must carry TCP_NODELAY."""
+        import socket
+
+        server = make_server(InferenceService(), port=0)
+        handler = server.RequestHandlerClass  # per-server subclass
+        seen = []
+        setup = handler.setup
+
+        def recording_setup(self):
+            setup(self)
+            seen.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        handler.setup = recording_setup
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            for _ in range(2):
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/v1/health", timeout=30
+                ) as response:
+                    assert response.status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert len(seen) == 2 and all(seen)
+
     def test_http_errors_carry_json_bodies(self, http_server):
         _, port = http_server
         with pytest.raises(urllib.error.HTTPError) as err:

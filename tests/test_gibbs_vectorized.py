@@ -4,7 +4,8 @@ Three layers of guarantees:
 
 * ``BatchInferenceEngine.conditional_probs_batch`` is bit-identical to the
   scalar ``conditional_probs`` row by row (they share the same LRU
-  entries).
+  entries), through its array memo's hits, misses and resets, and its
+  ``cumulative=True`` rows are exactly ``Generator.choice``'s CDF.
 * A one-tuple, one-chain :class:`~repro.core.gibbs.GibbsEnsemble` consumes
   the same RNG stream as the scalar :class:`~repro.core.gibbs.GibbsChain`
   and emits identical samples under the same seed; multi-chain /
@@ -22,6 +23,7 @@ import pytest
 from repro.api.config import DeriveConfig
 from repro.api.service import DeriveRequest
 from repro.bayesnet import forward_sample_relation, make_network
+from repro.bench.masking import mask_relation
 from repro.bench.metrics import true_joint_posterior
 from repro.cli import build_parser, config_from_args
 from repro.core import (
@@ -32,6 +34,7 @@ from repro.core import (
     learn_mrsl,
     workload_sampling,
 )
+from repro.datasets.census import load_census
 from repro.exec.plan import MULTI_TUPLES_PER_SHARD, plan_shards
 from repro.relational import Relation, make_tuple
 
@@ -88,10 +91,14 @@ class TestConditionalProbsBatch:
         rng = np.random.default_rng(3)
         states = rng.integers(0, 2, size=(48, 4)).astype(np.int32)
         packed = engine.conditional_probs_batch(states, 1)
+        cdfs = engine.conditional_probs_batch(states, 1, cumulative=True)
         engine._sig_packers = dict.fromkeys(range(4))  # force the fallback
         engine.cache.clear()
         fallback = engine.conditional_probs_batch(states, 1)
         assert (packed == fallback).all()
+        assert (
+            engine.conditional_probs_batch(states, 1, cumulative=True) == cdfs
+        ).all()
 
     def test_counters_track_batches(self, bn8_setup):
         net, schema, model = bn8_setup
@@ -101,6 +108,143 @@ class TestConditionalProbsBatch:
         engine.conditional_probs_batch(states, 2)
         assert engine.tuples_served == 32
         assert engine.groups_computed >= 1
+        # A repeated batch is served whole by the memo: its rows count as
+        # hits, and nothing is computed.
+        info = engine.cache_info()
+        engine.conditional_probs_batch(states, 2)
+        again = engine.cache_info()
+        assert again["hits"] == info["hits"] + 32
+        assert again["misses"] == info["misses"]
+        assert again["groups_computed"] == info["groups_computed"]
+
+
+# -- the array-native CPD/CDF memo -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def census_model():
+    rng = np.random.default_rng(2011)
+    train, _ = load_census(2500, rng)
+    return learn_mrsl(train, support_threshold=0.005).model
+
+
+def _random_states(schema, n, rng):
+    """``n`` random full code vectors, column by column within domains."""
+    return np.stack(
+        [rng.integers(0, attr.cardinality, size=n) for attr in schema], axis=1
+    ).astype(np.int32)
+
+
+def _cdf(probs):
+    cdf = np.cumsum(probs)
+    return cdf / cdf[-1]
+
+
+class TestCPDMemo:
+    def test_rows_bit_identical_to_scalar_across_calls(self, census_model):
+        """Successive batches (new and repeated signatures mixed) on every
+        attribute, plain and cumulative, equal the scalar path bit for bit."""
+        schema = census_model.schema
+        engine = BatchInferenceEngine(census_model)
+        scalar = BatchInferenceEngine(census_model)
+        rng = np.random.default_rng(5)
+        for call in range(4):
+            states = _random_states(schema, 40, rng)
+            if call:
+                states[:15] = previous[-15:]  # memo hits beside misses
+            previous = states
+            for attr in range(len(schema)):
+                probs = engine.conditional_probs_batch(states, attr)
+                cdfs = engine.conditional_probs_batch(
+                    states, attr, cumulative=True
+                )
+                for i, row in enumerate(states):
+                    expected = scalar.conditional_probs(row, attr)
+                    assert (probs[i] == expected).all()
+                    assert (cdfs[i] == _cdf(expected)).all()
+
+    def test_cumulative_rows_are_the_choice_cdf(self, census_model):
+        schema = census_model.schema
+        engine = BatchInferenceEngine(census_model)
+        states = _random_states(schema, 64, np.random.default_rng(6))
+        for attr in range(len(schema)):
+            probs = engine.conditional_probs_batch(states, attr)
+            cdfs = engine.conditional_probs_batch(states, attr, cumulative=True)
+            for p, c in zip(probs, cdfs):
+                assert (c == np.cumsum(p) / np.cumsum(p)[-1]).all()
+
+    def test_reset_by_a_tiny_cache_returns_identical_rows(self, census_model):
+        schema = census_model.schema
+        big = BatchInferenceEngine(census_model)
+        tiny = BatchInferenceEngine(census_model, cache_size=3)
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 2, 30, 2, 3):  # 30 rows alone outgrow the bound
+            states = _random_states(schema, n, rng)
+            for attr in range(len(schema)):
+                for cumulative in (False, True):
+                    a = big.conditional_probs_batch(
+                        states, attr, cumulative=cumulative
+                    )
+                    b = tiny.conditional_probs_batch(
+                        states, attr, cumulative=cumulative
+                    )
+                    assert (a == b).all()
+        assert tiny.memo_resets > 0
+        assert all(len(memo) <= 3 for memo in tiny._memos.values())
+        info = tiny.cache_info()
+        assert info["evictions"] == tiny.cache.evictions + tiny.memo_resets
+        assert big.memo_resets == 0
+
+    def test_batch_after_warm_scalar_adds_no_lru_miss(self, census_model):
+        schema = census_model.schema
+        engine = BatchInferenceEngine(census_model)
+        states = _random_states(schema, 50, np.random.default_rng(8))
+        for row in states:
+            engine.conditional_probs(row, 3)
+        misses = engine.cache.misses
+        computed = engine.groups_computed
+        engine.conditional_probs_batch(states, 3)
+        engine.conditional_probs_batch(states, 3, cumulative=True)
+        assert engine.cache.misses == misses
+        assert engine.groups_computed == computed
+
+    def test_missing_codes_in_the_signature_stay_distinct(self, census_model):
+        """MISSING_CODE is a digit of the packing, never an alias."""
+        schema = census_model.schema
+        engine = BatchInferenceEngine(census_model)
+        scalar = BatchInferenceEngine(census_model)
+        states = _random_states(schema, 60, np.random.default_rng(9))
+        states[::2, 1] = -1
+        states[::3, 4] = -1
+        for attr in (0, 2, 4):
+            probs = engine.conditional_probs_batch(states, attr)
+            for row, p in zip(states, probs):
+                assert (p == scalar.conditional_probs(row, attr)).all()
+
+    def test_census_multi_missing_derive_digest_is_pinned(self, census_model):
+        """Seeded vectorized derive, byte for byte as before the memo."""
+        import hashlib
+
+        rng = np.random.default_rng(2011)
+        load_census(2500, rng)  # the training rows of census_model
+        rows, _ = load_census(600, rng)
+        relation = mask_relation(rows, (2, 3), rng)
+        result = derive_probabilistic_database(
+            relation,
+            config=DeriveConfig(
+                num_samples=300, burn_in=20, seed=5, gibbs_chains=2
+            ),
+            model=census_model,
+        )
+        h = hashlib.sha256()
+        for block in result.database.blocks:
+            h.update(block.base.codes.tobytes())
+            h.update(repr(tuple(block.distribution.outcomes)).encode())
+            h.update(np.asarray(block.distribution.probs).tobytes())
+        assert len(result.database.blocks) == 600
+        assert h.hexdigest() == (
+            "5f2be536acdbff3c8f504ae6886d6d53a4a620a80a89025a955602f6a23972cb"
+        )
 
 
 # -- scalar vs vectorized chains -------------------------------------------------

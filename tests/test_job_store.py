@@ -180,7 +180,8 @@ class TestJournaledJobs:
             assert job.wait(timeout=60)
             assert job.state == "done"
             # Bit-identical to the uninterrupted blocking derive.
-            assert job.result()["blocks"] == reference["blocks"]
+            result = service.job_result("derive-res-1")
+            assert result["blocks"] == reference["blocks"]
             # The journaled shard was carried, not re-executed.
             shard_events = [
                 e for e in job.events() if e["event"] == "shard"

@@ -534,6 +534,27 @@ class TestHttpJobs:
         _, result = _get(port, f"/v1/jobs/{ack['job_id']}/result")
         assert json.dumps(result) == json.dumps(blocking)
 
+    def test_async_result_bytes_equal_blocking_body(self, http_service):
+        """The finished job keeps its encoded JSON, served verbatim."""
+        service, port = http_service
+        body = json.dumps(_derive_payload()).encode("utf-8")
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/derive",
+            data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            blocking = response.read()
+        _, ack = _post(port, "/v1/derive?mode=async", _derive_payload())
+        job = service.jobs.get(ack["job_id"])
+        assert job.wait(timeout=30) and job.state == "done"
+        assert isinstance(job.result(), bytes)  # no dict tree retained
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}/v1/jobs/{job.id}/result", timeout=30
+        ) as response:
+            assert response.read() == blocking
+        assert service.job_result(job.id) == json.loads(blocking)
+
     def test_events_stream_is_chunked_ndjson(self, http_service):
         _, port = http_service
         _, ack = _post(

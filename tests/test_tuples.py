@@ -155,6 +155,25 @@ class TestTransforms:
         assert hash(a) == hash(b)
         assert a != make_tuple(fig1_schema, {"age": "30"})
 
+    def test_equal_codes_under_different_schemas_are_unequal(self, fig1_schema):
+        """Equality compares code bytes only once the schemas agree."""
+        from repro.relational import Schema
+
+        renamed = Schema.from_domains(
+            {
+                f"{attr.name}_2": list(attr.domain)
+                for attr in fig1_schema
+            }
+        )
+        codes = [0, 1, MISSING_CODE, 1]
+        a = RelTuple(fig1_schema, codes)
+        b = RelTuple(renamed, codes)
+        assert a.codes.tobytes() == b.codes.tobytes()
+        assert a != b and b != a
+        assert len({a, b}) == 2
+        assert a == RelTuple(fig1_schema, codes)
+        assert a != codes  # not a RelTuple: no structural equality
+
     def test_repr_is_readable(self, t1):
         assert "age=20" in repr(t1)
         assert "inc=?" in repr(t1)
