@@ -139,15 +139,17 @@ class BatchInferenceEngine:
         # columns into one int64 per row (None = space too large to pack;
         # the batch path then falls back to row-wise unique).
         self._sig_packers: dict[int, np.ndarray | None] = {}
-        # (attr, vChoice, vScheme) -> array memo of the batch path.
+        # (attr, vChoice, vScheme) -> array memo of the batch path; their
+        # rows together (``_memo_rows``) stay within ``cache_size``.
         self._memos: dict[tuple, _CPDMemo] = {}
+        self._memo_rows = 0
         #: distinct (attribute, signature, config) groups actually computed
         self.groups_computed = 0
         #: tuples served across all batch calls
         self.tuples_served = 0
         #: batch rows served by a memo that already held their signature
         self.memo_hits = 0
-        #: memos dropped because they outgrew ``cache_size``
+        #: memo resets because all memos together outgrew ``cache_size``
         self.memo_resets = 0
 
     # -- scalar entry points ---------------------------------------------------
@@ -229,10 +231,12 @@ class BatchInferenceEngine:
         lacks are deduplicated with one ``np.unique``; each is answered
         from the shared LRU (the scalar :meth:`conditional_probs` entries,
         so scalar and batch callers warm each other) or computed and put
-        there.  A memo holds at most ``cache_size`` rows: one that would
-        outgrow it is reset, counted in ``evictions``, which never changes
-        a result since a CPD is a function of its signature.  Signature
-        spaces too wide to pack fall back to a row-wise ``np.unique``.
+        there.  All memos together hold at most ``cache_size`` signatures:
+        a batch that would overflow that resets its own memo (and the
+        others too, if that is not enough), counted in ``evictions``, which
+        never changes a result since a CPD is a function of its signature.
+        Signature spaces too wide to pack fall back to a row-wise
+        ``np.unique``.
         """
         choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
         scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
@@ -275,18 +279,25 @@ class BatchInferenceEngine:
             missed = np.flatnonzero(~found)
             new, first = np.unique(packed[missed], return_index=True)
             limit = self.cache.maxsize
-            if limit is not None and len(memo) + new.size > limit:
-                # Outgrown: start over from this batch's signatures alone.
+            if limit is not None and self._memo_rows + new.size > limit:
+                # Outgrown: start this memo over from the batch's own
+                # signatures, dropping every other memo if that is not enough.
                 self.memo_resets += 1
+                self._memo_rows -= len(memo)
                 memo = self._memos[key] = _CPDMemo(memo.cpds.shape[1])
                 missed = np.arange(packed.size)
                 new, first = np.unique(packed, return_index=True)
+                if self._memo_rows + new.size > limit:
+                    self._memos = {key: memo}
+                    self._memo_rows = 0
             self.memo_hits += packed.size - missed.size
             reps = states[missed[first]]
             memo.insert(new, self._answer(reps, attr, choice, scheme))
+            self._memo_rows += new.size
             pos = memo.keys.searchsorted(packed)
-            if limit is not None and len(memo) > limit:
+            if limit is not None and self._memo_rows > limit:
                 del self._memos[key]  # one batch alone exceeds the bound
+                self._memo_rows = 0
         return (memo.cdfs if cumulative else memo.cpds)[memo.slots[pos]]
 
     def _answer(

@@ -189,8 +189,10 @@ class TestCPDMemo:
                         states, attr, cumulative=cumulative
                     )
                     assert (a == b).all()
+                    # The bound is on all memos together, not per memo.
+                    held = [len(memo) for memo in tiny._memos.values()]
+                    assert sum(held) == tiny._memo_rows <= 3
         assert tiny.memo_resets > 0
-        assert all(len(memo) <= 3 for memo in tiny._memos.values())
         info = tiny.cache_info()
         assert info["evictions"] == tiny.cache.evictions + tiny.memo_resets
         assert big.memo_resets == 0
