@@ -3,11 +3,15 @@
 The compiled engine groups a batch by evidence signature and answers each
 group with one vectorized match + combine; the naive path re-enumerates
 voters per tuple.  This bench derives the same masked census batch both
-ways, checks the outputs are bit-for-bit identical, and records the
-speedup — the acceptance bar is >= 3x on the inference phase.
+ways ``REPEATS`` times, alternating which engine runs first so host drift
+hits both alike, checks every compiled output is bit-for-bit identical to
+the naive one, and gates the ratio of the two medians — the acceptance
+bar is >= 3x on the inference phase.  One ~40 ms compiled run is too
+noisy to gate on alone.
 """
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -22,6 +26,9 @@ from repro.datasets.census import load_census
 #: ``REPRO_MIN_SPEEDUP`` (CI uses a looser bound) without weakening the
 #: bit-for-bit equality assertion, which always holds.
 MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_SPEEDUP", "3.0"))
+
+#: Runs per engine; the gate compares their medians.
+REPEATS = 5
 
 
 def _setup(scale):
@@ -38,46 +45,47 @@ def _setup(scale):
 
 def test_engine_speedup(benchmark, report, scale):
     model, masked = _setup(scale)
-    rows = []
+    runs = {"naive": [], "compiled": []}
     results = {}
 
     def run():
-        for engine in ("naive", "compiled"):
-            start = time.perf_counter()
-            results[engine] = infer_all_single_missing(
-                masked, model, engine=engine
-            )
-            elapsed = time.perf_counter() - start
-            rows.append(
-                (
-                    engine,
-                    model.size(),
-                    len(masked),
-                    round(elapsed, 4),
-                    round(1000 * elapsed / len(masked), 4),
+        for i in range(REPEATS):
+            order = ("naive", "compiled") if i % 2 == 0 else ("compiled", "naive")
+            for engine in order:
+                start = time.perf_counter()
+                results[engine] = infer_all_single_missing(
+                    masked, model, engine=engine
                 )
-            )
-        return rows
+                runs[engine].append(time.perf_counter() - start)
+            # The two engines must agree exactly, on every run: the compiled
+            # path is an optimization, never an approximation.
+            for a, b in zip(results["naive"], results["compiled"]):
+                assert a.outcomes == b.outcomes
+                assert (a.probs == b.probs).all()
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    naive_time = rows[0][3]
-    compiled_time = rows[1][3]
-    speedup = naive_time / max(compiled_time, 1e-9)
+    times = {engine: statistics.median(t) for engine, t in runs.items()}
+    speedup = times["naive"] / max(times["compiled"], 1e-9)
+    rows = [
+        (
+            engine,
+            model.size(),
+            len(masked),
+            round(times[engine], 4),
+            round(1000 * times[engine] / len(masked), 4),
+        )
+        for engine in ("naive", "compiled")
+    ]
     rows.append(("speedup", "-", "-", round(speedup, 2), "-"))
     report(
         "engine_speedup",
-        ["engine", "model size", "batch", "time (s)", "ms/tuple"],
+        ["engine", "model size", "batch", "median time (s)", "ms/tuple"],
         rows,
         title="Compiled batch-inference engine vs naive voter enumeration "
-        "(census, single missing attribute)",
+        f"(census, single missing attribute; median of {REPEATS} "
+        "alternating runs)",
     )
-
-    # The two engines must agree exactly: the compiled path is an
-    # optimization, never an approximation.
-    for a, b in zip(results["naive"], results["compiled"]):
-        assert a.outcomes == b.outcomes
-        assert (a.probs == b.probs).all()
     assert speedup >= MIN_SPEEDUP, (
         f"compiled engine only {speedup:.2f}x faster than naive "
         f"(required {MIN_SPEEDUP}x)"

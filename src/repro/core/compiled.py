@@ -4,13 +4,15 @@
 enumerating ``combinations()`` of a tuple's known items — fine for one
 tuple, wasteful for a workload that asks the same evidence signature over
 and over.  This module *compiles* a semi-lattice into flat arrays so that
-matching and vote combination become single vectorized operations:
+Algorithm 2 runs for a whole batch of distinct signatures at once
+(:meth:`CompiledMRSL.infer_many`):
 
 * a stacked CPD matrix (one row per meta-rule) and a weight vector;
 * padded body matrices, so "which meta-rules match this evidence?" is one
-  ``(R, maxBody)`` comparison instead of a subset enumeration;
-* per-rule ancestor index sets, so the *best* (most specific) filter is a
-  set difference instead of pairwise subsumption tests;
+  ``(G, R, maxBody)`` comparison for ``G`` evidence rows;
+* a rule-dominance CSR (row ``j`` lists the rules whose body is a proper
+  subset of rule ``j``'s), so the *best* (most specific) filter is one
+  scatter over the matched rows' CSR entries;
 * a body -> row index keyed by itemset for point lookups.
 
 Rules are stored in the canonical ``(body_size, body)`` order — exactly the
@@ -21,17 +23,23 @@ index order reproduces the naive path's floating-point results bit for bit.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import combinations
 from typing import Hashable, Iterator
 
 import numpy as np
 
 from ..relational.tuples import MISSING_CODE
+from ..probdb.distribution import DEFAULT_SMOOTHING_FLOOR
 from .inference import VoterChoice, VotingScheme, _combine_stack
 from .itemsets import Itemset
 from .mrsl import MRSL, MRSLModel
 
-__all__ = ["LRUCache", "CompiledMRSL", "CompiledModel"]
+__all__ = ["LRUCache", "CompiledMRSL", "CompiledModel", "MATCH_CHUNK_BYTES"]
+
+#: Byte budget of the ``(rows, R, maxBody)`` int32 gather one matching
+#: chunk makes.  :meth:`CompiledMRSL.infer_many` and the dominance build
+#: split their rows into chunks under it, so their temporaries (match
+#: mask, CSR expansion, voter matrix) grow with the chunk, not the batch.
+MATCH_CHUNK_BYTES = 1 << 20
 
 
 class LRUCache:
@@ -108,7 +116,8 @@ class CompiledMRSL:
         "_body_attrs",
         "_body_vals",
         "_pad",
-        "_ancestors",
+        "_sum_tables",
+        "_dominance",
     )
 
     def __init__(self, lattice: MRSL, cardinality: int):
@@ -144,29 +153,18 @@ class CompiledMRSL:
                 self._body_vals[i, k] = val
                 self._pad[i, k] = False
 
-        # Per-rule ancestors: rows whose body is a proper subset of this
-        # row's body.  A match is "best" iff it is no matched rule's ancestor.
-        # Filled on first use: a derive that matches few rules (a small
-        # delta, a cold engine) should not pay O(R * 2^maxBody) up front.
-        self._ancestors: dict[int, frozenset[int]] = {}
+        # Per-scheme summands of the rank-ordered combine, each with one
+        # extra all-zero row (index R) that pads short voter lists.  Filled
+        # on first use of the scheme.
+        self._sum_tables: dict[VotingScheme, np.ndarray] = {}
+        # Rule-dominance CSR (indptr, indices), built on the first BEST
+        # batch: only that voter choice reads it.
+        self._dominance: tuple[np.ndarray, np.ndarray] | None = None
 
         # Attributes mentioned by any body: the evidence *signature* — two
         # code vectors agreeing on these attributes have identical voter sets.
         attrs = sorted({attr for body in self.bodies for attr, _ in body})
         self.signature_attrs = np.array(attrs, dtype=np.intp)
-
-    def _ancestor_rows(self, row: int) -> frozenset[int]:
-        out = self._ancestors.get(row)
-        if out is None:
-            body = self.bodies[row]
-            out = frozenset(
-                anc
-                for size in range(len(body))
-                for sub in combinations(body, size)
-                if (anc := self._body_index.get(sub)) is not None
-            )
-            self._ancestors[row] = out
-        return out
 
     # -- collection protocol ---------------------------------------------------
 
@@ -188,40 +186,107 @@ class CompiledMRSL:
         """
         return np.ascontiguousarray(codes[self.signature_attrs]).tobytes()
 
-    def match_rows(self, codes: np.ndarray) -> np.ndarray:
-        """Ascending row indices of meta-rules whose body agrees with ``codes``.
+    def _chunk_rows(self) -> int:
+        """Evidence rows per matching chunk under :data:`MATCH_CHUNK_BYTES`."""
+        per_row = 4 * max(self._body_attrs.size, 1)
+        return max(1, MATCH_CHUNK_BYTES // per_row)
 
-        One vectorized comparison over all rules replaces the naive path's
-        ``combinations()`` enumeration.  ``codes`` is a full code vector; the
-        head position must carry :data:`MISSING_CODE`.
+    def _match(self, reps: np.ndarray) -> np.ndarray:
+        """``(G, R)`` mask: rule ``r`` matches evidence row ``g``.
+
+        Rule ``r`` matches when every ``(attr, val)`` of its body agrees
+        with the row; padding slots always agree, so the root (and any rule
+        when ``maxBody == 0``) matches every row.
         """
-        if not len(self.bodies):
-            return np.empty(0, dtype=np.intp)
-        ok = (codes[self._body_attrs] == self._body_vals) | self._pad
-        return np.flatnonzero(ok.all(axis=1))
+        return ((reps[:, self._body_attrs] == self._body_vals) | self._pad).all(
+            axis=2
+        )
 
-    def best_rows(self, matched: np.ndarray) -> np.ndarray:
-        """Most specific subset of ``matched``: rows that subsume no other match."""
-        if matched.size <= 1:
-            return matched
-        dominated: set[int] = set()
-        for j in matched:
-            dominated.update(self._ancestor_rows(int(j)))
-        if not dominated:
-            return matched
-        keep = [i for i in matched if int(i) not in dominated]
-        return np.asarray(keep, dtype=np.intp)
+    def _dominance_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rule-dominance CSR: row ``j`` holds the rules ``i != j`` with
+        ``body_i`` a proper subset of ``body_j``, ascending.
+
+        Built with the matching primitive itself: rule ``j``'s body, written
+        as an evidence row (:data:`MISSING_CODE` elsewhere), is matched by
+        exactly the rules whose body it contains.  Costs one chunked
+        ``(R, R, maxBody)`` comparison, once per lattice; holds
+        ``R + 1`` pointers plus one index per (rule, proper sub-rule) pair,
+        at most ``R * (2**maxBody - 1)``.
+        """
+        if self._dominance is None:
+            n = len(self)
+            width = int(self._body_attrs.max()) + 1 if self._body_attrs.size else 1
+            evidence = np.full((n, width), MISSING_CODE, dtype=np.int32)
+            rule, slot = np.nonzero(~self._pad)
+            evidence[rule, self._body_attrs[rule, slot]] = self._body_vals[rule, slot]
+            counts, indices = [], []
+            step = self._chunk_rows()
+            for lo in range(0, n, step):
+                sub = self._match(evidence[lo : lo + step])
+                rows = np.arange(sub.shape[0])
+                sub[rows, lo + rows] = False  # a rule never dominates itself
+                counts.append(sub.sum(axis=1))
+                indices.append(np.nonzero(sub)[1])
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            if n:
+                np.cumsum(np.concatenate(counts), out=indptr[1:])
+                flat = np.concatenate(indices).astype(np.intp)
+            else:
+                flat = np.empty(0, dtype=np.intp)
+            self._dominance = (indptr, flat)
+        return self._dominance
+
+    def _drop_dominated(self, matched: np.ndarray) -> np.ndarray:
+        """Clear, in place, every matched rule that a matched rule dominates.
+
+        A rule whose body is a subset of a matched body matches too, so
+        clearing each matched row's CSR entries leaves exactly the most
+        specific matches: the *best* voters.
+        """
+        indptr, indices = self._dominance_csr()
+        group, rule = np.nonzero(matched)
+        starts = indptr[rule]
+        lens = indptr[rule + 1] - starts
+        total = int(lens.sum())
+        if total:
+            # Position p of the expansion reads indices[starts[k] + p - offset[k]]
+            # for the matched pair k it falls in.
+            offsets = np.cumsum(lens) - lens
+            at = np.repeat(starts - offsets, lens) + np.arange(total)
+            matched[np.repeat(group, lens), indices[at]] = False
+        return matched
+
+    def _voters(
+        self, reps: np.ndarray, v_choice: VoterChoice
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Voter sets of evidence rows as a padded ``(G, K)`` matrix.
+
+        Row ``g`` holds its voters' row indices in ascending (= naive
+        enumeration) order, padded with ``R`` (the zero row of the sum
+        tables); the second array counts each row's voters.
+        """
+        g = reps.shape[0]
+        if v_choice is VoterChoice.ROOT:
+            if self.root_index < 0:
+                return np.empty((g, 0), dtype=np.intp), np.zeros(g, dtype=np.intp)
+            return (
+                np.full((g, 1), self.root_index, dtype=np.intp),
+                np.ones(g, dtype=np.intp),
+            )
+        matched = self._match(reps)
+        if v_choice is VoterChoice.BEST:
+            matched = self._drop_dominated(matched)
+        counts = matched.sum(axis=1)
+        group, rule = np.nonzero(matched)  # row-major: ascending rule per group
+        voters = np.full((g, int(counts.max(initial=0))), len(self), dtype=np.intp)
+        rank = np.arange(rule.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        voters[group, rank] = rule
+        return voters, counts
 
     def voter_rows(self, codes: np.ndarray, v_choice: VoterChoice) -> np.ndarray:
         """The voter set for one evidence vector, as ascending row indices."""
-        if v_choice is VoterChoice.ROOT:
-            if self.root_index < 0:
-                return np.empty(0, dtype=np.intp)
-            return np.array([self.root_index], dtype=np.intp)
-        matched = self.match_rows(codes)
-        if v_choice is VoterChoice.BEST:
-            return self.best_rows(matched)
-        return matched
+        voters, counts = self._voters(codes[None, :], v_choice)
+        return voters[0, : counts[0]]
 
     # -- voting -----------------------------------------------------------------
 
@@ -242,14 +307,81 @@ class CompiledMRSL:
         )
         return _combine_stack(self.cpds[rows], weights, scheme)
 
+    def _sum_table(self, scheme: VotingScheme) -> np.ndarray:
+        """The per-rule summands of ``scheme`` plus a trailing zero row."""
+        table = self._sum_tables.get(scheme)
+        if table is None:
+            rows = self.cpds
+            if scheme is VotingScheme.LOG_POOL:
+                rows = np.log(np.maximum(rows, DEFAULT_SMOOTHING_FLOOR))
+            table = np.zeros((len(self) + 1, self.cardinality))
+            table[:-1] = rows
+            self._sum_tables[scheme] = table
+        return table
+
+    def _combine_many(
+        self, voters: np.ndarray, counts: np.ndarray, scheme: VotingScheme
+    ) -> np.ndarray:
+        """One combined CPD per row of a padded voter matrix.
+
+        AVERAGED and LOG_POOL add the voters' rows one rank at a time.
+        ``stack.mean(axis=0)`` on the naive path reduces a C-ordered stack
+        along axis 0 the same way — row 0, then ``+= row k`` for each later
+        ``k`` — and adding the zero pad row leaves a sum unchanged, so every
+        float operation, and hence every bit, matches
+        :func:`~repro.core.inference._combine_stack`.  WEIGHTED's
+        ``weights @ stack`` is a BLAS dot with no fixed summation order, so
+        it is combined row by row through :meth:`combine_rows`.
+        """
+        g = voters.shape[0]
+        if scheme is VotingScheme.WEIGHTED:
+            out = np.empty((g, self.cardinality))
+            for k in range(g):
+                out[k] = self.combine_rows(voters[k, : counts[k]], scheme)
+            return out
+        table = self._sum_table(scheme)
+        out = np.zeros((g, self.cardinality))
+        for rank in range(voters.shape[1]):
+            out += table[voters[:, rank]]
+        out /= np.maximum(counts, 1)[:, None]
+        if scheme is VotingScheme.LOG_POOL:
+            np.exp(out, out=out)
+            out /= out.sum(axis=1, keepdims=True)
+        # No applicable meta-rule: the naive path's uniform fallback.
+        out[counts == 0] = 1.0 / self.cardinality
+        return out
+
+    def infer_many(
+        self,
+        reps: np.ndarray,
+        v_choice: VoterChoice,
+        v_scheme: VotingScheme,
+    ) -> np.ndarray:
+        """Algorithm 2 for a batch of evidence rows (uncached; callers memoize).
+
+        ``reps`` is a ``(G, width)`` code matrix, typically one
+        representative per distinct evidence signature; the head column is
+        never read.  Returns the ``(G, cardinality)`` CPD matrix, row ``g``
+        bit-identical to the naive path on ``reps[g]``.  Rows are processed
+        in chunks under :data:`MATCH_CHUNK_BYTES`: match, drop dominated
+        matches (BEST), then combine.
+        """
+        reps = np.asarray(reps)
+        out = np.empty((reps.shape[0], self.cardinality))
+        step = self._chunk_rows()
+        for lo in range(0, reps.shape[0], step):
+            voters, counts = self._voters(reps[lo : lo + step], v_choice)
+            out[lo : lo + step] = self._combine_many(voters, counts, v_scheme)
+        return out
+
     def infer(
         self,
         codes: np.ndarray,
         v_choice: VoterChoice,
         v_scheme: VotingScheme,
     ) -> np.ndarray:
-        """Algorithm 2 for one evidence vector (uncached; callers memoize)."""
-        return self.combine_rows(self.voter_rows(codes, v_choice), v_scheme)
+        """Algorithm 2 for one evidence vector: a 1-row :meth:`infer_many`."""
+        return self.infer_many(codes[None, :], v_choice, v_scheme)[0]
 
     def __repr__(self) -> str:
         return (

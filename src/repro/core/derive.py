@@ -96,11 +96,11 @@ def single_missing_blocks(
     The batch is planned into evidence-signature shards and run by the
     configured executor (serial in-process by default; ``executor`` /
     ``workers`` route it to a thread or process pool).  Within each shard
-    the compiled path serves each signature group with one matrix combine;
-    the naive path loops tuple-at-a-time and is kept as the correctness
-    oracle.  Voting and engine knobs default to ``config`` (itself
-    defaulting to :class:`~repro.api.config.DeriveConfig`); explicit
-    arguments win.
+    the compiled path serves all signature groups with one batched match +
+    combine per attribute; the naive path loops tuple-at-a-time and is
+    kept as the correctness oracle.  Voting and engine knobs default to
+    ``config`` (itself defaulting to :class:`~repro.api.config.DeriveConfig`);
+    explicit arguments win.
     """
     _check_executor_conflict(executor, workers)
     cfg = resolve_config(

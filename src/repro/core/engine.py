@@ -7,9 +7,9 @@ meta-rule actually conditions on — and therefore share their voter set and
 CPD.  :class:`BatchInferenceEngine` exploits this:
 
 1. tuples are grouped by ``(head attribute, evidence signature)``;
-2. each distinct group is answered once, by a single vectorized match over
-   the compiled rule matrix plus one matrix combine
-   (:class:`~repro.core.compiled.CompiledMRSL`);
+2. the distinct groups a batch misses are answered together, per
+   attribute, by one batched match, dominance filter and combine over the
+   compiled rule matrix (:meth:`~repro.core.compiled.CompiledMRSL.infer_many`);
 3. answers are memoized in a bounded LRU, so repeated batches skip even
    the vectorized work; the Gibbs hot loop reads them from per-attribute
    array memos (:meth:`BatchInferenceEngine.conditional_probs_batch`), so
@@ -307,20 +307,42 @@ class BatchInferenceEngine:
         choice: VoterChoice,
         scheme: VotingScheme,
     ) -> np.ndarray:
-        """CPD rows of distinct-signature states: LRU hit or compiled match."""
-        compiled = self.compiled[attr]
-        out = np.empty((reps.shape[0], compiled.cardinality))
-        for j, codes in enumerate(reps):
-            # The scalar conditional_probs key, so both paths share entries.
-            key = (attr, choice, scheme, compiled.signature(codes))
-            cached = self.cache.get(key)
-            if cached is None:
-                cached = compiled.infer(codes, choice, scheme)
-                cached.setflags(write=False)
-                self.cache.put(key, cached)
-                self.groups_computed += 1
-            out[j] = cached
+        """CPD rows of distinct-signature states, stacked."""
+        rows = self._answer_rows(reps, attr, choice, scheme)
+        out = np.empty((len(rows), self.compiled[attr].cardinality))
+        for j, row in enumerate(rows):
+            out[j] = row
         return out
+
+    def _answer_rows(
+        self,
+        reps: np.ndarray,
+        attr: int,
+        choice: VoterChoice,
+        scheme: VotingScheme,
+    ) -> list[np.ndarray]:
+        """One read-only CPD row per distinct-signature representative.
+
+        Each signature is looked up in the shared LRU under the scalar
+        :meth:`conditional_probs` key, so both paths share entries; the
+        misses are answered together by one
+        :meth:`~repro.core.compiled.CompiledMRSL.infer_many` call.
+        """
+        compiled = self.compiled[attr]
+        # int32 rows of a contiguous matrix: the same bytes as
+        # compiled.signature(codes) on each representative.
+        sigs = np.ascontiguousarray(reps[:, compiled.signature_attrs], np.int32)
+        keys = [(attr, choice, scheme, sig.tobytes()) for sig in sigs]
+        rows = [self.cache.get(key) for key in keys]
+        missed = [j for j, row in enumerate(rows) if row is None]
+        if missed:
+            computed = compiled.infer_many(reps[missed], choice, scheme)
+            computed.setflags(write=False)
+            for j, probs in zip(missed, computed):
+                rows[j] = probs
+                self.cache.put(keys[j], probs)
+            self.groups_computed += len(missed)
+        return rows
 
     def _sig_packer(self, attr: int) -> np.ndarray | None:
         """Per-column multipliers packing a code row's signature into int64.
@@ -355,41 +377,36 @@ class BatchInferenceEngine:
     ) -> list[np.ndarray]:
         """One CPD vector per tuple; every tuple missing exactly one attribute.
 
-        Tuples are grouped on ``(attribute, evidence signature)`` and each
-        group is answered by a single compiled match + combine; the LRU makes
-        repeats across calls free as well.
+        Per missing attribute the batch is deduplicated on evidence
+        signature with one ``np.unique``; signatures the LRU lacks are
+        answered by one batched compiled match + combine, so repeats
+        within and across calls are free.  Tuples sharing a signature get
+        the same read-only array.
         """
         choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
         scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
         out: list[np.ndarray | None] = [None] * len(tuples)
-        # group key -> (attr, representative codes, positions to fill)
-        groups: dict[tuple, tuple[int, np.ndarray, list[int]]] = {}
-        for pos, t in enumerate(tuples):
-            missing = t.missing_positions
-            if len(missing) != 1:
+        if tuples:
+            codes = np.stack([t.codes for t in tuples])
+            missing = codes == MISSING_CODE
+            counts = missing.sum(axis=1)
+            bad = np.flatnonzero(counts != 1)
+            if bad.size:
                 raise ValueError(
                     f"expected exactly one missing attribute, tuple has "
-                    f"{len(missing)}"
+                    f"{counts[bad[0]]}"
                 )
-            attr = missing[0]
-            compiled = self.compiled[attr]
-            key = (attr, choice, scheme, compiled.signature(t.codes))
-            entry = groups.get(key)
-            if entry is None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    out[pos] = cached
-                    continue
-                groups[key] = (attr, t.codes, [pos])
-            else:
-                entry[2].append(pos)
-        for key, (attr, codes, positions) in groups.items():
-            probs = self.compiled[attr].infer(codes, choice, scheme)
-            probs.setflags(write=False)
-            self.cache.put(key, probs)
-            self.groups_computed += 1
-            for pos in positions:
-                out[pos] = probs
+            attrs = missing.argmax(axis=1)
+            for attr in np.unique(attrs).tolist():
+                positions = np.flatnonzero(attrs == attr)
+                group = codes[positions]
+                sigs = group[:, self.compiled[attr].signature_attrs]
+                _, first, inverse = np.unique(
+                    sigs, axis=0, return_index=True, return_inverse=True
+                )
+                rows = self._answer_rows(group[first], attr, choice, scheme)
+                for pos, k in zip(positions.tolist(), inverse.reshape(-1).tolist()):
+                    out[pos] = rows[k]
         self.tuples_served += len(tuples)
         return out  # type: ignore[return-value]
 

@@ -104,8 +104,8 @@ def single_shard_blocks(
     """Blocks for a batch of single-missing tuples under the chosen engine.
 
     The compiled path groups the batch by evidence signature and serves
-    each group with one matrix combine; the naive path loops tuple-at-a-time
-    and is kept as the correctness oracle.
+    all its groups with one batched match + combine per attribute; the
+    naive path loops tuple-at-a-time and is kept as the correctness oracle.
     """
     v_choice = VoterChoice(knobs.v_choice)
     v_scheme = VotingScheme(knobs.v_scheme)

@@ -145,8 +145,16 @@ class Relation:
         return self._codes.shape[0]
 
     def __iter__(self) -> Iterator[RelTuple]:
-        for row in self._codes:
-            yield RelTuple(self.schema, row)
+        # Every constructor and apply_changeset validate the matrix, so rows
+        # skip RelTuple's per-cell check; they are read-only views of it.
+        codes = self.codes
+        missing = codes == MISSING_CODE
+        counts = missing.sum(axis=1).tolist()
+        cols = np.nonzero(missing)[1].tolist()
+        at = 0
+        for row, n in zip(codes, counts):
+            yield RelTuple._trusted(self.schema, row, tuple(cols[at : at + n]))
+            at += n
 
     def __getitem__(self, index: int) -> RelTuple:
         return RelTuple(self.schema, self._codes[index])

@@ -98,7 +98,7 @@ class Schema:
     used throughout the paper's evaluation ("dom. size" in Table I).
     """
 
-    __slots__ = ("attributes", "_by_name")
+    __slots__ = ("attributes", "_by_name", "_hash")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
@@ -109,6 +109,14 @@ class Schema:
             raise SchemaError("schema has duplicate attribute names")
         self.attributes = attrs
         self._by_name = by_name
+        # Every RelTuple hash includes its schema's, so compute it once.
+        self._hash = hash(attrs)
+
+    def __reduce__(self):
+        # Rebuild through __init__ rather than restoring slots: the cached
+        # ``_hash`` is salted per process (PYTHONHASHSEED), and schemas
+        # reach spawned workers inside every shard.
+        return (self.__class__, (self.attributes,))
 
     @classmethod
     def from_domains(cls, domains: Mapping[str, Sequence[Hashable]]) -> "Schema":
@@ -165,7 +173,7 @@ class Schema:
         return self.attributes == other.attributes
 
     def __hash__(self) -> int:
-        return hash(self.attributes)
+        return self._hash
 
     def __repr__(self) -> str:
         names = ", ".join(self.names)

@@ -66,6 +66,23 @@ class RelTuple:
         # Immutable codes: the planner and kernels ask for these constantly.
         self._missing = tuple(missing)
 
+    @classmethod
+    def _trusted(
+        cls, schema: Schema, codes: np.ndarray, missing: tuple[int, ...]
+    ) -> "RelTuple":
+        """Wrap a read-only int32 code row already known to be valid.
+
+        For callers holding a validated code matrix (a
+        :class:`~repro.relational.relation.Relation`): skips the per-cell
+        range check, and takes the missing positions the caller computed.
+        """
+        t = cls.__new__(cls)
+        t.schema = schema
+        t.codes = codes
+        t._hash = hash((schema, codes.tobytes()))
+        t._missing = missing
+        return t
+
     def __reduce__(self):
         # Rebuild through __init__ rather than restoring slots: the cached
         # ``_hash`` is salted per process (PYTHONHASHSEED), so a pickled

@@ -44,6 +44,66 @@ class TestConstruction:
         assert tuples[0].value("age") == "20"
 
 
+def _iteration_sources(fig1_schema, fig1_relation):
+    """Relations built by every constructor path that feeds iteration."""
+    from repro.relational import ChangeSet, update
+
+    changed = fig1_relation.copy()
+    changed.apply_changeset(
+        ChangeSet(
+            [
+                update(0, {"inc": "50K"}, source="t"),
+                update(1, {"edu": "?"}, source="t"),
+            ]
+        )
+    )
+    return {
+        "from_codes": Relation.from_codes(fig1_schema, fig1_relation.codes),
+        "from_rows": Relation.from_rows(
+            fig1_schema, [t.values() for t in fig1_relation]
+        ),
+        "apply_changeset": changed,
+        "incomplete_part": fig1_relation.incomplete_part(),
+        "empty": Relation(fig1_schema),
+    }
+
+
+class TestTrustedIteration:
+    """Iteration skips RelTuple's per-cell validation; nothing else changes."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ["from_codes", "from_rows", "apply_changeset", "incomplete_part", "empty"],
+    )
+    def test_matches_validating_constructor(
+        self, fig1_schema, fig1_relation, source
+    ):
+        import pickle
+
+        from repro.relational import RelTuple
+
+        relation = _iteration_sources(fig1_schema, fig1_relation)[source]
+        tuples = list(relation)
+        assert len(tuples) == len(relation)
+        for t, row in zip(tuples, relation.codes):
+            want = RelTuple(fig1_schema, row.copy())
+            assert t == want and hash(t) == hash(want)
+            assert t.missing_positions == want.missing_positions
+            assert t.num_missing == want.num_missing
+            assert t.is_complete == want.is_complete
+            assert t.codes.dtype == np.int32
+            assert not t.codes.flags.writeable
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t)
+            assert back.missing_positions == t.missing_positions
+
+    def test_rows_are_views_of_the_matrix(self, fig1_relation):
+        first = next(iter(fig1_relation))
+        assert np.shares_memory(first.codes, fig1_relation.codes)
+        with pytest.raises(ValueError):
+            first.codes[0] = 0
+
+
 class TestSplit:
     def test_complete_incomplete_partition(self, fig1_relation):
         # Fig. 1 has 8 points (t2,t4,t6,t7,t9,t13,t15,t17) and 9 incomplete.

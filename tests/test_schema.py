@@ -114,3 +114,43 @@ class TestSchema:
         )
         assert fig1_schema == other
         assert hash(fig1_schema) == hash(other)
+
+    def test_pickle_recomputes_hash_across_processes(self, fig1_schema):
+        # Schema caches its hash, which is salted per process
+        # (PYTHONHASHSEED).  Schemas built in another interpreter (a spawned
+        # worker) and pickled back must hash like local ones, or dict/set
+        # lookups of schemas and of their tuples silently miss.
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        from repro.relational import make_tuple
+
+        script = (
+            "import pickle, sys\n"
+            "from repro.relational import Schema, make_tuple\n"
+            "s = Schema.from_domains({'age': ['20', '30', '40'],"
+            " 'edu': ['HS', 'BS', 'MS'], 'inc': ['50K', '100K'],"
+            " 'nw': ['100K', '500K']})\n"
+            "t = make_tuple(s, {'age': '20', 'edu': 'HS'})\n"
+            "sys.stdout.buffer.write(pickle.dumps((s, t)))\n"
+        )
+        hashes = set()
+        for seed in ("4242", "7"):
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            schema, t = pickle.loads(out.stdout)
+            local = make_tuple(fig1_schema, {"age": "20", "edu": "HS"})
+            assert schema == fig1_schema
+            assert hash(schema) == hash(fig1_schema)
+            assert schema in {fig1_schema}
+            assert {fig1_schema: 1}[schema] == 1
+            assert t == local and hash(t) == hash(local)
+            assert {local: "hit"}[t] == "hit"
+            hashes.add(pickle.loads(pickle.dumps(schema))._hash)
+        assert hashes == {hash(fig1_schema)}
