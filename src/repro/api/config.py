@@ -73,7 +73,7 @@ class DeriveConfig:
     failure does — ``"strict"`` (default) raises with the partial report
     attached, ``"degrade"`` falls back process→thread→serial and keeps
     deriving.  Retried and degraded runs stay bit-identical to clean runs
-    because shard seeds are content-keyed.
+    because Gibbs segment seeds are content-keyed.
     """
 
     support_threshold: float = 0.01

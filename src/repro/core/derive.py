@@ -171,7 +171,7 @@ def derive_probabilistic_database(
         Multi-attribute workload strategy; see
         :func:`~repro.core.tuple_dag.workload_sampling`.
     rng:
-        Seed or generator the per-shard Gibbs seeds derive from; defaults to
+        Seed or generator the per-segment Gibbs seeds derive from; defaults to
         ``config.seed``.
     engine:
         ``"compiled"`` (default) batches single-missing inference by

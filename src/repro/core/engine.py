@@ -152,6 +152,23 @@ class BatchInferenceEngine:
         #: memo resets because all memos together outgrew ``cache_size``
         self.memo_resets = 0
 
+    def _voting(
+        self,
+        v_choice: VoterChoice | str | None,
+        v_scheme: VotingScheme | str | None,
+    ) -> tuple[VoterChoice, VotingScheme]:
+        """A call's voting config: the engine default where ``None``.
+
+        Enum members pass through without an ``Enum(...)`` call — the Gibbs
+        sweep resolves its config once and then calls per (sweep,
+        attribute).
+        """
+        if type(v_choice) is not VoterChoice:
+            v_choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
+        if type(v_scheme) is not VotingScheme:
+            v_scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
+        return v_choice, v_scheme
+
     # -- scalar entry points ---------------------------------------------------
 
     def infer_codes(
@@ -188,8 +205,7 @@ class BatchInferenceEngine:
         ``codes`` is a full code vector; position ``attr`` is treated as
         missing regardless of its content.
         """
-        choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
-        scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
+        choice, scheme = self._voting(v_choice, v_scheme)
         compiled = self.compiled[attr]
         # No masking needed: meta-rule bodies never mention their own head
         # attribute, so neither the signature nor the match reads codes[attr].
@@ -238,8 +254,7 @@ class BatchInferenceEngine:
         Signature spaces too wide to pack fall back to a row-wise
         ``np.unique``.
         """
-        choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
-        scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
+        choice, scheme = self._voting(v_choice, v_scheme)
         # int32 matches RelTuple code vectors, so signature bytes are
         # interchangeable with the scalar path's cache keys.
         states = np.ascontiguousarray(states, dtype=np.int32)
@@ -383,8 +398,7 @@ class BatchInferenceEngine:
         within and across calls are free.  Tuples sharing a signature get
         the same read-only array.
         """
-        choice = self.v_choice if v_choice is None else VoterChoice(v_choice)
-        scheme = self.v_scheme if v_scheme is None else VotingScheme(v_scheme)
+        choice, scheme = self._voting(v_choice, v_scheme)
         out: list[np.ndarray | None] = [None] * len(tuples)
         if tuples:
             codes = np.stack([t.codes for t in tuples])

@@ -22,12 +22,14 @@ Two chain drivers share the sampler:
   ``conditional_probs`` call and one ``rng.choice`` per resampled
   attribute.
 * :class:`GibbsEnsemble` — the vectorized kernel: all chains of all tuples
-  in a batch advance in lock step, one
+  of one or more seeded segments advance in lock step, one
   :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-  call and one ``rng.random(N)`` inverse-CDF draw per (sweep, attribute).
-  With one chain and one tuple it consumes the *same* RNG stream as the
-  scalar chain and reproduces its samples exactly; larger batches draw in
-  a different (equally admissible) order.
+  call and one inverse-CDF draw per (sweep, attribute).  Each segment
+  consumes its own generator exactly as if it ran alone, so fusing
+  segments never changes a sample.  With one chain and one tuple it
+  consumes the *same* RNG stream as the scalar chain and reproduces its
+  samples exactly; larger segments draw in a different (equally
+  admissible) order.
 """
 
 from __future__ import annotations
@@ -175,10 +177,11 @@ class GibbsSampler:
     ) -> "GibbsEnsemble":
         """Create a lock-step vectorized ensemble over ``bases``.
 
-        ``chains`` independent chains per tuple advance together; requires
-        the compiled engine (the naive path stays scalar by design).
+        One segment drawn from this sampler's generator; ``chains``
+        independent chains per tuple advance together.  Requires the
+        compiled engine (the naive path stays scalar by design).
         """
-        return GibbsEnsemble(self, bases, chains=chains)
+        return GibbsEnsemble(self, [(bases, self.rng)], chains=chains)
 
     # -- one-shot estimation ------------------------------------------------------
 
@@ -232,29 +235,65 @@ class GibbsChain:
             self.sweep()
 
 
-class GibbsEnsemble:
-    """Lock-step vectorized Gibbs chains over a batch of incomplete tuples.
+#: Sweeps of uniforms an ensemble draws from each segment's generator at
+#: once (the last block is cut to the run's remaining sweeps).  Bounds the
+#: block at ``UNIFORM_BLOCK_SWEEPS * rows_per_sweep`` doubles.
+UNIFORM_BLOCK_SWEEPS = 16
 
-    The state is one ``(num_tuples * chains, width)`` integer matrix:
-    ``chains`` consecutive rows per base tuple, observed values clamped.  A
-    sweep cycles the (union of) missing attributes in ascending position
-    order — the same per-tuple order the scalar chain uses — and resamples
-    every row missing that attribute at once: one
+
+def _trace_dtype(cardinalities: Sequence[int]) -> np.dtype:
+    """The narrowest signed integer dtype holding every code below the
+    largest cardinality."""
+    top = max(cardinalities) - 1
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+class GibbsEnsemble:
+    """Lock-step vectorized Gibbs chains over segments of incomplete tuples.
+
+    ``segments`` is a sequence of ``(bases, rng)`` pairs: each segment's
+    distinct tuples are served by its own generator (a ``Generator`` or a
+    seed).  The state is one ``(num_tuples * chains, width)`` integer
+    matrix — ``chains`` consecutive rows per base tuple, segments in order,
+    observed values clamped.  A sweep cycles the union of missing
+    attributes in ascending position order — the same per-tuple order the
+    scalar chain uses — and resamples every row missing that attribute, in
+    every segment, at once: one
     :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-    call for the CDF rows, one ``rng.random(N)`` draw, and one vectorized
-    inverse-CDF lookup replace ``N`` ``conditional_probs`` + ``rng.choice``
-    round trips.
+    call for the CDF rows and one vectorized inverse-CDF lookup per
+    (sweep, attribute), however many segments the ensemble fuses.
+
+    Every segment consumes its own generator exactly as if it ran alone:
+    first the initial ``integers`` draws (tuple-major, missing-position
+    minor), then per sweep one ``random(n)`` per attribute it misses, in
+    ascending attribute order, ``n`` being its rows missing that
+    attribute.  Uniforms are drawn in blocks of up to
+    :data:`UNIFORM_BLOCK_SWEEPS` sweeps per segment
+    (``Generator.random(a + b)`` yields ``random(a)`` then ``random(b)``)
+    and scattered into the fused attribute-major order; no block reaches
+    past the run's last sweep.  So a fused segment's samples are
+    bit-identical to the same segment run as a one-segment ensemble.
 
     The inverse-CDF lookup reproduces ``Generator.choice(card, p=probs)``
     exactly (same cumulative normalization, same ``side='right'`` search),
     so a one-tuple, one-chain ensemble emits bit-identical samples to
     :class:`GibbsChain` under the same seed.  Multi-tuple or multi-chain
-    ensembles interleave draws differently — different, equally admissible
-    sample sets, as with the shard runtime's per-shard reseeding.
+    segments interleave draws differently — different, equally admissible
+    sample sets, as with the shard runtime's per-segment reseeding.
+
+    :meth:`run` records only each row's missing cells, in
+    :attr:`trace_dtype` (the narrowest integer type holding the missing
+    attributes' codes): a ``(sweeps, cells)`` trace.
     """
 
     def __init__(
-        self, sampler: GibbsSampler, bases: Sequence[RelTuple], chains: int = 1
+        self,
+        sampler: GibbsSampler,
+        segments: "Sequence[tuple[Sequence[RelTuple], np.random.Generator | int | None]]",
+        chains: int = 1,
     ):
         if sampler._engine is None:
             raise ValueError(
@@ -263,9 +302,10 @@ class GibbsEnsemble:
             )
         if chains < 1:
             raise ValueError("chains must be positive")
-        bases = list(bases)
-        if not bases:
+        segments = [(list(bases), rng) for bases, rng in segments]
+        if not segments or not all(bases for bases, _ in segments):
             raise ValueError("need at least one tuple")
+        bases = [base for segment, _ in segments for base in segment]
         seen: set[RelTuple] = set()
         for base in bases:
             if base.is_complete:
@@ -278,60 +318,91 @@ class GibbsEnsemble:
             seen.add(base)
         self.sampler = sampler
         self.bases = bases
-        self.chains = chains
+        self.chains = k = chains
         schema = sampler.schema
-        k = chains
-        self.states = np.empty((len(bases) * k, len(schema)), dtype=np.int32)
-        rows_by_attr: dict[int, list[int]] = {}
-        for i, base in enumerate(bases):
-            lo = i * k
-            self.states[lo : lo + k] = base.codes
-            for attr in base.missing_positions:
-                rows_by_attr.setdefault(attr, []).extend(range(lo, lo + k))
+        self.states = np.repeat(np.stack([b.codes for b in bases]), k, axis=0)
+        missing = self.states == MISSING_CODE
+        attrs = np.flatnonzero(missing.any(axis=0)).tolist()
         #: sweep order: ascending attribute position, as in the scalar chain
-        self.attrs = tuple(sorted(rows_by_attr))
-        self._rows = {
-            attr: np.asarray(rows, dtype=np.intp)
-            for attr, rows in rows_by_attr.items()
-        }
+        self.attrs = tuple(attrs)
         # "Start with a valid random assignment of attribute values" —
-        # tuple-major, missing-position-minor, one array draw per (tuple,
-        # attribute); identical to the scalar chain's stream for one tuple
-        # with one chain.
-        rng = sampler.rng
-        for i, base in enumerate(bases):
-            lo = i * k
-            for attr in base.missing_positions:
-                self.states[lo : lo + k, attr] = rng.integers(
-                    schema[attr].cardinality, size=k
-                )
+        # per segment, tuple-major, missing-position-minor, one array draw
+        # per (tuple, attribute); identical to the scalar chain's stream
+        # for one tuple with one chain.
+        generators = []
+        lo = 0
+        for segment, rng in segments:
+            if not isinstance(rng, np.random.Generator):
+                rng = np.random.default_rng(rng)
+            generators.append(rng)
+            for base in segment:
+                for attr in base.missing_positions:
+                    self.states[lo : lo + k, attr] = rng.integers(
+                        schema[attr].cardinality, size=k
+                    )
+                lo += k
+        # A sweep's uniforms in fused order: every missing cell,
+        # attribute-major, rows ascending (hence segment-major).  Each
+        # segment draws its own cells in (attribute, row) order; ``_draws``
+        # holds, per segment, the fused positions its draws land in.  The
+        # step table holds, per attribute, the rows missing it and their
+        # slice of the fused uniforms.
+        cell_attr, cell_row = np.nonzero(missing.T)
+        segment_of = np.repeat(
+            np.arange(len(segments)), [len(b) * k for b, _ in segments]
+        )[cell_row]
+        drawn = np.lexsort((cell_row, cell_attr, segment_of))
+        ends = np.cumsum(np.bincount(segment_of, minlength=len(segments)))
+        self._draws = list(zip(generators, np.split(drawn, ends[:-1])))
+        self._per_sweep = cell_attr.size
+        bounds = np.searchsorted(cell_attr, attrs + [len(schema)]).tolist()
+        self._steps = [
+            (attr, cell_row[lo:hi], lo, hi)
+            for attr, lo, hi in zip(attrs, bounds, bounds[1:])
+        ]
+        #: recorded cells: every row's missing positions, row-major — one
+        #: tuple's ``chains * num_missing`` cells are contiguous
+        self._cells = np.flatnonzero(missing.reshape(-1))
+        self.trace_dtype = _trace_dtype(
+            [schema[attr].cardinality for attr in attrs]
+        )
 
     def __len__(self) -> int:
         """Total chains (rows of the state matrix)."""
         return self.states.shape[0]
 
-    def sweep(self) -> None:
-        """One ordered cycle: resample every missing attribute everywhere."""
+    @property
+    def cells(self) -> int:
+        """Trace cells recorded per sweep: the missing cells of all rows."""
+        return self._cells.size
+
+    def _uniforms(self, sweeps: int) -> np.ndarray:
+        """``(sweeps, rows_per_sweep)`` uniforms in fused sweep order."""
+        out = np.empty((sweeps, self._per_sweep))
+        for rng, dest in self._draws:
+            out[:, dest] = rng.random(sweeps * dest.size).reshape(sweeps, -1)
+        return out
+
+    def _sweep(self, uniforms: np.ndarray) -> None:
+        """One ordered cycle over every segment, given its uniforms."""
         sampler = self.sampler
         engine = sampler._engine
-        rng = sampler.rng
+        choice, scheme = sampler.v_choice, sampler.v_scheme
         states = self.states
-        for attr in self.attrs:
-            rows = self._rows[attr]
+        for attr, rows, lo, hi in self._steps:
             # The engine's cached CDF rows: Generator.choice's
             # cumsum / cdf[-1], computed once per distinct signature.
             cdf = engine.conditional_probs_batch(
-                states[rows],
-                attr,
-                sampler.v_choice,
-                sampler.v_scheme,
-                cumulative=True,
+                states[rows], attr, choice, scheme, cumulative=True
             )
-            u = rng.random(rows.size)
             # searchsorted(cdf, u, side="right") per row — the exact
             # arithmetic of Generator.choice(n, p=probs).
-            states[rows, attr] = (cdf <= u[:, None]).sum(axis=1)
-            sampler.steps += rows.size
+            states[rows, attr] = (cdf <= uniforms[lo:hi, None]).sum(axis=1)
+        sampler.steps += self._per_sweep
+
+    def sweep(self) -> None:
+        """One ordered cycle: resample every missing attribute everywhere."""
+        self._sweep(self._uniforms(1)[0])
 
     def run(
         self, num_samples: int, burn_in: int = 0
@@ -341,26 +412,34 @@ class GibbsEnsemble:
         Each of the ``ceil(num_samples / chains)`` recorded sweeps
         contributes one sample per chain; per-tuple samples are pooled
         sweep-major, chain-minor and truncated to ``num_samples``.  Returns
-        one ``(num_samples, num_missing)`` code matrix per base tuple, in
-        base order — ready for :func:`samples_to_distribution`.
+        one ``(num_samples, num_missing)`` code matrix of
+        :attr:`trace_dtype` per base tuple, in base order (segments
+        concatenated) — ready for :func:`samples_to_distribution`.
         """
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         if burn_in < 0:
             raise ValueError("burn_in must be non-negative")
-        for _ in range(burn_in):
-            self.sweep()
         k = self.chains
         sweeps = -(-num_samples // k)
-        trace = np.empty((sweeps,) + self.states.shape, dtype=np.int32)
-        for s in range(sweeps):
-            self.sweep()
-            trace[s] = self.states
+        total = burn_in + sweeps
+        trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
+        flat = self.states.reshape(-1)
+        done = 0
+        while done < total:
+            block = min(UNIFORM_BLOCK_SWEEPS, total - done)
+            for uniforms in self._uniforms(block):
+                self._sweep(uniforms)
+                if done >= burn_in:
+                    trace[done - burn_in] = flat[self._cells]
+                done += 1
         out = []
-        for i, base in enumerate(self.bases):
-            lo = i * k
-            block = trace[:, lo : lo + k][:, :, list(base.missing_positions)]
-            out.append(block.reshape(sweeps * k, -1)[:num_samples])
+        lo = 0
+        for base in self.bases:
+            width = k * base.num_missing
+            samples = trace[:, lo : lo + width].reshape(sweeps * k, -1)
+            out.append(samples[:num_samples])
+            lo += width
         return out
 
 

@@ -113,8 +113,8 @@ class LazyDeriver:
         self.num_samples = cfg.num_samples
         self.burn_in = cfg.burn_in
         self.strategy = cfg.strategy
-        # One base seed for the deriver's lifetime: per-shard Gibbs seeds
-        # derive from it plus each shard's content key, so a tuple's block
+        # One base seed for the deriver's lifetime: per-segment Gibbs seeds
+        # derive from it plus each segment's content key, so a tuple's block
         # does not depend on *when* (or with how many workers) it was
         # materialized — only on which tuples shared its prefetch.
         self._base_seed = resolve_base_seed(rng, cfg.seed)

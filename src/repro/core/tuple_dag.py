@@ -27,7 +27,12 @@ import numpy as np
 from ..probdb.blocks import TupleBlock
 from ..relational.tuples import MISSING_CODE, RelTuple, proper_subsumes
 from .engine import DEFAULT_ENGINE, BatchInferenceEngine
-from .gibbs import GibbsChain, GibbsSampler, samples_to_distribution
+from .gibbs import (
+    GibbsChain,
+    GibbsEnsemble,
+    GibbsSampler,
+    samples_to_distribution,
+)
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
 
@@ -55,6 +60,13 @@ class SamplingStats:
     shared_tuples: int = 0
     #: per-tuple shortfall filled by promotion sampling
     promoted_tuples: int = 0
+
+    def merge(self, other: "SamplingStats") -> None:
+        """Add ``other``'s counters into these."""
+        self.total_draws += other.total_draws
+        self.burn_in_draws += other.burn_in_draws
+        self.shared_tuples += other.shared_tuples
+        self.promoted_tuples += other.promoted_tuples
 
 
 class _Node:
@@ -245,32 +257,36 @@ def _run_all_at_a_time(
 
 def ensemble_sampling(
     model: MRSLModel,
-    tuples: Sequence[RelTuple],
+    segments: "Sequence[tuple[Sequence[RelTuple], np.random.Generator | int | None]]",
     num_samples: int = 500,
     burn_in: int = 100,
     chains: int = 1,
     v_choice: VoterChoice | str = VoterChoice.BEST,
     v_scheme: VotingScheme | str = VotingScheme.AVERAGED,
-    rng: np.random.Generator | int | None = None,
     batch_engine: BatchInferenceEngine | None = None,
 ) -> tuple[list[TupleBlock], SamplingStats]:
     """Vectorized workload estimation: every tuple's chains in lock step.
 
     The drop-in counterpart of :func:`workload_sampling` for the compiled
-    engine: instead of walking the tuple DAG one scalar chain step at a
-    time, all ``chains`` chains of every *distinct* workload tuple advance
-    together in one :class:`~repro.core.gibbs.GibbsEnsemble`, so a whole
-    shard costs one batched CPD evaluation and one ``rng.random`` draw per
-    (sweep, attribute).  Per-tuple samples are pooled across the tuple's
-    chains — more chains means more independent starting points mixed into
-    the same ``num_samples`` budget.
+    engine.  ``segments`` are ``(tuples, rng)`` pairs — ``rng`` a
+    ``Generator`` or a seed; pass one pair for a plain workload.  Instead
+    of walking the tuple DAG one scalar chain step at a time, all
+    ``chains`` chains of every *distinct* tuple of every segment advance
+    together in one fused :class:`~repro.core.gibbs.GibbsEnsemble`, so the
+    whole call costs one batched CPD evaluation per (sweep, attribute).
+    Each segment draws from its own generator exactly as it would alone,
+    so its blocks do not depend on which other segments share the call.
+    Per-tuple samples are pooled across the tuple's chains — more chains
+    means more independent starting points mixed into the same
+    ``num_samples`` budget.
 
     There is no cross-tuple sample sharing: vectorization makes drawing for
     every tuple directly cheaper than the DAG's bookkeeping, so
     ``shared_tuples`` / ``promoted_tuples`` stay zero and ``total_draws``
-    counts every chain's sweeps.  Returns one block per input tuple (input
-    order; duplicates share their block) plus the cost counters, exactly
-    like :func:`workload_sampling`.
+    counts every chain's sweeps.  Returns one block per input tuple
+    (segments concatenated, input order; duplicates within a segment share
+    their block) plus the cost counters, exactly like
+    :func:`workload_sampling`.
 
     ``batch_engine`` reuses a caller's warm engine (its signature-level LRU
     carries over); results are identical with or without one.
@@ -283,28 +299,46 @@ def ensemble_sampling(
         model,
         v_choice=v_choice,
         v_scheme=v_scheme,
-        rng=rng,
+        rng=0,  # unused: every segment brings its own generator
         engine="compiled",
         batch_engine=batch_engine,
     )
-    distinct: list[RelTuple] = []
-    seen: set[RelTuple] = set()
-    for t in tuples:
-        if t not in seen:
-            seen.add(t)
-            distinct.append(t)
-    ensemble = sampler.ensemble(distinct, chains=chains)
-    sample_arrays = ensemble.run(num_samples, burn_in=burn_in)
-    sweeps = -(-num_samples // chains)
-    stats = SamplingStats(
-        total_draws=(burn_in + sweeps) * chains * len(distinct),
-        burn_in_draws=burn_in * chains * len(distinct),
+    segments = list(segments)
+    # Dedupe each segment on code bytes (first occurrence wins): duplicate
+    # rows are distinct RelTuple objects, and bytes compare far faster.
+    keys: list[list[bytes]] = []
+    distinct: list[dict[bytes, RelTuple]] = []
+    for tuples, _ in segments:
+        keys.append([t.codes.tobytes() for t in tuples])
+        unique: dict[bytes, RelTuple] = {}
+        for key, t in zip(keys[-1], tuples):
+            unique.setdefault(key, t)
+        distinct.append(unique)
+    ensemble = GibbsEnsemble(
+        sampler,
+        [
+            (list(unique.values()), rng)
+            for unique, (_, rng) in zip(distinct, segments)
+        ],
+        chains=chains,
     )
-    blocks = {
-        t: TupleBlock(t, samples_to_distribution(sampler.schema, t, arr))
-        for t, arr in zip(distinct, sample_arrays)
-    }
-    return [blocks[t] for t in tuples], stats
+    sample_arrays = iter(ensemble.run(num_samples, burn_in=burn_in))
+    sweeps = -(-num_samples // chains)
+    count = len(ensemble.bases)
+    stats = SamplingStats(
+        total_draws=(burn_in + sweeps) * chains * count,
+        burn_in_draws=burn_in * chains * count,
+    )
+    blocks: list[TupleBlock] = []
+    for segment_keys, unique in zip(keys, distinct):
+        by_key = {
+            key: TupleBlock(
+                t, samples_to_distribution(sampler.schema, t, next(sample_arrays))
+            )
+            for key, t in unique.items()
+        }
+        blocks.extend(by_key[key] for key in segment_keys)
+    return blocks, stats
 
 
 def workload_sampling(

@@ -5,15 +5,17 @@ over multi-missing components) is embarrassingly parallel given the learned
 MRSL.  This package turns it into a plan/execute/collect pipeline:
 
 * :mod:`.plan`      — partition a workload into shards keyed by evidence
-  signature (single-missing) and subsumption component (multi-missing);
+  signature (single-missing) and into seeded segments of subsumption
+  components, fused into shards (multi-missing);
 * :mod:`.executors` — run shards serially, on threads, or on worker
   processes rebuilt from the persisted model JSON;
 * :mod:`.runtime`   — stream completed blocks back as shards finish, with
   per-shard timing diagnostics.
 
-Determinism guarantee: single shards are RNG-free and multi shards carry
-seeds derived from the config seed plus a stable shard key, so every
-executor produces bit-identical results for any worker count.
+Determinism guarantee: single shards are RNG-free and every multi segment
+carries a seed derived from the config seed plus its stable content key —
+kept inside whatever shard the segment is fused into — so every executor
+produces bit-identical results for any worker count.
 
 Only :mod:`.base` is imported by :mod:`repro.api.config` (for the
 ``executor``/``workers`` knobs); everything here is safe to import without
@@ -29,6 +31,7 @@ from .base import (
     DerivationCancelled,
     ExecReport,
     RetryPolicy,
+    Segment,
     Shard,
     ShardExecutionError,
     ShardFailure,
@@ -58,7 +61,13 @@ from .faults import (
     bind_faults,
     resolve_fault_plan,
 )
-from .plan import multi_shard_layout, plan_shards, resolve_base_seed, shard_seed
+from .plan import (
+    build_multi_shards,
+    multi_shard_layout,
+    plan_shards,
+    resolve_base_seed,
+    shard_seed,
+)
 from .runtime import (
     ExecOutcome,
     execute_delta,
@@ -90,6 +99,7 @@ __all__ = [
     "apply_fault",
     "bind_faults",
     "resolve_fault_plan",
+    "Segment",
     "Shard",
     "ShardPlan",
     "ShardResult",
@@ -102,6 +112,7 @@ __all__ = [
     "ProcessExecutor",
     "get_executor",
     "plan_shards",
+    "build_multi_shards",
     "multi_shard_layout",
     "resolve_base_seed",
     "shard_seed",

@@ -17,7 +17,7 @@ pipeline (which itself imports the config module).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.tuple_dag import SamplingStats
 
@@ -38,12 +38,14 @@ __all__ = [
     "ShardExecutionError",
     "WorkerPoolError",
     "RetryPolicy",
+    "Segment",
     "Shard",
     "ShardPlan",
     "ShardResult",
     "ShardFailure",
     "ShardTiming",
     "ExecReport",
+    "split_by_segments",
 ]
 
 #: Recognized executor names.
@@ -187,6 +189,37 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
+class Segment:
+    """One seed unit of a multi shard: the tuples one Gibbs generator serves.
+
+    The multi-missing layout cuts a workload into segments of at most
+    :data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD` distinct tuples; each
+    has a content ``key`` and a ``seed`` derived from the base seed and that
+    key.  Segments are the unit of seeding, carry-over, journaling and delta
+    invalidation, and their layout never depends on the worker count.  A
+    multi shard runs one or more consecutive segments as one fused
+    ensemble: the segment covers the next ``size`` entries of its shard's
+    ``indices``/``tuples``, which hold ``distinct`` distinct tuples.
+    """
+
+    key: str
+    size: int
+    distinct: int
+    #: the segment's RNG seed; None in a bare layout, set when a plan
+    #: seeds the segment for execution
+    seed: int | None = None
+
+
+def split_by_segments(items: Sequence, segments: "Sequence[Segment]") -> list:
+    """Cut a shard's per-entry sequence into one chunk per segment."""
+    chunks, start = [], 0
+    for segment in segments:
+        chunks.append(items[start : start + segment.size])
+        start += segment.size
+    return chunks
+
+
+@dataclass(frozen=True)
 class Shard:
     """One independent unit of derivation work.
 
@@ -194,18 +227,19 @@ class Shard:
     to the planner); ``tuples[i]`` is the tuple at workload position
     ``indices[i]``, so results can be re-assembled in input order no matter
     when shards finish.  ``kind`` is ``"single"`` (Algorithm 2, RNG-free,
-    grouped by evidence signature) or ``"multi"`` (Algorithm 3 Gibbs over one
-    subsumption component, seeded by ``seed``).
+    grouped by evidence signature) or ``"multi"`` (Algorithm 3 Gibbs over
+    the consecutive seeded ``segments`` its entries are cut into).
     """
 
     key: str
     kind: str  # "single" | "multi"
     indices: tuple[int, ...]
     tuples: "tuple[RelTuple, ...]"
-    #: deterministic per-shard RNG seed (multi shards only)
-    seed: int | None = None
     #: distinct evidence-signature groups (single) / distinct tuples (multi)
     groups: int = 1
+    #: the seeded segments a multi shard runs, in entry order (empty for
+    #: single shards)
+    segments: tuple[Segment, ...] = ()
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -215,11 +249,13 @@ class Shard:
 class ShardPlan:
     """The planner's output: a deterministic partition of a workload.
 
-    Multi shards (one per subsumption component, with a seed derived from
-    the base seed and the component's content key) never depend on the
-    worker count, which is what makes derivation results identical for any
-    executor and any number of workers.  Single shards are RNG-free, so
-    their packing *may* track the worker count without affecting results.
+    Multi-missing work is cut into seeded :class:`Segment` units whose
+    layout, keys and seeds never depend on the worker count; that is what
+    makes derivation results identical for any executor and any number of
+    workers.  How consecutive segments group into multi shards, and how
+    single shards pack, *may* track the worker count: segments keep their
+    own seeds inside a fused shard, and single shards are RNG-free, so
+    neither grouping changes a result.
     """
 
     shards: tuple[Shard, ...]
@@ -259,9 +295,23 @@ class ShardResult:
     worker: str = "main"
     #: how many attempts this shard took (1 = succeeded first try)
     attempts: int = 1
+    #: the shard's segments (multi shards), aligned with ``blocks``
+    segments: tuple[Segment, ...] = ()
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def records(self) -> "list[tuple[str, str, tuple[TupleBlock, ...]]]":
+        """``(key, kind, blocks)`` rows to journal: one per segment of a
+        multi shard, so a resumed run carries each by its segment key."""
+        if not self.segments:
+            return [(self.key, self.kind, self.blocks)]
+        return [
+            (segment.key, self.kind, blocks)
+            for segment, blocks in zip(
+                self.segments, split_by_segments(self.blocks, self.segments)
+            )
+        ]
 
     def summary_dict(self) -> dict:
         """Timing/placement summary for wire payloads (blocks excluded)."""

@@ -15,7 +15,7 @@ objects as shards finish, so they are interchangeable:
   one warm engine per worker, and validates the rebuild.  Live engines are
   never pickled.
 
-Because multi-missing shards carry deterministic per-shard seeds and
+Because multi-missing segments carry deterministic per-segment seeds and
 single-missing shards are RNG-free, all executors produce bit-identical
 results for any worker count.
 

@@ -9,40 +9,50 @@ Two partitioning rules, one per inference regime:
   shards (greedy largest-first) sized to the worker count; packing cannot
   affect results because this path is deterministic and RNG-free.
 
-* **Multi-missing tuples** (Algorithm 3) are partitioned into connected
-  components of the subsumption graph.  Components are exactly the units
-  within which the tuple-DAG optimization shares Gibbs samples, so cutting
-  along component boundaries loses no sharing.  Each component becomes one
-  shard with an RNG seed derived from the base seed and a stable content
-  key, which makes results identical for any executor and worker count.
+* **Multi-missing tuples** (Algorithm 3) are laid out in two levels.
 
-  When the vectorized Gibbs kernel serves the workload (``multi_batch``),
-  components become pure grouping hints re-batched to ``multi_batch``
-  distinct tuples per shard: small components pack together (the ensemble
-  kernel's throughput grows with batch size) and oversized ones split
-  (the kernel shares nothing across tuples, and an unsplit giant
-  component would serialize on one worker).  Re-batching is greedy in
-  deterministic component order and never depends on the worker count, so
-  per-shard seeds — hence results — remain identical for every executor
-  and worker count.
+  *Segments* are the seed unit.  Tuples are partitioned into connected
+  components of the subsumption graph — exactly the units within which
+  the tuple-DAG optimization shares Gibbs samples.  Under the scalar
+  kernel each component is one segment.  When the vectorized Gibbs kernel
+  serves the workload (``multi_batch``), components become pure grouping
+  hints re-batched to ``multi_batch`` distinct tuples per segment: small
+  components pack together and oversized ones split (the ensemble shares
+  nothing across tuples).  Each segment gets an RNG seed derived from the
+  base seed and its content key.  Segment layout, keys and seeds depend
+  only on the workload, ``multi_batch`` and the base seed — never on the
+  worker count — and segments are also the unit of carry-over, journaling
+  and delta invalidation.
+
+  *Shards* are the execution unit.  Under the vectorized kernel,
+  consecutive segments are grouped into at most ``min(workers,
+  #segments)`` fused shards balanced by distinct tuples (and capped at
+  :data:`MULTI_TUPLES_PER_ENSEMBLE` distinct tuples), each run as one
+  lock-step ensemble in which every segment still consumes its own seeded
+  generator exactly as if it ran alone.  So the grouping may follow the
+  worker count, but results never do.  The scalar kernel runs one segment
+  per shard.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from ..core.compiled import CompiledModel
 from ..relational.tuples import MISSING_CODE, RelTuple
-from .base import DEFAULT_WORKERS, Shard, ShardPlan, validate_workers
+from .base import DEFAULT_WORKERS, Segment, Shard, ShardPlan, validate_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.mrsl import MRSLModel
 
 __all__ = [
+    "MULTI_TUPLES_PER_ENSEMBLE",
     "MULTI_TUPLES_PER_SHARD",
+    "build_multi_shards",
     "multi_shard_layout",
     "plan_shards",
     "resolve_base_seed",
@@ -53,18 +63,22 @@ __all__ = [
 #: unevenly sized signature groups without shrinking groups themselves.
 SINGLE_SHARDS_PER_WORKER = 2
 
-#: Distinct tuples per multi shard when the vectorized Gibbs kernel runs
-#: the workload (the ``multi_batch`` the runtime passes).  Larger batches
-#: amortize the per-(sweep, attribute) kernel overhead over more chains;
-#: deliberately *not* worker-dependent so per-shard seeds never change
-#: with the executor or pool size.
+#: Distinct tuples per multi segment when the vectorized Gibbs kernel runs
+#: the workload (the ``multi_batch`` the runtime passes): the seed unit.
+#: Deliberately *not* worker-dependent so segment seeds never change with
+#: the executor or pool size.
 MULTI_TUPLES_PER_SHARD = 128
+
+#: Distinct tuples one fused multi shard may hold.  A fused ensemble's
+#: state, sample trace and uniform blocks grow with it, so this bounds a
+#: shard's memory however few workers run the plan.
+MULTI_TUPLES_PER_ENSEMBLE = 1024
 
 
 def resolve_base_seed(
     rng: np.random.Generator | int | None, seed: int | None
 ) -> int:
-    """The one integer every per-shard seed derives from.
+    """The one integer every per-segment seed derives from.
 
     Explicit ``rng`` wins over the config ``seed``; a live generator
     contributes a single draw (so reproducibility with a seeded generator is
@@ -81,7 +95,7 @@ def resolve_base_seed(
 
 
 def shard_seed(base_seed: int, key: str) -> int:
-    """Deterministic per-shard seed: hash of the base seed and shard key.
+    """Deterministic per-segment seed: hash of the base seed and its key.
 
     ``sha256`` rather than Python's builtin ``hash`` so the value is stable
     across interpreter runs, processes, and platforms.
@@ -90,10 +104,10 @@ def shard_seed(base_seed: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _content_key(tuples: Iterable[RelTuple]) -> str:
-    """A stable key for a set of tuples, independent of iteration order."""
+def _content_key(rows: Iterable[np.ndarray]) -> str:
+    """A stable key for a set of int32 code rows, independent of order."""
     h = hashlib.sha256()
-    for codes in sorted(t.codes.tobytes() for t in tuples):
+    for codes in sorted(row.tobytes() for row in rows):
         h.update(codes)
     return h.hexdigest()[:16]
 
@@ -140,7 +154,7 @@ def _pack_single_shards(
         tuples = tuple(t for _, t in entries)
         shards.append(
             Shard(
-                key=f"single:{b:03d}:{_content_key(tuples)}",
+                key=f"single:{b:03d}:{_content_key(t.codes for t in tuples)}",
                 kind="single",
                 indices=indices,
                 tuples=tuples,
@@ -155,122 +169,199 @@ def _pack_single_shards(
 _SUBSUME_BLOCK = 256
 
 
-def _components(
+def _distinct_codes(
     entries: Sequence[tuple[int, RelTuple]],
-) -> list[list[tuple[int, RelTuple]]]:
-    """Connected components of the subsumption graph over distinct tuples.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries' distinct code rows, in first-occurrence order.
 
-    Duplicated tuples join their first occurrence's component.  Still
-    quadratic in the number of *distinct* multi-missing tuples, but the
-    pairwise test (Def. 2.4: every known value of ``a`` appears in ``b``,
-    and ``a`` knows strictly less) runs as blocked NumPy comparisons over
-    the stacked code matrix instead of Python-level ``proper_subsumes``
-    calls — planning a thousands-of-tuples workload costs milliseconds,
-    not seconds.
+    Returns ``(codes, node)``: one row per distinct tuple, and each entry's
+    row number.  One ``np.unique`` over the stacked code matrix replaces
+    hashing and comparing ``RelTuple`` objects.
     """
-    distinct: dict[RelTuple, int] = {}
-    members: list[list[tuple[int, RelTuple]]] = []
-    for idx, t in entries:
-        node = distinct.get(t)
-        if node is None:
-            distinct[t] = len(members)
-            members.append([(idx, t)])
-        else:
-            members[node].append((idx, t))
-    tuples = list(distinct)
-    n = len(tuples)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if n > 1:
-        codes = np.stack([t.codes for t in tuples])
-        known = codes != MISSING_CODE
-        num_missing = (~known).sum(axis=1)
-        for start in range(0, n, _SUBSUME_BLOCK):
-            stop = min(start + _SUBSUME_BLOCK, n)
-            # agree[x, j]: every known value of tuple start+x appears in j.
-            agree = (
-                (codes[start:stop, None, :] == codes[None, :, :])
-                | ~known[start:stop, None, :]
-            ).all(axis=2)
-            proper = agree & (
-                num_missing[start:stop, None] > num_missing[None, :]
-            )
-            for x, j in np.argwhere(proper):
-                ri, rj = find(start + int(x)), find(int(j))
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    by_root: dict[int, list[tuple[int, RelTuple]]] = {}
-    for i in range(n):
-        by_root.setdefault(find(i), []).extend(members[i])
-    return [sorted(c, key=lambda e: e[0]) for _, c in sorted(by_root.items())]
+    stacked = np.stack([t.codes for _, t in entries])
+    _, first, inverse = np.unique(
+        stacked, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return stacked[first[order]], rank[inverse.reshape(-1)]
 
 
-def _batch_components(
-    components: list[list[tuple[int, RelTuple]]],
-    multi_batch: int | None,
-) -> list[list[tuple[int, RelTuple]]]:
-    """Re-batch components into ≤ ``multi_batch`` distinct tuples apiece.
+def _component_roots(codes: np.ndarray) -> np.ndarray:
+    """Each distinct tuple's subsumption-component root (its smallest row).
 
-    ``None`` (the scalar kernel) keeps the one-component-per-shard layout
-    the tuple-DAG's sample sharing requires.  For the vectorized kernel
-    components carry no sharing, so they are pure grouping hints: small
-    ones pack together (bigger ensembles amortize the per-sweep kernel
-    cost), and one larger than the target is *split* into consecutive
-    chunks — an unsplit giant component would serialize a whole shard's
-    worth of work on one worker.  Batching follows the deterministic
-    component order and depends only on the workload and ``multi_batch`` —
-    never on the worker count — so shard content keys, and therefore
-    per-shard seeds, are stable across executors and pool sizes.
+    Still quadratic in the number of *distinct* multi-missing tuples, but
+    the pairwise test (Def. 2.4: every known value of ``a`` appears in
+    ``b``, and ``a`` knows strictly less) is a blocked bitmask test over
+    the known values instead of Python-level ``proper_subsumes`` calls,
+    and components are found by min-label propagation over the edges —
+    planning a thousands-of-tuples workload costs milliseconds, not
+    seconds.
     """
-    if multi_batch is None:
-        return components
-    if multi_batch < 1:
-        raise ValueError("multi_batch must be positive (or None)")
-    batches: list[list[tuple[int, RelTuple]]] = []
-    current: list[tuple[int, RelTuple]] = []
-    distinct = 0
-    for component in components:
-        # Duplicate entries of one tuple always travel together (they
-        # share one block), so chunk by distinct tuple, not by entry.
-        by_tuple: dict[RelTuple, list[tuple[int, RelTuple]]] = {}
-        for entry in sorted(component, key=lambda e: e[0]):
-            by_tuple.setdefault(entry[1], []).append(entry)
-        for entries in by_tuple.values():
-            if distinct == multi_batch:
-                batches.append(current)
-                current = []
-                distinct = 0
-            current.extend(entries)
-            distinct += 1
-    if current:
-        batches.append(current)
-    return [sorted(batch, key=lambda e: e[0]) for batch in batches]
+    n = codes.shape[0]
+    known = codes != MISSING_CODE
+    num_known = known.sum(axis=1)
+    # One bit per (position, value) a row knows, packed into uint64 words:
+    # a's known values all appear in b exactly when a's bits are a subset
+    # of b's.
+    offsets = np.concatenate([[0], np.cumsum(codes.max(axis=0) + 1)])
+    rows, cols = np.nonzero(known)
+    onehot = np.zeros((n, -(-int(offsets[-1]) // 64) * 64), dtype=bool)
+    onehot[rows, offsets[cols] + codes[rows, cols]] = True
+    words = np.packbits(onehot, axis=1).view(np.uint64)
+    sources, targets = [], []
+    for start in range(0, n, _SUBSUME_BLOCK):
+        stop = min(start + _SUBSUME_BLOCK, n)
+        subset = np.ones((stop - start, n), dtype=bool)
+        for k in range(words.shape[1]):
+            subset &= (words[start:stop, None, k] & ~words[None, :, k]) == 0
+        x, j = np.nonzero(
+            subset & (num_known[start:stop, None] < num_known[None, :])
+        )
+        sources.append(x + start)
+        targets.append(j)
+    src, dst = np.concatenate(sources), np.concatenate(targets)
+    # Labels only fall, and always name a row of the same component; the
+    # component's smallest row keeps its own, so at the fixed point (every
+    # edge's ends agree) each row is labelled with that smallest row.
+    roots = np.arange(n)
+    while not (roots[src] == roots[dst]).all():
+        low = np.minimum(roots[src], roots[dst])
+        np.minimum.at(roots, src, low)
+        np.minimum.at(roots, dst, low)
+        roots = roots[roots]
+    return roots
 
 
 def multi_shard_layout(
     entries: Sequence[tuple[int, RelTuple]],
     multi_batch: int | None = None,
-) -> list[tuple[str, list[tuple[int, RelTuple]]]]:
-    """The deterministic multi-missing shard layout: ``(key, entries)`` pairs.
+) -> list[tuple[Segment, list[tuple[int, RelTuple]]]]:
+    """The deterministic multi-missing segment layout.
 
     This is the single source of truth for how multi-missing workloads map
-    to shard content keys; :func:`plan_shards` builds its multi shards from
-    it, and the delta planner replays it over a *previous* derivation's
-    workload to recover the shard keys whose blocks can be carried over.
-    ``entries`` are ``(workload_index, tuple)`` pairs; only their relative
-    order matters, so any consistent indexing recovers identical keys.
+    to seeded :class:`~repro.exec.base.Segment` units and their content
+    keys; :func:`plan_shards` builds its multi shards from it, and the delta
+    planner replays it over a *previous* derivation's workload to recover
+    the segment keys whose blocks can be carried over.  ``entries`` are
+    ``(workload_index, tuple)`` pairs in ascending index order; only their
+    relative order matters, so any consistent indexing recovers identical
+    keys.  Returns ``(segment, entries)`` pairs; segments carry no seed.
+
+    Tuples are partitioned into connected components of the subsumption
+    graph (duplicates join their first occurrence), ordered by their
+    first-occurring tuple.  ``None`` (the scalar kernel) keeps one segment
+    per component, the unit the tuple-DAG's sample sharing requires.  For
+    the vectorized kernel components carry no sharing, so they are pure
+    grouping hints: their distinct tuples, in component order then
+    first-occurrence order, are cut into consecutive runs of
+    ``multi_batch`` — small components pack together and a larger one
+    splits.  Duplicate entries of one tuple always land in one segment
+    (they share one block).  The layout depends only on the workload and
+    ``multi_batch``, never on the worker count.
     """
+    if multi_batch is not None and multi_batch < 1:
+        raise ValueError("multi_batch must be positive (or None)")
+    if not entries:
+        return []
+    codes, node = _distinct_codes(entries)
+    roots = _component_roots(codes)
+    if multi_batch is None:
+        segment_of = np.unique(roots, return_inverse=True)[1].reshape(-1)
+    else:
+        sequence = np.lexsort((np.arange(roots.size), roots))
+        segment_of = np.empty_like(sequence)
+        segment_of[sequence] = np.arange(sequence.size) // multi_batch
+    of_entry = segment_of[node]
+    order = np.argsort(of_entry, kind="stable")
+    cuts = np.flatnonzero(np.diff(of_entry[order])) + 1
     layout = []
-    for batch in _batch_components(_components(entries), multi_batch):
-        distinct = {t for _, t in batch}
-        layout.append((f"multi:{_content_key(distinct)}", batch))
+    for positions in np.split(order, cuts):
+        members = [entries[p] for p in positions.tolist()]
+        rows = codes[np.unique(node[positions])]
+        key = f"multi:{_content_key(rows)}"
+        layout.append((Segment(key, len(members), rows.shape[0]), members))
     return layout
+
+
+def _fused_runs(distinct: Sequence[int], workers: int) -> list[int]:
+    """How many consecutive segments each fused multi shard takes.
+
+    At most ``min(workers, len(distinct))`` shards, balanced by distinct
+    tuples: the smallest per-shard load whose greedy consecutive packing
+    needs no more shards than that, lowered to
+    :data:`MULTI_TUPLES_PER_ENSEMBLE` when it exceeds the cap (which adds
+    shards; a segment larger than the cap runs alone).
+    """
+    if not distinct:
+        return []
+
+    def packing(limit: int) -> list[int]:
+        runs: list[int] = []
+        load = 0
+        for d in distinct:
+            if runs and load + d <= limit:
+                runs[-1] += 1
+                load += d
+            else:
+                runs.append(1)
+                load = d
+        return runs
+
+    shards = min(workers, len(distinct))
+    lo, hi = max(distinct), sum(distinct)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if len(packing(mid)) <= shards:
+            hi = mid
+        else:
+            lo = mid + 1
+    return packing(min(lo, MULTI_TUPLES_PER_ENSEMBLE))
+
+
+def build_multi_shards(
+    layout: Sequence[tuple[Segment, Sequence[tuple[int, RelTuple]]]],
+    base_seed: int,
+    workers: int,
+    fuse: bool,
+) -> list[Shard]:
+    """Seed a segment layout and group it into multi shards.
+
+    ``fuse`` (the vectorized kernel) groups consecutive segments into
+    fused shards (:func:`_fused_runs`); otherwise every segment is its own
+    shard.  A shard's key is its first segment's key, suffixed with the
+    number of segments fused after it.
+    """
+    runs = (
+        _fused_runs([segment.distinct for segment, _ in layout], workers)
+        if fuse
+        else [1] * len(layout)
+    )
+    shards = []
+    start = 0
+    for run in runs:
+        group = layout[start : start + run]
+        start += run
+        segments = tuple(
+            replace(segment, seed=shard_seed(base_seed, segment.key))
+            for segment, _ in group
+        )
+        members = [entry for _, batch in group for entry in batch]
+        key = segments[0].key
+        if len(segments) > 1:
+            key = f"{key}+{len(segments) - 1}"
+        shards.append(
+            Shard(
+                key=key,
+                kind="multi",
+                indices=tuple(idx for idx, _ in members),
+                tuples=tuple(t for _, t in members),
+                groups=sum(segment.distinct for segment in segments),
+                segments=segments,
+            )
+        )
+    return shards
 
 
 def plan_shards(
@@ -285,14 +376,16 @@ def plan_shards(
     """Partition ``tuples`` (mixed single- and multi-missing) into shards.
 
     The returned plan is deterministic given the workload, the model,
-    ``workers``, and ``multi_batch``; its multi shards additionally never
-    depend on ``workers`` at all.  ``multi_batch`` packs subsumption
-    components into batches of up to that many distinct tuples for the
-    vectorized Gibbs kernel (``None`` — the scalar kernel — keeps one
-    component per shard).  The base seed is resolved (see
-    :func:`resolve_base_seed`) only when the workload actually contains
-    multi-missing tuples, so RNG-free workloads never consume entropy or
-    disturb a caller's generator.
+    ``workers``, and ``multi_batch``.  Its multi *segments* (keys and
+    seeds) never depend on ``workers``; only how they group into shards
+    does.  ``multi_batch`` cuts subsumption components into segments of up
+    to that many distinct tuples for the vectorized Gibbs kernel and fuses
+    consecutive segments into at most ``min(workers, #segments)`` shards
+    (see :func:`build_multi_shards`); ``None`` — the scalar kernel — keeps
+    one component per segment and one segment per shard.  The base seed is
+    resolved (see :func:`resolve_base_seed`) only when the workload
+    actually contains multi-missing tuples, so RNG-free workloads never
+    consume entropy or disturb a caller's generator.
     """
     workers = validate_workers(workers)
     single: list[tuple[int, RelTuple]] = []
@@ -313,17 +406,14 @@ def plan_shards(
     base_seed: int | None = None
     if multi:
         base_seed = resolve_base_seed(rng, seed)
-        for key, component in multi_shard_layout(multi, multi_batch):
-            shards.append(
-                Shard(
-                    key=key,
-                    kind="multi",
-                    indices=tuple(idx for idx, _ in component),
-                    tuples=tuple(t for _, t in component),
-                    seed=shard_seed(base_seed, key),
-                    groups=len({t for _, t in component}),
-                )
+        shards.extend(
+            build_multi_shards(
+                multi_shard_layout(multi, multi_batch),
+                base_seed,
+                workers,
+                fuse=multi_batch is not None,
             )
+        )
     return ShardPlan(
         shards=tuple(shards), num_tuples=len(tuples), base_seed=base_seed
     )

@@ -32,13 +32,13 @@ from .base import (
 )
 from .executors import ExecContext, Executor, get_executor
 from .faults import FaultPlan, resolve_fault_plan
+from . import plan as _plan_module
 from .plan import (
-    MULTI_TUPLES_PER_SHARD,
     _pack_single_shards,
     _single_groups,
+    build_multi_shards,
     plan_shards,
     resolve_base_seed,
-    shard_seed,
 )
 from .work import ShardKnobs
 
@@ -81,10 +81,12 @@ def multi_batch_for(config: Any) -> int | None:
     """The ``multi_batch`` the runtime would pass the planner for ``config``.
 
     Delta derivation must replay the previous run's layout with the same
-    batching to recover its shard keys, so this mapping is public.
+    batching to recover its segment keys, so this mapping is public.
     """
     knobs = ShardKnobs.from_config(config)
-    return MULTI_TUPLES_PER_SHARD if knobs.vectorized_gibbs else None
+    return (
+        _plan_module.MULTI_TUPLES_PER_SHARD if knobs.vectorized_gibbs else None
+    )
 
 
 @dataclass
@@ -98,13 +100,6 @@ class ExecOutcome:
     #: per-shard timing / placement diagnostics
     report: ExecReport
     plan: ShardPlan
-
-
-def _merge_stats(into: SamplingStats, stats: SamplingStats) -> None:
-    into.total_draws += stats.total_draws
-    into.burn_in_draws += stats.burn_in_draws
-    into.shared_tuples += stats.shared_tuples
-    into.promoted_tuples += stats.promoted_tuples
 
 
 def stream_derivation(
@@ -143,10 +138,11 @@ def _plan(
     Serial execution warms the context's engine up front so the planner's
     signature computation and the kernels share one compiled model instead
     of compiling twice.  When the vectorized Gibbs kernel will serve the
-    multi shards, subsumption components are packed into ensemble-sized
-    batches (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`); the batch
-    target never depends on the worker count, so per-shard seeds — and
-    results — stay identical across executors and pool sizes.
+    multi shards, subsumption components are cut into seeded segments
+    (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`) that never depend on
+    the worker count, and consecutive segments fuse into at most one shard
+    per worker — so results stay identical across executors and pool
+    sizes.
     """
     compiled = None
     if context.batch_engine is None and chosen.name == "serial":
@@ -160,11 +156,7 @@ def _plan(
         seed=config.seed,
         rng=rng,
         compiled=compiled,
-        multi_batch=(
-            MULTI_TUPLES_PER_SHARD
-            if context.knobs.vectorized_gibbs
-            else None
-        ),
+        multi_batch=multi_batch_for(config),
     )
 
 
@@ -255,7 +247,7 @@ def _run_plan(
             for idx, block in zip(result.indices, result.blocks):
                 blocks[idx] = block
             if result.stats is not None:
-                _merge_stats(stats, result.stats)
+                stats.merge(result.stats)
             report.add(result, groups_by_key.get(result.key, 1))
             executed += 1
             if on_shard is not None:
@@ -302,8 +294,9 @@ def execute_delta(
     The new workload is laid out exactly as :func:`execute_derivation`
     would plan it; every shard whose content already exists in ``carry``
     is served verbatim (recorded as a carried shard in the report), and
-    only dirty shards execute.  Dirty multi shards are seeded with
-    ``carry.base_seed`` under the keys a from-scratch plan would assign,
+    only dirty work executes.  Dirty multi segments are seeded with
+    ``carry.base_seed`` under the keys a from-scratch plan would assign
+    (then fused into shards like a from-scratch plan's),
     so the assembled database is bit-identical to a from-scratch derive
     of the updated table with that base seed — for every executor.  When
     the previous run had no multi-missing work, the base seed resolves
@@ -313,7 +306,8 @@ def execute_delta(
         config.executor if executor is None else executor, config.workers
     )
     context = _context(model, config, batch_engine, faults)
-    split = carry.split(tuples, multi_batch_for(config))
+    multi_batch = multi_batch_for(config)
+    split = carry.split(tuples, multi_batch)
 
     compiled = None
     if split.dirty_single or split.carried_single:
@@ -338,44 +332,36 @@ def execute_delta(
             if carry.base_seed is not None
             else resolve_base_seed(rng, config.seed)
         )
-    for key, batch in split.dirty_multi:
-        shards.append(
-            Shard(
-                key=key,
-                kind="multi",
-                indices=tuple(idx for idx, _ in batch),
-                tuples=tuple(t for _, t in batch),
-                seed=shard_seed(base_seed, key),
-                groups=len({t for _, t in batch}),
+    if split.dirty_multi:
+        # Dirty segments keep their from-scratch keys and seeds; only their
+        # grouping into fused shards follows this run's worker count.
+        shards.extend(
+            build_multi_shards(
+                split.dirty_multi,
+                base_seed,
+                chosen.workers,
+                fuse=multi_batch is not None,
             )
         )
 
-    # Account carried work at shard granularity: carried singles are packed
-    # exactly like dirty ones (results don't depend on packing), carried
-    # multi batches keep their layout keys.
-    carried_shards: list[Shard] = []
-    if split.carried_single:
-        carried_shards.extend(
-            _pack_single_shards(
-                _single_groups(split.carried_single, compiled), chosen.workers
-            )
+    # Account carried work: carried singles are packed exactly like dirty
+    # ones (results don't depend on packing), carried multi work is
+    # counted per segment, the unit it was carried by.
+    carried_rows = [
+        (shard.key, shard.kind, len(shard), shard.groups)
+        for shard in _pack_single_shards(
+            _single_groups(split.carried_single, compiled), chosen.workers
         )
-    for key, batch in split.carried_multi:
-        carried_shards.append(
-            Shard(
-                key=key,
-                kind="multi",
-                indices=tuple(idx for idx, _ in batch),
-                tuples=tuple(t for _, t in batch),
-                groups=len({t for _, t in batch}),
-            )
-        )
+    ] + [
+        (segment.key, "multi", segment.size, segment.distinct)
+        for segment in split.carried_multi
+    ]
 
     plan = ShardPlan(
         shards=tuple(shards),
         num_tuples=split.num_dirty_tuples,
         base_seed=base_seed,
-        carried_over=len(carried_shards),
+        carried_over=len(carried_rows),
         carried_tuples=len(split.carried),
     )
     if on_plan is not None:
@@ -390,8 +376,8 @@ def execute_delta(
         num_shards=len(plan),
         num_tuples=len(tuples),
     )
-    for shard in carried_shards:
-        report.add_carried(shard.key, shard.kind, len(shard), shard.groups)
+    for row in carried_rows:
+        report.add_carried(*row)
     return _run_plan(
         chosen, context, plan, blocks, report, on_shard, should_stop
     )

@@ -8,14 +8,14 @@ Two kernels, one per shard kind:
   the serial path, thread workers, and process workers all run the exact
   same code (and therefore produce bit-identical distributions).
 
-* :func:`multi_shard_blocks` — Algorithm 3 Gibbs over one multi shard,
-  seeded with the shard's deterministic seed.  Under the default knobs
-  (compiled engine, ``tuple_dag`` strategy, ``gibbs_vectorized`` on) the
-  shard's tuples run as one vectorized
-  :func:`~repro.core.tuple_dag.ensemble_sampling` batch — all chains of
+* :func:`multi_shard_blocks` — Algorithm 3 Gibbs over one multi shard's
+  segments, each seeded with its deterministic segment seed.  Under the
+  default knobs (compiled engine, ``tuple_dag`` strategy,
+  ``gibbs_vectorized`` on) all segments run as one fused vectorized
+  :func:`~repro.core.tuple_dag.ensemble_sampling` ensemble — all chains of
   all tuples in lock step; otherwise the scalar
-  :func:`~repro.core.tuple_dag.workload_sampling` oracle serves the shard
-  exactly as before.
+  :func:`~repro.core.tuple_dag.workload_sampling` oracle serves each
+  segment exactly as before.
 
 The ``_process_*`` functions are the :class:`ProcessExecutor` worker
 protocol: the initializer receives the persisted model JSON (never a
@@ -37,11 +37,11 @@ import numpy as np
 from ..core.engine import BatchInferenceEngine
 from ..core.inference import VoterChoice, VotingScheme, infer_single
 from ..core.mrsl import MRSLModel
-from ..core.tuple_dag import ensemble_sampling, workload_sampling
+from ..core.tuple_dag import SamplingStats, ensemble_sampling, workload_sampling
 from ..probdb.blocks import TupleBlock
 from ..probdb.distribution import Distribution
 from ..relational.tuples import RelTuple
-from .base import Shard, ShardResult
+from .base import Shard, ShardResult, split_by_segments
 from .faults import ShardFault, apply_fault
 
 __all__ = [
@@ -140,46 +140,52 @@ def single_shard_blocks(
 
 
 def multi_shard_blocks(
-    tuples: Sequence[RelTuple],
+    segments: Sequence[tuple[Sequence[RelTuple], int]],
     model: MRSLModel,
     knobs: ShardKnobs,
-    seed: int,
     batch_engine: BatchInferenceEngine | None = None,
 ):
-    """Algorithm 3 over one multi shard with its own seeded RNG.
+    """Algorithm 3 over one multi shard: its ``(tuples, seed)`` segments.
 
     Returns ``(blocks, stats)`` exactly as
-    :func:`~repro.core.tuple_dag.workload_sampling` does.  The per-shard
-    generator is what makes the result independent of which worker (or how
-    many workers) ran the shard.  Under the vectorized knobs the shard's
-    tuple batch runs as one lock-step
+    :func:`~repro.core.tuple_dag.workload_sampling` does, blocks in segment
+    order.  Each segment draws from its own generator seeded with its
+    seed, which is what makes the result independent of which worker (or
+    how many workers) ran it, and of which segments share its shard.  Under
+    the vectorized knobs all segments run as one fused lock-step
     :func:`~repro.core.tuple_dag.ensemble_sampling` ensemble, reusing the
-    worker's warm ``batch_engine``; otherwise the scalar oracle runs (and
-    builds its own engine, exactly as before the vectorized kernel).
+    worker's warm ``batch_engine``; otherwise the scalar oracle runs each
+    segment in turn (and builds its own engine, exactly as before the
+    vectorized kernel).
     """
     if knobs.vectorized_gibbs:
         return ensemble_sampling(
             model,
-            list(tuples),
+            [(tuples, np.random.default_rng(seed)) for tuples, seed in segments],
             num_samples=knobs.num_samples,
             burn_in=knobs.burn_in,
             chains=knobs.gibbs_chains,
             v_choice=knobs.v_choice,
             v_scheme=knobs.v_scheme,
-            rng=np.random.default_rng(seed),
             batch_engine=batch_engine,
         )
-    return workload_sampling(
-        model,
-        list(tuples),
-        num_samples=knobs.num_samples,
-        burn_in=knobs.burn_in,
-        strategy=knobs.strategy,
-        v_choice=knobs.v_choice,
-        v_scheme=knobs.v_scheme,
-        rng=np.random.default_rng(seed),
-        engine=knobs.engine,
-    )
+    blocks: list[TupleBlock] = []
+    stats = SamplingStats()
+    for tuples, seed in segments:
+        segment_blocks, segment_stats = workload_sampling(
+            model,
+            list(tuples),
+            num_samples=knobs.num_samples,
+            burn_in=knobs.burn_in,
+            strategy=knobs.strategy,
+            v_choice=knobs.v_choice,
+            v_scheme=knobs.v_scheme,
+            rng=np.random.default_rng(seed),
+            engine=knobs.engine,
+        )
+        blocks.extend(segment_blocks)
+        stats.merge(segment_stats)
+    return blocks, stats
 
 
 def run_shard(
@@ -205,9 +211,15 @@ def run_shard(
         )
         stats = None
     elif shard.kind == "multi":
-        assert shard.seed is not None, "multi shards carry a seed"
+        assert all(
+            s.seed is not None for s in shard.segments
+        ), "multi shards carry seeded segments"
+        segments = zip(
+            split_by_segments(shard.tuples, shard.segments),
+            (s.seed for s in shard.segments),
+        )
         blocks, stats = multi_shard_blocks(
-            shard.tuples, model, knobs, shard.seed, batch_engine=batch_engine
+            list(segments), model, knobs, batch_engine=batch_engine
         )
     else:
         raise ValueError(f"unknown shard kind {shard.kind!r}")
@@ -219,6 +231,7 @@ def run_shard(
         stats=stats,
         elapsed=time.perf_counter() - start,
         worker=worker,
+        segments=shard.segments,
     )
 
 

@@ -252,9 +252,10 @@ class Job:
                     self.id, getattr(source, "base_seed", None)
                 )
             elif kind == "shard":
-                self.store.record_shard(
-                    self.id, source.key, source.kind, source.blocks
-                )
+                # One row per segment: a resumed plan may fuse segments
+                # differently, but it carries each one by its own key.
+                for key, shard_kind, blocks in source.records():
+                    self.store.record_shard(self.id, key, shard_kind, blocks)
         except Exception:  # a full disk must not kill the derivation
             pass
 

@@ -8,6 +8,7 @@ attributes, annotated with probabilities summing to 1 (paper Fig. 1, tuple
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Hashable, Iterator, Sequence
 
@@ -30,9 +31,7 @@ class TupleBlock:
     def __init__(self, base: RelTuple, distribution: Distribution):
         if base.is_complete:
             raise SchemaError("a tuple block requires an incomplete base tuple")
-        expected = _full_outcome_space(base)
-        got = set(distribution.outcomes)
-        if got - expected:
+        if not _full_outcome_space(base).issuperset(distribution.outcomes):
             raise SchemaError(
                 "distribution outcomes include value combinations outside the "
                 "missing attributes' domains"
@@ -101,8 +100,20 @@ class TupleBlock:
         )
 
 
-def _full_outcome_space(base: RelTuple) -> set[tuple[Hashable, ...]]:
+def _full_outcome_space(base: RelTuple) -> frozenset[tuple[Hashable, ...]]:
     """All value combinations for the missing attributes of ``base``."""
     schema = base.schema
-    domains = [schema[p].domain for p in base.missing_positions]
-    return set(product(*domains))
+    return _product_space(tuple(schema[p].domain for p in base.missing_positions))
+
+
+@lru_cache(maxsize=256)
+def _product_space(
+    domains: tuple[tuple[Hashable, ...], ...],
+) -> frozenset[tuple[Hashable, ...]]:
+    """``product(*domains)`` as a set, memoized on the domains themselves.
+
+    Every block of a derivation validates against one of a few spaces, so
+    each is built once; equal schemas of different relations share entries
+    without a deep schema comparison.
+    """
+    return frozenset(product(*domains))

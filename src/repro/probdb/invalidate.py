@@ -3,24 +3,25 @@
 A derived block's lineage is fully determined by *content*: a single-missing
 block depends only on its base tuple (the compiled inference path is
 deterministic and RNG-free), and a multi-missing block depends on the distinct
-tuple set of its Gibbs shard — the shard's content key seeds its RNG, so two
-shards with the same key and base seed produce bit-identical blocks.
+tuple set of its Gibbs segment — the segment's content key seeds its RNG, so
+two segments with the same key and base seed produce bit-identical blocks,
+whatever shard they were fused into.
 
 That makes invalidation a pure set computation, no diffing of ChangeSets
 required: rebuild the previous derivation's content→block maps (the
 :class:`CarryStore`), lay out the *new* workload exactly as a from-scratch
-plan would, and every new shard whose key is found in the store carries its
-blocks over verbatim.  Everything else is dirty and gets re-derived with the
-seed a from-scratch run would have used — so an incremental derivation is
-bit-identical to a full derivation of the updated table under the same base
-seed, for every executor.
+plan would, and every single-missing tuple or multi segment whose key is
+found in the store carries its blocks over verbatim.  Everything else is
+dirty and gets re-derived with the seed a from-scratch run would have used —
+so an incremental derivation is bit-identical to a full derivation of the
+updated table under the same base seed, for every executor.
 
 Granularity follows the planner: a cell update to a single-missing tuple
 dirties exactly that tuple; an update to a multi-missing tuple dirties the
-batched shard holding its subsumption component.  Inserting or retracting
-multi-missing tuples can shift the greedy batch packing and cascade
-re-keying to later batches — correct, but worth knowing when sizing
-ChangeSets (see ``docs/updates.md``).
+segment holding its subsumption component (not the whole fused shard the
+segment ran in).  Inserting or retracting multi-missing tuples can shift
+the segment cuts and cascade re-keying to later segments — correct, but
+worth knowing when sizing ChangeSets (see ``docs/updates.md``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from ..relational.tuples import RelTuple
 from .blocks import TupleBlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..exec.base import Segment
     from .database import ProbabilisticDatabase
 
 __all__ = ["CarryStore", "DeltaSplit"]
@@ -43,16 +45,17 @@ class DeltaSplit:
 
     ``carried`` maps workload indices to reusable blocks.  ``dirty_single``
     entries re-enter the single-shard packer; each ``dirty_multi`` item is a
-    ready-made shard ``(content key, entries)`` from the new layout whose
-    key missed the store.  ``carried_single``/``carried_multi`` mirror the
-    carried side so the runtime can account skipped shards honestly.
+    segment ``(segment, entries)`` of the new layout whose key missed the
+    store, ready to be seeded and fused into shards.
+    ``carried_single`` entries and ``carried_multi`` segments mirror the
+    carried side so the runtime can account skipped work honestly.
     """
 
     carried: dict[int, TupleBlock]
     dirty_single: list[tuple[int, RelTuple]]
-    dirty_multi: list[tuple[str, list[tuple[int, RelTuple]]]]
+    dirty_multi: "list[tuple[Segment, list[tuple[int, RelTuple]]]]"
     carried_single: list[tuple[int, RelTuple]]
-    carried_multi: list[tuple[str, list[tuple[int, RelTuple]]]]
+    carried_multi: "list[Segment]"
 
     @property
     def num_carried_tuples(self) -> int:
@@ -69,11 +72,12 @@ class CarryStore:
     """Content-keyed blocks from a previous derivation, ready for reuse.
 
     ``singles`` maps each single-missing base tuple to its block;
-    ``multi`` maps each previous multi shard's content key to that shard's
-    own ``{base tuple: block}`` map.  ``base_seed`` is the seed the previous
-    derivation's multi shards were derived under — the delta runtime pins
-    new shards to the same seed so the combined result equals a from-scratch
-    run.  ``None`` when the previous run had no multi-missing work.
+    ``multi`` maps each previous multi segment's content key to that
+    segment's own ``{base tuple: block}`` map.  ``base_seed`` is the seed
+    the previous derivation's multi segments were derived under — the delta
+    runtime pins new segments to the same seed so the combined result
+    equals a from-scratch run.  ``None`` when the previous run had no
+    multi-missing work.
     """
 
     __slots__ = ("singles", "multi", "base_seed")
@@ -101,7 +105,7 @@ class CarryStore:
         (derivation emits blocks in workload order, so the multi bases appear
         in their original relative order) and replayed through the planner's
         :func:`~repro.exec.plan.multi_shard_layout` with the same
-        ``multi_batch`` to recover the shard content keys.
+        ``multi_batch`` to recover the segment content keys.
         """
         from ..exec.plan import multi_shard_layout
 
@@ -115,8 +119,10 @@ class CarryStore:
         multi: dict[str, dict[RelTuple, TupleBlock]] = {}
         if multi_blocks:
             entries = [(i, b.base) for i, b in enumerate(multi_blocks)]
-            for key, batch in multi_shard_layout(entries, multi_batch):
-                multi[key] = {multi_blocks[i].base: multi_blocks[i] for i, _ in batch}
+            for segment, batch in multi_shard_layout(entries, multi_batch):
+                multi[segment.key] = {
+                    multi_blocks[i].base: multi_blocks[i] for i, _ in batch
+                }
         return cls(singles=singles, multi=multi, base_seed=base_seed)
 
     @classmethod
@@ -130,10 +136,11 @@ class CarryStore:
         ``records`` are ``(key, kind, blocks)`` rows as a durable job store
         journals them — the completed shards of an interrupted run.  Single
         shards contribute per-base blocks (packing is irrelevant: singles
-        are content-addressed by base tuple); multi shards keep their
-        content key, which a resumed plan of the same workload reproduces.
-        ``base_seed`` must be the interrupted run's journaled base seed so
-        the still-dirty multi shards re-derive under the same seed.
+        are content-addressed by base tuple); multi rows are journaled one
+        per segment under its content key, which a resumed plan of the same
+        workload reproduces.  ``base_seed`` must be the interrupted run's
+        journaled base seed so the still-dirty segments re-derive under the
+        same seed.
         """
         singles: dict[RelTuple, TupleBlock] = {}
         multi: dict[str, dict[RelTuple, TupleBlock]] = {}
@@ -155,7 +162,7 @@ class CarryStore:
         ``tuples`` is the full new workload in canonical order (singles then
         multis, each in relation order — exactly what a from-scratch derive
         would plan).  The new multi layout is computed here so dirty multi
-        shards keep the keys — hence the seeds — a from-scratch plan would
+        segments keep the keys — hence the seeds — a from-scratch plan would
         assign them.
         """
         from ..exec.plan import multi_shard_layout
@@ -180,16 +187,16 @@ class CarryStore:
                 carried[idx] = TupleBlock(t, block.distribution)
                 carried_single.append((idx, t))
 
-        dirty_multi: list[tuple[str, list[tuple[int, RelTuple]]]] = []
-        carried_multi: list[tuple[str, list[tuple[int, RelTuple]]]] = []
-        for key, batch in multi_shard_layout(multi, multi_batch):
-            blocks = self.multi.get(key)
+        dirty_multi: list[tuple[Segment, list[tuple[int, RelTuple]]]] = []
+        carried_multi: list[Segment] = []
+        for segment, batch in multi_shard_layout(multi, multi_batch):
+            blocks = self.multi.get(segment.key)
             if blocks is None:
-                dirty_multi.append((key, batch))
+                dirty_multi.append((segment, batch))
             else:
                 for idx, t in batch:
                     carried[idx] = TupleBlock(t, blocks[t].distribution)
-                carried_multi.append((key, batch))
+                carried_multi.append(segment)
 
         return DeltaSplit(
             carried=carried,

@@ -36,6 +36,20 @@ class TestConstruction:
         with pytest.raises(SchemaError, match="outside"):
             TupleBlock(t12, bad)
 
+    def test_memoized_outcome_space_still_rejects(self, fig1_schema, t12):
+        """The expected space is memoized per missing-attribute domains; a
+        valid block warming it must not let a bad one through later."""
+        good = Distribution([("50K", "100K")], [1.0])
+        TupleBlock(t12, good)
+        for outcome in [("50K", "bogus"), ("50K",), ("100K", "500K", "x")]:
+            with pytest.raises(SchemaError, match="outside"):
+                TupleBlock(t12, Distribution([outcome], [1.0]))
+        # Other missing positions: their own space.
+        t5 = make_tuple(fig1_schema, {"age": "20"})
+        with pytest.raises(SchemaError, match="outside"):
+            TupleBlock(t5, good)
+        assert len(TupleBlock(t5, Distribution([("HS", "50K", "100K")], [1.0]))) == 1
+
     def test_partial_outcome_space_allowed(self, t12):
         # Gibbs may report only observed outcomes for huge spaces.
         dist = Distribution([("50K", "100K")], [1.0])

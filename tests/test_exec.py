@@ -5,6 +5,8 @@ bit-identical probabilistic databases for any worker count, on both the
 paper's Fig. 1 relation and a census sample.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,13 @@ from repro.exec import (
     ProcessExecutor,
     SerialExecutor,
     get_executor,
+    multi_shard_layout,
     plan_shards,
     shard_seed,
     stream_derivation,
 )
-from repro.relational import Relation, make_tuple
+from repro.relational import Relation, Schema, make_tuple
+from repro.relational.tuples import MISSING_CODE, RelTuple, proper_subsumes
 
 
 def assert_identical_databases(a, b):
@@ -111,10 +115,16 @@ class TestPlanner:
         plans = [
             plan_shards(multi, model, workers=w, seed=5) for w in (1, 2, 4)
         ]
+        # The seed unit is the segment; the scalar kernel runs one segment
+        # per shard.
         keys = [
-            sorted((s.key, s.seed) for s in p.multi_shards) for p in plans
+            sorted(
+                (g.key, g.seed) for s in p.multi_shards for g in s.segments
+            )
+            for p in plans
         ]
         assert keys[0] == keys[1] == keys[2]
+        assert all(len(s.segments) == 1 for p in plans for s in p.multi_shards)
 
     def test_seed_changes_shard_seeds(self, fig1_relation):
         multi = [
@@ -123,9 +133,10 @@ class TestPlanner:
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
         a = plan_shards(multi, model, seed=1)
         b = plan_shards(multi, model, seed=2)
-        assert [s.seed for s in a.multi_shards] != [
-            s.seed for s in b.multi_shards
-        ]
+        def seeds(plan):
+            return [g.seed for s in plan.multi_shards for g in s.segments]
+
+        assert seeds(a) != seeds(b)
 
     def test_shard_seed_is_stable(self):
         assert shard_seed(11, "multi:abc") == shard_seed(11, "multi:abc")
@@ -147,6 +158,100 @@ class TestPlanner:
         plan = plan_shards(singles, model, rng=gen)
         assert plan.base_seed is None
         assert gen.bit_generator.state == state_before
+
+
+# -- the multi layout against the RelTuple-keyed reference --------------------
+
+
+def _reference_layout(entries, multi_batch):
+    """The RelTuple-keyed layout the code-matrix planner replaced: dict
+    dedupe, pairwise ``proper_subsumes`` union-find, greedy re-batching."""
+    node, members = {}, []
+    for idx, t in entries:
+        if t not in node:
+            node[t] = len(members)
+            members.append([])
+        members[node[t]].append((idx, t))
+    tuples = list(node)
+    parent = list(range(len(tuples)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, ta in enumerate(tuples):
+        for b, tb in enumerate(tuples):
+            if proper_subsumes(ta, tb):
+                ra, rb = find(a), find(b)
+                parent[max(ra, rb)] = min(ra, rb)
+    by_root = {}
+    for i in range(len(tuples)):
+        by_root.setdefault(find(i), []).extend(members[i])
+    batches = [sorted(c, key=lambda e: e[0]) for _, c in sorted(by_root.items())]
+    if multi_batch is not None:
+        components, batches, current, count = batches, [], [], 0
+        for component in components:
+            by_tuple = {}
+            for entry in component:
+                by_tuple.setdefault(entry[1], []).append(entry)
+            for group in by_tuple.values():
+                if count == multi_batch:
+                    batches.append(current)
+                    current, count = [], 0
+                current.extend(group)
+                count += 1
+        batches.append(current)
+        batches = [sorted(b, key=lambda e: e[0]) for b in batches]
+    layout = []
+    for batch in batches:
+        h = hashlib.sha256()
+        for codes in sorted({t.codes.tobytes() for _, t in batch}):
+            h.update(codes)
+        layout.append((f"multi:{h.hexdigest()[:16]}", batch))
+    return layout
+
+
+def _random_multis(seed, n=120):
+    """Random multi-missing tuples over a small schema, duplicates included."""
+    rng = np.random.default_rng(seed)
+    schema = Schema.from_domains(
+        {"a": ["0", "1", "2"], "b": ["0", "1"], "c": ["0", "1", "2"], "d": ["0", "1"]}
+    )
+    cards = np.array([3, 2, 3, 2])
+    out = []
+    while len(out) < n:
+        codes = (rng.random(4) * cards).astype(np.int32)
+        codes[rng.random(4) < 0.55] = MISSING_CODE
+        if (codes == MISSING_CODE).sum() >= 2:
+            out.append(RelTuple(schema, codes))
+    return out
+
+
+class TestLayoutMatchesReference:
+    """Planning on the code matrix keeps every segment key and member list."""
+
+    @pytest.fixture
+    def workloads(self, fig1_relation, census_relation):
+        rng = np.random.default_rng(3)
+        test, _ = load_census(400, rng)
+        census_multi = [t for t in census_relation if t.num_missing > 1]
+        return {
+            "fig1": [t for t in fig1_relation if t.num_missing > 1],
+            "census": census_multi + list(mask_relation(test, (2, 3), rng)),
+            **{f"random{seed}": _random_multis(seed) for seed in range(4)},
+        }
+
+    @pytest.mark.parametrize("multi_batch", [None, 1, 2, 7, 128])
+    def test_keys_and_members_identical(self, workloads, multi_batch):
+        for name, tuples in workloads.items():
+            entries = list(enumerate(tuples))
+            layout = multi_shard_layout(entries, multi_batch)
+            expected = _reference_layout(entries, multi_batch)
+            assert [(g.key, batch) for g, batch in layout] == expected, name
+            for g, batch in layout:
+                assert g.size == len(batch)
+                assert g.distinct == len({t for _, t in batch})
 
 
 # -- executor determinism -----------------------------------------------------

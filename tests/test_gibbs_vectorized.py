@@ -35,6 +35,7 @@ from repro.core import (
     workload_sampling,
 )
 from repro.datasets.census import load_census
+from repro.exec.base import split_by_segments
 from repro.exec.plan import MULTI_TUPLES_PER_SHARD, plan_shards
 from repro.relational import Relation, make_tuple
 
@@ -275,7 +276,7 @@ class TestEnsembleEquivalence:
         net, schema, model = bn8_setup
         t = make_tuple(schema, {"x0": "v0", "x1": "v1"})
         vec, _ = ensemble_sampling(
-            model, [t], num_samples=150, burn_in=20, rng=11
+            model, [([t], 11)], num_samples=150, burn_in=20
         )
         scal, _ = workload_sampling(
             model, [t], num_samples=150, burn_in=20, rng=11
@@ -295,7 +296,7 @@ class TestEnsembleEquivalence:
             make_tuple(schema, {"x2": "v1"}),
         ]
         vec, _ = ensemble_sampling(
-            model, tuples, num_samples=3000, burn_in=200, chains=4, rng=1
+            model, [(tuples, 1)], num_samples=3000, burn_in=200, chains=4
         )
         scal, _ = workload_sampling(
             model, tuples, num_samples=3000, burn_in=200, rng=1
@@ -309,7 +310,7 @@ class TestEnsembleEquivalence:
         net, schema, model = bn8_setup
         t = make_tuple(schema, {"x0": "v0", "x1": "v1"})
         blocks, _ = ensemble_sampling(
-            model, [t], num_samples=3000, burn_in=200, chains=4, rng=2
+            model, [([t], 2)], num_samples=3000, burn_in=200, chains=4
         )
         true = true_joint_posterior(net, t)
         kl = true.kl_divergence(blocks[0].distribution)
@@ -319,7 +320,7 @@ class TestEnsembleEquivalence:
         net, schema, model = bn8_setup
         t = make_tuple(schema, {"x0": "v0"})
         blocks, _ = ensemble_sampling(
-            model, [t, t], num_samples=50, burn_in=5, rng=0
+            model, [([t, t], 0)], num_samples=50, burn_in=5
         )
         assert blocks[0] is blocks[1]
 
@@ -328,7 +329,7 @@ class TestEnsembleEquivalence:
         t = make_tuple(schema, {"x0": "v0"})
         for chains in (1, 3, 4):
             blocks, stats = ensemble_sampling(
-                model, [t], num_samples=100, burn_in=10, chains=chains, rng=0
+                model, [([t], 0)], num_samples=100, burn_in=10, chains=chains
             )
             # ceil(100 / chains) recorded sweeps plus burn-in, per chain.
             sweeps = -(-100 // chains)
@@ -369,9 +370,9 @@ class TestEnsembleEquivalence:
         ]
         warm = BatchInferenceEngine(model)
         a, _ = ensemble_sampling(
-            model, tuples, num_samples=80, burn_in=10, rng=4, batch_engine=warm
+            model, [(tuples, 4)], num_samples=80, burn_in=10, batch_engine=warm
         )
-        b, _ = ensemble_sampling(model, tuples, num_samples=80, burn_in=10, rng=4)
+        b, _ = ensemble_sampling(model, [(tuples, 4)], num_samples=80, burn_in=10)
         for ba, bb in zip(a, b):
             assert ba.distribution.outcomes == bb.distribution.outcomes
             assert (
@@ -414,8 +415,11 @@ class TestMultiShardBatching:
             plan_shards(multi, model, workers=w, seed=5, multi_batch=2)
             for w in (1, 2, 8)
         ]
+        # Segments are the seed unit: their keys and seeds never follow the
+        # worker count (how they fuse into shards may).
         keyed = [
-            sorted((s.key, s.seed) for s in p.multi_shards) for p in plans
+            [(g.key, g.seed) for s in p.multi_shards for g in s.segments]
+            for p in plans
         ]
         assert keyed[0] == keyed[1] == keyed[2]
 
@@ -433,13 +437,15 @@ class TestMultiShardBatching:
             Relation(fig1_schema, []), support_threshold=0.99
         ).model
         plan = plan_shards(tuples, model, seed=0, multi_batch=2)
-        assert [s.groups for s in plan.multi_shards] == [2, 1]
+        assert [
+            g.distinct for s in plan.multi_shards for g in s.segments
+        ] == [2, 1]
         assert sorted(
             i for s in plan.multi_shards for i in s.indices
         ) == [0, 1, 2]
 
     def test_duplicates_stay_in_one_shard(self, fig1_schema):
-        """Duplicate workload entries share a shard (hence a block) even
+        """Duplicate workload entries share a segment (hence a block) even
         when re-batching splits their component."""
         a = make_tuple(fig1_schema, {"age": "20", "edu": "HS"})
         b = make_tuple(fig1_schema, {"age": "20", "edu": "BS"})
@@ -449,8 +455,9 @@ class TestMultiShardBatching:
         ).model
         plan = plan_shards([a, b, c, a], model, seed=0, multi_batch=2)
         for shard in plan.multi_shards:
-            count = sum(1 for t in shard.tuples if t == a)
-            assert count in (0, 2)
+            for tuples in split_by_segments(shard.tuples, shard.segments):
+                count = sum(1 for t in tuples if t == a)
+                assert count in (0, 2)
 
     def test_derive_plans_batched_multi_shards(self, fig1_relation):
         vec = derive_probabilistic_database(

@@ -69,7 +69,8 @@ def _journal_partial_run(store, job_id, keep_shards=1):
 
     def on_shard(result):
         if len(recorded) - 1 < keep_shards:
-            store.record_shard(job_id, result.key, result.kind, result.blocks)
+            for key, kind, blocks in result.records():
+                store.record_shard(job_id, key, kind, blocks)
             recorded.append(result.key)
 
     execute_derivation(
