@@ -7,11 +7,15 @@ two termination conditions, exactly as in the paper: stop when a round finds
 no frequent itemsets, or when a round finds more than ``max_itemsets`` of
 them (the paper sets 1000 to control model-building time).
 
-Support counting is vectorized over the complete relation's code matrix.
+Support counting runs on packed item bitmaps: each ``(attribute, value)``
+item gets one bit per row, packed into ``uint64`` words, and a candidate's
+count is the popcount of the AND of its items' bitmaps.  Each round counts
+all its candidates at once, in chunks under :data:`SUPPORT_CHUNK_BYTES`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "FrequentItemsets",
     "mine_frequent_itemsets",
     "DEFAULT_MAX_ITEMSETS",
+    "SUPPORT_CHUNK_BYTES",
 ]
 
 #: One attribute-value assignment: ``(attribute_position, value_code)``.
@@ -41,6 +46,12 @@ EMPTY_ITEMSET: Itemset = ()
 
 #: Per-round cap on newly found frequent itemsets (Section III).
 DEFAULT_MAX_ITEMSETS = 1000
+
+#: Byte budget of the ``(candidates, words)`` uint64 bitmap gather one
+#: support-counting chunk makes per item position; a round's candidates are
+#: split into chunks under it, so peak memory does not grow with the
+#: candidate count.
+SUPPORT_CHUNK_BYTES = 1 << 18
 
 
 def make_itemset(items: Iterable[Item]) -> Itemset:
@@ -110,16 +121,40 @@ class FrequentItemsets:
         )
 
 
-def _support_counts(
-    codes: np.ndarray, candidates: list[Itemset]
-) -> np.ndarray:
-    """Count matching rows for each candidate itemset."""
-    counts = np.empty(len(candidates), dtype=np.int64)
-    for i, itemset in enumerate(candidates):
-        mask = np.ones(codes.shape[0], dtype=bool)
-        for attr, value in itemset:
-            mask &= codes[:, attr] == value
-        counts[i] = int(mask.sum())
+def _item_bitmaps(codes: np.ndarray, cardinalities: list[int]) -> np.ndarray:
+    """Packed row bitmaps of every ``(attribute, value)`` item, in that order.
+
+    Row ``i`` of the ``(sum(cardinalities), words)`` uint64 result has bit
+    ``r`` set when row ``r`` of ``codes`` assigns the ``i``-th item.
+    Padding bits past the last row are zero, and a missing cell matches no
+    value, so both stay out of every count.  Built one attribute at a
+    time, so the boolean temporaries stay ``cardinality x rows``.
+    """
+    packed_bytes = -(-codes.shape[0] // 8)
+    words = -(-packed_bytes // 8)
+    bitmaps = np.zeros((sum(cardinalities), 8 * words), dtype=np.uint8)
+    row = 0
+    for attr, card in enumerate(cardinalities):
+        hits = codes[:, attr] == np.arange(card)[:, None]
+        bitmaps[row : row + card, :packed_bytes] = np.packbits(hits, axis=1)
+        row += card
+    return bitmaps.view(np.uint64)
+
+
+def _bitmap_counts(bitmaps: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Rows matching each candidate: popcount of the AND of its items' bitmaps.
+
+    ``candidates`` is a ``(C, k)`` matrix of row indices into ``bitmaps``.
+    """
+    num, k = candidates.shape
+    counts = np.empty(num, dtype=np.int64)
+    step = max(1, SUPPORT_CHUNK_BYTES // (8 * bitmaps.shape[1]))
+    for start in range(0, num, step):
+        chunk = candidates[start : start + step]
+        both = bitmaps[chunk[:, 0]]
+        for j in range(1, k):
+            both &= bitmaps[chunk[:, j]]
+        counts[start : start + step] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     return counts
 
 
@@ -136,17 +171,17 @@ def _join_candidates(frequent_k: list[Itemset]) -> list[Itemset]:
     candidates = []
     for prefix, tails in by_prefix.items():
         tails.sort()
-        for i in range(len(tails)):
-            for j in range(i + 1, len(tails)):
-                a, b = tails[i], tails[j]
+        for i, a in enumerate(tails):
+            for b in tails[i + 1 :]:
                 if a[0] == b[0]:
                     continue  # same attribute, two values: contradiction
                 candidate = prefix + (a, b)
-                # All k-subsets must be frequent.
-                if all(
-                    candidate[:m] + candidate[m + 1 :] in frequent_set
-                    for m in range(len(candidate))
-                ):
+                # All k-subsets must be frequent; the two that drop ``a`` or
+                # ``b`` are the joined itemsets themselves.
+                for m in range(len(prefix)):
+                    if candidate[:m] + candidate[m + 1 :] not in frequent_set:
+                        break
+                else:
                     candidates.append(candidate)
     return candidates
 
@@ -186,28 +221,28 @@ def mine_frequent_itemsets(
     if n == 0:
         return FrequentItemsets(supports, 0, threshold, truncated=False)
 
-    # Round 1: all single attribute-value items.
-    candidates: list[Itemset] = []
-    schema = complete.schema
-    for attr, attribute in enumerate(schema):
-        for value in range(attribute.cardinality):
-            candidates.append(((attr, value),))
+    # Round 1: all single attribute-value items, one bitmap row each.
+    cardinalities = [attribute.cardinality for attribute in complete.schema]
+    items = [(attr, value) for attr, card in enumerate(cardinalities) for value in range(card)]
+    item_rows = {item: row for row, item in enumerate(items)}
+    bitmaps = _item_bitmaps(codes, cardinalities)
+    candidates: list[Itemset] = [(item,) for item in items]
 
+    min_count = threshold * n
     truncated = False
-    frequent_k: list[Itemset] = []
     while candidates:
-        counts = _support_counts(codes, candidates)
-        min_count = threshold * n
-        frequent_k = [
-            itemset
-            for itemset, count in zip(candidates, counts)
-            if count >= min_count
-        ]
-        for itemset, count in zip(candidates, counts):
-            if count >= min_count:
-                supports[itemset] = count / n
-        if not frequent_k:
+        k = len(candidates[0])
+        rows = np.fromiter(
+            map(item_rows.__getitem__, chain.from_iterable(candidates)),
+            dtype=np.intp,
+            count=k * len(candidates),
+        ).reshape(-1, k)
+        counts = _bitmap_counts(bitmaps, rows)
+        frequent = np.flatnonzero(counts >= min_count).tolist()
+        if not frequent:
             break
+        frequent_k = [candidates[i] for i in frequent]
+        supports.update(zip(frequent_k, counts[frequent] / n))
         if len(frequent_k) > max_itemsets:
             truncated = True
             break

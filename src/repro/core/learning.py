@@ -6,18 +6,33 @@
 2. per attribute: ``ComputeAssocRules`` -> ``ComputeMetaRules`` ->
    ``ComputeSubsumption`` (the semi-lattice is implied by the body index);
 3. collect the per-attribute semi-lattices into the MRSL model.
+
+Step 2 runs stacked: one pass over the frequent itemsets collects every
+attribute's rule confidences into one ``(bodies, cardinality)`` matrix,
+which is smoothed and validated at once.  The per-rule functions
+:func:`~repro.core.rules.compute_association_rules` and
+:func:`~repro.core.metarule.build_meta_rules` are the reference it equals
+bit for bit.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..probdb.distribution import DEFAULT_SMOOTHING_FLOOR
 from ..relational.relation import Relation
-from .itemsets import DEFAULT_MAX_ITEMSETS, FrequentItemsets, mine_frequent_itemsets
-from .metarule import build_meta_rules
+from ..relational.schema import Schema
+from .itemsets import (
+    DEFAULT_MAX_ITEMSETS,
+    FrequentItemsets,
+    Itemset,
+    mine_frequent_itemsets,
+)
+from .metarule import MetaRule, meta_rules_from_matrix
 from .mrsl import MRSL, MRSLModel
-from .rules import compute_association_rules
 
 __all__ = ["LearnResult", "learn_mrsl"]
 
@@ -76,12 +91,56 @@ def learn_mrsl(
             threshold=support_threshold,
             max_itemsets=max_itemsets,
         )
-    schema = relation.schema
-    lattices = []
+    meta_rules = _stacked_meta_rules(itemsets, relation.schema, smoothing_floor)
+    lattices = [MRSL(attr, rules) for attr, rules in enumerate(meta_rules)]
+    return LearnResult(model=MRSLModel(relation.schema, lattices), itemsets=itemsets)
+
+
+def _stacked_meta_rules(
+    itemsets: FrequentItemsets, schema: Schema, floor: float
+) -> list[list[MetaRule]]:
+    """``ComputeAssocRules`` + ``ComputeMetaRules`` for every head attribute.
+
+    Each frequent itemset yields one rule per item as head; a head
+    attribute's bodies are numbered in first-seen order, the grouping
+    order of :func:`~repro.core.metarule.build_meta_rules`.  Rule checks
+    raise the :class:`~repro.core.rules.AssociationRule` error of the
+    first invalid rule.
+    """
+    bodies: list[dict[Itemset, int]] = [{} for _ in schema]
+    # Per head attribute: body row, head value and supp(I) of each rule.
+    rules = [(array("q"), array("q"), array("d")) for _ in schema]
+    for itemset, support in itemsets.items():
+        for m, (attr, value) in enumerate(itemset):
+            rows = bodies[attr]
+            body_rows, head_values, supports = rules[attr]
+            body_rows.append(rows.setdefault(itemset[:m] + itemset[m + 1 :], len(rows)))
+            head_values.append(value)
+            supports.append(support)
+    out = []
     for attr, attribute in enumerate(schema):
-        rules = compute_association_rules(itemsets, attr)
-        meta_rules = build_meta_rules(
-            rules, attr, attribute.cardinality, floor=smoothing_floor
-        )
-        lattices.append(MRSL(attr, meta_rules))
-    return LearnResult(model=MRSLModel(schema, lattices), itemsets=itemsets)
+        rows = bodies[attr]
+        weights = np.array([itemsets.support(body) for body in rows], dtype=np.float64)
+        body_row, head_value, support = (np.asarray(column) for column in rules[attr])
+        body_support = weights[body_row]
+        _check_rules(support, body_support)
+        raw = np.zeros((len(rows), attribute.cardinality))
+        raw[body_row, head_value] = support / body_support
+        out.append(meta_rules_from_matrix(attr, list(rows), weights, raw, floor))
+    return out
+
+
+def _check_rules(support: np.ndarray, body_support: np.ndarray) -> None:
+    """Raise the :class:`~repro.core.rules.AssociationRule` error of the first bad rule."""
+    no_body = body_support <= 0
+    out_of_range = (support < 0) | (support > body_support + 1e-12)
+    bad = no_body | out_of_range
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if no_body[i]:
+        raise ValueError("rule body must have positive support")
+    raise ValueError(
+        "rule support must lie in [0, body_support] "
+        f"(got {support[i]} vs {body_support[i]})"
+    )

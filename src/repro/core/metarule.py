@@ -23,7 +23,7 @@ from ..relational.tuples import RelTuple
 from .itemsets import Itemset
 from .rules import AssociationRule
 
-__all__ = ["MetaRule", "build_meta_rules", "smooth_cpd"]
+__all__ = ["MetaRule", "build_meta_rules", "meta_rules_from_matrix", "smooth_cpd"]
 
 
 def smooth_cpd(
@@ -52,6 +52,25 @@ def smooth_cpd(
     return probs / probs.sum()
 
 
+def _smooth_rows(raw: np.ndarray, floor: float) -> np.ndarray:
+    """:func:`smooth_cpd` applied to each row of a C-contiguous matrix.
+
+    Every row goes through the same float operations in the same order as
+    the vector version (a row sum of a C-contiguous matrix reduces each
+    row exactly as a 1-D sum does), so the rows are bit-identical to it.
+    """
+    total = raw.sum(axis=1)
+    over = total > 1.0 + 1e-9
+    if over.any():
+        raw = raw.copy()
+        raw[over] = raw[over] / total[over, None]
+        total = np.where(over, 1.0, total)
+    deficit = np.maximum(1.0 - total, 0.0)
+    probs = raw + (deficit / raw.shape[1])[:, None]
+    probs = np.maximum(probs, floor)
+    return probs / probs.sum(axis=1)[:, None]
+
+
 class MetaRule:
     """A local CPD estimate ``P(head_attribute | body)`` with a support weight."""
 
@@ -78,6 +97,18 @@ class MetaRule:
         self.body = body
         self.weight = float(weight)
         self.probs = probs
+
+    @classmethod
+    def _trusted(
+        cls, head_attribute: int, body: Itemset, weight: float, probs: np.ndarray
+    ) -> "MetaRule":
+        """A meta-rule from already validated, read-only ``probs``."""
+        m = cls.__new__(cls)
+        m.head_attribute = head_attribute
+        m.body = body
+        m.weight = float(weight)
+        m.probs = probs
+        return m
 
     @property
     def body_size(self) -> int:
@@ -154,3 +185,37 @@ def build_meta_rules(
         probs = smooth_cpd(raw, floor=floor)
         meta_rules.append(MetaRule(head_attribute, body, weight, probs))
     return meta_rules
+
+
+def meta_rules_from_matrix(
+    head_attribute: int,
+    bodies: Sequence[Itemset],
+    weights: np.ndarray,
+    raw: np.ndarray,
+    floor: float = DEFAULT_SMOOTHING_FLOOR,
+) -> list[MetaRule]:
+    """One head attribute's meta-rules from a stacked confidence matrix.
+
+    Row ``i`` of the ``(len(bodies), cardinality)`` matrix ``raw`` holds
+    the rule confidences of body ``bodies[i]``, whose support is
+    ``weights[i]``; the bodies must not assign ``head_attribute``.  The
+    rows are smoothed and validated at once and raise the
+    :class:`MetaRule` error of the first invalid row; the emitted
+    meta-rules' CPDs are read-only row views of one matrix, equal bit for
+    bit to what :func:`build_meta_rules` builds from the same rules.
+    """
+    probs = _smooth_rows(np.ascontiguousarray(raw, dtype=np.float64), floor)
+    failures = (
+        (~np.isclose(probs.sum(axis=1), 1.0, atol=1e-9), "meta-rule CPD must sum to 1"),
+        ((probs <= 0).any(axis=1), "meta-rule CPD must be strictly positive"),
+        (~((weights > 0.0) & (weights <= 1.0 + 1e-12)), "meta-rule weight must be in (0, 1]"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in failures])
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(next(message for mask, message in failures if mask[row]))
+    probs.setflags(write=False)
+    return [
+        MetaRule._trusted(head_attribute, body, weight, row)
+        for body, weight, row in zip(bodies, weights.tolist(), probs)
+    ]

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import itemsets as itemsets_module
 from repro.core import mine_frequent_itemsets
 from repro.core.itemsets import (
     EMPTY_ITEMSET,
@@ -12,7 +13,7 @@ from repro.core.itemsets import (
     itemset_attributes,
     make_itemset,
 )
-from repro.relational import Relation
+from repro.relational import Relation, Schema
 
 
 @pytest.fixture
@@ -141,3 +142,13 @@ class TestMining:
         fi = mine_frequent_itemsets(rc, threshold=0.25)
         assert all(len(s) == 1 for s in fi.of_size(1))
         assert fi.max_size() >= 2
+
+    @pytest.mark.parametrize("budget", [1, 8, 24, 1 << 18])
+    def test_chunk_budget_does_not_change_supports(self, monkeypatch, budget):
+        # A budget below one candidate's bitmap still counts one per chunk.
+        rng = np.random.default_rng(3)
+        schema = Schema.from_domains({f"a{i}": ["x", "y", "z"] for i in range(4)})
+        rel = Relation.from_codes(schema, rng.integers(0, 3, (150, 4)))
+        reference = list(mine_frequent_itemsets(rel, threshold=0.02).items())
+        monkeypatch.setattr(itemsets_module, "SUPPORT_CHUNK_BYTES", budget)
+        assert list(mine_frequent_itemsets(rel, threshold=0.02).items()) == reference

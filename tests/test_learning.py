@@ -1,10 +1,13 @@
 """Unit tests for Algorithm 1 (MRSL learning)."""
 
+import numpy as np
 import pytest
 
 from repro.bayesnet import forward_sample_relation, make_network
 from repro.core import learn_mrsl
-from repro.relational import Relation
+from repro.core.itemsets import FrequentItemsets
+from repro.core.learning import _stacked_meta_rules
+from repro.relational import Relation, Schema
 
 
 class TestLearnOnFig1:
@@ -70,3 +73,39 @@ class TestLearnOnSampledData:
     def test_empty_training_data_yields_empty_lattices(self, fig1_schema):
         result = learn_mrsl(Relation(fig1_schema), support_threshold=0.1)
         assert result.model_size == 0
+
+
+class TestStackedMetaRuleChecks:
+    """The per-rule CPD checks still fire when meta-rules are built stacked."""
+
+    @pytest.fixture
+    def dependent(self):
+        # b always equals a: P(b | a) puts all its mass on one value.
+        schema = Schema.from_domains({"a": ["x", "y"], "b": ["x", "y"]})
+        return Relation.from_codes(schema, np.array([[0, 0], [1, 1]] * 10))
+
+    def test_zero_floor_on_deterministic_dependency_raises(self, dependent):
+        with pytest.raises(ValueError, match="meta-rule CPD must be strictly positive"):
+            learn_mrsl(dependent, support_threshold=0.1, smoothing_floor=0.0)
+
+    def test_default_floor_keeps_cpds_positive_and_read_only(self, dependent):
+        model = learn_mrsl(dependent, support_threshold=0.1).model
+        m = model["b"].get(((0, 0),))
+        assert m.probs[0] > 0.99 and m.probs[1] > 0
+        assert not m.probs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "supports, message",
+        [
+            # supp({a=x, b=x}) above supp({a=x}): not a valid rule.
+            ({(): 1.0, ((0, 0),): 0.25, ((1, 0),): 0.5, ((0, 0), (1, 0)): 0.3},
+             r"rule support must lie in \[0, body_support\]"),
+            # The body {a=x} of {a=x, b=x} was never mined.
+            ({(): 1.0, ((1, 0),): 0.5, ((0, 0), (1, 0)): 0.3},
+             "rule body must have positive support"),
+        ],
+    )
+    def test_rule_checks_fire_on_inconsistent_itemsets(self, dependent, supports, message):
+        itemsets = FrequentItemsets(supports, 20, 0.1, truncated=False)
+        with pytest.raises(ValueError, match=message):
+            _stacked_meta_rules(itemsets, dependent.schema, 1e-5)

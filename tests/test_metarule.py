@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import mine_frequent_itemsets
-from repro.core.metarule import MetaRule, build_meta_rules, smooth_cpd
+from repro.core.metarule import (
+    MetaRule,
+    build_meta_rules,
+    meta_rules_from_matrix,
+    smooth_cpd,
+)
 from repro.core.rules import compute_association_rules
 from repro.relational import make_tuple
 
@@ -98,6 +103,48 @@ class TestMetaRule:
         cpd = m.cpd(fig1_schema)
         assert cpd.outcomes == ("20", "30", "40")
         assert cpd["40"] == pytest.approx(0.5)
+
+
+class TestMetaRulesFromMatrix:
+    BODIES = [(), ((1, 0),), ((1, 1),)]
+
+    def test_rows_equal_per_rule_smoothing(self):
+        raw = np.array([[0.5, 0.3, 0.2], [0.4, 0.3, 0.0], [1.0, 0.0, 0.0]])
+        weights = np.array([1.0, 0.5, 0.25])
+        rules = meta_rules_from_matrix(0, self.BODIES, weights, raw, floor=1e-3)
+        for m, body, weight, row in zip(rules, self.BODIES, weights, raw):
+            assert (m.head_attribute, m.body, m.weight) == (0, body, weight)
+            assert m.probs.tobytes() == smooth_cpd(row, floor=1e-3).tobytes()
+            assert not m.probs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "weights, floor, message",
+        [
+            ([1.0, 0.0, 0.5], 1e-5, "weight must be in"),
+            ([1.0, 0.5, 1.5], 1e-5, "weight must be in"),
+            ([1.0, 0.5, 0.5], 0.0, "strictly positive"),
+        ],
+    )
+    def test_invalid_rows_raise_meta_rule_errors(self, weights, floor, message):
+        raw = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            meta_rules_from_matrix(0, self.BODIES, np.array(weights), raw, floor=floor)
+
+    @pytest.mark.parametrize(
+        "raw, weights, message",
+        [
+            # Row 1 has a zero probability, row 2 a bad weight.
+            ([[0.5, 0.3, 0.2], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]], [1.0, 0.5, 2.0], "positive"),
+            # Row 1 has a bad weight, row 2 a zero probability.
+            ([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], [1.0, 2.0, 0.5], "weight"),
+        ],
+    )
+    def test_first_invalid_row_decides_the_error(self, raw, weights, message):
+        # As when building one MetaRule after another.
+        with pytest.raises(ValueError, match=message):
+            meta_rules_from_matrix(
+                0, self.BODIES, np.array(weights), np.array(raw), floor=0.0
+            )
 
 
 class TestBuildMetaRules:
