@@ -23,7 +23,7 @@ equivalence test suite asserts agreement).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_CPD_CACHE_SIZE",
     "validate_engine",
     "BatchInferenceEngine",
+    "unique_rows",
 ]
 
 #: Recognized inference engine names.
@@ -58,6 +59,23 @@ def validate_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     return engine
+
+
+def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` over the rows of an integer matrix, via one void view.
+
+    Returns ``(first, inverse)``: each distinct row's first position and
+    each row's distinct number.  Distinct rows are numbered in memcmp order
+    of their bytes, the order of ``sorted(row.tobytes() for row in
+    matrix)``; all rows of a zero-width matrix are one row.
+    """
+    n, width = matrix.shape
+    if width == 0:
+        return np.zeros(min(n, 1), dtype=np.intp), np.zeros(n, dtype=np.intp)
+    matrix = np.ascontiguousarray(matrix)
+    rows = matrix.view(np.dtype((np.void, matrix.itemsize * width))).reshape(n)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse.reshape(n)
 
 
 def _cdf_rows(cpds: np.ndarray) -> np.ndarray:
@@ -252,7 +270,7 @@ class BatchInferenceEngine:
         others too, if that is not enough), counted in ``evictions``, which
         never changes a result since a CPD is a function of its signature.
         Signature spaces too wide to pack fall back to a row-wise
-        ``np.unique``.
+        :func:`unique_rows`.
         """
         choice, scheme = self._voting(v_choice, v_scheme)
         # int32 matches RelTuple code vectors, so signature bytes are
@@ -264,14 +282,11 @@ class BatchInferenceEngine:
             return self._memo_lookup(
                 states, states @ mult, attr, choice, scheme, cumulative
             )
-        sigs = states[:, self.compiled[attr].signature_attrs]
-        _, first, inverse = np.unique(
-            sigs, axis=0, return_index=True, return_inverse=True
-        )
+        first, inverse = unique_rows(states[:, self.compiled[attr].signature_attrs])
         cpds = self._answer(states[first], attr, choice, scheme)
         if cumulative:
             cpds = _cdf_rows(cpds)
-        return cpds[inverse.reshape(-1)]
+        return cpds[inverse]
 
     def _memo_lookup(
         self,
@@ -384,6 +399,65 @@ class BatchInferenceEngine:
         self._sig_packers[attr] = mult
         return mult
 
+    def infer_grouped(
+        self,
+        codes: np.ndarray,
+        v_choice: VoterChoice | str | None = None,
+        v_scheme: VotingScheme | str | None = None,
+    ) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Algorithm 2 for a code matrix whose rows each miss one attribute.
+
+        Returns one ``(attr, positions, inverse, cpds)`` per missing
+        attribute, ascending: the rows missing ``attr``, each one's
+        distinct-signature number, and the read-only ``(g, cardinality)``
+        matrix of the distinct signatures' CPDs.  Signatures are numbered
+        by one ``np.unique`` over a void view of their columns
+        (:func:`unique_rows`); the LRU lacks are answered by one batched
+        compiled match + combine, so repeats within and across calls are
+        free.
+        """
+        choice, scheme = self._voting(v_choice, v_scheme)
+        missing = codes == MISSING_CODE
+        counts = missing.sum(axis=1)
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            raise ValueError(
+                f"expected exactly one missing attribute, tuple has "
+                f"{counts[bad[0]]}"
+            )
+        attrs = missing.argmax(axis=1)
+        groups = []
+        for attr in np.unique(attrs).tolist():
+            positions = np.flatnonzero(attrs == attr)
+            group = codes[positions]
+            first, inverse = unique_rows(
+                group[:, self.compiled[attr].signature_attrs]
+            )
+            cpds = self._answer(group[first], attr, choice, scheme)
+            cpds.setflags(write=False)
+            groups.append((attr, positions, inverse, cpds))
+        self.tuples_served += codes.shape[0]
+        return groups
+
+    def _per_tuple(
+        self,
+        tuples: Sequence[RelTuple],
+        v_choice: VoterChoice | str | None,
+        v_scheme: VotingScheme | str | None,
+        build: Callable[[int, np.ndarray], Sequence],
+    ) -> list:
+        """``build(attr, cpds)[k]`` for each tuple's signature number ``k``."""
+        out: list = [None] * len(tuples)
+        if tuples:
+            codes = np.stack([t.codes for t in tuples])
+            for attr, positions, inverse, cpds in self.infer_grouped(
+                codes, v_choice, v_scheme
+            ):
+                rows = build(attr, cpds)
+                for pos, k in zip(positions.tolist(), inverse.tolist()):
+                    out[pos] = rows[k]
+        return out
+
     def infer_batch_codes(
         self,
         tuples: Sequence[RelTuple],
@@ -392,37 +466,11 @@ class BatchInferenceEngine:
     ) -> list[np.ndarray]:
         """One CPD vector per tuple; every tuple missing exactly one attribute.
 
-        Per missing attribute the batch is deduplicated on evidence
-        signature with one ``np.unique``; signatures the LRU lacks are
-        answered by one batched compiled match + combine, so repeats
-        within and across calls are free.  Tuples sharing a signature get
-        the same read-only array.
+        Tuples sharing a signature get the same read-only array.
         """
-        choice, scheme = self._voting(v_choice, v_scheme)
-        out: list[np.ndarray | None] = [None] * len(tuples)
-        if tuples:
-            codes = np.stack([t.codes for t in tuples])
-            missing = codes == MISSING_CODE
-            counts = missing.sum(axis=1)
-            bad = np.flatnonzero(counts != 1)
-            if bad.size:
-                raise ValueError(
-                    f"expected exactly one missing attribute, tuple has "
-                    f"{counts[bad[0]]}"
-                )
-            attrs = missing.argmax(axis=1)
-            for attr in np.unique(attrs).tolist():
-                positions = np.flatnonzero(attrs == attr)
-                group = codes[positions]
-                sigs = group[:, self.compiled[attr].signature_attrs]
-                _, first, inverse = np.unique(
-                    sigs, axis=0, return_index=True, return_inverse=True
-                )
-                rows = self._answer_rows(group[first], attr, choice, scheme)
-                for pos, k in zip(positions.tolist(), inverse.reshape(-1).tolist()):
-                    out[pos] = rows[k]
-        self.tuples_served += len(tuples)
-        return out  # type: ignore[return-value]
+        return self._per_tuple(
+            tuples, v_choice, v_scheme, lambda attr, cpds: list(cpds)
+        )
 
     def infer_batch(
         self,
@@ -432,22 +480,16 @@ class BatchInferenceEngine:
     ) -> list[Distribution]:
         """Batch Algorithm 2 returning value-level distributions.
 
-        Tuples sharing an evidence signature receive the *same* (immutable)
-        :class:`Distribution` object, so wrapping costs one construction per
-        distinct CPD rather than one per tuple.
+        Each attribute's distinct CPDs are validated and normalized as one
+        matrix (:meth:`Distribution.stack`), and tuples sharing an evidence
+        signature receive the *same* immutable :class:`Distribution`.
         """
-        cpds = self.infer_batch_codes(tuples, v_choice, v_scheme)
-        shared: dict[tuple[int, int], Distribution] = {}
-        out = []
-        for t, probs in zip(tuples, cpds):
-            attr = t.missing_positions[0]
-            key = (attr, id(probs))
-            dist = shared.get(key)
-            if dist is None:
-                dist = Distribution(self.schema[attr].domain, probs)
-                shared[key] = dist
-            out.append(dist)
-        return out
+        return self._per_tuple(
+            tuples,
+            v_choice,
+            v_scheme,
+            lambda attr, cpds: Distribution.stack(self.schema[attr].domain, cpds),
+        )
 
     # -- diagnostics -----------------------------------------------------------
 

@@ -5,9 +5,12 @@ Two partitioning rules, one per inference regime:
 * **Single-missing tuples** (Algorithm 2) are grouped by ``(head attribute,
   evidence signature)`` — the same key the compiled engine memoizes CPDs
   under — so every group in a shard is answered by one matrix combine and
-  the per-worker LRU stays hot.  Groups are packed into a bounded number of
-  shards (greedy largest-first) sized to the worker count; packing cannot
-  affect results because this path is deterministic and RNG-free.
+  the per-worker LRU stays hot.  Grouping runs on the stacked code matrix:
+  per attribute, one ``np.unique`` over a void view of the signature
+  columns numbers the groups in key order.  Groups are packed into a
+  bounded number of shards (greedy largest-first, through a heap of bin
+  loads) sized to the worker count; packing cannot affect results because
+  this path is deterministic and RNG-free.
 
 * **Multi-missing tuples** (Algorithm 3) are laid out in two levels.
 
@@ -37,12 +40,14 @@ Two partitioning rules, one per inference regime:
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.compiled import CompiledModel
+from ..core.engine import unique_rows
 from ..relational.tuples import MISSING_CODE, RelTuple
 from .base import DEFAULT_WORKERS, Segment, Shard, ShardPlan, validate_workers
 
@@ -53,6 +58,7 @@ __all__ = [
     "MULTI_TUPLES_PER_ENSEMBLE",
     "MULTI_TUPLES_PER_SHARD",
     "build_multi_shards",
+    "build_single_shards",
     "multi_shard_layout",
     "plan_shards",
     "resolve_base_seed",
@@ -104,61 +110,70 @@ def shard_seed(base_seed: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _content_key(rows: Iterable[np.ndarray]) -> str:
-    """A stable key for a set of int32 code rows, independent of order."""
-    h = hashlib.sha256()
-    for codes in sorted(row.tobytes() for row in rows):
-        h.update(codes)
-    return h.hexdigest()[:16]
+def _content_key(rows: np.ndarray) -> str:
+    """A stable key for a set of int32 code rows, independent of order.
+
+    The sha256 of the rows' bytes in sorted order: a void view sorts rows
+    in memcmp order, the order of ``sorted(row.tobytes() for row in rows)``.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    opaque = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return hashlib.sha256(np.sort(opaque, axis=0).tobytes()).hexdigest()[:16]
 
 
-def _single_groups(
-    entries: Sequence[tuple[int, RelTuple]], compiled: CompiledModel
-) -> list[tuple[tuple[int, bytes], list[tuple[int, RelTuple]]]]:
-    """Group single-missing entries by (attribute, evidence signature)."""
-    groups: dict[tuple[int, bytes], list[tuple[int, RelTuple]]] = {}
-    for idx, t in entries:
-        attr = t.missing_positions[0]
-        key = (attr, compiled[attr].signature(t.codes))
-        groups.setdefault(key, []).append((idx, t))
-    return sorted(groups.items(), key=lambda item: item[0])
-
-
-def _pack_single_shards(
-    groups: list[tuple[tuple[int, bytes], list[tuple[int, RelTuple]]]],
+def build_single_shards(
+    entries: Sequence[tuple[int, RelTuple]],
+    compiled: CompiledModel,
     workers: int,
 ) -> list[Shard]:
-    """Pack signature groups into at most ``workers * factor`` shards.
+    """Group single-missing entries by signature and pack them into shards.
 
-    Greedy largest-group-first into the least-loaded bin; ties break on bin
-    index, so the packing is deterministic for a given workload.
+    ``entries`` are ``(workload_index, tuple)`` pairs.  Their codes are
+    stacked once; per head attribute, one :func:`unique_rows` over the
+    signature columns numbers the ``(attribute, evidence signature)``
+    groups in key order (attributes ascending, signatures in memcmp
+    order).  Groups are packed largest first (ties: lower key first) into
+    the least-loaded of at most ``workers * SINGLE_SHARDS_PER_WORKER``
+    bins (ties: lower bin first), so the packing is deterministic for a
+    given workload.  A shard lists its members in workload order and is
+    keyed by its bin and the content of its rows.
     """
-    if not groups:
+    if not entries:
         return []
-    num_bins = min(len(groups), workers * SINGLE_SHARDS_PER_WORKER)
-    bins: list[list[tuple[int, RelTuple]]] = [[] for _ in range(num_bins)]
-    bin_groups = [0] * num_bins
-    order = sorted(
-        range(len(groups)), key=lambda i: (-len(groups[i][1]), groups[i][0])
-    )
-    for gi in order:
-        target = min(range(num_bins), key=lambda b: (len(bins[b]), b))
-        bins[target].extend(groups[gi][1])
-        bin_groups[target] += 1
+    codes = np.stack([t.codes for _, t in entries])
+    attrs = (codes == MISSING_CODE).argmax(axis=1)
+    group = np.empty(len(entries), dtype=np.intp)
+    num_groups = 0
+    for attr in np.unique(attrs).tolist():
+        rows = np.flatnonzero(attrs == attr)
+        first, inverse = unique_rows(codes[rows][:, compiled[attr].signature_attrs])
+        group[rows] = num_groups + inverse
+        num_groups += first.size
+    sizes = np.bincount(group, minlength=num_groups)
+
+    num_bins = min(num_groups, workers * SINGLE_SHARDS_PER_WORKER)
+    loads = [(0, b) for b in range(num_bins)]  # a heap of (entries, bin)
+    bin_of = np.empty(num_groups, dtype=np.intp)
+    largest_first = np.argsort(-sizes, kind="stable")
+    for g, size in zip(largest_first.tolist(), sizes[largest_first].tolist()):
+        load, b = loads[0]
+        bin_of[g] = b
+        heapq.heapreplace(loads, (load + size, b))
+    bin_groups = np.bincount(bin_of, minlength=num_bins)
+
+    indices = np.array([idx for idx, _ in entries])
+    entry_bin = bin_of[group]
+    order = np.lexsort((indices, entry_bin))
+    cuts = np.cumsum(np.bincount(entry_bin, minlength=num_bins))[:-1]
     shards = []
-    for b, entries in enumerate(bins):
-        if not entries:
-            continue
-        entries.sort(key=lambda e: e[0])  # workload order within the shard
-        indices = tuple(idx for idx, _ in entries)
-        tuples = tuple(t for _, t in entries)
+    for b, members in enumerate(np.split(order, cuts)):
         shards.append(
             Shard(
-                key=f"single:{b:03d}:{_content_key(t.codes for t in tuples)}",
+                key=f"single:{b:03d}:{_content_key(codes[members])}",
                 kind="single",
-                indices=indices,
-                tuples=tuples,
-                groups=bin_groups[b],
+                indices=tuple(indices[members].tolist()),
+                tuples=tuple(entries[p][1] for p in members.tolist()),
+                groups=int(bin_groups[b]),
             )
         )
     return shards
@@ -399,9 +414,7 @@ def plan_shards(
     if single:
         if compiled is None:
             compiled = CompiledModel(model)
-        shards.extend(
-            _pack_single_shards(_single_groups(single, compiled), workers)
-        )
+        shards.extend(build_single_shards(single, compiled, workers))
 
     base_seed: int | None = None
     if multi:

@@ -34,9 +34,8 @@ from .executors import ExecContext, Executor, get_executor
 from .faults import FaultPlan, resolve_fault_plan
 from . import plan as _plan_module
 from .plan import (
-    _pack_single_shards,
-    _single_groups,
     build_multi_shards,
+    build_single_shards,
     plan_shards,
     resolve_base_seed,
 )
@@ -321,9 +320,7 @@ def execute_delta(
     shards: list[Shard] = []
     if split.dirty_single:
         shards.extend(
-            _pack_single_shards(
-                _single_groups(split.dirty_single, compiled), chosen.workers
-            )
+            build_single_shards(split.dirty_single, compiled, chosen.workers)
         )
     base_seed: int | None = None
     if split.dirty_multi or split.carried_multi:
@@ -349,8 +346,8 @@ def execute_delta(
     # counted per segment, the unit it was carried by.
     carried_rows = [
         (shard.key, shard.kind, len(shard), shard.groups)
-        for shard in _pack_single_shards(
-            _single_groups(split.carried_single, compiled), chosen.workers
+        for shard in build_single_shards(
+            split.carried_single, compiled, chosen.workers
         )
     ] + [
         (segment.key, "multi", segment.size, segment.distinct)

@@ -3,10 +3,13 @@
 Two kernels, one per shard kind:
 
 * :func:`single_shard_blocks` — Algorithm 2 over a batch of single-missing
-  tuples.  This is the computation that used to live inline in
-  :func:`repro.core.derive.single_missing_blocks`; it is hoisted here so
-  the serial path, thread workers, and process workers all run the exact
-  same code (and therefore produce bit-identical distributions).
+  tuples, run by the serial path, thread workers, and process workers
+  alike (and therefore bit-identical across them).  The compiled path
+  works on the batch's stacked code matrix: per missing attribute, the
+  distinct signatures' CPDs come back as one matrix, are validated and
+  normalized as one matrix, and become one shared read-only
+  :class:`~repro.probdb.distribution.Distribution` per signature and one
+  block per tuple, with one outcome-space check per attribute.
 
 * :func:`multi_shard_blocks` — Algorithm 3 Gibbs over one multi shard's
   segments, each seeded with its deterministic segment seed.  Under the
@@ -39,7 +42,7 @@ from ..core.inference import VoterChoice, VotingScheme, infer_single
 from ..core.mrsl import MRSLModel
 from ..core.tuple_dag import SamplingStats, ensemble_sampling, workload_sampling
 from ..probdb.blocks import TupleBlock
-from ..probdb.distribution import Distribution
+from ..probdb.distribution import Distribution, normalize_rows
 from ..relational.tuples import RelTuple
 from .base import Shard, ShardResult, split_by_segments
 from .faults import ShardFault, apply_fault
@@ -103,9 +106,11 @@ def single_shard_blocks(
 ) -> list[TupleBlock]:
     """Blocks for a batch of single-missing tuples under the chosen engine.
 
-    The compiled path groups the batch by evidence signature and serves
-    all its groups with one batched match + combine per attribute; the
-    naive path loops tuple-at-a-time and is kept as the correctness oracle.
+    The compiled path runs on the batch's stacked code matrix: per missing
+    attribute, one void-view ``np.unique`` over the signature columns and
+    one :meth:`~repro.core.engine.BatchInferenceEngine.infer_grouped`
+    answer for the distinct signatures.  The naive path loops
+    tuple-at-a-time and is kept as the correctness oracle.
     """
     v_choice = VoterChoice(knobs.v_choice)
     v_scheme = VotingScheme(knobs.v_scheme)
@@ -119,23 +124,28 @@ def single_shard_blocks(
             outcomes = [(value,) for value in cpd.outcomes]
             blocks.append(TupleBlock(t, Distribution(outcomes, cpd.probs)))
         return blocks
+    if not tuples:
+        return []
     if batch_engine is None:
         batch_engine = BatchInferenceEngine(model, v_choice, v_scheme)
-    cpds = batch_engine.infer_batch(tuples, v_choice, v_scheme)
-    # Tuples sharing a CPD (same evidence signature) share one immutable
-    # block distribution; only the per-tuple base differs.  Wrapping the
-    # value-level Distribution (rather than the raw CPD vector) matters for
-    # the oracle guarantee: the naive path normalizes twice — once inside
-    # infer_single, once here — and bit-for-bit parity requires the same.
-    shared: dict[int, Distribution] = {}
-    blocks = []
-    for t, cpd in zip(tuples, cpds):
-        dist = shared.get(id(cpd))
-        if dist is None:
-            outcomes = [(value,) for value in cpd.outcomes]
-            dist = Distribution(outcomes, cpd.probs)
-            shared[id(cpd)] = dist
-        blocks.append(TupleBlock(t, dist))
+    codes = np.stack([t.codes for t in tuples])
+    blocks: list[TupleBlock] = [None] * len(tuples)  # type: ignore[list-item]
+    for attr, positions, inverse, cpds in batch_engine.infer_grouped(
+        codes, v_choice, v_scheme
+    ):
+        # The naive path normalizes twice (inside infer_single, then in the
+        # block's Distribution); bit-for-bit parity takes both, row-wise.
+        outcomes = [(value,) for value in model.schema[attr].domain]
+        dists = Distribution.stack(outcomes, normalize_rows(cpds))
+        # Every block of this attribute misses the same position and shares
+        # one outcome set, so the public constructor checks the first and
+        # the rest are trusted.  Tuples sharing a signature share one
+        # distribution.
+        members = positions.tolist()
+        signature = inverse.tolist()
+        blocks[members[0]] = TupleBlock(tuples[members[0]], dists[signature[0]])
+        for pos, k in zip(members[1:], signature[1:]):
+            blocks[pos] = TupleBlock._trusted(tuples[pos], dists[k])
     return blocks
 
 

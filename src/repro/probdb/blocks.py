@@ -40,6 +40,19 @@ class TupleBlock:
         self.distribution = distribution
 
     @classmethod
+    def _trusted(cls, base: RelTuple, distribution: Distribution) -> "TupleBlock":
+        """A block the caller already knows :meth:`__init__` would accept.
+
+        For batch builders: once one block over an outcome set passed the
+        checks, blocks over the same outcomes for bases missing the same
+        positions need no second check.
+        """
+        block = cls.__new__(cls)
+        block.base = base
+        block.distribution = distribution
+        return block
+
+    @classmethod
     def certain(cls, base: RelTuple, completion: Sequence[Hashable]) -> "TupleBlock":
         """A degenerate block with all mass on one completion."""
         outcomes = sorted(_full_outcome_space(base))

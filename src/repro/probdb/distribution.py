@@ -12,7 +12,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Distribution", "DEFAULT_SMOOTHING_FLOOR"]
+__all__ = ["Distribution", "DEFAULT_SMOOTHING_FLOOR", "normalize_rows"]
 
 #: The smoothing floor of Section III: every outcome is assigned a probability
 #: of at least 1e-5 so Gibbs sampling transitions are strictly positive.
@@ -52,7 +52,57 @@ class Distribution:
         self.probs = arr
         self._index = index
 
+    @classmethod
+    def _trusted(
+        cls,
+        outcomes: tuple[Hashable, ...],
+        probs: np.ndarray,
+        index: dict[Hashable, int],
+    ) -> "Distribution":
+        """Wrap an already validated, normalized, read-only ``probs``.
+
+        ``index`` must map ``outcomes`` to their positions; distributions
+        over one outcome set may share both.
+        """
+        d = cls.__new__(cls)
+        d.outcomes = outcomes
+        d.probs = probs
+        d._index = index
+        return d
+
+    def __reduce__(self):
+        # Restore ``probs`` read-only and byte for byte: renormalizing
+        # through __init__ could move the last bit, and unpickled arrays
+        # come back writeable.
+        return (_restore, (self.outcomes, self.probs, self._index))
+
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def stack(
+        cls, outcomes: Sequence[Hashable], matrix: np.ndarray
+    ) -> "list[Distribution]":
+        """One distribution per row of ``matrix``, all over ``outcomes``.
+
+        Equal, byte for byte, to ``[Distribution(outcomes, row) for row in
+        matrix]`` and raising the error the first failing row would, but
+        the outcomes are checked once, the rows are validated and
+        normalized as one matrix (:func:`normalize_rows`), and every
+        distribution holds a read-only row view of it and shares one
+        outcomes tuple and one index.
+        """
+        outs = tuple(outcomes)
+        arr = np.asarray(matrix, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != len(outs):
+            raise ValueError(
+                f"{len(outs)} outcomes but probability matrix of shape {arr.shape}"
+            )
+        if not outs:
+            raise ValueError("distribution needs at least one outcome")
+        index = {o: i for i, o in enumerate(outs)}
+        if len(index) != len(outs):
+            raise ValueError("duplicate outcomes in distribution")
+        return [cls._trusted(outs, row, index) for row in normalize_rows(arr)]
 
     @classmethod
     def uniform(cls, outcomes: Sequence[Hashable]) -> "Distribution":
@@ -183,6 +233,36 @@ class Distribution:
     def __repr__(self) -> str:
         body = ", ".join(f"{o}: {p:.4f}" for o, p in self)
         return f"Distribution({body})"
+
+
+def normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """:class:`Distribution`'s checks and normalization, row by row.
+
+    Row ``i`` of the result is, byte for byte, ``Distribution(outcomes,
+    matrix[i]).probs``; a matrix with a failing row raises that row's
+    error, the first such row's if several fail.  Returns a new read-only
+    float64 matrix.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    totals = arr.sum(axis=1)
+    negative = (arr < 0).any(axis=1)
+    bad = negative | (totals <= 0)
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            "negative probability" if negative[row] else "probabilities sum to zero"
+        )
+    out = arr / totals[:, None]
+    out.setflags(write=False)
+    return out
+
+
+def _restore(
+    outcomes: tuple[Hashable, ...], probs: np.ndarray, index: dict[Hashable, int]
+) -> Distribution:
+    """Unpickle a :class:`Distribution` (see ``Distribution.__reduce__``)."""
+    probs.setflags(write=False)
+    return Distribution._trusted(outcomes, probs, index)
 
 
 def mixture(
