@@ -243,7 +243,8 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     error, the first such row's if several fail.  Returns a new read-only
     float64 matrix.
     """
-    arr = np.asarray(matrix, dtype=np.float64)
+    # C order: each row then sums exactly as a 1-D vector does.
+    arr = np.ascontiguousarray(matrix, dtype=np.float64)
     totals = arr.sum(axis=1)
     negative = (arr < 0).any(axis=1)
     bad = negative | (totals <= 0)

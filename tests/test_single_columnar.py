@@ -280,17 +280,20 @@ class TestUniqueRows:
 
 
 class TestStackedDistributions:
-    def test_stack_equals_per_row_construction(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.random((50, 7)) * rng.choice([1e-8, 1.0, 1e5], size=(50, 1))
-        outcomes = [f"v{i}" for i in range(7)]
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("card", [3, 9, 200])
+    def test_stack_equals_per_row_construction(self, card, order):
+        rng = np.random.default_rng(card)
+        scale = rng.choice([1e-8, 1.0, 1e5], size=(50, 1))
+        matrix = np.asarray(rng.random((50, card)) * scale, order=order)
+        outcomes = [f"v{i}" for i in range(card)]
         stacked = Distribution.stack(outcomes, matrix)
         for row, d in zip(matrix, stacked):
             want = Distribution(outcomes, row)
             assert d.outcomes == want.outcomes
             assert d.probs.tobytes() == want.probs.tobytes()
             assert not d.probs.flags.writeable
-            assert d["v3"] == want["v3"]
+            assert d["v2"] == want["v2"]
         assert all(d.outcomes is stacked[0].outcomes for d in stacked)
 
     @pytest.mark.parametrize(
