@@ -13,7 +13,10 @@ objects as shards finish, so they are interchangeable:
 * :class:`ProcessExecutor` — a process pool whose initializer receives the
   persisted model JSON and the parent's compiled-engine metadata, rebuilds
   one warm engine per worker, and validates the rebuild.  Live engines are
-  never pickled.
+  never pickled, and neither are tuples or blocks: a shard travels as a
+  :class:`~repro.exec.work.ShardTask` code matrix, comes back as a
+  :class:`~repro.exec.work.ShardOutput` of distributions, and is rebound
+  to the parent's own tuples before anything downstream sees it.
 
 Because multi-missing segments carry deterministic per-segment seeds and
 single-missing shards are RNG-free, all executors produce bit-identical
@@ -50,6 +53,7 @@ from concurrent.futures.thread import BrokenThreadPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
 
+from ..core.compiled import CompiledModel
 from ..core.engine import BatchInferenceEngine
 from .base import (
     DEFAULT_FAILURE_POLICY,
@@ -66,6 +70,7 @@ from .base import (
 from .faults import FaultPlan, ShardFault, bind_faults
 from .work import (
     ShardKnobs,
+    ShardTask,
     _process_run_shard,
     _process_worker_init,
     run_shard,
@@ -89,8 +94,11 @@ class ExecContext:
     """Everything an executor needs beyond the plan itself.
 
     ``batch_engine`` is the caller's warm engine (the session path); serial
-    execution reuses it so its CPD cache keeps carrying over.  ``model_doc``
-    and ``compiled_metadata`` are built lazily by :class:`ProcessExecutor`
+    execution reuses it so its CPD cache keeps carrying over.  ``compiled``
+    is the parent's one :class:`~repro.core.compiled.CompiledModel` when
+    there is no warm engine (see :meth:`compiled_model`): the planner and
+    the process handshake share it.  ``model_doc`` and
+    ``compiled_metadata`` are built lazily by :class:`ProcessExecutor`
     unless the caller supplies them.
 
     The failure knobs ride here too: ``retry`` and ``failure_policy`` come
@@ -105,6 +113,7 @@ class ExecContext:
     model: "MRSLModel"
     knobs: ShardKnobs
     batch_engine: BatchInferenceEngine | None = None
+    compiled: CompiledModel | None = None
     model_doc: Mapping[str, Any] | None = None
     compiled_metadata: Mapping[str, Any] | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -121,6 +130,18 @@ class ExecContext:
                 self.model, self.knobs.v_choice, self.knobs.v_scheme
             )
         return self.batch_engine
+
+    def compiled_model(self) -> CompiledModel:
+        """The parent's compiled model: the warm engine's, or one built once.
+
+        Planning and the process workers' rebuild check both read it, so a
+        derive compiles each lattice at most once in the parent.
+        """
+        if self.batch_engine is not None:
+            return self.batch_engine.compiled
+        if self.compiled is None:
+            self.compiled = CompiledModel(self.model)
+        return self.compiled
 
     def record_failure(self, failure: ShardFailure) -> None:
         self.failures.append(failure)
@@ -318,6 +339,12 @@ class ProcessExecutor(Executor):
     :class:`~repro.core.engine.BatchInferenceEngine` for its lifetime —
     live engines and their caches are never pickled.
 
+    Shards are submitted multi first, so the long Gibbs shards start
+    before the single shards fill the gaps; blocks land by index, so the
+    order never changes a result.  Each submission encodes the shard as a
+    :class:`~repro.exec.work.ShardTask`, and each result is rebound to the
+    parent's tuples by :meth:`~repro.exec.work.ShardOutput.bind`.
+
     Fault domains: at most ``workers`` shards are in flight at a time, each
     stamped with its submission time.  A broken pool
     (:class:`~concurrent.futures.process.BrokenProcessPool` — a worker was
@@ -353,10 +380,7 @@ class ProcessExecutor(Executor):
             model_doc = model_to_dict(context.model)
         metadata = context.compiled_metadata
         if metadata is None and self.verify_rebuild:
-            warm = context.batch_engine
-            metadata = compiled_metadata(
-                context.model, None if warm is None else warm.compiled
-            )
+            metadata = compiled_metadata(context.model, context.compiled_model())
         # Fork keeps worker startup cheap on POSIX, but forking a
         # multithreaded parent (e.g. a derive request inside the threaded
         # HTTP server) can inherit locks held by threads that do not exist
@@ -373,7 +397,9 @@ class ProcessExecutor(Executor):
 
         faults = bind_faults(context.faults, plan)
         retry = context.retry
-        queue: "deque[Shard]" = deque(plan.shards)
+        queue: "deque[Shard]" = deque(
+            sorted(plan.shards, key=lambda s: s.kind != "multi")
+        )
         attempts: dict[str, int] = {s.key: 0 for s in plan.shards}
         pool_deaths = 0
 
@@ -461,7 +487,10 @@ class ProcessExecutor(Executor):
                 fault = faults.get((shard.key, attempts[shard.key]))
                 try:
                     future = pool.submit(
-                        _process_run_shard, shard, fault, retry.deadline
+                        _process_run_shard,
+                        ShardTask.encode(shard),
+                        fault,
+                        retry.deadline,
                     )
                 except BrokenProcessPool as exc:
                     queue.appendleft(shard)
@@ -486,7 +515,7 @@ class ProcessExecutor(Executor):
             for future in done:
                 shard, started = inflight.pop(future)
                 try:
-                    result = future.result()
+                    result = future.result().bind(shard)
                 except BrokenProcessPool as exc:
                     # The whole pool is gone; every in-flight shard (this
                     # one included) is a suspect.
@@ -496,8 +525,9 @@ class ProcessExecutor(Executor):
                         [s.key for s, _ in inflight.values()],
                     ) from exc
                 except Exception as exc:
-                    # In-band failure shipped back from the worker: charge
-                    # the retry budget, back off, requeue.
+                    # In-band failure shipped back from the worker, or a
+                    # result that does not bind to the shard: charge the
+                    # retry budget, back off, requeue.
                     exhausted = attempts[shard.key] >= retry.max_attempts
                     backoff = (
                         0.0 if exhausted else retry.backoff(attempts[shard.key])

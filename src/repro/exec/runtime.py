@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..core.compiled import CompiledModel
 from ..core.tuple_dag import SamplingStats
 from .base import (
     DEFAULT_FAILURE_POLICY,
@@ -132,29 +131,27 @@ def stream_derivation(
 def _plan(
     tuples, model, config, rng, chosen: Executor, context: ExecContext
 ) -> ShardPlan:
-    """Plan the workload, reusing compiled structures where possible.
+    """Plan the workload on the context's one compiled model.
 
     Serial execution warms the context's engine up front so the planner's
-    signature computation and the kernels share one compiled model instead
-    of compiling twice.  When the vectorized Gibbs kernel will serve the
-    multi shards, subsumption components are cut into seeded segments
+    signature computation and the kernels share one compiled model; other
+    executors build it once on the context, where the process executor's
+    rebuild check finds it again.  When the vectorized Gibbs kernel will
+    serve the multi shards, subsumption components are cut into seeded segments
     (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`) that never depend on
     the worker count, and consecutive segments fuse into at most one shard
     per worker — so results stay identical across executors and pool
     sizes.
     """
-    compiled = None
-    if context.batch_engine is None and chosen.name == "serial":
+    if chosen.name == "serial":
         context.warm_engine()
-    if context.batch_engine is not None:
-        compiled = context.batch_engine.compiled
     return plan_shards(
         tuples,
         model,
         workers=chosen.workers,
         seed=config.seed,
         rng=rng,
-        compiled=compiled,
+        compiled=context.compiled_model(),
         multi_batch=multi_batch_for(config),
     )
 
@@ -310,12 +307,9 @@ def execute_delta(
 
     compiled = None
     if split.dirty_single or split.carried_single:
-        if context.batch_engine is None and chosen.name == "serial":
+        if chosen.name == "serial":
             context.warm_engine()
-        if context.batch_engine is not None:
-            compiled = context.batch_engine.compiled
-        else:
-            compiled = CompiledModel(model)
+        compiled = context.compiled_model()
 
     shards: list[Shard] = []
     if split.dirty_single:

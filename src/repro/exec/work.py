@@ -26,6 +26,17 @@ pickled live engine), rebuilds the model, validates it against the parent's
 compiled-engine metadata, and keeps one warm
 :class:`~repro.core.engine.BatchInferenceEngine` per worker process for the
 life of the pool.
+
+Shards cross the process boundary in columnar form.  A :class:`ShardTask`
+carries the shard's key, kind, segments and one int32 code matrix — no
+workload indices and no tuple objects; the worker rebuilds the rows as
+trusted views against its own model schema and runs the unchanged
+:func:`run_shard`.  A :class:`ShardOutput` carries back only one
+distribution per entry (shared distributions are pickled once) plus the
+stats, timing and worker label.  The parent validates and rebinds those
+distributions to its own tuples (:meth:`ShardOutput.bind`), so every
+consumer of a :class:`~repro.exec.base.ShardResult` sees the parent's
+tuple objects, exactly as with in-process execution.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -43,12 +54,17 @@ from ..core.mrsl import MRSLModel
 from ..core.tuple_dag import SamplingStats, ensemble_sampling, workload_sampling
 from ..probdb.blocks import TupleBlock
 from ..probdb.distribution import Distribution, normalize_rows
-from ..relational.tuples import RelTuple
-from .base import Shard, ShardResult, split_by_segments
+from ..relational.tuples import RelTuple, trusted_rows
+from .base import Segment, Shard, ShardResult, split_by_segments
 from .faults import ShardFault, apply_fault
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..relational.schema import Schema
 
 __all__ = [
     "ShardKnobs",
+    "ShardOutput",
+    "ShardTask",
     "single_shard_blocks",
     "multi_shard_blocks",
     "run_shard",
@@ -247,6 +263,111 @@ def run_shard(
 
 # -- ProcessExecutor worker protocol ----------------------------------------
 
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard on the process wire: its rows as a single code matrix.
+
+    Workload indices never leave the parent, and the rows travel as
+    ``codes`` (one int32 row per entry) instead of pickled
+    :class:`~repro.relational.tuples.RelTuple` objects, each of which would
+    be rebuilt through its per-cell checking constructor.
+    """
+
+    key: str
+    kind: str
+    segments: tuple[Segment, ...]
+    codes: np.ndarray
+
+    @classmethod
+    def encode(cls, shard: Shard) -> "ShardTask":
+        """Stack ``shard``'s rows; called per submission, so a requeued
+        shard is re-encoded from the parent's :class:`Shard`."""
+        return cls(
+            key=shard.key,
+            kind=shard.kind,
+            segments=shard.segments,
+            codes=np.stack([t.codes for t in shard.tuples]),
+        )
+
+    def decode(self, schema: "Schema") -> Shard:
+        """The shard over trusted row views of ``codes`` under ``schema``.
+
+        The codes were stacked from the parent's valid tuples, and the
+        worker's rebuilt model matches the parent's, so the rows skip the
+        per-cell check as :class:`~repro.relational.relation.Relation`
+        rows do.
+        """
+        codes = self.codes
+        if codes.ndim != 2 or codes.shape[1] != len(schema):
+            raise ValueError(
+                f"shard {self.key}: code matrix of shape {codes.shape} for a "
+                f"schema of {len(schema)} attributes"
+            )
+        codes.setflags(write=False)
+        tuples = tuple(trusted_rows(schema, codes))
+        return Shard(
+            key=self.key,
+            kind=self.kind,
+            indices=tuple(range(len(tuples))),
+            tuples=tuples,
+            segments=self.segments,
+        )
+
+
+@dataclass(frozen=True)
+class ShardOutput:
+    """A worker's answer on the process wire: one distribution per entry.
+
+    Tuples sharing a signature (single) or a content key (multi) share one
+    :class:`~repro.probdb.distribution.Distribution` object, which pickle
+    ships once.
+    """
+
+    distributions: tuple[Distribution, ...]
+    stats: SamplingStats | None
+    elapsed: float
+    worker: str
+
+    def bind(self, shard: Shard) -> ShardResult:
+        """Rebind the distributions to the parent's own ``shard.tuples``.
+
+        The count must match the shard.  Blocks over one (missing
+        positions, outcome set) pair go through the public
+        :class:`~repro.probdb.blocks.TupleBlock` constructor once and are
+        trusted after that, as in the serial single kernel — so a result
+        whose outcomes fall outside the missing attributes' domains raises
+        instead of landing in the database.
+        """
+        dists = self.distributions
+        if len(dists) != len(shard.tuples):
+            raise ValueError(
+                f"shard {shard.key} came back with {len(dists)} distributions "
+                f"for {len(shard.tuples)} tuples"
+            )
+        checked: set[tuple[tuple[int, ...], int]] = set()
+        blocks = []
+        for base, dist in zip(shard.tuples, dists):
+            # Every distribution stays alive in ``dists``, so the id of its
+            # outcomes tuple names one outcome set for the whole loop.
+            space = (base.missing_positions, id(dist.outcomes))
+            if space in checked:
+                blocks.append(TupleBlock._trusted(base, dist))
+            else:
+                blocks.append(TupleBlock(base, dist))
+                checked.add(space)
+        return ShardResult(
+            key=shard.key,
+            kind=shard.kind,
+            indices=shard.indices,
+            blocks=tuple(blocks),
+            stats=self.stats,
+            elapsed=self.elapsed,
+            worker=self.worker,
+            segments=shard.segments,
+        )
+
+
 #: Per-worker-process state: built once by the pool initializer, reused by
 #: every shard the worker runs (the "one warm engine per worker" invariant).
 _WORKER_STATE: dict[str, Any] | None = None
@@ -284,11 +405,11 @@ def _process_worker_init(
 
 
 def _process_run_shard(
-    shard: Shard,
+    task: ShardTask,
     fault: ShardFault | None = None,
     deadline: float | None = None,
-) -> ShardResult:
-    """Run one shard against the worker's warm state.
+) -> ShardOutput:
+    """Run one shard task against the worker's warm state.
 
     ``fault`` is decided per attempt by the parent's retry loop and shipped
     with the task; a ``"crash"`` fault hard-exits this worker, breaking the
@@ -297,13 +418,20 @@ def _process_run_shard(
     state = _WORKER_STATE
     if state is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker process was not initialized")
-    return run_shard(
-        shard,
-        state["model"],
+    model = state["model"]
+    result = run_shard(
+        task.decode(model.schema),
+        model,
         state["knobs"],
         batch_engine=state["engine"],
         worker=f"pid-{os.getpid()}",
         fault=fault,
         deadline=deadline,
         allow_crash=True,
+    )
+    return ShardOutput(
+        distributions=tuple(b.distribution for b in result.blocks),
+        stats=result.stats,
+        elapsed=result.elapsed,
+        worker=result.worker,
     )

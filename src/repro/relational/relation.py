@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Sequenc
 import numpy as np
 
 from .schema import Schema, SchemaError
-from .tuples import MISSING, MISSING_CODE, RelTuple
+from .tuples import MISSING, MISSING_CODE, RelTuple, trusted_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .updates import CellConflict, ChangeSet
@@ -147,14 +147,7 @@ class Relation:
     def __iter__(self) -> Iterator[RelTuple]:
         # Every constructor and apply_changeset validate the matrix, so rows
         # skip RelTuple's per-cell check; they are read-only views of it.
-        codes = self.codes
-        missing = codes == MISSING_CODE
-        counts = missing.sum(axis=1).tolist()
-        cols = np.nonzero(missing)[1].tolist()
-        at = 0
-        for row, n in zip(codes, counts):
-            yield RelTuple._trusted(self.schema, row, tuple(cols[at : at + n]))
-            at += n
+        return trusted_rows(self.schema, self.codes)
 
     def __getitem__(self, index: int) -> RelTuple:
         return RelTuple(self.schema, self._codes[index])

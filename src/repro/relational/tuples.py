@@ -24,6 +24,7 @@ __all__ = [
     "MISSING_CODE",
     "RelTuple",
     "make_tuple",
+    "trusted_rows",
     "subsumes",
     "proper_subsumes",
 ]
@@ -87,8 +88,7 @@ class RelTuple:
         # Rebuild through __init__ rather than restoring slots: the cached
         # ``_hash`` is salted per process (PYTHONHASHSEED), so a pickled
         # hash from another interpreter would break dict/set lookups —
-        # e.g. blocks journaled by a killed server, or results shipped
-        # back from spawned worker processes.
+        # e.g. blocks journaled by a killed server.
         return (self.__class__, (self.schema, self.codes))
 
     # -- construction -----------------------------------------------------
@@ -240,6 +240,22 @@ def make_tuple(
 ) -> RelTuple:
     """Convenience alias for :meth:`RelTuple.from_values`."""
     return RelTuple.from_values(schema, values)
+
+
+def trusted_rows(schema: Schema, codes: np.ndarray) -> Iterator[RelTuple]:
+    """One :meth:`RelTuple._trusted` row view per row of ``codes``.
+
+    ``codes`` must be a read-only int32 matrix already validated against
+    ``schema`` (a relation's, or one stacked from valid tuples); the
+    missing positions of every row come from one vectorized scan.
+    """
+    missing = codes == MISSING_CODE
+    counts = missing.sum(axis=1).tolist()
+    cols = np.nonzero(missing)[1].tolist()
+    at = 0
+    for row, n in zip(codes, counts):
+        yield RelTuple._trusted(schema, row, tuple(cols[at : at + n]))
+        at += n
 
 
 def subsumes(t1: RelTuple, t2: RelTuple) -> bool:
