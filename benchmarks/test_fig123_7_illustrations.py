@@ -9,6 +9,7 @@ them checks the pipeline reproduces the paper's narrative objects:
 * Fig. 7 — the topology schematics of the catalog networks.
 """
 
+from repro.api.config import DeriveConfig
 from repro.bayesnet.catalog import get_spec
 from repro.core import TupleDAG, derive_probabilistic_database, learn_mrsl
 from repro.relational import Relation, Schema, make_tuple
@@ -39,8 +40,9 @@ def test_fig1_derived_block(benchmark, report):
 
     def run():
         return derive_probabilistic_database(
-            relation, support_threshold=0.1,
-            num_samples=2000, burn_in=200, rng=0,
+            relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=2000, burn_in=200),
+            rng=0,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from repro.api.config import DeriveConfig
 from repro.bayesnet import forward_sample_relation, make_network
 from repro.bench import mask_relation, print_table
 from repro.core import LazyDeriver, derive_probabilistic_database
@@ -37,8 +38,9 @@ def main() -> None:
 
     t0 = time.perf_counter()
     lazy = LazyDeriver(
-        combined, support_threshold=0.005,
-        num_samples=500, burn_in=100, rng=2,
+        combined,
+        config=DeriveConfig(support_threshold=0.005, num_samples=500, burn_in=100),
+        rng=2,
     )
     learn_time = time.perf_counter() - t0
 
@@ -48,8 +50,9 @@ def main() -> None:
 
     t0 = time.perf_counter()
     eager = derive_probabilistic_database(
-        combined, support_threshold=0.005,
-        num_samples=500, burn_in=100, rng=2,
+        combined,
+        config=DeriveConfig(support_threshold=0.005, num_samples=500, burn_in=100),
+        rng=2,
     )
     from repro.probdb import expected_count
 

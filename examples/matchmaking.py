@@ -16,6 +16,7 @@ Run:  python examples/matchmaking.py
 
 import numpy as np
 
+from repro.api.config import DeriveConfig
 from repro.bayesnet import BayesianNetwork, Variable
 from repro.bench import (
     aggregate,
@@ -65,9 +66,7 @@ def main() -> None:
 
     result = derive_probabilistic_database(
         combined,
-        support_threshold=0.002,
-        num_samples=1500,
-        burn_in=150,
+        config=DeriveConfig(support_threshold=0.002, num_samples=1500, burn_in=150),
         rng=1,
     )
     print(f"Model: {result.model}")

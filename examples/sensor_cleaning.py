@@ -12,6 +12,7 @@ Run:  python examples/sensor_cleaning.py
 
 import numpy as np
 
+from repro.api.config import DeriveConfig
 from repro.bench import print_table
 from repro.core import derive_probabilistic_database
 from repro.relational import (
@@ -74,9 +75,7 @@ def main() -> None:
 
     result = derive_probabilistic_database(
         relation,
-        support_threshold=0.005,
-        num_samples=800,
-        burn_in=100,
+        config=DeriveConfig(support_threshold=0.005, num_samples=800, burn_in=100),
         rng=4,
     )
     print(f"Model: {result.model}")

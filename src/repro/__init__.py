@@ -8,7 +8,7 @@ over the missing values.
 
 Quickstart::
 
-    from repro import Schema, Relation, derive_probabilistic_database
+    from repro import DeriveConfig, Schema, Relation, derive_probabilistic_database
 
     schema = Schema.from_domains({
         "age": ["20", "30", "40"],
@@ -17,7 +17,9 @@ Quickstart::
         "nw": ["100K", "500K"],
     })
     rel = Relation.from_rows(schema, rows)   # rows may contain "?"
-    result = derive_probabilistic_database(rel, support_threshold=0.05)
+    result = derive_probabilistic_database(
+        rel, config=DeriveConfig(support_threshold=0.05)
+    )
     for block in result.database.blocks:
         print(block.base, block.distribution)
 """
@@ -64,7 +66,6 @@ from .exec import (
     DerivationCancelled,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     execute_derivation,
     plan_shards,
     stream_derivation,
@@ -149,7 +150,6 @@ __all__ = [
     "InferenceService",
     # exec
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "plan_shards",
     "stream_derivation",

@@ -4,22 +4,21 @@ Before this module existed, each entry point (the derive pipeline, the lazy
 deriver, the query engine, the CLI) declared its own defaults for the same
 nine knobs, and they drifted — the CLI's ``--burn-in`` defaulted to 200
 while the library defaulted to 100.  :class:`DeriveConfig` now owns the
-defaults; every consumer reads them from here, and the frozen dataclass
-round-trips through plain JSON so a configuration can arrive over a wire,
-live in a file, or be logged next to the results it produced.
-
-Legacy keyword arguments keep working everywhere via :func:`resolve_config`:
-entry points accept both a ``config`` object and the historical kwargs, with
-explicit kwargs overriding config fields.
+defaults and is the only carrier of a knob: the derive pipeline, the lazy
+deriver, the session, the JSON service and the CLI all take a ``config``,
+not per-knob keywords.  The frozen dataclass round-trips through plain
+JSON, so a configuration can arrive over a wire, live in a file, or be
+logged next to the results it produced.  Each field's :class:`CliFlag` metadata declares its ``repro``
+command-line flag, from which :mod:`repro.cli` generates its parser.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping
 
-from ..core.engine import DEFAULT_ENGINE, validate_engine
+from ..core.engine import DEFAULT_ENGINE, ENGINES, validate_engine
 from ..core.inference import VoterChoice, VotingScheme
 from ..core.itemsets import DEFAULT_MAX_ITEMSETS
 from ..core.tuple_dag import STRATEGIES
@@ -27,12 +26,64 @@ from ..exec.base import (
     DEFAULT_EXECUTOR,
     DEFAULT_FAILURE_POLICY,
     DEFAULT_WORKERS,
+    EXECUTORS,
+    FAILURE_POLICIES,
     validate_executor,
     validate_failure_policy,
     validate_workers,
 )
 
-__all__ = ["DeriveConfig", "resolve_config"]
+__all__ = ["CliFlag", "DeriveConfig", "UPDATE_POLICIES", "resolve_config"]
+
+#: Recognized re-derive modes after a base-table update.
+UPDATE_POLICIES = ("delta", "full")
+
+#: ``repro`` subcommands that learn a model (every knob of Algorithm 1).
+LEARNING_COMMANDS = ("derive", "update", "inspect", "learn", "serve")
+
+#: ``repro`` subcommands that run the whole pipeline.
+PIPELINE_COMMANDS = ("derive", "update", "serve")
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+@dataclass(frozen=True)
+class CliFlag:
+    """How one :class:`DeriveConfig` field appears on the ``repro`` CLI.
+
+    ``type``/``choices``/``help`` go to ``argparse`` as they are (``help``
+    may use ``%(default)s``).  ``parse`` maps the parsed flag value onto the
+    field and ``show`` maps the field default onto the flag default, for
+    flags whose spelling differs from the field (``--gibbs-vectorized
+    on|off``, the comma-separated ``--trust``).
+    """
+
+    flag: str
+    help: str | None = None
+    commands: tuple[str, ...] = PIPELINE_COMMANDS
+    type: Callable[[str], Any] | None = None
+    choices: tuple[str, ...] | None = None
+    parse: Callable[[Any], Any] = _same
+    show: Callable[[Any], Any] = _same
+
+    @property
+    def dest(self) -> str:
+        """The ``argparse`` namespace attribute the flag parses into."""
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+def _knob(default: Any, flag: str, **cli: Any) -> Any:
+    """A config field with a default and its CLI flag."""
+    return field(default=default, metadata={"cli": CliFlag(flag, **cli)})
+
+
+def _split_sources(value: str | None) -> tuple[str, ...]:
+    """``--trust a,b`` -> ``("a", "b")``; absent -> ``()``."""
+    if value is None:
+        return ()
+    return tuple(s.strip() for s in value.split(",") if s.strip())
 
 
 @dataclass(frozen=True)
@@ -45,8 +96,8 @@ class DeriveConfig:
     set the Algorithm 3 Gibbs workload, ``seed`` fixes the samplers, and
     ``engine`` picks the compiled or naive inference path.  ``executor``
     and ``workers`` select the derivation runtime (:mod:`repro.exec`):
-    serial, thread-pool, or process-pool shard execution — results are
-    bit-identical across all of them for any worker count.
+    serial in-process or process-pool shard execution — results are
+    bit-identical for either and for any worker count.
 
     ``gibbs_vectorized`` (default on) serves multi-missing shards with the
     vectorized lock-step ensemble kernel
@@ -71,29 +122,100 @@ class DeriveConfig:
     None = unlimited) bounds one shard attempt before it is treated as
     hung, and ``failure_policy`` decides what an unrecoverable executor
     failure does — ``"strict"`` (default) raises with the partial report
-    attached, ``"degrade"`` falls back process→thread→serial and keeps
-    deriving.  Retried and degraded runs stay bit-identical to clean runs
-    because Gibbs segment seeds are content-keyed.
+    attached, ``"degrade"`` falls back process→serial and keeps deriving.
+    Retried and degraded runs stay bit-identical to clean runs because
+    Gibbs segment seeds are content-keyed.
     """
 
-    support_threshold: float = 0.01
-    max_itemsets: int = DEFAULT_MAX_ITEMSETS
-    v_choice: str = VoterChoice.BEST.value
-    v_scheme: str = VotingScheme.AVERAGED.value
-    num_samples: int = 2000
-    burn_in: int = 100
+    support_threshold: float = _knob(
+        0.01, "--support", type=float, commands=LEARNING_COMMANDS,
+        help="Apriori support threshold theta (default %(default)s)",
+    )
+    max_itemsets: int = _knob(
+        DEFAULT_MAX_ITEMSETS, "--max-itemsets", type=int,
+        commands=LEARNING_COMMANDS,
+        help="per-round frequent itemset cap (default %(default)s)",
+    )
+    v_choice: str = _knob(
+        VoterChoice.BEST.value, "--voters",
+        choices=tuple(v.value for v in VoterChoice),
+    )
+    v_scheme: str = _knob(
+        VotingScheme.AVERAGED.value, "--voting",
+        choices=tuple(v.value for v in VotingScheme),
+    )
+    num_samples: int = _knob(
+        2000, "--samples", type=int,
+        help="Gibbs samples per multi-missing tuple (default %(default)s)",
+    )
+    burn_in: int = _knob(
+        100, "--burn-in", type=int,
+        help="Gibbs burn-in sweeps (default %(default)s)",
+    )
     strategy: str = "tuple_dag"
-    seed: int | None = None
-    engine: str = DEFAULT_ENGINE
-    executor: str = DEFAULT_EXECUTOR
-    workers: int = DEFAULT_WORKERS
-    gibbs_chains: int = 1
-    gibbs_vectorized: bool = True
-    trust: tuple[str, ...] = ()
-    update_policy: str = "delta"
-    failure_policy: str = DEFAULT_FAILURE_POLICY
-    shard_retries: int = 1
-    shard_deadline: float | None = None
+    seed: int | None = _knob(
+        None, "--seed", type=int,
+        help="sampler seed (default: fresh entropy)",
+    )
+    engine: str = _knob(
+        DEFAULT_ENGINE, "--engine", choices=ENGINES,
+        help="inference engine: 'compiled' batches voting by evidence "
+        "signature; 'naive' is the scalar reference path "
+        "(default: %(default)s)",
+    )
+    executor: str = _knob(
+        DEFAULT_EXECUTOR, "--executor", choices=EXECUTORS,
+        help="derivation runtime: run shards in-process ('serial') or on "
+        "worker processes rebuilt from the model JSON ('process'); results "
+        "are bit-identical for either choice (default: %(default)s)",
+    )
+    workers: int = _knob(
+        DEFAULT_WORKERS, "--workers", type=int,
+        help="worker processes for '--executor process'; the serial "
+        "executor always runs one (default %(default)s)",
+    )
+    gibbs_chains: int = _knob(
+        1, "--gibbs-chains", type=int,
+        help="independent Gibbs chains pooled per multi-missing tuple in "
+        "the vectorized ensemble kernel (default %(default)s)",
+    )
+    gibbs_vectorized: bool = _knob(
+        True, "--gibbs-vectorized", choices=("on", "off"),
+        parse=lambda value: value == "on",
+        show=lambda value: "on" if value else "off",
+        help="multi-missing Gibbs kernel: 'on' runs all chains of a shard's "
+        "tuples in lock step on the compiled engine; 'off' is the scalar "
+        "tuple-DAG oracle (same posterior, different equally-valid seeded "
+        "samples; default: %(default)s)",
+    )
+    trust: tuple[str, ...] = _knob(
+        (), "--trust", commands=("update",),
+        parse=_split_sources, show=lambda value: ",".join(value) or None,
+        help="comma-separated source ids, most trusted first; conflicting "
+        "cell writes resolve in this order (unlisted sources tie last)",
+    )
+    update_policy: str = _knob(
+        "delta", "--policy", commands=("update",), choices=UPDATE_POLICIES,
+        help="re-derive mode: 'delta' carries untouched blocks over and "
+        "executes only dirty shards, 'full' re-derives everything "
+        "(default: %(default)s)",
+    )
+    failure_policy: str = _knob(
+        DEFAULT_FAILURE_POLICY, "--failure-policy", choices=FAILURE_POLICIES,
+        help="what an unrecoverable executor failure does: 'strict' raises "
+        "with the partial shard report, 'degrade' falls back "
+        "process->serial and keeps deriving (default: %(default)s)",
+    )
+    shard_retries: int = _knob(
+        1, "--shard-retries", type=int,
+        help="retries per shard with deterministic exponential backoff "
+        "(default %(default)s)",
+    )
+    shard_deadline: float | None = _knob(
+        None, "--shard-deadline", type=float,
+        help="seconds one shard attempt may run before it is treated as "
+        "hung and its worker pool rebuilt (default: unlimited)",
+    )
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__  # frozen dataclass: normalize in place
@@ -138,9 +260,9 @@ class DeriveConfig:
                 "trust must be a sequence of source ids, not a bare string"
             )
         set_(self, "trust", tuple(str(s) for s in self.trust))
-        if self.update_policy not in ("delta", "full"):
+        if self.update_policy not in UPDATE_POLICIES:
             raise ValueError(
-                f"update_policy must be 'delta' or 'full', "
+                f"update_policy must be one of {UPDATE_POLICIES}, "
                 f"got {self.update_policy!r}"
             )
         set_(self, "failure_policy", validate_failure_policy(self.failure_policy))
@@ -194,11 +316,10 @@ def resolve_config(
     config: "DeriveConfig | Mapping[str, Any] | None" = None,
     **overrides: Any,
 ) -> DeriveConfig:
-    """Merge a config (object, dict, or None) with legacy keyword overrides.
+    """Normalize a config (object, dict, or None) and apply ``overrides``.
 
-    ``None``-valued overrides mean "not given" and are ignored, which is what
-    lets every entry point keep its historical keyword signature while
-    sourcing defaults from :class:`DeriveConfig`.
+    A mapping is a partial config over the defaults.  ``None``-valued
+    overrides mean "not given" and are ignored.
     """
     if config is None:
         cfg = DeriveConfig()

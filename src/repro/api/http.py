@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import sys
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable
 from urllib.parse import parse_qs, urlsplit
@@ -54,6 +56,11 @@ DEFAULT_EVENTS_TIMEOUT = 300.0
 #: Default idle interval between ``/events`` keepalive heartbeats.
 DEFAULT_EVENTS_HEARTBEAT = 15.0
 
+#: Bounds on reading and discarding an undrained request body after an
+#: error response, before the connection closes (see ``_linger``).
+LINGER_BYTES = 1 << 20
+LINGER_SECONDS = 2.0
+
 
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Maps HTTP verbs onto ``InferenceService.handle_json`` + job routes."""
@@ -68,6 +75,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # first: a ~40 ms stall per keep-alive response.  TCP_NODELAY on every
     # accepted socket sends each write at once.
     disable_nagle_algorithm = True
+    #: set when an error is answered before the request body was drained
+    _undrained = False
 
     def log_message(self, format: str, *args) -> None:
         if not self.quiet:
@@ -96,7 +105,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if "chunked" in encoding:
             # No Content-Length to drain by; refuse and drop the
             # connection rather than desync on the unread chunks.
-            self.close_connection = True
+            self.close_connection = self._undrained = True
             raise ServiceError(
                 "chunked request bodies are not supported; "
                 "send a Content-Length",
@@ -107,7 +116,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except ValueError:
             # Cannot know how much to drain; the connection is unusable
             # past this request, so close it after responding.
-            self.close_connection = True
+            self.close_connection = self._undrained = True
             raise ServiceError("Content-Length header is not an integer") from None
         return self.rfile.read(length) if length > 0 else b"{}"
 
@@ -135,6 +144,35 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        if self._undrained:
+            self._linger()
+
+    def _linger(self) -> None:
+        """Close gracefully after answering before the body was drained.
+
+        Closing a socket with unread bytes makes the kernel send a reset,
+        which can reach a client still sending its body before it has read
+        the response (a ``BrokenPipeError`` instead of the 411).  Instead:
+        send the response and a FIN, then read and discard what the client
+        still sends until it closes, up to ``LINGER_BYTES`` and
+        ``LINGER_SECONDS``.
+        """
+        deadline = time.monotonic() + LINGER_SECONDS
+        left = LINGER_BYTES
+        try:
+            self.wfile.flush()
+            self.connection.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self.connection.settimeout(remaining)
+                chunk = self.connection.recv(min(left, 65536))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:  # reset, timeout, or already closed: stop lingering
+            pass
 
     def _respond_stream(self, events: Iterable[dict]) -> None:
         """Chunked ndjson: one JSON event per line, as each shard lands."""

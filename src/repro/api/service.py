@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..jobs import Job, JobManager, UnknownJobError
@@ -27,6 +27,7 @@ from ..relational.relation import Relation
 from ..relational.schema import Attribute, Schema
 from ..relational.tuples import RelTuple
 from ..relational.updates import ChangeSet
+from .config import DeriveConfig
 from .query import query_from_dict
 from .session import DEFAULT_NAME, Session, SessionError
 
@@ -65,6 +66,10 @@ class ServiceError(Exception):
         return {"error": {"status": self.status, "message": self.message}}
 
 
+#: Every :class:`DeriveConfig` field name: valid only inside ``config``.
+_CONFIG_KEYS = tuple(f.name for f in fields(DeriveConfig))
+
+
 def _require(payload: Mapping[str, Any], key: str) -> Any:
     try:
         return payload[key]
@@ -72,16 +77,49 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
         raise ServiceError(f"request is missing required field {key!r}") from None
 
 
-def _optional_bool(payload: Mapping[str, Any], key: str) -> bool | None:
-    """A strictly-boolean optional field: JSON true/false or absent.
+def _optional_bool(payload: Mapping[str, Any], key: str, default: bool) -> bool:
+    """A strictly-boolean optional field: JSON true/false, or absent/null.
 
-    ``bool("off")`` is ``True``, so coercing strings would silently run
-    the wrong kernel; reject anything that is not a real boolean.
+    ``bool("false")`` is ``True``, so coercing strings would silently do
+    the opposite of what was asked; reject anything that is not a real
+    boolean.
     """
     value = payload.get(key)
-    if value is None or isinstance(value, bool):
+    if value is None:
+        return default
+    if isinstance(value, bool):
         return value
     raise ServiceError(f"{key!r} must be a JSON boolean, got {value!r}")
+
+
+def _reject_top_level_knobs(payload: Mapping[str, Any]) -> None:
+    """Knobs travel only inside ``config``; refuse them at the top level.
+
+    Ignoring one would silently change what runs (the Gibbs knobs change
+    outputs).  Nulls are accepted: requests journaled back when a few
+    knobs also had top-level fields store them as ``null``.
+    """
+    for key in _CONFIG_KEYS:
+        if payload.get(key) is not None:
+            raise ServiceError(
+                f"top-level {key!r} is not accepted; move it into 'config' "
+                f"(e.g. {{\"config\": {{\"{key}\": ...}}}})"
+            )
+
+
+def _blocks_payload(db: Any) -> tuple[dict[str, Any], ...]:
+    """A database's blocks in Fig. 1 call-out form."""
+    return tuple(
+        {
+            "id": i,
+            "base": list(block.base.values()),
+            "completions": [
+                {"values": list(completed.values()), "prob": float(p)}
+                for completed, p in block.completions()
+            ],
+        }
+        for i, block in enumerate(db.blocks)
+    )
 
 
 def _rows(value: Any) -> tuple[tuple[Any, ...], ...]:
@@ -158,13 +196,10 @@ class DeriveRequest:
     ``schema`` may be omitted when ``model`` names an already-registered
     model (the rows are then read under the model's schema).
     ``include_blocks`` controls whether the response carries the full
-    per-block completion lists or only the counts.  ``executor`` and
-    ``workers`` select the shard runtime for this request (shorthand for
-    the same keys inside ``config``; the explicit fields win) — results
-    are bit-identical whichever runtime serves them.  ``gibbs_chains``
-    and ``gibbs_vectorized`` select the multi-missing Gibbs kernel the
-    same way: the vectorized lock-step ensemble (default) or the scalar
-    tuple-DAG oracle, and how many pooled chains each tuple runs.
+    per-block completion lists or only the counts.  ``config`` partially
+    overrides the session config for this request, and is the only place
+    knobs travel: e.g. ``{"executor": "process", "workers": 2}`` selects
+    the shard runtime (results are bit-identical whichever serves them).
     """
 
     rows: tuple[tuple[Any, ...], ...]
@@ -173,13 +208,10 @@ class DeriveRequest:
     name: str = DEFAULT_NAME
     config: Mapping[str, Any] | None = None
     include_blocks: bool = True
-    executor: str | None = None
-    workers: int | None = None
-    gibbs_chains: int | None = None
-    gibbs_vectorized: bool | None = None
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DeriveRequest":
+        _reject_top_level_knobs(payload)
         schema = payload.get("schema")
         return cls(
             rows=_rows(_require(payload, "rows")),
@@ -187,17 +219,7 @@ class DeriveRequest:
             model=payload.get("model"),
             name=payload.get("name", DEFAULT_NAME),
             config=payload.get("config"),
-            include_blocks=bool(payload.get("include_blocks", True)),
-            executor=payload.get("executor"),
-            workers=(
-                None if payload.get("workers") is None
-                else int(payload["workers"])
-            ),
-            gibbs_chains=(
-                None if payload.get("gibbs_chains") is None
-                else int(payload["gibbs_chains"])
-            ),
-            gibbs_vectorized=_optional_bool(payload, "gibbs_vectorized"),
+            include_blocks=_optional_bool(payload, "include_blocks", True),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -212,10 +234,6 @@ class DeriveRequest:
             "name": self.name,
             "config": None if self.config is None else dict(self.config),
             "include_blocks": self.include_blocks,
-            "executor": self.executor,
-            "workers": self.workers,
-            "gibbs_chains": self.gibbs_chains,
-            "gibbs_vectorized": self.gibbs_vectorized,
         }
 
 
@@ -287,21 +305,15 @@ class UpdateRequest:
     name: str = DEFAULT_NAME
     config: Mapping[str, Any] | None = None
     include_blocks: bool = False
-    executor: str | None = None
-    workers: int | None = None
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "UpdateRequest":
+        _reject_top_level_knobs(payload)
         return cls(
             changes=dict(_require(payload, "changes")),
             name=payload.get("name", DEFAULT_NAME),
             config=payload.get("config"),
-            include_blocks=bool(payload.get("include_blocks", False)),
-            executor=payload.get("executor"),
-            workers=(
-                None if payload.get("workers") is None
-                else int(payload["workers"])
-            ),
+            include_blocks=_optional_bool(payload, "include_blocks", False),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -310,8 +322,6 @@ class UpdateRequest:
             "name": self.name,
             "config": None if self.config is None else dict(self.config),
             "include_blocks": self.include_blocks,
-            "executor": self.executor,
-            "workers": self.workers,
         }
 
 
@@ -508,34 +518,17 @@ class InferenceService:
                 name=request.name,
                 model=model_name,
                 config=request.config,
-                executor=request.executor,
-                workers=request.workers,
-                gibbs_chains=request.gibbs_chains,
-                gibbs_vectorized=request.gibbs_vectorized,
                 progress=progress,
                 cancel=cancel,
                 resume_carry=resume_carry,
             )
         db = result.database
-        blocks: tuple[dict[str, Any], ...] = ()
-        if request.include_blocks:
-            blocks = tuple(
-                {
-                    "id": i,
-                    "base": list(block.base.values()),
-                    "completions": [
-                        {"values": list(completed.values()), "prob": float(p)}
-                        for completed, p in block.completions()
-                    ],
-                }
-                for i, block in enumerate(db.blocks)
-            )
         return DeriveResponse(
             name=request.name,
             model=model_name,
             num_certain=len(db.certain),
             num_blocks=len(db.blocks),
-            blocks=blocks,
+            blocks=_blocks_payload(db) if request.include_blocks else (),
         )
 
     def update(
@@ -554,26 +547,11 @@ class InferenceService:
                 changeset,
                 name=request.name,
                 config=request.config,
-                executor=request.executor,
-                workers=request.workers,
                 progress=progress,
                 cancel=cancel,
             )
         db = update.result.database
         report = update.result.exec_report
-        blocks: tuple[dict[str, Any], ...] = ()
-        if request.include_blocks:
-            blocks = tuple(
-                {
-                    "id": i,
-                    "base": list(block.base.values()),
-                    "completions": [
-                        {"values": list(completed.values()), "prob": float(p)}
-                        for completed, p in block.completions()
-                    ],
-                }
-                for i, block in enumerate(db.blocks)
-            )
         return UpdateResponse(
             name=update.name,
             policy=update.policy,
@@ -583,7 +561,7 @@ class InferenceService:
             carried_over=0 if report is None else report.carried_over,
             carried_tuples=0 if report is None else report.carried_tuples,
             executed_shards=0 if report is None else report.num_shards,
-            blocks=blocks,
+            blocks=_blocks_payload(db) if request.include_blocks else (),
         )
 
     # -- async jobs --------------------------------------------------------
@@ -607,9 +585,7 @@ class InferenceService:
             ChangeSet.from_dict(request.changes)
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"bad ChangeSet: {exc}") from exc
-        workers = self.session.effective_config(
-            request.config, executor=request.executor, workers=request.workers
-        ).parallelism
+        workers = self.session.effective_config(request.config).parallelism
 
         def work(job: Job) -> bytes:
             return encode_json(
@@ -652,11 +628,9 @@ class InferenceService:
         """
         self._derive_schema(request)  # fail fast before queueing
         # Size the progress tracker with the same parallelism the
-        # derivation will resolve to (explicit field > config > session;
+        # derivation will resolve to (request config > session config;
         # serial always runs 1 regardless of `workers`).
-        workers = self.session.effective_config(
-            request.config, executor=request.executor, workers=request.workers
-        ).parallelism
+        workers = self.session.effective_config(request.config).parallelism
 
         def work(job: Job) -> bytes:
             return encode_json(

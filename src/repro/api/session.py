@@ -88,51 +88,23 @@ class Session:
         self._results: dict[str, DeriveResult] = {}
         self._relations: dict[str, Relation] = {}
 
-    def _per_call_config(
-        self, config: DeriveConfig | Mapping[str, Any] | None
+    def effective_config(
+        self, config: DeriveConfig | Mapping[str, Any] | None = None
     ) -> DeriveConfig:
-        """Resolve a per-call override against the *session's* config.
+        """The config a call with this per-call ``config`` runs under.
 
-        A mapping is a partial override: unspecified knobs keep their
-        session values, not the global defaults.
+        ``None`` is the session's config and a :class:`DeriveConfig`
+        replaces it; a mapping is a partial override, so unspecified knobs
+        keep their session values, not the global defaults.  Every
+        session entry point resolves its ``config`` here, and the service
+        layer uses it to size progress estimates with the worker count the
+        derivation will use.
         """
         if config is None:
             return self.config
         if isinstance(config, DeriveConfig):
             return config
         return resolve_config(self.config, **dict(config))
-
-    def effective_config(
-        self,
-        config: DeriveConfig | Mapping[str, Any] | None = None,
-        executor: str | None = None,
-        workers: int | None = None,
-        gibbs_chains: int | None = None,
-        gibbs_vectorized: bool | None = None,
-    ) -> DeriveConfig:
-        """The config a derive call with these arguments actually runs under.
-
-        Resolution order: explicit keyword overrides (``executor``,
-        ``workers``, ``gibbs_chains``, ``gibbs_vectorized``) beat
-        ``config`` entries, which beat the session's config.
-        :meth:`derive` uses this internally; the service layer uses it to
-        size progress estimates with the same worker count the derivation
-        will use.
-        """
-        cfg = self._per_call_config(config)
-        overrides = {
-            k: v
-            for k, v in (
-                ("executor", executor),
-                ("workers", workers),
-                ("gibbs_chains", gibbs_chains),
-                ("gibbs_vectorized", gibbs_vectorized),
-            )
-            if v is not None
-        }
-        if overrides:
-            cfg = resolve_config(cfg, **overrides)
-        return cfg
 
     # -- model registry ----------------------------------------------------
 
@@ -167,7 +139,7 @@ class Session:
         config: DeriveConfig | Mapping[str, Any] | None = None,
     ) -> MRSLModel:
         """Run Algorithm 1 on ``relation`` and register the result."""
-        cfg = self._per_call_config(config)
+        cfg = self.effective_config(config)
         result = learn_mrsl(
             relation,
             support_threshold=cfg.support_threshold,
@@ -209,10 +181,6 @@ class Session:
         model: str | None = None,
         config: DeriveConfig | Mapping[str, Any] | None = None,
         rng: np.random.Generator | int | None = None,
-        executor: str | None = None,
-        workers: int | None = None,
-        gibbs_chains: int | None = None,
-        gibbs_vectorized: bool | None = None,
         progress: (
             ProgressTracker | Callable[[ProgressSnapshot], None] | None
         ) = None,
@@ -226,13 +194,10 @@ class Session:
         the first call learns and every later call only infers.  The result
         is registered as database ``name`` for :meth:`query`.
 
-        ``executor`` / ``workers`` override the config's shard runtime for
-        this call (e.g. ``executor="process", workers=4`` to fan the
-        derivation out across worker processes); results are bit-identical
-        whichever runtime serves them.  ``gibbs_chains`` /
-        ``gibbs_vectorized`` override the multi-missing kernel the same
-        way: the vectorized ensemble (default) or the scalar tuple-DAG
-        oracle, and how many pooled chains each tuple runs.
+        ``config`` overrides the session's config for this call (see
+        :meth:`effective_config`): e.g. ``config={"executor": "process",
+        "workers": 4}`` fans the derivation out across worker processes,
+        with bit-identical results whichever runtime serves them.
 
         ``progress`` observes the derivation as it runs: pass a
         :class:`~repro.jobs.progress.ProgressTracker` to drive yourself, or
@@ -249,13 +214,7 @@ class Session:
         (the durable-job resume path): completed shards of an interrupted
         run are served verbatim, only the rest execute.
         """
-        cfg = self.effective_config(
-            config,
-            executor=executor,
-            workers=workers,
-            gibbs_chains=gibbs_chains,
-            gibbs_vectorized=gibbs_vectorized,
-        )
+        cfg = self.effective_config(config)
         tracker = self._as_tracker(progress, cfg.parallelism)
         model_name = name if model is None else model
         if model_name not in self._models:
@@ -292,8 +251,6 @@ class Session:
         changeset: ChangeSet | Mapping[str, Any],
         name: str = DEFAULT_NAME,
         config: DeriveConfig | Mapping[str, Any] | None = None,
-        executor: str | None = None,
-        workers: int | None = None,
         progress: (
             ProgressTracker | Callable[[ProgressSnapshot], None] | None
         ) = None,
@@ -312,7 +269,7 @@ class Session:
         result together — only after the re-derive completes; a cancelled
         update leaves the session exactly as it was.
         """
-        cfg = self.effective_config(config, executor=executor, workers=workers)
+        cfg = self.effective_config(config)
         previous = self.result(name)
         tracker = self._as_tracker(progress, cfg.parallelism)
         working = self.relation(name).copy()

@@ -24,7 +24,8 @@ both policies produce the same database).
 HTTP, optionally deriving a database from a CSV at startup so queries can be
 answered immediately.
 
-Every pipeline default is read from :class:`~repro.api.config.DeriveConfig`,
+Every pipeline flag — its spelling, help, choices and default — is
+generated from the :class:`~repro.api.config.DeriveConfig` field it sets,
 so the CLI can never drift from the library again.
 """
 
@@ -33,22 +34,35 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .api.config import DeriveConfig
 from .bench.reporting import format_table
 from .core.derive import derive_probabilistic_database
-from .core.engine import ENGINES
-from .exec.base import EXECUTORS, FAILURE_POLICIES
-from .core.inference import VoterChoice, VotingScheme
 from .core.learning import learn_mrsl
 from .core.persistence import load_model, save_model
 from .relational.io import read_csv
 
 __all__ = ["main", "build_parser", "config_from_args"]
 
-#: The single source of truth for every pipeline default.
-DEFAULTS = DeriveConfig()
+#: Every config field that has a flag, with its :class:`~repro.api.config.CliFlag`.
+_FLAGS = tuple(
+    (f, f.metadata["cli"]) for f in fields(DeriveConfig) if "cli" in f.metadata
+)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The ``DeriveConfig`` flags of ``command``, defaults from the config."""
+    for f, flag in _FLAGS:
+        if command in flag.commands:
+            p.add_argument(
+                flag.flag,
+                type=flag.type,
+                choices=flag.choices,
+                default=flag.show(f.default),
+                help=flag.help,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,101 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(Stoyanovich et al., ICDE 2011)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, input_required: bool = True) -> None:
-        if input_required:
-            p.add_argument(
-                "input", type=Path, help="incomplete CSV ('?' = missing)"
-            )
-        p.add_argument(
-            "--support", type=float, default=DEFAULTS.support_threshold,
-            help="Apriori support threshold theta "
-            f"(default {DEFAULTS.support_threshold})",
-        )
-        p.add_argument(
-            "--max-itemsets", type=int, default=DEFAULTS.max_itemsets,
-            help="per-round frequent itemset cap "
-            f"(default {DEFAULTS.max_itemsets})",
-        )
-
-    def pipeline(p: argparse.ArgumentParser) -> None:
-        """Knobs shared by every command that runs the full pipeline."""
-        p.add_argument(
-            "--voters", choices=[v.value for v in VoterChoice],
-            default=DEFAULTS.v_choice,
-        )
-        p.add_argument(
-            "--voting", choices=[v.value for v in VotingScheme],
-            default=DEFAULTS.v_scheme,
-        )
-        p.add_argument(
-            "--engine", choices=list(ENGINES), default=DEFAULTS.engine,
-            help="inference engine: 'compiled' batches voting by evidence "
-            "signature; 'naive' is the scalar reference path (default: "
-            f"{DEFAULTS.engine})",
-        )
-        p.add_argument(
-            "--executor", choices=list(EXECUTORS), default=DEFAULTS.executor,
-            help="derivation runtime: run shards in-process ('serial'), on "
-            "a thread pool, or on worker processes rebuilt from the model "
-            "JSON; results are bit-identical for every choice (default: "
-            f"{DEFAULTS.executor})",
-        )
-        p.add_argument(
-            "--workers", type=int, default=DEFAULTS.workers,
-            help="worker threads/processes for the shard executor "
-            f"(default {DEFAULTS.workers})",
-        )
-        p.add_argument(
-            "--samples", type=int, default=DEFAULTS.num_samples,
-            help="Gibbs samples per multi-missing tuple "
-            f"(default {DEFAULTS.num_samples})",
-        )
-        p.add_argument(
-            "--burn-in", type=int, default=DEFAULTS.burn_in,
-            help=f"Gibbs burn-in sweeps (default {DEFAULTS.burn_in})",
-        )
-        p.add_argument(
-            "--gibbs-chains", type=int, default=DEFAULTS.gibbs_chains,
-            help="independent Gibbs chains pooled per multi-missing tuple "
-            "in the vectorized ensemble kernel "
-            f"(default {DEFAULTS.gibbs_chains})",
-        )
-        p.add_argument(
-            "--gibbs-vectorized", choices=("on", "off"),
-            default="on" if DEFAULTS.gibbs_vectorized else "off",
-            help="multi-missing Gibbs kernel: 'on' runs all chains of a "
-            "shard's tuples in lock step on the compiled engine; 'off' is "
-            "the scalar tuple-DAG oracle (same posterior, different "
-            "equally-valid seeded samples; default: "
-            f"{'on' if DEFAULTS.gibbs_vectorized else 'off'})",
-        )
-        p.add_argument(
-            "--seed", type=int, default=DEFAULTS.seed,
-            help="sampler seed (default: fresh entropy)",
-        )
-        p.add_argument(
-            "--failure-policy", choices=list(FAILURE_POLICIES),
-            default=DEFAULTS.failure_policy,
-            help="what an unrecoverable executor failure does: 'strict' "
-            "raises with the partial shard report, 'degrade' falls back "
-            "process->thread->serial and keeps deriving "
-            f"(default: {DEFAULTS.failure_policy})",
-        )
-        p.add_argument(
-            "--shard-retries", type=int, default=DEFAULTS.shard_retries,
-            help="retries per shard with deterministic exponential backoff "
-            f"(default {DEFAULTS.shard_retries})",
-        )
-        p.add_argument(
-            "--shard-deadline", type=float, default=DEFAULTS.shard_deadline,
-            help="seconds one shard attempt may run before it is treated "
-            "as hung and its worker pool rebuilt (default: unlimited)",
-        )
+    input_help = "incomplete CSV ('?' = missing)"
 
     derive = sub.add_parser("derive", help="derive the probabilistic relation")
-    common(derive)
-    pipeline(derive)
+    derive.add_argument("input", type=Path, help=input_help)
+    _add_config_flags(derive, "derive")
     derive.add_argument(
         "--output", type=Path, default=None,
         help="output CSV (default: stdout)",
@@ -167,24 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="apply a ChangeSet to the base table and re-derive incrementally",
     )
-    common(update)
+    update.add_argument("input", type=Path, help=input_help)
     update.add_argument(
         "changes", type=Path,
         help="ChangeSet JSON: {\"ops\": [{\"op\": \"update\", \"index\": 3, "
         "\"set\": {\"inc\": \"40K\"}, \"source\": \"hr\"}, ...]}",
     )
-    pipeline(update)
-    update.add_argument(
-        "--trust", default=None,
-        help="comma-separated source ids, most trusted first; conflicting "
-        "cell writes resolve in this order (unlisted sources tie last)",
-    )
-    update.add_argument(
-        "--policy", choices=("delta", "full"), default=DEFAULTS.update_policy,
-        help="re-derive mode: 'delta' carries untouched blocks over and "
-        "executes only dirty shards, 'full' re-derives everything "
-        f"(default: {DEFAULTS.update_policy})",
-    )
+    _add_config_flags(update, "update")
     update.add_argument(
         "--output", type=Path, default=None,
         help="output CSV of the updated probabilistic relation "
@@ -202,13 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     inspect = sub.add_parser("inspect", help="print a learned semi-lattice")
-    common(inspect)
+    inspect.add_argument("input", type=Path, help=input_help)
+    _add_config_flags(inspect, "inspect")
     inspect.add_argument(
         "--attribute", required=True, help="attribute whose MRSL to print"
     )
 
     learn = sub.add_parser("learn", help="learn and save the MRSL model")
-    common(learn)
+    learn.add_argument("input", type=Path, help=input_help)
+    _add_config_flags(learn, "learn")
     learn.add_argument("--model", type=Path, required=True,
                        help="output JSON model path")
 
@@ -223,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional incomplete CSV to derive at startup "
         "(registered as model/database 'default')",
     )
-    common(serve, input_required=False)
-    pipeline(serve)
+    _add_config_flags(serve, "serve")
     serve.add_argument(
         "--model", type=Path, default=None,
         help="preload a saved MRSL model JSON as 'default'",
@@ -241,40 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> DeriveConfig:
-    """The :class:`DeriveConfig` an argparse namespace describes."""
-    trust = getattr(args, "trust", None)
+    """The :class:`DeriveConfig` an argparse namespace describes.
+
+    Fields whose flag the namespace lacks (not in the subcommand's scope)
+    keep their defaults.
+    """
     return DeriveConfig(
-        trust=(
-            () if trust is None
-            else tuple(s.strip() for s in trust.split(",") if s.strip())
-        ),
-        update_policy=getattr(args, "policy", DEFAULTS.update_policy),
-        support_threshold=args.support,
-        max_itemsets=args.max_itemsets,
-        v_choice=getattr(args, "voters", DEFAULTS.v_choice),
-        v_scheme=getattr(args, "voting", DEFAULTS.v_scheme),
-        num_samples=getattr(args, "samples", DEFAULTS.num_samples),
-        burn_in=getattr(args, "burn_in", DEFAULTS.burn_in),
-        seed=getattr(args, "seed", DEFAULTS.seed),
-        engine=getattr(args, "engine", DEFAULTS.engine),
-        executor=getattr(args, "executor", DEFAULTS.executor),
-        workers=getattr(args, "workers", DEFAULTS.workers),
-        gibbs_chains=getattr(args, "gibbs_chains", DEFAULTS.gibbs_chains),
-        gibbs_vectorized=(
-            getattr(
-                args,
-                "gibbs_vectorized",
-                "on" if DEFAULTS.gibbs_vectorized else "off",
-            )
-            == "on"
-        ),
-        failure_policy=getattr(
-            args, "failure_policy", DEFAULTS.failure_policy
-        ),
-        shard_retries=getattr(args, "shard_retries", DEFAULTS.shard_retries),
-        shard_deadline=getattr(
-            args, "shard_deadline", DEFAULTS.shard_deadline
-        ),
+        **{
+            f.name: flag.parse(getattr(args, flag.dest))
+            for f, flag in _FLAGS
+            if hasattr(args, flag.dest)
+        }
     )
 
 
@@ -341,7 +232,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     print(
         f"derived {len(db.blocks)} blocks over {len(db.certain)} certain "
         f"tuples (model: {result.model.size()} meta-rules, "
-        f"engine: {args.engine})",
+        f"engine: {config.engine})",
         file=sys.stderr,
     )
     if result.exec_report is not None:
@@ -391,6 +282,15 @@ def _cmd_update(args: argparse.Namespace) -> int:
     return 0
 
 
+def _learn(relation, args: argparse.Namespace):
+    config = config_from_args(args)
+    return learn_mrsl(
+        relation,
+        support_threshold=config.support_threshold,
+        max_itemsets=config.max_itemsets,
+    )
+
+
 def _cmd_inspect(args: argparse.Namespace) -> int:
     relation = read_csv(args.input)
     if args.attribute not in relation.schema:
@@ -400,11 +300,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    result = learn_mrsl(
-        relation,
-        support_threshold=args.support,
-        max_itemsets=args.max_itemsets,
-    )
+    result = _learn(relation, args)
     lattice = result.model[args.attribute]
     print(f"MRSL for {args.attribute!r}: {len(lattice)} meta-rules")
     print(lattice.describe(relation.schema))
@@ -413,11 +309,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     relation = read_csv(args.input)
-    result = learn_mrsl(
-        relation,
-        support_threshold=args.support,
-        max_itemsets=args.max_itemsets,
-    )
+    result = _learn(relation, args)
     save_model(result.model, args.model)
     print(
         f"saved {result.model_size} meta-rules over "

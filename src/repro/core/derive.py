@@ -10,15 +10,15 @@ Since the sharded runtime landed, every derivation path here runs through
 :mod:`repro.exec`: the planner partitions incomplete tuples into shards
 (evidence-signature groups for Algorithm 2, subsumption components for
 Algorithm 3), the configured executor runs them — serially by default, on
-threads or worker processes when ``config.executor``/``config.workers`` say
-so — and the collector reassembles blocks in relation order.  Results are
+worker processes when ``config.executor``/``config.workers`` say so — and
+the collector reassembles blocks in relation order.  Results are
 bit-identical for every executor and worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -68,18 +68,6 @@ class DeriveResult:
     base_seed: int | None = None
 
 
-def _check_executor_conflict(
-    executor: Executor | str | None, workers: int | None
-) -> None:
-    """A pre-built executor instance carries its own worker count."""
-    if isinstance(executor, Executor) and workers is not None:
-        raise ValueError(
-            "workers cannot be combined with a pre-built Executor instance "
-            f"(it already runs {executor.workers} workers); pass the "
-            "executor by name instead"
-        )
-
-
 def single_missing_blocks(
     tuples,
     model: MRSLModel,
@@ -95,21 +83,28 @@ def single_missing_blocks(
 
     The batch is planned into evidence-signature shards and run by the
     configured executor (serial in-process by default; ``executor`` /
-    ``workers`` route it to a thread or process pool).  Within each shard
-    the compiled path serves all signature groups with one batched match +
-    combine per attribute; the naive path loops tuple-at-a-time and is
-    kept as the correctness oracle.  Voting and engine knobs default to
+    ``workers`` route it to a process pool, and ``executor`` also accepts
+    a pre-built :class:`~repro.exec.executors.Executor`).  Within each
+    shard the compiled path serves all signature groups with one batched
+    match + combine per attribute; the naive path loops tuple-at-a-time and
+    is kept as the correctness oracle.  Voting and engine knobs default to
     ``config`` (itself defaulting to :class:`~repro.api.config.DeriveConfig`);
     explicit arguments win.
     """
-    _check_executor_conflict(executor, workers)
+    prebuilt = executor if isinstance(executor, Executor) else None
+    if prebuilt is not None and workers is not None:
+        raise ValueError(
+            "workers cannot be combined with a pre-built Executor instance "
+            f"(it already runs {prebuilt.workers} workers); pass the "
+            "executor by name instead"
+        )
     cfg = resolve_config(
         config,
         v_choice=v_choice,
         v_scheme=v_scheme,
         engine=engine,
         workers=workers,
-        executor=None if isinstance(executor, Executor) else executor,
+        executor=None if prebuilt is not None else executor,
     )
     tuples = list(tuples)
     for t in tuples:
@@ -119,35 +114,19 @@ def single_missing_blocks(
                 f"{t.num_missing}"
             )
     outcome = execute_derivation(
-        tuples,
-        model,
-        cfg,
-        batch_engine=batch_engine,
-        executor=executor if isinstance(executor, Executor) else None,
+        tuples, model, cfg, batch_engine=batch_engine, executor=prebuilt
     )
     return outcome.blocks
 
 
 def derive_probabilistic_database(
     relation: Relation,
-    support_threshold: float | None = None,
-    max_itemsets: int | None = None,
-    v_choice: VoterChoice | str | None = None,
-    v_scheme: VotingScheme | str | None = None,
-    num_samples: int | None = None,
-    burn_in: int | None = None,
-    strategy: str | None = None,
+    config: DeriveConfig | Mapping[str, Any] | None = None,
+    *,
     rng: np.random.Generator | int | None = None,
-    engine: str | None = None,
-    config: DeriveConfig | None = None,
     model: MRSLModel | None = None,
     batch_engine: BatchInferenceEngine | None = None,
-    executor: Executor | str | None = None,
-    workers: int | None = None,
-    gibbs_chains: int | None = None,
-    gibbs_vectorized: bool | None = None,
     previous: DeriveResult | None = None,
-    update_policy: str | None = None,
     on_plan: Callable[[ShardPlan], None] | None = None,
     on_shard: Callable[[ShardResult], None] | None = None,
     should_stop: Callable[[], bool] | None = None,
@@ -160,26 +139,18 @@ def derive_probabilistic_database(
     relation:
         A relation mixing complete and incomplete tuples.  The complete part
         trains the MRSL; every incomplete tuple becomes a block.
-    support_threshold, max_itemsets:
-        Algorithm 1 mining parameters (``theta``, ``maxItemsets``).
-    v_choice, v_scheme:
-        Algorithm 2 voting configuration, also used inside Gibbs steps.
-    num_samples, burn_in:
-        Gibbs chain lengths (``N`` and ``B`` of Algorithm 3) for tuples with
-        two or more missing values.
-    strategy:
-        Multi-attribute workload strategy; see
-        :func:`~repro.core.tuple_dag.workload_sampling`.
+    config:
+        The :class:`~repro.api.config.DeriveConfig` (or a mapping of its
+        fields; ``None`` for the defaults) carrying every knob: Algorithm 1
+        mining (``support_threshold``, ``max_itemsets``), Algorithm 2
+        voting (``v_choice``, ``v_scheme``, ``engine``), Algorithm 3 Gibbs
+        (``num_samples``, ``burn_in``, ``strategy`` and the ensemble
+        kernel's knobs), the shard runtime (``executor``, ``workers``,
+        the failure knobs) and the update mode (``update_policy``).
+        Results are bit-identical whichever runtime executes the shards.
     rng:
         Seed or generator the per-segment Gibbs seeds derive from; defaults to
         ``config.seed``.
-    engine:
-        ``"compiled"`` (default) batches single-missing inference by
-        evidence signature and serves Gibbs CPDs from the compiled rule
-        matrix; ``"naive"`` keeps the scalar reference path.
-    config:
-        A :class:`~repro.api.config.DeriveConfig` supplying every knob not
-        given explicitly (explicit keyword arguments win).
     model:
         A pre-learned MRSL model.  When given, Algorithm 1 is skipped and
         the result's ``learn_result`` is ``None`` — the learn-once /
@@ -187,29 +158,17 @@ def derive_probabilistic_database(
     batch_engine:
         A warm :class:`BatchInferenceEngine` over ``model`` to reuse across
         derivations (its CPD cache carries over on the serial path).
-    executor, workers:
-        Shard runtime selection (override ``config.executor`` /
-        ``config.workers``): ``"serial"``, ``"thread"``, or ``"process"``,
-        and the pool size.  ``executor`` also accepts a pre-built
-        :class:`~repro.exec.executors.Executor` instance.  Results are
-        bit-identical whichever runtime executes the shards.
-    gibbs_chains, gibbs_vectorized:
-        Multi-missing kernel selection (override the config fields of the
-        same names): ``gibbs_vectorized`` picks the lock-step ensemble
-        kernel (default) or the scalar tuple-DAG oracle, ``gibbs_chains``
-        pools that many chains per tuple into the ``num_samples`` budget.
-    previous, update_policy:
+    previous:
         Incremental re-derivation after a base-table update.  ``previous``
         is the :class:`DeriveResult` of the pre-update table; its model is
         reused (learning is skipped — updates never re-learn the MRSL) and,
-        under the ``"delta"`` policy (``update_policy`` overriding
-        ``config.update_policy``), blocks whose lineage the update did not
-        touch are carried over verbatim while only dirty shards execute —
-        pinned to the previous run's base seed, so the result is
-        bit-identical to a from-scratch derive of the updated relation
-        under that seed.  The ``"full"`` policy re-derives everything but
-        still reuses the model and base seed, giving the same result the
-        slow way.
+        under the ``"delta"`` ``config.update_policy``, blocks whose lineage
+        the update did not touch are carried over verbatim while only dirty
+        shards execute — pinned to the previous run's base seed, so the
+        result is bit-identical to a from-scratch derive of the updated
+        relation under that seed.  The ``"full"`` policy re-derives
+        everything but still reuses the model and base seed, giving the
+        same result the slow way.
     on_plan, on_shard, should_stop:
         Progress and cancellation hooks, forwarded to
         :func:`~repro.exec.runtime.execute_derivation`: ``on_plan`` sees the
@@ -228,27 +187,7 @@ def derive_probabilistic_database(
     Returns a :class:`DeriveResult`; its ``database`` holds the complete
     tuples as certain rows and one block per incomplete tuple.
     """
-    _check_executor_conflict(executor, workers)
-    cfg = resolve_config(
-        config,
-        support_threshold=support_threshold,
-        max_itemsets=max_itemsets,
-        v_choice=v_choice,
-        v_scheme=v_scheme,
-        num_samples=num_samples,
-        burn_in=burn_in,
-        strategy=strategy,
-        engine=engine,
-        workers=workers,
-        executor=None if isinstance(executor, Executor) else executor,
-        gibbs_chains=gibbs_chains,
-        gibbs_vectorized=gibbs_vectorized,
-    )
-    policy = update_policy if update_policy is not None else cfg.update_policy
-    if update_policy is not None and update_policy not in ("delta", "full"):
-        raise ValueError(
-            f"update_policy must be 'delta' or 'full', got {update_policy!r}"
-        )
+    cfg = resolve_config(config)
     if previous is not None:
         # Updates never re-learn the MRSL: the previous model keeps serving
         # (a model change would dirty every block).  Pin the previous base
@@ -281,37 +220,23 @@ def derive_probabilistic_database(
     if resume_carry is not None and previous is not None:
         raise ValueError("resume_carry cannot be combined with previous")
     carry: CarryStore | None = resume_carry
-    if previous is not None and policy == "delta":
+    if previous is not None and cfg.update_policy == "delta":
         carry = CarryStore.from_database(
             previous.database,
             previous.base_seed,
             multi_batch=multi_batch_for(cfg),
         )
+    hooks = dict(
+        rng=rng,
+        batch_engine=batch_engine,
+        on_plan=on_plan,
+        on_shard=on_shard,
+        should_stop=should_stop,
+    )
     if carry is not None:
-        outcome = execute_delta(
-            single + multi,
-            model,
-            cfg,
-            carry,
-            rng=rng,
-            batch_engine=batch_engine,
-            executor=executor if isinstance(executor, Executor) else None,
-            on_plan=on_plan,
-            on_shard=on_shard,
-            should_stop=should_stop,
-        )
+        outcome = execute_delta(single + multi, model, cfg, carry, **hooks)
     else:
-        outcome = execute_derivation(
-            single + multi,
-            model,
-            cfg,
-            rng=rng,
-            batch_engine=batch_engine,
-            executor=executor if isinstance(executor, Executor) else None,
-            on_plan=on_plan,
-            on_shard=on_shard,
-            should_stop=should_stop,
-        )
+        outcome = execute_derivation(single + multi, model, cfg, **hooks)
 
     database = ProbabilisticDatabase(
         relation.schema,

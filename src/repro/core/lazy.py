@@ -13,19 +13,18 @@ predicate, the block is not materialized.
 Materialization runs through the shard runtime (:mod:`repro.exec`):
 :meth:`LazyDeriver.prefetch` drops already-cached tuples, plans the rest
 into signature / subsumption-component shards, and caches blocks as each
-shard's result streams back — so a prefetch can use thread or process
-workers (``config.executor`` / ``config.workers``) exactly like the eager
+shard's result streams back — so a prefetch can use process workers
+(``config.executor`` / ``config.workers``) exactly like the eager
 pipeline, and partial results land in the cache even mid-run.  Multi-
 missing prefetches inherit the vectorized ensemble kernel too: the shards
-carry batched tuple groups whose chains advance in lock step
-(``config.gibbs_vectorized`` / ``config.gibbs_chains``), so a cold
-prefetch over many multi-missing tuples costs batched matrix ops rather
-than per-tuple Python loops.
+carry batched tuple groups whose chains advance in lock step (the
+config's Gibbs knobs), so a cold prefetch over many multi-missing tuples
+costs batched matrix ops rather than per-tuple Python loops.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from ..probdb.database import ProbabilisticDatabase
 from ..relational.relation import Relation
 from ..relational.tuples import RelTuple
 from .engine import BatchInferenceEngine
-from .inference import VoterChoice, VotingScheme
 from .learning import learn_mrsl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,43 +62,19 @@ class CacheInfo(NamedTuple):
 class LazyDeriver:
     """Derives per-tuple distributions on demand, with memoization.
 
-    Parameters mirror :func:`~repro.core.derive.derive_probabilistic_database`;
-    the difference is *when* inference runs.
+    ``config`` and ``rng`` mean what they mean for
+    :func:`~repro.core.derive.derive_probabilistic_database`; the
+    difference is *when* inference runs.
     """
 
     def __init__(
         self,
         relation: Relation,
-        support_threshold: float | None = None,
-        v_choice: VoterChoice | str | None = None,
-        v_scheme: VotingScheme | str | None = None,
-        num_samples: int | None = None,
-        burn_in: int | None = None,
+        config: DeriveConfig | Mapping[str, Any] | None = None,
+        *,
         rng: np.random.Generator | int | None = None,
-        engine: str | None = None,
-        max_itemsets: int | None = None,
-        strategy: str | None = None,
-        config: DeriveConfig | None = None,
-        executor: str | None = None,
-        workers: int | None = None,
-        gibbs_chains: int | None = None,
-        gibbs_vectorized: bool | None = None,
     ):
-        cfg = resolve_config(
-            config,
-            support_threshold=support_threshold,
-            max_itemsets=max_itemsets,
-            v_choice=v_choice,
-            v_scheme=v_scheme,
-            num_samples=num_samples,
-            burn_in=burn_in,
-            strategy=strategy,
-            engine=engine,
-            executor=executor,
-            workers=workers,
-            gibbs_chains=gibbs_chains,
-            gibbs_vectorized=gibbs_vectorized,
-        )
+        cfg = resolve_config(config)
         self.config = cfg
         self.relation = relation
         self.model = learn_mrsl(
@@ -108,20 +82,14 @@ class LazyDeriver:
             support_threshold=cfg.support_threshold,
             max_itemsets=cfg.max_itemsets,
         ).model
-        self.v_choice = VoterChoice(cfg.v_choice)
-        self.v_scheme = VotingScheme(cfg.v_scheme)
-        self.num_samples = cfg.num_samples
-        self.burn_in = cfg.burn_in
-        self.strategy = cfg.strategy
         # One base seed for the deriver's lifetime: per-segment Gibbs seeds
         # derive from it plus each segment's content key, so a tuple's block
         # does not depend on *when* (or with how many workers) it was
         # materialized — only on which tuples shared its prefetch.
         self._base_seed = resolve_base_seed(rng, cfg.seed)
-        self.engine = cfg.engine
         self._batch_engine = (
-            BatchInferenceEngine(self.model, self.v_choice, self.v_scheme)
-            if self.engine == "compiled"
+            BatchInferenceEngine(self.model, cfg.v_choice, cfg.v_scheme)
+            if cfg.engine == "compiled"
             else None
         )
         self._cache: dict[RelTuple, TupleBlock] = {}
@@ -229,7 +197,7 @@ class LazyDeriver:
         finally:
             # If the consumer abandons us mid-stream (a caching callback
             # raising, Ctrl-C), close the generator so the executors' pool
-            # context managers run and worker threads/processes are reaped.
+            # context managers run and worker processes are reaped.
             stream.close()
 
     # -- query-targeted evaluation ------------------------------------------------

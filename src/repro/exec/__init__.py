@@ -7,8 +7,8 @@ MRSL.  This package turns it into a plan/execute/collect pipeline:
 * :mod:`.plan`      — partition a workload into shards keyed by evidence
   signature (single-missing) and into seeded segments of subsumption
   components, fused into shards (multi-missing);
-* :mod:`.executors` — run shards serially, on threads, or on worker
-  processes rebuilt from the persisted model JSON;
+* :mod:`.executors` — run shards serially or on worker processes rebuilt
+  from the persisted model JSON;
 * :mod:`.runtime`   — stream completed blocks back as shards finish, with
   per-shard timing diagnostics.
 
@@ -48,7 +48,6 @@ from .executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
 )
 from .faults import (
@@ -108,7 +107,6 @@ __all__ = [
     "ExecContext",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
     "plan_shards",

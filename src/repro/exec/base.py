@@ -5,8 +5,8 @@ block depends only on the learned model and the tuple itself (plus, for
 multi-missing tuples, the other tuples in its subsumption component, which
 share Gibbs samples).  The planner (:mod:`repro.exec.plan`) partitions a
 workload into :class:`Shard` units along exactly those dependency lines;
-executors (:mod:`repro.exec.executors`) run shards serially, on threads, or
-on worker processes; the collector (:mod:`repro.exec.runtime`) streams
+executors (:mod:`repro.exec.executors`) run shards serially or on worker
+processes; the collector (:mod:`repro.exec.runtime`) streams
 :class:`ShardResult` objects back as shards finish.
 
 This module holds only the data types and name validation so that
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Recognized executor names.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: The executor used when callers do not choose one.
 DEFAULT_EXECUTOR = "serial"
@@ -59,7 +59,7 @@ DEFAULT_WORKERS = 1
 
 #: Recognized failure policies: ``"strict"`` raises on unrecoverable
 #: infrastructure failure (with the partial report attached), ``"degrade"``
-#: falls back process->thread->serial and keeps going.
+#: falls back process->serial and keeps going.
 FAILURE_POLICIES = ("strict", "degrade")
 
 #: The failure policy used when callers do not choose one.
@@ -132,7 +132,7 @@ class WorkerPoolError(RuntimeError):
     """A worker pool died too many times and the policy forbids fallback.
 
     Raised under ``failure_policy="strict"`` when the process pool keeps
-    breaking (or a thread pool breaks); ``report`` is attached by the
+    breaking; ``report`` is attached by the
     collector exactly as for :class:`ShardExecutionError`.
     """
 
@@ -151,8 +151,8 @@ class RetryPolicy:
     — exponential, no jitter, so two runs of the same failing workload wait
     exactly the same schedule.  ``deadline`` bounds one attempt's wall
     clock; it is *enforced* only by the process executor (which can kill a
-    hung worker and requeue) — serial and thread attempts cannot be
-    interrupted, so for them it is diagnostic only.
+    hung worker and requeue) — serial attempts cannot be interrupted, so
+    for them it is diagnostic only.
 
     Retried shards are bit-identical to first-try shards: every attempt
     re-runs the same content-keyed seed through the same kernel.
@@ -181,11 +181,8 @@ class RetryPolicy:
 
     @classmethod
     def from_config(cls, cfg: object) -> "RetryPolicy":
-        """Extract the retry knobs from any DeriveConfig-shaped object."""
-        return cls(
-            retries=getattr(cfg, "shard_retries", 1),
-            deadline=getattr(cfg, "shard_deadline", None),
-        )
+        """The retry knobs of a :class:`~repro.api.config.DeriveConfig`."""
+        return cls(retries=cfg.shard_retries, deadline=cfg.shard_deadline)
 
 
 @dataclass(frozen=True)
@@ -291,7 +288,7 @@ class ShardResult:
     stats: SamplingStats | None = None
     #: wall-clock seconds spent computing this shard (final attempt only)
     elapsed: float = 0.0
-    #: label of the worker that ran the shard (thread name / process pid)
+    #: label of the worker that ran the shard (``"main"`` / process pid)
     worker: str = "main"
     #: how many attempts this shard took (1 = succeeded first try)
     attempts: int = 1
@@ -408,7 +405,7 @@ class ExecReport:
     carried_tuples: int = 0
     #: every failed attempt observed during the run (retried or fatal)
     failures: list[ShardFailure] = field(default_factory=list)
-    #: executor downgrades that occurred (e.g. ``"process->thread"``)
+    #: executor downgrades that occurred (e.g. ``"process->serial"``)
     degraded: list[str] = field(default_factory=list)
     #: how many times a dead worker pool was rebuilt mid-run
     pool_restarts: int = 0

@@ -1,15 +1,12 @@
-"""Pluggable shard executors: serial, thread pool, process pool.
+"""Pluggable shard executors: serial and process pool.
 
-All three run the same shard kernels (:mod:`repro.exec.work`) over the same
+Both run the same shard kernels (:mod:`repro.exec.work`) over the same
 plan (:mod:`repro.exec.plan`) and stream :class:`~repro.exec.base.ShardResult`
 objects as shards finish, so they are interchangeable:
 
 * :class:`SerialExecutor` — in-process, in plan order; the default.  With a
   warm engine passed in (the session path) it is bit-identical to the
   pre-executor code.
-* :class:`ThreadExecutor` — a thread pool sharing the in-process model, one
-  warm engine per worker thread (the engine's LRU is not thread-safe, and
-  per-thread engines also avoid lock contention on the hot path).
 * :class:`ProcessExecutor` — a process pool whose initializer receives the
   persisted model JSON and the parent's compiled-engine metadata, rebuilds
   one warm engine per worker, and validates the rebuild.  Live engines are
@@ -19,7 +16,7 @@ objects as shards finish, so they are interchangeable:
   to the parent's own tuples before anything downstream sees it.
 
 Because multi-missing segments carry deterministic per-segment seeds and
-single-missing shards are RNG-free, all executors produce bit-identical
+single-missing shards are RNG-free, both executors produce bit-identical
 results for any worker count.
 
 Failure is a first-class state here, not an abort: every executor runs each
@@ -31,7 +28,7 @@ that were in flight are requeued.  A shard past its deadline is treated as a
 hung worker: the pool is killed and the shard requeued.  When the pool keeps
 dying, ``failure_policy`` decides: ``"strict"`` raises
 :class:`~repro.exec.base.WorkerPoolError` with the partial report attached,
-``"degrade"`` falls back process→thread→serial and keeps deriving — the
+``"degrade"`` falls back process→serial and keeps deriving — the
 deterministic seeds make the degraded result bit-identical.
 """
 
@@ -45,13 +42,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from concurrent.futures.thread import BrokenThreadPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
+from typing import Any, Iterator, Mapping, TYPE_CHECKING
 
 from ..core.compiled import CompiledModel
 from ..core.engine import BatchInferenceEngine
@@ -83,7 +78,6 @@ __all__ = [
     "ExecContext",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
 ]
@@ -151,9 +145,9 @@ def _retrying(
     shard: Shard,
     context: ExecContext,
     faults: Mapping[tuple[str, int], ShardFault],
-    invoke: Callable[[Shard, ShardFault | None], ShardResult],
+    engine: BatchInferenceEngine | None,
 ) -> ShardResult:
-    """Run one shard attempt loop in-process (serial and thread workers).
+    """Run one shard's attempt loop in the calling process.
 
     Every attempt re-runs the same content-keyed seed through the same
     kernel, so a retried shard is bit-identical to a first-try shard.
@@ -167,7 +161,14 @@ def _retrying(
         fault = faults.get((shard.key, attempt))
         start = time.perf_counter()
         try:
-            result = invoke(shard, fault)
+            result = run_shard(
+                shard,
+                context.model,
+                context.knobs,
+                batch_engine=engine,
+                fault=fault,
+                deadline=retry.deadline,
+            )
         except Exception as exc:
             exhausted = attempt >= retry.max_attempts
             backoff = 0.0 if exhausted else retry.backoff(attempt)
@@ -230,90 +231,8 @@ class SerialExecutor(Executor):
     ) -> Iterator[ShardResult]:
         engine = context.warm_engine()
         faults = bind_faults(context.faults, plan)
-        deadline = context.retry.deadline
         for shard in plan.shards:
-            yield _retrying(
-                shard,
-                context,
-                faults,
-                lambda s, f: run_shard(
-                    s,
-                    context.model,
-                    context.knobs,
-                    batch_engine=engine,
-                    fault=f,
-                    deadline=deadline,
-                ),
-            )
-
-
-class ThreadExecutor(Executor):
-    """Run shards on a thread pool sharing the in-process model.
-
-    Useful when the per-shard work releases the GIL (NumPy combines) or the
-    caller wants streaming overlap without process startup cost.  Each
-    worker thread keeps its own warm engine: the LRU cache is not
-    thread-safe, and sharing one would serialize the hot path anyway.
-
-    Retries run inside the worker task (each failed attempt backs off and
-    re-runs on the same thread).  A broken thread pool — rare, but e.g. a
-    failed thread start under resource exhaustion — degrades to serial
-    execution of the not-yet-streamed shards when the policy allows.
-    """
-
-    name = "thread"
-
-    def run(
-        self, plan: ShardPlan, context: ExecContext
-    ) -> Iterator[ShardResult]:
-        if not plan.shards:
-            return
-        local = threading.local()
-        model, knobs = context.model, context.knobs
-        faults = bind_faults(context.faults, plan)
-        deadline = context.retry.deadline
-
-        def invoke(shard: Shard, fault: ShardFault | None) -> ShardResult:
-            engine = getattr(local, "engine", None)
-            if engine is None and knobs.engine == "compiled":
-                engine = BatchInferenceEngine(
-                    model, knobs.v_choice, knobs.v_scheme
-                )
-                local.engine = engine
-            return run_shard(
-                shard,
-                model,
-                knobs,
-                batch_engine=engine,
-                worker=threading.current_thread().name,
-                fault=fault,
-                deadline=deadline,
-            )
-
-        def task(shard: Shard) -> ShardResult:
-            return _retrying(shard, context, faults, invoke)
-
-        done: set[str] = set()
-        try:
-            with ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            ) as pool:
-                for result in _stream(
-                    pool.submit(task, s) for s in plan.shards
-                ):
-                    done.add(result.key)
-                    yield result
-        except BrokenThreadPool as exc:
-            if context.failure_policy != "degrade":
-                raise WorkerPoolError(
-                    f"thread pool broke with {len(done)} of "
-                    f"{len(plan.shards)} shards streamed: {exc}"
-                ) from exc
-            context.degradations.append("thread->serial")
-            remaining = [s for s in plan.shards if s.key not in done]
-            yield from SerialExecutor(1).run(
-                _remaining_plan(plan, remaining), context
-            )
+            yield _retrying(shard, context, faults, engine)
 
 
 class _PoolDied(Exception):
@@ -352,7 +271,7 @@ class ProcessExecutor(Executor):
     the retry deadline kills and rebuilds the pool, requeueing only the
     in-flight shards; completed results are never recomputed.  Each requeue
     consumes one attempt from the shard's retry budget.  After
-    ``max_pool_deaths`` rebuilds the run degrades to the thread executor
+    ``max_pool_deaths`` rebuilds the run degrades to the serial executor
     (``failure_policy="degrade"``) or raises
     :class:`~repro.exec.base.WorkerPoolError` (``"strict"``).
     """
@@ -454,8 +373,8 @@ class ProcessExecutor(Executor):
                             f"process pool died {pool_deaths} times "
                             f"({died.reason}); {len(queue)} shards unfinished"
                         ) from died
-                    context.degradations.append("process->thread")
-                    yield from ThreadExecutor(self.workers).run(
+                    context.degradations.append("process->serial")
+                    yield from SerialExecutor().run(
                         _remaining_plan(plan, list(queue)), context
                     )
                     return
@@ -596,23 +515,9 @@ class ProcessExecutor(Executor):
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _stream(futures) -> Iterator[ShardResult]:
-    """Yield results as they complete; cancel the rest on first failure."""
-    pending = set(futures)
-    try:
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield future.result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 #: executor name -> class, the registry behind every ``executor=`` knob.
 EXECUTOR_CLASSES = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 

@@ -9,7 +9,7 @@ can be tested deterministically instead of hopefully.  Three fault kinds:
 * ``"error"`` — the shard attempt raises :class:`FaultInjected`; the retry
   loop records the failure and re-runs the shard.
 * ``"crash"`` — in a process-pool worker the worker process hard-exits
-  (``os._exit``), breaking the pool; in serial/thread execution — where a
+  (``os._exit``), breaking the pool; in serial execution — where a
   hard exit would take the caller down with it — the fault downgrades to an
   ``"error"``.
 * ``"hang"`` — the shard attempt sleeps ``delay`` seconds (default twice

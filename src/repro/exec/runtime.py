@@ -19,7 +19,6 @@ import numpy as np
 
 from ..core.tuple_dag import SamplingStats
 from .base import (
-    DEFAULT_FAILURE_POLICY,
     DerivationCancelled,
     ExecReport,
     RetryPolicy,
@@ -68,9 +67,7 @@ def _context(
         knobs=ShardKnobs.from_config(config),
         batch_engine=batch_engine,
         retry=RetryPolicy.from_config(config),
-        failure_policy=getattr(
-            config, "failure_policy", DEFAULT_FAILURE_POLICY
-        ),
+        failure_policy=config.failure_policy,
         faults=resolve_fault_plan(faults, config),
     )
 
@@ -188,7 +185,7 @@ def execute_derivation(
     repeatedly dying pool raises :class:`~repro.exec.base.ShardExecutionError`
     / :class:`~repro.exec.base.WorkerPoolError` with the partial report
     attached as ``exc.report`` (``failure_policy="strict"``), or degrades
-    process→thread→serial and completes (``"degrade"``).
+    process→serial and completes (``"degrade"``).
     """
     chosen = get_executor(
         config.executor if executor is None else executor, config.workers

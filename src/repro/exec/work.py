@@ -3,8 +3,8 @@
 Two kernels, one per shard kind:
 
 * :func:`single_shard_blocks` — Algorithm 2 over a batch of single-missing
-  tuples, run by the serial path, thread workers, and process workers
-  alike (and therefore bit-identical across them).  The compiled path
+  tuples, run by the serial path and by process workers alike (and
+  therefore bit-identical across them).  The compiled path
   works on the batch's stacked code matrix: per missing attribute, the
   distinct signatures' CPDs come back as one matrix, are validated and
   normalized as one matrix, and become one shared read-only
@@ -86,7 +86,7 @@ class ShardKnobs:
 
     @classmethod
     def from_config(cls, cfg: Any) -> "ShardKnobs":
-        """Extract the kernel knobs from any DeriveConfig-shaped object."""
+        """The kernel knobs of a :class:`~repro.api.config.DeriveConfig`."""
         return cls(
             v_choice=cfg.v_choice,
             v_scheme=cfg.v_scheme,
@@ -94,8 +94,8 @@ class ShardKnobs:
             num_samples=cfg.num_samples,
             burn_in=cfg.burn_in,
             strategy=cfg.strategy,
-            gibbs_chains=getattr(cfg, "gibbs_chains", 1),
-            gibbs_vectorized=getattr(cfg, "gibbs_vectorized", True),
+            gibbs_chains=cfg.gibbs_chains,
+            gibbs_vectorized=cfg.gibbs_vectorized,
         )
 
     @property

@@ -82,27 +82,19 @@ class QueryEngine:
         self.derive_result = None
 
     @classmethod
-    def from_relation(
-        cls, relation, engine: str | None = None, config=None, **derive_kwargs
-    ) -> "QueryEngine":
+    def from_relation(cls, relation, config=None, **run_inputs) -> "QueryEngine":
         """Derive ``relation``'s probabilistic database and wrap it.
 
-        ``engine`` selects the inference engine used for the derivation
-        (the pipeline default — the compiled batch engine — when omitted,
-        ``"naive"`` for the scalar oracle); ``config`` may carry a full
-        :class:`~repro.api.config.DeriveConfig`; remaining keyword
-        arguments are forwarded to
+        ``config`` (a :class:`~repro.api.config.DeriveConfig` or a mapping
+        of its fields, e.g. ``{"engine": "naive"}``) and the run inputs
+        (``rng``, ``model``, ...) are forwarded to
         :func:`~repro.core.derive.derive_probabilistic_database`.  The
         derivation diagnostics stay available as ``engine.derive_result``.
         """
         # Imported here: repro.core depends on this package.
         from ..core.derive import derive_probabilistic_database
 
-        if engine is not None:
-            derive_kwargs["engine"] = engine
-        result = derive_probabilistic_database(
-            relation, config=config, **derive_kwargs
-        )
+        result = derive_probabilistic_database(relation, config, **run_inputs)
         out = cls(result.database)
         out.derive_result = result
         return out

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.config import DeriveConfig
 from repro.api.query import (
     And,
     Cmp,
@@ -120,7 +121,9 @@ def fig1_engine():
     )
     relation = Relation.from_rows(schema, FIG1_ROWS)
     return QueryEngine.from_relation(
-        relation, support_threshold=0.1, num_samples=200, burn_in=20, rng=0
+        relation,
+        config=DeriveConfig(support_threshold=0.1, num_samples=200, burn_in=20),
+        rng=0,
     )
 
 
@@ -134,7 +137,9 @@ def census_engine():
     masked = mask_relation(test, [1, 2], rng)
     combined = Relation(train.schema, list(train) + list(masked))
     result = derive_probabilistic_database(
-        combined, support_threshold=0.002, num_samples=300, burn_in=50, rng=1
+        combined,
+        config=DeriveConfig(support_threshold=0.002, num_samples=300, burn_in=50),
+        rng=1,
     )
     return QueryEngine(result.database)
 

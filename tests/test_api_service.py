@@ -23,6 +23,7 @@ from repro.api.service import (
     QueryRequest,
     QueryResponse,
     ServiceError,
+    UpdateRequest,
 )
 from repro.api.session import Session
 from repro.probdb import QueryEngine
@@ -219,6 +220,34 @@ class TestHttp:
         assert body["status"] == "ok"
         assert body["databases"] == ["default"]
 
+    def test_undrained_chunked_body_still_gets_its_411(self, http_server):
+        """The server refuses a chunked body without reading it; closing
+        with those bytes unread would reset the connection under a client
+        still sending, which then sees a broken pipe instead of the 411.
+        The server lingers: it half-closes and drains (bounded) first."""
+        import http.client
+        import time
+
+        _, port = http_server
+
+        def body():  # 256 KiB, still streaming when the 411 is sent
+            for _ in range(16):
+                yield b"x" * 16384
+                time.sleep(0.001)
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request(
+                "POST", "/v1/query", body=body(),
+                headers={"Content-Type": "application/json"},
+                encode_chunked=True,
+            )
+            response = conn.getresponse()
+            assert response.status == 411
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
+
     def test_accepted_connections_disable_nagle(self):
         """A response leaves in two sends (head, then body); under Nagle
         the body would wait for the client's delayed ACK.  Every accepted
@@ -361,3 +390,69 @@ class TestHttp:
             )
         assert err.value.code == 404
         assert "error" in json.loads(err.value.read())
+
+
+def _post_error(port, endpoint, payload):
+    """POST expecting an HTTP error; returns (status, error message)."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(port, endpoint, payload)
+    return err.value.code, json.loads(err.value.read())["error"]["message"]
+
+
+UPDATE_PAYLOAD = {
+    "changes": {"ops": [{"op": "update", "index": 1, "set": {"nw": "500K"}}]}
+}
+
+
+class TestStrictRequestFields:
+    """Every request field either parses exactly or is a 400."""
+
+    @pytest.mark.parametrize("value", ["false", "no", 0])
+    def test_derive_include_blocks_must_be_boolean(self, http_server, value):
+        _, port = http_server
+        status, message = _post_error(
+            port, "derive", _derive_payload(include_blocks=value)
+        )
+        assert status == 400
+        assert "include_blocks" in message
+
+    @pytest.mark.parametrize("value", ["false", "no", 0])
+    def test_update_include_blocks_must_be_boolean(self, http_server, value):
+        service, port = http_server
+        before = service.session.result()
+        status, message = _post_error(
+            port, "update", {**UPDATE_PAYLOAD, "include_blocks": value}
+        )
+        assert status == 400
+        assert "include_blocks" in message
+        assert service.session.result() is before  # nothing was applied
+
+    @pytest.mark.parametrize("endpoint", ["derive", "update"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("executor", "process"), ("workers", 2), ("gibbs_chains", 2),
+         ("gibbs_vectorized", False), ("seed", 3)],
+    )
+    def test_top_level_knobs_must_move_into_config(
+        self, http_server, endpoint, key, value
+    ):
+        """A knob outside ``config`` is refused, never silently ignored."""
+        _, port = http_server
+        payload = _derive_payload() if endpoint == "derive" else UPDATE_PAYLOAD
+        status, message = _post_error(port, endpoint, {**payload, key: value})
+        assert status == 400
+        assert repr(key) in message and "move it into 'config'" in message
+
+    def test_null_top_level_knobs_are_accepted(self):
+        """Requests journaled before knobs moved into ``config`` carry the
+        old top-level keys as nulls; they parse as if absent."""
+        nulls = dict.fromkeys(
+            ("executor", "workers", "gibbs_chains", "gibbs_vectorized"), None
+        )
+        plain = _derive_payload()
+        assert DeriveRequest.from_dict({**plain, **nulls}) == (
+            DeriveRequest.from_dict(plain)
+        )
+        assert UpdateRequest.from_dict(
+            {**UPDATE_PAYLOAD, "executor": None, "workers": None}
+        ) == UpdateRequest.from_dict(UPDATE_PAYLOAD)

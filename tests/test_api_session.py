@@ -89,11 +89,11 @@ class TestDerive:
     def test_partial_override_keeps_session_config(self, session, config):
         """A partial per-call dict overrides *on top of* the session config,
         not on top of the global defaults."""
-        resolved = session._per_call_config({"num_samples": 50})
+        resolved = session.effective_config({"num_samples": 50})
         assert resolved.num_samples == 50
         assert resolved.support_threshold == config.support_threshold  # 0.1
         assert resolved.seed == config.seed
-        assert session._per_call_config(None) is session.config
+        assert session.effective_config(None) is session.config
 
 
 class TestInferBatch:

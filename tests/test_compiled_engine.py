@@ -9,6 +9,7 @@ stays in the tree as the correctness oracle.
 import numpy as np
 import pytest
 
+from repro.api.config import DeriveConfig
 from repro.core import (
     BatchInferenceEngine,
     CompiledModel,
@@ -126,13 +127,15 @@ class TestEquivalence:
         # Pin the scalar Gibbs kernel: this test compares the *engines*, and
         # the naive engine has no vectorized path (the vectorized-vs-scalar
         # comparison lives in tests/test_gibbs_vectorized.py).
-        kwargs = dict(
-            support_threshold=0.01, num_samples=50, burn_in=10, rng=5,
+        config = DeriveConfig(
+            support_threshold=0.01, num_samples=50, burn_in=10,
             gibbs_vectorized=False,
         )
-        naive = derive_probabilistic_database(masked, engine="naive", **kwargs)
+        naive = derive_probabilistic_database(
+            masked, config=config.replacing(engine="naive"), rng=5
+        )
         compiled = derive_probabilistic_database(
-            masked, engine="compiled", **kwargs
+            masked, config=config.replacing(engine="compiled"), rng=5
         )
         assert len(naive.database.blocks) == len(compiled.database.blocks)
         for nb, cb in zip(naive.database.blocks, compiled.database.blocks):
@@ -332,7 +335,9 @@ class TestEngineSelection:
         codes[:40, 4] = MISSING_CODE
         incomplete = Relation.from_codes(relation.schema, codes)
         qe = QueryEngine.from_relation(
-            incomplete, engine="compiled", support_threshold=0.01, rng=0
+            incomplete,
+            config=DeriveConfig(engine="compiled", support_threshold=0.01),
+            rng=0,
         )
         assert qe.derive_result is not None
         assert len(qe.db.blocks) == 40

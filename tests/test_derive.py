@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import derive_probabilistic_database
+from repro import DeriveConfig, derive_probabilistic_database
 from repro.relational import make_tuple
 
 
@@ -10,9 +10,7 @@ from repro.relational import make_tuple
 def result(fig1_relation):
     return derive_probabilistic_database(
         fig1_relation,
-        support_threshold=0.1,
-        num_samples=300,
-        burn_in=50,
+        config=DeriveConfig(support_threshold=0.1, num_samples=300, burn_in=50),
         rng=0,
     )
 
@@ -49,12 +47,14 @@ class TestDeriveOnFig1:
 
     def test_reproducible_with_seed(self, fig1_relation):
         a = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1,
-            num_samples=200, burn_in=20, rng=5,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=200, burn_in=20),
+            rng=5,
         )
         b = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1,
-            num_samples=200, burn_in=20, rng=5,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=200, burn_in=20),
+            rng=5,
         )
         for ba, bb in zip(a.database.blocks, b.database.blocks):
             assert ba.base == bb.base
@@ -63,8 +63,12 @@ class TestDeriveOnFig1:
 
     def test_strategy_passthrough(self, fig1_relation):
         result = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1,
-            num_samples=100, burn_in=10, strategy="tuple_at_a_time", rng=0,
+            fig1_relation,
+            config=DeriveConfig(
+                support_threshold=0.1, num_samples=100, burn_in=10,
+                strategy="tuple_at_a_time",
+            ),
+            rng=0,
         )
         assert len(result.database.blocks) == fig1_relation.num_incomplete
 
@@ -72,7 +76,10 @@ class TestDeriveOnFig1:
 class TestDeriveEdgeCases:
     def test_fully_complete_relation(self, fig1_relation):
         complete = fig1_relation.complete_part()
-        result = derive_probabilistic_database(complete, support_threshold=0.1)
+        result = derive_probabilistic_database(
+            complete,
+            config=DeriveConfig(support_threshold=0.1),
+        )
         assert len(result.database.blocks) == 0
         assert result.database.num_possible_worlds() == 1
         assert result.sampling_stats.total_draws == 0
@@ -83,6 +90,6 @@ class TestDeriveEdgeCases:
         rows = list(fig1_relation.complete_part())
         rows.append(make_tuple(fig1_schema, {"age": "20", "edu": "HS", "inc": "50K"}))
         rel = Relation(fig1_schema, rows)
-        result = derive_probabilistic_database(rel, support_threshold=0.1)
+        result = derive_probabilistic_database(rel, config=DeriveConfig(support_threshold=0.1))
         assert len(result.database.blocks) == 1
         assert result.sampling_stats.total_draws == 0

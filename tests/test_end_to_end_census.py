@@ -9,6 +9,7 @@ generating network.
 import numpy as np
 import pytest
 
+from repro.api.config import DeriveConfig
 from repro.bench import aggregate, mask_relation, score_prediction
 from repro.bench.metrics import true_joint_posterior
 from repro.core import derive_probabilistic_database
@@ -31,8 +32,9 @@ def pipeline():
     masked = mask_relation(test, [1, 2], rng)
     combined = Relation(train.schema, list(train) + list(masked))
     result = derive_probabilistic_database(
-        combined, support_threshold=0.002,
-        num_samples=600, burn_in=80, rng=1,
+        combined,
+        config=DeriveConfig(support_threshold=0.002, num_samples=600, burn_in=80),
+        rng=1,
     )
     return net, test, masked, result
 

@@ -1,6 +1,6 @@
 """Tests for the sharded derivation runtime (repro.exec).
 
-The load-bearing guarantee: serial, thread, and process executors produce
+The load-bearing guarantee: serial and process executors produce
 bit-identical probabilistic databases for any worker count, on both the
 paper's Fig. 1 relation and a census sample.
 """
@@ -293,20 +293,20 @@ class TestDeterminism:
     def test_naive_engine_identical_across_executors(self, fig1_relation):
         cfg = DeriveConfig(**FIG1_CONFIG, engine="naive")
         baseline = derive_probabilistic_database(fig1_relation, config=cfg)
-        threaded = derive_probabilistic_database(
+        pooled = derive_probabilistic_database(
             fig1_relation,
-            config=cfg.replacing(executor="thread", workers=2),
+            config=cfg.replacing(executor="process", workers=2),
         )
-        assert_identical_databases(baseline.database, threaded.database)
+        assert_identical_databases(baseline.database, pooled.database)
 
     def test_reproducible_via_generator(self, fig1_relation):
         """A seeded generator still reproduces across separate runs."""
         runs = [
             derive_probabilistic_database(
                 fig1_relation,
-                support_threshold=0.1,
-                num_samples=50,
-                burn_in=10,
+                config=DeriveConfig(
+                    support_threshold=0.1, num_samples=50, burn_in=10
+                ),
                 rng=np.random.default_rng(9),
             )
             for _ in range(2)
@@ -371,12 +371,13 @@ class TestExecutorSelection:
             DeriveConfig(workers=0)
 
     def test_executor_instance_conflicts_with_workers(self, fig1_relation):
+        model = learn_mrsl(fig1_relation, support_threshold=0.1).model
+        singles = [
+            t for t in fig1_relation.incomplete_part() if t.num_missing == 1
+        ]
         with pytest.raises(ValueError, match="pre-built Executor"):
-            derive_probabilistic_database(
-                fig1_relation,
-                support_threshold=0.1,
-                executor=SerialExecutor(2),
-                workers=4,
+            single_missing_blocks(
+                singles, model, executor=SerialExecutor(2), workers=4
             )
 
     def test_single_missing_blocks_rejects_multi(self, fig1_schema, fig1_relation):
@@ -393,10 +394,11 @@ class TestExecutorSelection:
             t for t in fig1_relation.incomplete_part() if t.num_missing == 1
         ]
         serial = single_missing_blocks(singles, model)
-        threaded = single_missing_blocks(
-            singles, model, executor="thread", workers=2
+        pooled = single_missing_blocks(
+            singles, model, executor="process", workers=2
         )
-        for a, b in zip(serial, threaded):
+        assert len(pooled) == len(serial)
+        for a, b in zip(serial, pooled):
             assert a.base == b.base
             assert (a.distribution.probs == b.distribution.probs).all()
 
@@ -407,8 +409,9 @@ class TestExecutorSelection:
 class TestLazyPrefetch:
     def test_prefetch_skips_cached_tuples(self, fig1_relation):
         deriver = LazyDeriver(
-            fig1_relation, support_threshold=0.1,
-            num_samples=50, burn_in=10, rng=0,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=50, burn_in=10),
+            rng=0,
         )
         incomplete = list(fig1_relation.incomplete_part())
         deriver.prefetch(incomplete[:3])
@@ -424,25 +427,24 @@ class TestLazyPrefetch:
 
     def test_prefetch_dedupes_input(self, fig1_schema, fig1_relation):
         deriver = LazyDeriver(
-            fig1_relation, support_threshold=0.1,
-            num_samples=50, burn_in=10, rng=0,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=50, burn_in=10),
+            rng=0,
         )
         t = make_tuple(fig1_schema, {"age": "30", "edu": "MS"})
         deriver.prefetch([t, t, t])
         assert deriver.materialized == 1
 
     def test_lazy_executor_knob(self, fig1_relation):
-        serial = LazyDeriver(
-            fig1_relation, support_threshold=0.1,
-            num_samples=50, burn_in=10, rng=4,
-        )
-        threaded = LazyDeriver(
-            fig1_relation, support_threshold=0.1,
-            num_samples=50, burn_in=10, rng=4,
-            executor="thread", workers=2,
+        config = DeriveConfig(support_threshold=0.1, num_samples=50, burn_in=10)
+        serial = LazyDeriver(fig1_relation, config=config, rng=4)
+        pooled = LazyDeriver(
+            fig1_relation,
+            config=config.replacing(executor="process", workers=2),
+            rng=4,
         )
         assert_identical_databases(
-            serial.materialize_all(), threaded.materialize_all()
+            serial.materialize_all(), pooled.materialize_all()
         )
 
 
@@ -457,7 +459,9 @@ class TestSessionExecutors:
         )
         baseline = session.derive(fig1_relation, name="serial")
         sharded = session.derive(
-            fig1_relation, name="sharded", executor="thread", workers=2
+            fig1_relation,
+            name="sharded",
+            config={"executor": "process", "workers": 2},
         )
         assert_identical_databases(baseline.database, sharded.database)
 
@@ -465,11 +469,10 @@ class TestSessionExecutors:
         from repro.api.service import DeriveRequest
 
         request = DeriveRequest.from_dict(
-            {"rows": [["20", "HS", "?", "?"]], "executor": "process",
-             "workers": 2}
+            {"rows": [["20", "HS", "?", "?"]],
+             "config": {"executor": "process", "workers": 2}}
         )
-        assert request.executor == "process"
-        assert request.workers == 2
+        assert request.config == {"executor": "process", "workers": 2}
         assert DeriveRequest.from_dict(request.to_dict()) == request
 
 

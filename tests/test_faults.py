@@ -6,7 +6,8 @@ is *bit-identical* to a fault-free run, with every failed attempt surfaced
 in the :class:`~repro.exec.base.ExecReport`.
 """
 
-import threading
+import multiprocessing
+import time
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestFaultPlan:
 
 
 class TestErrorRetry:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_one_error_is_retried_bit_identically(
         self, executor, fig1_tuples, fig1_model, baseline
     ):
@@ -208,7 +209,7 @@ class TestWorkerCrash:
         assert report is not None
         assert report.pool_restarts >= 2
 
-    def test_degrade_policy_falls_back_to_threads(
+    def test_degrade_policy_falls_back_to_serial(
         self, fig1_tuples, fig1_model, baseline
     ):
         faults = FaultPlan(faults=tuple(
@@ -223,7 +224,7 @@ class TestWorkerCrash:
             faults=faults,
         )
         assert_identical_blocks(out.blocks, baseline.blocks)
-        assert "process->thread" in out.report.degraded
+        assert "process->serial" in out.report.degraded
         assert out.report.pool_restarts == 3
 
     def test_crash_downgrades_to_error_in_serial(
@@ -263,32 +264,38 @@ class TestHangDeadline:
 # -- the streaming collector reaps its pools (regression) --------------------
 
 
-def _exec_threads():
-    return [
-        t for t in threading.enumerate() if t.name.startswith("repro-exec")
-    ]
+def _workers_reaped(timeout: float = 10.0) -> bool:
+    """Whether every worker process exits (and is joined) within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 class TestStreamCleanup:
-    def test_abandoned_stream_reaps_worker_threads(
+    def test_abandoned_stream_reaps_worker_processes(
         self, fig1_tuples, fig1_model
     ):
         stream = stream_derivation(
-            fig1_tuples, fig1_model, _config(executor="thread", workers=2)
+            fig1_tuples, fig1_model, _config(executor="process", workers=2)
         )
         next(stream)
-        assert _exec_threads()
+        assert multiprocessing.active_children()
         stream.close()
-        for t in _exec_threads():
-            t.join(timeout=10.0)
-        assert not _exec_threads()
+        assert _workers_reaped()
 
     def test_lazy_prefetch_closes_stream_when_caching_raises(
         self, fig1_relation
     ):
         deriver = LazyDeriver(
-            fig1_relation, support_threshold=0.1, num_samples=20,
-            burn_in=3, rng=11, executor="thread", workers=2,
+            fig1_relation,
+            config=DeriveConfig(
+                support_threshold=0.1, num_samples=20, burn_in=3,
+                executor="process", workers=2,
+            ),
+            rng=11,
         )
 
         class ExplodingCache(dict):
@@ -296,11 +303,13 @@ class TestStreamCleanup:
                 raise RuntimeError("cache full")
 
         deriver._cache = ExplodingCache()
-        with pytest.raises(RuntimeError, match="cache full"):
+        with pytest.raises(RuntimeError, match="cache full") as excinfo:
             deriver.prefetch(list(fig1_relation.incomplete_part()))
-        for t in _exec_threads():
-            t.join(timeout=10.0)
-        assert not _exec_threads()
+        # Checked while the traceback (and so prefetch's frame and its
+        # stream) is still alive: reaping must come from prefetch closing
+        # the stream, not from the generator being garbage-collected.
+        assert excinfo.traceback
+        assert _workers_reaped()
 
 
 # -- failures and degradations land on the report wire form ------------------

@@ -461,12 +461,17 @@ class TestMultiShardBatching:
 
     def test_derive_plans_batched_multi_shards(self, fig1_relation):
         vec = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1, num_samples=40,
-            burn_in=5, rng=3,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=40, burn_in=5),
+            rng=3,
         )
         scal = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1, num_samples=40,
-            burn_in=5, rng=3, gibbs_vectorized=False,
+            fig1_relation,
+            config=DeriveConfig(
+                support_threshold=0.1, num_samples=40, burn_in=5,
+                gibbs_vectorized=False,
+            ),
+            rng=3,
         )
         def multis(result):
             return [
@@ -499,8 +504,6 @@ class TestVectorizedDeterminism:
         baseline = derive_probabilistic_database(fig1_relation, config=base)
         for executor, workers in (
             ("serial", 1),
-            ("thread", 2),
-            ("thread", 4),
             ("process", 2),
         ):
             cfg = base.replacing(executor=executor, workers=workers)
@@ -572,12 +575,16 @@ class TestKnobPlumbing:
             with pytest.raises(ValueError, match="gibbs_vectorized"):
                 DeriveConfig(gibbs_vectorized=bad)
 
-    def test_derive_request_rejects_string_gibbs_vectorized(self):
-        from repro.api.service import ServiceError
+    def test_derive_request_rejects_string_gibbs_vectorized(self, fig1_relation):
+        from repro.api.service import InferenceService, ServiceError
 
+        schema = {a.name: list(a.domain) for a in fig1_relation.schema}
+        service = InferenceService()
         with pytest.raises(ServiceError, match="gibbs_vectorized"):
-            DeriveRequest.from_dict(
-                {"rows": [], "gibbs_vectorized": "off"}
+            service.handle_json(
+                "derive",
+                {"rows": [["20", "HS", "?", "?"]], "schema": schema,
+                 "config": {"gibbs_vectorized": "off"}},
             )
 
     def test_config_round_trips_the_knobs(self):
@@ -603,11 +610,12 @@ class TestKnobPlumbing:
 
     def test_derive_request_round_trips_the_knobs(self):
         req = DeriveRequest(
-            rows=(("a", "?"),), gibbs_chains=2, gibbs_vectorized=False
+            rows=(("a", "?"),),
+            config={"gibbs_chains": 2, "gibbs_vectorized": False},
         )
         again = DeriveRequest.from_dict(req.to_dict())
         assert again == req
-        assert DeriveRequest.from_dict({"rows": []}).gibbs_chains is None
+        assert DeriveRequest.from_dict({"rows": []}).config is None
 
     def test_session_derive_accepts_the_knobs(self, fig1_relation):
         from repro.api.session import Session
@@ -616,10 +624,12 @@ class TestKnobPlumbing:
             DeriveConfig(support_threshold=0.1, num_samples=40, burn_in=5,
                          seed=9)
         )
-        a = session.derive(fig1_relation, gibbs_chains=2)
+        a = session.derive(
+            fig1_relation, config=session.config.replacing(gibbs_chains=2)
+        )
         b = session.derive(
             fig1_relation, config={"gibbs_chains": 2}
         )
         _assert_identical(a.database, b.database)
-        off = session.derive(fig1_relation, gibbs_vectorized=False)
+        off = session.derive(fig1_relation, config={"gibbs_vectorized": False})
         assert len(off.database.blocks) == len(a.database.blocks)

@@ -4,7 +4,7 @@ The acceptance properties:
 
 * after a ChangeSet touching k of N tuples, a delta re-derive is
   **bit-identical** to a from-scratch derive of the updated relation under
-  the same model and base seed — for serial, thread, and process executors;
+  the same model and base seed — for serial and process executors;
 * the planner replans only shards whose lineage the ChangeSet touched:
   everything else is carried over verbatim and shows up in
   ``ExecReport.carried_over``;
@@ -148,14 +148,13 @@ class TestDeltaDerive:
         )
         full = derive_probabilistic_database(
             census_updated,
-            config=CENSUS_CONFIG,
+            config=CENSUS_CONFIG.replacing(update_policy="full"),
             previous=census_baseline,
-            update_policy="full",
         )
         assert_identical_databases(delta.database, full.database)
         assert full.exec_report.carried_over == 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_delta_equivalence_across_executors(
         self, census_updated, census_model, census_baseline, executor
     ):
@@ -167,10 +166,10 @@ class TestDeltaDerive:
         )
         delta = derive_probabilistic_database(
             census_updated,
-            config=CENSUS_CONFIG,
+            config=CENSUS_CONFIG.replacing(
+                executor=executor, workers=1 if executor == "serial" else 3
+            ),
             previous=census_baseline,
-            executor=executor,
-            workers=1 if executor == "serial" else 3,
         )
         assert_identical_databases(delta.database, scratch.database)
 
@@ -196,9 +195,8 @@ class TestDeltaDerive:
         with pytest.raises(ValueError, match="update_policy"):
             derive_probabilistic_database(
                 fig1_relation,
-                config=config,
+                config={**config.to_dict(), "update_policy": "lazy"},
                 previous=baseline,
-                update_policy="lazy",
             )
 
 
@@ -256,7 +254,8 @@ class TestCarryStore:
 
 class TestLazyCache:
     CONFIG = dict(
-        support_threshold=0.1, num_samples=40, burn_in=5, rng=4
+        config=DeriveConfig(support_threshold=0.1, num_samples=40, burn_in=5),
+        rng=4,
     )
 
     def test_cache_info_counts_hits_misses(self, fig1_relation):

@@ -42,15 +42,15 @@ def store(tmp_path):
     s.close()
 
 
-def _journal_partial_run(store, job_id, keep_shards=1):
-    """Journal ``PAYLOAD``'s derivation interrupted after ``keep_shards``.
+def _journal_partial_run(store, job_id, keep_shards=1, payload=PAYLOAD):
+    """Journal ``payload``'s derivation interrupted after ``keep_shards``.
 
     Runs the derivation the request describes out-of-band, records its plan
     seed plus the first ``keep_shards`` completed shards, and leaves the
     job ``running`` — exactly the journal a killed server leaves behind.
     Returns the total number of planned shards.
     """
-    store.create_job(job_id, "derive", "derive", PAYLOAD)
+    store.create_job(job_id, "derive", "derive", payload)
     store.set_state(job_id, "running")
     relation = Relation.from_rows(
         Schema.from_domains(FIG1_SCHEMA), FIG1_ROWS
@@ -189,6 +189,51 @@ class TestJournaledJobs:
             ]
             assert len(shard_events) == total - 1
             assert store.get("derive-res-1").state == "done"
+        finally:
+            service.jobs.close()
+
+    def test_journaled_null_shorthand_keys_resume_bit_identically(self, store):
+        """A row journaled before knobs moved into ``config`` stores the old
+        top-level request keys as nulls; it still resumes, bit-identically."""
+        reference = InferenceService().handle_json("derive", PAYLOAD)
+        legacy = {
+            **DeriveRequest.from_dict(PAYLOAD).to_dict(),
+            "executor": None,
+            "workers": None,
+            "gibbs_chains": None,
+            "gibbs_vectorized": None,
+        }
+        total = _journal_partial_run(store, "derive-old-1", payload=legacy)
+
+        service = InferenceService(
+            Session(), jobs=JobManager(prefix="derive", store=store)
+        )
+        try:
+            assert service.resume_jobs() == ["derive-old-1"]
+            job = service.jobs.get("derive-old-1")
+            assert job.wait(timeout=60)
+            assert job.state == "done"
+            assert service.job_result("derive-old-1") == reference
+            shard_events = [e for e in job.events() if e["event"] == "shard"]
+            assert len(shard_events) == total - 1
+        finally:
+            service.jobs.close()
+
+    def test_journaled_shorthand_knob_fails_with_move_message(self, store):
+        """A non-null top-level knob would change outputs if ignored: the
+        resume fails the job and says where the knob belongs."""
+        store.create_job(
+            "j1", "derive", "derive", {**PAYLOAD, "gibbs_chains": 2}
+        )
+        store.set_state("j1", "running")
+        service = InferenceService(
+            Session(), jobs=JobManager(prefix="derive", store=store)
+        )
+        try:
+            assert service.resume_jobs() == []
+            record = store.get("j1")
+            assert record.state == "failed"
+            assert "move it into 'config'" in record.error
         finally:
             service.jobs.close()
 

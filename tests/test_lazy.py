@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.config import DeriveConfig
 from repro.core import LazyDeriver, derive_probabilistic_database
 from repro.probdb import expected_count
 from repro.relational import make_tuple
@@ -11,9 +12,7 @@ from repro.relational import make_tuple
 def deriver(fig1_relation):
     return LazyDeriver(
         fig1_relation,
-        support_threshold=0.1,
-        num_samples=300,
-        burn_in=50,
+        config=DeriveConfig(support_threshold=0.1, num_samples=300, burn_in=50),
         rng=0,
     )
 
@@ -52,12 +51,14 @@ class TestLaziness:
 class TestCorrectness:
     def test_expected_count_matches_eager(self, fig1_relation):
         lazy = LazyDeriver(
-            fig1_relation, support_threshold=0.1,
-            num_samples=400, burn_in=50, rng=3,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=400, burn_in=50),
+            rng=3,
         )
         eager = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1,
-            num_samples=400, burn_in=50, rng=3,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=400, burn_in=50),
+            rng=3,
         ).database
 
         def pred(t):

@@ -8,6 +8,7 @@ the final derived probabilistic database.
 import pytest
 
 from repro import derive_probabilistic_database
+from repro.api.config import DeriveConfig
 from repro.core import learn_mrsl, mine_frequent_itemsets
 from repro.probdb import expected_count
 from repro.relational import make_tuple
@@ -87,8 +88,9 @@ class TestSectionIV:
 class TestEndToEnd:
     def test_derived_database_answers_queries(self, fig1_relation):
         result = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1,
-            num_samples=400, burn_in=50, rng=0,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=400, burn_in=50),
+            rng=0,
         )
         db = result.database
         total = expected_count(db, lambda t: True)
@@ -104,8 +106,9 @@ class TestEndToEnd:
         to 1.
         """
         result = derive_probabilistic_database(
-            fig1_relation, support_threshold=0.1,
-            num_samples=400, burn_in=50, rng=0,
+            fig1_relation,
+            config=DeriveConfig(support_threshold=0.1, num_samples=400, burn_in=50),
+            rng=0,
         )
         t16 = make_tuple(
             fig1_schema, {"age": "40", "edu": "HS", "nw": "500K"}
