@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..core.engine import DEFAULT_ENGINE, ENGINES, validate_engine
 from ..core.inference import VoterChoice, VotingScheme
 from ..core.itemsets import DEFAULT_MAX_ITEMSETS
-from ..core.tuple_dag import STRATEGIES
 from ..exec.base import (
     DEFAULT_EXECUTOR,
     DEFAULT_FAILURE_POLICY,
@@ -33,7 +32,13 @@ from ..exec.base import (
     validate_workers,
 )
 
-__all__ = ["CliFlag", "DeriveConfig", "UPDATE_POLICIES", "resolve_config"]
+__all__ = [
+    "CliFlag",
+    "DeriveConfig",
+    "UPDATE_POLICIES",
+    "check_config_keys",
+    "resolve_config",
+]
 
 #: Recognized re-derive modes after a base-table update.
 UPDATE_POLICIES = ("delta", "full")
@@ -56,8 +61,8 @@ class CliFlag:
     ``type``/``choices``/``help`` go to ``argparse`` as they are (``help``
     may use ``%(default)s``).  ``parse`` maps the parsed flag value onto the
     field and ``show`` maps the field default onto the flag default, for
-    flags whose spelling differs from the field (``--gibbs-vectorized
-    on|off``, the comma-separated ``--trust``).
+    flags whose spelling differs from the field (the comma-separated
+    ``--trust``).
     """
 
     flag: str
@@ -92,22 +97,20 @@ class DeriveConfig:
 
     Fields map one-to-one onto the paper's parameters: ``support_threshold``
     and ``max_itemsets`` drive Algorithm 1 mining, ``v_choice``/``v_scheme``
-    configure Algorithm 2 voting, ``num_samples``/``burn_in``/``strategy``
-    set the Algorithm 3 Gibbs workload, ``seed`` fixes the samplers, and
-    ``engine`` picks the compiled or naive inference path.  ``executor``
-    and ``workers`` select the derivation runtime (:mod:`repro.exec`):
-    serial in-process or process-pool shard execution — results are
-    bit-identical for either and for any worker count.
+    configure Algorithm 2 voting, ``num_samples``/``burn_in`` set the
+    Algorithm 3 Gibbs workload, ``seed`` fixes the samplers, and
+    ``engine`` picks the compiled or naive Algorithm 2 kernel for
+    single-missing tuples.  ``executor`` and ``workers`` select the
+    derivation runtime (:mod:`repro.exec`): serial in-process or
+    process-pool shard execution — results are bit-identical for either
+    and for any worker count.
 
-    ``gibbs_vectorized`` (default on) serves multi-missing shards with the
-    vectorized lock-step ensemble kernel
-    (:class:`~repro.core.gibbs.GibbsEnsemble`); turning it off restores
-    the scalar tuple-DAG sampler as a correctness oracle (same admissible
-    posterior, different — equally valid — seeded sample sets).
-    ``gibbs_chains`` runs that many independent chains per multi-missing
-    tuple in the ensemble and pools their draws into the same
-    ``num_samples`` budget — more starting points, better mixing, at
-    effectively the same wall-clock.
+    Multi-missing tuples always run the lock-step ensemble kernel
+    (:class:`~repro.core.gibbs.GibbsEnsemble`) on the compiled engine,
+    whatever ``engine`` says.  ``gibbs_chains`` runs that many independent
+    chains per multi-missing tuple in the ensemble and pools their draws
+    into the same ``num_samples`` budget — more starting points, better
+    mixing, at effectively the same wall-clock.
 
     ``trust`` and ``update_policy`` govern base-table updates
     (``Session.apply_updates`` / ``repro update``): ``trust`` is the
@@ -152,16 +155,16 @@ class DeriveConfig:
         100, "--burn-in", type=int,
         help="Gibbs burn-in sweeps (default %(default)s)",
     )
-    strategy: str = "tuple_dag"
     seed: int | None = _knob(
         None, "--seed", type=int,
         help="sampler seed (default: fresh entropy)",
     )
     engine: str = _knob(
         DEFAULT_ENGINE, "--engine", choices=ENGINES,
-        help="inference engine: 'compiled' batches voting by evidence "
-        "signature; 'naive' is the scalar reference path "
-        "(default: %(default)s)",
+        help="Algorithm 2 kernel for single-missing tuples: 'compiled' "
+        "batches voting by evidence signature; 'naive' is the scalar "
+        "reference path; multi-missing tuples always run the compiled "
+        "Gibbs ensemble (default: %(default)s)",
     )
     executor: str = _knob(
         DEFAULT_EXECUTOR, "--executor", choices=EXECUTORS,
@@ -177,16 +180,7 @@ class DeriveConfig:
     gibbs_chains: int = _knob(
         1, "--gibbs-chains", type=int,
         help="independent Gibbs chains pooled per multi-missing tuple in "
-        "the vectorized ensemble kernel (default %(default)s)",
-    )
-    gibbs_vectorized: bool = _knob(
-        True, "--gibbs-vectorized", choices=("on", "off"),
-        parse=lambda value: value == "on",
-        show=lambda value: "on" if value else "off",
-        help="multi-missing Gibbs kernel: 'on' runs all chains of a shard's "
-        "tuples in lock step on the compiled engine; 'off' is the scalar "
-        "tuple-DAG oracle (same posterior, different equally-valid seeded "
-        "samples; default: %(default)s)",
+        "the ensemble kernel (default %(default)s)",
     )
     trust: tuple[str, ...] = _knob(
         (), "--trust", commands=("update",),
@@ -229,13 +223,6 @@ class DeriveConfig:
         set_(self, "executor", validate_executor(self.executor))
         set_(self, "workers", validate_workers(self.workers))
         set_(self, "gibbs_chains", int(self.gibbs_chains))
-        if not isinstance(self.gibbs_vectorized, bool):
-            # bool("off") is True — reject string spellings outright
-            # rather than silently running the wrong kernel.
-            raise ValueError(
-                f"gibbs_vectorized must be a boolean, "
-                f"got {self.gibbs_vectorized!r}"
-            )
         if self.seed is not None:
             set_(self, "seed", int(self.seed))
         if not 0.0 <= self.support_threshold <= 1.0:
@@ -251,10 +238,6 @@ class DeriveConfig:
             raise ValueError("burn_in must be non-negative")
         if self.gibbs_chains < 1:
             raise ValueError("gibbs_chains must be positive")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
         if isinstance(self.trust, str):
             raise ValueError(
                 "trust must be a sequence of source ids, not a bare string"
@@ -295,13 +278,7 @@ class DeriveConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DeriveConfig":
         """Rebuild a config from :meth:`to_dict` output (or any subset)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown config keys {sorted(unknown)}; "
-                f"valid keys are {sorted(known)}"
-            )
+        check_config_keys(data)
         return cls(**dict(data))
 
     def replacing(self, **changes: Any) -> "DeriveConfig":
@@ -310,6 +287,20 @@ class DeriveConfig:
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(DeriveConfig))
+
+
+def check_config_keys(keys: Iterable[str]) -> None:
+    """Refuse any key that is not a :class:`DeriveConfig` field.
+
+    A knob that no longer exists fails here too, so an old config is
+    refused rather than silently run under other knobs.
+    """
+    unknown = set(keys) - _FIELD_NAMES
+    if unknown:
+        raise ValueError(
+            f"unknown config keys {sorted(unknown)}; "
+            f"valid keys are {sorted(_FIELD_NAMES)}"
+        )
 
 
 def resolve_config(

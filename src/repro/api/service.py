@@ -92,19 +92,27 @@ def _optional_bool(payload: Mapping[str, Any], key: str, default: bool) -> bool:
     raise ServiceError(f"{key!r} must be a JSON boolean, got {value!r}")
 
 
-def _reject_top_level_knobs(payload: Mapping[str, Any]) -> None:
+def _reject_top_level_knobs(payload: Mapping[str, Any], request_cls: type) -> None:
     """Knobs travel only inside ``config``; refuse them at the top level.
 
     Ignoring one would silently change what runs (the Gibbs knobs change
-    outputs).  Nulls are accepted: requests journaled back when a few
-    knobs also had top-level fields store them as ``null``.
+    outputs), so any other non-null field ``request_cls`` does not define
+    is refused too — a knob that no longer exists among them.  Nulls are
+    accepted: requests journaled back when a few knobs also had top-level
+    fields store them as ``null``.
     """
-    for key in _CONFIG_KEYS:
-        if payload.get(key) is not None:
+    allowed = {f.name for f in fields(request_cls)}
+    for key, value in payload.items():
+        if value is None or key in allowed:
+            continue
+        if key in _CONFIG_KEYS:
             raise ServiceError(
                 f"top-level {key!r} is not accepted; move it into 'config' "
                 f"(e.g. {{\"config\": {{\"{key}\": ...}}}})"
             )
+        raise ServiceError(
+            f"unknown request field {key!r}; valid fields are {sorted(allowed)}"
+        )
 
 
 def _blocks_payload(db: Any) -> tuple[dict[str, Any], ...]:
@@ -211,7 +219,7 @@ class DeriveRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DeriveRequest":
-        _reject_top_level_knobs(payload)
+        _reject_top_level_knobs(payload, cls)
         schema = payload.get("schema")
         return cls(
             rows=_rows(_require(payload, "rows")),
@@ -308,7 +316,7 @@ class UpdateRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "UpdateRequest":
-        _reject_top_level_knobs(payload)
+        _reject_top_level_knobs(payload, cls)
         return cls(
             changes=dict(_require(payload, "changes")),
             name=payload.get("name", DEFAULT_NAME),

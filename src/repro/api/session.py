@@ -38,7 +38,7 @@ from ..probdb.engine import QueryEngine, ResultTuple
 from ..relational.relation import ApplyOutcome, Relation
 from ..relational.tuples import RelTuple
 from ..relational.updates import ChangeSet
-from .config import DeriveConfig, resolve_config
+from .config import DeriveConfig, check_config_keys, resolve_config
 from .query import Predicate, QuerySpec, SelectionQuery, query_from_dict
 
 __all__ = ["DEFAULT_NAME", "Session", "SessionError", "UpdateResult"]
@@ -104,6 +104,7 @@ class Session:
             return self.config
         if isinstance(config, DeriveConfig):
             return config
+        check_config_keys(config)
         return resolve_config(self.config, **dict(config))
 
     # -- model registry ----------------------------------------------------

@@ -23,21 +23,19 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..exec.base import ExecReport, ShardPlan, ShardResult
-from ..exec.executors import Executor
-from ..exec.runtime import execute_delta, execute_derivation, multi_batch_for
+from ..exec.runtime import execute_delta, execute_derivation
 from ..probdb.blocks import TupleBlock
 from ..probdb.database import ProbabilisticDatabase
 from ..probdb.invalidate import CarryStore
 from ..relational.relation import Relation
 from .engine import BatchInferenceEngine
-from .inference import VoterChoice, VotingScheme
 from .learning import LearnResult, learn_mrsl
 from .mrsl import MRSLModel
 from .tuple_dag import SamplingStats
 
 # Imported last: repro.api.config reads its defaults from core leaf modules
-# (engine, itemsets, inference, tuple_dag) and repro.exec.base, all fully
-# initialized by now.
+# (engine, itemsets, inference) and repro.exec.base, all fully initialized
+# by now.
 from ..api.config import DeriveConfig, resolve_config
 
 __all__ = [
@@ -71,41 +69,22 @@ class DeriveResult:
 def single_missing_blocks(
     tuples,
     model: MRSLModel,
-    v_choice: VoterChoice | str | None = None,
-    v_scheme: VotingScheme | str | None = None,
+    *,
     engine: str | None = None,
     batch_engine: BatchInferenceEngine | None = None,
-    config: DeriveConfig | None = None,
-    executor: Executor | str | None = None,
-    workers: int | None = None,
+    config: DeriveConfig | Mapping[str, Any] | None = None,
 ) -> list[TupleBlock]:
     """Blocks for a batch of single-missing tuples under the chosen engine.
 
     The batch is planned into evidence-signature shards and run by the
-    configured executor (serial in-process by default; ``executor`` /
-    ``workers`` route it to a process pool, and ``executor`` also accepts
-    a pre-built :class:`~repro.exec.executors.Executor`).  Within each
+    executor ``config`` names (serial in-process by default).  Within each
     shard the compiled path serves all signature groups with one batched
     match + combine per attribute; the naive path loops tuple-at-a-time and
-    is kept as the correctness oracle.  Voting and engine knobs default to
-    ``config`` (itself defaulting to :class:`~repro.api.config.DeriveConfig`);
-    explicit arguments win.
+    is kept as the correctness oracle.  Every knob comes from ``config``
+    (itself defaulting to :class:`~repro.api.config.DeriveConfig`);
+    ``engine``, when given, overrides ``config.engine``.
     """
-    prebuilt = executor if isinstance(executor, Executor) else None
-    if prebuilt is not None and workers is not None:
-        raise ValueError(
-            "workers cannot be combined with a pre-built Executor instance "
-            f"(it already runs {prebuilt.workers} workers); pass the "
-            "executor by name instead"
-        )
-    cfg = resolve_config(
-        config,
-        v_choice=v_choice,
-        v_scheme=v_scheme,
-        engine=engine,
-        workers=workers,
-        executor=None if prebuilt is not None else executor,
-    )
+    cfg = resolve_config(config, engine=engine)
     tuples = list(tuples)
     for t in tuples:
         if t.num_missing != 1:
@@ -113,9 +92,7 @@ def single_missing_blocks(
                 f"expected exactly one missing attribute, tuple has "
                 f"{t.num_missing}"
             )
-    outcome = execute_derivation(
-        tuples, model, cfg, batch_engine=batch_engine, executor=prebuilt
-    )
+    outcome = execute_derivation(tuples, model, cfg, batch_engine=batch_engine)
     return outcome.blocks
 
 
@@ -144,9 +121,10 @@ def derive_probabilistic_database(
         fields; ``None`` for the defaults) carrying every knob: Algorithm 1
         mining (``support_threshold``, ``max_itemsets``), Algorithm 2
         voting (``v_choice``, ``v_scheme``, ``engine``), Algorithm 3 Gibbs
-        (``num_samples``, ``burn_in``, ``strategy`` and the ensemble
-        kernel's knobs), the shard runtime (``executor``, ``workers``,
-        the failure knobs) and the update mode (``update_policy``).
+        (``num_samples``, ``burn_in``, ``gibbs_chains``; multi-missing
+        tuples always run the ensemble kernel), the shard runtime
+        (``executor``, ``workers``, the failure knobs) and the update mode
+        (``update_policy``).
         Results are bit-identical whichever runtime executes the shards.
     rng:
         Seed or generator the per-segment Gibbs seeds derive from; defaults to
@@ -221,11 +199,7 @@ def derive_probabilistic_database(
         raise ValueError("resume_carry cannot be combined with previous")
     carry: CarryStore | None = resume_carry
     if previous is not None and cfg.update_policy == "delta":
-        carry = CarryStore.from_database(
-            previous.database,
-            previous.base_seed,
-            multi_batch=multi_batch_for(cfg),
-        )
+        carry = CarryStore.from_database(previous.database, previous.base_seed)
     hooks = dict(
         rng=rng,
         batch_engine=batch_engine,

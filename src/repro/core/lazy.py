@@ -12,14 +12,14 @@ predicate, the block is not materialized.
 
 Materialization runs through the shard runtime (:mod:`repro.exec`):
 :meth:`LazyDeriver.prefetch` drops already-cached tuples, plans the rest
-into signature / subsumption-component shards, and caches blocks as each
+into signature-group and Gibbs-segment shards, and caches blocks as each
 shard's result streams back — so a prefetch can use process workers
 (``config.executor`` / ``config.workers``) exactly like the eager
 pipeline, and partial results land in the cache even mid-run.  Multi-
-missing prefetches inherit the vectorized ensemble kernel too: the shards
-carry batched tuple groups whose chains advance in lock step (the
-config's Gibbs knobs), so a cold prefetch over many multi-missing tuples
-costs batched matrix ops rather than per-tuple Python loops.
+missing prefetches run the ensemble kernel too: the shards carry batched
+tuple groups whose chains advance in lock step (the config's Gibbs
+knobs), so a cold prefetch over many multi-missing tuples costs batched
+matrix ops rather than per-tuple Python loops.
 """
 
 from __future__ import annotations
@@ -87,10 +87,8 @@ class LazyDeriver:
         # does not depend on *when* (or with how many workers) it was
         # materialized — only on which tuples shared its prefetch.
         self._base_seed = resolve_base_seed(rng, cfg.seed)
-        self._batch_engine = (
-            BatchInferenceEngine(self.model, cfg.v_choice, cfg.v_scheme)
-            if cfg.engine == "compiled"
-            else None
+        self._batch_engine = BatchInferenceEngine(
+            self.model, cfg.v_choice, cfg.v_scheme
         )
         self._cache: dict[RelTuple, TupleBlock] = {}
         #: number of blocks actually derived (the partial-materialization metric)
@@ -156,10 +154,10 @@ class LazyDeriver:
 
         Tuples already cached (and duplicates within the batch) are dropped
         *before* planning, so a warm prefetch costs nothing.  The rest are
-        planned into shards — multi-missing tuples share Gibbs work through
-        the tuple-DAG optimization within their subsumption component,
-        single-missing tuples are served as signature-grouped batches by
-        the compiled engine — and executed by the configured runtime,
+        planned into shards — multi-missing tuples run their own chains in
+        one lock-step Gibbs ensemble per shard (no samples are shared across
+        tuples), single-missing tuples are served as signature-grouped
+        batches by the configured engine — and executed by the runtime,
         caching each shard's blocks as it completes.  Each requested tuple
         counts once toward :meth:`cache_info`: cached ones as hits, distinct
         pending ones as misses.

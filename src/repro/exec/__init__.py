@@ -71,7 +71,6 @@ from .runtime import (
     ExecOutcome,
     execute_delta,
     execute_derivation,
-    multi_batch_for,
     stream_derivation,
 )
 from .work import ShardKnobs, multi_shard_blocks, run_shard, single_shard_blocks
@@ -122,5 +121,4 @@ __all__ = [
     "stream_derivation",
     "execute_derivation",
     "execute_delta",
-    "multi_batch_for",
 ]

@@ -117,9 +117,13 @@ class ExecContext:
     degradations: list[str] = field(default_factory=list)
     pool_restarts: int = 0
 
-    def warm_engine(self) -> BatchInferenceEngine | None:
-        """The in-process engine for serial execution (built on first use)."""
-        if self.batch_engine is None and self.knobs.engine == "compiled":
+    def warm_engine(self) -> BatchInferenceEngine:
+        """The in-process engine for serial execution (built on first use).
+
+        Multi shards always run on it; single shards only under the
+        compiled engine.
+        """
+        if self.batch_engine is None:
             self.batch_engine = BatchInferenceEngine(
                 self.model, self.knobs.v_choice, self.knobs.v_scheme
             )

@@ -22,10 +22,10 @@ clean and, because shard seeds are content-keyed, produces a result
 bit-identical to a fault-free run.
 
 Injection routes: pass a plan to the runtime entry points
-(``execute_derivation(..., faults=...)``), put one on a config object
-(``config.fault_plan``), or set the ``REPRO_FAULT_PLAN`` environment
-variable to the JSON form (or ``@/path/to/plan.json``) — the env route is
-how the CLI and a served process are chaos-tested from the outside.
+(``execute_derivation(..., faults=...)``), or set the ``REPRO_FAULT_PLAN``
+environment variable to the JSON form (or ``@/path/to/plan.json``) — the
+env route is how the CLI and a served process are chaos-tested from the
+outside.  No :class:`~repro.api.config.DeriveConfig` carries a fault plan.
 """
 
 from __future__ import annotations
@@ -168,17 +168,14 @@ class FaultPlan:
 
 
 def resolve_fault_plan(
-    faults: "FaultPlan | Mapping[str, Any] | None", config: Any
+    faults: "FaultPlan | Mapping[str, Any] | None",
 ) -> "FaultPlan | None":
     """The fault plan a runtime call should honor.
 
-    Resolution order: the explicit ``faults`` argument, then a
-    ``fault_plan`` attribute on the config object, then the environment.
+    Resolution order: the explicit ``faults`` argument, then the
+    environment.
     """
     plan = FaultPlan.coerce(faults)
-    if plan is not None:
-        return plan
-    plan = FaultPlan.coerce(getattr(config, "fault_plan", None))
     if plan is not None:
         return plan
     return FaultPlan.from_env()

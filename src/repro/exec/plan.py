@@ -14,27 +14,23 @@ Two partitioning rules, one per inference regime:
 
 * **Multi-missing tuples** (Algorithm 3) are laid out in two levels.
 
-  *Segments* are the seed unit.  Tuples are partitioned into connected
-  components of the subsumption graph — exactly the units within which
-  the tuple-DAG optimization shares Gibbs samples.  Under the scalar
-  kernel each component is one segment.  When the vectorized Gibbs kernel
-  serves the workload (``multi_batch``), components become pure grouping
-  hints re-batched to ``multi_batch`` distinct tuples per segment: small
-  components pack together and oversized ones split (the ensemble shares
-  nothing across tuples).  Each segment gets an RNG seed derived from the
-  base seed and its content key.  Segment layout, keys and seeds depend
-  only on the workload, ``multi_batch`` and the base seed — never on the
-  worker count — and segments are also the unit of carry-over, journaling
-  and delta invalidation.
+  *Segments* are the seed unit.  Tuples are ordered by connected
+  component of the subsumption graph, then by first occurrence, and their
+  distinct rows are cut into consecutive runs of
+  :data:`MULTI_TUPLES_PER_SHARD`: small components pack together and
+  oversized ones split (the ensemble kernel shares nothing across tuples,
+  so components are pure grouping hints).  Each segment gets an RNG seed
+  derived from the base seed and its content key.  Segment layout, keys
+  and seeds depend only on the workload, the constant and the base seed —
+  never on the worker count — and segments are also the unit of
+  carry-over, journaling and delta invalidation.
 
-  *Shards* are the execution unit.  Under the vectorized kernel,
-  consecutive segments are grouped into at most ``min(workers,
-  #segments)`` fused shards balanced by distinct tuples (and capped at
-  :data:`MULTI_TUPLES_PER_ENSEMBLE` distinct tuples), each run as one
-  lock-step ensemble in which every segment still consumes its own seeded
-  generator exactly as if it ran alone.  So the grouping may follow the
-  worker count, but results never do.  The scalar kernel runs one segment
-  per shard.
+  *Shards* are the execution unit.  Consecutive segments are grouped into
+  at most ``min(workers, #segments)`` fused shards balanced by distinct
+  tuples (and capped at :data:`MULTI_TUPLES_PER_ENSEMBLE` distinct
+  tuples), each run as one lock-step ensemble in which every segment still
+  consumes its own seeded generator exactly as if it ran alone.  So the
+  grouping may follow the worker count, but results never do.
 """
 
 from __future__ import annotations
@@ -69,10 +65,9 @@ __all__ = [
 #: unevenly sized signature groups without shrinking groups themselves.
 SINGLE_SHARDS_PER_WORKER = 2
 
-#: Distinct tuples per multi segment when the vectorized Gibbs kernel runs
-#: the workload (the ``multi_batch`` the runtime passes): the seed unit.
-#: Deliberately *not* worker-dependent so segment seeds never change with
-#: the executor or pool size.
+#: Distinct tuples per multi segment: the seed unit.  Read at call time (so
+#: tests may patch it), and deliberately *not* worker-dependent so segment
+#: seeds never change with the executor or pool size.
 MULTI_TUPLES_PER_SHARD = 128
 
 #: Distinct tuples one fused multi shard may hold.  A fused ensemble's
@@ -251,7 +246,6 @@ def _component_roots(codes: np.ndarray) -> np.ndarray:
 
 def multi_shard_layout(
     entries: Sequence[tuple[int, RelTuple]],
-    multi_batch: int | None = None,
 ) -> list[tuple[Segment, list[tuple[int, RelTuple]]]]:
     """The deterministic multi-missing segment layout.
 
@@ -264,30 +258,22 @@ def multi_shard_layout(
     relative order matters, so any consistent indexing recovers identical
     keys.  Returns ``(segment, entries)`` pairs; segments carry no seed.
 
-    Tuples are partitioned into connected components of the subsumption
-    graph (duplicates join their first occurrence), ordered by their
-    first-occurring tuple.  ``None`` (the scalar kernel) keeps one segment
-    per component, the unit the tuple-DAG's sample sharing requires.  For
-    the vectorized kernel components carry no sharing, so they are pure
-    grouping hints: their distinct tuples, in component order then
+    Tuples are grouped by connected component of the subsumption graph
+    (duplicates join their first occurrence), components ordered by their
+    first-occurring tuple.  Their distinct tuples, in component order then
     first-occurrence order, are cut into consecutive runs of
-    ``multi_batch`` — small components pack together and a larger one
-    splits.  Duplicate entries of one tuple always land in one segment
-    (they share one block).  The layout depends only on the workload and
-    ``multi_batch``, never on the worker count.
+    :data:`MULTI_TUPLES_PER_SHARD` — small components pack together and a
+    larger one splits.  Duplicate entries of one tuple always land in one
+    segment (they share one block).  The layout depends only on the
+    workload and that constant, never on the worker count.
     """
-    if multi_batch is not None and multi_batch < 1:
-        raise ValueError("multi_batch must be positive (or None)")
     if not entries:
         return []
     codes, node = _distinct_codes(entries)
     roots = _component_roots(codes)
-    if multi_batch is None:
-        segment_of = np.unique(roots, return_inverse=True)[1].reshape(-1)
-    else:
-        sequence = np.lexsort((np.arange(roots.size), roots))
-        segment_of = np.empty_like(sequence)
-        segment_of[sequence] = np.arange(sequence.size) // multi_batch
+    sequence = np.lexsort((np.arange(roots.size), roots))
+    segment_of = np.empty_like(sequence)
+    segment_of[sequence] = np.arange(sequence.size) // MULTI_TUPLES_PER_SHARD
     of_entry = segment_of[node]
     order = np.argsort(of_entry, kind="stable")
     cuts = np.flatnonzero(np.diff(of_entry[order])) + 1
@@ -339,20 +325,14 @@ def build_multi_shards(
     layout: Sequence[tuple[Segment, Sequence[tuple[int, RelTuple]]]],
     base_seed: int,
     workers: int,
-    fuse: bool,
 ) -> list[Shard]:
-    """Seed a segment layout and group it into multi shards.
+    """Seed a segment layout and fuse it into multi shards.
 
-    ``fuse`` (the vectorized kernel) groups consecutive segments into
-    fused shards (:func:`_fused_runs`); otherwise every segment is its own
-    shard.  A shard's key is its first segment's key, suffixed with the
-    number of segments fused after it.
+    Consecutive segments are grouped by :func:`_fused_runs`.  A shard's key
+    is its first segment's key, suffixed with the number of segments fused
+    after it.
     """
-    runs = (
-        _fused_runs([segment.distinct for segment, _ in layout], workers)
-        if fuse
-        else [1] * len(layout)
-    )
+    runs = _fused_runs([segment.distinct for segment, _ in layout], workers)
     shards = []
     start = 0
     for run in runs:
@@ -386,21 +366,17 @@ def plan_shards(
     seed: int | None = None,
     rng: np.random.Generator | int | None = None,
     compiled: CompiledModel | None = None,
-    multi_batch: int | None = None,
 ) -> ShardPlan:
     """Partition ``tuples`` (mixed single- and multi-missing) into shards.
 
-    The returned plan is deterministic given the workload, the model,
-    ``workers``, and ``multi_batch``.  Its multi *segments* (keys and
-    seeds) never depend on ``workers``; only how they group into shards
-    does.  ``multi_batch`` cuts subsumption components into segments of up
-    to that many distinct tuples for the vectorized Gibbs kernel and fuses
-    consecutive segments into at most ``min(workers, #segments)`` shards
-    (see :func:`build_multi_shards`); ``None`` — the scalar kernel — keeps
-    one component per segment and one segment per shard.  The base seed is
-    resolved (see :func:`resolve_base_seed`) only when the workload
-    actually contains multi-missing tuples, so RNG-free workloads never
-    consume entropy or disturb a caller's generator.
+    The returned plan is deterministic given the workload, the model and
+    ``workers``.  Its multi *segments* (keys and seeds, see
+    :func:`multi_shard_layout`) never depend on ``workers``; only how they
+    fuse into at most ``min(workers, #segments)`` shards does (see
+    :func:`build_multi_shards`).  The base seed is resolved (see
+    :func:`resolve_base_seed`) only when the workload actually contains
+    multi-missing tuples, so RNG-free workloads never consume entropy or
+    disturb a caller's generator.
     """
     workers = validate_workers(workers)
     single: list[tuple[int, RelTuple]] = []
@@ -420,12 +396,7 @@ def plan_shards(
     if multi:
         base_seed = resolve_base_seed(rng, seed)
         shards.extend(
-            build_multi_shards(
-                multi_shard_layout(multi, multi_batch),
-                base_seed,
-                workers,
-                fuse=multi_batch is not None,
-            )
+            build_multi_shards(multi_shard_layout(multi), base_seed, workers)
         )
     return ShardPlan(
         shards=tuple(shards), num_tuples=len(tuples), base_seed=base_seed

@@ -30,7 +30,6 @@ from .base import (
 )
 from .executors import ExecContext, Executor, get_executor
 from .faults import FaultPlan, resolve_fault_plan
-from . import plan as _plan_module
 from .plan import (
     build_multi_shards,
     build_single_shards,
@@ -51,7 +50,6 @@ __all__ = [
     "stream_derivation",
     "execute_derivation",
     "execute_delta",
-    "multi_batch_for",
 ]
 
 
@@ -68,19 +66,7 @@ def _context(
         batch_engine=batch_engine,
         retry=RetryPolicy.from_config(config),
         failure_policy=config.failure_policy,
-        faults=resolve_fault_plan(faults, config),
-    )
-
-
-def multi_batch_for(config: Any) -> int | None:
-    """The ``multi_batch`` the runtime would pass the planner for ``config``.
-
-    Delta derivation must replay the previous run's layout with the same
-    batching to recover its segment keys, so this mapping is public.
-    """
-    knobs = ShardKnobs.from_config(config)
-    return (
-        _plan_module.MULTI_TUPLES_PER_SHARD if knobs.vectorized_gibbs else None
+        faults=resolve_fault_plan(faults),
     )
 
 
@@ -133,12 +119,11 @@ def _plan(
     Serial execution warms the context's engine up front so the planner's
     signature computation and the kernels share one compiled model; other
     executors build it once on the context, where the process executor's
-    rebuild check finds it again.  When the vectorized Gibbs kernel will
-    serve the multi shards, subsumption components are cut into seeded segments
-    (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`) that never depend on
-    the worker count, and consecutive segments fuse into at most one shard
-    per worker — so results stay identical across executors and pool
-    sizes.
+    rebuild check finds it again.  Multi tuples are cut into seeded
+    segments (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`) that never
+    depend on the worker count, and consecutive segments fuse into at most
+    one shard per worker — so results stay identical across executors and
+    pool sizes.
     """
     if chosen.name == "serial":
         context.warm_engine()
@@ -149,7 +134,6 @@ def _plan(
         seed=config.seed,
         rng=rng,
         compiled=context.compiled_model(),
-        multi_batch=multi_batch_for(config),
     )
 
 
@@ -299,8 +283,7 @@ def execute_delta(
         config.executor if executor is None else executor, config.workers
     )
     context = _context(model, config, batch_engine, faults)
-    multi_batch = multi_batch_for(config)
-    split = carry.split(tuples, multi_batch)
+    split = carry.split(tuples)
 
     compiled = None
     if split.dirty_single or split.carried_single:
@@ -324,12 +307,7 @@ def execute_delta(
         # Dirty segments keep their from-scratch keys and seeds; only their
         # grouping into fused shards follows this run's worker count.
         shards.extend(
-            build_multi_shards(
-                split.dirty_multi,
-                base_seed,
-                chosen.workers,
-                fuse=multi_batch is not None,
-            )
+            build_multi_shards(split.dirty_multi, base_seed, chosen.workers)
         )
 
     # Account carried work: carried singles are packed exactly like dirty

@@ -12,20 +12,18 @@ Two kernels, one per shard kind:
   block per tuple, with one outcome-space check per attribute.
 
 * :func:`multi_shard_blocks` — Algorithm 3 Gibbs over one multi shard's
-  segments, each seeded with its deterministic segment seed.  Under the
-  default knobs (compiled engine, ``tuple_dag`` strategy,
-  ``gibbs_vectorized`` on) all segments run as one fused vectorized
-  :func:`~repro.core.tuple_dag.ensemble_sampling` ensemble — all chains of
-  all tuples in lock step; otherwise the scalar
-  :func:`~repro.core.tuple_dag.workload_sampling` oracle serves each
-  segment exactly as before.
+  segments, each seeded with its deterministic segment seed.  All segments
+  run as one fused lock-step
+  :func:`~repro.core.tuple_dag.ensemble_sampling` ensemble on the compiled
+  engine — all chains of all tuples in lock step — whichever engine the
+  single kernel uses.
 
 The ``_process_*`` functions are the :class:`ProcessExecutor` worker
 protocol: the initializer receives the persisted model JSON (never a
 pickled live engine), rebuilds the model, validates it against the parent's
 compiled-engine metadata, and keeps one warm
 :class:`~repro.core.engine.BatchInferenceEngine` per worker process for the
-life of the pool.
+life of the pool (every multi shard runs on it).
 
 Shards cross the process boundary in columnar form.  A :class:`ShardTask`
 carries the shard's key, kind, segments and one int32 code matrix — no
@@ -51,7 +49,7 @@ import numpy as np
 from ..core.engine import BatchInferenceEngine
 from ..core.inference import VoterChoice, VotingScheme, infer_single
 from ..core.mrsl import MRSLModel
-from ..core.tuple_dag import SamplingStats, ensemble_sampling, workload_sampling
+from ..core.tuple_dag import SamplingStats, ensemble_sampling
 from ..probdb.blocks import TupleBlock
 from ..probdb.distribution import Distribution, normalize_rows
 from ..relational.tuples import RelTuple, trusted_rows
@@ -80,9 +78,7 @@ class ShardKnobs:
     engine: str
     num_samples: int
     burn_in: int
-    strategy: str
     gibbs_chains: int = 1
-    gibbs_vectorized: bool = True
 
     @classmethod
     def from_config(cls, cfg: Any) -> "ShardKnobs":
@@ -93,24 +89,7 @@ class ShardKnobs:
             engine=cfg.engine,
             num_samples=cfg.num_samples,
             burn_in=cfg.burn_in,
-            strategy=cfg.strategy,
             gibbs_chains=cfg.gibbs_chains,
-            gibbs_vectorized=cfg.gibbs_vectorized,
-        )
-
-    @property
-    def vectorized_gibbs(self) -> bool:
-        """Whether multi shards run the vectorized ensemble kernel.
-
-        Requires the compiled engine (the naive engine is the scalar
-        oracle) and the default ``tuple_dag`` strategy — the explicit
-        ablation strategies (``tuple_at_a_time``, ``all_at_a_time``) keep
-        their faithful scalar implementations.
-        """
-        return (
-            self.gibbs_vectorized
-            and self.engine == "compiled"
-            and self.strategy == "tuple_dag"
         )
 
 
@@ -174,44 +153,23 @@ def multi_shard_blocks(
     """Algorithm 3 over one multi shard: its ``(tuples, seed)`` segments.
 
     Returns ``(blocks, stats)`` exactly as
-    :func:`~repro.core.tuple_dag.workload_sampling` does, blocks in segment
+    :func:`~repro.core.tuple_dag.ensemble_sampling` does, blocks in segment
     order.  Each segment draws from its own generator seeded with its
     seed, which is what makes the result independent of which worker (or
-    how many workers) ran it, and of which segments share its shard.  Under
-    the vectorized knobs all segments run as one fused lock-step
-    :func:`~repro.core.tuple_dag.ensemble_sampling` ensemble, reusing the
-    worker's warm ``batch_engine``; otherwise the scalar oracle runs each
-    segment in turn (and builds its own engine, exactly as before the
-    vectorized kernel).
+    how many workers) ran it, and of which segments share its shard.  All
+    segments run as one fused lock-step ensemble, reusing the caller's
+    warm ``batch_engine`` when given.
     """
-    if knobs.vectorized_gibbs:
-        return ensemble_sampling(
-            model,
-            [(tuples, np.random.default_rng(seed)) for tuples, seed in segments],
-            num_samples=knobs.num_samples,
-            burn_in=knobs.burn_in,
-            chains=knobs.gibbs_chains,
-            v_choice=knobs.v_choice,
-            v_scheme=knobs.v_scheme,
-            batch_engine=batch_engine,
-        )
-    blocks: list[TupleBlock] = []
-    stats = SamplingStats()
-    for tuples, seed in segments:
-        segment_blocks, segment_stats = workload_sampling(
-            model,
-            list(tuples),
-            num_samples=knobs.num_samples,
-            burn_in=knobs.burn_in,
-            strategy=knobs.strategy,
-            v_choice=knobs.v_choice,
-            v_scheme=knobs.v_scheme,
-            rng=np.random.default_rng(seed),
-            engine=knobs.engine,
-        )
-        blocks.extend(segment_blocks)
-        stats.merge(segment_stats)
-    return blocks, stats
+    return ensemble_sampling(
+        model,
+        [(tuples, np.random.default_rng(seed)) for tuples, seed in segments],
+        num_samples=knobs.num_samples,
+        burn_in=knobs.burn_in,
+        chains=knobs.gibbs_chains,
+        v_choice=knobs.v_choice,
+        v_scheme=knobs.v_scheme,
+        batch_engine=batch_engine,
+    )
 
 
 def run_shard(
@@ -388,19 +346,11 @@ def _process_worker_init(
     from ..core.persistence import model_from_dict, verify_compiled_metadata
 
     model = model_from_dict(dict(model_doc))
-    engine = (
-        BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
-        if knobs.engine == "compiled"
-        else None
-    )
+    engine = BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
     if expected_metadata is not None:
         # Validate (and warm) the engine's own compiled structures rather
         # than compiling a throwaway second copy.
-        verify_compiled_metadata(
-            model,
-            expected_metadata,
-            compiled=None if engine is None else engine.compiled,
-        )
+        verify_compiled_metadata(model, expected_metadata, compiled=engine.compiled)
     _WORKER_STATE = {"model": model, "engine": engine, "knobs": knobs}
 
 

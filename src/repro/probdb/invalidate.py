@@ -18,8 +18,7 @@ updated table under the same base seed, for every executor.
 
 Granularity follows the planner: a cell update to a single-missing tuple
 dirties exactly that tuple; an update to a multi-missing tuple dirties the
-segment holding its subsumption component (not the whole fused shard the
-segment ran in).  Inserting or retracting multi-missing tuples can shift
+segment holding it (not the whole fused shard the segment ran in).  Inserting or retracting multi-missing tuples can shift
 the segment cuts and cascade re-keying to later segments — correct, but
 worth knowing when sizing ChangeSets (see ``docs/updates.md``).
 """
@@ -97,15 +96,14 @@ class CarryStore:
         cls,
         database: "ProbabilisticDatabase",
         base_seed: int | None,
-        multi_batch: int | None = None,
     ) -> "CarryStore":
         """Rebuild the store from a derived database.
 
         The previous multi workload is recovered from the database's blocks
         (derivation emits blocks in workload order, so the multi bases appear
         in their original relative order) and replayed through the planner's
-        :func:`~repro.exec.plan.multi_shard_layout` with the same
-        ``multi_batch`` to recover the segment content keys.
+        :func:`~repro.exec.plan.multi_shard_layout` to recover the segment
+        content keys.
         """
         from ..exec.plan import multi_shard_layout
 
@@ -119,7 +117,7 @@ class CarryStore:
         multi: dict[str, dict[RelTuple, TupleBlock]] = {}
         if multi_blocks:
             entries = [(i, b.base) for i, b in enumerate(multi_blocks)]
-            for segment, batch in multi_shard_layout(entries, multi_batch):
+            for segment, batch in multi_shard_layout(entries):
                 multi[segment.key] = {
                     multi_blocks[i].base: multi_blocks[i] for i, _ in batch
                 }
@@ -152,11 +150,7 @@ class CarryStore:
                 multi[key] = {block.base: block for block in blocks}
         return cls(singles=singles, multi=multi, base_seed=base_seed)
 
-    def split(
-        self,
-        tuples: Sequence[RelTuple],
-        multi_batch: int | None = None,
-    ) -> DeltaSplit:
+    def split(self, tuples: Sequence[RelTuple]) -> DeltaSplit:
         """Split the new workload into carried blocks and dirty shards.
 
         ``tuples`` is the full new workload in canonical order (singles then
@@ -189,7 +183,7 @@ class CarryStore:
 
         dirty_multi: list[tuple[Segment, list[tuple[int, RelTuple]]]] = []
         carried_multi: list[Segment] = []
-        for segment, batch in multi_shard_layout(multi, multi_batch):
+        for segment, batch in multi_shard_layout(multi):
             blocks = self.multi.get(segment.key)
             if blocks is None:
                 dirty_multi.append((segment, batch))

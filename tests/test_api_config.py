@@ -46,7 +46,7 @@ class TestValidation:
             {"max_itemsets": 0},
             {"num_samples": 0},
             {"burn_in": -1},
-            {"strategy": "bogus"},
+            {"gibbs_chains": 0},
             {"engine": "bogus"},
             {"v_choice": "bogus"},
             {"v_scheme": "bogus"},
@@ -70,7 +70,7 @@ class TestRoundTrip:
             v_scheme="log_pool",
             num_samples=123,
             burn_in=9,
-            strategy="tuple_at_a_time",
+            gibbs_chains=3,
             seed=42,
             engine="naive",
         )
@@ -127,8 +127,6 @@ class TestCliDefaultsMatchConfig:
         "workers": "workers",
         "gibbs_chains": "gibbs_chains",
     }
-    # --gibbs-vectorized is a string choice ("on"/"off") wrapping the bool
-    # config field; its default is asserted separately below.
 
     @pytest.mark.parametrize("dest,field", sorted(SHARED_KNOBS.items()))
     def test_derive_defaults(self, dest, field):
@@ -141,11 +139,12 @@ class TestCliDefaultsMatchConfig:
         assert getattr(args, dest) == getattr(DeriveConfig(), field)
 
     @pytest.mark.parametrize("command", ["derive", "serve"])
-    def test_gibbs_vectorized_default(self, command):
+    def test_gibbs_vectorized_flag_is_gone(self, command):
+        """Multi-missing tuples have one kernel, so the kernel switch went
+        with it: the old flag is an argparse usage error."""
         argv = [command, "data.csv"] if command == "derive" else [command]
-        args = build_parser().parse_args(argv)
-        expected = "on" if DeriveConfig().gibbs_vectorized else "off"
-        assert args.gibbs_vectorized == expected
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--gibbs-vectorized", "off"])
 
 
 # -- one carrier: CLI flags generated from the config, no knob keywords ------
@@ -168,7 +167,6 @@ NON_DEFAULT = {
     "--executor": ("process", "executor", "process"),
     "--workers": ("3", "workers", 3),
     "--gibbs-chains": ("2", "gibbs_chains", 2),
-    "--gibbs-vectorized": ("off", "gibbs_vectorized", False),
     "--failure-policy": ("degrade", "failure_policy", "degrade"),
     "--shard-retries": ("0", "shard_retries", 0),
     "--shard-deadline": ("2.5", "shard_deadline", 2.5),
@@ -290,6 +288,19 @@ def test_thread_executor_is_gone():
         DeriveConfig(executor="thread")
     with pytest.raises(SystemExit):
         build_parser().parse_args(["derive", "data.csv", "--executor", "thread"])
+
+
+def test_removed_knobs_are_refused():
+    """``gibbs_vectorized`` and ``strategy`` left the config: constructing
+    with them is a TypeError, and a mapping carrying them gets
+    ``from_dict``'s unknown-keys error."""
+    assert len(dataclasses.fields(DeriveConfig)) == 16
+    assert len(NON_DEFAULT) == 16
+    for key, value in (("gibbs_vectorized", False), ("strategy", "tuple_dag")):
+        with pytest.raises(TypeError):
+            DeriveConfig(**{key: value})
+        with pytest.raises(ValueError, match=rf"unknown config keys \['{key}'\]"):
+            DeriveConfig.from_dict({key: value})
 
 
 def test_library_entry_points_take_no_knob_keywords(fig1_relation):

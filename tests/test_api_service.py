@@ -431,17 +431,41 @@ class TestStrictRequestFields:
     @pytest.mark.parametrize(
         "key,value",
         [("executor", "process"), ("workers", 2), ("gibbs_chains", 2),
-         ("gibbs_vectorized", False), ("seed", 3)],
+         ("gibbs_vectorized", False), ("strategy", "tuple_dag"), ("seed", 3)],
     )
     def test_top_level_knobs_must_move_into_config(
         self, http_server, endpoint, key, value
     ):
-        """A knob outside ``config`` is refused, never silently ignored."""
+        """A knob outside ``config`` is refused, never silently ignored.
+
+        A removed knob is an unknown request field instead: moving it into
+        ``config`` would not help.
+        """
         _, port = http_server
         payload = _derive_payload() if endpoint == "derive" else UPDATE_PAYLOAD
         status, message = _post_error(port, endpoint, {**payload, key: value})
         assert status == 400
-        assert repr(key) in message and "move it into 'config'" in message
+        if key in ("gibbs_vectorized", "strategy"):
+            assert f"unknown request field {key!r}" in message
+        else:
+            assert repr(key) in message and "move it into 'config'" in message
+
+    @pytest.mark.parametrize("endpoint", ["derive", "update"])
+    @pytest.mark.parametrize(
+        "key,value", [("gibbs_vectorized", False), ("strategy", "tuple_dag")]
+    )
+    def test_removed_knobs_in_config_are_refused(
+        self, http_server, endpoint, key, value
+    ):
+        service, port = http_server
+        before = service.session.result()
+        payload = _derive_payload() if endpoint == "derive" else UPDATE_PAYLOAD
+        status, message = _post_error(
+            port, endpoint, {**payload, "config": {key: value}}
+        )
+        assert status == 400
+        assert f"unknown config keys [{key!r}]" in message
+        assert service.session.result() is before  # nothing was applied
 
     def test_null_top_level_knobs_are_accepted(self):
         """Requests journaled before knobs moved into ``config`` carry the

@@ -124,12 +124,10 @@ class TestEquivalence:
         codes[80:90, 3] = MISSING_CODE  # double-missing blocks (Gibbs)
         codes[80:90, 4] = MISSING_CODE
         masked = Relation.from_codes(relation.schema, codes)
-        # Pin the scalar Gibbs kernel: this test compares the *engines*, and
-        # the naive engine has no vectorized path (the vectorized-vs-scalar
-        # comparison lives in tests/test_gibbs_vectorized.py).
+        # ``engine`` selects the Algorithm 2 kernel only: multi-missing
+        # blocks run the compiled Gibbs ensemble under either engine.
         config = DeriveConfig(
             support_threshold=0.01, num_samples=50, burn_in=10,
-            gibbs_vectorized=False,
         )
         naive = derive_probabilistic_database(
             masked, config=config.replacing(engine="naive"), rng=5
@@ -141,9 +139,8 @@ class TestEquivalence:
         for nb, cb in zip(naive.database.blocks, compiled.database.blocks):
             assert nb.base == cb.base
             assert nb.distribution.outcomes == cb.distribution.outcomes
-            # Conditional CPDs agree bit for bit, so the Gibbs chains visit
-            # identical states under the same seed: exact equality holds for
-            # multi-missing blocks too.
+            # Singles: the engines' CPDs agree bit for bit.  Multis: one
+            # kernel under one seed.
             assert (nb.distribution.probs == cb.distribution.probs).all()
 
     def test_gibbs_engines_identical_chains(self, census_setup):
@@ -318,11 +315,12 @@ class TestEngineSelection:
 
     def test_single_missing_blocks_engines_agree(self, census_setup):
         model, masked = census_setup
+        config = DeriveConfig(v_choice="best", v_scheme="weighted")
         naive = single_missing_blocks(
-            masked, model, "best", "weighted", engine="naive"
+            masked, model, engine="naive", config=config
         )
         compiled = single_missing_blocks(
-            masked, model, "best", "weighted", engine="compiled"
+            masked, model, engine="compiled", config=config
         )
         for nb, cb in zip(naive, compiled):
             assert nb.base == cb.base

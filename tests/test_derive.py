@@ -3,6 +3,7 @@
 import pytest
 
 from repro import DeriveConfig, derive_probabilistic_database
+from repro.core import workload_sampling
 from repro.relational import make_tuple
 
 
@@ -61,16 +62,18 @@ class TestDeriveOnFig1:
             for o in ba.distribution.outcomes:
                 assert ba.distribution[o] == pytest.approx(bb.distribution[o])
 
-    def test_strategy_passthrough(self, fig1_relation):
-        result = derive_probabilistic_database(
-            fig1_relation,
-            config=DeriveConfig(
-                support_threshold=0.1, num_samples=100, burn_in=10,
-                strategy="tuple_at_a_time",
-            ),
-            rng=0,
+    def test_strategy_passthrough(self, result, fig1_relation):
+        """Workload strategies pass through :func:`workload_sampling` only:
+        the pipeline has one Gibbs kernel, so the config has no strategy."""
+        with pytest.raises(TypeError):
+            DeriveConfig(strategy="tuple_at_a_time")
+        multi = [t for t in fig1_relation.incomplete_part() if t.num_missing > 1]
+        blocks, stats = workload_sampling(
+            result.model, multi, num_samples=100, burn_in=10,
+            strategy="tuple_at_a_time", rng=0,
         )
-        assert len(result.database.blocks) == fig1_relation.num_incomplete
+        assert [b.base for b in blocks] == multi
+        assert stats.shared_tuples == 0
 
 
 class TestDeriveEdgeCases:

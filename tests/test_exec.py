@@ -23,6 +23,7 @@ from repro.core.persistence import (
     verify_compiled_metadata,
 )
 from repro.datasets.census import load_census
+from repro.exec import plan as plan_module
 from repro.exec import (
     EXECUTORS,
     ProcessExecutor,
@@ -92,15 +93,18 @@ class TestPlanner:
         assert all(s.groups >= 1 for s in plan.single_shards)
 
     def test_multi_shards_follow_subsumption_components(
-        self, fig1_schema, fig1_relation
+        self, fig1_schema, fig1_relation, monkeypatch
     ):
         # t5 <20,?,?,?> subsumes t1 <20,HS,?,?>: one component.  t12
-        # <30,MS,?,?> is unrelated: its own component.
+        # <30,MS,?,?> is unrelated: its own component.  With two distinct
+        # tuples per segment the component order cuts {t1, t5} | {t12},
+        # and two workers run one segment each.
+        monkeypatch.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", 2)
         t1 = make_tuple(fig1_schema, {"age": "20", "edu": "HS"})
         t5 = make_tuple(fig1_schema, {"age": "20"})
         t12 = make_tuple(fig1_schema, {"age": "30", "edu": "MS"})
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
-        plan = plan_shards([t1, t12, t5], model, seed=3)
+        plan = plan_shards([t1, t12, t5], model, workers=2, seed=3)
         multis = plan.multi_shards
         assert len(multis) == 2
         by_size = sorted(multis, key=len)
@@ -115,8 +119,7 @@ class TestPlanner:
         plans = [
             plan_shards(multi, model, workers=w, seed=5) for w in (1, 2, 4)
         ]
-        # The seed unit is the segment; the scalar kernel runs one segment
-        # per shard.
+        # The seed unit is the segment; this small workload is one.
         keys = [
             sorted(
                 (g.key, g.seed) for s in p.multi_shards for g in s.segments
@@ -188,21 +191,22 @@ def _reference_layout(entries, multi_batch):
     by_root = {}
     for i in range(len(tuples)):
         by_root.setdefault(find(i), []).extend(members[i])
-    batches = [sorted(c, key=lambda e: e[0]) for _, c in sorted(by_root.items())]
-    if multi_batch is not None:
-        components, batches, current, count = batches, [], [], 0
-        for component in components:
-            by_tuple = {}
-            for entry in component:
-                by_tuple.setdefault(entry[1], []).append(entry)
-            for group in by_tuple.values():
-                if count == multi_batch:
-                    batches.append(current)
-                    current, count = [], 0
-                current.extend(group)
-                count += 1
-        batches.append(current)
-        batches = [sorted(b, key=lambda e: e[0]) for b in batches]
+    components = [
+        sorted(c, key=lambda e: e[0]) for _, c in sorted(by_root.items())
+    ]
+    batches, current, count = [], [], 0
+    for component in components:
+        by_tuple = {}
+        for entry in component:
+            by_tuple.setdefault(entry[1], []).append(entry)
+        for group in by_tuple.values():
+            if count == multi_batch:
+                batches.append(current)
+                current, count = [], 0
+            current.extend(group)
+            count += 1
+    batches.append(current)
+    batches = [sorted(b, key=lambda e: e[0]) for b in batches]
     layout = []
     for batch in batches:
         h = hashlib.sha256()
@@ -242,11 +246,14 @@ class TestLayoutMatchesReference:
             **{f"random{seed}": _random_multis(seed) for seed in range(4)},
         }
 
-    @pytest.mark.parametrize("multi_batch", [None, 1, 2, 7, 128])
-    def test_keys_and_members_identical(self, workloads, multi_batch):
+    @pytest.mark.parametrize("multi_batch", [1, 2, 7, 128])
+    def test_keys_and_members_identical(
+        self, workloads, multi_batch, monkeypatch
+    ):
+        monkeypatch.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", multi_batch)
         for name, tuples in workloads.items():
             entries = list(enumerate(tuples))
-            layout = multi_shard_layout(entries, multi_batch)
+            layout = multi_shard_layout(entries)
             expected = _reference_layout(entries, multi_batch)
             assert [(g.key, batch) for g, batch in layout] == expected, name
             for g, batch in layout:
@@ -371,14 +378,21 @@ class TestExecutorSelection:
             DeriveConfig(workers=0)
 
     def test_executor_instance_conflicts_with_workers(self, fig1_relation):
+        """``single_missing_blocks`` takes no executor, worker or voting
+        keywords, so no instance can conflict with a worker count: knobs
+        travel in ``config``."""
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
         singles = [
             t for t in fig1_relation.incomplete_part() if t.num_missing == 1
         ]
-        with pytest.raises(ValueError, match="pre-built Executor"):
-            single_missing_blocks(
-                singles, model, executor=SerialExecutor(2), workers=4
-            )
+        for knobs in (
+            {"executor": SerialExecutor(2), "workers": 4},
+            {"executor": "process"},
+            {"workers": 2},
+            {"v_choice": "all"},
+        ):
+            with pytest.raises(TypeError):
+                single_missing_blocks(singles, model, **knobs)
 
     def test_single_missing_blocks_rejects_multi(self, fig1_schema, fig1_relation):
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
@@ -395,7 +409,7 @@ class TestExecutorSelection:
         ]
         serial = single_missing_blocks(singles, model)
         pooled = single_missing_blocks(
-            singles, model, executor="process", workers=2
+            singles, model, config=DeriveConfig(executor="process", workers=2)
         )
         assert len(pooled) == len(serial)
         for a, b in zip(serial, pooled):

@@ -99,9 +99,10 @@ class TestFaultPlan:
         env_plan = FaultPlan(faults=(ShardFault(kind="error", index=9),))
         monkeypatch.setenv(FAULT_PLAN_ENV, env_plan.to_json())
         explicit = FaultPlan(faults=(ShardFault(kind="error", index=0),))
-        cfg = _config()
-        assert resolve_fault_plan(explicit, cfg) == explicit
-        assert resolve_fault_plan(None, cfg) == env_plan
+        assert resolve_fault_plan(explicit) == explicit
+        assert resolve_fault_plan(None) == env_plan
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        assert resolve_fault_plan(None) is None
 
     def test_bind_ignores_out_of_range_index(self, fig1_tuples, fig1_model):
         plan = plan_shards(fig1_tuples, fig1_model, seed=11)

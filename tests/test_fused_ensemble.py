@@ -139,9 +139,8 @@ def test_fused_shards_equal_segments_run_alone(
     workload = [t for pool, n in zip(pools, runs) for t in pool[:n]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plan_module, "MULTI_TUPLES_PER_ENSEMBLE", cap)
-        plan = plan_shards(
-            workload, model, workers=workers, seed=3, multi_batch=segment
-        )
+        mp.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", segment)
+        plan = plan_shards(workload, model, workers=workers, seed=3)
     chunks = [
         (tuples, g)
         for shard in plan.multi_shards
@@ -240,7 +239,7 @@ def _segments(plan):
 def test_shards_fuse_per_worker_and_segments_stay_put(census, small_segments):
     model, masked, _, _ = census
     plans = {
-        w: plan_shards(masked, model, workers=w, seed=4, multi_batch=8)
+        w: plan_shards(masked, model, workers=w, seed=4)
         for w in (1, 2, 3, 4)
     }
     assert len(_segments(plans[1])) >= 3
@@ -253,7 +252,7 @@ def test_shards_fuse_per_worker_and_segments_stay_put(census, small_segments):
     # The ensemble cap splits even a serial plan.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plan_module, "MULTI_TUPLES_PER_ENSEMBLE", 20)
-        capped = plan_shards(masked, model, workers=1, seed=4, multi_batch=8)
+        capped = plan_shards(masked, model, workers=1, seed=4)
     assert _segments(capped) == _segments(plans[1])
     assert all(s.groups <= 20 for s in capped.multi_shards)
     assert len(capped.multi_shards) > 1
@@ -386,9 +385,7 @@ def test_job_journal_writes_one_row_per_segment(census, small_segments, tmp_path
     finally:
         service.jobs.close()
         store.close()
-    plan = plan_shards(
-        [t for t in relation if t.num_missing > 1], model, seed=19, multi_batch=8
-    )
+    plan = plan_shards([t for t in relation if t.num_missing > 1], model, seed=19)
     (fused,) = plan.multi_shards
     multi = [(key, n) for key, kind, n in journaled if kind == "multi"]
     assert multi == [(g.key, g.size) for g in fused.segments]

@@ -36,7 +36,8 @@ from repro.core import (
 )
 from repro.datasets.census import load_census
 from repro.exec.base import split_by_segments
-from repro.exec.plan import MULTI_TUPLES_PER_SHARD, plan_shards
+from repro.exec import plan as plan_module
+from repro.exec.plan import MULTI_TUPLES_PER_SHARD, _component_roots, plan_shards
 from repro.relational import Relation, make_tuple
 
 
@@ -400,20 +401,25 @@ class TestMultiShardBatching:
         ]
 
     def test_components_pack_into_batches(self, fig1_relation):
+        """Several subsumption components, one segment: the ensemble
+        shares nothing across tuples, so components only order the cut."""
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
         multi = self._multi_workload(fig1_relation)
-        scalar_plan = plan_shards(multi, model, seed=3)
-        packed_plan = plan_shards(multi, model, seed=3, multi_batch=128)
-        assert len(scalar_plan.multi_shards) > 1
-        assert len(packed_plan.multi_shards) == 1
-        assert sum(len(s) for s in packed_plan.multi_shards) == len(multi)
+        codes = np.unique(np.stack([t.codes for t in multi]), axis=0)
+        assert np.unique(_component_roots(codes)).size > 1
+        plan = plan_shards(multi, model, seed=3)
+        (shard,) = plan.multi_shards
+        assert len(shard.segments) == 1
+        assert len(shard) == len(multi)
 
-    def test_batching_is_worker_count_independent(self, fig1_relation):
+    def test_batching_is_worker_count_independent(
+        self, fig1_relation, monkeypatch
+    ):
+        monkeypatch.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", 2)
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
         multi = self._multi_workload(fig1_relation)
         plans = [
-            plan_shards(multi, model, workers=w, seed=5, multi_batch=2)
-            for w in (1, 2, 8)
+            plan_shards(multi, model, workers=w, seed=5) for w in (1, 2, 8)
         ]
         # Segments are the seed unit: their keys and seeds never follow the
         # worker count (how they fuse into shards may).
@@ -421,12 +427,14 @@ class TestMultiShardBatching:
             [(g.key, g.seed) for s in p.multi_shards for g in s.segments]
             for p in plans
         ]
+        assert len(keyed[0]) > 1
         assert keyed[0] == keyed[1] == keyed[2]
 
-    def test_oversized_component_is_split(self, fig1_schema):
+    def test_oversized_component_is_split(self, fig1_schema, monkeypatch):
         """Components bigger than the batch target split: the ensemble
         shares nothing across tuples, so splitting costs nothing and keeps
         shard sizes (hence worker load) bounded."""
+        monkeypatch.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", 2)
         # <20,?,?,?> subsumes the other two: one 3-tuple component.
         tuples = [
             make_tuple(fig1_schema, {"age": "20", "edu": "HS"}),
@@ -436,7 +444,7 @@ class TestMultiShardBatching:
         model = learn_mrsl(
             Relation(fig1_schema, []), support_threshold=0.99
         ).model
-        plan = plan_shards(tuples, model, seed=0, multi_batch=2)
+        plan = plan_shards(tuples, model, seed=0)
         assert [
             g.distinct for s in plan.multi_shards for g in s.segments
         ] == [2, 1]
@@ -444,42 +452,34 @@ class TestMultiShardBatching:
             i for s in plan.multi_shards for i in s.indices
         ) == [0, 1, 2]
 
-    def test_duplicates_stay_in_one_shard(self, fig1_schema):
+    def test_duplicates_stay_in_one_shard(self, fig1_schema, monkeypatch):
         """Duplicate workload entries share a segment (hence a block) even
         when re-batching splits their component."""
+        monkeypatch.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", 2)
         a = make_tuple(fig1_schema, {"age": "20", "edu": "HS"})
         b = make_tuple(fig1_schema, {"age": "20", "edu": "BS"})
         c = make_tuple(fig1_schema, {"age": "20"})
         model = learn_mrsl(
             Relation(fig1_schema, []), support_threshold=0.99
         ).model
-        plan = plan_shards([a, b, c, a], model, seed=0, multi_batch=2)
+        plan = plan_shards([a, b, c, a], model, seed=0)
         for shard in plan.multi_shards:
             for tuples in split_by_segments(shard.tuples, shard.segments):
                 count = sum(1 for t in tuples if t == a)
                 assert count in (0, 2)
 
     def test_derive_plans_batched_multi_shards(self, fig1_relation):
-        vec = derive_probabilistic_database(
+        result = derive_probabilistic_database(
             fig1_relation,
             config=DeriveConfig(support_threshold=0.1, num_samples=40, burn_in=5),
             rng=3,
         )
-        scal = derive_probabilistic_database(
-            fig1_relation,
-            config=DeriveConfig(
-                support_threshold=0.1, num_samples=40, burn_in=5,
-                gibbs_vectorized=False,
-            ),
-            rng=3,
-        )
-        def multis(result):
-            return [
-                t for t in result.exec_report.timings if t.kind == "multi"
-            ]
-
-        assert len(multis(vec)) < len(multis(scal))
-        assert MULTI_TUPLES_PER_SHARD >= sum(t.groups for t in multis(vec))
+        multis = [
+            t for t in result.exec_report.timings if t.kind == "multi"
+        ]
+        assert len(multis) == 1
+        assert multis[0].tuples == len(self._multi_workload(fig1_relation))
+        assert MULTI_TUPLES_PER_SHARD >= multis[0].groups
 
 
 # -- executor / worker-count determinism for the new kernel -----------------------
@@ -511,54 +511,71 @@ class TestVectorizedDeterminism:
             _assert_identical(baseline.database, run.database)
 
     def test_vectorized_and_scalar_disagree_on_samples(self, fig1_relation):
-        """The kernels are different admissible samplers, not one sampler."""
-        vec = derive_probabilistic_database(
+        """The ensemble and the scalar tuple-DAG sampler are different
+        admissible samplers, not one sampler: same segment, same seed,
+        different samples."""
+        result = derive_probabilistic_database(
             fig1_relation, config=DeriveConfig(**self.CFG)
         )
-        scal = derive_probabilistic_database(
-            fig1_relation,
-            config=DeriveConfig(gibbs_vectorized=False, **self.CFG),
+        (shard,) = plan_shards(
+            [t for t in fig1_relation.incomplete_part() if t.num_missing > 1],
+            result.model,
+            seed=self.CFG["seed"],
+        ).multi_shards
+        (segment,) = shard.segments
+        scal, _ = workload_sampling(
+            result.model, list(shard.tuples),
+            num_samples=self.CFG["num_samples"], burn_in=self.CFG["burn_in"],
+            rng=np.random.default_rng(segment.seed),
         )
+        vec = [b for b in result.database.blocks if b.base.num_missing > 1]
+        assert [b.base for b in vec] == [b.base for b in scal]
         same = all(
             ba.distribution.outcomes == bb.distribution.outcomes
             and (
                 np.asarray(ba.distribution.probs)
                 == np.asarray(bb.distribution.probs)
             ).all()
-            for ba, bb in zip(vec.database.blocks, scal.database.blocks)
-            if ba.base.num_missing > 1
+            for ba, bb in zip(vec, scal)
         )
         assert not same
 
-    def test_scalar_oracle_unchanged_by_the_knobs(self, fig1_relation):
-        """`gibbs_vectorized=False` reproduces the pre-kernel pipeline:
-        gibbs_chains has no effect on the scalar path."""
-        a = derive_probabilistic_database(
-            fig1_relation,
-            config=DeriveConfig(gibbs_vectorized=False, **self.CFG),
-        )
-        b = derive_probabilistic_database(
-            fig1_relation,
-            config=DeriveConfig(
-                gibbs_vectorized=False, gibbs_chains=5, **self.CFG
-            ),
-        )
-        _assert_identical(a.database, b.database)
+    def test_naive_engine_runs_the_same_multi_kernel(self, fig1_relation):
+        """``engine`` selects the Algorithm 2 kernel only: under the naive
+        engine multi-missing blocks are the compiled ensemble's, byte for
+        byte, whatever the chain count."""
+        for chains in (1, 5):
+            cfg = DeriveConfig(gibbs_chains=chains, **self.CFG)
+            compiled = derive_probabilistic_database(fig1_relation, config=cfg)
+            naive = derive_probabilistic_database(
+                fig1_relation, config=cfg.replacing(engine="naive")
+            )
+            _assert_identical(compiled.database, naive.database)
 
-    def test_ablation_strategies_stay_scalar(self, fig1_relation):
-        """Non-default strategies keep their faithful scalar kernels.
-
-        (``all_at_a_time`` is excluded: the bounded unclamped chain can
-        legitimately run out of draws on tiny workloads, which is the
-        strawman's point, not a kernel property.)
-        """
-        cfg = DeriveConfig(strategy="tuple_at_a_time", **self.CFG)
-        on = derive_probabilistic_database(fig1_relation, config=cfg)
-        off = derive_probabilistic_database(
-            fig1_relation,
-            config=cfg.replacing(gibbs_vectorized=False),
+    def test_ablation_strategies_stay_scalar(self, bn8_setup):
+        """The ablation strategies live on as scalar library code:
+        ``tuple_at_a_time`` is one :class:`GibbsChain` per distinct tuple,
+        drawn in turn from one generator."""
+        net, schema, model = bn8_setup
+        tuples = [
+            make_tuple(schema, {"x0": "v0", "x1": "v1"}),
+            make_tuple(schema, {"x0": "v0"}),
+            make_tuple(schema, {"x0": "v0", "x1": "v1"}),
+        ]
+        blocks, stats = workload_sampling(
+            model, tuples, num_samples=60, burn_in=10,
+            strategy="tuple_at_a_time", rng=17,
         )
-        _assert_identical(on.database, off.database)
+        sampler = GibbsSampler(model, rng=17)
+        expected = [sampler.estimate(t, 60, 10) for t in tuples[:2]]
+        for got, want in zip(blocks, [*expected, expected[0]]):
+            assert got.base == want.base
+            assert got.distribution.outcomes == want.distribution.outcomes
+            assert (
+                np.asarray(got.distribution.probs)
+                == np.asarray(want.distribution.probs)
+            ).all()
+        assert stats.total_draws == 2 * (10 + 60)
 
 
 # -- knob plumbing -----------------------------------------------------------------
@@ -570,9 +587,9 @@ class TestKnobPlumbing:
             DeriveConfig(gibbs_chains=0)
 
     def test_config_rejects_string_gibbs_vectorized(self):
-        """bool("off") is True — strings must be rejected, not coerced."""
-        for bad in ("off", "on", "false", 0):
-            with pytest.raises(ValueError, match="gibbs_vectorized"):
+        """The kernel switch is gone: every spelling of it is refused."""
+        for bad in ("off", "on", "false", 0, False):
+            with pytest.raises(TypeError, match="gibbs_vectorized"):
                 DeriveConfig(gibbs_vectorized=bad)
 
     def test_derive_request_rejects_string_gibbs_vectorized(self, fig1_relation):
@@ -588,30 +605,27 @@ class TestKnobPlumbing:
             )
 
     def test_config_round_trips_the_knobs(self):
-        cfg = DeriveConfig(gibbs_chains=4, gibbs_vectorized=False)
+        cfg = DeriveConfig(gibbs_chains=4)
         again = DeriveConfig.from_dict(cfg.to_dict())
         assert again.gibbs_chains == 4
-        assert again.gibbs_vectorized is False
+        assert "gibbs_vectorized" not in cfg.to_dict()
 
     def test_cli_flags_reach_the_config(self):
         args = build_parser().parse_args(
-            ["derive", "data.csv", "--gibbs-chains", "4",
-             "--gibbs-vectorized", "off"]
+            ["derive", "data.csv", "--gibbs-chains", "4"]
         )
         cfg = config_from_args(args)
         assert cfg.gibbs_chains == 4
-        assert cfg.gibbs_vectorized is False
 
     def test_cli_defaults_match_config_defaults(self):
         args = build_parser().parse_args(["derive", "data.csv"])
         cfg = config_from_args(args)
         assert cfg.gibbs_chains == DeriveConfig().gibbs_chains
-        assert cfg.gibbs_vectorized is DeriveConfig().gibbs_vectorized
 
     def test_derive_request_round_trips_the_knobs(self):
         req = DeriveRequest(
             rows=(("a", "?"),),
-            config={"gibbs_chains": 2, "gibbs_vectorized": False},
+            config={"gibbs_chains": 2},
         )
         again = DeriveRequest.from_dict(req.to_dict())
         assert again == req
@@ -631,5 +645,5 @@ class TestKnobPlumbing:
             fig1_relation, config={"gibbs_chains": 2}
         )
         _assert_identical(a.database, b.database)
-        off = session.derive(fig1_relation, config={"gibbs_vectorized": False})
-        assert len(off.database.blocks) == len(a.database.blocks)
+        with pytest.raises(ValueError, match="unknown config keys"):
+            session.derive(fig1_relation, config={"gibbs_vectorized": False})

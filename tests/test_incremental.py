@@ -29,7 +29,6 @@ from repro.core import derive_probabilistic_database
 from repro.core.lazy import LazyDeriver
 from repro.core.learning import learn_mrsl
 from repro.datasets.census import load_census
-from repro.exec import multi_batch_for
 from repro.probdb import CarryStore
 from repro.relational import ChangeSet, Relation, make_tuple, retract, update
 from tests.conftest import FIG1_ROWS
@@ -207,13 +206,12 @@ class TestCarryStore:
     def test_unchanged_workload_carries_everything(
         self, census_relation, census_baseline
     ):
-        batch = multi_batch_for(CENSUS_CONFIG)
         store = CarryStore.from_database(
-            census_baseline.database, census_baseline.base_seed, batch
+            census_baseline.database, census_baseline.base_seed
         )
         workload = list(census_relation.incomplete_part())
         workload.sort(key=lambda t: t.num_missing > 1)
-        split = store.split(workload, batch)
+        split = store.split(workload)
         assert split.num_carried_tuples == len(workload)
         assert split.num_dirty_tuples == 0
         assert not split.dirty_single and not split.dirty_multi
@@ -221,9 +219,8 @@ class TestCarryStore:
     def test_touched_single_is_dirty_alone(
         self, census_relation, census_baseline
     ):
-        batch = multi_batch_for(CENSUS_CONFIG)
         store = CarryStore.from_database(
-            census_baseline.database, census_baseline.base_seed, batch
+            census_baseline.database, census_baseline.base_seed
         )
         workload = list(census_relation.incomplete_part())
         workload.sort(key=lambda t: t.num_missing > 1)
@@ -237,7 +234,7 @@ class TestCarryStore:
         vals = list(t.values())
         vals[t.schema.index(attr)] = other
         workload[target] = make_tuple(t.schema, vals)
-        split = store.split(workload, batch)
+        split = store.split(workload)
         assert split.num_dirty_tuples == 1
         assert [i for i, _ in split.dirty_single] == [target]
 

@@ -237,6 +237,26 @@ class TestJournaledJobs:
         finally:
             service.jobs.close()
 
+    @pytest.mark.parametrize(
+        "key,value", [("gibbs_vectorized", False), ("strategy", "tuple_dag")]
+    )
+    def test_journaled_removed_knob_fails_resume(self, store, key, value):
+        """A journaled config carrying a removed knob is refused on resume
+        with the unknown-config-keys error a new request gets."""
+        config = {**CONFIG, key: value}
+        store.create_job("j1", "derive", "derive", {**PAYLOAD, "config": config})
+        store.set_state("j1", "running")
+        service = InferenceService(
+            Session(), jobs=JobManager(prefix="derive", store=store)
+        )
+        try:
+            assert service.resume_jobs() == []
+            record = store.get("j1")
+            assert record.state == "failed"
+            assert f"unknown config keys [{key!r}]" in record.error
+        finally:
+            service.jobs.close()
+
     def test_interrupted_updates_are_marked_failed(self, store):
         store.create_job("u1", "update", "update", {"changes": {"ops": []}})
         store.set_state("u1", "running")

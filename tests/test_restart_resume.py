@@ -20,30 +20,34 @@ import numpy as np
 import pytest
 
 from repro.api.service import InferenceService
+from repro.bayesnet import forward_sample_relation, make_network
 from repro.bench.masking import mask_relation
-from repro.datasets.census import load_census
+from repro.exec.plan import MULTI_TUPLES_PER_ENSEMBLE
 from repro.jobs import JobStore
 from repro.relational import Relation
 
-#: Vectorization off so each subsumption component is its own multi shard —
-#: many slow shards means the kill reliably lands mid-plan, and multi
-#: shards carry over by exact content key, so "no re-execution" is a
-#: countable claim: resumed-plan carried_over == journaled shard rows.
+#: A BN7 workload of over 3 x MULTI_TUPLES_PER_ENSEMBLE distinct two-missing
+#: rows, so the serial plan has four fused multi shards of about a second
+#: each: the kill reliably lands mid-plan.  Segments are journaled and
+#: carried over by exact content key, so "no re-execution" is a countable
+#: claim: resumed-plan carried_over == journaled segment rows.
 CONFIG = {
     "support_threshold": 0.02,
-    "num_samples": 120,
+    "num_samples": 1000,
     "burn_in": 15,
     "seed": 13,
-    "gibbs_vectorized": False,
 }
 
 
 @pytest.fixture(scope="module")
-def census_payload():
+def bn7_payload():
     rng = np.random.default_rng(21)
-    train, _ = load_census(200, rng)
-    test, _ = load_census(40, rng)
+    net = make_network("BN7", rng)
+    train = forward_sample_relation(net, 2000, rng)
+    test = forward_sample_relation(net, 4000, rng)
     masked = mask_relation(test, 2, rng)  # all multi-missing: pure Gibbs shards
+    distinct = {t.codes.tobytes() for t in masked}
+    assert len(distinct) > 3 * MULTI_TUPLES_PER_ENSEMBLE
     relation = Relation(train.schema, list(train) + list(masked))
     schema = {field.name: list(field.domain) for field in relation.schema}
     rows = [list(t.values()) for t in relation]
@@ -56,9 +60,9 @@ def census_payload():
 
 
 @pytest.fixture(scope="module")
-def reference(census_payload):
+def reference(bn7_payload):
     """The uninterrupted blocking derive every recovery must reproduce."""
-    return InferenceService().handle_json("derive", census_payload)
+    return InferenceService().handle_json("derive", bn7_payload)
 
 
 def _free_port():
@@ -149,12 +153,12 @@ def _ndjson_events(base, job_id):
     "sig", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"]
 )
 def test_killed_server_resumes_bit_identically(
-    sig, tmp_path, census_payload, reference
+    sig, tmp_path, bn7_payload, reference
 ):
     state_dir = tmp_path / "state"
     proc, base = _start_server(state_dir)
     try:
-        ack = _post(base, "/derive?mode=async", census_payload)
+        ack = _post(base, "/derive?mode=async", bn7_payload)
         job_id = ack["job_id"]
         assert ack["state"] in ("queued", "running")
         _wait_for_journaled_shards(state_dir, job_id, minimum=2)

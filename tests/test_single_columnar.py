@@ -43,7 +43,6 @@ KNOBS = ShardKnobs(
     engine="compiled",
     num_samples=20,
     burn_in=2,
-    strategy="tuple_dag",
 )
 NAIVE = ShardKnobs(**{**KNOBS.__dict__, "engine": "naive"})
 
