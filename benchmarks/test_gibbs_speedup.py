@@ -19,6 +19,13 @@ run is at least ``MIN_SPEEDUP`` times faster than the median scalar run
 along to show multi-chain pooling lands at essentially the same wall-clock
 as one chain (the mixing knob is free); it carries no speedup gate.
 
+A last row gives the ensemble's per-sweep floor a number: one warm-engine
+``ensemble_sampling`` call over ``FLOOR_TUPLES`` distinct tuples of the
+same workload, ``FLOOR_SAMPLES`` samples after ``FLOOR_BURN_IN`` sweeps.
+So few rows leave each sweep's cost to its fixed per-step work.  It runs
+``FLOOR_RUNS`` times in each of the alternating slots; the median goes to
+``floor_s`` in ``BENCH_gibbs.json``.  It carries no gate either.
+
 Samples differ between the kernels (different, equally admissible draws of
 the same randomized procedure — see docs/execution.md); the scalar-vs-
 vectorized equivalence suite lives in ``tests/test_gibbs_vectorized.py``
@@ -36,7 +43,13 @@ import numpy as np
 
 from repro.api.config import DeriveConfig
 from repro.bench.masking import mask_relation
-from repro.core import derive_probabilistic_database, learn_mrsl, workload_sampling
+from repro.core import (
+    BatchInferenceEngine,
+    derive_probabilistic_database,
+    ensemble_sampling,
+    learn_mrsl,
+    workload_sampling,
+)
 from repro.datasets.census import load_census
 from repro.relational import Relation
 
@@ -48,6 +61,12 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_GIBBS_SPEEDUP", "4.0"))
 
 #: Runs per variant; the gate compares their medians.
 REPEATS = 3
+
+#: The floor ensemble: distinct tuples, samples and burn-in sweeps.
+FLOOR_TUPLES, FLOOR_SAMPLES, FLOOR_BURN_IN = 12, 1000, 50
+
+#: Floor runs per alternating slot (one is ~0.1 s).
+FLOOR_RUNS = 5
 
 
 def _setup(scale):
@@ -93,22 +112,39 @@ def test_gibbs_speedup(report, scale):
 
         return run
 
-    variants = (
-        ("scalar", scalar),
-        ("vectorized", derive(base)),
-        ("vectorized x4 chains", derive(base.replacing(gibbs_chains=4))),
+    floor_tuples = list(dict.fromkeys(multi_tuples))[:FLOOR_TUPLES]
+    floor_engine = BatchInferenceEngine(model)
+
+    def floor():
+        blocks, stats = ensemble_sampling(
+            model, [(floor_tuples, 2011)], num_samples=FLOOR_SAMPLES,
+            burn_in=FLOOR_BURN_IN, batch_engine=floor_engine,
+        )
+        return "-", len(blocks), stats.total_draws
+
+    floor()  # warm the engine: the floor excludes computing CPDs
+    floor_label = (
+        f"ensemble floor ({FLOOR_TUPLES} tuples, "
+        f"{FLOOR_SAMPLES}+{FLOOR_BURN_IN} sweeps)"
     )
-    runs = {label: [] for label, _ in variants}
+    variants = (
+        ("scalar", scalar, 1),
+        ("vectorized", derive(base), 1),
+        ("vectorized x4 chains", derive(base.replacing(gibbs_chains=4)), 1),
+        (floor_label, floor, FLOOR_RUNS),
+    )
+    runs = {label: [] for label, _, _ in variants}
     results = {}
     for i in range(REPEATS):
-        for label, run in variants if i % 2 == 0 else variants[::-1]:
-            start = time.perf_counter()
-            results[label] = run()
-            runs[label].append(time.perf_counter() - start)
+        for label, run, count in variants if i % 2 == 0 else variants[::-1]:
+            for _ in range(count):
+                start = time.perf_counter()
+                results[label] = run()
+                runs[label].append(time.perf_counter() - start)
     times = {label: statistics.median(t) for label, t in runs.items()}
     rows = [
-        (label, *results[label], round(times[label], 3))
-        for label, _ in variants
+        (label, *results[label], round(times[label], 4 if count > 1 else 3))
+        for label, _, count in variants
     ]
 
     speedup = times["scalar"] / max(times["vectorized"], 1e-9)
@@ -145,6 +181,13 @@ def test_gibbs_speedup(report, scale):
                 },
                 "speedup": round(speedup, 3),
                 "speedup_4_chains": round(pooled, 3),
+                "floor_s": round(times[floor_label], 4),
+                "floor_workload": {
+                    "tuples": len(floor_tuples),
+                    "num_samples": FLOOR_SAMPLES,
+                    "burn_in": FLOOR_BURN_IN,
+                    "runs": FLOOR_RUNS * REPEATS,
+                },
                 "min_speedup": MIN_SPEEDUP,
                 "host_cpus": os.cpu_count() or 1,
             },

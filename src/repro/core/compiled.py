@@ -23,6 +23,7 @@ index order reproduces the naive path's floating-point results bit for bit.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Hashable, Iterator
 
 import numpy as np
@@ -134,24 +135,33 @@ class CompiledMRSL:
             body: i for i, body in enumerate(self.bodies)
         }
         if n:
-            self.cpds = np.vstack([m.probs for m in rules])
+            self.cpds = np.concatenate([m.probs for m in rules]).reshape(n, -1)
         else:
             self.cpds = np.empty((0, cardinality), dtype=np.float64)
         self.weights = np.array([m.weight for m in rules], dtype=np.float64)
-        self.body_sizes = np.array([m.body_size for m in rules], dtype=np.int32)
+        self.body_sizes = sizes = np.fromiter(
+            map(len, self.bodies), dtype=np.int32, count=n
+        )
         self.root_index = self._body_index.get((), -1)
 
         # Padded body matrices: row i matches evidence `codes` iff
         # codes[attr] == val for every (attr, val) in body i.  Padding slots
-        # point at attribute 0 but are masked out of the comparison.
+        # point at attribute 0 but are masked out of the comparison.  Body
+        # i's k-th (attr, val) fills slot (i, k): one scatter per matrix.
         self._body_attrs = np.zeros((n, max_body), dtype=np.intp)
         self._body_vals = np.full((n, max_body), MISSING_CODE, dtype=np.int32)
         self._pad = np.ones((n, max_body), dtype=bool)
-        for i, m in enumerate(rules):
-            for k, (attr, val) in enumerate(m.body):
-                self._body_attrs[i, k] = attr
-                self._body_vals[i, k] = val
-                self._pad[i, k] = False
+        total = int(sizes.sum())
+        items = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self.bodies)),
+            dtype=np.int64,
+            count=2 * total,
+        )
+        row = np.repeat(np.arange(n), sizes)
+        slot = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self._body_attrs[row, slot] = items[0::2]
+        self._body_vals[row, slot] = items[1::2]
+        self._pad[row, slot] = False
 
         # Per-scheme summands of the rank-ordered combine, each with one
         # extra all-zero row (index R) that pads short voter lists.  Filled

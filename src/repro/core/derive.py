@@ -17,7 +17,7 @@ bit-identical for every executor and worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -28,6 +28,7 @@ from ..probdb.blocks import TupleBlock
 from ..probdb.database import ProbabilisticDatabase
 from ..probdb.invalidate import CarryStore
 from ..relational.relation import Relation
+from .compiled import CompiledModel
 from .engine import BatchInferenceEngine
 from .learning import LearnResult, learn_mrsl
 from .mrsl import MRSLModel
@@ -64,6 +65,9 @@ class DeriveResult:
     #: workload had no multi-missing tuples); a later delta re-derive pins
     #: its dirty shards to this seed so carried blocks stay consistent
     base_seed: int | None = None
+    #: the model's lattices as the run compiled them; a re-derive from this
+    #: result reuses them instead of compiling the same model again
+    compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
 
 
 def single_missing_blocks(
@@ -139,7 +143,8 @@ def derive_probabilistic_database(
     previous:
         Incremental re-derivation after a base-table update.  ``previous``
         is the :class:`DeriveResult` of the pre-update table; its model is
-        reused (learning is skipped — updates never re-learn the MRSL) and,
+        reused (learning is skipped — updates never re-learn the MRSL), so
+        are its compiled lattices unless ``batch_engine`` is given, and,
         under the ``"delta"`` ``config.update_policy``, blocks whose lineage
         the update did not touch are carried over verbatim while only dirty
         shards execute — pinned to the previous run's base seed, so the
@@ -174,6 +179,16 @@ def derive_probabilistic_database(
             model = previous.model
         if rng is None and previous.base_seed is not None:
             rng = previous.base_seed
+        if (
+            batch_engine is None
+            and previous.compiled is not None
+            and previous.compiled.model is model
+        ):
+            # A cold CPD cache over the lattices the previous run compiled:
+            # the same answers, without compiling the same model again.
+            batch_engine = BatchInferenceEngine(
+                model, cfg.v_choice, cfg.v_scheme, compiled=previous.compiled
+            )
     if rng is None:
         rng = cfg.seed
     learn_result = None
@@ -224,4 +239,5 @@ def derive_probabilistic_database(
         sampling_stats=outcome.stats,
         exec_report=outcome.report,
         base_seed=outcome.plan.base_seed,
+        compiled=outcome.compiled,
     )

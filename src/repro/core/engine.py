@@ -12,8 +12,9 @@ CPD.  :class:`BatchInferenceEngine` exploits this:
    compiled rule matrix (:meth:`~repro.core.compiled.CompiledMRSL.infer_many`);
 3. answers are memoized in a bounded LRU, so repeated batches skip even
    the vectorized work; the Gibbs hot loop reads them from per-attribute
-   array memos (:meth:`BatchInferenceEngine.conditional_probs_batch`), so
-   a whole batch of chain states costs a handful of NumPy calls.
+   array memos (:meth:`BatchInferenceEngine.conditional_probs_batch`, or
+   straight from a memo its sweep step has bound), so a whole batch of
+   chain states costs a handful of NumPy calls.
 
 Results are bit-for-bit identical to the naive path for every
 ``vChoice`` x ``vScheme`` combination — the naive implementation stays in
@@ -85,38 +86,64 @@ def _cdf_rows(cpds: np.ndarray) -> np.ndarray:
     return cdfs
 
 
-#: Memo key past every packed signature (packed spaces stay below 2**63).
+#: Packed signature spaces of at most this many keys get a dense key ->
+#: slot index (8 bytes per key); wider spaces keep sorted keys.
+DENSE_INDEX_CAP = 1 << 16
+
+#: Sorted-memo key past every packed signature (packed spaces stay below
+#: 2**63).
 _SENTINEL = np.iinfo(np.int64).max
+
+#: The slot a memo reports for a signature it lacks: past every row, so
+#: gathering memo rows with it raises ``IndexError``.
+_ABSENT = np.iinfo(np.intp).max
 
 
 class _CPDMemo:
     """Packed signatures -> stacked CPD and CDF rows, for one attribute.
 
-    ``keys`` is sorted and ends in :data:`_SENTINEL`, so one
-    ``np.searchsorted`` plus one gather-and-compare finds a whole batch;
-    ``slots`` maps each key to its row of ``cpds`` / ``cdfs``, which fill
-    in insertion order and grow by doubling.
+    ``states.dot(mult)`` packs code rows' signature columns into int64 keys
+    (see :meth:`BatchInferenceEngine._sig_packer`); a space of ``space``
+    signatures packs to ``space`` consecutive integers, the
+    all-``MISSING_CODE`` signature lowest.  Up to :data:`DENSE_INDEX_CAP`
+    keys, ``index`` maps every key straight to its slot, so a lookup is one
+    ``take``.  It is indexed by the key modulo ``space``: a bijection on
+    consecutive integers, which shifts the keys below zero (those with
+    ``MISSING_CODE`` digits) into range without a separate add.  Wider
+    spaces keep ``keys`` sorted and ending in :data:`_SENTINEL`, so one
+    ``np.searchsorted`` plus one gather-and-compare finds a whole batch,
+    and ``slots`` maps each key to its slot.  Slots are rows of ``cpds`` /
+    ``cdfs``, which fill in insertion order and grow by doubling; a key the
+    memo lacks has slot :data:`_ABSENT`.
     """
 
-    __slots__ = ("keys", "slots", "cpds", "cdfs")
+    __slots__ = ("mult", "index", "keys", "slots", "size", "cpds", "cdfs")
 
-    def __init__(self, cardinality: int):
-        self.keys = np.array([_SENTINEL], dtype=np.int64)
-        self.slots = np.zeros(1, dtype=np.intp)
+    def __init__(self, mult: np.ndarray, space: int, cardinality: int):
+        self.mult = mult
+        if space <= DENSE_INDEX_CAP:
+            self.index = np.full(space, _ABSENT, dtype=np.intp)
+        else:
+            self.index = None
+            self.keys = np.array([_SENTINEL], dtype=np.int64)
+            self.slots = np.zeros(1, dtype=np.intp)
+        self.size = 0
         self.cpds = np.empty((16, cardinality))
         self.cdfs = np.empty((16, cardinality))
 
     def __len__(self) -> int:
-        return self.keys.size - 1
+        return self.size
 
-    def find(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of ``packed`` in ``keys`` and a found mask."""
+    def find(self, packed: np.ndarray) -> np.ndarray:
+        """The slot of every ``packed`` key, :data:`_ABSENT` where lacking."""
+        if self.index is not None:
+            return self.index.take(packed, mode="wrap")
         pos = self.keys.searchsorted(packed)
-        return pos, self.keys[pos] == packed
+        return np.where(self.keys.take(pos) == packed, self.slots.take(pos), _ABSENT)
 
     def insert(self, keys: np.ndarray, cpds: np.ndarray) -> None:
         """Add sorted, absent ``keys`` with their CPD rows."""
-        size, count = len(self), keys.size
+        size, count = self.size, keys.size
         if size + count > self.cpds.shape[0]:
             capacity = max(2 * self.cpds.shape[0], size + count)
             for name in ("cpds", "cdfs"):
@@ -125,19 +152,24 @@ class _CPDMemo:
                 setattr(self, name, grown)
         self.cpds[size : size + count] = cpds
         self.cdfs[size : size + count] = _cdf_rows(cpds)
-        at = np.searchsorted(self.keys, keys)
-        self.keys = np.insert(self.keys, at, keys)
-        self.slots = np.insert(
-            self.slots, at, np.arange(size, size + count, dtype=np.intp)
-        )
+        slots = np.arange(size, size + count, dtype=np.intp)
+        if self.index is not None:
+            self.index.put(keys, slots, mode="wrap")
+        else:
+            at = np.searchsorted(self.keys, keys)
+            self.keys = np.insert(self.keys, at, keys)
+            self.slots = np.insert(self.slots, at, slots)
+        self.size += count
 
 
 class BatchInferenceEngine:
     """Serves Algorithm 2 CPDs for batches of single-missing tuples.
 
     One engine wraps one :class:`MRSLModel`; per-attribute lattices are
-    compiled lazily on first use.  The default voting configuration given at
-    construction can be overridden per call.
+    compiled lazily on first use, into ``compiled`` when given (another
+    engine's :attr:`compiled` over the same model, so the two share the
+    work).  The default voting configuration given at construction can be
+    overridden per call.
     """
 
     def __init__(
@@ -146,17 +178,21 @@ class BatchInferenceEngine:
         v_choice: VoterChoice | str = VoterChoice.BEST,
         v_scheme: VotingScheme | str = VotingScheme.AVERAGED,
         cache_size: int | None = DEFAULT_CPD_CACHE_SIZE,
+        compiled: CompiledModel | None = None,
     ):
+        if compiled is not None and compiled.model is not model:
+            raise ValueError("compiled lattices belong to a different model")
         self.model = model
         self.schema = model.schema
         self.v_choice = VoterChoice(v_choice)
         self.v_scheme = VotingScheme(v_scheme)
-        self.compiled = CompiledModel(model)
+        self.compiled = CompiledModel(model) if compiled is None else compiled
         self.cache = LRUCache(cache_size)
         # Per-attribute mixed-radix multipliers for packing signature
-        # columns into one int64 per row (None = space too large to pack;
-        # the batch path then falls back to row-wise unique).
-        self._sig_packers: dict[int, np.ndarray | None] = {}
+        # columns into one int64 per row, with the packed space's size
+        # (None = space too large to pack; the batch path then falls back
+        # to row-wise unique).
+        self._sig_packers: dict[int, tuple[np.ndarray, int] | None] = {}
         # (attr, vChoice, vScheme) -> array memo of the batch path; their
         # rows together (``_memo_rows``) stay within ``cache_size``.
         self._memos: dict[tuple, _CPDMemo] = {}
@@ -257,78 +293,91 @@ class BatchInferenceEngine:
         (``cumsum(p) / cumsum(p)[-1]``, the arithmetic of
         ``Generator.choice``), which is what an inverse-CDF draw reads.
 
-        Each ``(attr, vChoice, vScheme)`` has an array memo: every row's
-        signature columns are packed into one int64, looked up in the
-        memo's sorted keys with one ``np.searchsorted``, and answered with
-        one gather from its stacked CPD or CDF rows — O(1) Python work per
-        call however many signatures it touches.  Signatures the memo
-        lacks are deduplicated with one ``np.unique``; each is answered
-        from the shared LRU (the scalar :meth:`conditional_probs` entries,
-        so scalar and batch callers warm each other) or computed and put
-        there.  All memos together hold at most ``cache_size`` signatures:
-        a batch that would overflow that resets its own memo (and the
-        others too, if that is not enough), counted in ``evictions``, which
-        never changes a result since a CPD is a function of its signature.
-        Signature spaces too wide to pack fall back to a row-wise
-        :func:`unique_rows`.
+        Each ``(attr, vChoice, vScheme)`` has an array memo
+        (:class:`_CPDMemo`): every row's signature columns are packed into
+        one int64, looked up in the memo's dense index (one ``take``) or,
+        past :data:`DENSE_INDEX_CAP` keys, its sorted keys (one
+        ``np.searchsorted``), and answered with one gather from its stacked
+        CPD or CDF rows — O(1) Python work per call however many
+        signatures it touches.  Signatures the memo lacks are deduplicated
+        with one ``np.unique``; each is answered from the shared LRU (the
+        scalar :meth:`conditional_probs` entries, so scalar and batch
+        callers warm each other) or computed and put there.  All memos
+        together hold at most ``cache_size`` signatures: a batch that would
+        overflow that resets its own memo (and the others too, if that is
+        not enough), counted in ``evictions``, which never changes a result
+        since a CPD is a function of its signature.  Signature spaces too
+        wide to pack fall back to a row-wise :func:`unique_rows`.
         """
         choice, scheme = self._voting(v_choice, v_scheme)
         # int32 matches RelTuple code vectors, so signature bytes are
         # interchangeable with the scalar path's cache keys.
         states = np.ascontiguousarray(states, dtype=np.int32)
         self.tuples_served += states.shape[0]
-        mult = self._sig_packer(attr)
-        if mult is not None:
-            return self._memo_lookup(
-                states, states @ mult, attr, choice, scheme, cumulative
-            )
+        packer = self._sig_packer(attr)
+        if packer is not None:
+            memo, slots = self._memo_slots(states, packer, attr, choice, scheme)
+            return (memo.cdfs if cumulative else memo.cpds)[slots]
         first, inverse = unique_rows(states[:, self.compiled[attr].signature_attrs])
         cpds = self._answer(states[first], attr, choice, scheme)
         if cumulative:
             cpds = _cdf_rows(cpds)
         return cpds[inverse]
 
-    def _memo_lookup(
+    def live_memo(
+        self, attr: int, choice: VoterChoice, scheme: VotingScheme
+    ) -> _CPDMemo | None:
+        """The memo :meth:`conditional_probs_batch` reads for ``attr`` now.
+
+        ``None`` until a batch call creates it, after a bound drops it, and
+        for signature spaces too wide to pack; a reset replaces it with a
+        new object.
+        """
+        return self._memos.get((attr, choice, scheme))
+
+    def _memo_slots(
         self,
         states: np.ndarray,
-        packed: np.ndarray,
+        packer: tuple[np.ndarray, int],
         attr: int,
         choice: VoterChoice,
         scheme: VotingScheme,
-        cumulative: bool,
-    ) -> np.ndarray:
-        """Gather ``packed`` signatures' rows, filling the memo's misses."""
+    ) -> tuple[_CPDMemo, np.ndarray]:
+        """The memo holding every row's signature and each row's slot in
+        it, after filling the memo's misses."""
         key = (attr, choice, scheme)
+        card = self.compiled[attr].cardinality
         memo = self._memos.get(key)
         if memo is None:
-            memo = self._memos[key] = _CPDMemo(self.compiled[attr].cardinality)
-        pos, found = memo.find(packed)
-        if found.all():
+            memo = self._memos[key] = _CPDMemo(*packer, card)
+        packed = states.dot(memo.mult)
+        slots = memo.find(packed)
+        absent = slots == _ABSENT
+        if not absent.any():
             self.memo_hits += packed.size
-        else:
-            missed = np.flatnonzero(~found)
-            new, first = np.unique(packed[missed], return_index=True)
-            limit = self.cache.maxsize
-            if limit is not None and self._memo_rows + new.size > limit:
-                # Outgrown: start this memo over from the batch's own
-                # signatures, dropping every other memo if that is not enough.
-                self.memo_resets += 1
-                self._memo_rows -= len(memo)
-                memo = self._memos[key] = _CPDMemo(memo.cpds.shape[1])
-                missed = np.arange(packed.size)
-                new, first = np.unique(packed, return_index=True)
-                if self._memo_rows + new.size > limit:
-                    self._memos = {key: memo}
-                    self._memo_rows = 0
-            self.memo_hits += packed.size - missed.size
-            reps = states[missed[first]]
-            memo.insert(new, self._answer(reps, attr, choice, scheme))
-            self._memo_rows += new.size
-            pos = memo.keys.searchsorted(packed)
-            if limit is not None and self._memo_rows > limit:
-                del self._memos[key]  # one batch alone exceeds the bound
+            return memo, slots
+        missed = np.flatnonzero(absent)
+        new, first = np.unique(packed[missed], return_index=True)
+        limit = self.cache.maxsize
+        if limit is not None and self._memo_rows + new.size > limit:
+            # Outgrown: start this memo over from the batch's own
+            # signatures, dropping every other memo if that is not enough.
+            self.memo_resets += 1
+            self._memo_rows -= len(memo)
+            memo = self._memos[key] = _CPDMemo(*packer, card)
+            missed = np.arange(packed.size)
+            new, first = np.unique(packed, return_index=True)
+            if self._memo_rows + new.size > limit:
+                self._memos = {key: memo}
                 self._memo_rows = 0
-        return (memo.cdfs if cumulative else memo.cpds)[memo.slots[pos]]
+        self.memo_hits += packed.size - missed.size
+        reps = states[missed[first]]
+        memo.insert(new, self._answer(reps, attr, choice, scheme))
+        self._memo_rows += new.size
+        if limit is not None and self._memo_rows > limit:
+            del self._memos[key]  # one batch alone exceeds the bound
+            self._memo_rows = 0
+        return memo, memo.find(packed)
 
     def _answer(
         self,
@@ -374,30 +423,33 @@ class BatchInferenceEngine:
             self.groups_computed += len(missed)
         return rows
 
-    def _sig_packer(self, attr: int) -> np.ndarray | None:
+    def _sig_packer(self, attr: int) -> tuple[np.ndarray, int] | None:
         """Per-column multipliers packing a code row's signature into int64.
 
         ``codes @ mult`` is a mixed-radix number over the signature
         columns, with zero weight on every other column.  Radix
         ``cardinality + 1`` gives each column the digits
         ``MISSING_CODE`` (-1) to ``cardinality - 1``, so packing is
-        injective; ``None`` when the packed space overflows int64
-        (pathologically wide signatures).
+        injective.  Returns ``(mult, space)``, ``space`` being the number
+        of distinct packed keys (the product of the radices); ``None`` when
+        the packed space overflows int64 (pathologically wide signatures).
         """
         try:
             return self._sig_packers[attr]
         except KeyError:
             pass
-        mult: np.ndarray | None = np.zeros(len(self.schema), dtype=np.int64)
+        mult = np.zeros(len(self.schema), dtype=np.int64)
         scale = 1  # Python int: exact, no wraparound
+        packer: tuple[np.ndarray, int] | None = None
         for a in self.compiled[attr].signature_attrs[::-1]:
             mult[a] = scale
             scale *= self.schema[int(a)].cardinality + 1
             if scale >= 2**63:
-                mult = None  # packed codes would overflow int64 and collide
-                break
-        self._sig_packers[attr] = mult
-        return mult
+                break  # packed codes would overflow int64 and collide
+        else:
+            packer = (mult, scale)
+        self._sig_packers[attr] = packer
+        return packer
 
     def infer_grouped(
         self,

@@ -22,11 +22,10 @@ Two chain drivers share the sampler:
   ``conditional_probs`` call and one ``rng.choice`` per resampled
   attribute.
 * :class:`GibbsEnsemble` — the vectorized kernel: all chains of all tuples
-  of one or more seeded segments advance in lock step, one
-  :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-  call and one inverse-CDF draw per (sweep, attribute).  Each segment
-  consumes its own generator exactly as if it ran alone, so fusing
-  segments never changes a sample.  With one chain and one tuple it
+  of one or more seeded segments advance in lock step, one batched read of
+  the engine's CDF memo and one inverse-CDF draw per (sweep, attribute).
+  Each segment consumes its own generator exactly as if it ran alone, so
+  fusing segments never changes a sample.  With one chain and one tuple it
   consumes the *same* RNG stream as the scalar chain and reproduces its
   samples exactly; larger segments draw in a different (equally
   admissible) order.
@@ -251,6 +250,51 @@ def _trace_dtype(cardinalities: Sequence[int]) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _column_draw(
+    columns: np.ndarray, slots: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Inverse-CDF draws over CDF columns: ``Generator.choice``'s search.
+
+    ``columns[j]`` is column ``j`` of CDF rows whose last entry is exactly
+    1.0 (:func:`~repro.core.engine._cdf_rows` divides each row by its own
+    last cumsum), every column but that last one; ``slots`` picks each
+    draw's row.  The count ``sum_j (columns[j, slot] <= u)`` is
+    ``searchsorted(cdf[slot], u, side="right")`` because the skipped last
+    column never counts: ``Generator.random`` is below 1.  A slot past
+    every row — a signature the memo lacks — raises ``IndexError``.
+    """
+    return (columns.take(slots, axis=1) <= u).sum(axis=0)
+
+
+class _Step:
+    """One attribute's pass of an ensemble sweep, bound to the engine memo
+    that answered it last.
+
+    ``rows`` are the state rows missing ``attr``, ``cells`` their
+    ``(row, attr)`` positions in the flattened state and ``span`` their
+    slice of a sweep's uniforms.  ``memo`` is the engine's CDF memo for
+    ``attr`` when the step last ran, ``size`` its row count then and
+    ``columns`` a read-only view of its CDF columns but the last: valid
+    while the engine holds that memo at that size.
+    """
+
+    __slots__ = ("attr", "rows", "cells", "span", "memo", "size", "columns")
+
+    def __init__(self, attr: int, rows: np.ndarray, width: int, span: slice):
+        self.attr, self.rows, self.span = attr, rows, span
+        self.cells = rows * width + attr
+        self.bind(None)
+
+    def bind(self, memo) -> None:
+        """Bind to ``memo``; ``None`` leaves the step on the miss path."""
+        self.memo = memo
+        self.size = -1 if memo is None else len(memo)
+        self.columns = None
+        if memo is not None:
+            self.columns = memo.cdfs[: len(memo), :-1].T
+            self.columns.setflags(write=False)
+
+
 class GibbsEnsemble:
     """Lock-step vectorized Gibbs chains over segments of incomplete tuples.
 
@@ -261,10 +305,19 @@ class GibbsEnsemble:
     observed values clamped.  A sweep cycles the union of missing
     attributes in ascending position order — the same per-tuple order the
     scalar chain uses — and resamples every row missing that attribute, in
-    every segment, at once: one
+    every segment, at once: one read of the CDF rows and one vectorized
+    inverse-CDF lookup per (sweep, attribute), however many segments the
+    ensemble fuses.
+
+    Each such step is bound to the engine memo that last answered it (see
+    :class:`_Step`).  While the engine holds that memo at that size and it
+    holds every row's signature, the step packs the rows' signatures,
+    finds their slots and draws from bound views of the memo's CDF
+    columns.  Otherwise — the first sweep, a signature the memo lacks, or
+    a memo the engine has replaced, dropped or grown — the step makes one
     :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-    call for the CDF rows and one vectorized inverse-CDF lookup per
-    (sweep, attribute), however many segments the ensemble fuses.
+    call for the CDF rows and rebinds.  Both paths draw the same integers
+    and count the same engine counters.
 
     Every segment consumes its own generator exactly as if it ran alone:
     first the initial ``integers`` draws (tuple-major, missing-position
@@ -357,9 +410,12 @@ class GibbsEnsemble:
         self._per_sweep = cell_attr.size
         bounds = np.searchsorted(cell_attr, attrs + [len(schema)]).tolist()
         self._steps = [
-            (attr, cell_row[lo:hi], lo, hi)
+            _Step(attr, cell_row[lo:hi], len(schema), slice(lo, hi))
             for attr, lo, hi in zip(attrs, bounds, bounds[1:])
         ]
+        # The state matrix flattened (a view): steps scatter draws into it
+        # and the trace reads from it.
+        self._flat = self.states.reshape(-1)
         #: recorded cells: every row's missing positions, row-major — one
         #: tuple's ``chains * num_missing`` cells are contiguous
         self._cells = np.flatnonzero(missing.reshape(-1))
@@ -388,16 +444,37 @@ class GibbsEnsemble:
         sampler = self.sampler
         engine = sampler._engine
         choice, scheme = sampler.v_choice, sampler.v_scheme
-        states = self.states
-        for attr, rows, lo, hi in self._steps:
-            # The engine's cached CDF rows: Generator.choice's
+        states, flat = self.states, self._flat
+        for step in self._steps:
+            attr, u = step.attr, uniforms[step.span]
+            memo = step.memo
+            if (
+                memo is not None
+                and memo.size == step.size
+                and engine.live_memo(attr, choice, scheme) is memo
+            ):
+                slots = memo.find(states.take(step.rows, axis=0).dot(memo.mult))
+                try:
+                    draw = _column_draw(step.columns, slots, u)
+                except IndexError:
+                    pass  # a signature the memo lacks: its slot is past every row
+                else:
+                    flat.put(step.cells, draw)
+                    # What conditional_probs_batch counts for a batch its
+                    # memo holds whole.
+                    engine.tuples_served += slots.size
+                    engine.memo_hits += slots.size
+                    continue
+            # A miss, or a memo replaced, dropped or grown since the step
+            # was bound: the engine's cached CDF rows — Generator.choice's
             # cumsum / cdf[-1], computed once per distinct signature.
             cdf = engine.conditional_probs_batch(
-                states[rows], attr, choice, scheme, cumulative=True
+                states[step.rows], attr, choice, scheme, cumulative=True
             )
             # searchsorted(cdf, u, side="right") per row — the exact
             # arithmetic of Generator.choice(n, p=probs).
-            states[rows, attr] = (cdf <= uniforms[lo:hi, None]).sum(axis=1)
+            flat.put(step.cells, (cdf <= u[:, None]).sum(axis=1))
+            step.bind(engine.live_memo(attr, choice, scheme))
         sampler.steps += self._per_sweep
 
     def sweep(self) -> None:
@@ -424,14 +501,14 @@ class GibbsEnsemble:
         sweeps = -(-num_samples // k)
         total = burn_in + sweeps
         trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
-        flat = self.states.reshape(-1)
+        flat = self._flat
         done = 0
         while done < total:
             block = min(UNIFORM_BLOCK_SWEEPS, total - done)
             for uniforms in self._uniforms(block):
                 self._sweep(uniforms)
                 if done >= burn_in:
-                    trace[done - burn_in] = flat[self._cells]
+                    flat.take(self._cells, out=trace[done - burn_in])
                 done += 1
         out = []
         lo = 0

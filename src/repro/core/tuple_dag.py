@@ -273,7 +273,7 @@ def ensemble_sampling(
     of walking the tuple DAG one scalar chain step at a time, all
     ``chains`` chains of every *distinct* tuple of every segment advance
     together in one fused :class:`~repro.core.gibbs.GibbsEnsemble`, so the
-    whole call costs one batched CPD evaluation per (sweep, attribute).
+    whole call costs one batched CPD memo read per (sweep, attribute).
     Each segment draws from its own generator exactly as it would alone,
     so its blocks do not depend on which other segments share the call.
     Per-tuple samples are pooled across the tuple's chains — more chains
@@ -288,8 +288,9 @@ def ensemble_sampling(
     their block) plus the cost counters, exactly like
     :func:`workload_sampling`.
 
-    ``batch_engine`` reuses a caller's warm engine (its signature-level LRU
-    carries over); results are identical with or without one.
+    ``batch_engine`` reuses a caller's warm engine: its CPD memos (and the
+    LRU behind them) carry over, so signatures it has seen cost no
+    recomputation; results are identical with or without one.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")

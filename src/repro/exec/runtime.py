@@ -39,6 +39,7 @@ from .plan import (
 from .work import ShardKnobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.compiled import CompiledModel
     from ..core.engine import BatchInferenceEngine
     from ..core.mrsl import MRSLModel
     from ..probdb.blocks import TupleBlock
@@ -81,6 +82,8 @@ class ExecOutcome:
     #: per-shard timing / placement diagnostics
     report: ExecReport
     plan: ShardPlan
+    #: the parent's compiled lattices (:meth:`ExecContext.compiled_model`)
+    compiled: "CompiledModel"
 
 
 def stream_derivation(
@@ -250,7 +253,13 @@ def _run_plan(
     missing = [i for i, b in enumerate(blocks) if b is None]
     if missing:  # pragma: no cover - executors yield every planned shard
         raise RuntimeError(f"shard execution left {len(missing)} tuples unfilled")
-    return ExecOutcome(blocks=blocks, stats=stats, report=report, plan=plan)
+    return ExecOutcome(
+        blocks=blocks,
+        stats=stats,
+        report=report,
+        plan=plan,
+        compiled=context.compiled_model(),
+    )
 
 
 def execute_delta(

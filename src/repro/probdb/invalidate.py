@@ -178,7 +178,9 @@ class CarryStore:
             else:
                 # Re-root the block on this workload entry; duplicates of one
                 # content share the distribution, as in a from-scratch run.
-                carried[idx] = TupleBlock(t, block.distribution)
+                # The stored block passed TupleBlock's checks for a tuple
+                # equal to t, so re-rooting need not repeat them.
+                carried[idx] = TupleBlock._trusted(t, block.distribution)
                 carried_single.append((idx, t))
 
         dirty_multi: list[tuple[Segment, list[tuple[int, RelTuple]]]] = []
@@ -189,7 +191,7 @@ class CarryStore:
                 dirty_multi.append((segment, batch))
             else:
                 for idx, t in batch:
-                    carried[idx] = TupleBlock(t, blocks[t].distribution)
+                    carried[idx] = TupleBlock._trusted(t, blocks[t].distribution)
                 carried_multi.append(segment)
 
         return DeltaSplit(

@@ -21,7 +21,13 @@ from repro.api.config import DeriveConfig
 from repro.api.service import DeriveRequest, InferenceService
 from repro.api.session import Session
 from repro.bench.masking import mask_relation
-from repro.core import BatchInferenceEngine, GibbsSampler, derive_probabilistic_database
+from repro.core import (
+    BatchInferenceEngine,
+    GibbsSampler,
+    derive_probabilistic_database,
+    ensemble_sampling,
+)
+from repro.core.engine import DEFAULT_CPD_CACHE_SIZE
 from repro.core.gibbs import GibbsEnsemble, _trace_dtype
 from repro.core.learning import learn_mrsl
 from repro.datasets.census import load_census
@@ -193,6 +199,40 @@ def test_segment_stream_matches_per_call_reference(census, chains):
     for f, r in zip(fused, reference):
         assert f.shape == r.shape
         assert (f == r).all()
+
+
+#: ``cache_info()`` counters ``(hits, tuples_served, groups_computed)`` of
+#: the reset-safety workload, as the per-call sweep counted them; perfbench's
+#: ``engine.cpd_hit_rate`` reads these counters.
+RESET_WORKLOAD_COUNTERS = {
+    DEFAULT_CPD_CACHE_SIZE: (1509, 1680, 162),
+    3: (0, 1680, 1454),
+    40: (575, 1680, 902),
+}
+
+
+def test_bound_steps_survive_memo_resets(census):
+    """Small CPD bounds reset memos mid-run: at 3 signatures every memo
+    resets and each batch that alone outgrows the bound drops its memo; at
+    40 resets mix with memo hits.  The sweep's bound steps must notice,
+    rebind and draw the same samples, counted as the per-call sweep did."""
+    model, masked, _, _ = census
+    workload = list(dict.fromkeys(masked))[:8]
+    blocks, counters = {}, {}
+    for cache_size in RESET_WORKLOAD_COUNTERS:
+        engine = BatchInferenceEngine(model, cache_size=cache_size)
+        blocks[cache_size], _ = ensemble_sampling(
+            model, [(workload, 11)], num_samples=60, burn_in=10, chains=2,
+            batch_engine=engine,
+        )
+        info = engine.cache_info()
+        counters[cache_size] = (
+            info["hits"], info["tuples_served"], info["groups_computed"]
+        )
+        if cache_size != DEFAULT_CPD_CACHE_SIZE:
+            assert engine.memo_resets > 0
+            _assert_same_blocks(blocks[DEFAULT_CPD_CACHE_SIZE], blocks[cache_size])
+    assert counters == RESET_WORKLOAD_COUNTERS
 
 
 def test_trace_dtype_and_shape(census):

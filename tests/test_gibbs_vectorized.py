@@ -19,6 +19,8 @@ Three layers of guarantees:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.config import DeriveConfig
 from repro.api.service import DeriveRequest
@@ -26,6 +28,7 @@ from repro.bayesnet import forward_sample_relation, make_network
 from repro.bench.masking import mask_relation
 from repro.bench.metrics import true_joint_posterior
 from repro.cli import build_parser, config_from_args
+from repro.core import engine as engine_module
 from repro.core import (
     BatchInferenceEngine,
     GibbsSampler,
@@ -34,6 +37,8 @@ from repro.core import (
     learn_mrsl,
     workload_sampling,
 )
+from repro.core.engine import _cdf_rows
+from repro.core.gibbs import _column_draw
 from repro.datasets.census import load_census
 from repro.exec.base import split_by_segments
 from repro.exec import plan as plan_module
@@ -130,6 +135,23 @@ def census_model():
     return learn_mrsl(train, support_threshold=0.005).model
 
 
+@pytest.fixture(params=["dense", "sorted"])
+def memo_index(request, monkeypatch):
+    """Both sides of the memo's index choice: the default cap, under which
+    census signature spaces get a dense index, and a cap of 0, which puts
+    every memo on sorted keys."""
+    if request.param == "sorted":
+        monkeypatch.setattr(engine_module, "DENSE_INDEX_CAP", 0)
+    return request.param
+
+
+def _assert_memo_index(engine, memo_index):
+    """Every memo of ``engine`` sits on the ``memo_index`` side."""
+    assert engine._memos
+    for memo in engine._memos.values():
+        assert (memo.index is not None) == (memo_index == "dense")
+
+
 def _random_states(schema, n, rng):
     """``n`` random full code vectors, column by column within domains."""
     return np.stack(
@@ -212,7 +234,9 @@ class TestCPDMemo:
         assert engine.cache.misses == misses
         assert engine.groups_computed == computed
 
-    def test_missing_codes_in_the_signature_stay_distinct(self, census_model):
+    def test_missing_codes_in_the_signature_stay_distinct(
+        self, census_model, memo_index
+    ):
         """MISSING_CODE is a digit of the packing, never an alias."""
         schema = census_model.schema
         engine = BatchInferenceEngine(census_model)
@@ -224,8 +248,11 @@ class TestCPDMemo:
             probs = engine.conditional_probs_batch(states, attr)
             for row, p in zip(states, probs):
                 assert (p == scalar.conditional_probs(row, attr)).all()
+        _assert_memo_index(engine, memo_index)
 
-    def test_census_multi_missing_derive_digest_is_pinned(self, census_model):
+    def test_census_multi_missing_derive_digest_is_pinned(
+        self, census_model, memo_index
+    ):
         """Seeded vectorized derive, byte for byte as before the memo."""
         import hashlib
 
@@ -249,6 +276,48 @@ class TestCPDMemo:
         assert h.hexdigest() == (
             "5f2be536acdbff3c8f504ae6886d6d53a4a620a80a89025a955602f6a23972cb"
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_column_draw_is_the_choice_search(data):
+    """The sweep's column-wise draw skips each CDF row's last column; that
+    column is exactly 1.0, so the draw equals ``Generator.choice``'s
+    ``side="right"`` search, including at ties and at ``u = 0.0``."""
+    card = data.draw(st.integers(2, 12), label="card")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    cpds = np.array(
+        data.draw(
+            st.lists(
+                st.lists(
+                    st.floats(1e-300, 1.0), min_size=card, max_size=card
+                ),
+                min_size=rows,
+                max_size=rows,
+            ),
+            label="cpds",
+        )
+    )
+    cdfs = _cdf_rows(cpds)
+    assert (cdfs[:, -1] == 1.0).all()
+    slots = np.array(
+        data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=12)),
+        dtype=np.intp,
+    )
+    u = np.empty(slots.size)
+    for i, slot in enumerate(slots):
+        kind = data.draw(st.sampled_from(["free", "zero", "tie"]))
+        if kind == "free":
+            u[i] = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        elif kind == "zero":
+            u[i] = 0.0
+        else:
+            tie = cdfs[slot, data.draw(st.integers(0, card - 2))]
+            # Generator.random stays below 1.0, which a column may reach
+            # early when the later probabilities vanish beside it.
+            u[i] = min(tie, np.nextafter(1.0, 0.0))
+    expected = (cdfs[slots] <= u[:, None]).sum(axis=1)
+    assert (_column_draw(cdfs[:, :-1].T, slots, u) == expected).all()
 
 
 # -- scalar vs vectorized chains -------------------------------------------------

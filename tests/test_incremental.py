@@ -25,7 +25,7 @@ from repro.api.service import (
 )
 from repro.api.session import Session
 from repro.bench.masking import mask_relation
-from repro.core import derive_probabilistic_database
+from repro.core import BatchInferenceEngine, derive_probabilistic_database
 from repro.core.lazy import LazyDeriver
 from repro.core.learning import learn_mrsl
 from repro.datasets.census import load_census
@@ -152,6 +152,25 @@ class TestDeltaDerive:
         )
         assert_identical_databases(delta.database, full.database)
         assert full.exec_report.carried_over == 0
+        # Both policies run on the lattices the previous run compiled.
+        assert census_baseline.compiled is not None
+        assert delta.compiled is census_baseline.compiled
+        assert full.compiled is census_baseline.compiled
+
+    def test_compiled_lattices_stay_with_their_model(
+        self, census_relation, census_baseline
+    ):
+        other = learn_mrsl(census_relation, support_threshold=0.05).model
+        with pytest.raises(ValueError, match="different model"):
+            BatchInferenceEngine(other, compiled=census_baseline.compiled)
+        # A re-derive under another model compiles that model afresh.
+        result = derive_probabilistic_database(
+            census_relation,
+            config=CENSUS_CONFIG.replacing(update_policy="full"),
+            model=other,
+            previous=census_baseline,
+        )
+        assert result.compiled.model is other
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_delta_equivalence_across_executors(
