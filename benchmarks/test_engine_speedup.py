@@ -93,7 +93,7 @@ def test_engine_speedup(benchmark, report, scale):
 
 
 def test_engine_cache_amortization(report, scale):
-    """Repeat batches are nearly free: the signature LRU absorbs them."""
+    """Repeat batches are nearly free: the signature memo absorbs them."""
     model, masked = _setup(scale)
     engine = BatchInferenceEngine(model)
 

@@ -470,7 +470,7 @@ class InferenceService:
     so async derivations queue FIFO; a service-level lock additionally
     serializes every endpoint that touches the session's warm engines or
     model registry — ``derive`` (async or blocking, on any thread),
-    ``infer``, and ``learn`` — because the engines' LRU caches are not
+    ``infer``, and ``learn`` — because the engines' CPD memos are not
     thread-safe.  ``query`` and the job endpoints read immutable state and
     stay lock-free.
     """

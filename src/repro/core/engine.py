@@ -10,11 +10,14 @@ CPD.  :class:`BatchInferenceEngine` exploits this:
 2. the distinct groups a batch misses are answered together, per
    attribute, by one batched match, dominance filter and combine over the
    compiled rule matrix (:meth:`~repro.core.compiled.CompiledMRSL.infer_many`);
-3. answers are memoized in a bounded LRU, so repeated batches skip even
-   the vectorized work; the Gibbs hot loop reads them from per-attribute
-   array memos (:meth:`BatchInferenceEngine.conditional_probs_batch`, or
-   straight from a memo its sweep step has bound), so a whole batch of
-   chain states costs a handful of NumPy calls.
+3. answers are memoized in one bounded array memo per ``(attribute,
+   vChoice, vScheme)`` (:class:`_CPDMemo`), the only CPD store: the scalar
+   :meth:`~BatchInferenceEngine.conditional_probs`, the grouped
+   :meth:`~BatchInferenceEngine.infer_grouped` and the batch
+   :meth:`~BatchInferenceEngine.conditional_probs_batch` all read and fill
+   it, so repeated signatures skip even the vectorized work, and the Gibbs
+   hot loop reads a whole batch of chain states (or straight from a memo
+   its sweep step has bound) in a handful of NumPy calls.
 
 Results are bit-for-bit identical to the naive path for every
 ``vChoice`` x ``vScheme`` combination — the naive implementation stays in
@@ -30,7 +33,7 @@ import numpy as np
 
 from ..probdb.distribution import Distribution
 from ..relational.tuples import MISSING_CODE, RelTuple
-from .compiled import CompiledModel, LRUCache
+from .compiled import CompiledModel
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
 
@@ -49,9 +52,11 @@ ENGINES = ("naive", "compiled")
 #: The engine used when callers do not choose one.
 DEFAULT_ENGINE = "compiled"
 
-#: Default bound on memoized CPDs.  Entries are small probability vectors,
-#: so the default costs at most a few MB while covering every realistic
-#: signature space; small runs behave exactly as an unbounded cache.
+#: Default bound on the signatures all of an engine's memos hold together.
+#: Each keeps a CPD row and a CDF row (8 bytes per domain value each), so
+#: the default costs a few MB at census cardinalities while covering every
+#: realistic signature space; small runs behave exactly as an unbounded
+#: cache.
 DEFAULT_CPD_CACHE_SIZE = 65536
 
 
@@ -90,43 +95,46 @@ def _cdf_rows(cpds: np.ndarray) -> np.ndarray:
 #: slot index (8 bytes per key); wider spaces keep sorted keys.
 DENSE_INDEX_CAP = 1 << 16
 
-#: Sorted-memo key past every packed signature (packed spaces stay below
-#: 2**63).
-_SENTINEL = np.iinfo(np.int64).max
-
 #: The slot a memo reports for a signature it lacks: past every row, so
 #: gathering memo rows with it raises ``IndexError``.
 _ABSENT = np.iinfo(np.intp).max
 
 
 class _CPDMemo:
-    """Packed signatures -> stacked CPD and CDF rows, for one attribute.
+    """Signature keys -> stacked CPD and CDF rows, for one attribute.
 
-    ``states.dot(mult)`` packs code rows' signature columns into int64 keys
-    (see :meth:`BatchInferenceEngine._sig_packer`); a space of ``space``
-    signatures packs to ``space`` consecutive integers, the
+    ``states.dot(mult)`` packs code rows' signature columns into integer
+    keys (see :meth:`BatchInferenceEngine._sig_packer`); a space of
+    ``space`` signatures packs to ``space`` consecutive integers, the
     all-``MISSING_CODE`` signature lowest.  Up to :data:`DENSE_INDEX_CAP`
     keys, ``index`` maps every key straight to its slot, so a lookup is one
     ``take``.  It is indexed by the key modulo ``space``: a bijection on
     consecutive integers, which shifts the keys below zero (those with
     ``MISSING_CODE`` digits) into range without a separate add.  Wider
-    spaces keep ``keys`` sorted and ending in :data:`_SENTINEL`, so one
-    ``np.searchsorted`` plus one gather-and-compare finds a whole batch,
-    and ``slots`` maps each key to its slot.  Slots are rows of ``cpds`` /
-    ``cdfs``, which fill in insertion order and grow by doubling; a key the
-    memo lacks has slot :data:`_ABSENT`.
+    spaces keep ``keys`` sorted, so one ``np.searchsorted`` plus one
+    gather-and-compare finds a whole batch, and ``slots`` maps each key to
+    its slot.  A space too wide to pack (``packer`` is ``None``, ``mult``
+    too) keys on each row's int32 signature columns viewed as one
+    ``np.void`` item, on sorted keys the same way.  Slots are rows of
+    ``cpds`` / ``cdfs``, which fill in insertion order and grow by
+    doubling; ``cpds`` stays read-only, so a row handed out needs no copy.
+    A key the memo lacks has slot :data:`_ABSENT`.
     """
 
-    __slots__ = ("mult", "index", "keys", "slots", "size", "cpds", "cdfs")
+    __slots__ = ("mult", "attrs", "index", "keys", "slots", "size", "cpds", "cdfs")
 
-    def __init__(self, mult: np.ndarray, space: int, cardinality: int):
-        self.mult = mult
-        if space <= DENSE_INDEX_CAP:
-            self.index = np.full(space, _ABSENT, dtype=np.intp)
+    def __init__(self, packer: tuple | None, attrs: np.ndarray, cardinality: int):
+        self.mult, self.attrs, self.index = None, attrs, None
+        if packer is None:
+            dtype = np.dtype((np.void, 4 * attrs.size))
         else:
-            self.index = None
-            self.keys = np.array([_SENTINEL], dtype=np.int64)
-            self.slots = np.zeros(1, dtype=np.intp)
+            self.mult, space = packer
+            dtype = self.mult.dtype
+            if space <= DENSE_INDEX_CAP:
+                self.index = np.full(space, _ABSENT, dtype=np.intp)
+        if self.index is None:
+            self.keys = np.empty(0, dtype=dtype)
+            self.slots = np.empty(0, dtype=np.intp)
         self.size = 0
         self.cpds = np.empty((16, cardinality))
         self.cdfs = np.empty((16, cardinality))
@@ -134,12 +142,22 @@ class _CPDMemo:
     def __len__(self) -> int:
         return self.size
 
+    def pack(self, states: np.ndarray) -> np.ndarray:
+        """Each code row's key: its packed signature, or its signature's
+        int32 bytes when the space is too wide to pack."""
+        if self.mult is not None:
+            return states.dot(self.mult)
+        sigs = np.ascontiguousarray(states[:, self.attrs], dtype=np.int32)
+        return sigs.view(self.keys.dtype).reshape(-1)
+
     def find(self, packed: np.ndarray) -> np.ndarray:
         """The slot of every ``packed`` key, :data:`_ABSENT` where lacking."""
         if self.index is not None:
             return self.index.take(packed, mode="wrap")
-        pos = self.keys.searchsorted(packed)
-        return np.where(self.keys.take(pos) == packed, self.slots.take(pos), _ABSENT)
+        if not self.size:
+            return np.full(packed.size, _ABSENT, dtype=np.intp)
+        pos = self.keys.searchsorted(packed).clip(max=self.size - 1)
+        return np.where(self.keys[pos] == packed, self.slots[pos], _ABSENT)
 
     def insert(self, keys: np.ndarray, cpds: np.ndarray) -> None:
         """Add sorted, absent ``keys`` with their CPD rows."""
@@ -150,13 +168,16 @@ class _CPDMemo:
                 grown = np.empty((capacity, self.cpds.shape[1]))
                 grown[:size] = getattr(self, name)[:size]
                 setattr(self, name, grown)
+        # Rows already handed out are never rewritten: only new slots are.
+        self.cpds.setflags(write=True)
         self.cpds[size : size + count] = cpds
+        self.cpds.setflags(write=False)
         self.cdfs[size : size + count] = _cdf_rows(cpds)
         slots = np.arange(size, size + count, dtype=np.intp)
         if self.index is not None:
             self.index.put(keys, slots, mode="wrap")
         else:
-            at = np.searchsorted(self.keys, keys)
+            at = self.keys.searchsorted(keys)
             self.keys = np.insert(self.keys, at, keys)
             self.slots = np.insert(self.slots, at, slots)
         self.size += count
@@ -169,7 +190,8 @@ class BatchInferenceEngine:
     compiled lazily on first use, into ``compiled`` when given (another
     engine's :attr:`compiled` over the same model, so the two share the
     work).  The default voting configuration given at construction can be
-    overridden per call.
+    overridden per call.  ``cache_size`` bounds the signatures all memos
+    hold together (``None``: unbounded).
     """
 
     def __init__(
@@ -182,26 +204,28 @@ class BatchInferenceEngine:
     ):
         if compiled is not None and compiled.model is not model:
             raise ValueError("compiled lattices belong to a different model")
+        if cache_size is not None and cache_size < 1:
+            raise ValueError("maxsize must be positive (or None for unbounded)")
         self.model = model
         self.schema = model.schema
         self.v_choice = VoterChoice(v_choice)
         self.v_scheme = VotingScheme(v_scheme)
         self.compiled = CompiledModel(model) if compiled is None else compiled
-        self.cache = LRUCache(cache_size)
+        self.cache_size = cache_size
         # Per-attribute mixed-radix multipliers for packing signature
-        # columns into one int64 per row, with the packed space's size
-        # (None = space too large to pack; the batch path then falls back
-        # to row-wise unique).
+        # columns into one integer per row, with the packed space's size
+        # (None = space too large to pack; its memo then keys on bytes).
         self._sig_packers: dict[int, tuple[np.ndarray, int] | None] = {}
-        # (attr, vChoice, vScheme) -> array memo of the batch path; their
-        # rows together (``_memo_rows``) stay within ``cache_size``.
+        # (attr, vChoice, vScheme) -> array memo, the engine's only CPD
+        # store; their rows together (``_memo_rows``) stay within
+        # ``cache_size``.
         self._memos: dict[tuple, _CPDMemo] = {}
         self._memo_rows = 0
         #: distinct (attribute, signature, config) groups actually computed
         self.groups_computed = 0
         #: tuples served across all batch calls
         self.tuples_served = 0
-        #: batch rows served by a memo that already held their signature
+        #: rows served by a memo that already held their signature
         self.memo_hits = 0
         #: memo resets because all memos together outgrew ``cache_size``
         self.memo_resets = 0
@@ -260,18 +284,18 @@ class BatchInferenceEngine:
         missing regardless of its content.
         """
         choice, scheme = self._voting(v_choice, v_scheme)
-        compiled = self.compiled[attr]
         # No masking needed: meta-rule bodies never mention their own head
         # attribute, so neither the signature nor the match reads codes[attr].
-        key = (attr, choice, scheme, compiled.signature(codes))
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        probs = compiled.infer(codes, choice, scheme)
-        probs.setflags(write=False)
-        self.cache.put(key, probs)
-        self.groups_computed += 1
-        return probs
+        memo = self._memos.get((attr, choice, scheme))
+        if memo is not None and memo.index is not None:
+            # Keys lie within (-space, space): Python indexing wraps them
+            # as ``take(mode="wrap")`` does.
+            slot = memo.index.item(codes.dot(memo.mult))
+            if slot != _ABSENT:
+                self.memo_hits += 1
+                return memo.cpds[slot]
+        memo, slots = self._memo_slots(codes[None], attr, choice, scheme)
+        return memo.cpds[slots[0]]
 
     # -- batch entry points ----------------------------------------------------
 
@@ -294,51 +318,48 @@ class BatchInferenceEngine:
         ``Generator.choice``), which is what an inverse-CDF draw reads.
 
         Each ``(attr, vChoice, vScheme)`` has an array memo
-        (:class:`_CPDMemo`): every row's signature columns are packed into
-        one int64, looked up in the memo's dense index (one ``take``) or,
-        past :data:`DENSE_INDEX_CAP` keys, its sorted keys (one
+        (:class:`_CPDMemo`), shared with the scalar and grouped entry
+        points: every row's signature columns are packed into one integer,
+        looked up in the memo's dense index (one ``take``) or, past
+        :data:`DENSE_INDEX_CAP` keys, its sorted keys (one
         ``np.searchsorted``), and answered with one gather from its stacked
         CPD or CDF rows — O(1) Python work per call however many
-        signatures it touches.  Signatures the memo lacks are deduplicated
-        with one ``np.unique``; each is answered from the shared LRU (the
-        scalar :meth:`conditional_probs` entries, so scalar and batch
-        callers warm each other) or computed and put there.  All memos
-        together hold at most ``cache_size`` signatures: a batch that would
-        overflow that resets its own memo (and the others too, if that is
-        not enough), counted in ``evictions``, which never changes a result
-        since a CPD is a function of its signature.  Signature spaces too
-        wide to pack fall back to a row-wise :func:`unique_rows`.
+        signatures it touches.  Signature spaces too wide to pack key on
+        their bytes instead.  Signatures the memo lacks are deduplicated
+        with one ``np.unique`` and computed together.  All memos together
+        hold at most ``cache_size`` signatures: a batch that would overflow
+        that resets its own memo (and the others too, if that is not
+        enough), counted in ``evictions``, which never changes a result
+        since a CPD is a function of its signature.
         """
         choice, scheme = self._voting(v_choice, v_scheme)
-        # int32 matches RelTuple code vectors, so signature bytes are
-        # interchangeable with the scalar path's cache keys.
-        states = np.ascontiguousarray(states, dtype=np.int32)
+        states = np.asarray(states)
         self.tuples_served += states.shape[0]
-        packer = self._sig_packer(attr)
-        if packer is not None:
-            memo, slots = self._memo_slots(states, packer, attr, choice, scheme)
-            return (memo.cdfs if cumulative else memo.cpds)[slots]
-        first, inverse = unique_rows(states[:, self.compiled[attr].signature_attrs])
-        cpds = self._answer(states[first], attr, choice, scheme)
-        if cumulative:
-            cpds = _cdf_rows(cpds)
-        return cpds[inverse]
+        memo, slots = self._memo_slots(states, attr, choice, scheme)
+        return (memo.cdfs if cumulative else memo.cpds)[slots]
 
     def live_memo(
         self, attr: int, choice: VoterChoice, scheme: VotingScheme
     ) -> _CPDMemo | None:
-        """The memo :meth:`conditional_probs_batch` reads for ``attr`` now.
+        """The packed-key memo the engine reads for ``attr`` now.
 
-        ``None`` until a batch call creates it, after a bound drops it, and
-        for signature spaces too wide to pack; a reset replaces it with a
-        new object.
+        ``None`` until a call creates it, after a bound drops it, and for
+        signature spaces too wide to pack (their memos key on bytes, which
+        a bound sweep step cannot pack); a reset replaces it with a new
+        object.
         """
-        return self._memos.get((attr, choice, scheme))
+        memo = self._memos.get((attr, choice, scheme))
+        return None if memo is None or memo.mult is None else memo
+
+    def _new_memo(self, attr: int) -> _CPDMemo:
+        compiled = self.compiled[attr]
+        return _CPDMemo(
+            self._sig_packer(attr), compiled.signature_attrs, compiled.cardinality
+        )
 
     def _memo_slots(
         self,
         states: np.ndarray,
-        packer: tuple[np.ndarray, int],
         attr: int,
         choice: VoterChoice,
         scheme: VotingScheme,
@@ -346,11 +367,10 @@ class BatchInferenceEngine:
         """The memo holding every row's signature and each row's slot in
         it, after filling the memo's misses."""
         key = (attr, choice, scheme)
-        card = self.compiled[attr].cardinality
         memo = self._memos.get(key)
         if memo is None:
-            memo = self._memos[key] = _CPDMemo(*packer, card)
-        packed = states.dot(memo.mult)
+            memo = self._memos[key] = self._new_memo(attr)
+        packed = memo.pack(states)
         slots = memo.find(packed)
         absent = slots == _ABSENT
         if not absent.any():
@@ -358,13 +378,13 @@ class BatchInferenceEngine:
             return memo, slots
         missed = np.flatnonzero(absent)
         new, first = np.unique(packed[missed], return_index=True)
-        limit = self.cache.maxsize
+        limit = self.cache_size
         if limit is not None and self._memo_rows + new.size > limit:
             # Outgrown: start this memo over from the batch's own
             # signatures, dropping every other memo if that is not enough.
             self.memo_resets += 1
             self._memo_rows -= len(memo)
-            memo = self._memos[key] = _CPDMemo(*packer, card)
+            memo = self._memos[key] = self._new_memo(attr)
             missed = np.arange(packed.size)
             new, first = np.unique(packed, return_index=True)
             if self._memo_rows + new.size > limit:
@@ -386,53 +406,21 @@ class BatchInferenceEngine:
         choice: VoterChoice,
         scheme: VotingScheme,
     ) -> np.ndarray:
-        """CPD rows of distinct-signature states, stacked."""
-        rows = self._answer_rows(reps, attr, choice, scheme)
-        out = np.empty((len(rows), self.compiled[attr].cardinality))
-        for j, row in enumerate(rows):
-            out[j] = row
-        return out
-
-    def _answer_rows(
-        self,
-        reps: np.ndarray,
-        attr: int,
-        choice: VoterChoice,
-        scheme: VotingScheme,
-    ) -> list[np.ndarray]:
-        """One read-only CPD row per distinct-signature representative.
-
-        Each signature is looked up in the shared LRU under the scalar
-        :meth:`conditional_probs` key, so both paths share entries; the
-        misses are answered together by one
-        :meth:`~repro.core.compiled.CompiledMRSL.infer_many` call.
-        """
-        compiled = self.compiled[attr]
-        # int32 rows of a contiguous matrix: the same bytes as
-        # compiled.signature(codes) on each representative.
-        sigs = np.ascontiguousarray(reps[:, compiled.signature_attrs], np.int32)
-        keys = [(attr, choice, scheme, sig.tobytes()) for sig in sigs]
-        rows = [self.cache.get(key) for key in keys]
-        missed = [j for j, row in enumerate(rows) if row is None]
-        if missed:
-            computed = compiled.infer_many(reps[missed], choice, scheme)
-            computed.setflags(write=False)
-            for j, probs in zip(missed, computed):
-                rows[j] = probs
-                self.cache.put(keys[j], probs)
-            self.groups_computed += len(missed)
-        return rows
+        """CPD rows of distinct-signature states, computed together."""
+        self.groups_computed += reps.shape[0]
+        return self.compiled[attr].infer_many(reps, choice, scheme)
 
     def _sig_packer(self, attr: int) -> tuple[np.ndarray, int] | None:
-        """Per-column multipliers packing a code row's signature into int64.
+        """Per-column multipliers packing a code row's signature into one int.
 
         ``codes @ mult`` is a mixed-radix number over the signature
         columns, with zero weight on every other column.  Radix
         ``cardinality + 1`` gives each column the digits
         ``MISSING_CODE`` (-1) to ``cardinality - 1``, so packing is
         injective.  Returns ``(mult, space)``, ``space`` being the number
-        of distinct packed keys (the product of the radices); ``None`` when
-        the packed space overflows int64 (pathologically wide signatures).
+        of distinct packed keys (the product of the radices), ``mult``
+        int32 when the space allows; ``None`` when the packed space
+        overflows int64 (pathologically wide signatures).
         """
         try:
             return self._sig_packers[attr]
@@ -447,7 +435,9 @@ class BatchInferenceEngine:
             if scale >= 2**63:
                 break  # packed codes would overflow int64 and collide
         else:
-            packer = (mult, scale)
+            # Keys and partial sums stay within (-space, space): int32
+            # spaces pack int32 code rows without a cast.
+            packer = (mult.astype(np.int32) if scale <= 2**31 else mult, scale)
         self._sig_packers[attr] = packer
         return packer
 
@@ -462,11 +452,11 @@ class BatchInferenceEngine:
         Returns one ``(attr, positions, inverse, cpds)`` per missing
         attribute, ascending: the rows missing ``attr``, each one's
         distinct-signature number, and the read-only ``(g, cardinality)``
-        matrix of the distinct signatures' CPDs.  Signatures are numbered
-        by one ``np.unique`` over a void view of their columns
-        (:func:`unique_rows`); the LRU lacks are answered by one batched
-        compiled match + combine, so repeats within and across calls are
-        free.
+        matrix of the distinct signatures' CPDs.  The rows' memo slots
+        come from the same memo as :meth:`conditional_probs_batch` (its
+        misses answered by one batched compiled match + combine, so repeats
+        within and across calls are free), and one ``np.unique`` over them
+        numbers the distinct signatures in slot order.
         """
         choice, scheme = self._voting(v_choice, v_scheme)
         missing = codes == MISSING_CODE
@@ -481,11 +471,9 @@ class BatchInferenceEngine:
         groups = []
         for attr in np.unique(attrs).tolist():
             positions = np.flatnonzero(attrs == attr)
-            group = codes[positions]
-            first, inverse = unique_rows(
-                group[:, self.compiled[attr].signature_attrs]
-            )
-            cpds = self._answer(group[first], attr, choice, scheme)
+            memo, slots = self._memo_slots(codes[positions], attr, choice, scheme)
+            distinct, inverse = np.unique(slots, return_inverse=True)
+            cpds = memo.cpds[distinct]
             cpds.setflags(write=False)
             groups.append((attr, positions, inverse, cpds))
         self.tuples_served += codes.shape[0]
@@ -546,19 +534,23 @@ class BatchInferenceEngine:
     # -- diagnostics -----------------------------------------------------------
 
     def cache_info(self) -> dict[str, int | None]:
-        """CPD cache counters plus group/tuple totals, for reporting.
+        """CPD memo counters plus group/tuple totals, for reporting.
 
-        ``hits`` adds the LRU's hits to the batch rows a memo already held
-        (memo hits count as rows served, LRU hits as distinct
-        signatures); ``misses`` and ``groups_computed`` count signatures
-        computed; ``evictions`` adds LRU evictions to memo resets.
+        ``hits`` counts rows (scalar calls count one each) served by a memo
+        that already held their signature; ``misses`` and
+        ``groups_computed`` count signatures computed; ``evictions`` counts
+        memo resets; ``size`` is the signatures all memos hold and
+        ``maxsize`` their bound, ``cache_size``.
         """
-        info = self.cache.info()
-        info["hits"] += self.memo_hits
-        info["evictions"] += self.memo_resets
-        info["groups_computed"] = self.groups_computed
-        info["tuples_served"] = self.tuples_served
-        return info
+        return {
+            "hits": self.memo_hits,
+            "misses": self.groups_computed,
+            "evictions": self.memo_resets,
+            "size": self._memo_rows,
+            "maxsize": self.cache_size,
+            "groups_computed": self.groups_computed,
+            "tuples_served": self.tuples_served,
+        }
 
     def __repr__(self) -> str:
         return (

@@ -8,13 +8,13 @@ values plus the chain's current state) given as evidence.  Observed
 attributes stay clamped throughout — this is the paper's tuple-at-a-time
 restriction of the sample space.
 
-A shared CPD cache keyed by the full conditioning assignment implements the
-"caching the results of partial computations for re-use" optimization of
-Section I-B; it is reused across chain steps, tuples, and the tuple-DAG
-workload driver.  The cache is a size-bounded LRU so long-running workloads
-cannot grow it without bound; conditional CPDs are computed by the compiled
-engine (:mod:`repro.core.compiled`) by default, with the naive voter
-enumeration kept as the ``engine="naive"`` correctness oracle.
+A shared, size-bounded CPD cache implements the "caching the results of
+partial computations for re-use" optimization of Section I-B; it is reused
+across chain steps, tuples, and the tuple-DAG workload driver.  By default
+conditional CPDs come from the compiled engine's array memos
+(:mod:`repro.core.engine`), keyed on the evidence signature; the naive
+voter enumeration, kept as the ``engine="naive"`` correctness oracle,
+memoizes on the full conditioning assignment in its own LRU.
 
 Two chain drivers share the sampler:
 
@@ -103,12 +103,10 @@ class GibbsSampler:
                     "a warm batch_engine requires engine='compiled'"
                 )
             self._engine = batch_engine
-            self._cpd_cache = batch_engine.cache
         elif self.engine == "compiled":
             self._engine = BatchInferenceEngine(
                 model, self.v_choice, self.v_scheme, cache_size=cache_size
             )
-            self._cpd_cache = self._engine.cache
         else:
             self._engine = None
             self._cpd_cache = LRUCache(cache_size)
@@ -120,25 +118,27 @@ class GibbsSampler:
     @property
     def cpd_evaluations(self) -> int:
         """Total conditional-CPD evaluations (cache misses), for diagnostics."""
-        return self._cpd_cache.misses
+        return self.cache_info()["misses"]
 
     @property
     def cache_hits(self) -> int:
         """Conditional-CPD cache hits, for diagnostics."""
-        return self._cpd_cache.hits
+        return self.cache_info()["hits"]
 
     def cache_info(self) -> dict[str, int | None]:
         """Hit/miss/eviction counters of the conditional-CPD cache."""
+        if self._engine is not None:
+            return self._engine.cache_info()
         return self._cpd_cache.info()
 
     def conditional_probs(self, codes: np.ndarray, attr: int) -> np.ndarray:
         """CPD vector for ``attr`` with every other attribute of ``codes`` known.
 
         ``codes`` is a full code vector whose position ``attr`` is ignored
-        (treated as missing).  Results are memoized on the conditioning
-        assignment in a bounded LRU; the compiled path keys on the evidence
-        *signature*, so assignments differing only on attributes no
-        meta-rule conditions on share one entry.
+        (treated as missing).  The compiled path memoizes on the evidence
+        *signature* in the engine's memo, so assignments differing only on
+        attributes no meta-rule conditions on share one entry; the naive
+        path memoizes on the conditioning assignment in a bounded LRU.
         """
         if self._engine is not None:
             return self._engine.conditional_probs(

@@ -288,9 +288,9 @@ def ensemble_sampling(
     their block) plus the cost counters, exactly like
     :func:`workload_sampling`.
 
-    ``batch_engine`` reuses a caller's warm engine: its CPD memos (and the
-    LRU behind them) carry over, so signatures it has seen cost no
-    recomputation; results are identical with or without one.
+    ``batch_engine`` reuses a caller's warm engine: its CPD memos carry
+    over, so signatures it has seen cost no recomputation; results are
+    identical with or without one.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")

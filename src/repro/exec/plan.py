@@ -5,7 +5,7 @@ Two partitioning rules, one per inference regime:
 * **Single-missing tuples** (Algorithm 2) are grouped by ``(head attribute,
   evidence signature)`` — the same key the compiled engine memoizes CPDs
   under — so every group in a shard is answered by one matrix combine and
-  the per-worker LRU stays hot.  Grouping runs on the stacked code matrix:
+  the per-worker CPD memo stays hot.  Grouping runs on the stacked code matrix:
   per attribute, one ``np.unique`` over a void view of the signature
   columns numbers the groups in key order.  Groups are packed into a
   bounded number of shards (greedy largest-first, through a heap of bin

@@ -101,10 +101,9 @@ def single_shard_blocks(
 ) -> list[TupleBlock]:
     """Blocks for a batch of single-missing tuples under the chosen engine.
 
-    The compiled path runs on the batch's stacked code matrix: per missing
-    attribute, one void-view ``np.unique`` over the signature columns and
-    one :meth:`~repro.core.engine.BatchInferenceEngine.infer_grouped`
-    answer for the distinct signatures.  The naive path loops
+    The compiled path runs on the batch's stacked code matrix: one
+    :meth:`~repro.core.engine.BatchInferenceEngine.infer_grouped` call
+    numbers each missing attribute's distinct signatures and answers them.  The naive path loops
     tuple-at-a-time and is kept as the correctness oracle.
     """
     v_choice = VoterChoice(knobs.v_choice)

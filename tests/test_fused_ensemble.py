@@ -202,12 +202,12 @@ def test_segment_stream_matches_per_call_reference(census, chains):
 
 
 #: ``cache_info()`` counters ``(hits, tuples_served, groups_computed)`` of
-#: the reset-safety workload, as the per-call sweep counted them; perfbench's
+#: the reset-safety workload, as the per-call sweep counts them; perfbench's
 #: ``engine.cpd_hit_rate`` reads these counters.
 RESET_WORKLOAD_COUNTERS = {
     DEFAULT_CPD_CACHE_SIZE: (1509, 1680, 162),
     3: (0, 1680, 1454),
-    40: (575, 1680, 902),
+    40: (97, 1680, 1380),
 }
 
 
@@ -215,20 +215,30 @@ def test_bound_steps_survive_memo_resets(census):
     """Small CPD bounds reset memos mid-run: at 3 signatures every memo
     resets and each batch that alone outgrows the bound drops its memo; at
     40 resets mix with memo hits.  The sweep's bound steps must notice,
-    rebind and draw the same samples, counted as the per-call sweep did."""
+    rebind and draw the same samples, counted as the per-call sweep counts
+    them (the sweep with no memo to bind, every step one
+    ``conditional_probs_batch`` call)."""
     model, masked, _, _ = census
     workload = list(dict.fromkeys(masked))[:8]
     blocks, counters = {}, {}
     for cache_size in RESET_WORKLOAD_COUNTERS:
-        engine = BatchInferenceEngine(model, cache_size=cache_size)
-        blocks[cache_size], _ = ensemble_sampling(
-            model, [(workload, 11)], num_samples=60, burn_in=10, chains=2,
-            batch_engine=engine,
-        )
-        info = engine.cache_info()
-        counters[cache_size] = (
-            info["hits"], info["tuples_served"], info["groups_computed"]
-        )
+        for per_call in (False, True):
+            engine = BatchInferenceEngine(model, cache_size=cache_size)
+            if per_call:
+                engine.live_memo = lambda attr, choice, scheme: None
+            run, _ = ensemble_sampling(
+                model, [(workload, 11)], num_samples=60, burn_in=10, chains=2,
+                batch_engine=engine,
+            )
+            info = engine.cache_info()
+            counted = (
+                info["hits"], info["tuples_served"], info["groups_computed"]
+            )
+            if per_call:
+                _assert_same_blocks(blocks[cache_size], run)
+                assert counted == counters[cache_size]
+            else:
+                blocks[cache_size], counters[cache_size] = run, counted
         if cache_size != DEFAULT_CPD_CACHE_SIZE:
             assert engine.memo_resets > 0
             _assert_same_blocks(blocks[DEFAULT_CPD_CACHE_SIZE], blocks[cache_size])

@@ -3,8 +3,8 @@
 Three layers of guarantees:
 
 * ``BatchInferenceEngine.conditional_probs_batch`` is bit-identical to the
-  scalar ``conditional_probs`` row by row (they share the same LRU
-  entries), through its array memo's hits, misses and resets, and its
+  scalar ``conditional_probs`` row by row (they share one array memo per
+  voting config), through the memo's hits, misses and resets, and its
   ``cumulative=True`` rows are exactly ``Generator.choice``'s CDF.
 * A one-tuple, one-chain :class:`~repro.core.gibbs.GibbsEnsemble` consumes
   the same RNG stream as the scalar :class:`~repro.core.gibbs.GibbsChain`
@@ -37,13 +37,14 @@ from repro.core import (
     learn_mrsl,
     workload_sampling,
 )
-from repro.core.engine import _cdf_rows
+from repro.core.engine import DEFAULT_CPD_CACHE_SIZE, _cdf_rows
 from repro.core.gibbs import _column_draw
 from repro.datasets.census import load_census
 from repro.exec.base import split_by_segments
 from repro.exec import plan as plan_module
 from repro.exec.plan import MULTI_TUPLES_PER_SHARD, _component_roots, plan_shards
 from repro.relational import Relation, make_tuple
+from repro.relational.tuples import MISSING_CODE
 
 
 @pytest.fixture(scope="module")
@@ -71,16 +72,18 @@ class TestConditionalProbsBatch:
                 scalar = engine.conditional_probs(states[i], attr)
                 assert (batch[i] == scalar).all()
 
-    def test_shares_the_scalar_lru_entries(self, bn8_setup):
+    def test_shares_the_scalar_memo_entries(self, bn8_setup):
         net, schema, model = bn8_setup
         engine = BatchInferenceEngine(model)
         states = np.zeros((8, 4), dtype=np.int32)
         engine.conditional_probs(states[0], 1)
-        before = engine.cache.misses
+        before = engine.cache_info()
         engine.conditional_probs_batch(states, 1)
         # All eight rows share the signature already cached by the scalar
-        # call: no new miss.
-        assert engine.cache.misses == before
+        # call: no new miss, eight hits.
+        after = engine.cache_info()
+        assert after["misses"] == before["misses"] == 1
+        assert after["hits"] == before["hits"] + 8
 
     def test_empty_batch(self, bn8_setup):
         net, schema, model = bn8_setup
@@ -91,21 +94,32 @@ class TestConditionalProbsBatch:
         assert out.shape == (0, schema[0].cardinality)
 
     def test_unpackable_signature_space_falls_back(self, bn8_setup):
-        """When the packed signature space would overflow int64 the
-        grouping falls back to row-wise unique with identical results."""
+        """When the packed signature space would overflow int64 the memo
+        keys on signature bytes instead, with identical results."""
         net, schema, model = bn8_setup
         engine = BatchInferenceEngine(model)
         rng = np.random.default_rng(3)
         states = rng.integers(0, 2, size=(48, 4)).astype(np.int32)
+        # The all-MISSING_CODE signature is all 0xff bytes: the last key.
+        states[::6] = MISSING_CODE
+        states[3::6, 2] = MISSING_CODE
         packed = engine.conditional_probs_batch(states, 1)
         cdfs = engine.conditional_probs_batch(states, 1, cumulative=True)
-        engine._sig_packers = dict.fromkeys(range(4))  # force the fallback
-        engine.cache.clear()
-        fallback = engine.conditional_probs_batch(states, 1)
-        assert (packed == fallback).all()
+        fallback = BatchInferenceEngine(model)
+        fallback._sig_packers = dict.fromkeys(range(4))  # force the fallback
+        # An empty memo finds nothing; scalar misses then fill it row by row,
+        # row 12's all-0xff key arriving after smaller ones.
+        empty = fallback.conditional_probs_batch(states[:0], 1)
+        assert empty.shape == (0, schema[1].cardinality)
+        for i in range(47, 0, -7):
+            assert (fallback.conditional_probs(states[i], 1) == packed[i]).all()
+        assert (fallback.conditional_probs_batch(states, 1) == packed).all()
         assert (
-            engine.conditional_probs_batch(states, 1, cumulative=True) == cdfs
+            fallback.conditional_probs_batch(states, 1, cumulative=True) == cdfs
         ).all()
+        # A bound sweep step cannot pack bytes keys: no live memo for it.
+        assert fallback.live_memo(1, fallback.v_choice, fallback.v_scheme) is None
+        assert fallback.cache_info()["misses"] == engine.cache_info()["misses"]
 
     def test_counters_track_batches(self, bn8_setup):
         net, schema, model = bn8_setup
@@ -198,10 +212,20 @@ class TestCPDMemo:
                 assert (c == np.cumsum(p) / np.cumsum(p)[-1]).all()
 
     def test_reset_by_a_tiny_cache_returns_identical_rows(self, census_model):
+        """One bound across all three entry points: scalar, grouped and
+        batch calls interleave on a 3-signature engine and answer exactly
+        as a large one."""
         schema = census_model.schema
         big = BatchInferenceEngine(census_model)
         tiny = BatchInferenceEngine(census_model, cache_size=3)
         rng = np.random.default_rng(7)
+
+        def check_bound():
+            # The bound is on all memos together, not per memo.
+            held = [len(memo) for memo in tiny._memos.values()]
+            assert sum(held) == tiny._memo_rows <= 3
+            assert tiny.cache_info()["size"] == tiny._memo_rows
+
         for n in (2, 3, 2, 30, 2, 3):  # 30 rows alone outgrow the bound
             states = _random_states(schema, n, rng)
             for attr in range(len(schema)):
@@ -213,25 +237,62 @@ class TestCPDMemo:
                         states, attr, cumulative=cumulative
                     )
                     assert (a == b).all()
-                    # The bound is on all memos together, not per memo.
-                    held = [len(memo) for memo in tiny._memos.values()]
-                    assert sum(held) == tiny._memo_rows <= 3
+                    check_bound()
+                for row in states[:3]:
+                    a = big.conditional_probs(row, attr)
+                    assert (tiny.conditional_probs(row, attr) == a).all()
+                    check_bound()
+                single = states.copy()
+                single[:, attr] = MISSING_CODE
+                ((_, pa, ia, ca),) = big.infer_grouped(single)
+                ((gb, pb, ib, cb),) = tiny.infer_grouped(single)
+                assert gb == attr and (pa == pb).all()
+                assert (ca[ia] == cb[ib]).all()
+                check_bound()
         assert tiny.memo_resets > 0
-        info = tiny.cache_info()
-        assert info["evictions"] == tiny.cache.evictions + tiny.memo_resets
+        assert tiny.cache_info()["evictions"] == tiny.memo_resets
         assert big.memo_resets == 0
 
-    def test_batch_after_warm_scalar_adds_no_lru_miss(self, census_model):
+    def test_cache_size_bounds(self, census_model):
+        """``cache_size`` below 1 is refused; 1 resets on every new
+        signature yet answers as the default; ``None`` never resets."""
+        with pytest.raises(ValueError, match="must be positive"):
+            BatchInferenceEngine(census_model, cache_size=0)
+        with pytest.raises(ValueError, match="must be positive"):
+            GibbsSampler(census_model, cache_size=0)
+        schema = census_model.schema
+        states = _random_states(schema, 40, np.random.default_rng(12))
+        engines = {
+            size: BatchInferenceEngine(census_model, cache_size=size)
+            for size in (DEFAULT_CPD_CACHE_SIZE, 1, None)
+        }
+        rows = {}
+        for size, engine in engines.items():
+            rows[size] = [
+                engine.conditional_probs_batch(states, attr, cumulative=True)
+                for attr in range(len(schema))
+            ] + [engine.conditional_probs(states[5], 2)]
+            if size is not None:
+                assert engine._memo_rows <= size
+        for size in (1, None):
+            for a, b in zip(rows[DEFAULT_CPD_CACHE_SIZE], rows[size]):
+                assert (a == b).all()
+        assert engines[1].memo_resets > 0
+        assert engines[1].cache_info()["maxsize"] == 1
+        assert engines[None].memo_resets == 0
+        assert engines[None].cache_info()["maxsize"] is None
+
+    def test_batch_after_warm_scalar_adds_no_miss(self, census_model):
         schema = census_model.schema
         engine = BatchInferenceEngine(census_model)
         states = _random_states(schema, 50, np.random.default_rng(8))
         for row in states:
             engine.conditional_probs(row, 3)
-        misses = engine.cache.misses
+        misses = engine.cache_info()["misses"]
         computed = engine.groups_computed
         engine.conditional_probs_batch(states, 3)
         engine.conditional_probs_batch(states, 3, cumulative=True)
-        assert engine.cache.misses == misses
+        assert engine.cache_info()["misses"] == misses
         assert engine.groups_computed == computed
 
     def test_missing_codes_in_the_signature_stay_distinct(
@@ -444,6 +505,38 @@ class TestEnsembleEquivalence:
         )
         b, _ = ensemble_sampling(model, [(tuples, 4)], num_samples=80, burn_in=10)
         for ba, bb in zip(a, b):
+            assert ba.distribution.outcomes == bb.distribution.outcomes
+            assert (
+                np.asarray(ba.distribution.probs)
+                == np.asarray(bb.distribution.probs)
+            ).all()
+
+    def test_unpackable_signature_space_ensemble(self, bn8_setup):
+        """With every signature space forced unpackable the engine's memos
+        key on bytes and the sweep steps stay on the per-call route: the
+        blocks equal the packed run's."""
+        net, schema, model = bn8_setup
+        tuples = [
+            make_tuple(schema, {"x0": "v0", "x1": "v1"}),
+            make_tuple(schema, {"x0": "v1", "x3": "v0"}),
+            make_tuple(schema, {"x2": "v1"}),
+            make_tuple(schema, {"x1": "v0"}),
+        ]
+        blocks = {}
+        for packable in (True, False):
+            engine = BatchInferenceEngine(model)
+            if not packable:
+                engine._sig_packers = dict.fromkeys(range(len(schema)))
+            blocks[packable], _ = ensemble_sampling(
+                model, [(tuples, 9)], num_samples=120, burn_in=10, chains=2,
+                batch_engine=engine,
+            )
+            assert engine._memos
+            assert all(
+                (m.mult is not None) == packable for m in engine._memos.values()
+            )
+        for ba, bb in zip(blocks[True], blocks[False]):
+            assert ba.base == bb.base
             assert ba.distribution.outcomes == bb.distribution.outcomes
             assert (
                 np.asarray(ba.distribution.probs)
