@@ -169,13 +169,13 @@ class DeriveConfig:
     executor: str = _knob(
         DEFAULT_EXECUTOR, "--executor", choices=EXECUTORS,
         help="derivation runtime: run shards in-process ('serial') or on "
-        "worker processes rebuilt from the model JSON ('process'); results "
-        "are bit-identical for either choice (default: %(default)s)",
+        "worker processes ('process'); results are bit-identical for "
+        "either choice (default: %(default)s)",
     )
     workers: int = _knob(
         DEFAULT_WORKERS, "--workers", type=int,
-        help="worker processes for '--executor process'; the serial "
-        "executor always runs one (default %(default)s)",
+        help="worker processes for '--executor process', at most one per "
+        "CPU; the serial executor always runs one (default %(default)s)",
     )
     gibbs_chains: int = _knob(
         1, "--gibbs-chains", type=int,

@@ -85,9 +85,14 @@ def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cdf_rows(cpds: np.ndarray) -> np.ndarray:
-    """Row-wise ``cumsum(p) / cumsum(p)[-1]``: ``Generator.choice``'s CDF."""
+    """Row-wise ``cumsum(p) / cumsum(p)[-1]``: ``Generator.choice``'s CDF.
+
+    A row summing to zero gets a NaN CDF without a warning; the kernels
+    reject such a CPD row before anything draws from it.
+    """
     cdfs = np.cumsum(cpds, axis=1)
-    cdfs /= cdfs[:, -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdfs /= cdfs[:, -1:]
     return cdfs
 
 

@@ -7,8 +7,9 @@ MRSL.  This package turns it into a plan/execute/collect pipeline:
 * :mod:`.plan`      — partition a workload into shards keyed by evidence
   signature (single-missing) and into seeded segments of subsumption
   components, fused into shards (multi-missing);
-* :mod:`.executors` — run shards serially or on worker processes rebuilt
-  from the persisted model JSON;
+* :mod:`.executors` — run shards serially or on worker processes that
+  inherit the parent's state (fork) or rebuild it from the persisted
+  model JSON;
 * :mod:`.runtime`   — stream completed blocks back as shards finish, with
   per-shard timing diagnostics.
 

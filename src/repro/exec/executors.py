@@ -7,12 +7,14 @@ objects as shards finish, so they are interchangeable:
 * :class:`SerialExecutor` — in-process, in plan order; the default.  With a
   warm engine passed in (the session path) it is bit-identical to the
   pre-executor code.
-* :class:`ProcessExecutor` — a process pool whose initializer receives the
-  persisted model JSON and the parent's compiled-engine metadata, rebuilds
-  one warm engine per worker, and validates the rebuild.  Live engines are
-  never pickled, and neither are tuples or blocks: a shard travels as a
-  :class:`~repro.exec.work.ShardTask` code matrix, comes back as a
-  :class:`~repro.exec.work.ShardOutput` of distributions, and is rebound
+* :class:`ProcessExecutor` — a process pool with one warm engine per
+  worker, validated against the parent's compiled-engine metadata.  A
+  forked pool inherits the parent's model, engine and shards, so a shard
+  travels as its key; a forkserver or spawn pool rebuilds the model from
+  its persisted JSON, and a shard travels as a
+  :class:`~repro.exec.work.ShardTask` code matrix.  Live engines, tuples
+  and blocks are never pickled: a shard comes back as a
+  :class:`~repro.exec.work.ShardOutput` of distributions and is rebound
   to the parent's own tuples before anything downstream sees it.
 
 Because multi-missing segments carry deterministic per-segment seeds and
@@ -35,6 +37,7 @@ deterministic seeds make the degraded result bit-identical.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from collections import deque
@@ -45,8 +48,10 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping, TYPE_CHECKING
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
 
 from ..core.compiled import CompiledModel
 from ..core.engine import BatchInferenceEngine
@@ -62,12 +67,15 @@ from .base import (
     WorkerPoolError,
     validate_workers,
 )
+from . import work
 from .faults import FaultPlan, ShardFault, bind_faults
 from .work import (
+    InheritedState,
     ShardKnobs,
     ShardTask,
     _process_run_shard,
     _process_worker_init,
+    inheriting,
     run_shard,
 )
 
@@ -80,7 +88,16 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "get_executor",
+    "host_cpus",
 ]
+
+
+def host_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API on this OS
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -132,8 +149,9 @@ class ExecContext:
     def compiled_model(self) -> CompiledModel:
         """The parent's compiled model: the warm engine's, or one built once.
 
-        Planning and the process workers' rebuild check both read it, so a
-        derive compiles each lattice at most once in the parent.
+        Planning, the process workers' metadata check and their inherited
+        state all read it, so a derive compiles each lattice at most once
+        in the parent.
         """
         if self.batch_engine is not None:
             return self.batch_engine.compiled
@@ -207,6 +225,11 @@ class Executor:
     def __init__(self, workers: int = DEFAULT_WORKERS):
         self.workers = validate_workers(workers)
 
+    @property
+    def effective_workers(self) -> int:
+        """The workers this executor plans for and runs."""
+        return self.workers
+
     def run(
         self, plan: ShardPlan, context: ExecContext
     ) -> Iterator[ShardResult]:
@@ -254,28 +277,40 @@ class _PoolDied(Exception):
 
 
 class ProcessExecutor(Executor):
-    """Run shards on a process pool rebuilt from the persisted model JSON.
+    """Run shards on a process pool with one warm engine per worker.
 
-    The pool initializer ships :func:`~repro.core.persistence.model_to_dict`
-    output (plus the parent's compiled-engine metadata for validation) to
-    every worker, which rebuilds one warm
-    :class:`~repro.core.engine.BatchInferenceEngine` for its lifetime —
-    live engines and their caches are never pickled.
+    The pool runs ``min(workers, host_cpus())`` workers (see
+    :attr:`effective_workers`); the plan is cut for the same count, and
+    output never depends on it.  How the workers get their state depends
+    on the start method:
 
-    Shards are submitted multi first, so the long Gibbs shards start
-    before the single shards fill the gaps; blocks land by index, so the
-    order never changes a result.  Each submission encodes the shard as a
-    :class:`~repro.exec.work.ShardTask`, and each result is rebound to the
-    parent's tuples by :meth:`~repro.exec.work.ShardOutput.bind`.
+    * A single-threaded parent forks, and the workers inherit an
+      :class:`~repro.exec.work.InheritedState`: the parent's model, its
+      warm engine (or its compiled lattices) and the plan's shards by key.
+      Nothing is serialized for the model, and a submission is the shard
+      key.
+    * A multithreaded parent (e.g. the HTTP server's job thread) uses
+      forkserver or spawn.  The initializer ships
+      :func:`~repro.core.persistence.model_to_dict` output to every worker,
+      which rebuilds the model, and each submission encodes the shard as a
+      :class:`~repro.exec.work.ShardTask`.
 
-    Fault domains: at most ``workers`` shards are in flight at a time, each
-    stamped with its submission time.  A broken pool
+    Either way each worker validates its compiled structures against the
+    parent's metadata, live engines are never pickled, and each result is
+    rebound to the parent's tuples by
+    :meth:`~repro.exec.work.ShardOutput.bind`.  Shards are submitted multi
+    first, so the long Gibbs shards start before the single shards fill
+    the gaps; blocks land by index, so the order never changes a result.
+
+    Fault domains: at most ``effective_workers`` shards are in flight at a
+    time, each stamped with its submission time.  A broken pool
     (:class:`~concurrent.futures.process.BrokenProcessPool` — a worker was
     killed, hard-exited, or died in its initializer) or a shard exceeding
-    the retry deadline kills and rebuilds the pool, requeueing only the
-    in-flight shards; completed results are never recomputed.  Each requeue
-    consumes one attempt from the shard's retry budget.  After
-    ``max_pool_deaths`` rebuilds the run degrades to the serial executor
+    the retry deadline kills and rebuilds the pool (a forked pool re-forks
+    with the same inherited state), requeueing only the in-flight shards;
+    completed results are never recomputed.  Each requeue consumes one
+    attempt from the shard's retry budget.  After ``max_pool_deaths``
+    rebuilds the run degrades to the serial executor
     (``failure_policy="degrade"``) or raises
     :class:`~repro.exec.base.WorkerPoolError` (``"strict"``).
     """
@@ -291,6 +326,10 @@ class ProcessExecutor(Executor):
     #: seconds between deadline scans when no future completes
     poll_interval = 0.25
 
+    @property
+    def effective_workers(self) -> int:
+        return min(self.workers, host_cpus())
+
     def run(
         self, plan: ShardPlan, context: ExecContext
     ) -> Iterator[ShardResult]:
@@ -298,17 +337,13 @@ class ProcessExecutor(Executor):
             return
         from ..core.persistence import compiled_metadata, model_to_dict
 
-        model_doc = context.model_doc
-        if model_doc is None:
-            model_doc = model_to_dict(context.model)
         metadata = context.compiled_metadata
         if metadata is None and self.verify_rebuild:
             metadata = compiled_metadata(context.model, context.compiled_model())
         # Fork keeps worker startup cheap on POSIX, but forking a
         # multithreaded parent (e.g. a derive request inside the threaded
         # HTTP server) can inherit locks held by threads that do not exist
-        # in the child; prefer forkserver/spawn there.  The initializer
-        # rebuilds from JSON either way, so behavior is identical.
+        # in the child; prefer forkserver/spawn there.
         methods = multiprocessing.get_all_start_methods()
         if "fork" in methods and threading.active_count() == 1:
             method = "fork"
@@ -316,8 +351,44 @@ class ProcessExecutor(Executor):
             method = "forkserver"
         else:
             method = "spawn"
-        mp_context = multiprocessing.get_context(method)
+        # A forked pool inherits the parent's state unless another forked
+        # pool of this process (an interleaved stream) holds the slot.
+        if method == "fork" and work._INHERITED is None:
+            model_doc = None
+            encode: Callable[[Shard], Any] = attrgetter("key")
+            state = inheriting(
+                InheritedState(
+                    model=context.model,
+                    engine=context.batch_engine,
+                    compiled=context.compiled_model(),
+                    shards={s.key: s for s in plan.shards},
+                )
+            )
+        else:
+            model_doc = context.model_doc
+            if model_doc is None:
+                model_doc = model_to_dict(context.model)
+            encode = ShardTask.encode
+            state = nullcontext()
+        with state:
+            yield from self._run_pools(
+                plan,
+                context,
+                multiprocessing.get_context(method),
+                (model_doc, context.knobs, metadata),
+                encode,
+            )
 
+    def _run_pools(
+        self,
+        plan: ShardPlan,
+        context: ExecContext,
+        mp_context: Any,
+        initargs: tuple,
+        encode: Callable[[Shard], Any],
+    ) -> Iterator[ShardResult]:
+        """Run ``plan`` on pools started with ``initargs``, rebuilding a
+        dead pool and degrading or raising once too many have died."""
         faults = bind_faults(context.faults, plan)
         retry = context.retry
         queue: "deque[Shard]" = deque(
@@ -328,15 +399,15 @@ class ProcessExecutor(Executor):
 
         while queue:
             pool = ProcessPoolExecutor(
-                max_workers=self.workers,
+                max_workers=self.effective_workers,
                 mp_context=mp_context,
                 initializer=_process_worker_init,
-                initargs=(model_doc, context.knobs, metadata),
+                initargs=initargs,
             )
             inflight: "dict[Future, tuple[Shard, float]]" = {}
             try:
                 yield from self._drain(
-                    pool, queue, inflight, attempts, faults, context
+                    pool, queue, inflight, attempts, faults, context, encode
                 )
                 return
             except _PoolDied as died:
@@ -393,25 +464,31 @@ class ProcessExecutor(Executor):
         attempts: dict[str, int],
         faults: Mapping[tuple[str, int], ShardFault],
         context: ExecContext,
+        encode: Callable[[Shard], Any],
     ) -> Iterator[ShardResult]:
         """Pump shards through one pool until it is empty — or dies.
 
-        Submission is windowed to ``workers`` so a submitted future is
+        ``encode`` turns a shard into its submission: its key on an
+        inherited pool, a :class:`~repro.exec.work.ShardTask` otherwise, so
+        a requeued shard is encoded again from the parent's
+        :class:`~repro.exec.base.Shard`.  Submission is windowed to
+        ``effective_workers`` so a submitted future is
         (to a close approximation) a *running* future, which is what makes
         the per-shard deadline meaningful.  Raises :class:`_PoolDied` on a
         broken pool or an overdue shard; the in-flight map is left intact
         for the caller's requeue logic.
         """
         retry = context.retry
+        window = self.effective_workers
         while queue or inflight:
-            while queue and len(inflight) < self.workers:
+            while queue and len(inflight) < window:
                 shard = queue.popleft()
                 attempts[shard.key] += 1
                 fault = faults.get((shard.key, attempts[shard.key]))
                 try:
                     future = pool.submit(
                         _process_run_shard,
-                        ShardTask.encode(shard),
+                        encode(shard),
                         fault,
                         retry.deadline,
                     )

@@ -133,7 +133,7 @@ def _plan(
     return plan_shards(
         tuples,
         model,
-        workers=chosen.workers,
+        workers=chosen.effective_workers,
         seed=config.seed,
         rng=rng,
         compiled=context.compiled_model(),
@@ -184,7 +184,7 @@ def execute_derivation(
     blocks: "list[TupleBlock | None]" = [None] * len(tuples)
     report = ExecReport(
         executor=chosen.name,
-        workers=chosen.workers,
+        workers=chosen.effective_workers,
         num_shards=len(plan),
         num_tuples=len(tuples),
     )
@@ -292,6 +292,7 @@ def execute_delta(
         config.executor if executor is None else executor, config.workers
     )
     context = _context(model, config, batch_engine, faults)
+    workers = chosen.effective_workers
     split = carry.split(tuples)
 
     compiled = None
@@ -303,7 +304,7 @@ def execute_delta(
     shards: list[Shard] = []
     if split.dirty_single:
         shards.extend(
-            build_single_shards(split.dirty_single, compiled, chosen.workers)
+            build_single_shards(split.dirty_single, compiled, workers)
         )
     base_seed: int | None = None
     if split.dirty_multi or split.carried_multi:
@@ -316,7 +317,7 @@ def execute_delta(
         # Dirty segments keep their from-scratch keys and seeds; only their
         # grouping into fused shards follows this run's worker count.
         shards.extend(
-            build_multi_shards(split.dirty_multi, base_seed, chosen.workers)
+            build_multi_shards(split.dirty_multi, base_seed, workers)
         )
 
     # Account carried work: carried singles are packed exactly like dirty
@@ -325,7 +326,7 @@ def execute_delta(
     carried_rows = [
         (shard.key, shard.kind, len(shard), shard.groups)
         for shard in build_single_shards(
-            split.carried_single, compiled, chosen.workers
+            split.carried_single, compiled, workers
         )
     ] + [
         (segment.key, "multi", segment.size, segment.distinct)
@@ -347,7 +348,7 @@ def execute_delta(
         blocks[idx] = block
     report = ExecReport(
         executor=chosen.name,
-        workers=chosen.workers,
+        workers=workers,
         num_shards=len(plan),
         num_tuples=len(tuples),
     )

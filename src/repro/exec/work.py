@@ -19,33 +19,44 @@ Two kernels, one per shard kind:
   single kernel uses.
 
 The ``_process_*`` functions are the :class:`ProcessExecutor` worker
-protocol: the initializer receives the persisted model JSON (never a
-pickled live engine), rebuilds the model, validates it against the parent's
-compiled-engine metadata, and keeps one warm
-:class:`~repro.core.engine.BatchInferenceEngine` per worker process for the
-life of the pool (every multi shard runs on it).
+protocol.  Each worker keeps one warm
+:class:`~repro.core.engine.BatchInferenceEngine` for the life of the pool
+(every multi shard runs on it), validated against the parent's
+compiled-engine metadata before it serves a shard.  How the worker gets its
+state depends on how the pool starts:
 
-Shards cross the process boundary in columnar form.  A :class:`ShardTask`
-carries the shard's key, kind, segments and one int32 code matrix — no
-workload indices and no tuple objects; the worker rebuilds the rows as
-trusted views against its own model schema and runs the unchanged
-:func:`run_shard`.  A :class:`ShardOutput` carries back only one
-distribution per entry (shared distributions are pickled once) plus the
-stats, timing and worker label.  The parent validates and rebinds those
-distributions to its own tuples (:meth:`ShardOutput.bind`), so every
-consumer of a :class:`~repro.exec.base.ShardResult` sees the parent's
-tuple objects, exactly as with in-process execution.
+* **Forked pools inherit.**  The parent sets :data:`_INHERITED` (see
+  :func:`inheriting`) to an :class:`InheritedState` — its model, its warm
+  engine or compiled lattices, and the plan's shards by key — before the
+  pool starts.  A forked worker reads it from its copy of the parent's
+  memory: no model is rebuilt, and a submission is just the shard key.
+* **forkserver and spawn pools rebuild.**  The initializer receives the
+  persisted model JSON (never a pickled live engine) and rebuilds the
+  model, and shards cross the process boundary in columnar form.  A
+  :class:`ShardTask` carries the shard's key, kind, segments and one int32
+  code matrix — no workload indices and no tuple objects; the worker
+  rebuilds the rows as trusted views against its own model schema.
+
+Either way the worker runs the unchanged :func:`run_shard`, and a
+:class:`ShardOutput` carries back only one distribution per entry (shared
+distributions are pickled once) plus the stats, timing and worker label.
+The parent validates and rebinds those distributions to its own tuples
+(:meth:`ShardOutput.bind`), so every consumer of a
+:class:`~repro.exec.base.ShardResult` sees the parent's tuple objects,
+exactly as with in-process execution.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..core.compiled import CompiledModel
 from ..core.engine import BatchInferenceEngine
 from ..core.inference import VoterChoice, VotingScheme, infer_single
 from ..core.mrsl import MRSLModel
@@ -60,11 +71,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..relational.schema import Schema
 
 __all__ = [
+    "InheritedState",
     "ShardKnobs",
     "ShardOutput",
     "ShardTask",
     "single_shard_blocks",
     "multi_shard_blocks",
+    "inheriting",
     "run_shard",
 ]
 
@@ -325,51 +338,109 @@ class ShardOutput:
         )
 
 
+@dataclass(frozen=True)
+class InheritedState:
+    """The parent's state that forked pool workers take instead of a rebuild.
+
+    ``engine`` is the parent's warm engine when it has one (its CPD memo
+    comes along); otherwise workers build their engine on ``compiled``,
+    the parent's lattices.  ``shards`` maps each planned shard's key to the
+    parent's :class:`~repro.exec.base.Shard`, so a submission names its
+    shard instead of shipping its rows.
+    """
+
+    model: MRSLModel
+    engine: BatchInferenceEngine | None
+    compiled: CompiledModel
+    shards: Mapping[str, Shard]
+
+
+#: Set by the parent only while a forked pool runs; forked workers read
+#: their copy in :func:`_process_worker_init`.
+_INHERITED: InheritedState | None = None
+
+
+@contextmanager
+def inheriting(state: InheritedState) -> Iterator[None]:
+    """Expose ``state`` to workers forked inside the block, then clear it
+    — also when the block raises or its generator is closed."""
+    global _INHERITED
+    _INHERITED = state
+    try:
+        yield
+    finally:
+        _INHERITED = None
+
+
 #: Per-worker-process state: built once by the pool initializer, reused by
 #: every shard the worker runs (the "one warm engine per worker" invariant).
 _WORKER_STATE: dict[str, Any] | None = None
 
 
 def _process_worker_init(
-    model_doc: Mapping[str, Any],
+    model_doc: Mapping[str, Any] | None,
     knobs: ShardKnobs,
     expected_metadata: Mapping[str, Any] | None,
 ) -> None:
-    """Rebuild the model from its persisted JSON form inside the worker.
+    """Set up the worker's warm engine and validate it against the parent.
 
-    The parent ships :func:`~repro.core.persistence.model_to_dict` output
-    plus its compiled-engine metadata; the worker rebuilds and *validates*
-    that its compiled structures match the parent's before serving shards.
+    With ``model_doc`` None the worker was forked under :func:`inheriting`
+    and reuses the parent's model, warm engine (or compiled lattices) and
+    shards from :data:`_INHERITED`.  Otherwise ``model_doc`` is
+    :func:`~repro.core.persistence.model_to_dict` output and the worker
+    rebuilds the model from it.  Either way the worker's compiled
+    structures must match the parent's ``expected_metadata`` before it
+    serves shards.
     """
     global _WORKER_STATE
     from ..core.persistence import model_from_dict, verify_compiled_metadata
 
-    model = model_from_dict(dict(model_doc))
-    engine = BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
+    if model_doc is None:
+        inherited = _INHERITED
+        if inherited is None:
+            raise RuntimeError("forked worker found no inherited state")
+        model, engine = inherited.model, inherited.engine
+        if engine is None:
+            engine = BatchInferenceEngine(
+                model, knobs.v_choice, knobs.v_scheme, compiled=inherited.compiled
+            )
+        shards = inherited.shards
+    else:
+        model = model_from_dict(dict(model_doc))
+        engine = BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
+        shards = {}
     if expected_metadata is not None:
         # Validate (and warm) the engine's own compiled structures rather
         # than compiling a throwaway second copy.
         verify_compiled_metadata(model, expected_metadata, compiled=engine.compiled)
-    _WORKER_STATE = {"model": model, "engine": engine, "knobs": knobs}
+    _WORKER_STATE = {
+        "model": model, "engine": engine, "knobs": knobs, "shards": shards
+    }
 
 
 def _process_run_shard(
-    task: ShardTask,
+    task: ShardTask | str,
     fault: ShardFault | None = None,
     deadline: float | None = None,
 ) -> ShardOutput:
-    """Run one shard task against the worker's warm state.
+    """Run one shard against the worker's warm state.
 
-    ``fault`` is decided per attempt by the parent's retry loop and shipped
-    with the task; a ``"crash"`` fault hard-exits this worker, breaking the
-    pool — exactly the failure mode the parent's recovery path handles.
+    ``task`` is a shard key on an inherited pool and a :class:`ShardTask`
+    otherwise.  ``fault`` is decided per attempt by the parent's retry
+    loop and shipped with the task; a ``"crash"`` fault hard-exits this
+    worker, breaking the pool — exactly the failure mode the parent's
+    recovery path handles.
     """
     state = _WORKER_STATE
     if state is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker process was not initialized")
     model = state["model"]
+    if isinstance(task, str):
+        shard = state["shards"][task]
+    else:
+        shard = task.decode(model.schema)
     result = run_shard(
-        task.decode(model.schema),
+        shard,
         model,
         state["knobs"],
         batch_engine=state["engine"],

@@ -439,14 +439,19 @@ class TestServiceUpdate:
         sync = service.handle_json("update", {"changes": CHANGES})
         # Reset and replay the same update asynchronously.
         service = self._service()
-        ack = service.handle_json("update_async", {"changes": CHANGES})
-        job = service.jobs.get(ack["job_id"])
-        assert job.wait(timeout=30)
-        status = service.job_status(ack["job_id"])
-        assert status["state"] == "done"
-        assert status["label"] == "update"
-        result = service.job_result(ack["job_id"])
-        assert result == sync
+        try:
+            ack = service.handle_json("update_async", {"changes": CHANGES})
+            job = service.jobs.get(ack["job_id"])
+            assert job.wait(timeout=30)
+            status = service.job_status(ack["job_id"])
+            assert status["state"] == "done"
+            assert status["label"] == "update"
+            result = service.job_result(ack["job_id"])
+            assert result == sync
+        finally:
+            # Stop the job thread: a live thread would keep every later
+            # process derive of this test run off the fork start method.
+            service.jobs.close()
 
     def test_update_async_fails_fast(self):
         service = InferenceService()

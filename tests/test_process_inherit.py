@@ -1,0 +1,286 @@
+"""Process workers: fork-inherited state vs the JSON rebuild.
+
+A single-threaded parent forks its pool, and the workers inherit the
+parent's model, warm engine (or compiled lattices) and planned shards
+through :data:`repro.exec.work._INHERITED`: no model document is built or
+parsed, and a submission is just the shard key.  A multithreaded parent
+starts a forkserver or spawn pool, whose workers rebuild the model from its
+JSON form and receive :class:`~repro.exec.work.ShardTask` code matrices.
+Both paths must equal the serial executor block for block, survive the
+pool-kill, hang and degrade chaos cases, and leave no inherited state
+behind.
+"""
+
+import multiprocessing
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from repro.api.config import DeriveConfig
+from repro.bench.masking import mask_relation
+from repro.core import persistence
+from repro.core.engine import BatchInferenceEngine
+from repro.core.learning import learn_mrsl
+from repro.datasets.census import load_census
+from repro.exec import (
+    FaultPlan,
+    ShardFault,
+    WorkerPoolError,
+    execute_derivation,
+    stream_derivation,
+)
+from repro.exec import work
+from repro.exec.executors import ProcessExecutor, SerialExecutor, host_cpus
+from repro.exec.work import ShardTask
+from tests.test_process_wire import _assert_rebound, _live_thread
+
+
+def _config(**overrides):
+    base = dict(
+        support_threshold=0.02, num_samples=30, burn_in=3, seed=13,
+        executor="process", workers=2,
+    )
+    base.update(overrides)
+    return DeriveConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def census():
+    rng = np.random.default_rng(41)
+    train, _ = load_census(400, rng)
+    model = learn_mrsl(train, support_threshold=0.02).model
+    singles = list(mask_relation(load_census(300, rng)[0], 1, rng))
+    multis = list(mask_relation(load_census(150, rng)[0], (2, 3), rng))
+    return model, singles + multis
+
+
+@pytest.fixture(scope="module")
+def serial(census):
+    model, tuples = census
+    return execute_derivation(
+        tuples, model, _config(executor="serial", workers=1)
+    )
+
+
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} called on the inherited path")
+
+    return refused
+
+
+@pytest.fixture()
+def start_methods(monkeypatch):
+    """The start method of every pool the executor builds."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
+
+
+@pytest.fixture()
+def forked(monkeypatch, start_methods):
+    """Force the fork path, and make every rebuild step raise.
+
+    The patches are made in the parent before the pool forks, so a worker
+    that rebuilt the model or decoded a task would raise too.
+    """
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(persistence, "model_to_dict", _refuse("model_to_dict"))
+    monkeypatch.setattr(
+        persistence, "model_from_dict", _refuse("model_from_dict")
+    )
+    monkeypatch.setattr(ShardTask, "encode", _refuse("ShardTask.encode"))
+    monkeypatch.setattr(ShardTask, "decode", _refuse("ShardTask.decode"))
+    yield start_methods
+    assert start_methods and set(start_methods) == {"fork"}
+
+
+# -- the inherited path ------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forked_workers_rebuild_nothing(forked, census, serial, workers):
+    model, tuples = census
+    out = execute_derivation(tuples, model, _config(workers=workers))
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+    assert out.stats == serial.stats
+    assert work._INHERITED is None
+
+
+def test_forked_workers_reuse_the_parents_warm_engine(
+    forked, monkeypatch, census, serial
+):
+    model, tuples = census
+    engine = BatchInferenceEngine(model)
+    monkeypatch.setattr(
+        work, "BatchInferenceEngine", _refuse("BatchInferenceEngine")
+    )
+    out = execute_derivation(
+        tuples, model, _config(), batch_engine=engine
+    )
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+
+
+def test_forked_workers_build_on_the_parents_lattices(
+    forked, monkeypatch, census, serial
+):
+    model, tuples = census
+    build = work.BatchInferenceEngine
+
+    def on_inherited_lattices(model, *args, compiled=None, **kwargs):
+        assert compiled is not None, "worker compiled its own lattices"
+        return build(model, *args, compiled=compiled, **kwargs)
+
+    monkeypatch.setattr(work, "BatchInferenceEngine", on_inherited_lattices)
+    out = execute_derivation(tuples, model, _config())
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+
+
+def test_inherited_state_lives_only_while_the_pool_runs(
+    monkeypatch, census
+):
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    model, tuples = census
+    stream = stream_derivation(tuples, model, _config())
+    first = next(stream)
+    state = work._INHERITED
+    assert state is not None and state.model is model
+    assert first.key in state.shards
+    stream.close()
+    assert work._INHERITED is None
+
+
+def test_an_interleaved_second_stream_rebuilds_from_json(
+    monkeypatch, start_methods, census, serial
+):
+    """A forked pool already holding the inherited slot leaves the second
+    stream of the same process on the JSON path, with equal output."""
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    model, tuples = census
+    first = stream_derivation(tuples, model, _config())
+    next(first)
+    held = work._INHERITED
+    try:
+        out = execute_derivation(tuples, model, _config())
+        assert work._INHERITED is held
+    finally:
+        first.close()
+    assert work._INHERITED is None
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+
+
+# -- the JSON path ---------------------------------------------------------------
+
+
+def test_multithreaded_parent_rebuilds_from_json(
+    monkeypatch, start_methods, census, serial
+):
+    calls = []
+    to_dict, encode = persistence.model_to_dict, ShardTask.encode.__func__
+
+    def counting_to_dict(model):
+        calls.append("model_to_dict")
+        return to_dict(model)
+
+    def counting_encode(cls, shard):
+        calls.append("encode")
+        return encode(cls, shard)
+
+    monkeypatch.setattr(persistence, "model_to_dict", counting_to_dict)
+    monkeypatch.setattr(ShardTask, "encode", classmethod(counting_encode))
+    model, tuples = census
+    with _live_thread():
+        assert threading.active_count() > 1
+        out = execute_derivation(tuples, model, _config())
+        assert work._INHERITED is None
+    assert start_methods and "fork" not in start_methods
+    assert calls.count("model_to_dict") == 1
+    assert calls.count("encode") == len(out.plan.shards)
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+
+
+# -- chaos on the inherited path -------------------------------------------------
+
+
+def test_killed_pool_re_forks_with_the_same_state(forked, census, serial):
+    model, tuples = census
+    out = execute_derivation(
+        tuples, model, _config(shard_retries=1),
+        faults=FaultPlan(faults=(ShardFault(kind="crash", index=0),)),
+    )
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+    assert out.report.pool_restarts >= 1
+    assert any("crash" in f.error for f in out.report.failures)
+    assert work._INHERITED is None
+
+
+def test_hung_shard_is_requeued_on_a_re_forked_pool(forked, census, serial):
+    model, tuples = census
+    out = execute_derivation(
+        tuples, model,
+        _config(shard_retries=1, shard_deadline=1.0),
+        faults=FaultPlan(faults=(ShardFault(kind="hang", index=0, delay=30.0),)),
+    )
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+    assert out.report.pool_restarts >= 1
+    assert any("deadline" in f.error for f in out.report.failures)
+    assert work._INHERITED is None
+
+
+_THREE_CRASHES = FaultPlan(faults=tuple(
+    ShardFault(kind="crash", index=0, attempt=a) for a in (1, 2, 3)
+))
+
+
+def test_degrade_after_pool_deaths_equals_serial(forked, census, serial):
+    model, tuples = census
+    out = execute_derivation(
+        tuples, model,
+        _config(workers=1, shard_retries=5, failure_policy="degrade"),
+        faults=_THREE_CRASHES,
+    )
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+    assert "process->serial" in out.report.degraded
+    assert out.report.pool_restarts == 3
+    assert work._INHERITED is None
+
+
+def test_pool_error_clears_the_inherited_state(forked, census):
+    model, tuples = census
+    with pytest.raises(WorkerPoolError):
+        execute_derivation(
+            tuples, model, _config(workers=1, shard_retries=5),
+            faults=_THREE_CRASHES,
+        )
+    assert work._INHERITED is None
+
+
+# -- the pool is sized to the host -----------------------------------------------
+
+
+def test_pool_size_is_capped_by_the_host(monkeypatch):
+    assert ProcessExecutor(64).effective_workers == host_cpus()
+    assert ProcessExecutor(64).workers == 64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ProcessExecutor(3).effective_workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert ProcessExecutor(4).effective_workers == 3
+    assert ProcessExecutor(2).effective_workers == 2
+    assert SerialExecutor(4).effective_workers == 4
+
+
+def test_oversized_pool_plans_and_runs_host_cpus(census, serial):
+    model, tuples = census
+    out = execute_derivation(tuples, model, _config(workers=64))
+    assert out.report.workers == host_cpus()
+    assert len(out.plan.multi_shards) <= host_cpus()
+    _assert_rebound(out.blocks, serial.blocks, tuples)

@@ -1,7 +1,9 @@
 """The process executor's columnar wire.
 
-A shard travels to a pool worker as a :class:`~repro.exec.work.ShardTask`
-(key, kind, segments and one int32 code matrix) and comes back as a
+On a forkserver or spawn pool a shard travels to a worker as a
+:class:`~repro.exec.work.ShardTask` (key, kind, segments and one int32 code
+matrix); on a forked pool it travels as its key (see
+``tests/test_process_inherit.py``).  Either way it comes back as a
 :class:`~repro.exec.work.ShardOutput` (one distribution per entry), which
 the parent rebinds to its own tuples.  These tests pin the process path to
 the serial one block for block, check that the rebound blocks hold the
@@ -10,6 +12,7 @@ result which does not fit its shard raises instead of landing in the
 database.
 """
 
+import contextlib
 import dataclasses
 import multiprocessing
 import pickle
@@ -148,6 +151,19 @@ def test_task_ships_a_code_matrix_not_objects(census):
     assert not decoded.tuples[0].codes.flags.writeable
 
 
+@contextlib.contextmanager
+def _live_thread():
+    """A second live thread, which keeps the executor off the fork path."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
 def test_multithreaded_parent_uses_a_non_fork_pool(
     monkeypatch, workloads, serial
 ):
@@ -160,16 +176,10 @@ def test_multithreaded_parent_uses_a_non_fork_pool(
 
     monkeypatch.setattr(multiprocessing, "get_context", spy)
     model, tuples = workloads["duplicates"]
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
+    with _live_thread():
         out = execute_derivation(
             tuples, model, _config(executor="process", workers=2)
         )
-    finally:
-        stop.set()
-        thread.join()
     assert methods and "fork" not in methods
     _assert_rebound(out.blocks, serial["duplicates"].blocks, tuples)
 
@@ -257,11 +267,13 @@ def test_requeued_shard_is_re_encoded_from_the_parent_shard(
 
     monkeypatch.setattr(ShardTask, "encode", classmethod(spy))
     model, tuples = workloads["duplicates"]
-    out = execute_derivation(
-        tuples, model,
-        _config(executor="process", workers=2, shard_retries=1),
-        faults=FaultPlan(faults=(ShardFault(kind="crash", index=0),)),
-    )
+    # Only the non-fork pool encodes tasks; a forked one ships keys.
+    with _live_thread():
+        out = execute_derivation(
+            tuples, model,
+            _config(executor="process", workers=2, shard_retries=1),
+            faults=FaultPlan(faults=(ShardFault(kind="crash", index=0),)),
+        )
     assert out.report.pool_restarts >= 1
     crashed = {f.key for f in out.report.failures}
     assert crashed

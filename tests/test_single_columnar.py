@@ -12,6 +12,7 @@ included, hands out writeable probabilities.
 
 import hashlib
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -361,8 +362,10 @@ class TestChecksStillFire:
             return np.tile(np.array(row), (reps.shape[0], 1))
 
         monkeypatch.setattr(engine, "_answer", bad_answer)
-        with pytest.raises(ValueError, match=message):
-            single_shard_blocks(tuples, model, KNOBS, engine)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                single_shard_blocks(tuples, model, KNOBS, engine)
 
     def test_kernel_rejects_multi_missing(self, fig1_relation):
         model = learn_mrsl(fig1_relation, support_threshold=0.1).model
