@@ -21,14 +21,32 @@ Compiled predicates call ``row.value(name)``, which both
 :class:`~repro.probdb.engine.ProbRow` and
 :class:`~repro.relational.tuples.RelTuple` implement, so the same AST also
 drives extensional helpers like ``expected_count``.
+
+A :class:`SelectionQuery` does not go through those callables: each node
+also compiles, against a schema, to a boolean mask over a matrix of
+attribute codes (:meth:`Predicate.compile_mask`), which
+:meth:`~repro.probdb.engine.QueryEngine.masked_selection_query` evaluates
+column-wise.  Compiling a mask checks every attribute name and builds every
+comparison's truth table over its attribute's domain, so an unknown name or
+a value the domain cannot be compared with fails before any row is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from ..probdb.engine import ProbRow, QueryEngine, ResultTuple
+import numpy as np
+
+from ..probdb.engine import (
+    ProbRow,
+    QueryEngine,
+    ResultTuple,
+    RowMask,
+    attribute_position,
+)
+from ..relational.schema import Schema
 
 __all__ = [
     "Q",
@@ -89,8 +107,36 @@ class Predicate:
         """A plain callable equivalent to this node (for ``QueryEngine``)."""
         raise NotImplementedError
 
+    def compile_mask(self, schema: Schema) -> RowMask:
+        """This node as a mask over ``(n, len(schema))`` attribute codes.
+
+        Row ``i`` of the mask is this predicate's value on the row whose
+        codes are ``codes[i]``, exactly as :meth:`compile` would give it.
+        Raises up front for an attribute missing from ``schema`` (the
+        KeyError ``ProbRow.value`` raises) or a comparison the domain
+        cannot make (its TypeError).
+        """
+        raise NotImplementedError
+
+    @cached_property
+    def _compiled(self) -> RowPredicate:
+        return self.compile()
+
     def __call__(self, row) -> bool:
-        return self.compile()(row)
+        return self._compiled(row)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The cached callable is a closure: leave it out of pickles.
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
+def _truth_table(schema: Schema, attr: str, test: Callable[[Any], bool]) -> RowMask:
+    """A leaf's mask: ``test`` evaluated once per value of ``attr``'s domain."""
+    pos = attribute_position(schema.names, attr)
+    table = np.array([bool(test(v)) for v in schema[pos].domain], dtype=bool)
+    return lambda codes: table[codes[:, pos]]
 
 
 @dataclass(frozen=True)
@@ -111,6 +157,10 @@ class Cmp(Predicate):
         fn, attr, value = _COMPARATORS[self.op], self.attr, self.value
         return lambda row: fn(row.value(attr), value)
 
+    def compile_mask(self, schema: Schema) -> RowMask:
+        fn, value = _COMPARATORS[self.op], self.value
+        return _truth_table(schema, self.attr, lambda v: fn(v, value))
+
 
 @dataclass(frozen=True)
 class In(Predicate):
@@ -129,6 +179,10 @@ class In(Predicate):
         attr, allowed = self.attr, frozenset(self.values)
         return lambda row: row.value(attr) in allowed
 
+    def compile_mask(self, schema: Schema) -> RowMask:
+        allowed = frozenset(self.values)
+        return _truth_table(schema, self.attr, lambda v: v in allowed)
+
 
 @dataclass(frozen=True)
 class And(Predicate):
@@ -145,6 +199,17 @@ class And(Predicate):
     def compile(self) -> RowPredicate:
         preds = [c.compile() for c in self.children]
         return lambda row: all(p(row) for p in preds)
+
+    def compile_mask(self, schema: Schema) -> RowMask:
+        masks = [c.compile_mask(schema) for c in self.children]
+
+        def mask(codes: np.ndarray) -> np.ndarray:
+            out = np.ones(len(codes), dtype=bool)
+            for m in masks:
+                out &= m(codes)
+            return out
+
+        return mask
 
 
 @dataclass(frozen=True)
@@ -163,6 +228,17 @@ class Or(Predicate):
         preds = [c.compile() for c in self.children]
         return lambda row: any(p(row) for p in preds)
 
+    def compile_mask(self, schema: Schema) -> RowMask:
+        masks = [c.compile_mask(schema) for c in self.children]
+
+        def mask(codes: np.ndarray) -> np.ndarray:
+            out = np.zeros(len(codes), dtype=bool)
+            for m in masks:
+                out |= m(codes)
+            return out
+
+        return mask
+
 
 @dataclass(frozen=True)
 class Not(Predicate):
@@ -176,6 +252,10 @@ class Not(Predicate):
     def compile(self) -> RowPredicate:
         pred = self.child.compile()
         return lambda row: not pred(row)
+
+    def compile_mask(self, schema: Schema) -> RowMask:
+        inner = self.child.compile_mask(schema)
+        return lambda codes: ~inner(codes)
 
 
 class Q:
@@ -276,8 +356,9 @@ class SelectionQuery(QuerySpec):
         }
 
     def run(self, engine: QueryEngine) -> list[ResultTuple]:
-        pred = (lambda row: True) if self.where is None else self.where.compile()
-        return engine.selection_query(pred, project_to=self.project)
+        """Evaluate column-wise; equal, bit for bit, to the lineage path."""
+        mask = None if self.where is None else self.where.compile_mask(engine.db.schema)
+        return engine.masked_selection_query(mask, project_to=self.project)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,23 @@ rows from correlated completions.
 
 Operators work over streams of :class:`ProbRow` — value tuples over a named
 attribute list plus an event.  The entry point is :class:`QueryEngine`.
+
+A selection without a join has a columnar twin,
+:meth:`QueryEngine.masked_selection_query`: the scan becomes one int32 code
+matrix (certain rows, then every block's completions in outcome order), the
+predicate a boolean mask over it, and only the surviving rows are decoded,
+merged and given lineage.  Each completion is one independent block atom,
+so a merged row's probability is the closed form the lineage path uses for
+a disjunction of atoms, taken in the same order — the results equal
+:meth:`QueryEngine.selection_query`'s bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .database import ProbabilisticDatabase
 from .lineage import (
@@ -28,7 +39,11 @@ from .lineage import (
     event_probability,
 )
 
-__all__ = ["ProbRow", "ResultTuple", "QueryEngine"]
+__all__ = ["ProbRow", "ResultTuple", "QueryEngine", "attribute_position"]
+
+#: A predicate over the scan's ``(n, width)`` int32 code matrix: one bool
+#: per row.
+RowMask = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -40,13 +55,18 @@ class ProbRow:
     event: Event
 
     def value(self, name: str) -> Hashable:
-        try:
-            return self.values[self.attributes.index(name)]
-        except ValueError:
-            raise KeyError(f"no attribute {name!r} in row") from None
+        return self.values[attribute_position(self.attributes, name)]
 
     def as_dict(self) -> dict[str, Hashable]:
         return dict(zip(self.attributes, self.values))
+
+
+def attribute_position(attributes: Sequence[str], name: str) -> int:
+    """Position of ``name`` in ``attributes``, else a KeyError naming it."""
+    try:
+        return attributes.index(name)
+    except ValueError:
+        raise KeyError(f"no attribute {name!r} in row") from None
 
 
 @dataclass(frozen=True)
@@ -214,6 +234,79 @@ class QueryEngine:
             rows = self.project(rows, project_to)
         return self.evaluate(rows)
 
+    def masked_selection_query(
+        self,
+        mask: RowMask | None,
+        project_to: Sequence[str] | None = None,
+    ) -> list[ResultTuple]:
+        """:meth:`selection_query` with the predicate given as a row mask.
+
+        ``mask`` maps the scan's code matrix (one int32 row of attribute
+        codes per :meth:`scan` row, in scan order) to one bool per row;
+        ``None`` keeps every row.  Equal, bit for bit, to
+        ``selection_query`` with the matching row predicate — values,
+        probabilities, order and events — but only the surviving rows are
+        decoded and given lineage.  An unknown ``project_to`` name raises
+        the row path's KeyError even when no row survives.
+        """
+        names = self.db.schema.names
+        attributes = names if project_to is None else tuple(project_to)
+        key_pos = np.array(
+            [attribute_position(names, n) for n in attributes], dtype=np.intp
+        )
+        cols = _ScanColumns(self.db)
+        if mask is None:
+            rows = np.arange(len(cols.codes))
+        else:
+            rows = np.flatnonzero(mask(cols.codes))
+        if rows.size == 0:
+            return []
+        # One result row per distinct key, numbered as the row path's
+        # merge dict inserts them.
+        keys = cols.codes[np.ix_(rows, key_pos)]
+        group, first = _first_appearance_groups(keys)
+        n_groups = len(first)
+        columns = []
+        for p, col in zip(key_pos.tolist(), keys[first].T.tolist()):
+            domain = self.db.schema[p].domain
+            columns.append([domain[c] for c in col])
+        values = list(zip(*columns)) if columns else [()] * n_groups
+
+        # Each group's atoms, contiguous and in scan order: block order,
+        # then outcome order within a block.
+        is_atom = rows >= cols.n_certain
+        certain = np.zeros(n_groups, dtype=bool)
+        certain[group[~is_atom]] = True
+        atom_group = group[is_atom]
+        order = np.argsort(atom_group, kind="stable")
+        comp = rows[is_atom][order] - cols.n_certain
+        bounds = np.zeros(n_groups + 1, dtype=np.intp)
+        np.cumsum(np.bincount(atom_group, minlength=n_groups), out=bounds[1:])
+        block = cols.block[comp]
+        outcome = (comp - cols.start[block]).tolist()
+        prob = cols.prob[comp].tolist()
+        block = block.tolist()
+        bounds = bounds.tolist()
+
+        blocks = self.db.blocks
+        out = []
+        for g, is_certain in enumerate(certain.tolist()):
+            lo, hi = bounds[g], bounds[g + 1]
+            if is_certain:
+                p = 1.0
+            elif hi - lo == 1:
+                p = min(prob[lo], 1.0)
+            else:
+                p = min(_atom_disjunction_probability(block[lo:hi], prob[lo:hi]), 1.0)
+            if p > 0.0:
+                event = TRUE if is_certain else disjunction(
+                    BlockChoice(b, blocks[b].distribution.outcomes[o])
+                    for b, o in zip(block[lo:hi], outcome[lo:hi])
+                )
+                out.append(ResultTuple(attributes, values[g], p, event))
+        out.sort(key=lambda t: t.probability, reverse=True)
+        return out
+
     def self_join_query(
         self,
         on: Sequence[tuple[str, str]],
@@ -232,3 +325,84 @@ class QueryEngine:
         if project_to is not None:
             rows = self.project(rows, project_to)
         return self.evaluate(rows)
+
+
+class _ScanColumns:
+    """:meth:`QueryEngine.scan` as columns.
+
+    ``codes`` holds every scan row's attribute codes in scan order: the
+    ``n_certain`` certain rows, then each block's completions in outcome
+    order.  Completion ``k`` (row ``n_certain + k``) is outcome ``k -
+    start[block[k]]`` of block ``block[k]``, with probability ``prob[k]``.
+    """
+
+    __slots__ = ("codes", "n_certain", "block", "start", "prob")
+
+    def __init__(self, db: ProbabilisticDatabase):
+        schema, blocks = db.schema, db.blocks
+        sizes = np.array([len(b.distribution) for b in blocks], dtype=np.intp)
+        self.n_certain = len(db.certain)
+        self.start = np.cumsum(sizes) - sizes
+        self.block = np.repeat(np.arange(len(blocks)), sizes)
+        self.codes = np.empty(
+            (self.n_certain + int(sizes.sum()), len(schema)), dtype=np.int32
+        )
+        if db.certain:
+            np.stack([t.codes for t in db.certain], out=self.codes[: self.n_certain])
+        if not blocks:
+            self.prob = np.empty(0)
+            return
+        completions = self.codes[self.n_certain :]
+        bases = np.stack([b.base.codes for b in blocks])
+        np.take(bases, self.block, axis=0, out=completions)
+        # Fill the missing cells once per missing pattern and outcome set:
+        # a derive's blocks share a few outcome sets (``Distribution.stack``).
+        patterns: dict[tuple, list[int]] = {}
+        for i, b in enumerate(blocks):
+            key = (b.base.missing_positions, b.distribution.outcomes)
+            patterns.setdefault(key, []).append(i)
+        code_of = [{v: c for c, v in enumerate(a.domain)} for a in schema]
+        for (missing, outcomes), members in patterns.items():
+            lookups = [code_of[p] for p in missing]
+            table = np.array(
+                [[lk[v] for lk, v in zip(lookups, o)] for o in outcomes],
+                dtype=np.int32,
+            )
+            at = self.start[members][:, None, None] + np.arange(len(outcomes))[:, None]
+            completions[at, np.array(missing)] = table
+        self.prob = np.concatenate([b.distribution.probs for b in blocks])
+
+
+def _first_appearance_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``keys`` in order of first appearance.
+
+    Returns each row's group number and each group's first row.
+    """
+    if keys.shape[1] == 0:
+        return np.zeros(len(keys), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _atom_disjunction_probability(blocks: list[int], probs: list[float]) -> float:
+    """The lineage closed form of a disjunction of atoms given in scan order.
+
+    ``1 - prod_b max(1 - covered_b, 0)``: one block's atoms are adjacent and
+    in outcome order, so each ``covered_b`` is summed, and the blocks are
+    multiplied, in the order :func:`~repro.probdb.lineage.event_probability`
+    uses.
+    """
+    none = 1.0
+    covered = 0.0
+    last = len(blocks) - 1
+    for i, (b, p) in enumerate(zip(blocks, probs)):
+        covered += p
+        if i == last or blocks[i + 1] != b:
+            none *= max(1.0 - covered, 0.0)
+            covered = 0.0
+    return 1.0 - none

@@ -222,7 +222,9 @@ def _try_closed_form(event: Event, db: ProbabilisticDatabase) -> float | None:
       (``1 - prod(1 - p_b)``).
 
     These cover scans, selections and single-relation projections exactly —
-    only join lineages (and/or mixtures) fall through to expansion.
+    only join lineages (and/or mixtures) fall through to expansion.  A
+    block's covered mass is summed in the distribution's outcome order, so
+    the bits do not depend on set iteration order (``PYTHONHASHSEED``).
     """
     if isinstance(event, BlockChoice):
         return _atom_probability(db, event)
@@ -247,7 +249,7 @@ def _try_closed_form(event: Event, db: ProbabilisticDatabase) -> float | None:
         none = 1.0
         for block_idx, outcomes in per_block.items():
             dist = db.blocks[block_idx].distribution
-            covered = sum(float(dist[o]) for o in outcomes)
+            covered = sum(float(p) for o, p in dist if o in outcomes)
             none *= max(1.0 - covered, 0.0)
         return 1.0 - none
     return None

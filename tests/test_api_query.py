@@ -211,3 +211,74 @@ class TestJsonEqualsLambdaPath:
                 project_to=("income",),
             ),
         )
+
+
+class TestCompileOnce:
+    def test_call_compiles_each_node_once(self, fig1_relation, monkeypatch):
+        calls = []
+        compile_cmp = Cmp.compile
+
+        def counting(self):
+            calls.append(self)
+            return compile_cmp(self)
+
+        monkeypatch.setattr(Cmp, "compile", counting)
+        pred = Q.and_(Q.eq("age", "20"), Q.not_(Q.eq("nw", "500K")))
+        rows = list(fig1_relation.complete_part()) * 20
+        assert len(rows) > 100
+        for t in rows:
+            pred(t)
+        assert len(calls) == 2  # one per Cmp leaf, not one per row
+
+    def test_called_predicates_still_pickle(self, fig1_relation):
+        import pickle
+
+        pred = Q.or_(Q.eq("age", "30"), Q.in_("edu", ("BS",)))
+        t = next(iter(fig1_relation))
+        expected = pred(t)
+        again = pickle.loads(pickle.dumps(pred))
+        assert again == pred and again(t) == expected
+
+
+@pytest.fixture
+def empty_engine(fig1_schema):
+    from repro.probdb import ProbabilisticDatabase
+
+    return QueryEngine(ProbabilisticDatabase(fig1_schema))
+
+
+class TestSpecCheckedUpFront:
+    """Unknown names and impossible comparisons fail whatever the data."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SelectionQuery(where=Q.eq("bogus", "20")),
+            SelectionQuery(where=Q.not_(Q.or_(Q.in_("bogus", ("20",))))),
+            SelectionQuery(where=Q.eq("age", "20"), project=("age", "bogus")),
+            SelectionQuery(project=("bogus",)),
+        ],
+    )
+    def test_unknown_attribute_on_empty_database(self, empty_engine, spec):
+        with pytest.raises(KeyError, match="no attribute 'bogus' in row"):
+            spec.run(empty_engine)
+
+    def test_unknown_attribute_behind_false_conjunct(self, fig1_engine):
+        # No row has age 99, so the row-at-a-time path never reached the
+        # second conjunct and returned [].
+        where = Q.and_(Q.eq("age", "99"), Q.eq("bogus", "20"))
+        assert fig1_engine.selection_query(where.compile()) == []
+        with pytest.raises(KeyError, match="no attribute 'bogus' in row"):
+            SelectionQuery(where=where).run(fig1_engine)
+
+    def test_unorderable_comparison_on_empty_database(self, empty_engine):
+        with pytest.raises(TypeError, match="not supported between"):
+            SelectionQuery(where=Q.lt("age", 5)).run(empty_engine)
+
+    def test_unorderable_comparison_behind_false_conjunct(self, fig1_engine):
+        where = Q.and_(Q.eq("age", "99"), Q.lt("age", 5))
+        with pytest.raises(TypeError, match="not supported between"):
+            SelectionQuery(where=where).run(fig1_engine)
+
+    def test_equality_with_a_foreign_type_is_just_false(self, empty_engine):
+        assert SelectionQuery(where=Q.eq("age", 20)).run(empty_engine) == []

@@ -480,3 +480,24 @@ class TestStrictRequestFields:
         assert UpdateRequest.from_dict(
             {**UPDATE_PAYLOAD, "executor": None, "workers": None}
         ) == UpdateRequest.from_dict(UPDATE_PAYLOAD)
+
+
+class TestQuerySpecErrors:
+    """A bad selection spec is a 400 whether or not any row reaches it."""
+
+    @pytest.mark.parametrize(
+        "where,project,message",
+        [
+            (Q.and_(Q.eq("age", "99"), Q.eq("bogus", "20")), None,
+             "no attribute 'bogus' in row"),
+            (Q.eq("age", "99"), ("bogus",), "no attribute 'bogus' in row"),
+            (Q.and_(Q.eq("age", "99"), Q.lt("age", 5)), None,
+             "not supported between"),
+        ],
+    )
+    def test_bad_selection_is_400(self, http_server, where, project, message):
+        _, port = http_server
+        spec = SelectionQuery(where=where, project=project).to_dict()
+        status, error = _post_error(port, "query", {"query": spec})
+        assert status == 400
+        assert message in error

@@ -133,3 +133,44 @@ class TestMonteCarlo:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             estimate_event_probability(TRUE, db, 0, rng)
+
+
+class TestHashSeedIndependence:
+    def test_disjunction_sums_in_outcome_order(self):
+        # One block of 8 tuple-of-string outcomes and the disjunction of 7
+        # of its atoms: summing the covered mass in set order gave
+        # different bits under different PYTHONHASHSEEDs.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import numpy as np\n"
+            "from repro.probdb import BlockChoice, Distribution,"
+            " ProbabilisticDatabase, TupleBlock, disjunction,"
+            " event_probability\n"
+            "from repro.relational import Schema, make_tuple\n"
+            "s = Schema.from_domains({'a': ['x'], 'b': ['b0', 'b1', 'b2', 'b3'],"
+            " 'c': ['c0', 'c1']})\n"
+            "outs = [(b, c) for b in s['b'].domain for c in s['c'].domain]\n"
+            "dist = Distribution(outs, np.random.default_rng(3).random(8))\n"
+            "db = ProbabilisticDatabase(s, (),"
+            " [TupleBlock(make_tuple(s, {'a': 'x'}), dist)])\n"
+            "event = disjunction([BlockChoice(0, o) for o in outs[:7]])\n"
+            "print(event_probability(event, db).hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        bits = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                check=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            ).stdout.strip()
+            for seed in ("0", "2")
+        }
+        assert len(bits) == 1, bits
