@@ -16,14 +16,16 @@ A selection without a join has a columnar twin,
 matrix (certain rows, then every block's completions in outcome order), the
 predicate a boolean mask over it, and only the surviving rows are decoded,
 merged and given lineage.  Each completion is one independent block atom,
-so a merged row's probability is the closed form the lineage path uses for
-a disjunction of atoms, taken in the same order — the results equal
+so a merged row's probability is the lineage path's closed form for a
+disjunction of atoms (:func:`~repro.probdb.lineage.atom_disjunction_probability`,
+shared by both paths and fed in the same order) — the results equal
 :meth:`QueryEngine.selection_query`'s bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .lineage import (
     TRUE,
     BlockChoice,
     Event,
+    atom_disjunction_probability,
     conjunction,
     disjunction,
     event_probability,
@@ -297,7 +300,16 @@ class QueryEngine:
             elif hi - lo == 1:
                 p = min(prob[lo], 1.0)
             else:
-                p = min(_atom_disjunction_probability(block[lo:hi], prob[lo:hi]), 1.0)
+                # One block's atoms are adjacent and in outcome order, and
+                # the blocks in first-appearance order, as the lineage
+                # closed form takes them.
+                runs = groupby(range(lo, hi), key=block.__getitem__)
+                p = min(
+                    atom_disjunction_probability(
+                        [prob[i] for i in run] for _, run in runs
+                    ),
+                    1.0,
+                )
             if p > 0.0:
                 event = TRUE if is_certain else disjunction(
                     BlockChoice(b, blocks[b].distribution.outcomes[o])
@@ -387,22 +399,3 @@ def _first_appearance_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return rank[inverse.reshape(-1)], first[order]
-
-
-def _atom_disjunction_probability(blocks: list[int], probs: list[float]) -> float:
-    """The lineage closed form of a disjunction of atoms given in scan order.
-
-    ``1 - prod_b max(1 - covered_b, 0)``: one block's atoms are adjacent and
-    in outcome order, so each ``covered_b`` is summed, and the blocks are
-    multiplied, in the order :func:`~repro.probdb.lineage.event_probability`
-    uses.
-    """
-    none = 1.0
-    covered = 0.0
-    last = len(blocks) - 1
-    for i, (b, p) in enumerate(zip(blocks, probs)):
-        covered += p
-        if i == last or blocks[i + 1] != b:
-            none *= max(1.0 - covered, 0.0)
-            covered = 0.0
-    return 1.0 - none

@@ -15,7 +15,7 @@ of blocks in one tuple's lineage, never in the database size.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -246,13 +246,29 @@ def _try_closed_form(event: Event, db: ProbabilisticDatabase) -> float | None:
         per_block: dict[int, set] = {}
         for atom in event.children:
             per_block.setdefault(atom.block_index, set()).add(atom.outcome)
-        none = 1.0
-        for block_idx, outcomes in per_block.items():
-            dist = db.blocks[block_idx].distribution
-            covered = sum(float(p) for o, p in dist if o in outcomes)
-            none *= max(1.0 - covered, 0.0)
-        return 1.0 - none
+        return atom_disjunction_probability(
+            [float(p) for o, p in db.blocks[block_idx].distribution if o in outcomes]
+            for block_idx, outcomes in per_block.items()
+        )
     return None
+
+
+def atom_disjunction_probability(covered: Iterable[Sequence[float]]) -> float:
+    """``1 - prod_b max(1 - sum(covered_b), 0)``: a disjunction of atoms.
+
+    ``covered`` holds, per mentioned block, the probabilities of that
+    block's outcomes in the disjunction.  Outcomes of one block are mutually
+    exclusive (their mass adds, with the builtin ``sum``); blocks are
+    independent.  Bits depend on order, so callers pass each block's
+    probabilities in outcome order and the blocks in first-appearance
+    order — the lineage closed form and the columnar selection path
+    (:meth:`~repro.probdb.engine.QueryEngine.masked_selection_query`) both
+    price through here.
+    """
+    none = 1.0
+    for probs in covered:
+        none *= max(1.0 - sum(probs), 0.0)
+    return 1.0 - none
 
 
 def event_probability(
