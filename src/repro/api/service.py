@@ -116,18 +116,25 @@ def _reject_top_level_knobs(payload: Mapping[str, Any], request_cls: type) -> No
 
 
 def _blocks_payload(db: Any) -> tuple[dict[str, Any], ...]:
-    """A database's blocks in Fig. 1 call-out form."""
-    return tuple(
-        {
-            "id": i,
-            "base": list(block.base.values()),
-            "completions": [
-                {"values": list(completed.values()), "prob": float(p)}
-                for completed, p in block.completions()
-            ],
-        }
-        for i, block in enumerate(db.blocks)
-    )
+    """A database's blocks in Fig. 1 call-out form.
+
+    Equal to rendering each of ``block.completions()`` with ``values()``,
+    but each completion splices its outcome's values into one copy of the
+    base's values instead of building a ``RelTuple``.
+    """
+    payload = []
+    for i, block in enumerate(db.blocks):
+        base = list(block.base.values())
+        missing = block.base.missing_positions
+        dist = block.distribution
+        completions = []
+        for outcome, prob in zip(dist.outcomes, dist.probs.tolist()):
+            values = base.copy()
+            for pos, value in zip(missing, outcome):
+                values[pos] = value
+            completions.append({"values": values, "prob": prob})
+        payload.append({"id": i, "base": base, "completions": completions})
+    return tuple(payload)
 
 
 def _rows(value: Any) -> tuple[tuple[Any, ...], ...]:

@@ -16,8 +16,8 @@ CPD.  :class:`BatchInferenceEngine` exploits this:
    :meth:`~BatchInferenceEngine.infer_grouped` and the batch
    :meth:`~BatchInferenceEngine.conditional_probs_batch` all read and fill
    it, so repeated signatures skip even the vectorized work, and the Gibbs
-   hot loop reads a whole batch of chain states (or straight from a memo
-   its sweep step has bound) in a handful of NumPy calls.
+   hot loop reads a whole batch of chain states (or, on its rank-fused
+   path, every live memo at once) in a handful of NumPy calls.
 
 Results are bit-for-bit identical to the naive path for every
 ``vChoice`` x ``vScheme`` combination — the naive implementation stays in
@@ -350,8 +350,8 @@ class BatchInferenceEngine:
 
         ``None`` until a call creates it, after a bound drops it, and for
         signature spaces too wide to pack (their memos key on bytes, which
-        a bound sweep step cannot pack); a reset replaces it with a new
-        object.
+        a rank-fused Gibbs sweep cannot pack); a reset replaces it with a
+        new object.
         """
         memo = self._memos.get((attr, choice, scheme))
         return None if memo is None or memo.mult is None else memo

@@ -23,7 +23,8 @@ Two chain drivers share the sampler:
   attribute.
 * :class:`GibbsEnsemble` — the vectorized kernel: all chains of all tuples
   of one or more seeded segments advance in lock step, one batched read of
-  the engine's CDF memo and one inverse-CDF draw per (sweep, attribute).
+  the engine's CDF memos and one inverse-CDF draw per (sweep, rank of a
+  missing attribute within its row).
   Each segment consumes its own generator exactly as if it ran alone, so
   fusing segments never changes a sample.  With one chain and one tuple it
   consumes the *same* RNG stream as the scalar chain and reproduces its
@@ -34,7 +35,8 @@ Two chain drivers share the sampler:
 from __future__ import annotations
 
 from itertools import product
-from typing import Hashable, Sequence
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from ..probdb.distribution import DEFAULT_SMOOTHING_FLOOR, Distribution
 from ..relational.tuples import MISSING_CODE, RelTuple
 from .compiled import LRUCache
 from .engine import (
+    _ABSENT,
     DEFAULT_CPD_CACHE_SIZE,
     DEFAULT_ENGINE,
     BatchInferenceEngine,
@@ -57,6 +60,7 @@ __all__ = [
     "GibbsSampler",
     "estimate_joint",
     "samples_to_distribution",
+    "samples_to_distributions",
 ]
 
 #: Outcome spaces larger than this are reported over observed outcomes only
@@ -266,33 +270,54 @@ def _column_draw(
     return (columns.take(slots, axis=1) <= u).sum(axis=0)
 
 
-class _Step:
-    """One attribute's pass of an ensemble sweep, bound to the engine memo
-    that answered it last.
+#: What pads a narrower attribute's CDF columns in :class:`_RankTables`:
+#: above every uniform, so padding never counts in a draw.
+_PAD = 2.0
 
-    ``rows`` are the state rows missing ``attr``, ``cells`` their
-    ``(row, attr)`` positions in the flattened state and ``span`` their
-    slice of a sweep's uniforms.  ``memo`` is the engine's CDF memo for
-    ``attr`` when the step last ran, ``size`` its row count then and
-    ``columns`` a read-only view of its CDF columns but the last: valid
-    while the engine holds that memo at that size.
+
+class _RankTables:
+    """Every step attribute's memo, concatenated for the rank steps.
+
+    ``index`` concatenates the memos' dense key -> slot indexes, attribute
+    ``i``'s at key offset ``sum(space_j for j < i)``, its slots shifted to
+    attribute ``i``'s rows of ``columns``: the memos' CDF columns but the
+    last, side by side, narrower cardinalities padded with :data:`_PAD`.
+    An absent key keeps slot :data:`~repro.core.engine._ABSENT`, so a draw
+    from it raises ``IndexError``; ``columns`` is at least one column wide,
+    so that holds for cardinality-1 attributes too.  ``ranks`` extends
+    each of the ensemble's rank steps ``(rows, cells, steps, span)`` to
+    ``(rows, cells, mults, offsets, span)``: each cell's multipliers (its
+    attribute memo's ``mult``) and key offset.  Valid while every step
+    attribute's live memo is ``memos[i]`` at ``sizes[i]`` rows.
     """
 
-    __slots__ = ("attr", "rows", "cells", "span", "memo", "size", "columns")
+    __slots__ = ("memos", "sizes", "index", "columns", "ranks")
 
-    def __init__(self, attr: int, rows: np.ndarray, width: int, span: slice):
-        self.attr, self.rows, self.span = attr, rows, span
-        self.cells = rows * width + attr
-        self.bind(None)
+    def __init__(self, memos: list, ranks: list[tuple]):
+        self.memos = memos
+        self.sizes = [memo.size for memo in memos]
+        spaces = [memo.index.size for memo in memos]
+        rows = np.cumsum([0] + self.sizes)
+        index = np.concatenate([memo.index for memo in memos])
+        shifted = index + np.repeat(rows[:-1], spaces)
+        self.index = np.where(index == _ABSENT, _ABSENT, shifted)
+        width = max(2, *(memo.cdfs.shape[1] for memo in memos)) - 1
+        self.columns = np.full((width, rows[-1]), _PAD)
+        for memo, lo, hi in zip(memos, rows, rows[1:]):
+            self.columns[: memo.cdfs.shape[1] - 1, lo:hi] = memo.cdfs[: hi - lo, :-1].T
+        mults = np.stack([memo.mult for memo in memos])
+        offsets = np.cumsum([0] + spaces[:-1])
+        self.ranks = [
+            (rows, cells, mults[steps], offsets[steps], span)
+            for rows, cells, steps, span in ranks
+        ]
 
-    def bind(self, memo) -> None:
-        """Bind to ``memo``; ``None`` leaves the step on the miss path."""
-        self.memo = memo
-        self.size = -1 if memo is None else len(memo)
-        self.columns = None
-        if memo is not None:
-            self.columns = memo.cdfs[: len(memo), :-1].T
-            self.columns.setflags(write=False)
+    def current(self, memos: list) -> bool:
+        """Whether these tables still mirror ``memos``."""
+        return all(
+            memo is held and memo.size == size
+            for memo, held, size in zip(memos, self.memos, self.sizes)
+        )
 
 
 class GibbsEnsemble:
@@ -302,22 +327,30 @@ class GibbsEnsemble:
     distinct tuples are served by its own generator (a ``Generator`` or a
     seed).  The state is one ``(num_tuples * chains, width)`` integer
     matrix — ``chains`` consecutive rows per base tuple, segments in order,
-    observed values clamped.  A sweep cycles the union of missing
+    observed values clamped.  A sweep resamples every row's missing
     attributes in ascending position order — the same per-tuple order the
-    scalar chain uses — and resamples every row missing that attribute, in
-    every segment, at once: one read of the CDF rows and one vectorized
-    inverse-CDF lookup per (sweep, attribute), however many segments the
-    ensemble fuses.
+    scalar chain uses.  A row's draws read only that row's state, so rows
+    need not move in step attribute by attribute: a sweep is at most
+    ``max(num_missing)`` *rank steps*, step ``j`` drawing, in every row of
+    every segment at once, that row's ``j``-th missing attribute.
 
-    Each such step is bound to the engine memo that last answered it (see
-    :class:`_Step`).  While the engine holds that memo at that size and it
-    holds every row's signature, the step packs the rows' signatures,
-    finds their slots and draws from bound views of the memo's CDF
-    columns.  Otherwise — the first sweep, a signature the memo lacks, or
-    a memo the engine has replaced, dropped or grown — the step makes one
+    A rank step packs each row's signature for its own attribute (that
+    attribute memo's ``mult``), looks every key up in one concatenated
+    dense index and draws through :func:`_column_draw` from one table of
+    every attribute memo's CDF columns (:class:`_RankTables`, rebuilt only
+    after the engine replaces, drops or grows a memo).  It needs every
+    step attribute's memo live with a dense index, and every row's
+    signature in it.  The state is snapshotted at the start of a sweep;
+    on a signature a memo lacks it is restored and the sweep replayed on
+    the *per-call path* — per attribute in the union of missing
+    attributes, ascending, one
     :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-    call for the CDF rows and rebinds.  Both paths draw the same integers
-    and count the same engine counters.
+    call for the rows missing it — which also serves sweeps without
+    live dense memos (the first sweep on a cold engine, sorted-key
+    signature spaces).  So every batch the engine computes, every memo
+    insert and reset, and every counter is the per-call path's; a fused
+    sweep counts what the per-call calls would for batches their memos
+    hold whole.  Both paths draw the same integers.
 
     Every segment consumes its own generator exactly as if it ran alone:
     first the initial ``integers`` draws (tuple-major, missing-position
@@ -327,8 +360,10 @@ class GibbsEnsemble:
     :data:`UNIFORM_BLOCK_SWEEPS` sweeps per segment
     (``Generator.random(a + b)`` yields ``random(a)`` then ``random(b)``)
     and scattered into the fused attribute-major order; no block reaches
-    past the run's last sweep.  So a fused segment's samples are
-    bit-identical to the same segment run as a one-segment ensemble.
+    past the run's last sweep.  Each block is then permuted once into rank
+    order (rank-major, rows ascending), where a rank step's uniforms are
+    one slice.  So a fused segment's samples are bit-identical to the same
+    segment run as a one-segment ensemble.
 
     The inverse-CDF lookup reproduces ``Generator.choice(card, p=probs)``
     exactly (same cumulative normalization, same ``side='right'`` search),
@@ -397,9 +432,7 @@ class GibbsEnsemble:
         # A sweep's uniforms in fused order: every missing cell,
         # attribute-major, rows ascending (hence segment-major).  Each
         # segment draws its own cells in (attribute, row) order; ``_draws``
-        # holds, per segment, the fused positions its draws land in.  The
-        # step table holds, per attribute, the rows missing it and their
-        # slice of the fused uniforms.
+        # holds, per segment, the fused positions its draws land in.
         cell_attr, cell_row = np.nonzero(missing.T)
         segment_of = np.repeat(
             np.arange(len(segments)), [len(b) * k for b, _ in segments]
@@ -408,11 +441,42 @@ class GibbsEnsemble:
         ends = np.cumsum(np.bincount(segment_of, minlength=len(segments)))
         self._draws = list(zip(generators, np.split(drawn, ends[:-1])))
         self._per_sweep = cell_attr.size
-        bounds = np.searchsorted(cell_attr, attrs + [len(schema)]).tolist()
+        # Rank order: each cell's rank among its row's missing attributes,
+        # rank-major, rows ascending.  ``_ranked`` holds the fused position
+        # of each rank-ordered uniform, ``at`` the inverse.
+        rank = (np.cumsum(missing, axis=1) - 1)[cell_row, cell_attr]
+        self._ranked = np.lexsort((cell_row, rank))
+        at = np.empty_like(self._ranked)
+        at[self._ranked] = np.arange(self._ranked.size)
+        # Per-call step per attribute: the rows missing it, their cells in
+        # the flattened state and their uniforms' rank-order positions.
+        width = len(schema)
+        bounds = np.searchsorted(cell_attr, attrs + [width]).tolist()
         self._steps = [
-            _Step(attr, cell_row[lo:hi], len(schema), slice(lo, hi))
+            (attr, cell_row[lo:hi], cell_row[lo:hi] * width + attr, at[lo:hi])
             for attr, lo, hi in zip(attrs, bounds, bounds[1:])
         ]
+        # Rank step ``j``: the rows missing more than ``j`` attributes
+        # (``None``: every row), the cells of their ``j``-th missing
+        # attribute, each cell's index into ``attrs`` and the cells' slice
+        # of the rank-ordered uniforms.
+        rank_row = cell_row[self._ranked]
+        rank_attr = cell_attr[self._ranked]
+        bounds = np.searchsorted(
+            rank[self._ranked], np.arange(rank.max() + 2)
+        ).tolist()
+        self._ranks = [
+            (
+                None if hi - lo == len(self.states) else rank_row[lo:hi],
+                rank_row[lo:hi] * width + rank_attr[lo:hi],
+                np.searchsorted(attrs, rank_attr[lo:hi]),
+                slice(lo, hi),
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        self._tables: _RankTables | None = None
+        self._stale = True
+        self._snapshot = np.empty_like(self.states)
         # The state matrix flattened (a view): steps scatter draws into it
         # and the trace reads from it.
         self._flat = self.states.reshape(-1)
@@ -439,47 +503,77 @@ class GibbsEnsemble:
             out[:, dest] = rng.random(sweeps * dest.size).reshape(sweeps, -1)
         return out
 
-    def _sweep(self, uniforms: np.ndarray) -> None:
-        """One ordered cycle over every segment, given its uniforms."""
+    def _live_tables(self) -> _RankTables | None:
+        """Rank tables over the engine's live memos, ``None`` while some
+        step attribute has no live memo with a dense index."""
+        sampler = self.sampler
+        live = sampler._engine.live_memo
+        choice, scheme = sampler.v_choice, sampler.v_scheme
+        memos = [live(attr, choice, scheme) for attr in self.attrs]
+        tables = self._tables
+        if tables is None or not tables.current(memos):
+            if any(memo is None or memo.index is None for memo in memos):
+                return None
+            tables = self._tables = _RankTables(memos, self._ranks)
+        self._stale = False
+        return tables
+
+    def _fused_sweep(self, uniforms: np.ndarray) -> bool:
+        """One sweep in rank steps; ``False``, with the state restored,
+        where the per-call path has to run it."""
+        # Memos change only in engine calls: the tables need checking
+        # after a per-call sweep and when a run starts, not every sweep.
+        tables = self._live_tables() if self._stale else self._tables
+        if tables is None:
+            return False
+        states, flat = self.states, self._flat
+        np.copyto(self._snapshot, states)
+        index, columns = tables.index, tables.columns
+        try:
+            for rows, cells, mults, offsets, span in tables.ranks:
+                sub = states if rows is None else states.take(rows, axis=0)
+                slots = index.take(np.vecdot(sub, mults) + offsets)
+                flat.put(cells, _column_draw(columns, slots, uniforms[span]))
+        except IndexError:
+            # A signature some memo lacks: its slot is past every row.
+            np.copyto(states, self._snapshot)
+            return False
+        # What the per-call sweep's conditional_probs_batch calls count
+        # for batches their memos hold whole.
+        engine = self.sampler._engine
+        engine.tuples_served += self._per_sweep
+        engine.memo_hits += self._per_sweep
+        return True
+
+    def _per_call_sweep(self, uniforms: np.ndarray) -> None:
+        """One sweep, one ``conditional_probs_batch`` call per attribute."""
         sampler = self.sampler
         engine = sampler._engine
         choice, scheme = sampler.v_choice, sampler.v_scheme
         states, flat = self.states, self._flat
-        for step in self._steps:
-            attr, u = step.attr, uniforms[step.span]
-            memo = step.memo
-            if (
-                memo is not None
-                and memo.size == step.size
-                and engine.live_memo(attr, choice, scheme) is memo
-            ):
-                slots = memo.find(states.take(step.rows, axis=0).dot(memo.mult))
-                try:
-                    draw = _column_draw(step.columns, slots, u)
-                except IndexError:
-                    pass  # a signature the memo lacks: its slot is past every row
-                else:
-                    flat.put(step.cells, draw)
-                    # What conditional_probs_batch counts for a batch its
-                    # memo holds whole.
-                    engine.tuples_served += slots.size
-                    engine.memo_hits += slots.size
-                    continue
-            # A miss, or a memo replaced, dropped or grown since the step
-            # was bound: the engine's cached CDF rows — Generator.choice's
+        self._stale = True
+        for attr, rows, cells, at in self._steps:
+            # The engine's cached CDF rows — Generator.choice's
             # cumsum / cdf[-1], computed once per distinct signature.
             cdf = engine.conditional_probs_batch(
-                states[step.rows], attr, choice, scheme, cumulative=True
+                states[rows], attr, choice, scheme, cumulative=True
             )
             # searchsorted(cdf, u, side="right") per row — the exact
             # arithmetic of Generator.choice(n, p=probs).
-            flat.put(step.cells, (cdf <= u[:, None]).sum(axis=1))
-            step.bind(engine.live_memo(attr, choice, scheme))
-        sampler.steps += self._per_sweep
+            u = uniforms.take(at)
+            flat.put(cells, (cdf <= u[:, None]).sum(axis=1))
+
+    def _sweep(self, uniforms: np.ndarray) -> None:
+        """One ordered cycle over every segment, given its rank-ordered
+        uniforms."""
+        if not self._fused_sweep(uniforms):
+            self._per_call_sweep(uniforms)
+        self.sampler.steps += self._per_sweep
 
     def sweep(self) -> None:
         """One ordered cycle: resample every missing attribute everywhere."""
-        self._sweep(self._uniforms(1)[0])
+        self._stale = True
+        self._sweep(self._uniforms(1)[0].take(self._ranked))
 
     def run(
         self, num_samples: int, burn_in: int = 0
@@ -502,10 +596,11 @@ class GibbsEnsemble:
         total = burn_in + sweeps
         trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
         flat = self._flat
+        self._stale = True
         done = 0
         while done < total:
             block = min(UNIFORM_BLOCK_SWEEPS, total - done)
-            for uniforms in self._uniforms(block):
+            for uniforms in self._uniforms(block).take(self._ranked, axis=1):
                 self._sweep(uniforms)
                 if done >= burn_in:
                     flat.take(self._cells, out=trace[done - burn_in])
@@ -538,47 +633,83 @@ def samples_to_distribution(
     exact posterior is always finite; otherwise only observed outcomes are
     reported.
 
-    Counting is one ``np.unique`` over packed sample codes; the resulting
-    distributions are bit-identical to the historical Python counting loop
-    (same count/total divisions, same outcome order).
+    The distributions are bit-identical to the historical Python counting
+    loop (same count/total divisions, same outcome order); see
+    :func:`samples_to_distributions`.
     """
-    n = len(samples)
-    if n == 0:
-        raise ValueError("need at least one sample")
-    missing = base.missing_positions
+    return samples_to_distributions(
+        schema, base.missing_positions, [samples], floor
+    )[0]
+
+
+#: Dense histogram cells :func:`samples_to_distributions` counts at once;
+#: bounds its temporaries at about 2 MB however many tuples share a pattern.
+HISTOGRAM_CELLS = 1 << 16
+
+
+def samples_to_distributions(
+    schema,
+    missing: Sequence[int],
+    samples: "Sequence[Sequence[tuple[int, ...]] | np.ndarray]",
+    floor: float = DEFAULT_SMOOTHING_FLOOR,
+) -> list[Distribution]:
+    """:func:`samples_to_distribution` for tuples missing the same positions.
+
+    One distribution per entry of ``samples``, each equal byte for byte to
+    ``samples_to_distribution`` of that entry.  Dense outcome spaces (at
+    most :data:`MAX_DENSE_OUTCOMES`) are counted together: every sample is
+    packed into its row-major rank within the space — exactly the order
+    ``product`` enumerates it in — offset by its entry's number, and one
+    ``np.bincount`` per :data:`HISTOGRAM_CELLS` cells counts them all.
+    Those distributions come from :meth:`Distribution.stack` and share one
+    outcomes tuple.  Sparse spaces report each entry's observed outcomes
+    only, in first-occurrence order (the order the historical dict-based
+    counting reported them in), one ``np.unique`` per entry.
+    """
     domains = [schema[attr].domain for attr in missing]
-    space = 1
-    for d in domains:
-        space *= len(d)
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != len(missing):
-        raise ValueError(
-            f"samples must be (n, {len(missing)}) codes over the missing "
-            f"positions, got shape {arr.shape}"
-        )
-    if space <= MAX_DENSE_OUTCOMES:
-        dims = tuple(len(d) for d in domains)
-        # Pack each sample into its row-major rank — exactly the order
-        # ``product`` enumerates the outcome space in.
-        packed = np.ravel_multi_index(tuple(arr.T), dims)
-        codes, counts = np.unique(packed, return_counts=True)
-        probs = np.zeros(space)
-        probs[codes] = counts / n
-        outcomes: list[Hashable] = [
-            tuple(d[c] for d, c in zip(domains, combo))
-            for combo in product(*(range(len(d)) for d in domains))
-        ]
-        return Distribution(outcomes, np.maximum(probs, floor))
-    # Sparse: observed outcomes only, in first-occurrence order (the order
-    # the historical dict-based counting reported them in).
+    dims = tuple(len(d) for d in domains)
+    arrays = []
+    for entry in samples:
+        if len(entry) == 0:
+            raise ValueError("need at least one sample")
+        arr = np.asarray(entry)
+        if arr.ndim != 2 or arr.shape[1] != len(missing):
+            raise ValueError(
+                f"samples must be (n, {len(missing)}) codes over the missing "
+                f"positions, got shape {arr.shape}"
+            )
+        arrays.append(arr)
+    space = prod(dims)
+    if space > MAX_DENSE_OUTCOMES:
+        return [_sparse_distribution(domains, arr) for arr in arrays]
+    outcomes = tuple(product(*domains))
+    per_chunk = max(1, HISTOGRAM_CELLS // space)
+    dists: list[Distribution] = []
+    for lo in range(0, len(arrays), per_chunk):
+        chunk = arrays[lo : lo + per_chunk]
+        sizes = np.array([arr.shape[0] for arr in chunk])
+        codes = np.concatenate(chunk, dtype=np.int64, casting="unsafe")
+        packed = np.ravel_multi_index(tuple(codes.T), dims)
+        packed += np.repeat(np.arange(len(chunk)) * space, sizes)
+        counts = np.bincount(packed, minlength=len(chunk) * space)
+        probs = counts.reshape(len(chunk), space) / sizes[:, None]
+        dists.extend(Distribution.stack(outcomes, np.maximum(probs, floor)))
+    return dists
+
+
+def _sparse_distribution(domains: list, arr: np.ndarray) -> Distribution:
+    """Observed outcomes only, in first-occurrence order."""
     rows, first, counts = np.unique(
-        arr, axis=0, return_index=True, return_counts=True
+        arr.astype(np.int64, copy=False),
+        axis=0,
+        return_index=True,
+        return_counts=True,
     )
     order = np.argsort(first, kind="stable")
     outcomes = [
         tuple(d[int(c)] for d, c in zip(domains, rows[i])) for i in order
     ]
-    return Distribution(outcomes, counts[order] / n)
+    return Distribution(outcomes, counts[order] / arr.shape[0])
 
 
 def estimate_joint(

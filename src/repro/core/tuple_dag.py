@@ -32,6 +32,7 @@ from .gibbs import (
     GibbsEnsemble,
     GibbsSampler,
     samples_to_distribution,
+    samples_to_distributions,
 )
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
@@ -273,7 +274,8 @@ def ensemble_sampling(
     of walking the tuple DAG one scalar chain step at a time, all
     ``chains`` chains of every *distinct* tuple of every segment advance
     together in one fused :class:`~repro.core.gibbs.GibbsEnsemble`, so the
-    whole call costs one batched CPD memo read per (sweep, attribute).
+    whole call costs one batched CPD memo read per (sweep, missing-attribute
+    rank), and one histogram pass per missing pattern.
     Each segment draws from its own generator exactly as it would alone,
     so its blocks do not depend on which other segments share the call.
     Per-tuple samples are pooled across the tuple's chains — more chains
@@ -323,22 +325,36 @@ def ensemble_sampling(
         ],
         chains=chains,
     )
-    sample_arrays = iter(ensemble.run(num_samples, burn_in=burn_in))
+    bases = ensemble.bases
+    samples = ensemble.run(num_samples, burn_in=burn_in)
     sweeps = -(-num_samples // chains)
-    count = len(ensemble.bases)
     stats = SamplingStats(
-        total_draws=(burn_in + sweeps) * chains * count,
-        burn_in_draws=burn_in * chains * count,
+        total_draws=(burn_in + sweeps) * chains * len(bases),
+        burn_in_draws=burn_in * chains * len(bases),
     )
+    # One histogram pass per missing pattern.  Blocks over one outcomes
+    # tuple (a dense pattern's) pass the TupleBlock checks once.
+    patterns: dict[tuple[int, ...], list[int]] = {}
+    for i, base in enumerate(bases):
+        patterns.setdefault(base.missing_positions, []).append(i)
+    built: list[TupleBlock] = [None] * len(bases)  # type: ignore[list-item]
+    for missing, members in patterns.items():
+        dists = samples_to_distributions(
+            sampler.schema, missing, [samples[i] for i in members]
+        )
+        checked: set[int] = set()
+        for i, dist in zip(members, dists):
+            if id(dist.outcomes) in checked:
+                built[i] = TupleBlock._trusted(bases[i], dist)
+            else:
+                built[i] = TupleBlock(bases[i], dist)
+                checked.add(id(dist.outcomes))
     blocks: list[TupleBlock] = []
+    lo = 0
     for segment_keys, unique in zip(keys, distinct):
-        by_key = {
-            key: TupleBlock(
-                t, samples_to_distribution(sampler.schema, t, next(sample_arrays))
-            )
-            for key, t in unique.items()
-        }
-        blocks.extend(by_key[key] for key in segment_keys)
+        slot = {key: lo + j for j, key in enumerate(unique)}
+        blocks.extend(built[slot[key]] for key in segment_keys)
+        lo += len(unique)
     return blocks, stats
 
 

@@ -185,17 +185,15 @@ def _distinct_codes(
     """The entries' distinct code rows, in first-occurrence order.
 
     Returns ``(codes, node)``: one row per distinct tuple, and each entry's
-    row number.  One ``np.unique`` over the stacked code matrix replaces
-    hashing and comparing ``RelTuple`` objects.
+    row number.  One :func:`unique_rows` over the stacked code matrix
+    replaces hashing and comparing ``RelTuple`` objects.
     """
     stacked = np.stack([t.codes for _, t in entries])
-    _, first, inverse = np.unique(
-        stacked, axis=0, return_index=True, return_inverse=True
-    )
+    first, inverse = unique_rows(stacked)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return stacked[first[order]], rank[inverse.reshape(-1)]
+    return stacked[first[order]], rank[inverse]
 
 
 def _component_roots(codes: np.ndarray) -> np.ndarray:

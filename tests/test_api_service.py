@@ -9,7 +9,9 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.api.http import make_server
@@ -24,9 +26,13 @@ from repro.api.service import (
     QueryResponse,
     ServiceError,
     UpdateRequest,
+    _blocks_payload,
 )
 from repro.api.session import Session
-from repro.probdb import QueryEngine
+from repro.probdb import QueryEngine, TupleBlock
+from repro.probdb.distribution import Distribution
+from repro.relational import Schema
+from repro.relational.tuples import MISSING_CODE, RelTuple
 from tests.conftest import FIG1_ROWS
 
 FIG1_SCHEMA = {
@@ -501,3 +507,46 @@ class TestQuerySpecErrors:
         status, error = _post_error(port, "query", {"query": spec})
         assert status == 400
         assert message in error
+
+
+def test_blocks_payload_equals_completions_rendering():
+    """The spliced payload equals rendering ``block.completions()`` with
+    ``values()``, value for value and byte for byte as JSON, for single-,
+    multi- and all-missing blocks over non-string domains."""
+    schema = Schema.from_domains(
+        {"n": [3, 1, 2], "x": [0.5, -1.25], "flag": [False, True], "s": ["a", "b"]}
+    )
+    rng = np.random.default_rng(5)
+    blocks = []
+    for missing in ([1], [0, 2], [3, 1], [0, 1, 2, 3]):
+        codes = np.array([2, 1, 0, 1], dtype=np.int32)
+        codes[missing] = MISSING_CODE
+        base = RelTuple(schema, codes)
+        outcomes = sorted(
+            {
+                tuple(schema[p].domain[c] for p, c in zip(base.missing_positions, combo))
+                for combo in np.ndindex(
+                    *(schema[p].cardinality for p in base.missing_positions)
+                )
+            },
+            key=repr,
+        )
+        probs = rng.random(len(outcomes)) + 0.01
+        blocks.append(TupleBlock(base, Distribution(outcomes, probs)))
+    want = tuple(
+        {
+            "id": i,
+            "base": list(block.base.values()),
+            "completions": [
+                {"values": list(completed.values()), "prob": float(p)}
+                for completed, p in block.completions()
+            ],
+        }
+        for i, block in enumerate(blocks)
+    )
+    got = _blocks_payload(SimpleNamespace(blocks=blocks))
+    assert got == want
+    for g, w in zip(got, want):
+        for gc, wc in zip(g["completions"], w["completions"]):
+            assert [type(v) for v in gc["values"]] == [type(v) for v in wc["values"]]
+    assert json.dumps(got) == json.dumps(want)

@@ -1,0 +1,267 @@
+"""Rank-fused Gibbs sweeps and batched histograms.
+
+A fused sweep draws, in rank step ``j``, every row's ``j``-th missing
+attribute from one concatenated CDF table; a signature some memo lacks
+restores the sweep's snapshot and replays it on the per-call path (one
+``conditional_probs_batch`` call per attribute).  The guarantees:
+
+* Fused and per-call sweeps draw the same samples and leave the same
+  engine counters, memo inserts and resets, for any chain count, segment
+  mix, missing depth, cache bound and engine warmth.
+* A per-call sweep runs only where the fused one cannot: after a genuine
+  miss (the replay then computes a signature), or without live dense
+  memos.  So the rank tables follow every memo the engine grows or
+  replaces.
+* Blocks are histogrammed per missing pattern, byte-equal to the
+  historical per-tuple counting loop, dense and sparse.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import BatchInferenceEngine, GibbsSampler, ensemble_sampling
+from repro.core import engine as engine_module
+from repro.core import gibbs as gibbs_module
+from repro.core.engine import DEFAULT_CPD_CACHE_SIZE
+from repro.core.gibbs import (
+    GibbsEnsemble,
+    samples_to_distribution,
+    samples_to_distributions,
+)
+from repro.core.learning import learn_mrsl
+from repro.datasets.census import load_census
+from repro.probdb.distribution import DEFAULT_SMOOTHING_FLOOR
+from repro.relational import Schema
+from repro.relational.tuples import MISSING_CODE, RelTuple
+from tests.test_fused_ensemble import _reference_segment
+from tests.test_gibbs import _reference_samples_to_distribution
+
+#: Missing-position patterns of depth 1 to 4 over census's 5 attributes,
+#: so rank steps cover different row sets and every rank mixes
+#: attributes of different cardinalities.
+PATTERNS = [(2,), (0, 1), (3, 4), (1, 2, 3), (0, 1, 3, 4)]
+
+
+@pytest.fixture(scope="module")
+def census():
+    """Census model and one pool of distinct tuples per pattern."""
+    rng = np.random.default_rng(23)
+    train, _ = load_census(250, rng)
+    test, _ = load_census(60, rng)
+    model = learn_mrsl(train, support_threshold=0.02).model
+    pools = []
+    for pattern in PATTERNS:
+        pool = []
+        for t in test:
+            codes = t.codes.copy()
+            codes[list(pattern)] = MISSING_CODE
+            pool.append(RelTuple(t.schema, codes))
+        pools.append(list(dict.fromkeys(pool)))
+    return model, pools
+
+
+def _segments(pools):
+    """Three seeded segments, each mixing missing depths."""
+    mixed = [t for i in range(6) for pool in pools for t in pool[i : i + 1]]
+    return [(mixed[:7], 101), (mixed[7:19], 202), (mixed[19:], 303)]
+
+
+def _run(model, segments, chains, cache_size, warm=None, per_call=False):
+    """Samples and ``(cache_info, memo_resets, steps)`` of one ensemble run,
+    plus the number of per-call sweeps and of those that computed nothing."""
+    engine = BatchInferenceEngine(model, cache_size=cache_size)
+    if warm:
+        ensemble_sampling(
+            model, [(warm, 5)], num_samples=12, burn_in=2, batch_engine=engine
+        )
+    if per_call:
+        engine.live_memo = lambda attr, choice, scheme: None
+    sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+    ensemble = GibbsEnsemble(sampler, segments, chains=chains)
+    replays = {"sweeps": 0, "idle": 0}
+    per_call_sweep = ensemble._per_call_sweep
+
+    def counted(uniforms):
+        before = engine.groups_computed
+        per_call_sweep(uniforms)
+        replays["sweeps"] += 1
+        replays["idle"] += engine.groups_computed == before
+
+    ensemble._per_call_sweep = counted
+    samples = ensemble.run(60, burn_in=8)
+    counters = (engine.cache_info(), engine.memo_resets, sampler.steps)
+    return samples, counters, replays
+
+
+def _assert_same_samples(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype
+        assert (x == y).all()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("cache_size", [DEFAULT_CPD_CACHE_SIZE, 40, 3])
+@pytest.mark.parametrize("chains", [1, 3])
+def test_fused_sweeps_equal_per_call_sweeps(census, chains, cache_size, warm):
+    model, pools = census
+    segments = _segments(pools)
+    warm_tuples = [t for pool in pools for t in pool[20:26]] if warm else None
+    fused, counters, replays = _run(model, segments, chains, cache_size, warm_tuples)
+    per_call, per_call_counters, _ = _run(
+        model, segments, chains, cache_size, warm_tuples, per_call=True
+    )
+    _assert_same_samples(fused, per_call)
+    assert counters == per_call_counters
+    # Every replay after the first sweep was forced by a signature a memo
+    # lacked, so it computed something; the rest of the run stayed fused.
+    assert replays["idle"] == 0
+    sweeps = 8 + -(-60 // chains)
+    if cache_size == DEFAULT_CPD_CACHE_SIZE:
+        assert replays["sweeps"] < sweeps
+    if cache_size != DEFAULT_CPD_CACHE_SIZE:
+        assert counters[1] > 0  # memo resets mid-run
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+def test_fused_sweeps_replay_the_reference_loop(census, chains):
+    """Each segment's samples equal the independent per-call reference
+    loop's: the rank order reads every row's own uniforms."""
+    model, pools = census
+    segments = _segments(pools)
+    engine = BatchInferenceEngine(model)
+    ensemble_sampling(
+        model, [([t for pool in pools for t in pool], 5)], num_samples=30,
+        burn_in=2, batch_engine=engine,
+    )
+    sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+    fused = GibbsEnsemble(sampler, segments, chains=chains).run(60, burn_in=8)
+    reference = [
+        arr
+        for bases, seed in segments
+        for arr in _reference_segment(model, bases, seed, chains, 60, 8)
+    ]
+    assert len(fused) == len(reference)
+    for f, r in zip(fused, reference):
+        assert (f == r).all()
+
+
+def test_warm_engine_sweeps_never_call_the_engine(census, monkeypatch):
+    model, pools = census
+    segments = _segments(pools)
+    engine = BatchInferenceEngine(model)
+    sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+    first = GibbsEnsemble(sampler, segments).run(60, burn_in=8)
+    calls = []
+    batch = engine.conditional_probs_batch
+    monkeypatch.setattr(
+        engine, "conditional_probs_batch",
+        lambda *a, **k: calls.append(a[1]) or batch(*a, **k),
+    )
+    again = GibbsEnsemble(sampler, segments).run(60, burn_in=8)
+    _assert_same_samples(first, again)
+    assert calls == []
+
+
+def test_sorted_key_memos_skip_the_fused_path(census, monkeypatch):
+    """Memos without a dense index keep every sweep on the per-call path,
+    drawing what the fused path draws."""
+    model, pools = census
+    segments = _segments(pools)
+    dense, dense_counters, _ = _run(model, segments, 2, DEFAULT_CPD_CACHE_SIZE)
+    draws = []
+    column_draw = gibbs_module._column_draw
+    monkeypatch.setattr(
+        gibbs_module, "_column_draw",
+        lambda *a: draws.append(1) or column_draw(*a),
+    )
+    monkeypatch.setattr(engine_module, "DENSE_INDEX_CAP", 0)
+    sparse, sparse_counters, replays = _run(
+        model, segments, 2, DEFAULT_CPD_CACHE_SIZE
+    )
+    assert draws == []
+    assert replays["sweeps"] == 8 + 30
+    _assert_same_samples(dense, sparse)
+    assert dense_counters == sparse_counters
+
+
+# -- batched histograms -----------------------------------------------------
+
+
+def _assert_same_distribution(got, want):
+    assert got.outcomes == want.outcomes
+    assert got.probs.tobytes() == want.probs.tobytes()
+
+
+@pytest.mark.parametrize("cells", [None, 7])
+def test_batched_dense_histograms_equal_the_counting_loop(census, monkeypatch, cells):
+    """Several tuples per pattern, uneven sample counts, and (at 7 cells)
+    one tuple per ``bincount`` chunk."""
+    if cells is not None:
+        monkeypatch.setattr(gibbs_module, "HISTOGRAM_CELLS", cells)
+    model, pools = census
+    schema = model.schema
+    rng = np.random.default_rng(4)
+    for pool in pools:
+        bases = pool[:5]
+        missing = bases[0].missing_positions
+        cards = [schema[p].cardinality for p in missing]
+        samples = [
+            rng.integers(0, cards, size=(n, len(cards))).astype(np.int8)
+            for n in (40, 3, 40, 17, 1)
+        ]
+        for floor in (DEFAULT_SMOOTHING_FLOOR, 0.0):
+            dists = samples_to_distributions(schema, missing, samples, floor)
+            assert len({id(d.outcomes) for d in dists}) == 1
+            for base, arr, dist in zip(bases, samples, dists):
+                want = _reference_samples_to_distribution(
+                    schema, base, [tuple(row) for row in arr.tolist()], floor
+                )
+                _assert_same_distribution(dist, want)
+                _assert_same_distribution(
+                    samples_to_distribution(schema, base, arr, floor), want
+                )
+
+
+def test_batched_sparse_histograms_equal_the_counting_loop():
+    schema = Schema.from_domains(
+        {f"a{i}": [f"v{j}" for j in range(4)] for i in range(12)}
+    )
+    codes = np.full(12, MISSING_CODE, dtype=np.int32)
+    codes[0] = 1
+    base = RelTuple(schema, codes)
+    rng = np.random.default_rng(9)
+    samples = []
+    for n in (200, 30):
+        arr = rng.integers(0, 4, size=(n, 11))
+        samples.append(np.concatenate([arr, arr[: n // 5]]))
+    dists = samples_to_distributions(schema, base.missing_positions, samples)
+    for arr, dist in zip(samples, dists):
+        want = _reference_samples_to_distribution(
+            schema, base, [tuple(row) for row in arr.tolist()],
+            DEFAULT_SMOOTHING_FLOOR,
+        )
+        _assert_same_distribution(dist, want)
+
+
+def test_ensemble_blocks_equal_per_tuple_histograms(census):
+    model, pools = census
+    segments = _segments(pools)
+    # Duplicates within a segment share their block.
+    segments[1] = (segments[1][0] + segments[1][0][:3], segments[1][1])
+    blocks, _ = ensemble_sampling(model, segments, num_samples=50, burn_in=5)
+    sampler = GibbsSampler(model, rng=0)
+    distinct = [list(dict.fromkeys(tuples)) for tuples, _ in segments]
+    samples = GibbsEnsemble(
+        sampler, [(d, seed) for d, (_, seed) in zip(distinct, segments)]
+    ).run(50, burn_in=5)
+    by_tuple = dict(zip([t for d in distinct for t in d], samples))
+    inputs = [t for tuples, _ in segments for t in tuples]
+    assert len(blocks) == len(inputs)
+    for t, block in zip(inputs, blocks):
+        assert block.base == t
+        want = _reference_samples_to_distribution(
+            model.schema, t, [tuple(row) for row in by_tuple[t].tolist()],
+            DEFAULT_SMOOTHING_FLOOR,
+        )
+        _assert_same_distribution(block.distribution, want)
