@@ -8,18 +8,29 @@ hits both alike, checks every compiled output is bit-for-bit identical to
 the naive one, and gates the ratio of the two medians — the acceptance
 bar is >= 3x on the inference phase.  One ~40 ms compiled run is too
 noisy to gate on alone.
+
+``test_single_kernel_layer`` records the single-missing kernel's layer
+time with no gate: cold ``CompiledMRSL.infer_many`` (compile, match, vote)
+over every distinct evidence signature of the ``bn7-single`` workload's
+seed-1 rows and of the census batch, ``LAYER_REPEATS`` alternating runs
+each.  Median and quartiles go to ``benchmarks/results/BENCH_single.json``.
 """
 
+import json
 import os
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
+from repro.bayesnet import forward_sample_relation, make_network
 from repro.bench.masking import mask_relation
-from repro.core import BatchInferenceEngine, learn_mrsl
-from repro.core.inference import infer_all_single_missing
+from repro.core import BatchInferenceEngine, CompiledModel, learn_mrsl
+from repro.core.inference import VoterChoice, VotingScheme, infer_all_single_missing
 from repro.datasets.census import load_census
+
+RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Acceptance bar: compiled must beat naive by at least this factor.
 #: Typical serial runs measure ~4x; noisy shared runners can override via
@@ -29,6 +40,9 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_MIN_SPEEDUP", "3.0"))
 
 #: Runs per engine; the gate compares their medians.
 REPEATS = 5
+
+#: Alternating runs per workload of the single-kernel layer timing.
+LAYER_REPEATS = 11
 
 
 def _setup(scale):
@@ -117,3 +131,73 @@ def test_engine_cache_amortization(report, scale):
     )
     assert info["groups_computed"] < len(masked)
     assert warm < cold
+
+
+def _bn7_setup():
+    """The ``bn7-single`` workload's model and its seed-1 masked rows."""
+    train_rng = np.random.default_rng(2011)
+    net = make_network("BN7", train_rng)
+    train = forward_sample_relation(net, 20_000, train_rng)
+    model = learn_mrsl(train, support_threshold=0.005).model
+    rng = np.random.default_rng(1)
+    rows = forward_sample_relation(net, 20_000, rng)
+    return model, list(mask_relation(rows, 1, rng))
+
+
+def _signature_reps(model, tuples):
+    """attr -> code matrix holding one row per distinct evidence signature."""
+    compiled = CompiledModel(model)
+    reps: dict[int, dict[bytes, np.ndarray]] = {}
+    for t in tuples:
+        attr = t.missing_positions[0]
+        reps.setdefault(attr, {}).setdefault(compiled[attr].signature(t.codes), t.codes)
+    return {attr: np.stack(list(r.values())) for attr, r in sorted(reps.items())}
+
+
+def test_single_kernel_layer(scale):
+    """Cold Algorithm 2 over distinct signatures: a layer number, no gate."""
+    workloads = {
+        "bn7-single (seed 1)": _bn7_setup(),
+        "census": _setup(scale),
+    }
+    reps = {label: _signature_reps(*w) for label, w in workloads.items()}
+    labels = list(workloads)
+    runs = {label: [] for label in labels}
+    for i in range(LAYER_REPEATS):
+        for label in labels if i % 2 == 0 else labels[::-1]:
+            model = workloads[label][0]
+            start = time.perf_counter()
+            compiled = CompiledModel(model)  # cold: compiling is part of the layer
+            for attr, codes in reps[label].items():
+                compiled[attr].infer_many(codes, VoterChoice.BEST, VotingScheme.AVERAGED)
+            runs[label].append(time.perf_counter() - start)
+
+    def summary(label):
+        q1, median, q3 = statistics.quantiles(runs[label], n=4)
+        return {
+            "tuples": len(workloads[label][1]),
+            "signatures": sum(len(codes) for codes in reps[label].values()),
+            "model_size": workloads[label][0].size(),
+            "median_s": round(median, 5),
+            "q1_s": round(q1, 5),
+            "q3_s": round(q3, 5),
+            "runs_s": [round(t, 5) for t in runs[label]],
+        }
+
+    summaries = {label: summary(label) for label in labels}
+    (RESULTS_DIR / "BENCH_single.json").write_text(
+        json.dumps(
+            {
+                "benchmark": "single_kernel_layer",
+                "scale": scale,
+                "voting": [VoterChoice.BEST.value, VotingScheme.AVERAGED.value],
+                "runs": LAYER_REPEATS,
+                "workloads": summaries,
+                "host_cpus": os.cpu_count() or 1,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    assert summaries["bn7-single (seed 1)"]["signatures"] == 11_269

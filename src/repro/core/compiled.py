@@ -8,11 +8,14 @@ Algorithm 2 runs for a whole batch of distinct signatures at once
 (:meth:`CompiledMRSL.infer_many`):
 
 * a stacked CPD matrix (one row per meta-rule) and a weight vector;
-* padded body matrices, so "which meta-rules match this evidence?" is one
-  ``(G, R, maxBody)`` comparison for ``G`` evidence rows;
-* a rule-dominance CSR (row ``j`` lists the rules whose body is a proper
-  subset of rule ``j``'s), so the *best* (most specific) filter is one
-  scatter over the matched rows' CSR entries;
+* a *shape index*: a body's shape is its attribute set, and every rule is
+  keyed by ``(shape, values)``, so "which meta-rules match this evidence?"
+  is a gather of each row's candidate key for every shape (one pass per
+  body slot) and one key lookup — ``(G, Sh)`` work for ``G`` evidence
+  rows and ``Sh`` distinct shapes, however many rules there are;
+* per shape, its proper super-shapes: for one row, body containment is
+  shape containment, so the *best* (most specific) filter is one gather
+  and one ``np.logical_or.reduceat`` over the found-shape matrix;
 * a body -> row index keyed by itemset for point lookups.
 
 Rules are stored in the canonical ``(body_size, body)`` order — exactly the
@@ -23,24 +26,36 @@ index order reproduces the naive path's floating-point results bit for bit.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain
+from itertools import chain, combinations
 from typing import Hashable, Iterator
 
 import numpy as np
 
-from ..relational.tuples import MISSING_CODE
 from ..probdb.distribution import DEFAULT_SMOOTHING_FLOOR
 from .inference import VoterChoice, VotingScheme, _combine_stack
 from .itemsets import Itemset
 from .mrsl import MRSL, MRSLModel
 
-__all__ = ["LRUCache", "CompiledMRSL", "CompiledModel", "MATCH_CHUNK_BYTES"]
+__all__ = [
+    "LRUCache",
+    "CompiledMRSL",
+    "CompiledModel",
+    "DENSE_INDEX_CAP",
+    "MATCH_CHUNK_BYTES",
+]
 
-#: Byte budget of the ``(rows, R, maxBody)`` int32 gather one matching
-#: chunk makes.  :meth:`CompiledMRSL.infer_many` and the dominance build
-#: split their rows into chunks under it, so their temporaries (match
-#: mask, CSR expansion, voter matrix) grow with the chunk, not the batch.
+#: Byte budget of the ``(rows, Sh, maxBody)`` int32 gather one matching
+#: chunk makes (``Sh``: the lattice's distinct body shapes).
+#: :meth:`CompiledMRSL.infer_many` splits its rows into chunks under it, so
+#: its temporaries (shape keys, rule ids, voter matrix) grow with the
+#: chunk, not the batch.
 MATCH_CHUNK_BYTES = 1 << 20
+
+#: Key spaces of at most this many keys get a dense key -> slot index
+#: (8 bytes per key): a lattice's shape keys, and a signature memo's packed
+#: signatures (:class:`~repro.core.engine.BatchInferenceEngine`).  Wider
+#: spaces keep sorted keys.
+DENSE_INDEX_CAP = 1 << 16
 
 
 class LRUCache:
@@ -113,12 +128,20 @@ class CompiledMRSL:
         "body_sizes",
         "root_index",
         "signature_attrs",
+        "shapes",
         "_body_index",
-        "_body_attrs",
-        "_body_vals",
-        "_pad",
+        "_shape_attrs",
+        "_key_mult",
+        "_key_cap",
+        "_key_base",
+        "_key_pad",
+        "_key_index",
+        "_keys",
+        "_key_rules",
+        "_supers",
+        "_sub_starts",
+        "_dominable",
         "_sum_tables",
-        "_dominance",
     )
 
     def __init__(self, lattice: MRSL, cardinality: int):
@@ -128,7 +151,6 @@ class CompiledMRSL:
         # enumerates matches in, so ascending row index == naive voter order.
         rules = sorted(lattice, key=lambda m: (m.body_size, m.body))
         n = len(rules)
-        max_body = max((m.body_size for m in rules), default=0)
 
         self.bodies: tuple[Itemset, ...] = tuple(m.body for m in rules)
         self._body_index: dict[Itemset, int] = {
@@ -139,42 +161,132 @@ class CompiledMRSL:
         else:
             self.cpds = np.empty((0, cardinality), dtype=np.float64)
         self.weights = np.array([m.weight for m in rules], dtype=np.float64)
-        self.body_sizes = sizes = np.fromiter(
+        self.body_sizes = np.fromiter(
             map(len, self.bodies), dtype=np.int32, count=n
         )
         self.root_index = self._body_index.get((), -1)
 
-        # Padded body matrices: row i matches evidence `codes` iff
-        # codes[attr] == val for every (attr, val) in body i.  Padding slots
-        # point at attribute 0 but are masked out of the comparison.  Body
-        # i's k-th (attr, val) fills slot (i, k): one scatter per matrix.
-        self._body_attrs = np.zeros((n, max_body), dtype=np.intp)
-        self._body_vals = np.full((n, max_body), MISSING_CODE, dtype=np.int32)
-        self._pad = np.ones((n, max_body), dtype=bool)
+        # Per-scheme summands of the rank-ordered combine, each with one
+        # extra all-zero row (index R) that pads short voter lists.  Filled
+        # on first use of the scheme.
+        self._sum_tables: dict[VotingScheme, np.ndarray] = {}
+
+        # Attributes mentioned by any body: the evidence *signature* — two
+        # code vectors agreeing on these attributes have identical voter sets.
+        attrs = sorted({attr for body in self.bodies for attr, _ in body})
+        self.signature_attrs = np.array(attrs, dtype=np.intp)
+        self._build_shape_index()
+
+    def _build_shape_index(self) -> None:
+        """Key every rule by ``(shape, values)``, its body's attribute set
+        and the values on it, and list each shape's proper super-shapes.
+
+        A rule's key is a mixed-radix number with one digit per body item,
+        offset by its shape's base.  Attribute ``a``'s digit is its value
+        plus one, clipped to ``top[a] + 2`` (``top[a]``: the largest value
+        any body gives ``a``), so :data:`MISSING_CODE` reads digit 0 and a
+        value no body uses reads ``top[a] + 2``: evidence keys built the
+        same way always land in the key space and match exactly the bodies
+        the row agrees with.  The space is sized in Python ints; up to
+        :data:`DENSE_INDEX_CAP` keys, ``_key_index`` maps every key to its
+        rule (``R`` where absent); up to ``2**63`` keys stay sorted in
+        ``_keys``.  A wider space keys on int32 ``(shape, values...)`` rows
+        viewed as one ``np.void`` item, sorted the same way.
+        """
+        n = len(self.bodies)
+        width = int(self.body_sizes.max(initial=0))
+        sizes = self.body_sizes
         total = int(sizes.sum())
         items = np.fromiter(
             chain.from_iterable(chain.from_iterable(self.bodies)),
             dtype=np.int64,
             count=2 * total,
         )
-        row = np.repeat(np.arange(n), sizes)
+        # Rule i's k-th body item fills slot (i, k): one scatter per matrix.
+        rule = np.repeat(np.arange(n), sizes)
         slot = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self._body_attrs[row, slot] = items[0::2]
-        self._body_vals[row, slot] = items[1::2]
-        self._pad[row, slot] = False
+        rule_attrs = np.full((n, width), -1, dtype=np.int64)
+        rule_vals = np.zeros((n, width), dtype=np.int64)
+        rule_attrs[rule, slot] = items[0::2]
+        rule_vals[rule, slot] = items[1::2]
 
-        # Per-scheme summands of the rank-ordered combine, each with one
-        # extra all-zero row (index R) that pads short voter lists.  Filled
-        # on first use of the scheme.
-        self._sum_tables: dict[VotingScheme, np.ndarray] = {}
-        # Rule-dominance CSR (indptr, indices), built on the first BEST
-        # batch: only that voter choice reads it.
-        self._dominance: tuple[np.ndarray, np.ndarray] | None = None
+        # Shapes in (size, attrs) order, the order np.unique sorts
+        # (size, attrs..., -1 padding) rows in.  A row's matches, one per
+        # shape, then ascend in rule order too: one row fixes each
+        # attribute's value, so its bodies compare as their shapes do.
+        found, rule_shape = np.unique(
+            np.column_stack([sizes, rule_attrs]).reshape(n, 1 + width),
+            axis=0,
+            return_inverse=True,
+        )
+        rule_shape = rule_shape.reshape(n)
+        self.shapes = tuple(tuple(row[1 : 1 + row[0]]) for row in found.tolist())
+        number = {shape: i for i, shape in enumerate(self.shapes)}
+        sh = len(self.shapes)
+        # Slot k of shape s reads attribute shapes[s][k]; padding slots read
+        # attribute 0 and are zeroed (multiplier 0, or masked for void keys).
+        pad = found[:, 1:] < 0
+        self._shape_attrs = np.where(pad, 0, found[:, 1:]).astype(np.intp)
 
-        # Attributes mentioned by any body: the evidence *signature* — two
-        # code vectors agreeing on these attributes have identical voter sets.
-        attrs = sorted({attr for body in self.bodies for attr, _ in body})
-        self.signature_attrs = np.array(attrs, dtype=np.intp)
+        top = np.zeros(int(items[0::2].max(initial=-1)) + 1, dtype=np.int64)
+        np.maximum.at(top, items[0::2], items[1::2])
+        top = top.tolist()
+        mults, bases, space = [], [], 0  # Python ints: exact, no wraparound
+        for shape in self.shapes:
+            scale, mult = 1, [0] * width
+            for k in range(len(shape) - 1, -1, -1):
+                mult[k] = scale
+                scale *= top[shape[k]] + 3
+            mults.append(mult)
+            bases.append(space)
+            space += scale
+
+        self._key_index = self._keys = self._key_rules = None
+        if space < 2**63:
+            self._key_pad = None
+            self._key_mult = np.array(mults, dtype=np.int64).reshape(sh, width)
+            self._key_cap = np.array(
+                [[top[a] + 1 for a in shape] + [0] * (width - len(shape))
+                 for shape in self.shapes],
+                dtype=np.int64,
+            ).reshape(sh, width)
+            # Folding every digit's +1 into the base leaves one
+            # multiply-add per slot for a lookup.
+            self._key_base = np.array(bases, dtype=np.int64) + self._key_mult.sum(
+                axis=1
+            )
+            keys = self._key_base[rule_shape] + (
+                rule_vals * self._key_mult[rule_shape]
+            ).sum(axis=1)
+            if space <= DENSE_INDEX_CAP:
+                self._key_index = np.full(space, n, dtype=np.intp)
+                self._key_index[keys] = np.arange(n)
+        else:
+            self._key_mult = self._key_cap = self._key_base = None
+            self._key_pad = pad
+            rows = np.column_stack([rule_shape, rule_vals]).astype(np.int32)
+            keys = rows.view(self._void_dtype()).reshape(n)
+        if self._key_index is None:
+            self._key_rules = np.argsort(keys, kind="stable")
+            self._keys = keys[self._key_rules]
+
+        # BEST: for one row, body containment is shape containment, so a
+        # found shape is dropped when any proper super-shape is found too.
+        # Pairs (sub, super) sorted by sub: at most 2**maxBody - 1 subs per
+        # super, as many as the supers' existing proper subsets.
+        pairs = sorted(
+            (number[sub], s)
+            for s, shape in enumerate(self.shapes)
+            for size in range(len(shape))
+            for sub in combinations(shape, size)
+            if sub in number
+        )
+        subs = np.array([p[0] for p in pairs], dtype=np.intp)
+        self._supers = np.array([p[1] for p in pairs], dtype=np.intp)
+        self._dominable, self._sub_starts = np.unique(subs, return_index=True)
+
+    def _void_dtype(self) -> np.dtype:
+        return np.dtype((np.void, 4 * (1 + self._shape_attrs.shape[1])))
 
     # -- collection protocol ---------------------------------------------------
 
@@ -198,73 +310,30 @@ class CompiledMRSL:
 
     def _chunk_rows(self) -> int:
         """Evidence rows per matching chunk under :data:`MATCH_CHUNK_BYTES`."""
-        per_row = 4 * max(self._body_attrs.size, 1)
+        per_row = 4 * max(self._shape_attrs.size, 1)
         return max(1, MATCH_CHUNK_BYTES // per_row)
 
-    def _match(self, reps: np.ndarray) -> np.ndarray:
-        """``(G, R)`` mask: rule ``r`` matches evidence row ``g``.
-
-        Rule ``r`` matches when every ``(attr, val)`` of its body agrees
-        with the row; padding slots always agree, so the root (and any rule
-        when ``maxBody == 0``) matches every row.
-        """
-        return ((reps[:, self._body_attrs] == self._body_vals) | self._pad).all(
-            axis=2
-        )
-
-    def _dominance_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rule-dominance CSR: row ``j`` holds the rules ``i != j`` with
-        ``body_i`` a proper subset of ``body_j``, ascending.
-
-        Built with the matching primitive itself: rule ``j``'s body, written
-        as an evidence row (:data:`MISSING_CODE` elsewhere), is matched by
-        exactly the rules whose body it contains.  Costs one chunked
-        ``(R, R, maxBody)`` comparison, once per lattice; holds
-        ``R + 1`` pointers plus one index per (rule, proper sub-rule) pair,
-        at most ``R * (2**maxBody - 1)``.
-        """
-        if self._dominance is None:
-            n = len(self)
-            width = int(self._body_attrs.max()) + 1 if self._body_attrs.size else 1
-            evidence = np.full((n, width), MISSING_CODE, dtype=np.int32)
-            rule, slot = np.nonzero(~self._pad)
-            evidence[rule, self._body_attrs[rule, slot]] = self._body_vals[rule, slot]
-            counts, indices = [], []
-            step = self._chunk_rows()
-            for lo in range(0, n, step):
-                sub = self._match(evidence[lo : lo + step])
-                rows = np.arange(sub.shape[0])
-                sub[rows, lo + rows] = False  # a rule never dominates itself
-                counts.append(sub.sum(axis=1))
-                indices.append(np.nonzero(sub)[1])
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            if n:
-                np.cumsum(np.concatenate(counts), out=indptr[1:])
-                flat = np.concatenate(indices).astype(np.intp)
-            else:
-                flat = np.empty(0, dtype=np.intp)
-            self._dominance = (indptr, flat)
-        return self._dominance
-
-    def _drop_dominated(self, matched: np.ndarray) -> np.ndarray:
-        """Clear, in place, every matched rule that a matched rule dominates.
-
-        A rule whose body is a subset of a matched body matches too, so
-        clearing each matched row's CSR entries leaves exactly the most
-        specific matches: the *best* voters.
-        """
-        indptr, indices = self._dominance_csr()
-        group, rule = np.nonzero(matched)
-        starts = indptr[rule]
-        lens = indptr[rule + 1] - starts
-        total = int(lens.sum())
-        if total:
-            # Position p of the expansion reads indices[starts[k] + p - offset[k]]
-            # for the matched pair k it falls in.
-            offsets = np.cumsum(lens) - lens
-            at = np.repeat(starts - offsets, lens) + np.arange(total)
-            matched[np.repeat(group, lens), indices[at]] = False
-        return matched
+    def _rule_ids(self, reps: np.ndarray) -> np.ndarray:
+        """``(G, Sh)`` matrix: the rule whose body row ``g`` holds on shape
+        ``s``, or ``R`` (the sum tables' zero row) when no body does."""
+        g, sh = reps.shape[0], len(self.shapes)
+        if self._key_pad is None:
+            keys = np.broadcast_to(self._key_base, (g, sh)).copy()
+            for k in range(self._shape_attrs.shape[1]):
+                keys += (
+                    np.minimum(reps[:, self._shape_attrs[:, k]], self._key_cap[:, k])
+                    * self._key_mult[:, k]
+                )
+        else:
+            rows = np.empty((g, sh, 1 + self._shape_attrs.shape[1]), dtype=np.int32)
+            rows[:, :, 0] = np.arange(sh)
+            rows[:, :, 1:] = np.where(self._key_pad, 0, reps[:, self._shape_attrs])
+            keys = rows.view(self._void_dtype()).reshape(g, sh)
+        if self._key_index is not None:
+            return self._key_index.take(keys)
+        n = len(self)
+        pos = self._keys.searchsorted(keys).clip(max=n - 1)
+        return np.where(self._keys[pos] == keys, self._key_rules[pos], n)
 
     def _voters(
         self, reps: np.ndarray, v_choice: VoterChoice
@@ -283,15 +352,18 @@ class CompiledMRSL:
                 np.full((g, 1), self.root_index, dtype=np.intp),
                 np.ones(g, dtype=np.intp),
             )
-        matched = self._match(reps)
-        if v_choice is VoterChoice.BEST:
-            matched = self._drop_dominated(matched)
-        counts = matched.sum(axis=1)
-        group, rule = np.nonzero(matched)  # row-major: ascending rule per group
-        voters = np.full((g, int(counts.max(initial=0))), len(self), dtype=np.intp)
-        rank = np.arange(rule.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        voters[group, rank] = rule
-        return voters, counts
+        n = len(self)
+        ids = self._rule_ids(reps)
+        if v_choice is VoterChoice.BEST and self._supers.size:
+            found = ids[:, self._supers] != n
+            dominated = np.logical_or.reduceat(found, self._sub_starts, axis=1)
+            ids[:, self._dominable] = np.where(
+                dominated, n, ids[:, self._dominable]
+            )
+        counts = np.count_nonzero(ids != n, axis=1)
+        # Found ids ascend along each row already; R sorts last.
+        ids.sort(axis=1)
+        return ids[:, : counts.max(initial=0)], counts
 
     def voter_rows(self, codes: np.ndarray, v_choice: VoterChoice) -> np.ndarray:
         """The voter set for one evidence vector, as ascending row indices."""
@@ -373,8 +445,9 @@ class CompiledMRSL:
         representative per distinct evidence signature; the head column is
         never read.  Returns the ``(G, cardinality)`` CPD matrix, row ``g``
         bit-identical to the naive path on ``reps[g]``.  Rows are processed
-        in chunks under :data:`MATCH_CHUNK_BYTES`: match, drop dominated
-        matches (BEST), then combine.
+        in chunks under :data:`MATCH_CHUNK_BYTES`: look up each row's rule
+        per shape, drop shapes a found super-shape dominates (BEST), then
+        combine.
         """
         reps = np.asarray(reps)
         out = np.empty((reps.shape[0], self.cardinality))

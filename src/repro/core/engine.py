@@ -33,7 +33,7 @@ import numpy as np
 
 from ..probdb.distribution import Distribution
 from ..relational.tuples import MISSING_CODE, RelTuple
-from .compiled import CompiledModel
+from .compiled import DENSE_INDEX_CAP, CompiledModel
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
 
@@ -95,10 +95,6 @@ def _cdf_rows(cpds: np.ndarray) -> np.ndarray:
         cdfs /= cdfs[:, -1:]
     return cdfs
 
-
-#: Packed signature spaces of at most this many keys get a dense key ->
-#: slot index (8 bytes per key); wider spaces keep sorted keys.
-DENSE_INDEX_CAP = 1 << 16
 
 #: The slot a memo reports for a signature it lacks: past every row, so
 #: gathering memo rows with it raises ``IndexError``.

@@ -414,21 +414,23 @@ class GibbsEnsemble:
         #: sweep order: ascending attribute position, as in the scalar chain
         self.attrs = tuple(attrs)
         # "Start with a valid random assignment of attribute values" —
-        # per segment, tuple-major, missing-position-minor, one array draw
-        # per (tuple, attribute); identical to the scalar chain's stream
-        # for one tuple with one chain.
+        # per segment one draw of ``k`` integers per (tuple, attribute),
+        # tuple-major, missing-position-minor.  One ``integers`` call with
+        # the bounds repeated draws the same integers, and leaves the same
+        # generator state, as one call per (tuple, attribute); identical
+        # to the scalar chain's stream for one tuple with one chain.
+        cards = np.array(schema.cardinalities)
         generators = []
         lo = 0
         for segment, rng in segments:
             if not isinstance(rng, np.random.Generator):
                 rng = np.random.default_rng(rng)
             generators.append(rng)
-            for base in segment:
-                for attr in base.missing_positions:
-                    self.states[lo : lo + k, attr] = rng.integers(
-                        schema[attr].cardinality, size=k
-                    )
-                lo += k
+            hi = lo + len(segment) * k
+            tup, attr = np.nonzero(missing[lo:hi:k])
+            draws = rng.integers(np.repeat(cards[attr], k)).reshape(-1, k)
+            self.states[(lo + tup * k)[:, None] + np.arange(k), attr[:, None]] = draws
+            lo = hi
         # A sweep's uniforms in fused order: every missing cell,
         # attribute-major, rows ascending (hence segment-major).  Each
         # segment draws its own cells in (attribute, row) order; ``_draws``

@@ -6,6 +6,10 @@ Every row of a batch must equal the naive path
 model of the Table I ``BN7`` network; and on the edge cases the batch
 arithmetic handles specially (empty voter sets, ROOT without a root rule,
 an empty lattice, a one-row batch, missing evidence), whatever the chunking.
+The shape index's three key spaces (dense, sorted int64, ``np.void`` rows
+past ``2**63``) must each agree with ``MRSL.matching`` and
+``best_matching``, and a Hypothesis property checks voter sets and CPDs on
+random lattices that need not be downward-closed.
 """
 
 import numpy as np
@@ -17,7 +21,12 @@ from repro.bayesnet import forward_sample_relation, make_network
 from repro.bench.masking import mask_relation
 from repro.core import BatchInferenceEngine, CompiledModel, CompiledMRSL, learn_mrsl
 from repro.core import compiled as compiled_module
-from repro.core.inference import VoterChoice, VotingScheme, infer_single_codes
+from repro.core.inference import (
+    VoterChoice,
+    VotingScheme,
+    infer_single_codes,
+    select_voters,
+)
 from repro.core.metarule import MetaRule
 from repro.core.mrsl import MRSL
 from repro.datasets.census import load_census
@@ -140,14 +149,35 @@ class TestChunking:
                 chunked = fresh.infer_many(codes, v_choice, v_scheme)
             assert chunked.tobytes() == whole.tobytes()
 
-    def test_dominance_csr_independent_of_chunking(self, census_setup, monkeypatch):
-        model, _ = census_setup
+    def test_shape_index_independent_of_chunking(self, census_setup, monkeypatch):
+        model, tuples = census_setup
         attr = 4
         whole = CompiledMRSL(model[attr], model.schema[attr].cardinality)
         monkeypatch.setattr(compiled_module, "MATCH_CHUNK_BYTES", 1)
         chunked = CompiledMRSL(model[attr], model.schema[attr].cardinality)
-        for a, b in zip(whole._dominance_csr(), chunked._dominance_csr()):
-            assert (a == b).all()
+        assert chunked._chunk_rows() == 1
+        assert whole.shapes == chunked.shapes
+        for name in _SHAPE_INDEX:
+            a, b = getattr(whole, name), getattr(chunked, name)
+            assert (a is None and b is None) or (a == b).all(), name
+        codes = np.stack([t.codes for t in tuples])
+        assert (whole._rule_ids(codes) == chunked._rule_ids(codes)).all()
+
+
+#: The arrays a lattice's shape index consists of (``None`` when unused).
+_SHAPE_INDEX = (
+    "_shape_attrs",
+    "_key_mult",
+    "_key_cap",
+    "_key_base",
+    "_key_pad",
+    "_key_index",
+    "_keys",
+    "_key_rules",
+    "_supers",
+    "_sub_starts",
+    "_dominable",
+)
 
 
 def _schema():
@@ -193,8 +223,27 @@ class TestEdgeCases:
         assert (probs == 1.0 / 3).all()
 
     def test_empty_lattice(self):
-        compiled = self._check(MRSL(2, []), [[0, 1, -1], [-1, -1, -1]])
-        assert compiled._dominance_csr()[0].tolist() == [0]
+        rows = [[0, 1, -1], [-1, -1, -1]]
+        compiled = self._check(MRSL(2, []), rows)
+        assert compiled.shapes == ()
+        assert compiled._supers.size == 0
+        codes = np.array(rows, dtype=np.int32)
+        assert compiled._rule_ids(codes).shape == (2, 0)
+        for v_choice in VoterChoice:
+            for row in codes:
+                assert compiled.voter_rows(row, v_choice).tolist() == []
+
+    def test_root_only_lattice(self):
+        rows = [[0, 1, -1], [-1, -1, -1], [1, 2, -1]]
+        lattice = MRSL(2, [_rule((), [0.6, 0.3, 0.1], 1.0)])
+        compiled = self._check(lattice, rows)
+        assert compiled.shapes == ((),)
+        assert compiled._supers.size == 0
+        codes = np.array(rows, dtype=np.int32)
+        assert compiled._rule_ids(codes).tolist() == [[0], [0], [0]]
+        for v_choice in VoterChoice:
+            for row in codes:
+                assert compiled.voter_rows(row, v_choice).tolist() == [0]
 
     def test_one_row_batch_equals_scalar_infer(self):
         lattice = MRSL(
@@ -234,10 +283,90 @@ class TestEdgeCases:
             assert (got[0] == got[1]).all()
 
 
+# -- key spaces: dense, sorted int64, and void keys ---------------------------------
+
+_WIDE_HEAD = 4
+_INT32_MAX = 2**31 - 1
+
+
+def _wide_lattice(x, y):
+    """Bodies over attributes 0..3 using values ``x[a]`` and ``y[a]`` only;
+    shapes (0, 3), (1, 3) and (0, 1, 2) are absent, so the lattice is not
+    downward-closed."""
+    bodies = [
+        (),
+        ((0, x[0]),),
+        ((2, x[2]),),
+        ((0, x[0]), (1, x[1])),
+        ((0, y[0]), (1, x[1])),
+        ((0, x[0]), (1, x[1]), (3, x[3])),
+        ((1, y[1]), (2, x[2]), (3, y[3])),
+        ((0, x[0]), (2, x[2]), (3, x[3])),
+        ((0, x[0]), (1, x[1]), (2, x[2]), (3, x[3])),
+    ]
+    rules = [
+        MetaRule(_WIDE_HEAD, body, 0.1 + 0.1 * i, np.array([0.2, 0.3, 0.5]))
+        for i, body in enumerate(bodies)
+    ]
+    return MRSL(_WIDE_HEAD, rules)
+
+
+class TestKeySpaces:
+    """Each key-space branch of the shape index against ``MRSL.matching``.
+
+    Rows take every combination of the two used values, a missing code, 0
+    and ``2**31 - 1`` (both used by no body) on attributes 0..3.
+    """
+
+    @pytest.mark.parametrize(
+        "base,branch",
+        [(1, "dense"), (1000, "sorted"), (2**30, "void")],
+    )
+    def test_branch_matches_naive(self, base, branch):
+        x = [base + a for a in range(4)]
+        y = [base + 10 + a for a in range(4)]
+        lattice = _wide_lattice(x, y)
+        compiled = CompiledMRSL(lattice, 3)
+        kinds = {
+            "dense": compiled._key_index is not None,
+            "sorted": compiled._keys is not None and compiled._key_pad is None,
+            "void": compiled._key_pad is not None,
+        }
+        assert [k for k, on in kinds.items() if on] == [branch]
+
+        schema = Schema.from_domains({f"a{i}": [0, 1] for i in range(5)})
+        choices = [[x[a], y[a], MISSING_CODE, 0, _INT32_MAX] for a in range(4)]
+        grid = np.stack(np.meshgrid(*choices, indexing="ij"), axis=-1).reshape(-1, 4)
+        codes = np.column_stack([grid, np.full(len(grid), MISSING_CODE)]).astype(
+            np.int32
+        )
+        naive = {
+            VoterChoice.ALL: lattice.matching,
+            VoterChoice.BEST: lattice.best_matching,
+        }
+        for row in codes:
+            row.setflags(write=False)
+            missing = tuple(int(a) for a in np.flatnonzero(row == MISSING_CODE))
+            t = RelTuple._trusted(schema, row, missing)
+            for v_choice, select in naive.items():
+                got = [compiled.bodies[r] for r in compiled.voter_rows(row, v_choice)]
+                assert got == [m.body for m in select(t)], (row, v_choice)
+        for v_choice, v_scheme in ALL_COMBOS:
+            got = compiled.infer_many(codes, v_choice, v_scheme)
+            for row, out in zip(codes, got):
+                missing = tuple(int(a) for a in np.flatnonzero(row == MISSING_CODE))
+                t = RelTuple._trusted(schema, row, missing)
+                want = infer_single_codes(t, lattice, v_choice, v_scheme)
+                assert (out == want).all(), (row, v_choice, v_scheme)
+
+
 # -- property test over random lattices ------------------------------------------
 
-_CARDS = (2, 3, 2, 4)  # attributes 0..2 are evidence, 3 is the head
-_HEAD = 3
+# Attributes 0..5 are evidence, 6 is the head.  Bodies use values below
+# each evidence attribute's top code, so evidence holding the top code
+# holds a value no body uses.
+_CARDS = (2, 3, 2, 4, 3, 3, 4)
+_HEAD = 6
 
 
 @st.composite
@@ -245,15 +374,15 @@ def _lattices(draw):
     bodies = draw(
         st.sets(
             st.lists(
-                st.tuples(st.integers(0, 2), st.integers(0, 3)),
-                max_size=3,
+                st.tuples(st.integers(0, _HEAD - 1), st.integers(0, 3)),
+                max_size=4,
                 unique_by=lambda item: item[0],
             ).map(
                 lambda items: tuple(
-                    sorted((a, v % _CARDS[a]) for a, v in items)
+                    sorted((a, v % (_CARDS[a] - 1)) for a, v in items)
                 )
             ),
-            max_size=12,
+            max_size=20,
         )
     )
     rules = []
@@ -286,10 +415,14 @@ def test_random_lattices_match_naive(lattice, evidence):
     schema = Schema.from_domains({f"a{i}": list(range(c)) for i, c in enumerate(_CARDS)})
     codes = np.array([list(e) + [MISSING_CODE] for e in evidence], dtype=np.int32)
     compiled = CompiledMRSL(lattice, _CARDS[_HEAD])
+    tuples = [RelTuple(schema, row) for row in codes]
+    for v_choice in VoterChoice:
+        for row, t in zip(codes, tuples):
+            got = [compiled.bodies[r] for r in compiled.voter_rows(row, v_choice)]
+            want = [m.body for m in select_voters(lattice, t, v_choice)]
+            assert got == want, (row, v_choice)
     for v_choice, v_scheme in ALL_COMBOS:
         got = compiled.infer_many(codes, v_choice, v_scheme)
-        for row, out in zip(codes, got):
-            want = infer_single_codes(
-                RelTuple(schema, row), lattice, v_choice, v_scheme
-            )
+        for t, out in zip(tuples, got):
+            want = infer_single_codes(t, lattice, v_choice, v_scheme)
             assert (out == want).all()
