@@ -147,58 +147,14 @@ class CompiledMRSL:
     def __init__(self, lattice: MRSL, cardinality: int):
         self.head_attribute = lattice.head_attribute
         self.cardinality = cardinality
-        # Canonical order: by (body size, body) — the order MRSL.matching
-        # enumerates matches in, so ascending row index == naive voter order.
-        rules = sorted(lattice, key=lambda m: (m.body_size, m.body))
+        rules = list(lattice)
         n = len(rules)
-
-        self.bodies: tuple[Itemset, ...] = tuple(m.body for m in rules)
-        self._body_index: dict[Itemset, int] = {
-            body: i for i, body in enumerate(self.bodies)
-        }
-        if n:
-            self.cpds = np.concatenate([m.probs for m in rules]).reshape(n, -1)
-        else:
-            self.cpds = np.empty((0, cardinality), dtype=np.float64)
-        self.weights = np.array([m.weight for m in rules], dtype=np.float64)
-        self.body_sizes = np.fromiter(
-            map(len, self.bodies), dtype=np.int32, count=n
-        )
-        self.root_index = self._body_index.get((), -1)
-
-        # Per-scheme summands of the rank-ordered combine, each with one
-        # extra all-zero row (index R) that pads short voter lists.  Filled
-        # on first use of the scheme.
-        self._sum_tables: dict[VotingScheme, np.ndarray] = {}
-
-        # Attributes mentioned by any body: the evidence *signature* — two
-        # code vectors agreeing on these attributes have identical voter sets.
-        attrs = sorted({attr for body in self.bodies for attr, _ in body})
-        self.signature_attrs = np.array(attrs, dtype=np.intp)
-        self._build_shape_index()
-
-    def _build_shape_index(self) -> None:
-        """Key every rule by ``(shape, values)``, its body's attribute set
-        and the values on it, and list each shape's proper super-shapes.
-
-        A rule's key is a mixed-radix number with one digit per body item,
-        offset by its shape's base.  Attribute ``a``'s digit is its value
-        plus one, clipped to ``top[a] + 2`` (``top[a]``: the largest value
-        any body gives ``a``), so :data:`MISSING_CODE` reads digit 0 and a
-        value no body uses reads ``top[a] + 2``: evidence keys built the
-        same way always land in the key space and match exactly the bodies
-        the row agrees with.  The space is sized in Python ints; up to
-        :data:`DENSE_INDEX_CAP` keys, ``_key_index`` maps every key to its
-        rule (``R`` where absent); up to ``2**63`` keys stay sorted in
-        ``_keys``.  A wider space keys on int32 ``(shape, values...)`` rows
-        viewed as one ``np.void`` item, sorted the same way.
-        """
-        n = len(self.bodies)
-        width = int(self.body_sizes.max(initial=0))
-        sizes = self.body_sizes
+        bodies = [m.body for m in rules]
+        sizes = np.fromiter(map(len, bodies), dtype=np.int64, count=n)
+        width = int(sizes.max(initial=0))
         total = int(sizes.sum())
         items = np.fromiter(
-            chain.from_iterable(chain.from_iterable(self.bodies)),
+            chain.from_iterable(chain.from_iterable(bodies)),
             dtype=np.int64,
             count=2 * total,
         )
@@ -210,6 +166,61 @@ class CompiledMRSL:
         rule_attrs[rule, slot] = items[0::2]
         rule_vals[rule, slot] = items[1::2]
 
+        # Canonical order: by (body size, body) — the order MRSL.matching
+        # enumerates matches in, so ascending row index == naive voter order.
+        # Bodies of one size compare item by item, (attribute, value) pairs
+        # in turn: one stable lexsort, most significant key last.
+        keys = np.empty((2 * width, n), dtype=np.int64)
+        keys[0::2] = rule_attrs.T
+        keys[1::2] = rule_vals.T
+        order = np.lexsort(np.vstack([keys[::-1], sizes[None, :]]))
+        rule_attrs = rule_attrs[order]
+        rule_vals = rule_vals[order]
+        rules = [rules[i] for i in order.tolist()]
+
+        self.bodies: tuple[Itemset, ...] = tuple(m.body for m in rules)
+        self._body_index: dict[Itemset, int] = dict(zip(self.bodies, range(n)))
+        if n:
+            self.cpds = np.concatenate([m.probs for m in rules]).reshape(n, -1)
+        else:
+            self.cpds = np.empty((0, cardinality), dtype=np.float64)
+        self.weights = np.array([m.weight for m in rules], dtype=np.float64)
+        self.body_sizes = sizes[order].astype(np.int32)
+        # Sizes ascend, so the root (the empty body) is row 0 when present.
+        self.root_index = 0 if n and sizes[order[0]] == 0 else -1
+
+        # Per-scheme summands of the rank-ordered combine, each with one
+        # extra all-zero row (index R) that pads short voter lists.  Filled
+        # on first use of the scheme.
+        self._sum_tables: dict[VotingScheme, np.ndarray] = {}
+
+        # Attributes mentioned by any body: the evidence *signature* — two
+        # code vectors agreeing on these attributes have identical voter sets.
+        self.signature_attrs = np.unique(items[0::2]).astype(np.intp)
+        self._build_shape_index(rule_attrs, rule_vals)
+
+    def _build_shape_index(self, rule_attrs: np.ndarray, rule_vals: np.ndarray) -> None:
+        """Key every rule by ``(shape, values)``, its body's attribute set
+        and the values on it, and list each shape's proper super-shapes.
+
+        ``rule_attrs``/``rule_vals`` hold each rule's body items, one row
+        per rule in row order, padded with attribute -1 and value 0.  A
+        rule's key is a mixed-radix number with one digit per body item,
+        offset by its shape's base.  Attribute ``a``'s digit is its value
+        plus one, clipped to ``top[a] + 2`` (``top[a]``: the largest value
+        any body gives ``a``), so :data:`MISSING_CODE` reads digit 0 and a
+        value no body uses reads ``top[a] + 2``: evidence keys built the
+        same way always land in the key space and match exactly the bodies
+        the row agrees with.  The space is sized in Python ints; up to
+        :data:`DENSE_INDEX_CAP` keys, ``_key_index`` maps every key to its
+        rule (``R`` where absent); up to ``2**63`` keys stay sorted in
+        ``_keys``.  A wider space keys on int32 ``(shape, values...)`` rows
+        viewed as one ``np.void`` item, sorted the same way.
+        """
+        n, width = rule_attrs.shape
+        sizes = self.body_sizes
+        present = rule_attrs >= 0
+        attrs_used, vals_used = rule_attrs[present], rule_vals[present]
         # Shapes in (size, attrs) order, the order np.unique sorts
         # (size, attrs..., -1 padding) rows in.  A row's matches, one per
         # shape, then ascend in rule order too: one row fixes each
@@ -228,8 +239,8 @@ class CompiledMRSL:
         pad = found[:, 1:] < 0
         self._shape_attrs = np.where(pad, 0, found[:, 1:]).astype(np.intp)
 
-        top = np.zeros(int(items[0::2].max(initial=-1)) + 1, dtype=np.int64)
-        np.maximum.at(top, items[0::2], items[1::2])
+        top = np.zeros(int(attrs_used.max(initial=-1)) + 1, dtype=np.int64)
+        np.maximum.at(top, attrs_used, vals_used)
         top = top.tolist()
         mults, bases, space = [], [], 0  # Python ints: exact, no wraparound
         for shape in self.shapes:

@@ -23,11 +23,13 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..exec.base import ExecReport, ShardPlan, ShardResult
+from ..exec.plan import Workload
 from ..exec.runtime import execute_delta, execute_derivation
 from ..probdb.blocks import TupleBlock
 from ..probdb.database import ProbabilisticDatabase
 from ..probdb.invalidate import CarryStore
 from ..relational.relation import Relation
+from ..relational.tuples import MISSING_CODE, trusted_rows
 from .compiled import CompiledModel
 from .engine import BatchInferenceEngine
 from .learning import LearnResult, learn_mrsl
@@ -200,15 +202,13 @@ def derive_probabilistic_database(
         )
         model = learn_result.model
 
-    # Workload order: single-missing tuples first, then multi-missing, each
-    # in relation order — the block order this function has always produced.
-    single = []
-    multi = []
-    for t in relation.incomplete_part():
-        if t.num_missing == 1:
-            single.append(t)
-        else:
-            multi.append(t)
+    # Workload order: single-missing rows first, then multi-missing, each
+    # in relation order — the block order this function has always
+    # produced.  Each distinct row is planned, run and bound once.
+    codes = relation.codes
+    missing = (codes == MISSING_CODE).sum(axis=1)
+    order = np.concatenate([np.flatnonzero(missing == 1), np.flatnonzero(missing > 1)])
+    workload = Workload.from_codes(relation.schema, codes[order])
 
     if resume_carry is not None and previous is not None:
         raise ValueError("resume_carry cannot be combined with previous")
@@ -223,14 +223,14 @@ def derive_probabilistic_database(
         should_stop=should_stop,
     )
     if carry is not None:
-        outcome = execute_delta(single + multi, model, cfg, carry, **hooks)
+        outcome = execute_delta(workload, model, cfg, carry, **hooks)
     else:
-        outcome = execute_derivation(single + multi, model, cfg, **hooks)
+        outcome = execute_derivation(workload, model, cfg, **hooks)
 
-    database = ProbabilisticDatabase(
-        relation.schema,
-        certain=list(relation.complete_part()),
-        blocks=outcome.blocks,
+    certain = codes[missing == 0]
+    certain.setflags(write=False)
+    database = ProbabilisticDatabase._trusted(
+        relation.schema, trusted_rows(relation.schema, certain), outcome.blocks
     )
     return DeriveResult(
         database=database,

@@ -62,6 +62,7 @@ from .faults import (
     resolve_fault_plan,
 )
 from .plan import (
+    Workload,
     build_multi_shards,
     multi_shard_layout,
     plan_shards,
@@ -109,6 +110,7 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "get_executor",
+    "Workload",
     "plan_shards",
     "build_multi_shards",
     "multi_shard_layout",

@@ -7,7 +7,9 @@ share Gibbs samples).  The planner (:mod:`repro.exec.plan`) partitions a
 workload into :class:`Shard` units along exactly those dependency lines;
 executors (:mod:`repro.exec.executors`) run shards serially or on worker
 processes; the collector (:mod:`repro.exec.runtime`) streams
-:class:`ShardResult` objects back as shards finish.
+:class:`ShardResult` objects back as shards finish.  Shards and results
+hold each distinct row of the workload once; their row counts count every
+copy.
 
 This module holds only the data types and name validation so that
 :mod:`repro.api.config` can import it without pulling in the derive
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from ..core.tuple_dag import SamplingStats
 
@@ -195,12 +199,14 @@ class Segment:
     key.  Segments are the unit of seeding, carry-over, journaling and delta
     invalidation, and their layout never depends on the worker count.  A
     multi shard runs one or more consecutive segments as one fused
-    ensemble: the segment covers the next ``size`` entries of its shard's
-    ``indices``/``tuples``, which hold ``distinct`` distinct tuples.
+    ensemble: the segment covers the next ``distinct`` tuples of its
+    shard's ``indices``/``tuples``, which ``size`` workload rows repeat.
     """
 
     key: str
+    #: workload rows the segment covers, duplicates included
     size: int
+    #: distinct tuples the segment runs
     distinct: int
     #: the segment's RNG seed; None in a bare layout, set when a plan
     #: seeds the segment for execution
@@ -208,11 +214,12 @@ class Segment:
 
 
 def split_by_segments(items: Sequence, segments: "Sequence[Segment]") -> list:
-    """Cut a shard's per-entry sequence into one chunk per segment."""
+    """Cut a shard's per-tuple sequence (its distinct tuples, or their
+    blocks) into one chunk per segment."""
     chunks, start = [], 0
     for segment in segments:
-        chunks.append(items[start : start + segment.size])
-        start += segment.size
+        chunks.append(items[start : start + segment.distinct])
+        start += segment.distinct
     return chunks
 
 
@@ -220,12 +227,16 @@ def split_by_segments(items: Sequence, segments: "Sequence[Segment]") -> list:
 class Shard:
     """One independent unit of derivation work.
 
-    ``indices`` are positions in the planned workload (the tuple list handed
-    to the planner); ``tuples[i]`` is the tuple at workload position
-    ``indices[i]``, so results can be re-assembled in input order no matter
-    when shards finish.  ``kind`` is ``"single"`` (Algorithm 2, RNG-free,
-    grouped by evidence signature) or ``"multi"`` (Algorithm 3 Gibbs over
-    the consecutive seeded ``segments`` its entries are cut into).
+    A shard runs each of its distinct tuples once.  ``indices`` are their
+    distinct-row numbers in the planned workload
+    (:class:`~repro.exec.plan.Workload`) and ``tuples[i]`` is the tuple
+    numbered ``indices[i]``, so results can be re-assembled in input order
+    no matter when shards finish.  ``codes`` holds the tuples' code rows,
+    the matrix the kernels and the process wire read.  ``rows`` counts the
+    workload rows the shard covers, duplicates included; ``len(shard)`` is
+    that count.  ``kind`` is ``"single"`` (Algorithm 2, RNG-free, grouped
+    by evidence signature) or ``"multi"`` (Algorithm 3 Gibbs over the
+    consecutive seeded ``segments`` its tuples are cut into).
     """
 
     key: str
@@ -234,12 +245,29 @@ class Shard:
     tuples: "tuple[RelTuple, ...]"
     #: distinct evidence-signature groups (single) / distinct tuples (multi)
     groups: int = 1
-    #: the seeded segments a multi shard runs, in entry order (empty for
+    #: the seeded segments a multi shard runs, in tuple order (empty for
     #: single shards)
     segments: tuple[Segment, ...] = ()
+    #: workload rows covered; defaults to one per tuple
+    rows: int | None = None
+    #: ``(len(tuples), width)`` int32 code rows of ``tuples``; stacked from
+    #: them when not given
+    codes: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            object.__setattr__(self, "rows", len(self.indices))
+        if self.codes is None:
+            codes = (
+                np.stack([t.codes for t in self.tuples])
+                if self.tuples
+                else np.empty((0, 0), dtype=np.int32)
+            )
+            codes.setflags(write=False)
+            object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -278,7 +306,8 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One completed shard: blocks aligned with the shard's indices."""
+    """One completed shard: one block per distinct tuple, aligned with the
+    shard's ``indices``; ``rows`` (and ``len``) count its workload rows."""
 
     key: str
     kind: str
@@ -294,13 +323,20 @@ class ShardResult:
     attempts: int = 1
     #: the shard's segments (multi shards), aligned with ``blocks``
     segments: tuple[Segment, ...] = ()
+    #: workload rows covered; defaults to one per block
+    rows: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            object.__setattr__(self, "rows", len(self.indices))
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.rows
 
     def records(self) -> "list[tuple[str, str, tuple[TupleBlock, ...]]]":
-        """``(key, kind, blocks)`` rows to journal: one per segment of a
-        multi shard, so a resumed run carries each by its segment key."""
+        """``(key, kind, blocks)`` rows to journal, one block per distinct
+        tuple: one row per segment of a multi shard, so a resumed run
+        carries each by its segment key."""
         if not self.segments:
             return [(self.key, self.kind, self.blocks)]
         return [

@@ -1,22 +1,30 @@
 """The shard planner: partition a derivation workload into independent units.
 
+A block is a function of its row's content, so the planner works on the
+workload's *distinct* rows: a :class:`Workload` numbers them once (one
+``np.unique`` over the code matrix, first-occurrence order) and keeps
+each workload row's distinct number.  Shards hold distinct rows and their
+code matrix; row counts (``len(shard)``, ``ShardPlan.num_tuples``) still
+count every copy.
+
 Two partitioning rules, one per inference regime:
 
 * **Single-missing tuples** (Algorithm 2) are grouped by ``(head attribute,
   evidence signature)`` — the same key the compiled engine memoizes CPDs
   under — so every group in a shard is answered by one matrix combine and
-  the per-worker CPD memo stays hot.  Grouping runs on the stacked code matrix:
-  per attribute, one ``np.unique`` over a void view of the signature
-  columns numbers the groups in key order.  Groups are packed into a
-  bounded number of shards (greedy largest-first, through a heap of bin
-  loads) sized to the worker count; packing cannot affect results because
+  the per-worker CPD memo stays hot.  Grouping runs on the distinct code
+  matrix: per attribute, one ``np.unique`` over a void view of the
+  signature columns numbers the groups in key order.  Groups, weighed by
+  the workload rows they cover, are packed into a
+  bounded number of shards (greedy largest-first into the least-loaded
+  bin) sized to the worker count; packing cannot affect results because
   this path is deterministic and RNG-free.
 
 * **Multi-missing tuples** (Algorithm 3) are laid out in two levels.
 
-  *Segments* are the seed unit.  Tuples are ordered by connected
-  component of the subsumption graph, then by first occurrence, and their
-  distinct rows are cut into consecutive runs of
+  *Segments* are the seed unit.  Distinct rows are ordered by connected
+  component of the subsumption graph, then by first occurrence, and cut
+  into consecutive runs of
   :data:`MULTI_TUPLES_PER_SHARD`: small components pack together and
   oversized ones split (the ensemble kernel shares nothing across tuples,
   so components are pure grouping hints).  Each segment gets an RNG seed
@@ -36,25 +44,27 @@ Two partitioning rules, one per inference regime:
 from __future__ import annotations
 
 import hashlib
-import heapq
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.compiled import CompiledModel
 from ..core.engine import unique_rows
-from ..relational.tuples import MISSING_CODE, RelTuple
+from ..relational.tuples import MISSING_CODE, RelTuple, trusted_rows
 from .base import DEFAULT_WORKERS, Segment, Shard, ShardPlan, validate_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.mrsl import MRSLModel
+    from ..relational.schema import Schema
 
 __all__ = [
+    "Workload",
     "MULTI_TUPLES_PER_ENSEMBLE",
     "MULTI_TUPLES_PER_SHARD",
     "build_multi_shards",
     "build_single_shards",
+    "multi_layout",
     "multi_shard_layout",
     "plan_shards",
     "resolve_base_seed",
@@ -105,70 +115,206 @@ def shard_seed(base_seed: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _content_key(rows: np.ndarray) -> str:
-    """A stable key for a set of int32 code rows, independent of order.
+def _content_key(rows: np.ndarray, counts: np.ndarray | None = None) -> str:
+    """A stable key for a bag of int32 code rows, independent of order.
 
-    The sha256 of the rows' bytes in sorted order: a void view sorts rows
-    in memcmp order, the order of ``sorted(row.tobytes() for row in rows)``.
+    ``rows`` are distinct and ``counts`` (default: one each) says how often
+    each occurs.  The key is the sha256 of the bag's rows in sorted order,
+    each repeated by its count: a void view sorts rows in memcmp order, the
+    order of ``sorted(row.tobytes() for row in bag)``.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int32)
-    opaque = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    return hashlib.sha256(np.sort(opaque, axis=0).tobytes()).hexdigest()[:16]
+    first, _ = unique_rows(rows)
+    ordered = rows[first]
+    if counts is not None:
+        ordered = np.repeat(ordered, counts[first], axis=0)
+    return hashlib.sha256(ordered.tobytes()).hexdigest()[:16]
+
+
+def _first_occurrence(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``codes`` in order of first occurrence.
+
+    Returns ``(first, rows)``: each distinct row's first position, and each
+    row's distinct number.  One ``np.unique`` replaces hashing and
+    comparing ``RelTuple`` objects: over one mixed-radix int64 key per row
+    (digit ``code + 1``) when the rows' value space fits in 62 bits, over a
+    void view of the rows (:func:`unique_rows`) otherwise.  The numbering
+    follows first occurrence, so it does not depend on the key's order.
+    """
+    radix = codes.max(axis=0, initial=MISSING_CODE).astype(np.int64) + 2
+    if codes.shape[1] and np.prod(radix.astype(np.float64)) < 2.0**62:
+        mult = np.cumprod(np.concatenate([[1], radix[:-1]]))
+        keys = (codes.astype(np.int64) + 1) @ mult
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        first, inverse = unique_rows(codes)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
+@dataclass(frozen=True, eq=False)
+class Workload:
+    """A derivation workload, numbered by distinct row.
+
+    A block depends on its row's content alone, so everything from the
+    planner to the collector handles each distinct row once.  ``codes``
+    holds the distinct rows in order of first occurrence (read-only
+    int32), ``tuples`` one :class:`~repro.relational.tuples.RelTuple` per
+    distinct row, and ``rows`` each workload row's distinct number;
+    ``counts`` and ``missing`` are each distinct row's occurrences and
+    missing attributes.  ``bases`` is the caller's tuple list when the
+    workload was built from one (:meth:`from_tuples`): its blocks are then
+    rooted at those very tuples.
+    """
+
+    codes: np.ndarray
+    tuples: "tuple[RelTuple, ...]"
+    rows: np.ndarray
+    counts: np.ndarray
+    missing: np.ndarray
+    bases: "Sequence[RelTuple] | None" = None
+
+    @classmethod
+    def _build(cls, codes, first, rows, tuples, bases) -> "Workload":
+        missing = (codes == MISSING_CODE).sum(axis=1)
+        if (missing == 0).any():
+            raise ValueError("complete tuples do not belong in the workload")
+        return cls(
+            codes=codes,
+            tuples=tuples,
+            rows=rows,
+            counts=np.bincount(rows, minlength=first.size),
+            missing=missing,
+            bases=bases,
+        )
+
+    @classmethod
+    def from_codes(cls, schema: "Schema", codes: np.ndarray) -> "Workload":
+        """The workload of a validated code matrix (a relation's rows):
+        one trusted row view per distinct row."""
+        first, rows = _first_occurrence(codes)
+        distinct = np.ascontiguousarray(codes[first], dtype=np.int32)
+        distinct.setflags(write=False)
+        return cls._build(
+            distinct, first, rows, tuple(trusted_rows(schema, distinct)), None
+        )
+
+    @classmethod
+    def from_tuples(cls, tuples: "Sequence[RelTuple]") -> "Workload":
+        """The workload of a tuple list; each distinct row is represented
+        by its first occurrence."""
+        tuples = list(tuples)
+        if not tuples:
+            empty = np.empty(0, dtype=np.intp)
+            codes = np.empty((0, 0), dtype=np.int32)
+            return cls(codes, (), empty, empty, empty, tuples)
+        stacked = np.stack([t.codes for t in tuples])
+        first, rows = _first_occurrence(stacked)
+        distinct = stacked[first]
+        distinct.setflags(write=False)
+        return cls._build(
+            distinct, first, rows, tuple(tuples[i] for i in first.tolist()), tuples
+        )
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+
+def _as_workload(tuples: "Workload | Sequence[RelTuple]") -> Workload:
+    return tuples if isinstance(tuples, Workload) else Workload.from_tuples(tuples)
+
+
+#: Most equal-sized groups :func:`_pack_largest_first` places in one step.
+_PACK_RUN = 4096
+
+
+def _pack_largest_first(sizes: np.ndarray, num_bins: int) -> np.ndarray:
+    """Greedy largest-first packing: each group's bin.
+
+    Groups are taken largest first (ties: lower group first), each into
+    the bin of least ``(load, bin)`` at that moment.  A run of ``m``
+    equal-sized groups is placed at once: bin ``b`` takes its ``j``-th
+    group of the run at load ``load[b] + j * size``, so the run's groups
+    go, in order, to the ``m`` least ``(load, bin)`` tickets — the
+    placements one group at a time through a heap of bin loads makes.
+    """
+    bin_of = np.empty(sizes.size, dtype=np.intp)
+    loads = np.zeros(num_bins, dtype=np.int64)
+    bins = np.arange(num_bins)
+    largest_first = np.argsort(-sizes, kind="stable")
+    ordered = sizes[largest_first]
+    # Runs of equal sizes, cut into pieces of at most _PACK_RUN groups (a
+    # piece of a run is a run) to bound the (bins, m) ticket matrix.
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] + 1))
+    starts = np.union1d(starts, np.arange(0, ordered.size, _PACK_RUN))
+    ends = np.append(starts[1:], ordered.size)
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        size, m = int(ordered[lo]), hi - lo
+        tickets = loads[:, None] + size * np.arange(m)
+        owner = np.broadcast_to(bins[:, None], tickets.shape)
+        chosen = owner.ravel()[np.lexsort((owner.ravel(), tickets.ravel()))[:m]]
+        bin_of[largest_first[lo:hi]] = chosen
+        loads += size * np.bincount(chosen, minlength=num_bins)
+    return bin_of
 
 
 def build_single_shards(
-    entries: Sequence[tuple[int, RelTuple]],
+    workload: Workload,
+    ids: Sequence[int],
     compiled: CompiledModel,
     workers: int,
 ) -> list[Shard]:
-    """Group single-missing entries by signature and pack them into shards.
+    """Group single-missing distinct rows by signature and pack them.
 
-    ``entries`` are ``(workload_index, tuple)`` pairs.  Their codes are
-    stacked once; per head attribute, one :func:`unique_rows` over the
-    signature columns numbers the ``(attribute, evidence signature)``
-    groups in key order (attributes ascending, signatures in memcmp
-    order).  Groups are packed largest first (ties: lower key first) into
-    the least-loaded of at most ``workers * SINGLE_SHARDS_PER_WORKER``
-    bins (ties: lower bin first), so the packing is deterministic for a
-    given workload.  A shard lists its members in workload order and is
-    keyed by its bin and the content of its rows.
+    ``ids`` are distinct-row numbers of ``workload``, ascending.  Per head
+    attribute, one :func:`unique_rows` over their signature columns
+    numbers the ``(attribute, evidence signature)`` groups in key order
+    (attributes ascending, signatures in memcmp order); a group weighs the
+    workload rows it covers.  Groups are packed largest first (ties: lower
+    key first) into the least-loaded of at most
+    ``workers * SINGLE_SHARDS_PER_WORKER`` bins (ties: lower bin first),
+    so the packing is deterministic for a given workload.  A shard lists
+    its distinct rows in workload order and is keyed by its bin and the
+    bag of its workload rows.
     """
-    if not entries:
+    ids = np.asarray(ids, dtype=np.intp)
+    if not ids.size:
         return []
-    codes = np.stack([t.codes for _, t in entries])
+    codes = workload.codes[ids]
+    counts = workload.counts[ids]
     attrs = (codes == MISSING_CODE).argmax(axis=1)
-    group = np.empty(len(entries), dtype=np.intp)
+    group = np.empty(ids.size, dtype=np.intp)
     num_groups = 0
     for attr in np.unique(attrs).tolist():
         rows = np.flatnonzero(attrs == attr)
         first, inverse = unique_rows(codes[rows][:, compiled[attr].signature_attrs])
         group[rows] = num_groups + inverse
         num_groups += first.size
-    sizes = np.bincount(group, minlength=num_groups)
+    sizes = np.bincount(group, weights=counts, minlength=num_groups).astype(np.int64)
 
     num_bins = min(num_groups, workers * SINGLE_SHARDS_PER_WORKER)
-    loads = [(0, b) for b in range(num_bins)]  # a heap of (entries, bin)
-    bin_of = np.empty(num_groups, dtype=np.intp)
-    largest_first = np.argsort(-sizes, kind="stable")
-    for g, size in zip(largest_first.tolist(), sizes[largest_first].tolist()):
-        load, b = loads[0]
-        bin_of[g] = b
-        heapq.heapreplace(loads, (load + size, b))
+    bin_of = _pack_largest_first(sizes, num_bins)
     bin_groups = np.bincount(bin_of, minlength=num_bins)
 
-    indices = np.array([idx for idx, _ in entries])
-    entry_bin = bin_of[group]
-    order = np.lexsort((indices, entry_bin))
-    cuts = np.cumsum(np.bincount(entry_bin, minlength=num_bins))[:-1]
+    row_bin = bin_of[group]
+    order = np.argsort(row_bin, kind="stable")
+    cuts = np.cumsum(np.bincount(row_bin, minlength=num_bins))[:-1]
     shards = []
     for b, members in enumerate(np.split(order, cuts)):
+        member_ids = ids[members].tolist()
+        member_codes = codes[members]
+        member_codes.setflags(write=False)
         shards.append(
             Shard(
-                key=f"single:{b:03d}:{_content_key(codes[members])}",
+                key=f"single:{b:03d}:{_content_key(member_codes, counts[members])}",
                 kind="single",
-                indices=tuple(indices[members].tolist()),
-                tuples=tuple(entries[p][1] for p in members.tolist()),
+                indices=tuple(member_ids),
+                tuples=tuple(workload.tuples[i] for i in member_ids),
                 groups=int(bin_groups[b]),
+                rows=int(counts[members].sum()),
+                codes=member_codes,
             )
         )
     return shards
@@ -177,23 +323,6 @@ def build_single_shards(
 #: Row-block size for the pairwise subsumption test; bounds the temporary
 #: ``(block, n, width)`` comparison at a few MB for realistic workloads.
 _SUBSUME_BLOCK = 256
-
-
-def _distinct_codes(
-    entries: Sequence[tuple[int, RelTuple]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The entries' distinct code rows, in first-occurrence order.
-
-    Returns ``(codes, node)``: one row per distinct tuple, and each entry's
-    row number.  One :func:`unique_rows` over the stacked code matrix
-    replaces hashing and comparing ``RelTuple`` objects.
-    """
-    stacked = np.stack([t.codes for _, t in entries])
-    first, inverse = unique_rows(stacked)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return stacked[first[order]], rank[inverse]
 
 
 def _component_roots(codes: np.ndarray) -> np.ndarray:
@@ -243,44 +372,45 @@ def _component_roots(codes: np.ndarray) -> np.ndarray:
 
 
 def multi_shard_layout(
-    entries: Sequence[tuple[int, RelTuple]],
-) -> list[tuple[Segment, list[tuple[int, RelTuple]]]]:
+    codes: np.ndarray, counts: np.ndarray | None = None
+) -> list[tuple[Segment, np.ndarray]]:
     """The deterministic multi-missing segment layout.
 
     This is the single source of truth for how multi-missing workloads map
     to seeded :class:`~repro.exec.base.Segment` units and their content
     keys; :func:`plan_shards` builds its multi shards from it, and the delta
     planner replays it over a *previous* derivation's workload to recover
-    the segment keys whose blocks can be carried over.  ``entries`` are
-    ``(workload_index, tuple)`` pairs in ascending index order; only their
-    relative order matters, so any consistent indexing recovers identical
-    keys.  Returns ``(segment, entries)`` pairs; segments carry no seed.
+    the segment keys whose blocks can be carried over.  ``codes`` are the
+    workload's distinct multi-missing rows in order of first occurrence,
+    and ``counts`` how many workload rows repeat each (default one; it sets
+    :attr:`Segment.size` only).  Returns ``(segment, members)`` pairs,
+    ``members`` the segment's row numbers in ``codes``, ascending; segments
+    carry no seed.
 
-    Tuples are grouped by connected component of the subsumption graph
-    (duplicates join their first occurrence), components ordered by their
-    first-occurring tuple.  Their distinct tuples, in component order then
-    first-occurrence order, are cut into consecutive runs of
+    Rows are grouped by connected component of the subsumption graph,
+    components ordered by their first row.  The rows, in component order
+    then first-occurrence order, are cut into consecutive runs of
     :data:`MULTI_TUPLES_PER_SHARD` — small components pack together and a
-    larger one splits.  Duplicate entries of one tuple always land in one
-    segment (they share one block).  The layout depends only on the
-    workload and that constant, never on the worker count.
+    larger one splits.  Duplicates of one row are that row, so they always
+    share a segment (and a block).  The layout depends only on the
+    distinct rows, their order and that constant, never on the worker
+    count.
     """
-    if not entries:
+    if not codes.shape[0]:
         return []
-    codes, node = _distinct_codes(entries)
+    if counts is None:
+        counts = np.ones(codes.shape[0], dtype=np.intp)
     roots = _component_roots(codes)
     sequence = np.lexsort((np.arange(roots.size), roots))
     segment_of = np.empty_like(sequence)
     segment_of[sequence] = np.arange(sequence.size) // MULTI_TUPLES_PER_SHARD
-    of_entry = segment_of[node]
-    order = np.argsort(of_entry, kind="stable")
-    cuts = np.flatnonzero(np.diff(of_entry[order])) + 1
+    order = np.argsort(segment_of, kind="stable")
+    cuts = np.flatnonzero(np.diff(segment_of[order])) + 1
     layout = []
-    for positions in np.split(order, cuts):
-        members = [entries[p] for p in positions.tolist()]
-        rows = codes[np.unique(node[positions])]
-        key = f"multi:{_content_key(rows)}"
-        layout.append((Segment(key, len(members), rows.shape[0]), members))
+    for members in np.split(order, cuts):
+        key = f"multi:{_content_key(codes[members])}"
+        segment = Segment(key, int(counts[members].sum()), members.size)
+        layout.append((segment, members))
     return layout
 
 
@@ -320,15 +450,17 @@ def _fused_runs(distinct: Sequence[int], workers: int) -> list[int]:
 
 
 def build_multi_shards(
-    layout: Sequence[tuple[Segment, Sequence[tuple[int, RelTuple]]]],
+    workload: Workload,
+    layout: Sequence[tuple[Segment, np.ndarray]],
     base_seed: int,
     workers: int,
 ) -> list[Shard]:
     """Seed a segment layout and fuse it into multi shards.
 
-    Consecutive segments are grouped by :func:`_fused_runs`.  A shard's key
-    is its first segment's key, suffixed with the number of segments fused
-    after it.
+    ``layout`` pairs each segment with its distinct-row numbers in
+    ``workload``.  Consecutive segments are grouped by :func:`_fused_runs`.
+    A shard's key is its first segment's key, suffixed with the number of
+    segments fused after it.
     """
     runs = _fused_runs([segment.distinct for segment, _ in layout], workers)
     shards = []
@@ -340,7 +472,10 @@ def build_multi_shards(
             replace(segment, seed=shard_seed(base_seed, segment.key))
             for segment, _ in group
         )
-        members = [entry for _, batch in group for entry in batch]
+        ids = np.concatenate([members for _, members in group])
+        codes = workload.codes[ids]
+        codes.setflags(write=False)
+        ids = ids.tolist()
         key = segments[0].key
         if len(segments) > 1:
             key = f"{key}+{len(segments) - 1}"
@@ -348,54 +483,66 @@ def build_multi_shards(
             Shard(
                 key=key,
                 kind="multi",
-                indices=tuple(idx for idx, _ in members),
-                tuples=tuple(t for _, t in members),
+                indices=tuple(ids),
+                tuples=tuple(workload.tuples[i] for i in ids),
                 groups=sum(segment.distinct for segment in segments),
                 segments=segments,
+                rows=sum(segment.size for segment in segments),
+                codes=codes,
             )
         )
     return shards
 
 
 def plan_shards(
-    tuples: "Sequence[RelTuple]",
+    tuples: "Workload | Sequence[RelTuple]",
     model: "MRSLModel",
     workers: int = DEFAULT_WORKERS,
     seed: int | None = None,
     rng: np.random.Generator | int | None = None,
     compiled: CompiledModel | None = None,
 ) -> ShardPlan:
-    """Partition ``tuples`` (mixed single- and multi-missing) into shards.
+    """Partition a workload (mixed single- and multi-missing) into shards.
 
-    The returned plan is deterministic given the workload, the model and
-    ``workers``.  Its multi *segments* (keys and seeds, see
-    :func:`multi_shard_layout`) never depend on ``workers``; only how they
-    fuse into at most ``min(workers, #segments)`` shards does (see
-    :func:`build_multi_shards`).  The base seed is resolved (see
+    ``tuples`` is a :class:`Workload` or a tuple list (numbered here).
+    Shards hold distinct rows; ``num_tuples`` and each shard's ``len``
+    count workload rows.  The returned plan is deterministic given the
+    workload, the model and ``workers``.  Its multi *segments* (keys and
+    seeds, see :func:`multi_shard_layout`) never depend on ``workers``;
+    only how they fuse into at most ``min(workers, #segments)`` shards does
+    (see :func:`build_multi_shards`).  The base seed is resolved (see
     :func:`resolve_base_seed`) only when the workload actually contains
     multi-missing tuples, so RNG-free workloads never consume entropy or
     disturb a caller's generator.
     """
     workers = validate_workers(workers)
-    single: list[tuple[int, RelTuple]] = []
-    multi: list[tuple[int, RelTuple]] = []
-    for idx, t in enumerate(tuples):
-        if t.is_complete:
-            raise ValueError("complete tuples do not belong in the workload")
-        (single if t.num_missing == 1 else multi).append((idx, t))
+    workload = _as_workload(tuples)
+    single = np.flatnonzero(workload.missing == 1)
+    multi = np.flatnonzero(workload.missing > 1)
 
     shards: list[Shard] = []
-    if single:
+    if single.size:
         if compiled is None:
             compiled = CompiledModel(model)
-        shards.extend(build_single_shards(single, compiled, workers))
+        shards.extend(build_single_shards(workload, single, compiled, workers))
 
     base_seed: int | None = None
-    if multi:
+    if multi.size:
         base_seed = resolve_base_seed(rng, seed)
         shards.extend(
-            build_multi_shards(multi_shard_layout(multi), base_seed, workers)
+            build_multi_shards(
+                workload, multi_layout(workload, multi), base_seed, workers
+            )
         )
     return ShardPlan(
-        shards=tuple(shards), num_tuples=len(tuples), base_seed=base_seed
+        shards=tuple(shards), num_tuples=len(workload), base_seed=base_seed
     )
+
+
+def multi_layout(
+    workload: Workload, multi: np.ndarray
+) -> list[tuple[Segment, np.ndarray]]:
+    """:func:`multi_shard_layout` over the distinct rows ``multi`` of
+    ``workload``, with members as workload distinct-row numbers."""
+    layout = multi_shard_layout(workload.codes[multi], workload.counts[multi])
+    return [(segment, multi[members]) for segment, members in layout]

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..core.tuple_dag import SamplingStats
+from ..probdb.blocks import TupleBlock
 from .base import (
     DerivationCancelled,
     ExecReport,
@@ -31,6 +32,8 @@ from .base import (
 from .executors import ExecContext, Executor, get_executor
 from .faults import FaultPlan, resolve_fault_plan
 from .plan import (
+    Workload,
+    _as_workload,
     build_multi_shards,
     build_single_shards,
     plan_shards,
@@ -42,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.compiled import CompiledModel
     from ..core.engine import BatchInferenceEngine
     from ..core.mrsl import MRSLModel
-    from ..probdb.blocks import TupleBlock
     from ..probdb.invalidate import CarryStore
     from ..relational.tuples import RelTuple
 
@@ -75,7 +77,8 @@ def _context(
 class ExecOutcome:
     """Everything one executed derivation workload produced."""
 
-    #: one block per workload tuple, in workload order
+    #: one block per workload row, in workload order; copies of a row
+    #: share its block
     blocks: "list[TupleBlock]"
     #: merged Gibbs cost counters across all multi shards
     stats: SamplingStats
@@ -87,7 +90,7 @@ class ExecOutcome:
 
 
 def stream_derivation(
-    tuples: "Sequence[RelTuple]",
+    tuples: "Workload | Sequence[RelTuple]",
     model: "MRSLModel",
     config: Any,
     rng: np.random.Generator | int | None = None,
@@ -98,9 +101,12 @@ def stream_derivation(
 ) -> Iterator[ShardResult]:
     """Plan ``tuples`` and yield shard results as they complete.
 
-    ``config`` is any :class:`~repro.api.config.DeriveConfig`-shaped object
-    (the knobs are read as attributes, so this module never imports the api
-    layer).  ``executor`` overrides ``config.executor``/``config.workers``
+    ``tuples`` is a :class:`~repro.exec.plan.Workload` or a tuple list.  A
+    result holds one block per distinct row of its shard; its ``indices``
+    are those rows' distinct numbers, which for a duplicate-free tuple list
+    are the list positions.  ``config`` is any
+    :class:`~repro.api.config.DeriveConfig`-shaped object (the knobs are
+    read as attributes, so this module never imports the api layer).  ``executor`` overrides ``config.executor``/``config.workers``
     when given; ``plan`` skips planning when the caller already has one.
     ``faults`` injects a :class:`~repro.exec.faults.FaultPlan` (tests and
     chaos runs only).
@@ -110,12 +116,12 @@ def stream_derivation(
     )
     context = _context(model, config, batch_engine, faults)
     if plan is None:
-        plan = _plan(tuples, model, config, rng, chosen, context)
+        plan = _plan(_as_workload(tuples), model, config, rng, chosen, context)
     yield from chosen.run(plan, context)
 
 
 def _plan(
-    tuples, model, config, rng, chosen: Executor, context: ExecContext
+    workload: Workload, model, config, rng, chosen: Executor, context: ExecContext
 ) -> ShardPlan:
     """Plan the workload on the context's one compiled model.
 
@@ -131,7 +137,7 @@ def _plan(
     if chosen.name == "serial":
         context.warm_engine()
     return plan_shards(
-        tuples,
+        workload,
         model,
         workers=chosen.effective_workers,
         seed=config.seed,
@@ -141,7 +147,7 @@ def _plan(
 
 
 def execute_derivation(
-    tuples: "Sequence[RelTuple]",
+    tuples: "Workload | Sequence[RelTuple]",
     model: "MRSLModel",
     config: Any,
     rng: np.random.Generator | int | None = None,
@@ -153,6 +159,11 @@ def execute_derivation(
     faults: "FaultPlan | Any" = None,
 ) -> ExecOutcome:
     """Derive blocks for ``tuples``, collecting the stream in input order.
+
+    ``tuples`` is a :class:`~repro.exec.plan.Workload` or a tuple list.
+    Each distinct row runs once; the collector returns one block per
+    workload row, and copies of a row share its block object.  Blocks of a
+    tuple list are rooted at the list's own tuples.
 
     ``on_plan`` is invoked once with the :class:`ShardPlan` before any shard
     runs, and ``on_shard`` with every :class:`ShardResult` as it lands — the
@@ -178,18 +189,18 @@ def execute_derivation(
         config.executor if executor is None else executor, config.workers
     )
     context = _context(model, config, batch_engine, faults)
-    plan = _plan(tuples, model, config, rng, chosen, context)
+    workload = _as_workload(tuples)
+    plan = _plan(workload, model, config, rng, chosen, context)
     if on_plan is not None:
         on_plan(plan)
-    blocks: "list[TupleBlock | None]" = [None] * len(tuples)
     report = ExecReport(
         executor=chosen.name,
         workers=chosen.effective_workers,
         num_shards=len(plan),
-        num_tuples=len(tuples),
+        num_tuples=len(workload),
     )
     return _run_plan(
-        chosen, context, plan, blocks, report, on_shard, should_stop
+        chosen, context, plan, workload, {}, report, on_shard, should_stop
     )
 
 
@@ -197,17 +208,22 @@ def _run_plan(
     chosen: Executor,
     context: ExecContext,
     plan: ShardPlan,
-    blocks: "list[TupleBlock | None]",
+    workload: Workload,
+    carried: "dict[int, TupleBlock]",
     report: ExecReport,
     on_shard: Callable[[ShardResult], None] | None,
     should_stop: Callable[[], bool] | None,
 ) -> ExecOutcome:
-    """Drain a plan's shard stream into ``blocks``, filling ``report``.
+    """Drain a plan's shard stream into one block per distinct row, then
+    expand them to the workload's rows, filling ``report``.
 
-    Shared collector of the full and delta paths; ``blocks`` may arrive
-    pre-filled at carried positions, only planned shards are awaited.
+    Shared collector of the full and delta paths; ``carried`` blocks fill
+    their distinct rows up front, only planned shards are awaited.
     """
     groups_by_key = {shard.key: shard.groups for shard in plan.shards}
+    distinct: "list[TupleBlock | None]" = [None] * len(workload.tuples)
+    for idx, block in carried.items():
+        distinct[idx] = block
     stats = SamplingStats()
     start = time.perf_counter()
 
@@ -225,7 +241,7 @@ def _run_plan(
     try:
         for result in stream:
             for idx, block in zip(result.indices, result.blocks):
-                blocks[idx] = block
+                distinct[idx] = block
             if result.stats is not None:
                 stats.merge(result.stats)
             report.add(result, groups_by_key.get(result.key, 1))
@@ -250,11 +266,11 @@ def _run_plan(
         report.degraded = list(context.degradations)
         report.pool_restarts = context.pool_restarts
     report.elapsed = time.perf_counter() - start
-    missing = [i for i, b in enumerate(blocks) if b is None]
-    if missing:  # pragma: no cover - executors yield every planned shard
-        raise RuntimeError(f"shard execution left {len(missing)} tuples unfilled")
+    unfilled = distinct.count(None)
+    if unfilled:  # pragma: no cover - executors yield every planned shard
+        raise RuntimeError(f"shard execution left {unfilled} tuples unfilled")
     return ExecOutcome(
-        blocks=blocks,
+        blocks=_expand(workload, distinct),
         stats=stats,
         report=report,
         plan=plan,
@@ -262,8 +278,22 @@ def _run_plan(
     )
 
 
+def _expand(
+    workload: Workload, distinct: "list[TupleBlock]"
+) -> "list[TupleBlock]":
+    """One block per workload row: copies of a row share its block, and a
+    tuple-list workload's copies are re-rooted at the list's tuples."""
+    blocks = [distinct[i] for i in workload.rows.tolist()]
+    if workload.bases is not None:
+        blocks = [
+            block if block.base is t else TupleBlock._trusted(t, block.distribution)
+            for block, t in zip(blocks, workload.bases)
+        ]
+    return blocks
+
+
 def execute_delta(
-    tuples: "Sequence[RelTuple]",
+    tuples: "Workload | Sequence[RelTuple]",
     model: "MRSLModel",
     config: Any,
     carry: "CarryStore",
@@ -293,7 +323,8 @@ def execute_delta(
     )
     context = _context(model, config, batch_engine, faults)
     workers = chosen.effective_workers
-    split = carry.split(tuples)
+    workload = _as_workload(tuples)
+    split = carry.split(workload)
 
     compiled = None
     if split.dirty_single or split.carried_single:
@@ -301,11 +332,9 @@ def execute_delta(
             context.warm_engine()
         compiled = context.compiled_model()
 
-    shards: list[Shard] = []
-    if split.dirty_single:
-        shards.extend(
-            build_single_shards(split.dirty_single, compiled, workers)
-        )
+    shards: list[Shard] = build_single_shards(
+        workload, split.dirty_single, compiled, workers
+    )
     base_seed: int | None = None
     if split.dirty_multi or split.carried_multi:
         base_seed = (
@@ -317,7 +346,7 @@ def execute_delta(
         # Dirty segments keep their from-scratch keys and seeds; only their
         # grouping into fused shards follows this run's worker count.
         shards.extend(
-            build_multi_shards(split.dirty_multi, base_seed, workers)
+            build_multi_shards(workload, split.dirty_multi, base_seed, workers)
         )
 
     # Account carried work: carried singles are packed exactly like dirty
@@ -326,7 +355,7 @@ def execute_delta(
     carried_rows = [
         (shard.key, shard.kind, len(shard), shard.groups)
         for shard in build_single_shards(
-            split.carried_single, compiled, workers
+            workload, split.carried_single, compiled, workers
         )
     ] + [
         (segment.key, "multi", segment.size, segment.distinct)
@@ -338,22 +367,20 @@ def execute_delta(
         num_tuples=split.num_dirty_tuples,
         base_seed=base_seed,
         carried_over=len(carried_rows),
-        carried_tuples=len(split.carried),
+        carried_tuples=split.num_carried_tuples,
     )
     if on_plan is not None:
         on_plan(plan)
 
-    blocks: "list[TupleBlock | None]" = [None] * len(tuples)
-    for idx, block in split.carried.items():
-        blocks[idx] = block
     report = ExecReport(
         executor=chosen.name,
         workers=workers,
         num_shards=len(plan),
-        num_tuples=len(tuples),
+        num_tuples=len(workload),
     )
     for row in carried_rows:
         report.add_carried(*row)
     return _run_plan(
-        chosen, context, plan, blocks, report, on_shard, should_stop
+        chosen, context, plan, workload, split.carried, report, on_shard,
+        should_stop,
     )

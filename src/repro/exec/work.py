@@ -5,7 +5,7 @@ Two kernels, one per shard kind:
 * :func:`single_shard_blocks` — Algorithm 2 over a batch of single-missing
   tuples, run by the serial path and by process workers alike (and
   therefore bit-identical across them).  The compiled path
-  works on the batch's stacked code matrix: per missing attribute, the
+  works on the shard's code matrix: per missing attribute, the
   distinct signatures' CPDs come back as one matrix, are validated and
   normalized as one matrix, and become one shared read-only
   :class:`~repro.probdb.distribution.Distribution` per signature and one
@@ -33,13 +33,14 @@ state depends on how the pool starts:
 * **forkserver and spawn pools rebuild.**  The initializer receives the
   persisted model JSON (never a pickled live engine) and rebuilds the
   model, and shards cross the process boundary in columnar form.  A
-  :class:`ShardTask` carries the shard's key, kind, segments and one int32
+  :class:`ShardTask` carries the shard's key, kind, segments and its int32
   code matrix — no workload indices and no tuple objects; the worker
   rebuilds the rows as trusted views against its own model schema.
 
 Either way the worker runs the unchanged :func:`run_shard`, and a
-:class:`ShardOutput` carries back only one distribution per entry (shared
-distributions are pickled once) plus the stats, timing and worker label.
+:class:`ShardOutput` carries back only one distribution per distinct tuple
+(shared distributions are pickled once) plus the stats, timing and worker
+label.
 The parent validates and rebinds those distributions to its own tuples
 (:meth:`ShardOutput.bind`), so every consumer of a
 :class:`~repro.exec.base.ShardResult` sees the parent's tuple objects,
@@ -111,13 +112,16 @@ def single_shard_blocks(
     model: MRSLModel,
     knobs: ShardKnobs,
     batch_engine: BatchInferenceEngine | None = None,
+    codes: np.ndarray | None = None,
 ) -> list[TupleBlock]:
     """Blocks for a batch of single-missing tuples under the chosen engine.
 
-    The compiled path runs on the batch's stacked code matrix: one
+    The compiled path runs on the batch's code matrix — ``codes`` when the
+    caller holds it (a shard's), stacked from ``tuples`` otherwise: one
     :meth:`~repro.core.engine.BatchInferenceEngine.infer_grouped` call
-    numbers each missing attribute's distinct signatures and answers them.  The naive path loops
-    tuple-at-a-time and is kept as the correctness oracle.
+    numbers each missing attribute's distinct signatures and answers them.
+    The naive path loops tuple-at-a-time and is kept as the correctness
+    oracle.
     """
     v_choice = VoterChoice(knobs.v_choice)
     v_scheme = VotingScheme(knobs.v_scheme)
@@ -135,7 +139,8 @@ def single_shard_blocks(
         return []
     if batch_engine is None:
         batch_engine = BatchInferenceEngine(model, v_choice, v_scheme)
-    codes = np.stack([t.codes for t in tuples])
+    if codes is None:
+        codes = np.stack([t.codes for t in tuples])
     blocks: list[TupleBlock] = [None] * len(tuples)  # type: ignore[list-item]
     for attr, positions, inverse, cpds in batch_engine.infer_grouped(
         codes, v_choice, v_scheme
@@ -203,7 +208,7 @@ def run_shard(
     apply_fault(fault, deadline=deadline, allow_crash=allow_crash)
     if shard.kind == "single":
         blocks = single_shard_blocks(
-            shard.tuples, model, knobs, batch_engine=batch_engine
+            shard.tuples, model, knobs, batch_engine=batch_engine, codes=shard.codes
         )
         stats = None
     elif shard.kind == "multi":
@@ -228,6 +233,7 @@ def run_shard(
         elapsed=time.perf_counter() - start,
         worker=worker,
         segments=shard.segments,
+        rows=shard.rows,
     )
 
 
@@ -238,8 +244,8 @@ def run_shard(
 class ShardTask:
     """One shard on the process wire: its rows as a single code matrix.
 
-    Workload indices never leave the parent, and the rows travel as
-    ``codes`` (one int32 row per entry) instead of pickled
+    Workload indices never leave the parent, and the rows travel as the
+    shard's ``codes`` (one int32 row per distinct tuple) instead of pickled
     :class:`~repro.relational.tuples.RelTuple` objects, each of which would
     be rebuilt through its per-cell checking constructor.
     """
@@ -251,19 +257,19 @@ class ShardTask:
 
     @classmethod
     def encode(cls, shard: Shard) -> "ShardTask":
-        """Stack ``shard``'s rows; called per submission, so a requeued
+        """``shard``'s code matrix; called per submission, so a requeued
         shard is re-encoded from the parent's :class:`Shard`."""
         return cls(
             key=shard.key,
             kind=shard.kind,
             segments=shard.segments,
-            codes=np.stack([t.codes for t in shard.tuples]),
+            codes=shard.codes,
         )
 
     def decode(self, schema: "Schema") -> Shard:
         """The shard over trusted row views of ``codes`` under ``schema``.
 
-        The codes were stacked from the parent's valid tuples, and the
+        The codes are rows of the parent's valid tuples, and the
         worker's rebuilt model matches the parent's, so the rows skip the
         per-cell check as :class:`~repro.relational.relation.Relation`
         rows do.
@@ -282,14 +288,16 @@ class ShardTask:
             indices=tuple(range(len(tuples))),
             tuples=tuples,
             segments=self.segments,
+            codes=codes,
         )
 
 
 @dataclass(frozen=True)
 class ShardOutput:
-    """A worker's answer on the process wire: one distribution per entry.
+    """A worker's answer on the process wire: one distribution per
+    distinct tuple of the shard.
 
-    Tuples sharing a signature (single) or a content key (multi) share one
+    Tuples sharing a signature (single) share one
     :class:`~repro.probdb.distribution.Distribution` object, which pickle
     ships once.
     """
@@ -302,8 +310,8 @@ class ShardOutput:
     def bind(self, shard: Shard) -> ShardResult:
         """Rebind the distributions to the parent's own ``shard.tuples``.
 
-        The count must match the shard.  Blocks over one (missing
-        positions, outcome set) pair go through the public
+        The count must match the shard's distinct tuples.  Blocks over one
+        (missing positions, outcome set) pair go through the public
         :class:`~repro.probdb.blocks.TupleBlock` constructor once and are
         trusted after that, as in the serial single kernel — so a result
         whose outcomes fall outside the missing attributes' domains raises
@@ -335,6 +343,7 @@ class ShardOutput:
             elapsed=self.elapsed,
             worker=self.worker,
             segments=shard.segments,
+            rows=shard.rows,
         )
 
 

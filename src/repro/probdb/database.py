@@ -62,6 +62,24 @@ class ProbabilisticDatabase:
             if b.base.schema != schema:
                 raise SchemaError("block schema mismatch")
 
+    @classmethod
+    def _trusted(
+        cls,
+        schema: Schema,
+        certain: Sequence[RelTuple],
+        blocks: Sequence[TupleBlock],
+    ) -> "ProbabilisticDatabase":
+        """A database the caller already knows :meth:`__init__` would accept.
+
+        For the derivation, whose certain rows and blocks come from one
+        relation over ``schema``: skips the per-row checks.
+        """
+        db = cls.__new__(cls)
+        db.schema = schema
+        db.certain = tuple(certain)
+        db.blocks = tuple(blocks)
+        return db
+
     # -- possible-world semantics ------------------------------------------------
 
     def num_possible_worlds(self) -> int:

@@ -3,16 +3,17 @@
 A derived block's lineage is fully determined by *content*: a single-missing
 block depends only on its base tuple (the compiled inference path is
 deterministic and RNG-free), and a multi-missing block depends on the distinct
-tuple set of its Gibbs segment — the segment's content key seeds its RNG, so
-two segments with the same key and base seed produce bit-identical blocks,
-whatever shard they were fused into.
+tuples of its Gibbs segment, in the order they run — the segment's content
+key (of the tuple set) seeds its RNG, and the ensemble draws the tuples in
+turn, so two segments with the same key, tuple order and base seed produce
+bit-identical blocks, whatever shard they were fused into.
 
-That makes invalidation a pure set computation, no diffing of ChangeSets
+That makes invalidation a pure content computation, no diffing of ChangeSets
 required: rebuild the previous derivation's content→block maps (the
 :class:`CarryStore`), lay out the *new* workload exactly as a from-scratch
-plan would, and every single-missing tuple or multi segment whose key is
-found in the store carries its blocks over verbatim.  Everything else is
-dirty and gets re-derived with the seed a from-scratch run would have used —
+plan would, and every distinct single-missing row, and every multi segment
+whose key is found in the store with its rows in the same order, carries
+its blocks over verbatim.  Everything else is dirty and gets re-derived with the seed a from-scratch run would have used —
 so an incremental derivation is bit-identical to a full derivation of the
 updated table under the same base seed, for every executor.
 
@@ -28,11 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..relational.tuples import RelTuple
+import numpy as np
+
+from ..relational.tuples import MISSING_CODE, RelTuple
 from .blocks import TupleBlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.base import Segment
+    from ..exec.plan import Workload
     from .database import ProbabilisticDatabase
 
 __all__ = ["CarryStore", "DeltaSplit"]
@@ -40,30 +44,32 @@ __all__ = ["CarryStore", "DeltaSplit"]
 
 @dataclass(frozen=True)
 class DeltaSplit:
-    """A new workload split into carried blocks and dirty work.
+    """A new workload's distinct rows split into carried blocks and dirty work.
 
-    ``carried`` maps workload indices to reusable blocks.  ``dirty_single``
-    entries re-enter the single-shard packer; each ``dirty_multi`` item is a
-    segment ``(segment, entries)`` of the new layout whose key missed the
-    store, ready to be seeded and fused into shards.
-    ``carried_single`` entries and ``carried_multi`` segments mirror the
-    carried side so the runtime can account skipped work honestly.
+    ``carried`` maps distinct-row numbers of ``workload`` to reusable
+    blocks.  ``dirty_single`` rows re-enter the single-shard packer; each
+    ``dirty_multi`` item is a segment ``(segment, rows)`` of the new layout
+    whose key missed the store, ready to be seeded and fused into shards.
+    ``carried_single`` rows and ``carried_multi`` segments mirror the
+    carried side so the runtime can account skipped work honestly.  The
+    tuple counts are workload rows, duplicates included.
     """
 
+    workload: "Workload"
     carried: dict[int, TupleBlock]
-    dirty_single: list[tuple[int, RelTuple]]
-    dirty_multi: "list[tuple[Segment, list[tuple[int, RelTuple]]]]"
-    carried_single: list[tuple[int, RelTuple]]
+    dirty_single: list[int]
+    dirty_multi: "list[tuple[Segment, np.ndarray]]"
+    carried_single: list[int]
     carried_multi: "list[Segment]"
 
     @property
     def num_carried_tuples(self) -> int:
-        return len(self.carried)
+        return int(self.workload.counts[list(self.carried)].sum())
 
     @property
     def num_dirty_tuples(self) -> int:
-        return len(self.dirty_single) + sum(
-            len(entries) for _, entries in self.dirty_multi
+        return int(self.workload.counts[self.dirty_single].sum()) + sum(
+            segment.size for segment, _ in self.dirty_multi
         )
 
 
@@ -72,7 +78,8 @@ class CarryStore:
 
     ``singles`` maps each single-missing base tuple to its block;
     ``multi`` maps each previous multi segment's content key to that
-    segment's own ``{base tuple: block}`` map.  ``base_seed`` is the seed
+    segment's own ``{base tuple: block}`` map, in the order the segment's
+    distinct rows ran.  ``base_seed`` is the seed
     the previous derivation's multi segments were derived under — the delta
     runtime pins new segments to the same seed so the combined result
     equals a from-scratch run.  ``None`` when the previous run had no
@@ -99,28 +106,32 @@ class CarryStore:
     ) -> "CarryStore":
         """Rebuild the store from a derived database.
 
-        The previous multi workload is recovered from the database's blocks
-        (derivation emits blocks in workload order, so the multi bases appear
-        in their original relative order) and replayed through the planner's
+        The previous workload's distinct rows are recovered from the
+        database's blocks (derivation emits blocks in workload order, so
+        the multi bases appear in their original relative order; copies of
+        a row share its block object, and equal bases collapse by content
+        too) and the multi rows are replayed through the planner's
         :func:`~repro.exec.plan.multi_shard_layout` to recover the segment
         content keys.
         """
-        from ..exec.plan import multi_shard_layout
+        from ..exec.plan import _first_occurrence, multi_shard_layout
 
-        singles: dict[RelTuple, TupleBlock] = {}
-        multi_blocks: list[TupleBlock] = []
-        for block in database.blocks:
-            if block.base.num_missing == 1:
-                singles.setdefault(block.base, block)
-            else:
-                multi_blocks.append(block)
+        blocks = list(dict.fromkeys(database.blocks))
+        if not blocks:
+            return cls(singles={}, multi={}, base_seed=base_seed)
+        codes = np.stack([b.base.codes for b in blocks])
+        first, _ = _first_occurrence(codes)
+        blocks = [blocks[i] for i in first.tolist()]
+        codes = codes[first]
+        missing = (codes == MISSING_CODE).sum(axis=1)
+        singles = {
+            blocks[i].base: blocks[i] for i in np.flatnonzero(missing == 1).tolist()
+        }
+        multi_rows = np.flatnonzero(missing > 1)
         multi: dict[str, dict[RelTuple, TupleBlock]] = {}
-        if multi_blocks:
-            entries = [(i, b.base) for i, b in enumerate(multi_blocks)]
-            for segment, batch in multi_shard_layout(entries):
-                multi[segment.key] = {
-                    multi_blocks[i].base: multi_blocks[i] for i, _ in batch
-                }
+        for segment, members in multi_shard_layout(codes[multi_rows]):
+            segment_blocks = [blocks[i] for i in multi_rows[members].tolist()]
+            multi[segment.key] = {b.base: b for b in segment_blocks}
         return cls(singles=singles, multi=multi, base_seed=base_seed)
 
     @classmethod
@@ -132,10 +143,12 @@ class CarryStore:
         """Rebuild the store from journaled shard results.
 
         ``records`` are ``(key, kind, blocks)`` rows as a durable job store
-        journals them — the completed shards of an interrupted run.  Single
-        shards contribute per-base blocks (packing is irrelevant: singles
-        are content-addressed by base tuple); multi rows are journaled one
-        per segment under its content key, which a resumed plan of the same
+        journals them — the completed shards of an interrupted run, one
+        block per distinct tuple (journals that hold one block per
+        workload row collapse to the same maps).  Single shards contribute
+        per-base blocks (packing is irrelevant: singles are
+        content-addressed by base tuple); multi rows are journaled one per
+        segment under its content key, which a resumed plan of the same
         workload reproduces.  ``base_seed`` must be the interrupted run's
         journaled base seed so the still-dirty segments re-derive under the
         same seed.
@@ -150,51 +163,53 @@ class CarryStore:
                 multi[key] = {block.base: block for block in blocks}
         return cls(singles=singles, multi=multi, base_seed=base_seed)
 
-    def split(self, tuples: Sequence[RelTuple]) -> DeltaSplit:
-        """Split the new workload into carried blocks and dirty shards.
+    def split(self, tuples: "Workload | Sequence[RelTuple]") -> DeltaSplit:
+        """Split the new workload's distinct rows into carried blocks and
+        dirty shards.
 
         ``tuples`` is the full new workload in canonical order (singles then
         multis, each in relation order — exactly what a from-scratch derive
-        would plan).  The new multi layout is computed here so dirty multi
+        would plan), as a :class:`~repro.exec.plan.Workload` or a tuple
+        list.  The new multi layout is computed here so dirty multi
         segments keep the keys — hence the seeds — a from-scratch plan would
         assign them.
         """
-        from ..exec.plan import multi_shard_layout
+        from ..exec.plan import _as_workload, multi_layout
 
-        single: list[tuple[int, RelTuple]] = []
-        multi: list[tuple[int, RelTuple]] = []
-        for idx, t in enumerate(tuples):
-            if t.is_complete:
-                raise ValueError("complete tuples do not belong in the workload")
-            (single if t.num_missing == 1 else multi).append((idx, t))
-
+        workload = _as_workload(tuples)
         carried: dict[int, TupleBlock] = {}
-        dirty_single: list[tuple[int, RelTuple]] = []
-        carried_single: list[tuple[int, RelTuple]] = []
-        for idx, t in single:
+        dirty_single: list[int] = []
+        carried_single: list[int] = []
+        for i in np.flatnonzero(workload.missing == 1).tolist():
+            t = workload.tuples[i]
             block = self.singles.get(t)
             if block is None:
-                dirty_single.append((idx, t))
+                dirty_single.append(i)
             else:
-                # Re-root the block on this workload entry; duplicates of one
-                # content share the distribution, as in a from-scratch run.
-                # The stored block passed TupleBlock's checks for a tuple
-                # equal to t, so re-rooting need not repeat them.
-                carried[idx] = TupleBlock._trusted(t, block.distribution)
-                carried_single.append((idx, t))
+                # Re-root the block on this workload row; the stored block
+                # passed TupleBlock's checks for a tuple equal to t, so
+                # re-rooting need not repeat them.
+                carried[i] = TupleBlock._trusted(t, block.distribution)
+                carried_single.append(i)
 
-        dirty_multi: list[tuple[Segment, list[tuple[int, RelTuple]]]] = []
+        dirty_multi: list[tuple[Segment, np.ndarray]] = []
         carried_multi: list[Segment] = []
-        for segment, batch in multi_shard_layout(multi):
+        multi = np.flatnonzero(workload.missing > 1)
+        for segment, rows in multi_layout(workload, multi):
             blocks = self.multi.get(segment.key)
-            if blocks is None:
-                dirty_multi.append((segment, batch))
+            bases = [workload.tuples[i] for i in rows.tolist()]
+            # The key names the segment's set of rows, but the ensemble
+            # draws them in turn from one generator: the blocks carry only
+            # when the rows also come in the order they ran in.
+            if blocks is None or list(blocks) != bases:
+                dirty_multi.append((segment, rows))
             else:
-                for idx, t in batch:
-                    carried[idx] = TupleBlock._trusted(t, blocks[t].distribution)
+                for i, t in zip(rows.tolist(), bases):
+                    carried[i] = TupleBlock._trusted(t, blocks[t].distribution)
                 carried_multi.append(segment)
 
         return DeltaSplit(
+            workload=workload,
             carried=carried,
             dirty_single=dirty_single,
             dirty_multi=dirty_multi,

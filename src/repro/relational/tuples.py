@@ -63,7 +63,7 @@ class RelTuple:
         arr.setflags(write=False)
         self.schema = schema
         self.codes = arr
-        self._hash = hash((schema, arr.tobytes()))
+        self._hash = None
         # Immutable codes: the planner and kernels ask for these constantly.
         self._missing = tuple(missing)
 
@@ -80,7 +80,7 @@ class RelTuple:
         t = cls.__new__(cls)
         t.schema = schema
         t.codes = codes
-        t._hash = hash((schema, codes.tobytes()))
+        t._hash = None
         t._missing = missing
         return t
 
@@ -223,7 +223,12 @@ class RelTuple:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        # Computed on first use: a derivation builds one tuple per distinct
+        # row, and most are never hashed.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.schema, self.codes.tobytes()))
+        return h
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self.values())
@@ -246,16 +251,22 @@ def trusted_rows(schema: Schema, codes: np.ndarray) -> Iterator[RelTuple]:
     """One :meth:`RelTuple._trusted` row view per row of ``codes``.
 
     ``codes`` must be a read-only int32 matrix already validated against
-    ``schema`` (a relation's, or one stacked from valid tuples); the
-    missing positions of every row come from one vectorized scan.
+    ``schema`` (a relation's, or one stacked from valid tuples).  Rows
+    missing the same positions share one positions tuple, built once per
+    missing pattern from one vectorized scan.
     """
     missing = codes == MISSING_CODE
-    counts = missing.sum(axis=1).tolist()
-    cols = np.nonzero(missing)[1].tolist()
-    at = 0
-    for row, n in zip(codes, counts):
-        yield RelTuple._trusted(schema, row, tuple(cols[at : at + n]))
-        at += n
+    if not missing.size:
+        return (RelTuple._trusted(schema, row, ()) for row in codes)
+    packed = np.packbits(missing, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    patterns = [tuple(np.flatnonzero(missing[i]).tolist()) for i in first.tolist()]
+    make = RelTuple._trusted
+    return (
+        make(schema, row, patterns[k])
+        for row, k in zip(codes, inverse.reshape(-1).tolist())
+    )
 
 
 def subsumes(t1: RelTuple, t2: RelTuple) -> bool:

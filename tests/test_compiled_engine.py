@@ -382,3 +382,101 @@ class TestBatchEngineMechanics:
         t = make_tuple(schema, {"a": "x"})
         probs = compiled.infer(t.codes, VoterChoice.ALL, VotingScheme.AVERAGED)
         assert (probs == 0.5).all()
+
+
+# -- compiling from stacked body items ------------------------------------------
+
+
+def _reference_compile(lattice, cardinality):
+    """The per-rule construction :class:`CompiledMRSL` replaced: a Python
+    sort on ``(body_size, body)``, comprehension-built body index and
+    signature columns, and body items chained from the sorted bodies."""
+    from itertools import chain
+
+    ref = CompiledMRSL.__new__(CompiledMRSL)
+    ref.head_attribute = lattice.head_attribute
+    ref.cardinality = cardinality
+    rules = sorted(lattice, key=lambda m: (m.body_size, m.body))
+    n = len(rules)
+    ref.bodies = tuple(m.body for m in rules)
+    ref._body_index = {body: i for i, body in enumerate(ref.bodies)}
+    if n:
+        ref.cpds = np.concatenate([m.probs for m in rules]).reshape(n, -1)
+    else:
+        ref.cpds = np.empty((0, cardinality), dtype=np.float64)
+    ref.weights = np.array([m.weight for m in rules], dtype=np.float64)
+    ref.body_sizes = np.fromiter(map(len, ref.bodies), dtype=np.int32, count=n)
+    ref.root_index = ref._body_index.get((), -1)
+    ref._sum_tables = {}
+    attrs = sorted({attr for body in ref.bodies for attr, _ in body})
+    ref.signature_attrs = np.array(attrs, dtype=np.intp)
+    width = int(ref.body_sizes.max(initial=0))
+    sizes = ref.body_sizes
+    total = int(sizes.sum())
+    items = np.fromiter(
+        chain.from_iterable(chain.from_iterable(ref.bodies)),
+        dtype=np.int64,
+        count=2 * total,
+    )
+    rule = np.repeat(np.arange(n), sizes)
+    slot = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rule_attrs = np.full((n, width), -1, dtype=np.int64)
+    rule_vals = np.zeros((n, width), dtype=np.int64)
+    rule_attrs[rule, slot] = items[0::2]
+    rule_vals[rule, slot] = items[1::2]
+    ref._build_shape_index(rule_attrs, rule_vals)
+    return ref
+
+
+def _assert_same_compiled(got, want):
+    for name in CompiledMRSL.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), name
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert type(a) is type(b), name
+            assert a == b, name
+    # Bodies are tuples of plain (attribute, value) int pairs either way.
+    assert all(x is y for x, y in zip(got.bodies, want.bodies))
+
+
+class TestCompileFromArrays:
+    """The lexsorted construction equals the per-rule one, array for array."""
+
+    @pytest.fixture(scope="class")
+    def bn7_model(self):
+        from repro.bayesnet import forward_sample_relation, make_network
+
+        rng = np.random.default_rng(2011)
+        net = make_network("BN7", rng)
+        train = forward_sample_relation(net, 4000, rng)
+        return learn_mrsl(train, support_threshold=0.005).model
+
+    def _check(self, model):
+        compiled = CompiledModel(model)
+        for attr in range(len(model.schema)):
+            card = model.schema[attr].cardinality
+            _assert_same_compiled(compiled[attr], _reference_compile(model[attr], card))
+
+    def test_bn7_model(self, bn7_model):
+        self._check(bn7_model)
+
+    def test_census_model(self, census_setup):
+        model, _ = census_setup
+        self._check(model)
+
+    def test_census_model_at_high_support(self):
+        """A sparse lattice (few, short bodies; some heads root-only)."""
+        relation, _ = load_census(500, np.random.default_rng(3))
+        self._check(learn_mrsl(relation, support_threshold=0.3).model)
+
+    def test_empty_and_root_only_lattices(self, census_setup):
+        model, _ = census_setup
+        root = model[0].root
+        for lattice in (MRSL(0, []), MRSL(0, [root])):
+            card = model.schema[0].cardinality
+            _assert_same_compiled(
+                CompiledMRSL(lattice, card), _reference_compile(lattice, card)
+            )

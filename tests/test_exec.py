@@ -28,6 +28,7 @@ from repro.exec import (
     EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
+    Workload,
     get_executor,
     multi_shard_layout,
     plan_shards,
@@ -253,12 +254,20 @@ class TestLayoutMatchesReference:
         monkeypatch.setattr(plan_module, "MULTI_TUPLES_PER_SHARD", multi_batch)
         for name, tuples in workloads.items():
             entries = list(enumerate(tuples))
-            layout = multi_shard_layout(entries)
+            # The layout runs on the distinct rows; expand each segment's
+            # members back to the workload entries they stand for.
+            workload = Workload.from_tuples(tuples)
+            layout = multi_shard_layout(workload.codes, workload.counts)
             expected = _reference_layout(entries, multi_batch)
-            assert [(g.key, batch) for g, batch in layout] == expected, name
-            for g, batch in layout:
+            got = []
+            for g, members in layout:
+                assert (np.diff(members) > 0).all()
+                positions = np.flatnonzero(np.isin(workload.rows, members))
+                batch = [entries[p] for p in positions.tolist()]
+                got.append((g.key, batch))
                 assert g.size == len(batch)
-                assert g.distinct == len({t for _, t in batch})
+                assert g.distinct == members.size == len({t for _, t in batch})
+            assert got == expected, name
 
 
 # -- executor determinism -----------------------------------------------------

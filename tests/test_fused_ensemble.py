@@ -440,5 +440,6 @@ def test_job_journal_writes_one_row_per_segment(census, small_segments, tmp_path
         store.close()
     plan = plan_shards([t for t in relation if t.num_missing > 1], model, seed=19)
     (fused,) = plan.multi_shards
+    # A segment journals one block per distinct tuple.
     multi = [(key, n) for key, kind, n in journaled if kind == "multi"]
-    assert multi == [(g.key, g.size) for g in fused.segments]
+    assert multi == [(g.key, g.distinct) for g in fused.segments]

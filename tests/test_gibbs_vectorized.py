@@ -625,10 +625,20 @@ class TestMultiShardBatching:
             Relation(fig1_schema, []), support_threshold=0.99
         ).model
         plan = plan_shards([a, b, c, a], model, seed=0)
+        # Shards hold distinct tuples: both copies of ``a`` are one tuple of
+        # one segment, which covers both workload rows.
+        holding = []
         for shard in plan.multi_shards:
-            for tuples in split_by_segments(shard.tuples, shard.segments):
+            for tuples, segment in zip(
+                split_by_segments(shard.tuples, shard.segments), shard.segments
+            ):
                 count = sum(1 for t in tuples if t == a)
-                assert count in (0, 2)
+                assert count in (0, 1)
+                assert segment.size == segment.distinct + count
+                if count:
+                    holding.append(segment)
+        assert len(holding) == 1
+        assert sum(len(s) for s in plan.multi_shards) == plan.num_tuples == 4
 
     def test_derive_plans_batched_multi_shards(self, fig1_relation):
         result = derive_probabilistic_database(

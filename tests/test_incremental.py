@@ -255,7 +255,9 @@ class TestCarryStore:
         workload[target] = make_tuple(t.schema, vals)
         split = store.split(workload)
         assert split.num_dirty_tuples == 1
-        assert [i for i, _ in split.dirty_single] == [target]
+        # The split numbers distinct rows: the one dirty row is the target's.
+        assert split.dirty_single == [split.workload.rows[target]]
+        assert split.workload.tuples[split.dirty_single[0]] is workload[target]
 
     def test_complete_tuples_rejected(self, census_relation, census_baseline):
         store = CarryStore.from_database(

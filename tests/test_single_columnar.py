@@ -26,7 +26,7 @@ from repro.core.engine import BatchInferenceEngine, unique_rows
 from repro.core.inference import infer_single_codes
 from repro.core.learning import learn_mrsl
 from repro.exec import execute_derivation
-from repro.exec.plan import SINGLE_SHARDS_PER_WORKER, plan_shards
+from repro.exec.plan import SINGLE_SHARDS_PER_WORKER, Workload, plan_shards
 from repro.exec.runtime import execute_delta
 from repro.exec.work import ShardKnobs, single_shard_blocks
 from repro.jobs import JobStore
@@ -92,16 +92,34 @@ def _reference_single_shards(entries, compiled, workers):
 
 
 def _shard_rows(shards):
-    return [(s.key, s.indices, s.tuples, s.groups) for s in shards]
+    return [(s.key, s.indices, s.tuples, s.groups, len(s)) for s in shards]
+
+
+def _distinct_rows(reference, workload):
+    """The reference's per-entry shards as the planner holds them: each
+    distinct row once (its first entry, numbered by ``workload``), plus the
+    entry count."""
+    rows = workload.rows.tolist()
+    out = []
+    for key, indices, tuples, groups in reference:
+        first = {}
+        for idx, t in zip(indices, tuples):
+            first.setdefault(rows[idx], t)
+        out.append(
+            (key, tuple(first), tuple(first.values()), groups, len(indices))
+        )
+    return out
 
 
 def _same_rows(got, want):
     assert [row[0] for row in got] == [row[0] for row in want]
-    for (key, indices, tuples, groups), (_, w_indices, w_tuples, w_groups) in zip(
-        got, want
-    ):
+    for (key, indices, tuples, groups, size), (
+        _, w_indices, w_tuples, w_groups, w_size
+    ) in zip(got, want):
         assert indices == w_indices, key
         assert groups == w_groups, key
+        assert size == w_size, key
+        assert len(tuples) == len(w_tuples), key
         assert all(a is b for a, b in zip(tuples, w_tuples)), key
 
 
@@ -181,11 +199,14 @@ def _assert_kernel_matches_naive(model, tuples):
 def _assert_planner_matches_reference(model, tuples):
     compiled = CompiledModel(model)
     entries = list(enumerate(tuples))
+    workload = Workload.from_tuples(tuples)
     for workers in (1, 2, 3):
         plan = plan_shards(tuples, model, workers=workers, compiled=compiled)
         _same_rows(
             _shard_rows(plan.shards),
-            _reference_single_shards(entries, compiled, workers),
+            _distinct_rows(
+                _reference_single_shards(entries, compiled, workers), workload
+            ),
         )
 
 
@@ -212,19 +233,32 @@ def _assert_delta_planner_matches_reference(model, tuples):
         base_seed=None,
     )
     split = carry.split(tuples)
+    workload = split.workload
+    # The split holds distinct rows; the reference packs workload entries.
+    rows = workload.rows.tolist()
+    dirty = set(split.dirty_single)
+    dirty_entries = [(i, t) for i, t in enumerate(tuples) if rows[i] in dirty]
+    carried_ids = set(split.carried_single)
+    carried_entries = [
+        (i, t) for i, t in enumerate(tuples) if rows[i] in carried_ids
+    ]
+    assert len(dirty_entries) + len(carried_entries) == len(tuples)
     plans = []
     config = DeriveConfig(num_samples=20, burn_in=2, seed=0)
     outcome = execute_delta(tuples, model, config, carry, on_plan=plans.append)
     _same_rows(
         _shard_rows(plans[0].shards),
-        _reference_single_shards(split.dirty_single, compiled, config.workers),
+        _distinct_rows(
+            _reference_single_shards(dirty_entries, compiled, config.workers),
+            workload,
+        ),
     )
     carried = [
         (t.key, t.tuples, t.groups)
         for t in outcome.report.timings
         if t.carried
     ]
-    reference = _reference_single_shards(split.carried_single, compiled, config.workers)
+    reference = _reference_single_shards(carried_entries, compiled, config.workers)
     assert carried == [(key, len(ts), groups) for key, _, ts, groups in reference]
     for got, want in zip(outcome.blocks, previous):
         assert got.distribution.probs.tobytes() == want.distribution.probs.tobytes()
