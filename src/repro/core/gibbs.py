@@ -61,6 +61,7 @@ __all__ = [
     "estimate_joint",
     "samples_to_distribution",
     "samples_to_distributions",
+    "trace_distributions",
 ]
 
 #: Outcome spaces larger than this are reported over observed outcomes only
@@ -255,7 +256,10 @@ def _trace_dtype(cardinalities: Sequence[int]) -> np.dtype:
 
 
 def _column_draw(
-    columns: np.ndarray, slots: np.ndarray, u: np.ndarray
+    columns: np.ndarray,
+    slots: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inverse-CDF draws over CDF columns: ``Generator.choice``'s search.
 
@@ -265,9 +269,11 @@ def _column_draw(
     draw's row.  The count ``sum_j (columns[j, slot] <= u)`` is
     ``searchsorted(cdf[slot], u, side="right")`` because the skipped last
     column never counts: ``Generator.random`` is below 1.  A slot past
-    every row — a signature the memo lacks — raises ``IndexError``.
+    every row — a signature the memo lacks — raises ``IndexError`` before
+    anything is written.  The counts are reduced straight into ``out``
+    when given (a rank step's column of the rank-state matrix).
     """
-    return (columns.take(slots, axis=1) <= u).sum(axis=0)
+    return np.add.reduce(columns.take(slots, axis=1) <= u, axis=0, out=out)
 
 
 #: What pads a narrower attribute's CDF columns in :class:`_RankTables`:
@@ -284,16 +290,13 @@ class _RankTables:
     last, side by side, narrower cardinalities padded with :data:`_PAD`.
     An absent key keeps slot :data:`~repro.core.engine._ABSENT`, so a draw
     from it raises ``IndexError``; ``columns`` is at least one column wide,
-    so that holds for cardinality-1 attributes too.  ``ranks`` extends
-    each of the ensemble's rank steps ``(rows, cells, steps, span)`` to
-    ``(rows, cells, mults, offsets, span)``: each cell's multipliers (its
-    attribute memo's ``mult``) and key offset.  Valid while every step
-    attribute's live memo is ``memos[i]`` at ``sizes[i]`` rows.
+    so that holds for cardinality-1 attributes too.  Valid while every
+    step attribute's live memo is ``memos[i]`` at ``sizes[i]`` rows.
     """
 
-    __slots__ = ("memos", "sizes", "index", "columns", "ranks")
+    __slots__ = ("memos", "sizes", "index", "columns")
 
-    def __init__(self, memos: list, ranks: list[tuple]):
+    def __init__(self, memos: list):
         self.memos = memos
         self.sizes = [memo.size for memo in memos]
         spaces = [memo.index.size for memo in memos]
@@ -305,12 +308,6 @@ class _RankTables:
         self.columns = np.full((width, rows[-1]), _PAD)
         for memo, lo, hi in zip(memos, rows, rows[1:]):
             self.columns[: memo.cdfs.shape[1] - 1, lo:hi] = memo.cdfs[: hi - lo, :-1].T
-        mults = np.stack([memo.mult for memo in memos])
-        offsets = np.cumsum([0] + spaces[:-1])
-        self.ranks = [
-            (rows, cells, mults[steps], offsets[steps], span)
-            for rows, cells, steps, span in ranks
-        ]
 
     def current(self, memos: list) -> bool:
         """Whether these tables still mirror ``memos``."""
@@ -325,32 +322,44 @@ class GibbsEnsemble:
 
     ``segments`` is a sequence of ``(bases, rng)`` pairs: each segment's
     distinct tuples are served by its own generator (a ``Generator`` or a
-    seed).  The state is one ``(num_tuples * chains, width)`` integer
-    matrix — ``chains`` consecutive rows per base tuple, segments in order,
-    observed values clamped.  A sweep resamples every row's missing
-    attributes in ascending position order — the same per-tuple order the
-    scalar chain uses.  A row's draws read only that row's state, so rows
-    need not move in step attribute by attribute: a sweep is at most
-    ``max(num_missing)`` *rank steps*, step ``j`` drawing, in every row of
-    every segment at once, that row's ``j``-th missing attribute.
+    seed).  ``chains`` rows per base tuple, segments in order, run in lock
+    step.  A sweep resamples every row's missing attributes in ascending
+    position order — the same per-tuple order the scalar chain uses.  A
+    row's draws read only that row's state, so rows need not move in step
+    attribute by attribute: a sweep is at most ``max(num_missing)`` *rank
+    steps*, step ``j`` drawing, in every row of every segment at once,
+    that row's ``j``-th missing attribute.
 
-    A rank step packs each row's signature for its own attribute (that
-    attribute memo's ``mult``), looks every key up in one concatenated
-    dense index and draws through :func:`_column_draw` from one table of
-    every attribute memo's CDF columns (:class:`_RankTables`, rebuilt only
-    after the engine replaces, drops or grows a memo).  It needs every
-    step attribute's memo live with a dense index, and every row's
-    signature in it.  The state is snapshotted at the start of a sweep;
-    on a signature a memo lacks it is restored and the sweep replayed on
-    the *per-call path* — per attribute in the union of missing
-    attributes, ascending, one
+    The chains' state is the *rank-state* matrix: one int64 row per chain,
+    deepest missing first, so the rows rank step ``j`` draws in (those
+    missing more than ``j`` attributes) are a prefix.  A row holds its
+    missing values in rank order, zero-padded, then a constant 1.  Rank
+    step ``j``'s keys are one ``np.vecdot`` of that prefix against a
+    per-rank multiplier matrix: each row's own attribute memo's ``mult``
+    at its missing attributes, and, in the constant column, its observed
+    attributes' share of the key plus the attribute's offset into one
+    concatenated dense index (built once per ensemble from the memos'
+    ``mult`` and index sizes, which a memo reset keeps).  The keys are
+    looked up in that index and :func:`_column_draw` reduces the draws
+    from one table of every attribute memo's CDF columns
+    (:class:`_RankTables`, rebuilt only after the engine replaces, drops
+    or grows a memo) straight into column ``j``: five NumPy calls per rank
+    step.  It needs every step attribute's memo live with a dense index,
+    and every row's signature in it.  The rank state is snapshotted at
+    the start of a sweep; on a signature a memo lacks it is restored and
+    the sweep replayed on the *per-call path* — per attribute in the union
+    of missing attributes, ascending, one
     :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-    call for the rows missing it — which also serves sweeps without
-    live dense memos (the first sweep on a cold engine, sorted-key
-    signature spaces).  So every batch the engine computes, every memo
-    insert and reset, and every counter is the per-call path's; a fused
-    sweep counts what the per-call calls would for batches their memos
-    hold whole.  Both paths draw the same integers.
+    call for the rows missing it — which also serves sweeps without live
+    dense memos (the first sweep on a cold engine, sorted-key signature
+    spaces).  Its input is :attr:`states`, the full-width int32
+    ``(num_tuples * chains, width)`` code matrix in base order with
+    observed values clamped, filled from the rank state before each
+    per-call sweep and copied back after it (in between it lags the
+    chains).  So every batch the engine computes, every
+    memo insert and reset, and every counter is the per-call path's; a
+    fused sweep counts what the per-call calls would for batches their
+    memos hold whole.  Both paths draw the same integers.
 
     Every segment consumes its own generator exactly as if it ran alone:
     first the initial ``integers`` draws (tuple-major, missing-position
@@ -359,11 +368,10 @@ class GibbsEnsemble:
     attribute.  Uniforms are drawn in blocks of up to
     :data:`UNIFORM_BLOCK_SWEEPS` sweeps per segment
     (``Generator.random(a + b)`` yields ``random(a)`` then ``random(b)``)
-    and scattered into the fused attribute-major order; no block reaches
-    past the run's last sweep.  Each block is then permuted once into rank
-    order (rank-major, rows ascending), where a rank step's uniforms are
-    one slice.  So a fused segment's samples are bit-identical to the same
-    segment run as a one-segment ensemble.
+    and scattered straight into rank order (rank-major, rank-state rows
+    ascending), where a rank step's uniforms are one slice; no block
+    reaches past the run's last sweep.  So a fused segment's samples are
+    bit-identical to the same segment run as a one-segment ensemble.
 
     The inverse-CDF lookup reproduces ``Generator.choice(card, p=probs)``
     exactly (same cumulative normalization, same ``side='right'`` search),
@@ -372,9 +380,11 @@ class GibbsEnsemble:
     segments interleave draws differently — different, equally admissible
     sample sets, as with the shard runtime's per-segment reseeding.
 
-    :meth:`run` records only each row's missing cells, in
+    :meth:`trace` records only each row's missing cells, in
     :attr:`trace_dtype` (the narrowest integer type holding the missing
-    attributes' codes): a ``(sweeps, cells)`` trace.
+    attributes' codes): a ``(sweeps, cells)`` trace whose columns are
+    grouped by missing pattern (:attr:`patterns`); :meth:`run` cuts it
+    into per-tuple samples.
     """
 
     def __init__(
@@ -408,6 +418,7 @@ class GibbsEnsemble:
         self.bases = bases
         self.chains = k = chains
         schema = sampler.schema
+        width = len(schema)
         self.states = np.repeat(np.stack([b.codes for b in bases]), k, axis=0)
         missing = self.states == MISSING_CODE
         attrs = np.flatnonzero(missing.any(axis=0)).tolist()
@@ -431,60 +442,79 @@ class GibbsEnsemble:
             draws = rng.integers(np.repeat(cards[attr], k)).reshape(-1, k)
             self.states[(lo + tup * k)[:, None] + np.arange(k), attr[:, None]] = draws
             lo = hi
-        # A sweep's uniforms in fused order: every missing cell,
-        # attribute-major, rows ascending (hence segment-major).  Each
-        # segment draws its own cells in (attribute, row) order; ``_draws``
-        # holds, per segment, the fused positions its draws land in.
+        # Every missing cell, attribute-major, rows ascending (hence
+        # segment-major): the order the per-call path steps in, and each
+        # segment draws its own cells in (attribute, row) order.
         cell_attr, cell_row = np.nonzero(missing.T)
+        self._per_sweep = cell_attr.size
+        # Rank-state rows, deepest first (a stable sort): ``pos[r]`` is
+        # row ``r``'s.  Rank order is rank-major, rank-state rows
+        # ascending, so rank step ``j``'s uniforms are one slice; ``at``
+        # is each cell's rank-order position.
+        depth = missing.sum(axis=1)
+        order = np.argsort(-depth, kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        ranks = int(depth[order[0]])
+        rank = (np.cumsum(missing, axis=1) - 1)[cell_row, cell_attr]
+        at = np.empty(cell_attr.size, dtype=np.intp)
+        at[np.lexsort((pos[cell_row], rank))] = np.arange(at.size)
         segment_of = np.repeat(
             np.arange(len(segments)), [len(b) * k for b, _ in segments]
         )[cell_row]
-        drawn = np.lexsort((cell_row, cell_attr, segment_of))
+        drawn = at[np.lexsort((cell_row, cell_attr, segment_of))]
         ends = np.cumsum(np.bincount(segment_of, minlength=len(segments)))
+        #: per segment, its generator and the rank-order positions its
+        #: draws land in
         self._draws = list(zip(generators, np.split(drawn, ends[:-1])))
-        self._per_sweep = cell_attr.size
-        # Rank order: each cell's rank among its row's missing attributes,
-        # rank-major, rows ascending.  ``_ranked`` holds the fused position
-        # of each rank-ordered uniform, ``at`` the inverse.
-        rank = (np.cumsum(missing, axis=1) - 1)[cell_row, cell_attr]
-        self._ranked = np.lexsort((cell_row, rank))
-        at = np.empty_like(self._ranked)
-        at[self._ranked] = np.arange(self._ranked.size)
+        # The rank-state matrix and its flat view: cells scatter between
+        # it and ``states`` around a per-call sweep.
+        self._rank_state = np.zeros((len(order), ranks + 1), dtype=np.int64)
+        self._rank_state[:, ranks] = 1
+        self._rank_flat = self._rank_state.reshape(-1)
+        self._flat = self.states.reshape(-1)
+        state_cells = cell_row * width + cell_attr
+        rank_cells = pos[cell_row] * (ranks + 1) + rank
+        self._rank_flat.put(rank_cells, self._flat.take(state_cells))
+        self._synced = (state_cells, rank_cells)
+        self._snapshot = np.empty_like(self._rank_state)
         # Per-call step per attribute: the rows missing it, their cells in
         # the flattened state and their uniforms' rank-order positions.
-        width = len(schema)
         bounds = np.searchsorted(cell_attr, attrs + [width]).tolist()
         self._steps = [
-            (attr, cell_row[lo:hi], cell_row[lo:hi] * width + attr, at[lo:hi])
+            (attr, cell_row[lo:hi], state_cells[lo:hi], at[lo:hi])
             for attr, lo, hi in zip(attrs, bounds, bounds[1:])
         ]
-        # Rank step ``j``: the rows missing more than ``j`` attributes
-        # (``None``: every row), the cells of their ``j``-th missing
-        # attribute, each cell's index into ``attrs`` and the cells' slice
-        # of the rank-ordered uniforms.
-        rank_row = cell_row[self._ranked]
-        rank_attr = cell_attr[self._ranked]
-        bounds = np.searchsorted(
-            rank[self._ranked], np.arange(rank.max() + 2)
-        ).tolist()
-        self._ranks = [
-            (
-                None if hi - lo == len(self.states) else rank_row[lo:hi],
-                rank_row[lo:hi] * width + rank_attr[lo:hi],
-                np.searchsorted(attrs, rank_attr[lo:hi]),
-                slice(lo, hi),
-            )
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        # What the rank steps' multipliers are built from: each rank-state
+        # row's missing attributes in rank order (padded with ``width``,
+        # which multiplies by zero) and its observed codes (missing ones
+        # zero), plus each rank step's row count.
+        self._rank_attrs = np.full((len(order), ranks), width, dtype=np.intp)
+        self._rank_attrs.reshape(-1)[pos[cell_row] * ranks + rank] = cell_attr
+        self._observed = np.where(missing, 0, self.states)[order].astype(np.int64)
+        self._rank_rows = [int(np.count_nonzero(depth > j)) for j in range(ranks)]
+        self._rank_steps: list[tuple] | None = None
         self._tables: _RankTables | None = None
         self._stale = True
-        self._snapshot = np.empty_like(self.states)
-        # The state matrix flattened (a view): steps scatter draws into it
-        # and the trace reads from it.
-        self._flat = self.states.reshape(-1)
-        #: recorded cells: every row's missing positions, row-major — one
-        #: tuple's ``chains * num_missing`` cells are contiguous
-        self._cells = np.flatnonzero(missing.reshape(-1))
+        #: each missing pattern's ``(missing, members, lo)``: the missing
+        #: positions, the indices of the bases missing them (ascending),
+        #: and the first trace column of their block, where each member
+        #: has ``chains * len(missing)`` contiguous columns, chain-major
+        patterns: dict[tuple[int, ...], list[int]] = {}
+        for i, base in enumerate(bases):
+            patterns.setdefault(base.missing_positions, []).append(i)
+        self.patterns = []
+        cells = []
+        lo = 0
+        for positions, members in patterns.items():
+            self.patterns.append((positions, members, lo))
+            rows = (np.array(members)[:, None] * k + np.arange(k)).reshape(-1)
+            cells.append(
+                (pos[rows] * (ranks + 1))[:, None] + np.arange(len(positions))
+            )
+            lo += cells[-1].size
+        #: recorded cells: their positions in the flattened rank state
+        self._cells = np.concatenate(cells, axis=None)
         self.trace_dtype = _trace_dtype(
             [schema[attr].cardinality for attr in attrs]
         )
@@ -499,11 +529,45 @@ class GibbsEnsemble:
         return self._cells.size
 
     def _uniforms(self, sweeps: int) -> np.ndarray:
-        """``(sweeps, rows_per_sweep)`` uniforms in fused sweep order."""
+        """``(sweeps, rows_per_sweep)`` uniforms in rank order."""
         out = np.empty((sweeps, self._per_sweep))
         for rng, dest in self._draws:
             out[:, dest] = rng.random(sweeps * dest.size).reshape(sweeps, -1)
         return out
+
+    def _build_rank_steps(self, memos: list) -> list[tuple]:
+        """Rank step ``j``'s rank-state rows, multiplier matrix, uniform
+        slice and draw column.
+
+        A row's multipliers are its own attribute memo's ``mult`` at the
+        row's missing attributes (zero at the attribute itself, which no
+        signature holds), and in the constant column the observed
+        attributes' share of its key plus the attribute's offset into
+        :attr:`_RankTables.index`.  A memo reset keeps ``mult`` and the
+        index size (the engine packs each attribute one way), so these
+        hold for every memo the engine serves the ensemble.
+        """
+        width = self._observed.shape[1]
+        spaces = [memo.index.size for memo in memos]
+        offsets = np.cumsum([0] + spaces[:-1])
+        mults = np.zeros((len(memos), width + 1), dtype=np.int64)
+        mults[:, :width] = np.stack([memo.mult for memo in memos])
+        ranks = self._rank_state.shape[1] - 1
+        steps = []
+        lo = 0
+        for j, n in enumerate(self._rank_rows):
+            step = np.searchsorted(self.attrs, self._rank_attrs[:n, j])
+            mult = mults[step]
+            weights = np.empty((n, ranks + 1), dtype=np.int64)
+            weights[:, :ranks] = np.take_along_axis(
+                mult, self._rank_attrs[:n], axis=1
+            )
+            weights[:, ranks] = np.vecdot(self._observed[:n], mult[:, :width])
+            weights[:, ranks] += offsets[step]
+            rows = self._rank_state[:n]
+            steps.append((rows, weights, slice(lo, lo + n), rows[:, j]))
+            lo += n
+        return steps
 
     def _live_tables(self) -> _RankTables | None:
         """Rank tables over the engine's live memos, ``None`` while some
@@ -516,7 +580,9 @@ class GibbsEnsemble:
         if tables is None or not tables.current(memos):
             if any(memo is None or memo.index is None for memo in memos):
                 return None
-            tables = self._tables = _RankTables(memos, self._ranks)
+            tables = self._tables = _RankTables(memos)
+            if self._rank_steps is None:
+                self._rank_steps = self._build_rank_steps(memos)
         self._stale = False
         return tables
 
@@ -528,17 +594,15 @@ class GibbsEnsemble:
         tables = self._live_tables() if self._stale else self._tables
         if tables is None:
             return False
-        states, flat = self.states, self._flat
-        np.copyto(self._snapshot, states)
+        np.copyto(self._snapshot, self._rank_state)
         index, columns = tables.index, tables.columns
         try:
-            for rows, cells, mults, offsets, span in tables.ranks:
-                sub = states if rows is None else states.take(rows, axis=0)
-                slots = index.take(np.vecdot(sub, mults) + offsets)
-                flat.put(cells, _column_draw(columns, slots, uniforms[span]))
+            for rows, weights, span, drawn in self._rank_steps:
+                slots = index.take(np.vecdot(rows, weights))
+                _column_draw(columns, slots, uniforms[span], drawn)
         except IndexError:
             # A signature some memo lacks: its slot is past every row.
-            np.copyto(states, self._snapshot)
+            np.copyto(self._rank_state, self._snapshot)
             return False
         # What the per-call sweep's conditional_probs_batch calls count
         # for batches their memos hold whole.
@@ -548,11 +612,14 @@ class GibbsEnsemble:
         return True
 
     def _per_call_sweep(self, uniforms: np.ndarray) -> None:
-        """One sweep, one ``conditional_probs_batch`` call per attribute."""
+        """One sweep, one ``conditional_probs_batch`` call per attribute,
+        on :attr:`states` filled from the rank state and copied back."""
         sampler = self.sampler
         engine = sampler._engine
         choice, scheme = sampler.v_choice, sampler.v_scheme
         states, flat = self.states, self._flat
+        state_cells, rank_cells = self._synced
+        flat.put(state_cells, self._rank_flat.take(rank_cells))
         self._stale = True
         for attr, rows, cells, at in self._steps:
             # The engine's cached CDF rows — Generator.choice's
@@ -564,6 +631,7 @@ class GibbsEnsemble:
             # arithmetic of Generator.choice(n, p=probs).
             u = uniforms.take(at)
             flat.put(cells, (cdf <= u[:, None]).sum(axis=1))
+        self._rank_flat.put(rank_cells, flat.take(state_cells))
 
     def _sweep(self, uniforms: np.ndarray) -> None:
         """One ordered cycle over every segment, given its rank-ordered
@@ -575,7 +643,32 @@ class GibbsEnsemble:
     def sweep(self) -> None:
         """One ordered cycle: resample every missing attribute everywhere."""
         self._stale = True
-        self._sweep(self._uniforms(1)[0].take(self._ranked))
+        self._sweep(self._uniforms(1)[0])
+
+    def trace(self, num_samples: int, burn_in: int = 0) -> np.ndarray:
+        """Burn in, then record ``ceil(num_samples / chains)`` sweeps.
+
+        Returns the ``(sweeps, cells)`` trace of :attr:`trace_dtype`:
+        per sweep every row's missing cells, in :attr:`patterns` order.
+        """
+        if num_samples < 1:
+            raise ValueError("num_samples must be positive")
+        if burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
+        sweeps = -(-num_samples // self.chains)
+        total = burn_in + sweeps
+        trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
+        flat, cells = self._rank_flat, self._cells
+        self._stale = True
+        done = 0
+        while done < total:
+            block = min(UNIFORM_BLOCK_SWEEPS, total - done)
+            for uniforms in self._uniforms(block):
+                self._sweep(uniforms)
+                if done >= burn_in:
+                    flat.take(cells, out=trace[done - burn_in])
+                done += 1
+        return trace
 
     def run(
         self, num_samples: int, burn_in: int = 0
@@ -589,31 +682,14 @@ class GibbsEnsemble:
         :attr:`trace_dtype` per base tuple, in base order (segments
         concatenated) — ready for :func:`samples_to_distribution`.
         """
-        if num_samples < 1:
-            raise ValueError("num_samples must be positive")
-        if burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        k = self.chains
-        sweeps = -(-num_samples // k)
-        total = burn_in + sweeps
-        trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
-        flat = self._flat
-        self._stale = True
-        done = 0
-        while done < total:
-            block = min(UNIFORM_BLOCK_SWEEPS, total - done)
-            for uniforms in self._uniforms(block).take(self._ranked, axis=1):
-                self._sweep(uniforms)
-                if done >= burn_in:
-                    flat.take(self._cells, out=trace[done - burn_in])
-                done += 1
-        out = []
-        lo = 0
-        for base in self.bases:
-            width = k * base.num_missing
-            samples = trace[:, lo : lo + width].reshape(sweeps * k, -1)
-            out.append(samples[:num_samples])
-            lo += width
+        trace = self.trace(num_samples, burn_in)
+        out: list[np.ndarray] = [None] * len(self.bases)  # type: ignore[list-item]
+        for missing, members, lo in self.patterns:
+            width = self.chains * len(missing)
+            for i in members:
+                samples = trace[:, lo : lo + width].reshape(-1, len(missing))
+                out[i] = samples[:num_samples]
+                lo += width
         return out
 
 
@@ -695,6 +771,63 @@ def samples_to_distributions(
         packed += np.repeat(np.arange(len(chunk)) * space, sizes)
         counts = np.bincount(packed, minlength=len(chunk) * space)
         probs = counts.reshape(len(chunk), space) / sizes[:, None]
+        dists.extend(Distribution.stack(outcomes, np.maximum(probs, floor)))
+    return dists
+
+
+def trace_distributions(
+    schema,
+    missing: Sequence[int],
+    block: np.ndarray,
+    chains: int,
+    num_samples: int,
+    floor: float = DEFAULT_SMOOTHING_FLOOR,
+) -> list[Distribution]:
+    """:func:`samples_to_distributions` counted straight from a trace.
+
+    ``block`` holds the ``(sweeps, n * chains * len(missing))`` trace
+    columns of ``n`` tuples missing ``missing`` (one
+    :attr:`GibbsEnsemble.patterns` block): per tuple its chains, per chain
+    its missing codes.  A tuple's samples are its cells sweep-major,
+    chain-minor, cut to ``num_samples`` — what :meth:`GibbsEnsemble.run`
+    returns — and each distribution equals, byte for byte,
+    :func:`samples_to_distributions` of them.  Dense spaces build no
+    per-tuple sample array: per :data:`HISTOGRAM_CELLS` chunk one weighted
+    reduction packs every (sweep, tuple, chain) sample into its row-major
+    rank within the space, offset by its tuple's number, and one
+    ``np.bincount`` counts them; the last sweep's chains past
+    ``num_samples`` count in one extra cell, which is dropped.  Sparse
+    spaces (over :data:`MAX_DENSE_OUTCOMES`) cut the per-tuple samples and
+    fall back to :func:`samples_to_distributions`.
+    """
+    m = len(missing)
+    sweeps = block.shape[0]
+    n = block.shape[1] // (chains * m)
+    samples = block.reshape(sweeps, n, chains, m)
+    domains = [schema[attr].domain for attr in missing]
+    dims = [len(d) for d in domains]
+    space = prod(dims)
+    if space > MAX_DENSE_OUTCOMES:
+        return samples_to_distributions(
+            schema,
+            missing,
+            [samples[:, i].reshape(-1, m)[:num_samples] for i in range(n)],
+            floor,
+        )
+    outcomes = tuple(product(*domains))
+    strides = np.array([prod(dims[i + 1 :]) for i in range(m)])
+    # Chains of the last sweep whose samples count.
+    kept = num_samples - (sweeps - 1) * chains
+    per_chunk = max(1, HISTOGRAM_CELLS // space)
+    dists: list[Distribution] = []
+    for lo in range(0, n, per_chunk):
+        count = min(per_chunk, n - lo)
+        cells = count * space
+        packed = np.vecdot(samples[:, lo : lo + count], strides)
+        packed += np.arange(0, cells, space)[:, None]
+        packed[-1, :, kept:] = cells
+        counts = np.bincount(packed.reshape(-1), minlength=cells + 1)[:cells]
+        probs = counts.reshape(count, space) / num_samples
         dists.extend(Distribution.stack(outcomes, np.maximum(probs, floor)))
     return dists
 

@@ -32,7 +32,7 @@ from .gibbs import (
     GibbsEnsemble,
     GibbsSampler,
     samples_to_distribution,
-    samples_to_distributions,
+    trace_distributions,
 )
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
@@ -275,7 +275,8 @@ def ensemble_sampling(
     ``chains`` chains of every *distinct* tuple of every segment advance
     together in one fused :class:`~repro.core.gibbs.GibbsEnsemble`, so the
     whole call costs one batched CPD memo read per (sweep, missing-attribute
-    rank), and one histogram pass per missing pattern.
+    rank), and one histogram pass per missing pattern, counted straight
+    from the ensemble's sample trace.
     Each segment draws from its own generator exactly as it would alone,
     so its blocks do not depend on which other segments share the call.
     Per-tuple samples are pooled across the tuple's chains — more chains
@@ -326,21 +327,19 @@ def ensemble_sampling(
         chains=chains,
     )
     bases = ensemble.bases
-    samples = ensemble.run(num_samples, burn_in=burn_in)
-    sweeps = -(-num_samples // chains)
+    trace = ensemble.trace(num_samples, burn_in=burn_in)
     stats = SamplingStats(
-        total_draws=(burn_in + sweeps) * chains * len(bases),
+        total_draws=(burn_in + trace.shape[0]) * chains * len(bases),
         burn_in_draws=burn_in * chains * len(bases),
     )
-    # One histogram pass per missing pattern.  Blocks over one outcomes
+    # Blocks counted straight from the trace, one pass per missing pattern
+    # (one contiguous block of trace columns).  Blocks over one outcomes
     # tuple (a dense pattern's) pass the TupleBlock checks once.
-    patterns: dict[tuple[int, ...], list[int]] = {}
-    for i, base in enumerate(bases):
-        patterns.setdefault(base.missing_positions, []).append(i)
     built: list[TupleBlock] = [None] * len(bases)  # type: ignore[list-item]
-    for missing, members in patterns.items():
-        dists = samples_to_distributions(
-            sampler.schema, missing, [samples[i] for i in members]
+    for missing, members, lo in ensemble.patterns:
+        hi = lo + len(members) * chains * len(missing)
+        dists = trace_distributions(
+            sampler.schema, missing, trace[:, lo:hi], chains, num_samples
         )
         checked: set[int] = set()
         for i, dist in zip(members, dists):

@@ -13,8 +13,8 @@ Two partitioning rules, one per inference regime:
   evidence signature)`` — the same key the compiled engine memoizes CPDs
   under — so every group in a shard is answered by one matrix combine and
   the per-worker CPD memo stays hot.  Grouping runs on the distinct code
-  matrix: per attribute, one ``np.unique`` over a void view of the
-  signature columns numbers the groups in key order.  Groups, weighed by
+  matrix: per attribute, one :func:`unique_rows` over the signature
+  columns numbers the groups in key order (their bytes' memcmp order).  Groups, weighed by
   the workload rows they cover, are packed into a
   bounded number of shards (greedy largest-first into the least-loaded
   bin) sized to the worker count; packing cannot affect results because
@@ -120,8 +120,8 @@ def _content_key(rows: np.ndarray, counts: np.ndarray | None = None) -> str:
 
     ``rows`` are distinct and ``counts`` (default: one each) says how often
     each occurs.  The key is the sha256 of the bag's rows in sorted order,
-    each repeated by its count: a void view sorts rows in memcmp order, the
-    order of ``sorted(row.tobytes() for row in bag)``.
+    each repeated by its count: :func:`unique_rows` sorts rows in memcmp
+    order, the order of ``sorted(row.tobytes() for row in bag)``.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int32)
     first, _ = unique_rows(rows)

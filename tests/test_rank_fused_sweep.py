@@ -14,10 +14,17 @@ restores the sweep's snapshot and replays it on the per-call path (one
   replaces.
 * Blocks are histogrammed per missing pattern, byte-equal to the
   historical per-tuple counting loop, dense and sparse.
+* The rank-state layout (rows deepest first, uniforms scattered straight
+  into rank order, blocks counted from the trace) replays each segment's
+  per-call reference loop for any depth mix, chain count, segment count
+  and engine, and its blocks equal ``samples_to_distributions`` over
+  ``run()``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import BatchInferenceEngine, GibbsSampler, ensemble_sampling
 from repro.core import engine as engine_module
@@ -265,3 +272,114 @@ def test_ensemble_blocks_equal_per_tuple_histograms(census):
             DEFAULT_SMOOTHING_FLOOR,
         )
         _assert_same_distribution(block.distribution, want)
+
+
+# -- the rank-state layout, end to end ----------------------------------------
+
+
+@st.composite
+def rank_state_cases(draw):
+    """1-3 segments of distinct census rows missing 1 to all 5 attributes,
+    1-3 chains and a sample count not always a multiple of them."""
+    segments = draw(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 59),
+                    st.sets(st.integers(0, 4), min_size=1).map(sorted),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        label="segments",
+    )
+    chains = draw(st.integers(1, 3), label="chains")
+    num_samples = draw(st.integers(1, 13), label="num_samples")
+    burn_in = draw(st.integers(0, 3), label="burn_in")
+    engine = draw(st.sampled_from(["cold", "warm", "cache_size=3"]), label="engine")
+    dense = draw(st.sampled_from([gibbs_module.MAX_DENSE_OUTCOMES, 10]), label="dense")
+    cells = draw(st.sampled_from([gibbs_module.HISTOGRAM_CELLS, 40]), label="cells")
+    return segments, chains, num_samples, burn_in, engine, dense, cells
+
+
+@pytest.fixture(scope="module")
+def census_rows():
+    """The census fixture's 60 complete test rows, before masking."""
+    rng = np.random.default_rng(23)
+    load_census(250, rng)
+    test, _ = load_census(60, rng)
+    return list(test)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=rank_state_cases())
+def test_rank_state_ensemble_equals_the_references(census, census_rows, case):
+    """Rank-state sweeps replay each segment's per-call reference loop, and
+    blocks counted from the trace equal ``samples_to_distributions`` over
+    :meth:`GibbsEnsemble.run`, dense and sparse patterns alike."""
+    picks, chains, num_samples, burn_in, warmth, dense, cells = case
+    model, _ = census
+    seen = set()
+    segments = []
+    for s, rows in enumerate(picks):
+        bases = []
+        for row, pattern in rows:
+            codes = census_rows[row].codes.copy()
+            codes[pattern] = MISSING_CODE
+            t = RelTuple(model.schema, codes)
+            if t not in seen:
+                seen.add(t)
+                bases.append(t)
+        if bases:
+            segments.append((bases, 400 + s))
+    assume(segments)
+
+    def engine():
+        if warmth == "cache_size=3":
+            return BatchInferenceEngine(model, cache_size=3)
+        warm = BatchInferenceEngine(model)
+        if warmth == "warm":
+            # Chains over the tuple missing every attribute visit every
+            # full state, so the memos end up holding nearly every key a
+            # sweep packs: rank steps run fused, with no replay to mask a
+            # wrong key.
+            star = RelTuple(model.schema, np.full(5, MISSING_CODE, dtype=np.int32))
+            ensemble_sampling(
+                model, [(list(seen | {star}), 5)], num_samples=300, burn_in=1,
+                chains=3, batch_engine=warm,
+            )
+        return warm
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs_module, "MAX_DENSE_OUTCOMES", dense)
+        mp.setattr(gibbs_module, "HISTOGRAM_CELLS", cells)
+        sampler = GibbsSampler(model, rng=0, batch_engine=engine())
+        samples = GibbsEnsemble(sampler, segments, chains=chains).run(
+            num_samples, burn_in=burn_in
+        )
+        reference = [
+            arr
+            for bases, seed in segments
+            for arr in _reference_segment(
+                model, bases, seed, chains, num_samples, burn_in
+            )
+        ]
+        assert len(samples) == len(reference)
+        for got, want in zip(samples, reference):
+            assert got.shape == want.shape
+            assert (got == want).all()
+        blocks, _ = ensemble_sampling(
+            model, segments, num_samples=num_samples, burn_in=burn_in,
+            chains=chains, batch_engine=engine(),
+        )
+        bases = [t for tuples, _ in segments for t in tuples]
+        assert len(blocks) == len(bases)
+        for t, arr, block in zip(bases, samples, blocks):
+            assert block.base == t
+            (want,) = samples_to_distributions(
+                model.schema, t.missing_positions, [arr]
+            )
+            _assert_same_distribution(block.distribution, want)
