@@ -26,8 +26,8 @@ Routes::
 Errors come back as ``{"error": {"status": ..., "message": ...}}`` with the
 matching HTTP status — including malformed request bodies (bad JSON,
 non-UTF-8 bytes, an unparsable Content-Length), which are structured 400s,
-never tracebacks.  Start a server with ``repro serve`` on the CLI, or
-programmatically::
+never tracebacks; a body over ``MAX_BODY_BYTES`` is a 413.  Start a server
+with ``repro serve`` on the CLI, or programmatically::
 
     server = make_server(InferenceService(session), port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -55,6 +55,10 @@ DEFAULT_EVENTS_TIMEOUT = 300.0
 
 #: Default idle interval between ``/events`` keepalive heartbeats.
 DEFAULT_EVENTS_HEARTBEAT = 15.0
+
+#: Largest request body read (64 MiB): a longer Content-Length is a 413
+#: before any of the body is read.
+MAX_BODY_BYTES = 64 << 20
 
 #: Bounds on reading and discarding an undrained request body after an
 #: error response, before the connection closes (see ``_linger``).
@@ -118,6 +122,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # past this request, so close it after responding.
             self.close_connection = self._undrained = True
             raise ServiceError("Content-Length header is not an integer") from None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = self._undrained = True
+            raise ServiceError(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
         return self.rfile.read(length) if length > 0 else b"{}"
 
     @staticmethod

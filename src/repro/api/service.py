@@ -3,9 +3,11 @@
 :class:`InferenceService` wraps one :class:`~repro.api.session.Session` and
 exposes five endpoints — ``learn``, ``derive``, ``update``, ``infer``,
 ``query`` — each with a frozen request/response dataclass pair that
-round-trips through plain JSON.  :meth:`InferenceService.handle_json` is the transport-agnostic
-dispatch used by the stdlib HTTP front-end (:mod:`repro.api.http`) and by
-tests that drive the wire format in-process.
+round-trips through plain JSON: each class's ``from_dict``/``to_dict`` is
+generated from its field declarations (:class:`_Wire`).
+:meth:`InferenceService.handle_json` is the transport-agnostic dispatch
+used by the stdlib HTTP front-end (:mod:`repro.api.http`) and by tests
+that drive the wire format in-process.
 
 Wire conventions: relations travel as ``schema`` (an ordered mapping of
 attribute name to domain list) plus ``rows`` (lists of values with ``"?"``
@@ -16,15 +18,17 @@ serializable AST of :mod:`repro.api.query`; configs as
 
 from __future__ import annotations
 
+import functools
 import json
+import reprlib
 import threading
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..jobs import Job, JobManager, UnknownJobError
 from ..jobs.progress import ProgressSnapshot
 from ..relational.relation import Relation
-from ..relational.schema import Attribute, Schema
+from ..relational.schema import Schema
 from ..relational.tuples import RelTuple
 from ..relational.updates import ChangeSet
 from .config import DeriveConfig
@@ -70,42 +74,121 @@ class ServiceError(Exception):
 _CONFIG_KEYS = tuple(f.name for f in fields(DeriveConfig))
 
 
-def _require(payload: Mapping[str, Any], key: str) -> Any:
-    try:
-        return payload[key]
-    except KeyError:
-        raise ServiceError(f"request is missing required field {key!r}") from None
+def _same(value: Any) -> Any:
+    return value
 
 
-def _optional_bool(payload: Mapping[str, Any], key: str, default: bool) -> bool:
-    """A strictly-boolean optional field: JSON true/false, or absent/null.
+def _is_array(value: Any) -> bool:
+    return isinstance(value, (list, tuple))
 
-    ``bool("false")`` is ``True``, so coercing strings would silently do
-    the opposite of what was asked; reject anything that is not a real
-    boolean.
+
+def _schema_lists(schema: Mapping[str, Sequence[Any]]) -> dict[str, list[Any]]:
+    return {attr: list(domain) for attr, domain in schema.items()}
+
+
+class _Codec(NamedTuple):
+    """How one declared field type travels: a JSON value of ``kind`` (the
+    word its 400 uses) passes ``test`` and is ``decode``-d, and the field
+    value is ``encode``-d back.  No coercion: ``"false"`` is no boolean."""
+
+    kind: str
+    test: Callable[[Any], bool]
+    decode: Callable[[Any], Any] = _same
+    encode: Callable[[Any], Any] = _same
+
+
+_ARRAY = _Codec("array", _is_array, tuple, list)
+
+#: Declared field type (``| None`` stripped) -> its codec.  A wire field
+#: of any other type fails on the first ``from_dict``/``to_dict``.
+_CODECS = {
+    "tuple[tuple[Any, ...], ...]": _Codec(
+        "array of arrays",
+        lambda v: _is_array(v) and all(map(_is_array, v)),
+        lambda rows: tuple(map(tuple, rows)),
+        lambda rows: [list(row) for row in rows],
+    ),
+    "Mapping[str, Sequence[Any]]": _Codec(
+        "object of arrays",
+        lambda v: isinstance(v, Mapping) and all(map(_is_array, v.values())),
+        _schema_lists,
+        _schema_lists,
+    ),
+    "Mapping[str, Any]": _Codec("object", lambda v: isinstance(v, Mapping), dict, dict),
+    "str": _Codec("string", lambda v: isinstance(v, str)),
+    "int": _Codec("integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": _Codec("boolean", lambda v: isinstance(v, bool)),
+    "tuple[str, ...]": _ARRAY,
+    "tuple[dict[str, Any], ...]": _ARRAY,
+}
+
+
+@functools.cache
+def _wire_fields(cls: type) -> tuple[tuple[str, bool, _Codec], ...]:
+    """``cls``'s fields as (name, required, codec), in declaration order."""
+    return tuple(
+        (f.name, f.default is MISSING, _CODECS[f.type.removesuffix(" | None")])
+        for f in fields(cls)
+    )
+
+
+class _Wire:
+    """JSON ``from_dict``/``to_dict`` generated from the dataclass fields.
+
+    A field is required exactly when it has no default; an absent or
+    ``null`` field takes its default.  Each value is type-checked by its
+    declared type (:data:`_CODECS`), and ``to_dict`` emits every field in
+    declaration order.  Responses ignore keys they do not declare.
     """
-    value = payload.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool):
-        return value
-    raise ServiceError(f"{key!r} must be a JSON boolean, got {value!r}")
+
+    _refuses_unknown = False
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> Any:
+        wire = _wire_fields(cls)
+        if cls._refuses_unknown:
+            _refuse_unknown(payload, {name for name, _, _ in wire})
+        values = {}
+        for name, required, codec in wire:
+            value = payload.get(name)
+            if value is None:
+                if required:
+                    raise ServiceError(f"request is missing required field {name!r}")
+            elif codec.test(value):
+                values[name] = codec.decode(value)
+            else:
+                raise ServiceError(
+                    f"{name!r} must be a JSON {codec.kind}, got {reprlib.repr(value)}"
+                )
+        return cls(**values)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            name: None if (value := getattr(self, name)) is None else codec.encode(value)
+            for name, _, codec in _wire_fields(type(self))
+        }
 
 
-def _reject_top_level_knobs(payload: Mapping[str, Any], request_cls: type) -> None:
-    """Knobs travel only inside ``config``; refuse them at the top level.
+class _WireRequest(_Wire):
+    """A request: any undeclared non-null key is refused."""
+
+    _refuses_unknown = True
+
+
+def _refuse_unknown(payload: Mapping[str, Any], allowed: set[str]) -> None:
+    """Refuse every non-null key the request does not declare.
 
     Ignoring one would silently change what runs (the Gibbs knobs change
-    outputs), so any other non-null field ``request_cls`` does not define
-    is refused too — a knob that no longer exists among them.  Nulls are
-    accepted: requests journaled back when a few knobs also had top-level
-    fields store them as ``null``.
+    outputs, a misspelled ``model`` runs the default one).  Knobs travel
+    only inside ``config``, so on a request that has one a
+    :class:`DeriveConfig` name says so.  Nulls are accepted: requests
+    journaled back when a few knobs also had top-level fields store them
+    as ``null``.
     """
-    allowed = {f.name for f in fields(request_cls)}
     for key, value in payload.items():
         if value is None or key in allowed:
             continue
-        if key in _CONFIG_KEYS:
+        if key in _CONFIG_KEYS and "config" in allowed:
             raise ServiceError(
                 f"top-level {key!r} is not accepted; move it into 'config' "
                 f"(e.g. {{\"config\": {{\"{key}\": ...}}}})"
@@ -137,23 +220,18 @@ def _blocks_payload(db: Any) -> tuple[dict[str, Any], ...]:
     return tuple(payload)
 
 
-def _rows(value: Any) -> tuple[tuple[Any, ...], ...]:
-    return tuple(tuple(row) for row in value)
-
-
-def _schema_dict(schema: Schema) -> dict[str, list[Any]]:
-    return {attr.name: list(attr.domain) for attr in schema}
-
-
-def _schema_from_mapping(mapping: Mapping[str, Sequence[Any]]) -> Schema:
-    return Schema(Attribute(name, domain) for name, domain in mapping.items())
+def _changeset(request: UpdateRequest) -> ChangeSet:
+    try:
+        return ChangeSet.from_dict(request.changes)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServiceError(f"bad ChangeSet: {exc}") from exc
 
 
 # -- learn ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LearnRequest:
+class LearnRequest(_WireRequest):
     """Learn an MRSL model from complete rows and register it by name."""
 
     schema: Mapping[str, Sequence[Any]]
@@ -161,51 +239,19 @@ class LearnRequest:
     model: str = DEFAULT_NAME
     config: Mapping[str, Any] | None = None
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LearnRequest":
-        return cls(
-            schema=dict(_require(payload, "schema")),
-            rows=_rows(_require(payload, "rows")),
-            model=payload.get("model", DEFAULT_NAME),
-            config=payload.get("config"),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": {k: list(v) for k, v in self.schema.items()},
-            "rows": [list(r) for r in self.rows],
-            "model": self.model,
-            "config": None if self.config is None else dict(self.config),
-        }
-
 
 @dataclass(frozen=True)
-class LearnResponse:
+class LearnResponse(_Wire):
     model: str
     attributes: tuple[str, ...]
     meta_rules: int
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LearnResponse":
-        return cls(
-            model=_require(payload, "model"),
-            attributes=tuple(_require(payload, "attributes")),
-            meta_rules=int(_require(payload, "meta_rules")),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "attributes": list(self.attributes),
-            "meta_rules": self.meta_rules,
-        }
 
 
 # -- derive ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class DeriveRequest:
+class DeriveRequest(_WireRequest):
     """Derive a probabilistic database from incomplete rows.
 
     ``schema`` may be omitted when ``model`` names an already-registered
@@ -224,36 +270,9 @@ class DeriveRequest:
     config: Mapping[str, Any] | None = None
     include_blocks: bool = True
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeriveRequest":
-        _reject_top_level_knobs(payload, cls)
-        schema = payload.get("schema")
-        return cls(
-            rows=_rows(_require(payload, "rows")),
-            schema=None if schema is None else dict(schema),
-            model=payload.get("model"),
-            name=payload.get("name", DEFAULT_NAME),
-            config=payload.get("config"),
-            include_blocks=_optional_bool(payload, "include_blocks", True),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rows": [list(r) for r in self.rows],
-            "schema": (
-                None
-                if self.schema is None
-                else {k: list(v) for k, v in self.schema.items()}
-            ),
-            "model": self.model,
-            "name": self.name,
-            "config": None if self.config is None else dict(self.config),
-            "include_blocks": self.include_blocks,
-        }
-
 
 @dataclass(frozen=True)
-class DeriveResponse:
+class DeriveResponse(_Wire):
     """Counts plus (optionally) the derived blocks in Fig. 1 call-out form."""
 
     name: str
@@ -262,49 +281,20 @@ class DeriveResponse:
     num_blocks: int
     blocks: tuple[dict[str, Any], ...] = ()
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeriveResponse":
-        return cls(
-            name=_require(payload, "name"),
-            model=_require(payload, "model"),
-            num_certain=int(_require(payload, "num_certain")),
-            num_blocks=int(_require(payload, "num_blocks")),
-            blocks=tuple(payload.get("blocks", ())),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "model": self.model,
-            "num_certain": self.num_certain,
-            "num_blocks": self.num_blocks,
-            "blocks": list(self.blocks),
-        }
-
 
 @dataclass(frozen=True)
-class AsyncDeriveResponse:
+class AsyncDeriveResponse(_Wire):
     """Acknowledgement of an async derive: poll ``/v1/jobs/{job_id}``."""
 
     job_id: str
     state: str
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AsyncDeriveResponse":
-        return cls(
-            job_id=_require(payload, "job_id"),
-            state=_require(payload, "state"),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"job_id": self.job_id, "state": self.state}
 
 
 # -- update ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class UpdateRequest:
+class UpdateRequest(_WireRequest):
     """Apply a ChangeSet to a derived database's base table and re-derive.
 
     ``changes`` is the ChangeSet wire form (``{"ops": [...]}``; see
@@ -321,27 +311,9 @@ class UpdateRequest:
     config: Mapping[str, Any] | None = None
     include_blocks: bool = False
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "UpdateRequest":
-        _reject_top_level_knobs(payload, cls)
-        return cls(
-            changes=dict(_require(payload, "changes")),
-            name=payload.get("name", DEFAULT_NAME),
-            config=payload.get("config"),
-            include_blocks=_optional_bool(payload, "include_blocks", False),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "changes": dict(self.changes),
-            "name": self.name,
-            "config": None if self.config is None else dict(self.config),
-            "include_blocks": self.include_blocks,
-        }
-
 
 @dataclass(frozen=True)
-class UpdateResponse:
+class UpdateResponse(_Wire):
     """What the update applied, resolved, and re-derived.
 
     ``applied`` summarizes the relational outcome (rows updated / retracted
@@ -361,109 +333,42 @@ class UpdateResponse:
     executed_shards: int = 0
     blocks: tuple[dict[str, Any], ...] = ()
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "UpdateResponse":
-        return cls(
-            name=_require(payload, "name"),
-            policy=_require(payload, "policy"),
-            num_certain=int(_require(payload, "num_certain")),
-            num_blocks=int(_require(payload, "num_blocks")),
-            applied=dict(_require(payload, "applied")),
-            carried_over=int(payload.get("carried_over", 0)),
-            carried_tuples=int(payload.get("carried_tuples", 0)),
-            executed_shards=int(payload.get("executed_shards", 0)),
-            blocks=tuple(payload.get("blocks", ())),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "policy": self.policy,
-            "num_certain": self.num_certain,
-            "num_blocks": self.num_blocks,
-            "applied": dict(self.applied),
-            "carried_over": self.carried_over,
-            "carried_tuples": self.carried_tuples,
-            "executed_shards": self.executed_shards,
-            "blocks": list(self.blocks),
-        }
-
 
 # -- infer ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class InferRequest:
+class InferRequest(_WireRequest):
     """Algorithm 2 CPDs for single-missing rows under a registered model."""
 
     rows: tuple[tuple[Any, ...], ...]
     model: str = DEFAULT_NAME
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "InferRequest":
-        return cls(
-            rows=_rows(_require(payload, "rows")),
-            model=payload.get("model", DEFAULT_NAME),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rows": [list(r) for r in self.rows], "model": self.model}
-
 
 @dataclass(frozen=True)
-class InferResponse:
+class InferResponse(_Wire):
     """One CPD per request row: attribute name, outcomes, probabilities."""
 
     cpds: tuple[dict[str, Any], ...]
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "InferResponse":
-        return cls(cpds=tuple(_require(payload, "cpds")))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"cpds": list(self.cpds)}
 
 
 # -- query ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class QueryRequest:
+class QueryRequest(_WireRequest):
     """Evaluate a serialized query spec against a derived database."""
 
     query: Mapping[str, Any]
     database: str = DEFAULT_NAME
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QueryRequest":
-        return cls(
-            query=dict(_require(payload, "query")),
-            database=payload.get("database", DEFAULT_NAME),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"query": dict(self.query), "database": self.database}
-
 
 @dataclass(frozen=True)
-class QueryResponse:
+class QueryResponse(_Wire):
     """Result tuples with exact probabilities, sorted descending."""
 
     attributes: tuple[str, ...] = ()
     results: tuple[dict[str, Any], ...] = ()
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QueryResponse":
-        return cls(
-            attributes=tuple(payload.get("attributes", ())),
-            results=tuple(_require(payload, "results")),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "attributes": list(self.attributes),
-            "results": list(self.results),
-        }
 
 
 # -- the service ----------------------------------------------------------
@@ -492,7 +397,7 @@ class InferenceService:
     # -- typed endpoints ---------------------------------------------------
 
     def learn(self, request: LearnRequest) -> LearnResponse:
-        schema = _schema_from_mapping(request.schema)
+        schema = Schema.from_domains(request.schema)
         relation = Relation.from_rows(schema, request.rows)
         with self._session_lock:
             model = self.session.learn(
@@ -508,7 +413,7 @@ class InferenceService:
         """Resolve the model name and schema a derive request runs under."""
         model_name = request.model if request.model is not None else request.name
         if request.schema is not None:
-            schema = _schema_from_mapping(request.schema)
+            schema = Schema.from_domains(request.schema)
         elif model_name in self.session.models:
             schema = self.session.model(model_name).schema
         else:
@@ -553,10 +458,7 @@ class InferenceService:
         cancel: Callable[[], bool] | None = None,
     ) -> UpdateResponse:
         """``POST /v1/update``: apply a ChangeSet and re-derive in place."""
-        try:
-            changeset = ChangeSet.from_dict(request.changes)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"bad ChangeSet: {exc}") from exc
+        changeset = _changeset(request)
         with self._session_lock:
             update = self.session.apply_updates(
                 changeset,
@@ -596,30 +498,11 @@ class InferenceService:
                 f"derived: {list(self.session.databases)}",
                 status=404,
             )
-        try:
-            ChangeSet.from_dict(request.changes)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"bad ChangeSet: {exc}") from exc
-        workers = self.session.effective_config(request.config).parallelism
-
-        def work(job: Job) -> bytes:
-            return encode_json(
-                self.update(
-                    request, progress=job.tracker, cancel=job.should_stop
-                ).to_dict()
-            )
-
+        _changeset(request)
         # Updates are journaled for visibility but are not resumable: an
         # interrupted update's ChangeSet may be half-applied to the session
         # state that died with the process; resume_jobs marks them failed.
-        job = self.jobs.submit(
-            work,
-            label="update",
-            workers=workers,
-            endpoint="update",
-            request=request.to_dict(),
-        )
-        return AsyncDeriveResponse(job_id=job.id, state=job.state)
+        return self._submit("update", request)
 
     def derive_async(
         self,
@@ -642,26 +525,32 @@ class InferenceService:
         and serve already-completed shards from the journal.
         """
         self._derive_schema(request)  # fail fast before queueing
+        return self._submit(
+            "derive", request, job_id=job_id, resume_carry=resume_carry
+        )
+
+    def _submit(
+        self, endpoint: str, request: Any, job_id: str | None = None, **extra: Any
+    ) -> AsyncDeriveResponse:
+        """Queue the blocking ``endpoint`` as a job whose result is its
+        encoded response body, journaling ``request.to_dict()``."""
         # Size the progress tracker with the same parallelism the
         # derivation will resolve to (request config > session config;
         # serial always runs 1 regardless of `workers`).
         workers = self.session.effective_config(request.config).parallelism
 
         def work(job: Job) -> bytes:
-            return encode_json(
-                self.derive(
-                    request,
-                    progress=job.tracker,
-                    cancel=job.should_stop,
-                    resume_carry=resume_carry,
-                ).to_dict()
+            handler = getattr(self, endpoint)
+            response = handler(
+                request, progress=job.tracker, cancel=job.should_stop, **extra
             )
+            return encode_json(response.to_dict())
 
         job = self.jobs.submit(
             work,
-            label="derive",
+            label=endpoint,
             workers=workers,
-            endpoint="derive",
+            endpoint=endpoint,
             request=request.to_dict(),
             job_id=job_id,
         )
