@@ -345,21 +345,20 @@ class GibbsEnsemble:
     (:class:`_RankTables`, rebuilt only after the engine replaces, drops
     or grows a memo) straight into column ``j``: five NumPy calls per rank
     step.  It needs every step attribute's memo live with a dense index,
-    and every row's signature in it.  The rank state is snapshotted at
-    the start of a sweep; on a signature a memo lacks it is restored and
-    the sweep replayed on the *per-call path* — per attribute in the union
-    of missing attributes, ascending, one
-    :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
-    call for the rows missing it — which also serves sweeps without live
-    dense memos (the first sweep on a cold engine, sorted-key signature
-    spaces).  Its input is :attr:`states`, the full-width int32
-    ``(num_tuples * chains, width)`` code matrix in base order with
-    observed values clamped, filled from the rank state before each
-    per-call sweep and copied back after it (in between it lags the
-    chains).  So every batch the engine computes, every
-    memo insert and reset, and every counter is the per-call path's; a
-    fused sweep counts what the per-call calls would for batches their
-    memos hold whole.  Both paths draw the same integers.
+    and every row's signature in it.
+
+    Misses fill per rank step.  A step that cannot run fused — a
+    signature some memo lacks, whose slot lies past every row so the draw
+    raises ``IndexError`` before anything is written, or no live dense
+    memos (a cold engine, sorted-key signature spaces) — runs through the
+    engine instead: its rows' full-width codes are rebuilt from their
+    observed codes and the rank state, and each attribute the step draws
+    gets one :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
+    call for its rows, which fills that memo's misses.  No earlier step is
+    redrawn.  A CPD is a function of its signature, so both routes draw
+    the same integers; every batch the engine computes, every memo insert
+    and reset, and every counter is the engine route's, a fused step
+    counting what its calls would for batches their memos hold whole.
 
     Every segment consumes its own generator exactly as if it ran alone:
     first the initial ``integers`` draws (tuple-major, missing-position
@@ -368,10 +367,10 @@ class GibbsEnsemble:
     attribute.  Uniforms are drawn in blocks of up to
     :data:`UNIFORM_BLOCK_SWEEPS` sweeps per segment
     (``Generator.random(a + b)`` yields ``random(a)`` then ``random(b)``)
-    and scattered straight into rank order (rank-major, rank-state rows
-    ascending), where a rank step's uniforms are one slice; no block
-    reaches past the run's last sweep.  So a fused segment's samples are
-    bit-identical to the same segment run as a one-segment ensemble.
+    and gathered into rank order (rank-major, rank-state rows ascending),
+    where a rank step's uniforms are one slice; no block reaches past the
+    run's last sweep.  So a fused segment's samples are bit-identical to
+    the same segment run as a one-segment ensemble.
 
     The inverse-CDF lookup reproduces ``Generator.choice(card, p=probs)``
     exactly (same cumulative normalization, same ``side='right'`` search),
@@ -419,8 +418,8 @@ class GibbsEnsemble:
         self.chains = k = chains
         schema = sampler.schema
         width = len(schema)
-        self.states = np.repeat(np.stack([b.codes for b in bases]), k, axis=0)
-        missing = self.states == MISSING_CODE
+        states = np.repeat(np.stack([b.codes for b in bases]), k, axis=0)
+        missing = states == MISSING_CODE
         attrs = np.flatnonzero(missing.any(axis=0)).tolist()
         #: sweep order: ascending attribute position, as in the scalar chain
         self.attrs = tuple(attrs)
@@ -440,59 +439,56 @@ class GibbsEnsemble:
             hi = lo + len(segment) * k
             tup, attr = np.nonzero(missing[lo:hi:k])
             draws = rng.integers(np.repeat(cards[attr], k)).reshape(-1, k)
-            self.states[(lo + tup * k)[:, None] + np.arange(k), attr[:, None]] = draws
+            states[(lo + tup * k)[:, None] + np.arange(k), attr[:, None]] = draws
             lo = hi
         # Every missing cell, attribute-major, rows ascending (hence
-        # segment-major): the order the per-call path steps in, and each
-        # segment draws its own cells in (attribute, row) order.
+        # segment-major): each segment draws its own cells in (attribute,
+        # row) order.
         cell_attr, cell_row = np.nonzero(missing.T)
         self._per_sweep = cell_attr.size
         # Rank-state rows, deepest first (a stable sort): ``pos[r]`` is
         # row ``r``'s.  Rank order is rank-major, rank-state rows
-        # ascending, so rank step ``j``'s uniforms are one slice; ``at``
-        # is each cell's rank-order position.
+        # ascending, so rank step ``j``'s uniforms are one slice.
         depth = missing.sum(axis=1)
         order = np.argsort(-depth, kind="stable")
         pos = np.empty_like(order)
         pos[order] = np.arange(order.size)
         ranks = int(depth[order[0]])
         rank = (np.cumsum(missing, axis=1) - 1)[cell_row, cell_attr]
-        at = np.empty(cell_attr.size, dtype=np.intp)
-        at[np.lexsort((pos[cell_row], rank))] = np.arange(at.size)
         segment_of = np.repeat(
             np.arange(len(segments)), [len(b) * k for b, _ in segments]
         )[cell_row]
-        drawn = at[np.lexsort((cell_row, cell_attr, segment_of))]
-        ends = np.cumsum(np.bincount(segment_of, minlength=len(segments)))
-        #: per segment, its generator and the rank-order positions its
-        #: draws land in
-        self._draws = list(zip(generators, np.split(drawn, ends[:-1])))
-        # The rank-state matrix and its flat view: cells scatter between
-        # it and ``states`` around a per-call sweep.
+        #: per segment, its generator and its draws per sweep
+        self._draws = list(zip(generators, np.bincount(segment_of).tolist()))
+        # Rank order's position of each draw in the segments' blocks
+        # concatenated (each in its own (attribute, row) order): the
+        # inverse of the draw order, read in rank order.
+        drawn = np.lexsort((cell_row, cell_attr, segment_of))
+        self._gather = np.argsort(drawn)[np.lexsort((pos[cell_row], rank))]
         self._rank_state = np.zeros((len(order), ranks + 1), dtype=np.int64)
         self._rank_state[:, ranks] = 1
         self._rank_flat = self._rank_state.reshape(-1)
-        self._flat = self.states.reshape(-1)
-        state_cells = cell_row * width + cell_attr
-        rank_cells = pos[cell_row] * (ranks + 1) + rank
-        self._rank_flat.put(rank_cells, self._flat.take(state_cells))
-        self._synced = (state_cells, rank_cells)
-        self._snapshot = np.empty_like(self._rank_state)
-        # Per-call step per attribute: the rows missing it, their cells in
-        # the flattened state and their uniforms' rank-order positions.
-        bounds = np.searchsorted(cell_attr, attrs + [width]).tolist()
-        self._steps = [
-            (attr, cell_row[lo:hi], state_cells[lo:hi], at[lo:hi])
-            for attr, lo, hi in zip(attrs, bounds, bounds[1:])
-        ]
-        # What the rank steps' multipliers are built from: each rank-state
-        # row's missing attributes in rank order (padded with ``width``,
-        # which multiplies by zero) and its observed codes (missing ones
-        # zero), plus each rank step's row count.
+        self._rank_flat.put(
+            pos[cell_row] * (ranks + 1) + rank, states[cell_row, cell_attr]
+        )
+        # Each rank-state row's missing attributes in rank order, padded
+        # with ``width``, and its observed codes (missing ones zero) plus a
+        # spare zero column ``width``: what the rank steps' multipliers
+        # are built from, and what an engine step rebuilds full-width code
+        # rows from.  Per rank step its row count and, for the engine
+        # route, each attribute it draws with the prefix rows drawing it.
         self._rank_attrs = np.full((len(order), ranks), width, dtype=np.intp)
         self._rank_attrs.reshape(-1)[pos[cell_row] * ranks + rank] = cell_attr
-        self._observed = np.where(missing, 0, self.states)[order].astype(np.int64)
+        self._observed = np.zeros((len(order), width + 1), dtype=np.int64)
+        self._observed[:, :width] = np.where(missing, 0, states)[order]
         self._rank_rows = [int(np.count_nonzero(depth > j)) for j in range(ranks)]
+        self._step_attrs = [
+            [
+                (attr, np.flatnonzero(self._rank_attrs[:n, j] == attr))
+                for attr in np.unique(self._rank_attrs[:n, j]).tolist()
+            ]
+            for j, n in enumerate(self._rank_rows)
+        ]
         self._rank_steps: list[tuple] | None = None
         self._tables: _RankTables | None = None
         self._stale = True
@@ -520,8 +516,8 @@ class GibbsEnsemble:
         )
 
     def __len__(self) -> int:
-        """Total chains (rows of the state matrix)."""
-        return self.states.shape[0]
+        """Total chains (rows of the rank state)."""
+        return self._rank_state.shape[0]
 
     @property
     def cells(self) -> int:
@@ -530,14 +526,12 @@ class GibbsEnsemble:
 
     def _uniforms(self, sweeps: int) -> np.ndarray:
         """``(sweeps, rows_per_sweep)`` uniforms in rank order."""
-        out = np.empty((sweeps, self._per_sweep))
-        for rng, dest in self._draws:
-            out[:, dest] = rng.random(sweeps * dest.size).reshape(sweeps, -1)
-        return out
+        blocks = [rng.random(sweeps * n).reshape(sweeps, n) for rng, n in self._draws]
+        return np.concatenate(blocks, axis=1).take(self._gather, axis=1)
 
     def _build_rank_steps(self, memos: list) -> list[tuple]:
-        """Rank step ``j``'s rank-state rows, multiplier matrix, uniform
-        slice and draw column.
+        """Rank step ``j``'s rank-state rows, multiplier matrix and draw
+        column.
 
         A row's multipliers are its own attribute memo's ``mult`` at the
         row's missing attributes (zero at the attribute itself, which no
@@ -547,14 +541,13 @@ class GibbsEnsemble:
         index size (the engine packs each attribute one way), so these
         hold for every memo the engine serves the ensemble.
         """
-        width = self._observed.shape[1]
+        width = len(self.sampler.schema)
         spaces = [memo.index.size for memo in memos]
         offsets = np.cumsum([0] + spaces[:-1])
         mults = np.zeros((len(memos), width + 1), dtype=np.int64)
         mults[:, :width] = np.stack([memo.mult for memo in memos])
         ranks = self._rank_state.shape[1] - 1
         steps = []
-        lo = 0
         for j, n in enumerate(self._rank_rows):
             step = np.searchsorted(self.attrs, self._rank_attrs[:n, j])
             mult = mults[step]
@@ -562,11 +555,10 @@ class GibbsEnsemble:
             weights[:, :ranks] = np.take_along_axis(
                 mult, self._rank_attrs[:n], axis=1
             )
-            weights[:, ranks] = np.vecdot(self._observed[:n], mult[:, :width])
+            weights[:, ranks] = np.vecdot(self._observed[:n], mult)
             weights[:, ranks] += offsets[step]
             rows = self._rank_state[:n]
-            steps.append((rows, weights, slice(lo, lo + n), rows[:, j]))
-            lo += n
+            steps.append((rows, weights, rows[:, j]))
         return steps
 
     def _live_tables(self) -> _RankTables | None:
@@ -586,64 +578,56 @@ class GibbsEnsemble:
         self._stale = False
         return tables
 
-    def _fused_sweep(self, uniforms: np.ndarray) -> bool:
-        """One sweep in rank steps; ``False``, with the state restored,
-        where the per-call path has to run it."""
-        # Memos change only in engine calls: the tables need checking
-        # after a per-call sweep and when a run starts, not every sweep.
-        tables = self._live_tables() if self._stale else self._tables
-        if tables is None:
-            return False
-        np.copyto(self._snapshot, self._rank_state)
-        index, columns = tables.index, tables.columns
-        try:
-            for rows, weights, span, drawn in self._rank_steps:
-                slots = index.take(np.vecdot(rows, weights))
-                _column_draw(columns, slots, uniforms[span], drawn)
-        except IndexError:
-            # A signature some memo lacks: its slot is past every row.
-            np.copyto(self._rank_state, self._snapshot)
-            return False
-        # What the per-call sweep's conditional_probs_batch calls count
-        # for batches their memos hold whole.
+    def _sweep(self, uniforms: np.ndarray) -> None:
+        """One ordered cycle over every segment, given its rank-ordered
+        uniforms: each rank step fused where it can, else through the
+        engine."""
         engine = self.sampler._engine
-        engine.tuples_served += self._per_sweep
-        engine.memo_hits += self._per_sweep
-        return True
+        lo = 0
+        for j, n in enumerate(self._rank_rows):
+            u = uniforms[lo : lo + n]
+            lo += n
+            # Memos change only in engine calls: the tables need checking
+            # after an engine step and when a run starts, not every step.
+            tables = self._live_tables() if self._stale else self._tables
+            if tables is not None:
+                rows, weights, drawn = self._rank_steps[j]
+                slots = tables.index.take(np.vecdot(rows, weights))
+                try:
+                    _column_draw(tables.columns, slots, u, drawn)
+                except IndexError:
+                    pass  # a signature some memo lacks: past every row
+                else:
+                    # What the engine step's calls count for batches
+                    # their memos hold whole.
+                    engine.tuples_served += n
+                    engine.memo_hits += n
+                    continue
+            self._engine_step(j, u)
+        self.sampler.steps += self._per_sweep
 
-    def _per_call_sweep(self, uniforms: np.ndarray) -> None:
-        """One sweep, one ``conditional_probs_batch`` call per attribute,
-        on :attr:`states` filled from the rank state and copied back."""
+    def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
+        """Rank step ``j`` through the engine: per attribute it draws, one
+        ``conditional_probs_batch`` call over the rows drawing it, which
+        fills the memo's misses."""
         sampler = self.sampler
-        engine = sampler._engine
-        choice, scheme = sampler.v_choice, sampler.v_scheme
-        states, flat = self.states, self._flat
-        state_cells, rank_cells = self._synced
-        flat.put(state_cells, self._rank_flat.take(rank_cells))
-        self._stale = True
-        for attr, rows, cells, at in self._steps:
+        n = self._rank_rows[j]
+        codes = self._observed[:n].copy()
+        # Missing codes into place; padding ranks land in the spare column.
+        np.put_along_axis(
+            codes, self._rank_attrs[:n], self._rank_state[:n, :-1], axis=1
+        )
+        for attr, rows in self._step_attrs[j]:
             # The engine's cached CDF rows — Generator.choice's
             # cumsum / cdf[-1], computed once per distinct signature.
-            cdf = engine.conditional_probs_batch(
-                states[rows], attr, choice, scheme, cumulative=True
+            cdf = sampler._engine.conditional_probs_batch(
+                codes[rows, :-1], attr, sampler.v_choice, sampler.v_scheme,
+                cumulative=True,
             )
             # searchsorted(cdf, u, side="right") per row — the exact
             # arithmetic of Generator.choice(n, p=probs).
-            u = uniforms.take(at)
-            flat.put(cells, (cdf <= u[:, None]).sum(axis=1))
-        self._rank_flat.put(rank_cells, flat.take(state_cells))
-
-    def _sweep(self, uniforms: np.ndarray) -> None:
-        """One ordered cycle over every segment, given its rank-ordered
-        uniforms."""
-        if not self._fused_sweep(uniforms):
-            self._per_call_sweep(uniforms)
-        self.sampler.steps += self._per_sweep
-
-    def sweep(self) -> None:
-        """One ordered cycle: resample every missing attribute everywhere."""
+            self._rank_state[rows, j] = (cdf <= uniforms[rows, None]).sum(axis=1)
         self._stale = True
-        self._sweep(self._uniforms(1)[0])
 
     def trace(self, num_samples: int, burn_in: int = 0) -> np.ndarray:
         """Burn in, then record ``ceil(num_samples / chains)`` sweeps.
@@ -792,9 +776,10 @@ def trace_distributions(
     chain-minor, cut to ``num_samples`` — what :meth:`GibbsEnsemble.run`
     returns — and each distribution equals, byte for byte,
     :func:`samples_to_distributions` of them.  Dense spaces build no
-    per-tuple sample array: per :data:`HISTOGRAM_CELLS` chunk one weighted
-    reduction packs every (sweep, tuple, chain) sample into its row-major
-    rank within the space, offset by its tuple's number, and one
+    per-tuple sample array: per :data:`HISTOGRAM_CELLS` chunk a
+    multiply-add per missing position packs every (sweep, tuple, chain)
+    sample into its row-major rank within the space, offset by its
+    tuple's number, in int64 without widening the trace first, and one
     ``np.bincount`` counts them; the last sweep's chains past
     ``num_samples`` count in one extra cell, which is dropped.  Sparse
     spaces (over :data:`MAX_DENSE_OUTCOMES`) cut the per-tuple samples and
@@ -815,7 +800,8 @@ def trace_distributions(
             floor,
         )
     outcomes = tuple(product(*domains))
-    strides = np.array([prod(dims[i + 1 :]) for i in range(m)])
+    # Typed strides: an int8 column times a Python int would stay int8.
+    strides = [np.int64(prod(dims[i + 1 :])) for i in range(m)]
     # Chains of the last sweep whose samples count.
     kept = num_samples - (sweeps - 1) * chains
     per_chunk = max(1, HISTOGRAM_CELLS // space)
@@ -823,8 +809,10 @@ def trace_distributions(
     for lo in range(0, n, per_chunk):
         count = min(per_chunk, n - lo)
         cells = count * space
-        packed = np.vecdot(samples[:, lo : lo + count], strides)
-        packed += np.arange(0, cells, space)[:, None]
+        chunk = samples[:, lo : lo + count]
+        packed = np.arange(0, cells, space)[:, None] + chunk[..., 0] * strides[0]
+        for i in range(1, m):
+            packed += chunk[..., i] * strides[i]
         packed[-1, :, kept:] = cells
         counts = np.bincount(packed.reshape(-1), minlength=cells + 1)[:cells]
         probs = counts.reshape(count, space) / num_samples

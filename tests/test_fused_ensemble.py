@@ -203,29 +203,30 @@ def test_segment_stream_matches_per_call_reference(census, chains):
 
 
 #: ``cache_info()`` counters ``(hits, tuples_served, groups_computed)`` of
-#: the reset-safety workload, as the per-call sweep counts them; perfbench's
+#: the reset-safety workload, as the engine route counts them (misses
+#: batched per rank step and attribute); perfbench's
 #: ``engine.cpd_hit_rate`` reads these counters.
 RESET_WORKLOAD_COUNTERS = {
     DEFAULT_CPD_CACHE_SIZE: (1509, 1680, 162),
-    3: (0, 1680, 1454),
-    40: (97, 1680, 1380),
+    3: (0, 1680, 1461),
+    40: (256, 1680, 1262),
 }
 
 
 def test_bound_steps_survive_memo_resets(census):
     """Small CPD bounds reset memos mid-run: at 3 signatures every memo
     resets and each batch that alone outgrows the bound drops its memo; at
-    40 resets mix with memo hits.  The sweep's bound steps must notice,
-    rebind and draw the same samples, counted as the per-call sweep counts
-    them (the sweep with no memo to bind, every step one
-    ``conditional_probs_batch`` call)."""
+    40 resets mix with memo hits.  The fused rank steps must notice,
+    rebind and draw the same samples, counted as the engine route counts
+    them (no memo to bind, every rank step one ``conditional_probs_batch``
+    call per attribute it draws)."""
     model, masked, _, _ = census
     workload = list(dict.fromkeys(masked))[:8]
     blocks, counters = {}, {}
     for cache_size in RESET_WORKLOAD_COUNTERS:
-        for per_call in (False, True):
+        for engine_route in (False, True):
             engine = BatchInferenceEngine(model, cache_size=cache_size)
-            if per_call:
+            if engine_route:
                 engine.live_memo = lambda attr, choice, scheme: None
             run, _ = ensemble_sampling(
                 model, [(workload, 11)], num_samples=60, burn_in=10, chains=2,
@@ -235,7 +236,7 @@ def test_bound_steps_survive_memo_resets(census):
             counted = (
                 info["hits"], info["tuples_served"], info["groups_computed"]
             )
-            if per_call:
+            if engine_route:
                 _assert_same_blocks(blocks[cache_size], run)
                 assert counted == counters[cache_size]
             else:
@@ -250,12 +251,9 @@ def test_trace_dtype_and_shape(census):
     model, masked, _, _ = census
     distinct = list(dict.fromkeys(masked))[:10]
     ensemble = GibbsSampler(model, rng=1).ensemble(distinct, chains=2)
-    # Census codes fit int8; only missing cells are recorded, while the
-    # chain state stays full-width int32 (the engine's key format).
+    # Census codes fit int8; only missing cells are recorded.
     assert ensemble.trace_dtype == np.int8
     assert ensemble.cells == 2 * sum(t.num_missing for t in distinct)
-    assert ensemble.cells < ensemble.states.size
-    assert ensemble.states.dtype == np.int32
     out = ensemble.run(25, burn_in=2)
     for t, samples in zip(distinct, out):
         assert samples.dtype == np.int8

@@ -15,7 +15,8 @@ every kernel samples ``pi`` — not merely that two kernels agree:
 
 * the scalar :class:`~repro.core.gibbs.GibbsChain`;
 * :func:`~repro.core.tuple_dag.ensemble_sampling` over several segments,
-  with one and with four chains per tuple;
+  with one and with four chains per tuple, on fused rank steps and with
+  every rank step forced through the engine;
 * :func:`~repro.core.tuple_dag.workload_sampling`'s tuple-DAG sharing on
   subsuming tuples, whose child block is an exact mixture (below);
 * the multi-missing blocks of :func:`derive_probabilistic_database`.
@@ -38,6 +39,7 @@ import pytest
 from repro.api.config import DeriveConfig
 from repro.bench.masking import mask_relation
 from repro.core import (
+    BatchInferenceEngine,
     GibbsSampler,
     derive_probabilistic_database,
     ensemble_sampling,
@@ -221,10 +223,23 @@ def test_scalar_chain_samples_the_stationary_distribution(
         assert_samples_pi(block, chains[t])
 
 
-@pytest.mark.parametrize("num_chains", [1, 4])
+@pytest.mark.parametrize(
+    "num_chains, engine_route",
+    [
+        pytest.param(1, False, id="1"),
+        pytest.param(4, False, id="4"),
+        pytest.param(1, True, id="1-engine-route"),
+        pytest.param(4, True, id="4-engine-route"),
+    ],
+)
 def test_ensemble_samples_the_stationary_distribution(
-    census_model, workload, chains, num_chains
+    census_model, workload, chains, num_chains, engine_route
 ):
+    """Fused rank steps, and (with no live memo to fuse over) every rank
+    step through the engine."""
+    engine = BatchInferenceEngine(census_model)
+    if engine_route:
+        engine.live_memo = lambda attr, choice, scheme: None
     segments = [(workload[:2], 101), (workload[2:5], 202), (workload[5:], 303)]
     blocks, _ = ensemble_sampling(
         census_model,
@@ -232,6 +247,7 @@ def test_ensemble_samples_the_stationary_distribution(
         num_samples=NUM_SAMPLES,
         burn_in=BURN_IN,
         chains=num_chains,
+        batch_engine=engine,
     )
     assert [b.base for b in blocks] == workload
     for block in blocks:

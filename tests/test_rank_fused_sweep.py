@@ -1,21 +1,22 @@
 """Rank-fused Gibbs sweeps and batched histograms.
 
-A fused sweep draws, in rank step ``j``, every row's ``j``-th missing
-attribute from one concatenated CDF table; a signature some memo lacks
-restores the sweep's snapshot and replays it on the per-call path (one
-``conditional_probs_batch`` call per attribute).  The guarantees:
+A fused rank step draws, in step ``j``, every row's ``j``-th missing
+attribute from one concatenated CDF table; a step that hits a signature
+some memo lacks runs through the engine instead (one
+``conditional_probs_batch`` call per attribute it draws), filling the
+misses without redrawing earlier steps.  The guarantees:
 
-* Fused and per-call sweeps draw the same samples and leave the same
+* Fused and engine-route steps draw the same samples and leave the same
   engine counters, memo inserts and resets, for any chain count, segment
   mix, missing depth, cache bound and engine warmth.
-* A per-call sweep runs only where the fused one cannot: after a genuine
-  miss (the replay then computes a signature), or without live dense
+* An engine step runs only where the fused one cannot: after a genuine
+  miss (the step then computes a signature), or without live dense
   memos.  So the rank tables follow every memo the engine grows or
-  replaces.
+  replaces, and a miss costs only the step it falls in.
 * Blocks are histogrammed per missing pattern, byte-equal to the
   historical per-tuple counting loop, dense and sparse.
-* The rank-state layout (rows deepest first, uniforms scattered straight
-  into rank order, blocks counted from the trace) replays each segment's
+* The rank-state layout (rows deepest first, uniforms gathered into rank
+  order, blocks counted from the trace) replays each segment's
   per-call reference loop for any depth mix, chain count, segment count
   and engine, and its blocks equal ``samples_to_distributions`` over
   ``run()``.
@@ -73,31 +74,32 @@ def _segments(pools):
     return [(mixed[:7], 101), (mixed[7:19], 202), (mixed[19:], 303)]
 
 
-def _run(model, segments, chains, cache_size, warm=None, per_call=False):
+def _run(model, segments, chains, cache_size, warm=None, engine_route=False):
     """Samples and ``(cache_info, memo_resets, steps)`` of one ensemble run,
-    plus the number of per-call sweeps and of those that computed nothing."""
+    plus the number of engine-route rank steps and of those that computed
+    nothing."""
     engine = BatchInferenceEngine(model, cache_size=cache_size)
     if warm:
         ensemble_sampling(
             model, [(warm, 5)], num_samples=12, burn_in=2, batch_engine=engine
         )
-    if per_call:
+    if engine_route:
         engine.live_memo = lambda attr, choice, scheme: None
     sampler = GibbsSampler(model, rng=0, batch_engine=engine)
     ensemble = GibbsEnsemble(sampler, segments, chains=chains)
-    replays = {"sweeps": 0, "idle": 0}
-    per_call_sweep = ensemble._per_call_sweep
+    engine_steps = {"steps": 0, "idle": 0}
+    engine_step = ensemble._engine_step
 
-    def counted(uniforms):
+    def counted(j, uniforms):
         before = engine.groups_computed
-        per_call_sweep(uniforms)
-        replays["sweeps"] += 1
-        replays["idle"] += engine.groups_computed == before
+        engine_step(j, uniforms)
+        engine_steps["steps"] += 1
+        engine_steps["idle"] += engine.groups_computed == before
 
-    ensemble._per_call_sweep = counted
+    ensemble._engine_step = counted
     samples = ensemble.run(60, burn_in=8)
     counters = (engine.cache_info(), engine.memo_resets, sampler.steps)
-    return samples, counters, replays
+    return samples, counters, engine_steps
 
 
 def _assert_same_samples(a, b):
@@ -114,18 +116,21 @@ def test_fused_sweeps_equal_per_call_sweeps(census, chains, cache_size, warm):
     model, pools = census
     segments = _segments(pools)
     warm_tuples = [t for pool in pools for t in pool[20:26]] if warm else None
-    fused, counters, replays = _run(model, segments, chains, cache_size, warm_tuples)
-    per_call, per_call_counters, _ = _run(
-        model, segments, chains, cache_size, warm_tuples, per_call=True
+    fused, counters, engine_steps = _run(
+        model, segments, chains, cache_size, warm_tuples
     )
-    _assert_same_samples(fused, per_call)
-    assert counters == per_call_counters
-    # Every replay after the first sweep was forced by a signature a memo
-    # lacked, so it computed something; the rest of the run stayed fused.
-    assert replays["idle"] == 0
-    sweeps = 8 + -(-60 // chains)
+    routed, routed_counters, _ = _run(
+        model, segments, chains, cache_size, warm_tuples, engine_route=True
+    )
+    _assert_same_samples(fused, routed)
+    assert counters == routed_counters
+    # Every engine step was forced by a signature a memo lacked (or by a
+    # memo not yet created), so it computed something; the rest of the run
+    # stayed fused.
+    assert engine_steps["idle"] == 0
+    steps = (8 + -(-60 // chains)) * 4
     if cache_size == DEFAULT_CPD_CACHE_SIZE:
-        assert replays["sweeps"] < sweeps
+        assert engine_steps["steps"] < steps
     if cache_size != DEFAULT_CPD_CACHE_SIZE:
         assert counters[1] > 0  # memo resets mid-run
 
@@ -170,9 +175,37 @@ def test_warm_engine_sweeps_never_call_the_engine(census, monkeypatch):
     assert calls == []
 
 
+def test_a_miss_costs_only_its_own_step(census, monkeypatch):
+    """Rows missing ``(0, 1)`` draw attribute 0 in rank step 0 and
+    attribute 1 in rank step 1.  With attribute 0's memo holding every
+    signature its steps can reach and attribute 1's live but nearly
+    empty, only attribute 1's steps go through the engine: no miss
+    redraws the step before it."""
+    model, pools = census
+    bases = pools[PATTERNS.index((0, 1))][:12]
+    engine = BatchInferenceEngine(model)
+    # Every (base, attribute 1 value): all signatures attribute 0 reads.
+    card = model.schema[1].cardinality
+    codes = np.repeat(np.stack([t.codes for t in bases]), card, axis=0)
+    codes[:, 0] = 0
+    codes[:, 1] = np.tile(np.arange(card), len(bases))
+    engine.conditional_probs_batch(codes, 0)
+    engine.conditional_probs_batch(codes[:1], 1)
+    calls = []
+    batch = engine.conditional_probs_batch
+    monkeypatch.setattr(
+        engine, "conditional_probs_batch",
+        lambda *a, **k: calls.append(a[1]) or batch(*a, **k),
+    )
+    sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+    GibbsEnsemble(sampler, [(bases, 5)], chains=2).run(40, burn_in=4)
+    assert calls
+    assert set(calls) == {1}
+
+
 def test_sorted_key_memos_skip_the_fused_path(census, monkeypatch):
-    """Memos without a dense index keep every sweep on the per-call path,
-    drawing what the fused path draws."""
+    """Memos without a dense index keep every rank step on the engine
+    route, drawing what the fused path draws."""
     model, pools = census
     segments = _segments(pools)
     dense, dense_counters, _ = _run(model, segments, 2, DEFAULT_CPD_CACHE_SIZE)
@@ -183,11 +216,12 @@ def test_sorted_key_memos_skip_the_fused_path(census, monkeypatch):
         lambda *a: draws.append(1) or column_draw(*a),
     )
     monkeypatch.setattr(engine_module, "DENSE_INDEX_CAP", 0)
-    sparse, sparse_counters, replays = _run(
+    sparse, sparse_counters, engine_steps = _run(
         model, segments, 2, DEFAULT_CPD_CACHE_SIZE
     )
     assert draws == []
-    assert replays["sweeps"] == 8 + 30
+    # Every rank step of every sweep: 8 + 30 sweeps of 4 rank steps.
+    assert engine_steps["steps"] == (8 + 30) * 4
     _assert_same_samples(dense, sparse)
     assert dense_counters == sparse_counters
 
@@ -344,8 +378,8 @@ def test_rank_state_ensemble_equals_the_references(census, census_rows, case):
         if warmth == "warm":
             # Chains over the tuple missing every attribute visit every
             # full state, so the memos end up holding nearly every key a
-            # sweep packs: rank steps run fused, with no replay to mask a
-            # wrong key.
+            # sweep packs: rank steps run fused, with no engine step to
+            # mask a wrong key.
             star = RelTuple(model.schema, np.full(5, MISSING_CODE, dtype=np.int32))
             ensemble_sampling(
                 model, [(list(seen | {star}), 5)], num_samples=300, burn_in=1,
