@@ -27,7 +27,7 @@ from ..exec.plan import Workload
 from ..exec.runtime import execute_delta, execute_derivation
 from ..probdb.blocks import TupleBlock
 from ..probdb.database import ProbabilisticDatabase
-from ..probdb.invalidate import CarryStore
+from ..probdb.invalidate import CarryStore, RunLayout
 from ..relational.relation import Relation
 from ..relational.tuples import MISSING_CODE, trusted_rows
 from .compiled import CompiledModel
@@ -70,6 +70,9 @@ class DeriveResult:
     #: the model's lattices as the run compiled them; a re-derive from this
     #: result reuses them instead of compiling the same model again
     compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
+    #: what the run planned and derived, by distinct row; a delta re-derive
+    #: from this result builds its carry store from it
+    layout: RunLayout | None = field(default=None, repr=False, compare=False)
 
 
 def single_missing_blocks(
@@ -214,7 +217,10 @@ def derive_probabilistic_database(
         raise ValueError("resume_carry cannot be combined with previous")
     carry: CarryStore | None = resume_carry
     if previous is not None and cfg.update_policy == "delta":
-        carry = CarryStore.from_database(previous.database, previous.base_seed)
+        if previous.layout is not None:
+            carry = CarryStore.from_layout(previous.layout, previous.base_seed)
+        else:
+            carry = CarryStore.from_database(previous.database, previous.base_seed)
     hooks = dict(
         rng=rng,
         batch_engine=batch_engine,
@@ -240,4 +246,5 @@ def derive_probabilistic_database(
         exec_report=outcome.report,
         base_seed=outcome.plan.base_seed,
         compiled=outcome.compiled,
+        layout=outcome.layout,
     )

@@ -34,6 +34,7 @@ Two chain drivers share the sampler:
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -43,6 +44,7 @@ import numpy as np
 from ..probdb.blocks import TupleBlock
 from ..probdb.distribution import DEFAULT_SMOOTHING_FLOOR, Distribution
 from ..relational.tuples import MISSING_CODE, RelTuple
+from . import native
 from .compiled import LRUCache
 from .engine import (
     _ABSENT,
@@ -276,6 +278,17 @@ def _column_draw(
     return np.add.reduce(columns.take(slots, axis=1) <= u, axis=0, out=out)
 
 
+def _address(array: np.ndarray, dtype) -> int:
+    """The data address of ``array``, which the compiled loop reads as a
+    C-contiguous buffer of ``dtype``."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(
+            f"the compiled sweep loop needs a C-contiguous {np.dtype(dtype)} "
+            f"buffer, got {array.dtype}"
+        )
+    return array.ctypes.data
+
+
 #: What pads a narrower attribute's CDF columns in :class:`_RankTables`:
 #: above every uniform, so padding never counts in a draw.
 _PAD = 2.0
@@ -345,7 +358,11 @@ class GibbsEnsemble:
     (:class:`_RankTables`, rebuilt only after the engine replaces, drops
     or grows a memo) straight into column ``j``: five NumPy calls per rank
     step.  It needs every step attribute's memo live with a dense index,
-    and every row's signature in it.
+    and every row's signature in it.  Where the compiled loop of
+    :mod:`repro.core.native` loads, one call of it runs a whole uniform
+    block's fused steps instead, with the same integer arithmetic and
+    float compares, so it draws the same integers; the NumPy steps stay
+    its fallback and reference.
 
     Misses fill per rank step.  A step that cannot run fused — a
     signature some memo lacks, whose slot lies past every row so the draw
@@ -482,6 +499,14 @@ class GibbsEnsemble:
         self._observed = np.zeros((len(order), width + 1), dtype=np.int64)
         self._observed[:, :width] = np.where(missing, 0, states)[order]
         self._rank_rows = [int(np.count_nonzero(depth > j)) for j in range(ranks)]
+        #: rank step ``j``'s rows of the stacked multipliers and columns of
+        #: a sweep's uniforms: ``_rank_lo[j]`` to ``_rank_lo[j + 1]``
+        self._rank_lo = np.cumsum([0] + self._rank_rows, dtype=np.int64)
+        #: every rank step's multipliers, one buffer for the compiled loop
+        #: (filled by :meth:`_build_rank_steps`)
+        self._weights = np.empty((self._per_sweep, ranks + 1), dtype=np.int64)
+        #: one step's slots, for the compiled loop
+        self._slots = np.empty(self._rank_rows[0], dtype=np.int64)
         self._step_attrs = [
             [
                 (attr, np.flatnonzero(self._rank_attrs[:n, j] == attr))
@@ -551,7 +576,7 @@ class GibbsEnsemble:
         for j, n in enumerate(self._rank_rows):
             step = np.searchsorted(self.attrs, self._rank_attrs[:n, j])
             mult = mults[step]
-            weights = np.empty((n, ranks + 1), dtype=np.int64)
+            weights = self._weights[self._rank_lo[j] : self._rank_lo[j + 1]]
             weights[:, :ranks] = np.take_along_axis(
                 mult, self._rank_attrs[:n], axis=1
             )
@@ -578,33 +603,127 @@ class GibbsEnsemble:
         self._stale = False
         return tables
 
-    def _sweep(self, uniforms: np.ndarray) -> None:
-        """One ordered cycle over every segment, given its rank-ordered
-        uniforms: each rank step fused where it can, else through the
-        engine."""
+    def _run_block(
+        self, fused, uniforms: np.ndarray, trace: np.ndarray, row0: int
+    ) -> None:
+        """Every sweep of one block of rank-ordered uniforms: fused rank
+        steps where they can run, the rest through the engine.
+
+        Position ``at`` is rank step ``at % ranks`` of block sweep
+        ``at // ranks``; block sweep ``s`` is recorded into trace row
+        ``row0 + s`` when that is not negative.  ``fused`` (the compiled
+        loop or :meth:`_numpy_steps`) runs fused steps from ``at`` until
+        one cannot run and returns its position, ``-(position + 1)`` when
+        a key is out of the index's range.  The counters of the fused
+        steps are kept here, for both.
+        """
         engine = self.sampler._engine
-        lo = 0
-        for j, n in enumerate(self._rank_rows):
-            u = uniforms[lo : lo + n]
-            lo += n
+        ranks = len(self._rank_rows)
+        stop = uniforms.shape[0] * ranks
+        at = 0
+        while at < stop:
             # Memos change only in engine calls: the tables need checking
             # after an engine step and when a run starts, not every step.
             tables = self._live_tables() if self._stale else self._tables
             if tables is not None:
-                rows, weights, drawn = self._rank_steps[j]
+                reached = fused(tables, uniforms, at, stop, trace, row0)
+                bad_key = reached < 0
+                if bad_key:
+                    reached = -reached - 1
+                # What the engine step's calls count for batches their
+                # memos hold whole.
+                served = self._rows_before(reached) - self._rows_before(at)
+                engine.tuples_served += served
+                engine.memo_hits += served
+                sweeps = reached // ranks - at // ranks
+                self.sampler.steps += self._per_sweep * sweeps
+                at = reached
+                if bad_key:
+                    self._raise_key_error(at % ranks)
+                if at == stop:
+                    break
+            # A signature some memo lacks, or no live dense memos.
+            sweep, j = divmod(at, ranks)
+            lo, hi = self._rank_lo[j], self._rank_lo[j + 1]
+            self._engine_step(j, uniforms[sweep, lo:hi])
+            at += 1
+            if j == ranks - 1:
+                self._record(trace, row0 + sweep)
+                self.sampler.steps += self._per_sweep
+
+    def _rows_before(self, at: int) -> int:
+        """Rows the rank steps before position ``at`` draw in."""
+        sweeps, j = divmod(at, len(self._rank_rows))
+        return sweeps * self._per_sweep + int(self._rank_lo[j])
+
+    def _record(self, trace: np.ndarray, row: int) -> None:
+        if row >= 0:
+            self._rank_flat.take(self._cells, out=trace[row])
+
+    def _raise_key_error(self, j: int) -> None:
+        """Raise the ``IndexError`` of rank step ``j``'s index lookup."""
+        rows, weights, _ = self._rank_steps[j]
+        keys = np.vecdot(rows, weights)
+        self._tables.index.take(keys)
+        raise IndexError(f"key {keys.min()} is out of bounds for the rank index")
+
+    def _numpy_steps(
+        self, tables: _RankTables, uniforms: np.ndarray, at: int, stop: int,
+        trace: np.ndarray, row0: int,
+    ) -> int:
+        """Fused rank steps in NumPy (see :meth:`_run_block`): the
+        reference the compiled loop equals, and its fallback."""
+        ranks = len(self._rank_rows)
+        while at < stop:
+            sweep, j = divmod(at, ranks)
+            rows, weights, drawn = self._rank_steps[j]
+            try:
                 slots = tables.index.take(np.vecdot(rows, weights))
-                try:
-                    _column_draw(tables.columns, slots, u, drawn)
-                except IndexError:
-                    pass  # a signature some memo lacks: past every row
-                else:
-                    # What the engine step's calls count for batches
-                    # their memos hold whole.
-                    engine.tuples_served += n
-                    engine.memo_hits += n
-                    continue
-            self._engine_step(j, u)
-        self.sampler.steps += self._per_sweep
+            except IndexError:
+                return -at - 1
+            u = uniforms[sweep, self._rank_lo[j] : self._rank_lo[j + 1]]
+            try:
+                _column_draw(tables.columns, slots, u, drawn)
+            except IndexError:
+                return at  # a signature some memo lacks: past every row
+            at += 1
+            if j == ranks - 1:
+                self._record(trace, row0 + sweep)
+        return at
+
+    def _native_steps(
+        self, loop, own: tuple[int, ...], tables: _RankTables,
+        uniforms: np.ndarray, at: int, stop: int, trace: np.ndarray, row0: int,
+    ) -> int:
+        """:meth:`_numpy_steps` in one call of the compiled loop; ``own`` is
+        :meth:`_own_addresses`."""
+        state, lo, weights, cells, slots = own
+        columns = tables.columns
+        if (
+            uniforms.shape[1] != self._per_sweep
+            or trace.shape[1] != self._cells.size
+            or row0 + uniforms.shape[0] > trace.shape[0]
+        ):
+            raise ValueError("uniform block or trace does not fit the ensemble")
+        return loop(
+            state, self._rank_state.shape[1], len(self._rank_rows), lo, weights,
+            _address(tables.index, np.int64), tables.index.size,
+            _address(columns, np.float64), columns.shape[0], columns.shape[1],
+            _address(uniforms, np.float64), at, stop, cells, self._cells.size,
+            _address(trace, trace.dtype), trace.itemsize, row0, slots,
+        )
+
+    def _own_addresses(self) -> tuple[int, ...]:
+        """The addresses of the buffers the ensemble owns for the compiled
+        loop, each allocated once: the rank state, ``_rank_lo``, the
+        stacked multipliers, the recorded cells and the slot scratch."""
+        return tuple(
+            _address(array, np.int64)
+            for array in (
+                self._rank_state, self._rank_lo, self._weights, self._cells,
+                self._slots,
+            )
+        )
 
     def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
         """Rank step ``j`` through the engine: per attribute it draws, one
@@ -642,16 +761,17 @@ class GibbsEnsemble:
         sweeps = -(-num_samples // self.chains)
         total = burn_in + sweeps
         trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
-        flat, cells = self._rank_flat, self._cells
+        loop = native.rank_sweeps()
+        if loop is None:
+            fused = self._numpy_steps
+        else:
+            fused = partial(self._native_steps, loop, self._own_addresses())
         self._stale = True
         done = 0
         while done < total:
             block = min(UNIFORM_BLOCK_SWEEPS, total - done)
-            for uniforms in self._uniforms(block):
-                self._sweep(uniforms)
-                if done >= burn_in:
-                    flat.take(cells, out=trace[done - burn_in])
-                done += 1
+            self._run_block(fused, self._uniforms(block), trace, done - burn_in)
+            done += block
         return trace
 
     def run(

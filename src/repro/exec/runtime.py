@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.tuple_dag import SamplingStats
 from ..probdb.blocks import TupleBlock
+from ..probdb.invalidate import RunLayout
 from .base import (
     DerivationCancelled,
     ExecReport,
@@ -87,6 +88,8 @@ class ExecOutcome:
     plan: ShardPlan
     #: the parent's compiled lattices (:meth:`ExecContext.compiled_model`)
     compiled: "CompiledModel"
+    #: what ran, by distinct row: a later delta re-derive's carry store
+    layout: RunLayout
 
 
 def stream_derivation(
@@ -200,7 +203,7 @@ def execute_derivation(
         num_tuples=len(workload),
     )
     return _run_plan(
-        chosen, context, plan, workload, {}, report, on_shard, should_stop
+        chosen, context, plan, workload, {}, [], report, on_shard, should_stop
     )
 
 
@@ -210,6 +213,7 @@ def _run_plan(
     plan: ShardPlan,
     workload: Workload,
     carried: "dict[int, TupleBlock]",
+    carried_segments: "list[tuple[str, np.ndarray]]",
     report: ExecReport,
     on_shard: Callable[[ShardResult], None] | None,
     should_stop: Callable[[], bool] | None,
@@ -219,6 +223,8 @@ def _run_plan(
 
     Shared collector of the full and delta paths; ``carried`` blocks fill
     their distinct rows up front, only planned shards are awaited.
+    ``carried_segments`` are the carried multi segments' keys and rows,
+    which join the plan's in the outcome's :class:`RunLayout`.
     """
     groups_by_key = {shard.key: shard.groups for shard in plan.shards}
     distinct: "list[TupleBlock | None]" = [None] * len(workload.tuples)
@@ -275,7 +281,25 @@ def _run_plan(
         report=report,
         plan=plan,
         compiled=context.compiled_model(),
+        layout=RunLayout.of(
+            workload.codes, workload.missing, distinct,
+            carried_segments + _planned_segments(plan),
+        ),
     )
+
+
+def _planned_segments(plan: ShardPlan) -> "list[tuple[str, np.ndarray]]":
+    """Each planned multi segment's key and distinct rows, in run order: a
+    multi shard's rows are its segments' rows, concatenated."""
+    segments = []
+    for shard in plan.shards:
+        if shard.kind == "multi":
+            cuts = np.cumsum([segment.distinct for segment in shard.segments])
+            rows = np.split(np.asarray(shard.indices, dtype=np.intp), cuts[:-1])
+            segments.extend(
+                (segment.key, r) for segment, r in zip(shard.segments, rows)
+            )
+    return segments
 
 
 def _expand(
@@ -359,7 +383,7 @@ def execute_delta(
         )
     ] + [
         (segment.key, "multi", segment.size, segment.distinct)
-        for segment in split.carried_multi
+        for segment, _ in split.carried_multi
     ]
 
     plan = ShardPlan(
@@ -380,7 +404,8 @@ def execute_delta(
     )
     for row in carried_rows:
         report.add_carried(*row)
+    carried_segments = [(segment.key, rows) for segment, rows in split.carried_multi]
     return _run_plan(
-        chosen, context, plan, workload, split.carried, report, on_shard,
-        should_stop,
+        chosen, context, plan, workload, split.carried, carried_segments,
+        report, on_shard, should_stop,
     )

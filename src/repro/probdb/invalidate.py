@@ -26,8 +26,9 @@ worth knowing when sizing ChangeSets (see ``docs/updates.md``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.plan import Workload
     from .database import ProbabilisticDatabase
 
-__all__ = ["CarryStore", "DeltaSplit"]
+__all__ = ["CarryStore", "DeltaSplit", "RunLayout", "SegmentBlocks"]
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,10 @@ class DeltaSplit:
     blocks.  ``dirty_single`` rows re-enter the single-shard packer; each
     ``dirty_multi`` item is a segment ``(segment, rows)`` of the new layout
     whose key missed the store, ready to be seeded and fused into shards.
-    ``carried_single`` rows and ``carried_multi`` segments mirror the
-    carried side so the runtime can account skipped work honestly.  The
-    tuple counts are workload rows, duplicates included.
+    ``carried_single`` rows and ``carried_multi`` segments (``(segment,
+    rows)`` too) mirror the carried side so the runtime can account
+    skipped work honestly.  The tuple counts are workload rows, duplicates
+    included.
     """
 
     workload: "Workload"
@@ -60,7 +62,7 @@ class DeltaSplit:
     dirty_single: list[int]
     dirty_multi: "list[tuple[Segment, np.ndarray]]"
     carried_single: list[int]
-    carried_multi: "list[Segment]"
+    carried_multi: "list[tuple[Segment, np.ndarray]]"
 
     @property
     def num_carried_tuples(self) -> int:
@@ -73,17 +75,83 @@ class DeltaSplit:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RunLayout:
+    """What one derivation ran, by distinct row of its workload.
+
+    ``missing`` and ``blocks`` hold each distinct row's missing-attribute
+    count and block; ``multi`` maps each multi segment's content key to
+    its :class:`SegmentBlocks`.  The planner already computed all of it,
+    so a delta re-derive rebuilds its :class:`CarryStore` from it
+    (:meth:`CarryStore.from_layout`) instead of replaying the layout over
+    the derived database.
+    """
+
+    missing: np.ndarray
+    blocks: "Sequence[TupleBlock]"
+    multi: "dict[str, SegmentBlocks]"
+
+    @classmethod
+    def of(
+        cls,
+        codes: np.ndarray,
+        missing: np.ndarray,
+        blocks: "Sequence[TupleBlock]",
+        segments: "Sequence[tuple[str, np.ndarray]]",
+    ) -> "RunLayout":
+        """The layout of distinct rows ``codes``, given each multi
+        segment's key and distinct rows in the order they ran."""
+        multi = {
+            key: SegmentBlocks(codes[rows], [blocks[i] for i in rows.tolist()])
+            for key, rows in segments
+        }
+        return cls(missing, blocks, multi)
+
+
+class SegmentBlocks(Mapping):
+    """One multi segment's ``{base tuple: block}`` map, in the order its
+    distinct rows ran, with those rows' codes stacked in ``codes``: a
+    delta split compares a segment's rows as one array, not tuple by
+    tuple."""
+
+    __slots__ = ("codes", "blocks", "_by_base")
+
+    def __init__(self, codes: np.ndarray, blocks: "Sequence[TupleBlock]"):
+        self.codes = codes
+        self.blocks = list(blocks)
+        self._by_base: dict[RelTuple, TupleBlock] | None = None
+
+    @classmethod
+    def of(cls, blocks: "Sequence[TupleBlock]") -> "SegmentBlocks":
+        """The map of ``blocks`` in run order; copies of a base collapse."""
+        blocks = list({block.base: block for block in blocks}.values())
+        if not blocks:
+            return cls(np.empty((0, 0), dtype=np.int32), blocks)
+        return cls(np.stack([block.base.codes for block in blocks]), blocks)
+
+    def __getitem__(self, base: RelTuple) -> TupleBlock:
+        if self._by_base is None:
+            self._by_base = {block.base: block for block in self.blocks}
+        return self._by_base[base]
+
+    def __iter__(self) -> Iterator[RelTuple]:
+        return (block.base for block in self.blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+
 class CarryStore:
     """Content-keyed blocks from a previous derivation, ready for reuse.
 
     ``singles`` maps each single-missing base tuple to its block;
     ``multi`` maps each previous multi segment's content key to that
-    segment's own ``{base tuple: block}`` map, in the order the segment's
-    distinct rows ran.  ``base_seed`` is the seed
-    the previous derivation's multi segments were derived under — the delta
-    runtime pins new segments to the same seed so the combined result
-    equals a from-scratch run.  ``None`` when the previous run had no
-    multi-missing work.
+    segment's own ``{base tuple: block}`` map (a :class:`SegmentBlocks`),
+    in the order the segment's distinct rows ran.  ``base_seed`` is the
+    seed the previous derivation's multi segments were derived under — the
+    delta runtime pins new segments to the same seed so the combined
+    result equals a from-scratch run.  ``None`` when the previous run had
+    no multi-missing work.
     """
 
     __slots__ = ("singles", "multi", "base_seed")
@@ -91,12 +159,22 @@ class CarryStore:
     def __init__(
         self,
         singles: dict[RelTuple, TupleBlock],
-        multi: dict[str, dict[RelTuple, TupleBlock]],
+        multi: "dict[str, SegmentBlocks]",
         base_seed: int | None,
     ):
         self.singles = singles
         self.multi = multi
         self.base_seed = base_seed
+
+    @classmethod
+    def from_layout(cls, layout: RunLayout, base_seed: int | None) -> "CarryStore":
+        """The store of a derivation's :class:`RunLayout`."""
+        blocks = layout.blocks
+        singles = {
+            blocks[i].base: blocks[i]
+            for i in np.flatnonzero(layout.missing == 1).tolist()
+        }
+        return cls(singles=singles, multi=layout.multi, base_seed=base_seed)
 
     @classmethod
     def from_database(
@@ -112,7 +190,9 @@ class CarryStore:
         a row share its block object, and equal bases collapse by content
         too) and the multi rows are replayed through the planner's
         :func:`~repro.exec.plan.multi_shard_layout` to recover the segment
-        content keys.
+        content keys.  A derivation's own result keeps its
+        :class:`RunLayout`, which :meth:`from_layout` reads without the
+        replay.
         """
         from ..exec.plan import _first_occurrence, multi_shard_layout
 
@@ -124,15 +204,14 @@ class CarryStore:
         blocks = [blocks[i] for i in first.tolist()]
         codes = codes[first]
         missing = (codes == MISSING_CODE).sum(axis=1)
-        singles = {
-            blocks[i].base: blocks[i] for i in np.flatnonzero(missing == 1).tolist()
-        }
         multi_rows = np.flatnonzero(missing > 1)
-        multi: dict[str, dict[RelTuple, TupleBlock]] = {}
-        for segment, members in multi_shard_layout(codes[multi_rows]):
-            segment_blocks = [blocks[i] for i in multi_rows[members].tolist()]
-            multi[segment.key] = {b.base: b for b in segment_blocks}
-        return cls(singles=singles, multi=multi, base_seed=base_seed)
+        segments = [
+            (segment.key, multi_rows[members])
+            for segment, members in multi_shard_layout(codes[multi_rows])
+        ]
+        return cls.from_layout(
+            RunLayout.of(codes, missing, blocks, segments), base_seed
+        )
 
     @classmethod
     def from_shards(
@@ -154,13 +233,13 @@ class CarryStore:
         same seed.
         """
         singles: dict[RelTuple, TupleBlock] = {}
-        multi: dict[str, dict[RelTuple, TupleBlock]] = {}
+        multi: dict[str, SegmentBlocks] = {}
         for key, kind, blocks in records:
             if kind == "single":
                 for block in blocks:
                     singles.setdefault(block.base, block)
             else:
-                multi[key] = {block.base: block for block in blocks}
+                multi[key] = SegmentBlocks.of(blocks)
         return cls(singles=singles, multi=multi, base_seed=base_seed)
 
     def split(self, tuples: "Workload | Sequence[RelTuple]") -> DeltaSplit:
@@ -193,20 +272,21 @@ class CarryStore:
                 carried_single.append(i)
 
         dirty_multi: list[tuple[Segment, np.ndarray]] = []
-        carried_multi: list[Segment] = []
+        carried_multi: list[tuple[Segment, np.ndarray]] = []
         multi = np.flatnonzero(workload.missing > 1)
         for segment, rows in multi_layout(workload, multi):
             blocks = self.multi.get(segment.key)
-            bases = [workload.tuples[i] for i in rows.tolist()]
             # The key names the segment's set of rows, but the ensemble
             # draws them in turn from one generator: the blocks carry only
             # when the rows also come in the order they ran in.
-            if blocks is None or list(blocks) != bases:
+            if blocks is None or not np.array_equal(blocks.codes, workload.codes[rows]):
                 dirty_multi.append((segment, rows))
             else:
-                for i, t in zip(rows.tolist(), bases):
-                    carried[i] = TupleBlock._trusted(t, blocks[t].distribution)
-                carried_multi.append(segment)
+                for i, block in zip(rows.tolist(), blocks.blocks):
+                    carried[i] = TupleBlock._trusted(
+                        workload.tuples[i], block.distribution
+                    )
+                carried_multi.append((segment, rows))
 
         return DeltaSplit(
             workload=workload,

@@ -26,6 +26,7 @@ from repro.core import (
     GibbsSampler,
     derive_probabilistic_database,
     ensemble_sampling,
+    native,
 )
 from repro.core.engine import DEFAULT_CPD_CACHE_SIZE
 from repro.core.gibbs import GibbsEnsemble, _trace_dtype
@@ -216,31 +217,34 @@ RESET_WORKLOAD_COUNTERS = {
 def test_bound_steps_survive_memo_resets(census):
     """Small CPD bounds reset memos mid-run: at 3 signatures every memo
     resets and each batch that alone outgrows the bound drops its memo; at
-    40 resets mix with memo hits.  The fused rank steps must notice,
-    rebind and draw the same samples, counted as the engine route counts
-    them (no memo to bind, every rank step one ``conditional_probs_batch``
-    call per attribute it draws)."""
+    40 resets mix with memo hits.  The fused rank steps, in the compiled
+    loop (where it loads) and in NumPy, must notice, rebind and draw the
+    same samples, counted as the engine route counts them (no memo to
+    bind, every rank step one ``conditional_probs_batch`` call per
+    attribute it draws)."""
     model, masked, _, _ = census
     workload = list(dict.fromkeys(masked))[:8]
     blocks, counters = {}, {}
     for cache_size in RESET_WORKLOAD_COUNTERS:
-        for engine_route in (False, True):
+        for route in ("compiled", "numpy", "engine"):
             engine = BatchInferenceEngine(model, cache_size=cache_size)
-            if engine_route:
+            if route == "engine":
                 engine.live_memo = lambda attr, choice, scheme: None
-            run, _ = ensemble_sampling(
-                model, [(workload, 11)], num_samples=60, burn_in=10, chains=2,
-                batch_engine=engine,
-            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(native, "ENABLED", route == "compiled")
+                run, _ = ensemble_sampling(
+                    model, [(workload, 11)], num_samples=60, burn_in=10,
+                    chains=2, batch_engine=engine,
+                )
             info = engine.cache_info()
             counted = (
                 info["hits"], info["tuples_served"], info["groups_computed"]
             )
-            if engine_route:
+            if route == "compiled":
+                blocks[cache_size], counters[cache_size] = run, counted
+            else:
                 _assert_same_blocks(blocks[cache_size], run)
                 assert counted == counters[cache_size]
-            else:
-                blocks[cache_size], counters[cache_size] = run, counted
         if cache_size != DEFAULT_CPD_CACHE_SIZE:
             assert engine.memo_resets > 0
             _assert_same_blocks(blocks[DEFAULT_CPD_CACHE_SIZE], blocks[cache_size])

@@ -15,8 +15,9 @@ every kernel samples ``pi`` — not merely that two kernels agree:
 
 * the scalar :class:`~repro.core.gibbs.GibbsChain`;
 * :func:`~repro.core.tuple_dag.ensemble_sampling` over several segments,
-  with one and with four chains per tuple, on fused rank steps and with
-  every rank step forced through the engine;
+  with one and with four chains per tuple, on fused rank steps (the
+  compiled loop and the NumPy steps) and with every rank step forced
+  through the engine;
 * :func:`~repro.core.tuple_dag.workload_sampling`'s tuple-DAG sharing on
   subsuming tuples, whose child block is an exact mixture (below);
 * the multi-missing blocks of :func:`derive_probabilistic_database`.
@@ -44,6 +45,7 @@ from repro.core import (
     derive_probabilistic_database,
     ensemble_sampling,
     learn_mrsl,
+    native,
     workload_sampling,
 )
 from repro.datasets.census import load_census
@@ -224,19 +226,23 @@ def test_scalar_chain_samples_the_stationary_distribution(
 
 
 @pytest.mark.parametrize(
-    "num_chains, engine_route",
+    "num_chains, engine_route, compiled",
     [
-        pytest.param(1, False, id="1"),
-        pytest.param(4, False, id="4"),
-        pytest.param(1, True, id="1-engine-route"),
-        pytest.param(4, True, id="4-engine-route"),
+        pytest.param(1, False, True, id="1"),
+        pytest.param(4, False, True, id="4"),
+        pytest.param(1, False, False, id="1-numpy"),
+        pytest.param(4, False, False, id="4-numpy"),
+        pytest.param(1, True, True, id="1-engine-route"),
+        pytest.param(4, True, True, id="4-engine-route"),
     ],
 )
 def test_ensemble_samples_the_stationary_distribution(
-    census_model, workload, chains, num_chains, engine_route
+    census_model, workload, chains, num_chains, engine_route, compiled, monkeypatch
 ):
-    """Fused rank steps, and (with no live memo to fuse over) every rank
-    step through the engine."""
+    """Fused rank steps in the compiled loop (where it loads) and in NumPy,
+    and (with no live memo to fuse over) every rank step through the
+    engine."""
+    monkeypatch.setattr(native, "ENABLED", compiled)
     engine = BatchInferenceEngine(census_model)
     if engine_route:
         engine.live_memo = lambda attr, choice, scheme: None

@@ -259,6 +259,31 @@ class TestCarryStore:
         assert split.dirty_single == [split.workload.rows[target]]
         assert split.workload.tuples[split.dirty_single[0]] is workload[target]
 
+    def test_run_layout_gives_the_replayed_store(
+        self, census_updated, census_baseline
+    ):
+        """A derivation keeps what it planned: the store built from its
+        layout holds the very blocks, segment keys and row orders that
+        replaying the layout over its database recovers, for a scratch
+        result and for a delta result that carried its multi segments."""
+        delta = derive_probabilistic_database(
+            census_updated, config=CENSUS_CONFIG, previous=census_baseline
+        )
+        assert delta.exec_report.carried_over > 0
+        for result in (census_baseline, delta):
+            got = CarryStore.from_layout(result.layout, result.base_seed)
+            want = CarryStore.from_database(result.database, result.base_seed)
+            assert got.base_seed == want.base_seed
+            assert list(got.singles) == list(want.singles)
+            assert all(got.singles[t] is b for t, b in want.singles.items())
+            assert got.multi.keys() == want.multi.keys() != set()
+            for key, blocks in want.multi.items():
+                assert np.array_equal(got.multi[key].codes, blocks.codes)
+                assert list(got.multi[key]) == list(blocks)
+                assert all(
+                    a is b for a, b in zip(got.multi[key].values(), blocks.values())
+                )
+
     def test_complete_tuples_rejected(self, census_relation, census_baseline):
         store = CarryStore.from_database(
             census_baseline.database, census_baseline.base_seed
