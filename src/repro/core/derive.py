@@ -62,6 +62,9 @@ class DeriveResult:
     model: MRSLModel
     learn_result: LearnResult | None
     sampling_stats: SamplingStats
+    #: what the run planned and derived, by distinct row; a delta re-derive
+    #: from this result builds its carry store from it
+    layout: RunLayout = field(repr=False, compare=False)
     exec_report: ExecReport | None = None
     #: the base seed the run's multi shards derived from (None when the
     #: workload had no multi-missing tuples); a later delta re-derive pins
@@ -70,9 +73,6 @@ class DeriveResult:
     #: the model's lattices as the run compiled them; a re-derive from this
     #: result reuses them instead of compiling the same model again
     compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
-    #: what the run planned and derived, by distinct row; a delta re-derive
-    #: from this result builds its carry store from it
-    layout: RunLayout | None = field(default=None, repr=False, compare=False)
 
 
 def single_missing_blocks(
@@ -217,10 +217,7 @@ def derive_probabilistic_database(
         raise ValueError("resume_carry cannot be combined with previous")
     carry: CarryStore | None = resume_carry
     if previous is not None and cfg.update_policy == "delta":
-        if previous.layout is not None:
-            carry = CarryStore.from_layout(previous.layout, previous.base_seed)
-        else:
-            carry = CarryStore.from_database(previous.database, previous.base_seed)
+        carry = CarryStore.from_layout(previous.layout, previous.base_seed)
     hooks = dict(
         rng=rng,
         batch_engine=batch_engine,

@@ -6,25 +6,33 @@ load it, and through its NumPy rank steps otherwise (the reference the
 tests compare against).  Both draw the same integers.
 
 The library is built with the host C compiler (:data:`COMPILER`, no
-``-ffast-math``) on first use and cached under :data:`CACHE_DIR` (the
-per-user cache, ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, when
-``None``), named by the sha256 of the source and the flags, so a changed
-source builds anew.  The compiler writes a temporary
-file that is then renamed into place, so processes building at the same
-time never load a half-written library.  ``ctypes`` is imported and the
-library loaded at the first ensemble trace, not at import.  No compiler,
-a compile error, an unwritable cache or a library that will not load all
-leave :func:`rank_sweeps` returning ``None``.
+``-ffast-math``) on first use and cached in the per-user cache
+(``$XDG_CACHE_HOME/repro``, by default ``~/.cache/repro``), named by the
+sha256 of the source, the flags and the machine type, so a changed
+source builds anew.  The compiler writes a temporary file that is then
+renamed into place, so processes building at the same time never load a
+half-written library.  A cached library that will not load is built
+again, once.  ``ctypes`` is imported and the library loaded at the first
+ensemble trace, not at import.  No compiler, a compile error, an
+unwritable cache or a library that will not load all leave
+:func:`rank_sweeps` returning ``None``.
+
+The compiler runs as a child of the process that first needs the loop,
+so that process's children's peak RSS includes it.  To keep a build out
+of a measured run, build first::
+
+    python -c "from repro.core import native; assert native.rank_sweeps()"
 
 No config field, flag or variable of this program selects the path:
-tests set :data:`ENABLED`, and point :data:`COMPILER`, :data:`SOURCE` and
-:data:`CACHE_DIR` elsewhere to exercise the fallback.
+tests set :data:`ENABLED`, point :data:`COMPILER` and :data:`SOURCE`
+elsewhere and set ``XDG_CACHE_HOME`` to exercise the fallback.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +48,6 @@ COMPILER = "gcc"
 #: Compile flags.  No ``-ffast-math``: the loop's float64 ``<=`` must
 #: compare NaN false, as NumPy does.
 FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
-
-#: Where built libraries are cached; ``None`` is the per-user cache.
-CACHE_DIR: Path | None = None
 
 #: Whether ensembles run the compiled loop (``False``: the NumPy steps).
 ENABLED = True
@@ -63,18 +68,17 @@ def rank_sweeps():
 
 
 def _cache_dir() -> Path:
-    if CACHE_DIR is not None:
-        return Path(CACHE_DIR)
     base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     return Path(base) / "repro"
 
 
 def library_path(cache: Path, source: bytes | None = None) -> Path:
-    """The cached library for ``source`` (the current source) and the
-    flags in ``cache``."""
+    """The cached library for ``source`` (the current source), the flags
+    and this machine type in ``cache``."""
     if source is None:
         source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(FLAGS).encode())
+    key = "\0".join([*FLAGS, platform.machine()]).encode()
+    digest = hashlib.sha256(source + key)
     return Path(cache) / f"rank_sweeps-{digest.hexdigest()[:16]}.so"
 
 
@@ -111,9 +115,17 @@ def load():
 
         source = SOURCE.read_bytes()
         target = library_path(_cache_dir(), source)
-        if not target.exists():
+        fn = None
+        if target.exists():
+            try:
+                fn = ctypes.CDLL(str(target)).repro_rank_sweeps
+            except (OSError, AttributeError):
+                # A corrupt file, or one a different system built under the
+                # same home: build it again, once.
+                pass
+        if fn is None:
             _build(target, source)
-        fn = ctypes.CDLL(str(target)).repro_rank_sweeps
+            fn = ctypes.CDLL(str(target)).repro_rank_sweeps
     except (
         OSError, RuntimeError, KeyError, AttributeError, subprocess.SubprocessError
     ):

@@ -26,9 +26,8 @@ worth knowing when sizing ChangeSets (see ``docs/updates.md``).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -108,37 +107,22 @@ class RunLayout:
         return cls(missing, blocks, multi)
 
 
-class SegmentBlocks(Mapping):
-    """One multi segment's ``{base tuple: block}`` map, in the order its
-    distinct rows ran, with those rows' codes stacked in ``codes``: a
-    delta split compares a segment's rows as one array, not tuple by
-    tuple."""
+@dataclass(frozen=True, eq=False)
+class SegmentBlocks:
+    """One multi segment's blocks, in the order its distinct rows ran,
+    with those rows' codes stacked in ``codes``: a delta split compares a
+    segment's rows as one array, not tuple by tuple."""
 
-    __slots__ = ("codes", "blocks", "_by_base")
-
-    def __init__(self, codes: np.ndarray, blocks: "Sequence[TupleBlock]"):
-        self.codes = codes
-        self.blocks = list(blocks)
-        self._by_base: dict[RelTuple, TupleBlock] | None = None
+    codes: np.ndarray
+    blocks: "list[TupleBlock]"
 
     @classmethod
     def of(cls, blocks: "Sequence[TupleBlock]") -> "SegmentBlocks":
-        """The map of ``blocks`` in run order; copies of a base collapse."""
+        """The segment of ``blocks`` in run order; copies of a base collapse."""
         blocks = list({block.base: block for block in blocks}.values())
         if not blocks:
             return cls(np.empty((0, 0), dtype=np.int32), blocks)
         return cls(np.stack([block.base.codes for block in blocks]), blocks)
-
-    def __getitem__(self, base: RelTuple) -> TupleBlock:
-        if self._by_base is None:
-            self._by_base = {block.base: block for block in self.blocks}
-        return self._by_base[base]
-
-    def __iter__(self) -> Iterator[RelTuple]:
-        return (block.base for block in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 class CarryStore:
@@ -146,8 +130,8 @@ class CarryStore:
 
     ``singles`` maps each single-missing base tuple to its block;
     ``multi`` maps each previous multi segment's content key to that
-    segment's own ``{base tuple: block}`` map (a :class:`SegmentBlocks`),
-    in the order the segment's distinct rows ran.  ``base_seed`` is the
+    segment's blocks (a :class:`SegmentBlocks`), in the order the
+    segment's distinct rows ran.  ``base_seed`` is the
     seed the previous derivation's multi segments were derived under — the
     delta runtime pins new segments to the same seed so the combined
     result equals a from-scratch run.  ``None`` when the previous run had
@@ -182,7 +166,7 @@ class CarryStore:
         database: "ProbabilisticDatabase",
         base_seed: int | None,
     ) -> "CarryStore":
-        """Rebuild the store from a derived database.
+        """Rebuild the store from a derived database alone.
 
         The previous workload's distinct rows are recovered from the
         database's blocks (derivation emits blocks in workload order, so
@@ -190,9 +174,10 @@ class CarryStore:
         a row share its block object, and equal bases collapse by content
         too) and the multi rows are replayed through the planner's
         :func:`~repro.exec.plan.multi_shard_layout` to recover the segment
-        content keys.  A derivation's own result keeps its
-        :class:`RunLayout`, which :meth:`from_layout` reads without the
-        replay.
+        content keys.  Delta re-derives do not replay: they read the
+        :class:`RunLayout` their previous result kept
+        (:meth:`from_layout`), and this replay is the reference the tests
+        check that store against.
         """
         from ..exec.plan import _first_occurrence, multi_shard_layout
 

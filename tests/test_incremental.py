@@ -225,8 +225,8 @@ class TestCarryStore:
     def test_unchanged_workload_carries_everything(
         self, census_relation, census_baseline
     ):
-        store = CarryStore.from_database(
-            census_baseline.database, census_baseline.base_seed
+        store = CarryStore.from_layout(
+            census_baseline.layout, census_baseline.base_seed
         )
         workload = list(census_relation.incomplete_part())
         workload.sort(key=lambda t: t.num_missing > 1)
@@ -238,8 +238,8 @@ class TestCarryStore:
     def test_touched_single_is_dirty_alone(
         self, census_relation, census_baseline
     ):
-        store = CarryStore.from_database(
-            census_baseline.database, census_baseline.base_seed
+        store = CarryStore.from_layout(
+            census_baseline.layout, census_baseline.base_seed
         )
         workload = list(census_relation.incomplete_part())
         workload.sort(key=lambda t: t.num_missing > 1)
@@ -279,14 +279,14 @@ class TestCarryStore:
             assert got.multi.keys() == want.multi.keys() != set()
             for key, blocks in want.multi.items():
                 assert np.array_equal(got.multi[key].codes, blocks.codes)
-                assert list(got.multi[key]) == list(blocks)
+                assert len(got.multi[key].blocks) == len(blocks.blocks)
                 assert all(
-                    a is b for a, b in zip(got.multi[key].values(), blocks.values())
+                    a is b for a, b in zip(got.multi[key].blocks, blocks.blocks)
                 )
 
     def test_complete_tuples_rejected(self, census_relation, census_baseline):
-        store = CarryStore.from_database(
-            census_baseline.database, census_baseline.base_seed
+        store = CarryStore.from_layout(
+            census_baseline.layout, census_baseline.base_seed
         )
         with pytest.raises(ValueError, match="complete tuples"):
             store.split(list(census_relation.complete_part())[:1])

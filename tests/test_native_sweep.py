@@ -12,9 +12,10 @@ NumPy rank steps otherwise.  The guarantees:
   middle of a block, a cold engine, every step on the engine route,
   int8/int16/int32 traces, burn-ins across uniform blocks, several chains
   and segments, cardinality-1 attributes, an out-of-range key).
-* Without a compiler, on a compile error, an unwritable cache or a
-  corrupt cached library, ensembles run the NumPy steps with the same
-  output and no exception.
+* Without a compiler, on a compile error or an unwritable cache,
+  ensembles run the NumPy steps with the same output and no exception.
+  A corrupt cached library is built again and loads; with no compiler
+  to rebuild it, the NumPy steps run.
 * Processes building into an empty cache at the same time all load a
   working library.
 """
@@ -283,9 +284,9 @@ def test_an_out_of_range_key_raises_on_both_paths(census, loop):
 
 @pytest.fixture
 def fresh_load(monkeypatch, tmp_path):
-    """An unloaded loop building into an empty cache under ``tmp_path``."""
+    """An unloaded loop building into an empty cache, ``tmp_path / "repro"``."""
     monkeypatch.setattr(native, "_loop", native._UNSET)
-    monkeypatch.setattr(native, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     return tmp_path
 
 
@@ -308,13 +309,13 @@ def test_a_compile_error_falls_back(census, fresh_load, monkeypatch):
     source.write_text("this is not C;\n")
     monkeypatch.setattr(native, "SOURCE", source)
     _assert_falls_back(census)
-    assert not list((fresh_load / "cache").glob("*"))  # no temp file left
+    assert not list((fresh_load / "repro").glob("*"))  # no temp file left
 
 
 @pytest.mark.parametrize("how", ["read-only", "under-a-file"])
 def test_an_unwritable_cache_falls_back(census, fresh_load, monkeypatch, how):
     if how == "read-only":
-        cache = fresh_load / "cache"
+        cache = fresh_load / "repro"
         cache.mkdir()
         cache.chmod(0o555)
         if os.access(cache, os.W_OK):
@@ -323,20 +324,38 @@ def test_an_unwritable_cache_falls_back(census, fresh_load, monkeypatch, how):
             pytest.skip("directory modes do not bind this user")
     else:
         (fresh_load / "file").write_text("")
-        monkeypatch.setattr(native, "CACHE_DIR", fresh_load / "file" / "cache")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_load / "file"))
     _assert_falls_back(census)
 
 
-def test_a_corrupt_cached_library_falls_back(census, fresh_load):
-    target = native.library_path(fresh_load / "cache")
+def _corrupt_cached_library(cache):
+    target = native.library_path(cache)
     target.parent.mkdir()
     target.write_bytes(b"\x7fELF not a library")
+    return target
+
+
+def test_a_corrupt_cached_library_is_built_again(loop, census, fresh_load):
+    target = _corrupt_cached_library(fresh_load / "repro")
+    model, pools = census
+    build = _builder(model, _segments(pools), chains=2)
+    got = _run_path(True, build, 30, 4)
+    assert native.rank_sweeps() is not None
+    assert target.read_bytes().startswith(b"\x7fELF")
+    assert len(target.read_bytes()) > 100
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
+    _assert_same_runs(got, _run_path(False, build, 30, 4))
+
+
+def test_a_corrupt_cached_library_without_a_compiler_falls_back(
+    census, fresh_load, monkeypatch
+):
+    _corrupt_cached_library(fresh_load / "repro")
+    monkeypatch.setattr(native, "COMPILER", str(fresh_load / "no-such-cc"))
     _assert_falls_back(census)
 
 
 _CHILD = """
-import sys
-from pathlib import Path
 import numpy as np
 from repro.core import native
 from repro.core.gibbs import GibbsEnsemble, GibbsSampler
@@ -344,7 +363,6 @@ from repro.datasets.census import load_census
 from repro.core.learning import learn_mrsl
 from repro.bench.masking import mask_relation
 
-native.CACHE_DIR = Path(sys.argv[1])
 digests = []
 rng = np.random.default_rng(3)
 train, _ = load_census(200, rng)
@@ -362,11 +380,11 @@ print(native.rank_sweeps() is not None, digests[0] == digests[1])
 
 
 def test_concurrent_builds_both_load_a_working_library(loop, tmp_path):
-    cache = tmp_path / "cache"
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    cache = tmp_path / "repro"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), XDG_CACHE_HOME=str(tmp_path))
     children = [
         subprocess.Popen(
-            [sys.executable, "-c", _CHILD, str(cache)], cwd=REPO, env=env,
+            [sys.executable, "-c", _CHILD], cwd=REPO, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for _ in range(2)

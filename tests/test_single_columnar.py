@@ -482,7 +482,7 @@ class TestPicklingKeepsProbsReadOnly:
         finally:
             store.close()
         loaded = list(carry.singles.values()) + [
-            b for blocks in carry.multi.values() for b in blocks.values()
+            b for segment in carry.multi.values() for b in segment.blocks
         ]
         assert len(loaded) == len(outcome.blocks)
         want = {b.base: b.distribution.probs.tobytes() for b in outcome.blocks}
