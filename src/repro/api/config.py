@@ -27,6 +27,7 @@ from ..exec.base import (
     DEFAULT_WORKERS,
     EXECUTORS,
     FAILURE_POLICIES,
+    effective_workers,
     validate_executor,
     validate_failure_policy,
     validate_workers,
@@ -261,13 +262,14 @@ class DeriveConfig:
 
     @property
     def parallelism(self) -> int:
-        """Worker count the executor will actually run (serial is always 1).
+        """Worker count the executor will actually run
+        (:func:`~repro.exec.base.effective_workers`).
 
         ``workers`` is legal alongside ``executor="serial"`` but ignored by
         the serial executor; progress estimates (running shards, ETA) must
         size themselves from this, not from raw ``workers``.
         """
-        return 1 if self.executor == "serial" else self.workers
+        return effective_workers(self.executor, self.workers)
 
     # -- serialization -----------------------------------------------------
 

@@ -15,7 +15,9 @@ half-written library.  A cached library that will not load is built
 again, once.  ``ctypes`` is imported and the library loaded at the first
 ensemble trace, not at import.  No compiler, a compile error, an
 unwritable cache or a library that will not load all leave
-:func:`rank_sweeps` returning ``None``.
+:func:`rank_sweeps` returning ``None``, and the one load in a process
+that fails emits a :class:`RuntimeWarning` naming the cause.  Disabling
+the loop (:data:`ENABLED`) warns nothing.
 
 The compiler runs as a child of the process that first needs the loop,
 so that process's children's peak RSS includes it.  To keep a build out
@@ -82,16 +84,21 @@ def library_path(cache: Path, source: bytes | None = None) -> Path:
     return Path(cache) / f"rank_sweeps-{digest.hexdigest()[:16]}.so"
 
 
+class _Unavailable(Exception):
+    """Why the loop cannot run here."""
+
+
 def _build(target: Path, source: bytes) -> None:
     import subprocess
     import tempfile
 
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent, prefix=target.stem, suffix=".tmp"
-    )
-    os.close(fd)
+    tmp = None
     try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=target.parent, prefix=target.stem, suffix=".tmp"
+        )
+        os.close(fd)
         # The source goes in on stdin: the library is built from the bytes
         # its name hashes.
         subprocess.run(
@@ -99,24 +106,36 @@ def _build(target: Path, source: bytes) -> None:
             input=source, check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, target)
+    except OSError as exc:
+        cause = "no C compiler" if exc.filename == COMPILER else "unwritable cache"
+        raise _Unavailable(f"{cause}: {exc}") from exc
+    except subprocess.SubprocessError as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        detail = stderr.strip().splitlines() or [exc]
+        raise _Unavailable(f"compile error: {detail[0]}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def load():
-    """Build (when not cached) and load the loop; ``None`` on any failure."""
-    import subprocess
+    """Build (when not cached) and load the loop; ``None`` on any failure,
+    after a :class:`RuntimeWarning` that names the cause."""
+    import ctypes
+    import warnings
 
-    if np.dtype(np.intp).itemsize != 8:
-        return None  # the loop reads slots as int64
     try:
-        import ctypes
-
-        source = SOURCE.read_bytes()
-        target = library_path(_cache_dir(), source)
+        if np.dtype(np.intp).itemsize != 8:
+            raise _Unavailable("the loop reads slots as int64, wider than intp")
+        try:
+            source = SOURCE.read_bytes()
+            target = library_path(_cache_dir(), source)
+            cached = target.exists()
+        except (OSError, RuntimeError, KeyError) as exc:
+            # An unreadable source or cache, or no home directory.
+            raise _Unavailable(f"no source or cache: {exc}") from exc
         fn = None
-        if target.exists():
+        if cached:
             try:
                 fn = ctypes.CDLL(str(target)).repro_rank_sweeps
             except (OSError, AttributeError):
@@ -125,12 +144,17 @@ def load():
                 pass
         if fn is None:
             _build(target, source)
-            fn = ctypes.CDLL(str(target)).repro_rank_sweeps
-    except (
-        OSError, RuntimeError, KeyError, AttributeError, subprocess.SubprocessError
-    ):
-        # No compiler, a compile error, an unwritable cache, a library that
-        # will not load, or no home directory to cache in.
+            try:
+                fn = ctypes.CDLL(str(target)).repro_rank_sweeps
+            except (OSError, AttributeError) as exc:
+                raise _Unavailable(f"library will not load: {exc}") from exc
+    except _Unavailable as exc:
+        warnings.warn(
+            f"the compiled Gibbs sweep loop is unavailable ({exc}); "
+            "ensembles run the NumPy rank steps at about half the speed",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     fn.restype = i64

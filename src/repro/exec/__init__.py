@@ -6,7 +6,8 @@ MRSL.  This package turns it into a plan/execute/collect pipeline:
 
 * :mod:`.plan`      — partition a workload into shards keyed by evidence
   signature (single-missing) and into seeded segments of subsumption
-  components, fused into shards (multi-missing);
+  components, fused into shards (multi-missing); with a carry store,
+  only the rows it does not carry (a delta re-derive);
 * :mod:`.executors` — run shards serially or on worker processes that
   inherit the parent's state (fork) or rebuild it from the persisted
   model JSON;

@@ -11,15 +11,17 @@ processes; the collector (:mod:`repro.exec.runtime`) streams
 hold each distinct row of the workload once; their row counts count every
 copy.
 
-This module holds only the data types and name validation so that
-:mod:`repro.api.config` can import it without pulling in the derive
-pipeline (which itself imports the config module).
+This module holds only the data types, name validation and the worker
+count (:func:`effective_workers`) so that :mod:`repro.api.config` can
+import it without pulling in the derive pipeline (which itself imports
+the config module).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +40,8 @@ __all__ = [
     "validate_executor",
     "validate_workers",
     "validate_failure_policy",
+    "host_cpus",
+    "effective_workers",
     "DerivationCancelled",
     "ShardExecutionError",
     "WorkerPoolError",
@@ -85,6 +89,21 @@ def validate_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     return workers
+
+
+def host_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API on this OS
+        return os.cpu_count() or 1
+
+
+def effective_workers(executor: str, workers: int) -> int:
+    """The workers ``executor`` runs, and plans for, under a ``workers``
+    knob: the serial executor always runs one, a process pool at most one
+    per host CPU.  Executors and progress trackers both size from this."""
+    return 1 if executor == "serial" else min(workers, host_cpus())
 
 
 def validate_failure_policy(policy: str) -> str:
@@ -280,17 +299,31 @@ class ShardPlan:
     workers.  How consecutive segments group into multi shards, and how
     single shards pack, *may* track the worker count: segments keep their
     own seeds inside a fused shard, and single shards are RNG-free, so
-    neither grouping changes a result.
+    neither grouping changes a result.  A plan against a carry store lists
+    the work it does not run in ``carried``; ``num_tuples`` counts only
+    the rows ``shards`` cover.
     """
 
     shards: tuple[Shard, ...]
     num_tuples: int
     #: the resolved seed multi-shard seeds derive from (None if no multis)
     base_seed: int | None = None
-    #: shards a delta plan served from a previous derivation (skipped work)
-    carried_over: int = 0
-    #: tuples covered by those carried shards
-    carried_tuples: int = 0
+    #: carried work: single shards, and one shard per multi segment
+    carried: tuple[Shard, ...] = ()
+    #: the carried rows' blocks, by distinct-row number
+    carried_blocks: "Mapping[int, TupleBlock]" = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    @property
+    def carried_over(self) -> int:
+        """Carried shards and segments (skipped work)."""
+        return len(self.carried)
+
+    @property
+    def carried_tuples(self) -> int:
+        """Workload rows the carried work covers."""
+        return sum(len(shard) for shard in self.carried)
 
     @property
     def single_shards(self) -> tuple[Shard, ...]:
@@ -459,21 +492,21 @@ class ExecReport:
             )
         )
 
-    def add_carried(self, key: str, kind: str, tuples: int, groups: int) -> None:
-        """Record a shard the delta path skipped (blocks reused verbatim)."""
+    def add_carried(self, shard: Shard) -> None:
+        """Record a shard the plan carried (blocks reused verbatim)."""
         self.timings.append(
             ShardTiming(
-                key=key,
-                kind=kind,
-                tuples=tuples,
-                groups=groups,
+                key=shard.key,
+                kind=shard.kind,
+                tuples=len(shard),
+                groups=shard.groups,
                 elapsed=0.0,
                 worker="carry",
                 carried=True,
             )
         )
         self.carried_over += 1
-        self.carried_tuples += tuples
+        self.carried_tuples += len(shard)
 
     def slowest(self, k: int = 5) -> list[ShardTiming]:
         """The ``k`` slowest shards, slowest first (for progress reporting)."""

@@ -37,7 +37,6 @@ deterministic seeds make the degraded result bit-identical.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from collections import deque
@@ -65,6 +64,8 @@ from .base import (
     ShardPlan,
     ShardResult,
     WorkerPoolError,
+    effective_workers,
+    host_cpus,
     validate_workers,
 )
 from . import work
@@ -90,14 +91,6 @@ __all__ = [
     "get_executor",
     "host_cpus",
 ]
-
-
-def host_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity API on this OS
-        return os.cpu_count() or 1
 
 
 @dataclass
@@ -227,8 +220,9 @@ class Executor:
 
     @property
     def effective_workers(self) -> int:
-        """The workers this executor plans for and runs."""
-        return self.workers
+        """The workers this executor plans for and runs
+        (:func:`~repro.exec.base.effective_workers`)."""
+        return effective_workers(self.name, self.workers)
 
     def run(
         self, plan: ShardPlan, context: ExecContext
@@ -325,10 +319,6 @@ class ProcessExecutor(Executor):
 
     #: seconds between deadline scans when no future completes
     poll_interval = 0.25
-
-    @property
-    def effective_workers(self) -> int:
-        return min(self.workers, host_cpus())
 
     def run(
         self, plan: ShardPlan, context: ExecContext

@@ -39,6 +39,11 @@ Two partitioning rules, one per inference regime:
   tuples), each run as one lock-step ensemble in which every segment still
   consumes its own seeded generator exactly as if it ran alone.  So the
   grouping may follow the worker count, but results never do.
+
+A delta re-derive runs through the same planner: :func:`plan_shards`
+takes a previous run's carry store, which splits the workload's distinct
+rows into carried and dirty, and packs, seeds and fuses only the dirty
+ones.  Without a store every row is dirty.
 """
 
 from __future__ import annotations
@@ -51,11 +56,13 @@ import numpy as np
 
 from ..core.compiled import CompiledModel
 from ..core.engine import unique_rows
+from ..probdb.invalidate import DeltaSplit
 from ..relational.tuples import MISSING_CODE, RelTuple, trusted_rows
 from .base import DEFAULT_WORKERS, Segment, Shard, ShardPlan, validate_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.mrsl import MRSLModel
+    from ..probdb.invalidate import CarryStore
     from ..relational.schema import Schema
 
 __all__ = [
@@ -378,9 +385,10 @@ def multi_shard_layout(
 
     This is the single source of truth for how multi-missing workloads map
     to seeded :class:`~repro.exec.base.Segment` units and their content
-    keys; :func:`plan_shards` builds its multi shards from it, and the delta
-    planner replays it over a *previous* derivation's workload to recover
-    the segment keys whose blocks can be carried over.  ``codes`` are the
+    keys; :func:`plan_shards` builds its multi shards from it, a carry
+    store splits the new workload by it, and
+    :meth:`~repro.probdb.invalidate.CarryStore.from_database` replays it
+    over a derived database's blocks.  ``codes`` are the
     workload's distinct multi-missing rows in order of first occurrence,
     and ``counts`` how many workload rows repeat each (default one; it sets
     :attr:`Segment.size` only).  Returns ``(segment, members)`` pairs,
@@ -501,41 +509,58 @@ def plan_shards(
     seed: int | None = None,
     rng: np.random.Generator | int | None = None,
     compiled: CompiledModel | None = None,
+    carry: "CarryStore | None" = None,
 ) -> ShardPlan:
     """Partition a workload (mixed single- and multi-missing) into shards.
 
     ``tuples`` is a :class:`Workload` or a tuple list (numbered here).
     Shards hold distinct rows; ``num_tuples`` and each shard's ``len``
     count workload rows.  The returned plan is deterministic given the
-    workload, the model and ``workers``.  Its multi *segments* (keys and
-    seeds, see :func:`multi_shard_layout`) never depend on ``workers``;
-    only how they fuse into at most ``min(workers, #segments)`` shards does
-    (see :func:`build_multi_shards`).  The base seed is resolved (see
-    :func:`resolve_base_seed`) only when the workload actually contains
-    multi-missing tuples, so RNG-free workloads never consume entropy or
-    disturb a caller's generator.
+    workload, the model, ``workers`` and ``carry``.  Its multi *segments*
+    (keys and seeds, see :func:`multi_shard_layout`) never depend on
+    ``workers``; only how they fuse into at most ``min(workers,
+    #segments)`` shards does (see :func:`build_multi_shards`).  The base
+    seed is ``carry.base_seed`` when the store has one, else resolved (see
+    :func:`resolve_base_seed`), and only when the workload actually
+    contains multi-missing tuples, so RNG-free workloads never consume
+    entropy or disturb a caller's generator.
+
+    ``carry``, a previous run's
+    :class:`~repro.probdb.invalidate.CarryStore`, splits the workload:
+    only its dirty rows are planned, and the carried work goes onto the
+    plan's ``carried`` (singles packed like dirty ones, a one-segment
+    shard per segment) with its blocks.  ``None`` carries nothing and
+    looks nothing up.
     """
     workers = validate_workers(workers)
     workload = _as_workload(tuples)
-    single = np.flatnonzero(workload.missing == 1)
-    multi = np.flatnonzero(workload.missing > 1)
+    if carry is None:
+        multi = np.flatnonzero(workload.missing > 1)
+        single = np.flatnonzero(workload.missing == 1)
+        split = DeltaSplit(workload, {}, single, multi_layout(workload, multi), [], [])
+    else:
+        split = carry.split(workload)
 
-    shards: list[Shard] = []
-    if single.size:
-        if compiled is None:
-            compiled = CompiledModel(model)
-        shards.extend(build_single_shards(workload, single, compiled, workers))
+    if compiled is None and (len(split.dirty_single) or split.carried_single):
+        compiled = CompiledModel(model)
+    shards = build_single_shards(workload, split.dirty_single, compiled, workers)
+    carried = build_single_shards(workload, split.carried_single, compiled, workers)
 
     base_seed: int | None = None
-    if multi.size:
-        base_seed = resolve_base_seed(rng, seed)
+    if split.dirty_multi or split.carried_multi:
+        pinned = None if carry is None else carry.base_seed
+        base_seed = resolve_base_seed(rng, seed) if pinned is None else pinned
         shards.extend(
-            build_multi_shards(
-                workload, multi_layout(workload, multi), base_seed, workers
-            )
+            build_multi_shards(workload, split.dirty_multi, base_seed, workers)
         )
+        for segment in split.carried_multi:  # one report row per segment
+            carried.extend(build_multi_shards(workload, [segment], base_seed, 1))
     return ShardPlan(
-        shards=tuple(shards), num_tuples=len(workload), base_seed=base_seed
+        shards=tuple(shards),
+        num_tuples=len(workload) - sum(len(shard) for shard in carried),
+        base_seed=base_seed,
+        carried=tuple(carried),
+        carried_blocks=split.carried,
     )
 
 

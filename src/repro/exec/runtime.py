@@ -6,7 +6,12 @@ caller (the lazy deriver, a progress bar, a service handler) can consume
 completed blocks without waiting for the whole workload.
 :func:`execute_derivation` is the collecting face — it drains the stream
 into blocks in workload order, merges the Gibbs cost counters, and returns
-per-shard timing diagnostics.
+per-shard timing diagnostics.  Given a previous run's
+:class:`~repro.probdb.invalidate.CarryStore` it is also the delta
+re-derive: the one planner (:func:`~repro.exec.plan.plan_shards`) plans
+only the rows the store does not carry, and the collector fills the
+carried rows from the store.  :func:`execute_delta` is that call under its
+own name.
 """
 
 from __future__ import annotations
@@ -32,14 +37,7 @@ from .base import (
 )
 from .executors import ExecContext, Executor, get_executor
 from .faults import FaultPlan, resolve_fault_plan
-from .plan import (
-    Workload,
-    _as_workload,
-    build_multi_shards,
-    build_single_shards,
-    plan_shards,
-    resolve_base_seed,
-)
+from .plan import Workload, _as_workload, plan_shards
 from .work import ShardKnobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,7 +122,13 @@ def stream_derivation(
 
 
 def _plan(
-    workload: Workload, model, config, rng, chosen: Executor, context: ExecContext
+    workload: Workload,
+    model,
+    config,
+    rng,
+    chosen: Executor,
+    context: ExecContext,
+    carry: "CarryStore | None" = None,
 ) -> ShardPlan:
     """Plan the workload on the context's one compiled model.
 
@@ -135,7 +139,7 @@ def _plan(
     segments (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`) that never
     depend on the worker count, and consecutive segments fuse into at most
     one shard per worker — so results stay identical across executors and
-    pool sizes.
+    pool sizes.  ``carry`` plans only the rows it does not carry.
     """
     if chosen.name == "serial":
         context.warm_engine()
@@ -146,6 +150,7 @@ def _plan(
         seed=config.seed,
         rng=rng,
         compiled=context.compiled_model(),
+        carry=carry,
     )
 
 
@@ -160,6 +165,7 @@ def execute_derivation(
     on_plan: Callable[[ShardPlan], None] | None = None,
     should_stop: Callable[[], bool] | None = None,
     faults: "FaultPlan | Any" = None,
+    carry: "CarryStore | None" = None,
 ) -> ExecOutcome:
     """Derive blocks for ``tuples``, collecting the stream in input order.
 
@@ -167,6 +173,14 @@ def execute_derivation(
     Each distinct row runs once; the collector returns one block per
     workload row, and copies of a row share its block object.  Blocks of a
     tuple list are rooted at the list's own tuples.
+
+    ``carry`` reuses a previous run's clean blocks (delta mode, see
+    :func:`~repro.exec.plan.plan_shards`): carried blocks fill their rows
+    up front and appear in the report as carried shards, and only the
+    planned, dirty shards execute.  Dirty segments keep the keys and seeds
+    a plan without a store gives them, under ``carry.base_seed``, so the
+    result is bit-identical to a derive from scratch under that base seed,
+    for every executor.
 
     ``on_plan`` is invoked once with the :class:`ShardPlan` before any shard
     runs, and ``on_shard`` with every :class:`ShardResult` as it lands — the
@@ -193,7 +207,7 @@ def execute_derivation(
     )
     context = _context(model, config, batch_engine, faults)
     workload = _as_workload(tuples)
-    plan = _plan(workload, model, config, rng, chosen, context)
+    plan = _plan(workload, model, config, rng, chosen, context, carry)
     if on_plan is not None:
         on_plan(plan)
     report = ExecReport(
@@ -202,33 +216,12 @@ def execute_derivation(
         num_shards=len(plan),
         num_tuples=len(workload),
     )
-    return _run_plan(
-        chosen, context, plan, workload, {}, [], report, on_shard, should_stop
-    )
+    for shard in plan.carried:
+        report.add_carried(shard)
 
-
-def _run_plan(
-    chosen: Executor,
-    context: ExecContext,
-    plan: ShardPlan,
-    workload: Workload,
-    carried: "dict[int, TupleBlock]",
-    carried_segments: "list[tuple[str, np.ndarray]]",
-    report: ExecReport,
-    on_shard: Callable[[ShardResult], None] | None,
-    should_stop: Callable[[], bool] | None,
-) -> ExecOutcome:
-    """Drain a plan's shard stream into one block per distinct row, then
-    expand them to the workload's rows, filling ``report``.
-
-    Shared collector of the full and delta paths; ``carried`` blocks fill
-    their distinct rows up front, only planned shards are awaited.
-    ``carried_segments`` are the carried multi segments' keys and rows,
-    which join the plan's in the outcome's :class:`RunLayout`.
-    """
     groups_by_key = {shard.key: shard.groups for shard in plan.shards}
     distinct: "list[TupleBlock | None]" = [None] * len(workload.tuples)
-    for idx, block in carried.items():
+    for idx, block in plan.carried_blocks.items():
         distinct[idx] = block
     stats = SamplingStats()
     start = time.perf_counter()
@@ -283,16 +276,16 @@ def _run_plan(
         compiled=context.compiled_model(),
         layout=RunLayout.of(
             workload.codes, workload.missing, distinct,
-            carried_segments + _planned_segments(plan),
+            _segments(plan.carried + plan.shards),
         ),
     )
 
 
-def _planned_segments(plan: ShardPlan) -> "list[tuple[str, np.ndarray]]":
-    """Each planned multi segment's key and distinct rows, in run order: a
-    multi shard's rows are its segments' rows, concatenated."""
+def _segments(shards: "Sequence[Shard]") -> "list[tuple[str, np.ndarray]]":
+    """Each multi segment's key and distinct rows, in run order: a multi
+    shard's rows are its segments' rows, concatenated."""
     segments = []
-    for shard in plan.shards:
+    for shard in shards:
         if shard.kind == "multi":
             cuts = np.cumsum([segment.distinct for segment in shard.segments])
             rows = np.split(np.asarray(shard.indices, dtype=np.intp), cuts[:-1])
@@ -321,91 +314,8 @@ def execute_delta(
     model: "MRSLModel",
     config: Any,
     carry: "CarryStore",
-    rng: np.random.Generator | int | None = None,
-    batch_engine: "BatchInferenceEngine | None" = None,
-    executor: "Executor | str | None" = None,
-    on_shard: Callable[[ShardResult], None] | None = None,
-    on_plan: Callable[[ShardPlan], None] | None = None,
-    should_stop: Callable[[], bool] | None = None,
-    faults: "FaultPlan | Any" = None,
+    **kwargs: Any,
 ) -> ExecOutcome:
-    """Derive blocks for ``tuples``, reusing a previous run's clean blocks.
-
-    The new workload is laid out exactly as :func:`execute_derivation`
-    would plan it; every shard whose content already exists in ``carry``
-    is served verbatim (recorded as a carried shard in the report), and
-    only dirty work executes.  Dirty multi segments are seeded with
-    ``carry.base_seed`` under the keys a from-scratch plan would assign
-    (then fused into shards like a from-scratch plan's),
-    so the assembled database is bit-identical to a from-scratch derive
-    of the updated table with that base seed — for every executor.  When
-    the previous run had no multi-missing work, the base seed resolves
-    fresh from ``rng``/``config.seed`` as usual.
-    """
-    chosen = get_executor(
-        config.executor if executor is None else executor, config.workers
-    )
-    context = _context(model, config, batch_engine, faults)
-    workers = chosen.effective_workers
-    workload = _as_workload(tuples)
-    split = carry.split(workload)
-
-    compiled = None
-    if split.dirty_single or split.carried_single:
-        if chosen.name == "serial":
-            context.warm_engine()
-        compiled = context.compiled_model()
-
-    shards: list[Shard] = build_single_shards(
-        workload, split.dirty_single, compiled, workers
-    )
-    base_seed: int | None = None
-    if split.dirty_multi or split.carried_multi:
-        base_seed = (
-            carry.base_seed
-            if carry.base_seed is not None
-            else resolve_base_seed(rng, config.seed)
-        )
-    if split.dirty_multi:
-        # Dirty segments keep their from-scratch keys and seeds; only their
-        # grouping into fused shards follows this run's worker count.
-        shards.extend(
-            build_multi_shards(workload, split.dirty_multi, base_seed, workers)
-        )
-
-    # Account carried work: carried singles are packed exactly like dirty
-    # ones (results don't depend on packing), carried multi work is
-    # counted per segment, the unit it was carried by.
-    carried_rows = [
-        (shard.key, shard.kind, len(shard), shard.groups)
-        for shard in build_single_shards(
-            workload, split.carried_single, compiled, workers
-        )
-    ] + [
-        (segment.key, "multi", segment.size, segment.distinct)
-        for segment, _ in split.carried_multi
-    ]
-
-    plan = ShardPlan(
-        shards=tuple(shards),
-        num_tuples=split.num_dirty_tuples,
-        base_seed=base_seed,
-        carried_over=len(carried_rows),
-        carried_tuples=split.num_carried_tuples,
-    )
-    if on_plan is not None:
-        on_plan(plan)
-
-    report = ExecReport(
-        executor=chosen.name,
-        workers=workers,
-        num_shards=len(plan),
-        num_tuples=len(workload),
-    )
-    for row in carried_rows:
-        report.add_carried(*row)
-    carried_segments = [(segment.key, rows) for segment, rows in split.carried_multi]
-    return _run_plan(
-        chosen, context, plan, workload, split.carried, carried_segments,
-        report, on_shard, should_stop,
-    )
+    """:func:`execute_derivation` reusing ``carry``'s clean blocks; takes
+    the same keyword arguments."""
+    return execute_derivation(tuples, model, config, carry=carry, **kwargs)

@@ -47,18 +47,19 @@ class DeltaSplit:
     """A new workload's distinct rows split into carried blocks and dirty work.
 
     ``carried`` maps distinct-row numbers of ``workload`` to reusable
-    blocks.  ``dirty_single`` rows re-enter the single-shard packer; each
-    ``dirty_multi`` item is a segment ``(segment, rows)`` of the new layout
-    whose key missed the store, ready to be seeded and fused into shards.
-    ``carried_single`` rows and ``carried_multi`` segments (``(segment,
-    rows)`` too) mirror the carried side so the runtime can account
-    skipped work honestly.  The tuple counts are workload rows, duplicates
-    included.
+    blocks.  ``dirty_single`` rows (ascending) re-enter the single-shard
+    packer; each ``dirty_multi`` item is a segment ``(segment, rows)`` of
+    the new layout whose key missed the store, ready to be seeded and
+    fused into shards.  ``carried_single`` rows and ``carried_multi``
+    segments (``(segment, rows)`` too) mirror the carried side so the
+    planner can account skipped work honestly.  A plan without a store
+    splits nothing: every row is dirty.  The tuple counts are workload
+    rows, duplicates included.
     """
 
     workload: "Workload"
     carried: dict[int, TupleBlock]
-    dirty_single: list[int]
+    dirty_single: Sequence[int]
     dirty_multi: "list[tuple[Segment, np.ndarray]]"
     carried_single: list[int]
     carried_multi: "list[tuple[Segment, np.ndarray]]"
@@ -133,7 +134,7 @@ class CarryStore:
     segment's blocks (a :class:`SegmentBlocks`), in the order the
     segment's distinct rows ran.  ``base_seed`` is the
     seed the previous derivation's multi segments were derived under — the
-    delta runtime pins new segments to the same seed so the combined
+    planner pins new segments to the same seed so the combined
     result equals a from-scratch run.  ``None`` when the previous run had
     no multi-missing work.
     """

@@ -313,7 +313,14 @@ def test_shards_fuse_per_worker_and_segments_stay_put(census, small_segments):
 
 @pytest.mark.parametrize(
     "executor, workers",
-    [("serial", 1), ("process", 1), ("process", 2), ("process", 3), ("process", 4)],
+    [
+        ("serial", 1),
+        ("serial", 4),
+        ("process", 1),
+        ("process", 2),
+        ("process", 3),
+        ("process", 4),
+    ],
 )
 def test_executors_identical_across_segments(
     census, small_segments, executor, workers
@@ -330,8 +337,9 @@ def test_executors_identical_across_segments(
         model=model,
     )
     assert_identical_databases(reference.database, result.database)
-    # The process pool, and so the plan, is sized to the host's CPUs.
-    pool = workers if executor == "serial" else min(workers, host_cpus())
+    # Serial runs one worker; the process pool, and so the plan, is sized
+    # to the host's CPUs.
+    pool = 1 if executor == "serial" else min(workers, host_cpus())
     fused = [t for t in result.exec_report.timings if t.kind == "multi"]
     assert len(fused) == result.exec_report.workers == pool
 

@@ -139,11 +139,18 @@ class TestProgressTracker:
         assert snap.fraction_done == 0.0 and not snap.finished
         assert snap.shards_total == 3 and snap.tuples_total == 6
 
-    def test_serial_executor_counts_as_one_worker(self):
+    def test_serial_executor_counts_as_one_worker(self, monkeypatch):
+        import os
+
         from repro.api.config import DeriveConfig
 
+        cpus = {0, 1, 2, 3, 4, 5}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         assert DeriveConfig(executor="serial", workers=4).parallelism == 1
         assert DeriveConfig(executor="process", workers=4).parallelism == 4
+        # A process pool runs at most one worker per host CPU.
+        cpus = {0, 1}
+        assert DeriveConfig(executor="process", workers=4).parallelism == 2
 
     def test_snapshot_serializes(self):
         tracker = ProgressTracker()

@@ -12,10 +12,12 @@ NumPy rank steps otherwise.  The guarantees:
   middle of a block, a cold engine, every step on the engine route,
   int8/int16/int32 traces, burn-ins across uniform blocks, several chains
   and segments, cardinality-1 attributes, an out-of-range key).
-* Without a compiler, on a compile error or an unwritable cache,
-  ensembles run the NumPy steps with the same output and no exception.
-  A corrupt cached library is built again and loads; with no compiler
-  to rebuild it, the NumPy steps run.
+* Without a compiler, on a compile error, an unwritable cache or a
+  library that will not load, ensembles run the NumPy steps with the same
+  output and no exception, and the process gets one RuntimeWarning naming
+  the cause; a disabled loop warns nothing.  A corrupt cached library is
+  built again and loads; with no compiler to rebuild it, the NumPy steps
+  run.
 * Processes building into an empty cache at the same time all load a
   working library.
 """
@@ -23,6 +25,7 @@ NumPy rank steps otherwise.  The guarantees:
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,26 +293,46 @@ def fresh_load(monkeypatch, tmp_path):
     return tmp_path
 
 
-def _assert_falls_back(census):
-    """The loop did not load, and ensembles run the NumPy steps."""
+def _assert_falls_back(census, cause):
+    """The loop did not load, the process was told why in one
+    RuntimeWarning naming ``cause``, and ensembles run the NumPy steps."""
     model, pools = census
     build = _builder(model, _segments(pools), chains=2)
-    got = _run_path(True, build, 30, 4)
-    assert native.rank_sweeps() is None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _run_path(True, build, 30, 4)
+        assert native.rank_sweeps() is None
+        _run_path(True, build, 30, 4)
+    fallbacks = [w for w in caught if "sweep loop is unavailable" in str(w.message)]
+    assert len(fallbacks) == 1
+    assert fallbacks[0].category is RuntimeWarning
+    assert cause in str(fallbacks[0].message)
     _assert_same_runs(got, _run_path(False, build, 30, 4))
 
 
 def test_no_compiler_falls_back(census, fresh_load, monkeypatch):
     monkeypatch.setattr(native, "COMPILER", str(fresh_load / "no-such-cc"))
-    _assert_falls_back(census)
+    _assert_falls_back(census, "no C compiler")
 
 
 def test_a_compile_error_falls_back(census, fresh_load, monkeypatch):
     source = fresh_load / "broken.c"
     source.write_text("this is not C;\n")
     monkeypatch.setattr(native, "SOURCE", source)
-    _assert_falls_back(census)
+    _assert_falls_back(census, "compile error")
     assert not list((fresh_load / "repro").glob("*"))  # no temp file left
+
+
+def test_a_disabled_loop_warns_nothing(census, fresh_load, monkeypatch):
+    monkeypatch.setattr(native, "COMPILER", str(fresh_load / "no-such-cc"))
+    model, pools = census
+    build = _builder(model, _segments(pools), chains=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run_path(False, build, 30, 4)
+        monkeypatch.setattr(native, "ENABLED", False)
+        assert native.rank_sweeps() is None
+    assert native._loop is native._UNSET  # nothing was built or loaded
 
 
 @pytest.mark.parametrize("how", ["read-only", "under-a-file"])
@@ -325,7 +348,7 @@ def test_an_unwritable_cache_falls_back(census, fresh_load, monkeypatch, how):
     else:
         (fresh_load / "file").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_load / "file"))
-    _assert_falls_back(census)
+    _assert_falls_back(census, "unwritable cache")
 
 
 def _corrupt_cached_library(cache):
@@ -339,7 +362,9 @@ def test_a_corrupt_cached_library_is_built_again(loop, census, fresh_load):
     target = _corrupt_cached_library(fresh_load / "repro")
     model, pools = census
     build = _builder(model, _segments(pools), chains=2)
-    got = _run_path(True, build, 30, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _run_path(True, build, 30, 4)
     assert native.rank_sweeps() is not None
     assert target.read_bytes().startswith(b"\x7fELF")
     assert len(target.read_bytes()) > 100
@@ -352,7 +377,18 @@ def test_a_corrupt_cached_library_without_a_compiler_falls_back(
 ):
     _corrupt_cached_library(fresh_load / "repro")
     monkeypatch.setattr(native, "COMPILER", str(fresh_load / "no-such-cc"))
-    _assert_falls_back(census)
+    _assert_falls_back(census, "no C compiler")
+
+
+def test_a_library_that_will_not_load_falls_back(census, fresh_load, monkeypatch):
+    """A build that succeeds but leaves a file ``dlopen`` rejects."""
+
+    def build(target, source):
+        target.parent.mkdir(parents=True)
+        target.write_bytes(b"\x7fELF not a library")
+
+    monkeypatch.setattr(native, "_build", build)
+    _assert_falls_back(census, "will not load")
 
 
 _CHILD = """

@@ -275,7 +275,7 @@ def test_pool_size_is_capped_by_the_host(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert ProcessExecutor(4).effective_workers == 3
     assert ProcessExecutor(2).effective_workers == 2
-    assert SerialExecutor(4).effective_workers == 4
+    assert SerialExecutor(4).effective_workers == 1
 
 
 def test_oversized_pool_plans_and_runs_host_cpus(census, serial):
