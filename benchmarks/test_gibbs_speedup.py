@@ -26,6 +26,15 @@ So few rows leave each sweep's cost to its fixed per-step work.  It runs
 ``FLOOR_RUNS`` times in each of the alternating slots; the median goes to
 ``floor_s`` in ``BENCH_gibbs.json``.  It carries no gate either.
 
+``test_gibbs_work`` is the gate's deterministic twin: on the same
+workload it checks the work a warm-engine derive does, not its time.  Its
+multi-missing rows run in compiled ensembles that take no engine step,
+count every chain's rank steps (``sampler.steps == per_sweep * (burn_in
++ sweeps)``), add exactly ``num_samples`` samples into each tuple's
+histogram in the compiled loop, and never record a trace
+(``GibbsEnsemble.trace``) or gather uniforms into rank order
+(``GibbsEnsemble._uniforms``).
+
 Samples differ between the kernels (different, equally admissible draws of
 the same randomized procedure — see docs/execution.md); the scalar-vs-
 vectorized equivalence suite lives in ``tests/test_gibbs_vectorized.py``
@@ -43,13 +52,17 @@ import numpy as np
 
 from repro.api.config import DeriveConfig
 from repro.bench.masking import mask_relation
+import pytest
+
 from repro.core import (
     BatchInferenceEngine,
     derive_probabilistic_database,
     ensemble_sampling,
     learn_mrsl,
+    native,
     workload_sampling,
 )
+from repro.core.gibbs import GibbsEnsemble
 from repro.datasets.census import load_census
 from repro.relational import Relation
 
@@ -201,3 +214,61 @@ def test_gibbs_speedup(report, scale):
         f"vectorized Gibbs kernel only {speedup:.2f}x faster than the "
         f"scalar sampler (required {MIN_SPEEDUP}x)"
     )
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+def test_gibbs_work(scale, monkeypatch, chains):
+    """The work behind the speedup, on a warm engine: no engine step, every
+    chain's rank steps counted, every tuple's ``num_samples`` samples added
+    in the compiled loop, and no trace or rank-ordered uniform copy."""
+    if native.rank_sweeps() is None:
+        pytest.skip("the compiled sweep loop did not build or load here")
+    model, relation = _setup(scale)
+    num_samples = (500 if scale == "paper" else 200) + chains - 1
+    config = DeriveConfig(
+        num_samples=num_samples, burn_in=20, seed=2011, gibbs_chains=chains
+    )
+    engine = BatchInferenceEngine(model)
+
+    def derive():
+        return derive_probabilistic_database(
+            relation, config=config, model=model, batch_engine=engine
+        )
+
+    derive()  # warms the engine
+    calls = {"_engine_step": 0, "trace": 0, "_uniforms": 0}
+    for name in calls:
+        original = getattr(GibbsEnsemble, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GibbsEnsemble, name, spy)
+    runs = []
+    counts = GibbsEnsemble.counts
+
+    def counting(self, *args, **kwargs):
+        steps = self.sampler.steps
+        out = counts(self, *args, **kwargs)
+        runs.append((self, out, self.sampler.steps - steps))
+        return out
+
+    monkeypatch.setattr(GibbsEnsemble, "counts", counting)
+    computed = engine.groups_computed
+    result = derive()
+    assert calls == {"_engine_step": 0, "trace": 0, "_uniforms": 0}
+    assert engine.groups_computed == computed
+    assert runs
+    sweeps = -(-num_samples // chains)
+    tuples = 0
+    for ensemble, histograms, steps in runs:
+        assert histograms is not None
+        per_sweep = chains * sum(len(t.missing_positions) for t in ensemble.bases)
+        assert steps == per_sweep * (20 + sweeps)
+        for (_, members, _), histogram in zip(ensemble.patterns, histograms):
+            assert histogram.shape[0] == len(members)
+            assert (histogram.sum(axis=1) == num_samples).all()
+        tuples += len(ensemble.bases)
+    assert tuples == len({t.codes.tobytes() for t in relation.incomplete_part()})
+    assert result.sampling_stats.total_draws == tuples * chains * (20 + sweeps)

@@ -51,6 +51,7 @@ from .engine import (
     DEFAULT_CPD_CACHE_SIZE,
     DEFAULT_ENGINE,
     BatchInferenceEngine,
+    unique_rows,
     validate_engine,
 )
 from .inference import VoterChoice, VotingScheme, _combine, select_voters
@@ -61,6 +62,7 @@ __all__ = [
     "GibbsEnsemble",
     "GibbsSampler",
     "estimate_joint",
+    "histogram_distributions",
     "samples_to_distribution",
     "samples_to_distributions",
     "trace_distributions",
@@ -305,9 +307,11 @@ class _RankTables:
     from it raises ``IndexError``; ``columns`` is at least one column wide,
     so that holds for cardinality-1 attributes too.  Valid while every
     step attribute's live memo is ``memos[i]`` at ``sizes[i]`` rows.
+    ``loop_args`` are the compiled loop's arguments for them: the index's
+    address and size, the columns' address and shape.
     """
 
-    __slots__ = ("memos", "sizes", "index", "columns")
+    __slots__ = ("memos", "sizes", "index", "columns", "loop_args")
 
     def __init__(self, memos: list):
         self.memos = memos
@@ -316,11 +320,17 @@ class _RankTables:
         rows = np.cumsum([0] + self.sizes)
         index = np.concatenate([memo.index for memo in memos])
         shifted = index + np.repeat(rows[:-1], spaces)
-        self.index = np.where(index == _ABSENT, _ABSENT, shifted)
+        self.index = np.where(index == _ABSENT, _ABSENT, shifted).astype(
+            np.int64, copy=False
+        )
         width = max(2, *(memo.cdfs.shape[1] for memo in memos)) - 1
         self.columns = np.full((width, rows[-1]), _PAD)
         for memo, lo, hi in zip(memos, rows, rows[1:]):
             self.columns[: memo.cdfs.shape[1] - 1, lo:hi] = memo.cdfs[: hi - lo, :-1].T
+        self.loop_args = (
+            _address(self.index, np.int64), self.index.size,
+            _address(self.columns, np.float64), *self.columns.shape,
+        )
 
     def current(self, memos: list) -> bool:
         """Whether these tables still mirror ``memos``."""
@@ -383,11 +393,15 @@ class GibbsEnsemble:
     ascending attribute order, ``n`` being its rows missing that
     attribute.  Uniforms are drawn in blocks of up to
     :data:`UNIFORM_BLOCK_SWEEPS` sweeps per segment
-    (``Generator.random(a + b)`` yields ``random(a)`` then ``random(b)``)
-    and gathered into rank order (rank-major, rank-state rows ascending),
-    where a rank step's uniforms are one slice; no block reaches past the
-    run's last sweep.  So a fused segment's samples are bit-identical to
-    the same segment run as a one-segment ensemble.
+    (``Generator.random(a + b)`` yields ``random(a)`` then ``random(b)``),
+    each with ``random(out=...)`` into the segment's own region of one
+    buffer allocated with the ensemble; no block reaches past the run's
+    last sweep.  Rank position ``p`` (rank-major, rank-state rows
+    ascending) reads its uniform of block sweep ``s`` at ``_ubase[p] + s *
+    _ustep[p]``, so the compiled loop reads the block in place, and the
+    NumPy and engine steps gather only their own step's uniforms.  So a
+    fused segment's samples are bit-identical to the same segment run as a
+    one-segment ensemble.
 
     The inverse-CDF lookup reproduces ``Generator.choice(card, p=probs)``
     exactly (same cumulative normalization, same ``side='right'`` search),
@@ -400,7 +414,8 @@ class GibbsEnsemble:
     :attr:`trace_dtype` (the narrowest integer type holding the missing
     attributes' codes): a ``(sweeps, cells)`` trace whose columns are
     grouped by missing pattern (:attr:`patterns`); :meth:`run` cuts it
-    into per-tuple samples.
+    into per-tuple samples.  :meth:`counts` keeps no trace: the compiled
+    loop adds each recorded sweep's samples into per-pattern histograms.
     """
 
     def __init__(
@@ -420,24 +435,28 @@ class GibbsEnsemble:
         if not segments or not all(bases for bases, _ in segments):
             raise ValueError("need at least one tuple")
         bases = [base for segment, _ in segments for base in segment]
-        seen: set[RelTuple] = set()
-        for base in bases:
-            if base.is_complete:
-                raise ValueError("Gibbs sampling requires incomplete tuples")
-            if base in seen:
-                raise ValueError(
-                    "ensemble tuples must be distinct (duplicates share "
-                    "one block; dedupe before building the ensemble)"
-                )
-            seen.add(base)
+        schema = sampler.schema
+        width = len(schema)
+        codes = np.concatenate([b.codes for b in bases]).reshape(len(bases), width)
+        absent = codes == MISSING_CODE
+        # The first base that is complete or repeats an earlier one raises.
+        first, inverse = unique_rows(codes)
+        repeated = first[inverse] != np.arange(len(bases))
+        complete = ~absent.any(axis=1)
+        bad = np.flatnonzero(complete | repeated)
+        if bad.size and complete[bad[0]]:
+            raise ValueError("Gibbs sampling requires incomplete tuples")
+        if bad.size:
+            raise ValueError(
+                "ensemble tuples must be distinct (duplicates share "
+                "one block; dedupe before building the ensemble)"
+            )
         self.sampler = sampler
         self.bases = bases
         self.chains = k = chains
-        schema = sampler.schema
-        width = len(schema)
-        states = np.repeat(np.stack([b.codes for b in bases]), k, axis=0)
-        missing = states == MISSING_CODE
-        attrs = np.flatnonzero(missing.any(axis=0)).tolist()
+        states = np.repeat(codes, k, axis=0)
+        missing = np.repeat(absent, k, axis=0)
+        attrs = np.flatnonzero(absent.any(axis=0)).tolist()
         #: sweep order: ascending attribute position, as in the scalar chain
         self.attrs = tuple(attrs)
         # "Start with a valid random assignment of attribute values" —
@@ -446,7 +465,8 @@ class GibbsEnsemble:
         # the bounds repeated draws the same integers, and leaves the same
         # generator state, as one call per (tuple, attribute); identical
         # to the scalar chain's stream for one tuple with one chain.
-        cards = np.array(schema.cardinalities)
+        cardinalities = schema.cardinalities
+        cards = np.array(cardinalities)
         generators = []
         lo = 0
         for segment, rng in segments:
@@ -465,7 +485,7 @@ class GibbsEnsemble:
         self._per_sweep = cell_attr.size
         # Rank-state rows, deepest first (a stable sort): ``pos[r]`` is
         # row ``r``'s.  Rank order is rank-major, rank-state rows
-        # ascending, so rank step ``j``'s uniforms are one slice.
+        # ascending, so rank step ``j``'s rows are one range of positions.
         depth = missing.sum(axis=1)
         order = np.argsort(-depth, kind="stable")
         pos = np.empty_like(order)
@@ -475,13 +495,28 @@ class GibbsEnsemble:
         segment_of = np.repeat(
             np.arange(len(segments)), [len(b) * k for b, _ in segments]
         )[cell_row]
-        #: per segment, its generator and its draws per sweep
-        self._draws = list(zip(generators, np.bincount(segment_of).tolist()))
-        # Rank order's position of each draw in the segments' blocks
-        # concatenated (each in its own (attribute, row) order): the
-        # inverse of the draw order, read in rank order.
+        # Uniforms: one buffer, each segment's block in its own region of
+        # ``block`` sweeps at ``block`` times the draws per sweep of the
+        # segments before it, sweep-major, each sweep in the segment's own
+        # (attribute, row) draw order.  ``_ubase[p] + sweep * _ustep[p]``
+        # is rank position ``p``'s uniform in block sweep ``sweep``.
+        self._block = block = UNIFORM_BLOCK_SWEEPS
+        per_segment = np.bincount(segment_of)
+        segment_lo = np.cumsum(per_segment) - per_segment
+        #: per segment, its generator, region start and draws per sweep
+        self._draws = list(
+            zip(generators, (block * segment_lo).tolist(), per_segment.tolist())
+        )
+        self._uniform_block = np.empty(block * self._per_sweep)
+        # Each cell's draw in the segments' sweeps concatenated, read in
+        # rank order, moved to its segment's region.
         drawn = np.lexsort((cell_row, cell_attr, segment_of))
-        self._gather = np.argsort(drawn)[np.lexsort((pos[cell_row], rank))]
+        in_rank_order = np.lexsort((pos[cell_row], rank))
+        draw = np.empty_like(drawn)
+        draw[drawn] = np.arange(drawn.size)
+        segment = segment_of[in_rank_order]
+        self._ubase = draw[in_rank_order] + (block - 1) * segment_lo[segment]
+        self._ustep = per_segment[segment]
         self._rank_state = np.zeros((len(order), ranks + 1), dtype=np.int64)
         self._rank_state[:, ranks] = 1
         self._rank_flat = self._rank_state.reshape(-1)
@@ -499,8 +534,8 @@ class GibbsEnsemble:
         self._observed = np.zeros((len(order), width + 1), dtype=np.int64)
         self._observed[:, :width] = np.where(missing, 0, states)[order]
         self._rank_rows = [int(np.count_nonzero(depth > j)) for j in range(ranks)]
-        #: rank step ``j``'s rows of the stacked multipliers and columns of
-        #: a sweep's uniforms: ``_rank_lo[j]`` to ``_rank_lo[j + 1]``
+        #: rank step ``j``'s rows of the stacked multipliers and rank
+        #: positions: ``_rank_lo[j]`` to ``_rank_lo[j + 1]``
         self._rank_lo = np.cumsum([0] + self._rank_rows, dtype=np.int64)
         #: every rank step's multipliers, one buffer for the compiled loop
         #: (filled by :meth:`_build_rank_steps`)
@@ -520,25 +555,33 @@ class GibbsEnsemble:
         #: each missing pattern's ``(missing, members, lo)``: the missing
         #: positions, the indices of the bases missing them (ascending),
         #: and the first trace column of their block, where each member
-        #: has ``chains * len(missing)`` contiguous columns, chain-major
-        patterns: dict[tuple[int, ...], list[int]] = {}
-        for i, base in enumerate(bases):
-            patterns.setdefault(base.missing_positions, []).append(i)
+        #: has ``chains * len(missing)`` contiguous columns, chain-major;
+        #: patterns in the order their first base comes
+        seen, inverse = unique_rows(absent.view(np.int8))
+        number = np.empty_like(seen)
+        number[np.argsort(seen)] = np.arange(seen.size)
+        pattern_of = number[inverse]
+        grouped = np.argsort(pattern_of, kind="stable")
+        sizes = np.bincount(pattern_of).tolist()
+        masks = absent[grouped[np.cumsum([0] + sizes[:-1])]].tolist()
+        members = grouped.tolist()
         self.patterns = []
-        cells = []
-        lo = 0
-        for positions, members in patterns.items():
-            self.patterns.append((positions, members, lo))
-            rows = (np.array(members)[:, None] * k + np.arange(k)).reshape(-1)
-            cells.append(
-                (pos[rows] * (ranks + 1))[:, None] + np.arange(len(positions))
-            )
-            lo += cells[-1].size
+        #: each pattern's outcome space: the product of its cardinalities
+        self._spaces = []
+        lo = at = 0
+        for size, mask in zip(sizes, masks):
+            positions = tuple(i for i, hole in enumerate(mask) if hole)
+            self.patterns.append((positions, members[at : at + size], lo))
+            self._spaces.append(prod(cardinalities[i] for i in positions))
+            at += size
+            lo += size * k * len(positions)
+        # Each row's missing cells in rank order, rows in pattern order.
+        rows = (grouped[:, None] * k + np.arange(k)).reshape(-1)
+        ends = np.cumsum(depth[rows])
+        start = pos[rows] * (ranks + 1) - (ends - depth[rows])
         #: recorded cells: their positions in the flattened rank state
-        self._cells = np.concatenate(cells, axis=None)
-        self.trace_dtype = _trace_dtype(
-            [schema[attr].cardinality for attr in attrs]
-        )
+        self._cells = np.repeat(start, depth[rows]) + np.arange(ends[-1])
+        self.trace_dtype = _trace_dtype([cardinalities[attr] for attr in attrs])
 
     def __len__(self) -> int:
         """Total chains (rows of the rank state)."""
@@ -549,10 +592,17 @@ class GibbsEnsemble:
         """Trace cells recorded per sweep: the missing cells of all rows."""
         return self._cells.size
 
-    def _uniforms(self, sweeps: int) -> np.ndarray:
-        """``(sweeps, rows_per_sweep)`` uniforms in rank order."""
-        blocks = [rng.random(sweeps * n).reshape(sweeps, n) for rng, n in self._draws]
-        return np.concatenate(blocks, axis=1).take(self._gather, axis=1)
+    def _draw(self, sweeps: int) -> None:
+        """Each segment's next ``sweeps`` sweeps of uniforms into its
+        region of the uniform block, in segment order."""
+        for rng, lo, n in self._draws:
+            rng.random(out=self._uniform_block[lo : lo + sweeps * n])
+
+    def _uniforms(self, sweep: int, lo: int, hi: int) -> np.ndarray:
+        """Block sweep ``sweep``'s uniforms of rank positions ``lo`` to
+        ``hi``, gathered from the uniform block."""
+        at = self._ubase[lo:hi] + sweep * self._ustep[lo:hi]
+        return self._uniform_block.take(at)
 
     def _build_rank_steps(self, memos: list) -> list[tuple]:
         """Rank step ``j``'s rank-state rows, multiplier matrix and draw
@@ -603,30 +653,42 @@ class GibbsEnsemble:
         self._stale = False
         return tables
 
-    def _run_block(
-        self, fused, uniforms: np.ndarray, trace: np.ndarray, row0: int
-    ) -> None:
-        """Every sweep of one block of rank-ordered uniforms: fused rank
-        steps where they can run, the rest through the engine.
+    def _run(self, fused, record, sweeps: int, row0: int) -> None:
+        """``sweeps`` sweeps, block sweep ``s`` of the run recorded as sweep
+        ``row0 + s`` (burn-in sweeps below zero are not recorded), one
+        uniform block of up to ``_block`` sweeps at a time."""
+        self._stale = True
+        done = 0
+        while done < sweeps:
+            block = min(self._block, sweeps - done)
+            self._draw(block)
+            self._run_block(fused, record, block, row0 + done)
+            done += block
+
+    def _run_block(self, fused, record, sweeps: int, row0: int) -> None:
+        """Every sweep of the uniform block: fused rank steps where they
+        can run, the rest through the engine.
 
         Position ``at`` is rank step ``at % ranks`` of block sweep
-        ``at // ranks``; block sweep ``s`` is recorded into trace row
-        ``row0 + s`` when that is not negative.  ``fused`` (the compiled
-        loop or :meth:`_numpy_steps`) runs fused steps from ``at`` until
-        one cannot run and returns its position, ``-(position + 1)`` when
-        a key is out of the index's range.  The counters of the fused
-        steps are kept here, for both.
+        ``at // ranks``; block sweep ``s`` is recorded as sweep ``row0 +
+        s``.  ``fused`` (the compiled loop of :meth:`_native`, or
+        :meth:`_numpy_steps`) runs fused steps from ``at`` until one cannot
+        run, records the sweeps they complete, and returns its position,
+        ``-(position + 1)`` when a key is out of the index's range.  A
+        sweep an engine step completes is recorded by ``record(row)``,
+        which ignores negative rows.  The counters of the fused steps are
+        kept here, for both.
         """
         engine = self.sampler._engine
         ranks = len(self._rank_rows)
-        stop = uniforms.shape[0] * ranks
+        stop = sweeps * ranks
         at = 0
         while at < stop:
             # Memos change only in engine calls: the tables need checking
             # after an engine step and when a run starts, not every step.
             tables = self._live_tables() if self._stale else self._tables
             if tables is not None:
-                reached = fused(tables, uniforms, at, stop, trace, row0)
+                reached = fused(tables, at, stop, row0)
                 bad_key = reached < 0
                 if bad_key:
                     reached = -reached - 1
@@ -635,8 +697,8 @@ class GibbsEnsemble:
                 served = self._rows_before(reached) - self._rows_before(at)
                 engine.tuples_served += served
                 engine.memo_hits += served
-                sweeps = reached // ranks - at // ranks
-                self.sampler.steps += self._per_sweep * sweeps
+                completed = reached // ranks - at // ranks
+                self.sampler.steps += self._per_sweep * completed
                 at = reached
                 if bad_key:
                     self._raise_key_error(at % ranks)
@@ -645,20 +707,16 @@ class GibbsEnsemble:
             # A signature some memo lacks, or no live dense memos.
             sweep, j = divmod(at, ranks)
             lo, hi = self._rank_lo[j], self._rank_lo[j + 1]
-            self._engine_step(j, uniforms[sweep, lo:hi])
+            self._engine_step(j, self._uniforms(sweep, lo, hi))
             at += 1
             if j == ranks - 1:
-                self._record(trace, row0 + sweep)
+                record(row0 + sweep)
                 self.sampler.steps += self._per_sweep
 
     def _rows_before(self, at: int) -> int:
         """Rows the rank steps before position ``at`` draw in."""
         sweeps, j = divmod(at, len(self._rank_rows))
         return sweeps * self._per_sweep + int(self._rank_lo[j])
-
-    def _record(self, trace: np.ndarray, row: int) -> None:
-        if row >= 0:
-            self._rank_flat.take(self._cells, out=trace[row])
 
     def _raise_key_error(self, j: int) -> None:
         """Raise the ``IndexError`` of rank step ``j``'s index lookup."""
@@ -668,8 +726,7 @@ class GibbsEnsemble:
         raise IndexError(f"key {keys.min()} is out of bounds for the rank index")
 
     def _numpy_steps(
-        self, tables: _RankTables, uniforms: np.ndarray, at: int, stop: int,
-        trace: np.ndarray, row0: int,
+        self, record, tables: _RankTables, at: int, stop: int, row0: int
     ) -> int:
         """Fused rank steps in NumPy (see :meth:`_run_block`): the
         reference the compiled loop equals, and its fallback."""
@@ -681,49 +738,41 @@ class GibbsEnsemble:
                 slots = tables.index.take(np.vecdot(rows, weights))
             except IndexError:
                 return -at - 1
-            u = uniforms[sweep, self._rank_lo[j] : self._rank_lo[j + 1]]
+            u = self._uniforms(sweep, self._rank_lo[j], self._rank_lo[j + 1])
             try:
                 _column_draw(tables.columns, slots, u, drawn)
             except IndexError:
                 return at  # a signature some memo lacks: past every row
             at += 1
             if j == ranks - 1:
-                self._record(trace, row0 + sweep)
+                record(row0 + sweep)
         return at
 
-    def _native_steps(
-        self, loop, own: tuple[int, ...], tables: _RankTables,
-        uniforms: np.ndarray, at: int, stop: int, trace: np.ndarray, row0: int,
-    ) -> int:
-        """:meth:`_numpy_steps` in one call of the compiled loop; ``own`` is
-        :meth:`_own_addresses`."""
-        state, lo, weights, cells, slots = own
-        columns = tables.columns
-        if (
-            uniforms.shape[1] != self._per_sweep
-            or trace.shape[1] != self._cells.size
-            or row0 + uniforms.shape[0] > trace.shape[0]
-        ):
-            raise ValueError("uniform block or trace does not fit the ensemble")
-        return loop(
-            state, self._rank_state.shape[1], len(self._rank_rows), lo, weights,
-            _address(tables.index, np.int64), tables.index.size,
-            _address(columns, np.float64), columns.shape[0], columns.shape[1],
-            _address(uniforms, np.float64), at, stop, cells, self._cells.size,
-            _address(trace, trace.dtype), trace.itemsize, row0, slots,
+    def _native(self, loop, sink: tuple):
+        """:meth:`_numpy_steps` as one call of the compiled loop, recording
+        into ``sink``: its trace, itemsize, counts, strides, sample bounds,
+        sample count, bases and last recorded sweep arguments.  The
+        ensemble's own buffers are allocated once, so their addresses are
+        read here, once per run, as the tables' are once per build."""
+        own = (
+            _address(self._rank_state, np.int64), self._rank_state.shape[1],
+            len(self._rank_rows), _address(self._rank_lo, np.int64),
+            _address(self._weights, np.int64),
         )
+        uniforms = _address(self._uniform_block, np.float64)
+        layout = (
+            _address(self._ubase, np.int64), _address(self._ustep, np.int64),
+            _address(self._cells, np.int64), self._cells.size,
+        )
+        slots = _address(self._slots, np.int64)
 
-    def _own_addresses(self) -> tuple[int, ...]:
-        """The addresses of the buffers the ensemble owns for the compiled
-        loop, each allocated once: the rank state, ``_rank_lo``, the
-        stacked multipliers, the recorded cells and the slot scratch."""
-        return tuple(
-            _address(array, np.int64)
-            for array in (
-                self._rank_state, self._rank_lo, self._weights, self._cells,
-                self._slots,
+        def steps(tables: _RankTables, at: int, stop: int, row0: int) -> int:
+            return loop(
+                *own, *tables.loop_args, uniforms, at, stop, *layout, row0,
+                *sink, slots,
             )
-        )
+
+        return steps
 
     def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
         """Rank step ``j`` through the engine: per attribute it draws, one
@@ -748,31 +797,107 @@ class GibbsEnsemble:
             self._rank_state[rows, j] = (cdf <= uniforms[rows, None]).sum(axis=1)
         self._stale = True
 
+    def _sweeps(self, num_samples: int, burn_in: int) -> int:
+        """The recorded sweeps of a run, ``ceil(num_samples / chains)``."""
+        if num_samples < 1:
+            raise ValueError("num_samples must be positive")
+        if burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
+        return -(-num_samples // self.chains)
+
     def trace(self, num_samples: int, burn_in: int = 0) -> np.ndarray:
         """Burn in, then record ``ceil(num_samples / chains)`` sweeps.
 
         Returns the ``(sweeps, cells)`` trace of :attr:`trace_dtype`:
         per sweep every row's missing cells, in :attr:`patterns` order.
         """
-        if num_samples < 1:
-            raise ValueError("num_samples must be positive")
-        if burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        sweeps = -(-num_samples // self.chains)
-        total = burn_in + sweeps
+        sweeps = self._sweeps(num_samples, burn_in)
         trace = np.empty((sweeps, self.cells), dtype=self.trace_dtype)
+
+        def record(row: int) -> None:
+            if row >= 0:
+                self._rank_flat.take(self._cells, out=trace[row])
+
         loop = native.rank_sweeps()
         if loop is None:
-            fused = self._numpy_steps
+            fused = partial(self._numpy_steps, record)
         else:
-            fused = partial(self._native_steps, loop, self._own_addresses())
-        self._stale = True
-        done = 0
-        while done < total:
-            block = min(UNIFORM_BLOCK_SWEEPS, total - done)
-            self._run_block(fused, self._uniforms(block), trace, done - burn_in)
-            done += block
+            sink = (
+                _address(trace, trace.dtype), trace.itemsize,
+                None, None, None, 0, None, -1,
+            )
+            fused = self._native(loop, sink)
+        self._run(fused, record, burn_in + sweeps, -burn_in)
         return trace
+
+    def counts(
+        self, num_samples: int, burn_in: int = 0
+    ) -> list[np.ndarray] | None:
+        """Burn in, then count ``num_samples`` samples per base tuple.
+
+        Returns one ``(len(members), space)`` int64 histogram per
+        :attr:`patterns` entry, ``space`` the product of its missing
+        attributes' cardinalities: row ``i`` counts member ``i``'s samples
+        (those :meth:`run` returns) at each outcome's row-major rank.
+        They equal the counts :func:`trace_distributions` takes from
+        :meth:`trace`, and the run consumes the same draws, but the
+        compiled loop adds each recorded sweep into them, so no trace is
+        kept.  Returns ``None``, drawing nothing, unless the compiled loop
+        is loaded, every pattern is dense (``space`` at most
+        :data:`MAX_DENSE_OUTCOMES`) and the histograms take no more bytes
+        than the trace; :meth:`trace` then serves.
+        """
+        sweeps = self._sweeps(num_samples, burn_in)
+        loop = native.rank_sweeps()
+        k = self.chains
+        sizes = [len(p[1]) * space for p, space in zip(self.patterns, self._spaces)]
+        if (
+            loop is None
+            or max(self._spaces) > MAX_DENSE_OUTCOMES
+            or sum(sizes) * 8 > sweeps * self.cells * self.trace_dtype.itemsize
+        ):
+            return None
+        # Per sample (a member's chain, in cell order): its cells' row-major
+        # strides, its first cell and its histogram row's first count.
+        cardinalities = self.sampler.schema.cardinalities
+        strides, widths, firsts = [], [], []
+        lo = 0
+        for (missing, members, _), space, size in zip(
+            self.patterns, self._spaces, sizes
+        ):
+            dims = [cardinalities[a] for a in missing]
+            row = [prod(dims[i + 1 :]) for i in range(len(dims))]
+            strides.append(np.tile(np.array(row, dtype=np.int64), len(members) * k))
+            widths.append(np.full(len(members) * k, len(dims)))
+            firsts.append(np.repeat(np.arange(lo, lo + size, space), k))
+            lo += size
+        strides = np.concatenate(strides)
+        sample_lo = np.concatenate([[0], np.cumsum(np.concatenate(widths))])
+        first = np.concatenate(firsts)
+        # The last recorded sweep drops the chains past num_samples.
+        kept = num_samples - (sweeps - 1) * k
+        bases = np.stack([first, np.where(np.arange(first.size) % k < kept, first, -1)])
+        counts = np.zeros(lo, dtype=np.int64)
+
+        def record(row: int) -> None:
+            # A sweep an engine step completed: the loop's count, in NumPy.
+            if row < 0:
+                return
+            base = bases[int(row == sweeps - 1)]
+            keys = self._rank_flat.take(self._cells) * strides
+            cells = np.add.reduceat(keys, sample_lo[:-1]) + base
+            np.add.at(counts, cells[base >= 0], 1)
+
+        sink = (
+            None, 0, _address(counts, np.int64), _address(strides, np.int64),
+            _address(sample_lo, np.int64), first.size,
+            _address(bases, np.int64), sweeps - 1,
+        )
+        self._run(self._native(loop, sink), record, burn_in + sweeps, -burn_in)
+        return [
+            block.reshape(-1, space)
+            for block, space in zip(np.split(counts, np.cumsum(sizes)[:-1]), self._spaces)
+        ]
 
     def run(
         self, num_samples: int, burn_in: int = 0
@@ -901,16 +1026,17 @@ def trace_distributions(
     sample into its row-major rank within the space, offset by its
     tuple's number, in int64 without widening the trace first, and one
     ``np.bincount`` counts them; the last sweep's chains past
-    ``num_samples`` count in one extra cell, which is dropped.  Sparse
-    spaces (over :data:`MAX_DENSE_OUTCOMES`) cut the per-tuple samples and
-    fall back to :func:`samples_to_distributions`.
+    ``num_samples`` count in one extra cell, which is dropped.  The counts
+    become distributions through :func:`histogram_distributions`, as
+    :meth:`GibbsEnsemble.counts` do.  Sparse spaces (over
+    :data:`MAX_DENSE_OUTCOMES`) cut the per-tuple samples and fall back to
+    :func:`samples_to_distributions`.
     """
     m = len(missing)
     sweeps = block.shape[0]
     n = block.shape[1] // (chains * m)
     samples = block.reshape(sweeps, n, chains, m)
-    domains = [schema[attr].domain for attr in missing]
-    dims = [len(d) for d in domains]
+    dims = [schema[attr].cardinality for attr in missing]
     space = prod(dims)
     if space > MAX_DENSE_OUTCOMES:
         return samples_to_distributions(
@@ -919,13 +1045,12 @@ def trace_distributions(
             [samples[:, i].reshape(-1, m)[:num_samples] for i in range(n)],
             floor,
         )
-    outcomes = tuple(product(*domains))
     # Typed strides: an int8 column times a Python int would stay int8.
     strides = [np.int64(prod(dims[i + 1 :])) for i in range(m)]
     # Chains of the last sweep whose samples count.
     kept = num_samples - (sweeps - 1) * chains
     per_chunk = max(1, HISTOGRAM_CELLS // space)
-    dists: list[Distribution] = []
+    counts = np.empty((n, space), dtype=np.int64)
     for lo in range(0, n, per_chunk):
         count = min(per_chunk, n - lo)
         cells = count * space
@@ -934,10 +1059,26 @@ def trace_distributions(
         for i in range(1, m):
             packed += chunk[..., i] * strides[i]
         packed[-1, :, kept:] = cells
-        counts = np.bincount(packed.reshape(-1), minlength=cells + 1)[:cells]
-        probs = counts.reshape(count, space) / num_samples
-        dists.extend(Distribution.stack(outcomes, np.maximum(probs, floor)))
-    return dists
+        counts[lo : lo + count] = np.bincount(
+            packed.reshape(-1), minlength=cells + 1
+        )[:cells].reshape(count, space)
+    return histogram_distributions(schema, missing, counts, num_samples, floor)
+
+
+def histogram_distributions(
+    schema,
+    missing: Sequence[int],
+    counts: np.ndarray,
+    num_samples: int,
+    floor: float = DEFAULT_SMOOTHING_FLOOR,
+) -> list[Distribution]:
+    """One distribution per row of the ``(n, space)`` histogram ``counts``
+    over a dense outcome space: ``counts / num_samples``, floored, over
+    every outcome of ``missing`` in row-major order (the order ``product``
+    enumerates them in).  The distributions share one outcomes tuple
+    (:meth:`Distribution.stack`)."""
+    outcomes = tuple(product(*(schema[attr].domain for attr in missing)))
+    return Distribution.stack(outcomes, np.maximum(counts / num_samples, floor))
 
 
 def _sparse_distribution(domains: list, arr: np.ndarray) -> Distribution:

@@ -3,7 +3,10 @@
 :class:`~repro.core.gibbs.GibbsEnsemble` runs a uniform block's fused
 rank steps in one call of the C loop in ``rank_sweeps.c`` when it can
 load it, and through its NumPy rank steps otherwise (the reference the
-tests compare against).  Both draw the same integers.
+tests compare against).  Both draw the same integers.  Only the loop
+counts samples into histograms as it sweeps
+(:meth:`~repro.core.gibbs.GibbsEnsemble.counts`); without it, ensembles
+record a trace and count it afterwards.
 
 The library is built with the host C compiler (:data:`COMPILER`, no
 ``-ffast-math``) on first use and cached in the per-user cache
@@ -13,7 +16,7 @@ source builds anew.  The compiler writes a temporary file that is then
 renamed into place, so processes building at the same time never load a
 half-written library.  A cached library that will not load is built
 again, once.  ``ctypes`` is imported and the library loaded at the first
-ensemble trace, not at import.  No compiler, a compile error, an
+ensemble run, not at import.  No compiler, a compile error, an
 unwritable cache or a library that will not load all leave
 :func:`rank_sweeps` returning ``None``, and the one load in a process
 that fails emits a :class:`RuntimeWarning` naming the cause.  Disabling
@@ -151,7 +154,7 @@ def load():
     except _Unavailable as exc:
         warnings.warn(
             f"the compiled Gibbs sweep loop is unavailable ({exc}); "
-            "ensembles run the NumPy rank steps at about half the speed",
+            "ensembles run the NumPy rank steps at about a third of the speed",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -163,7 +166,11 @@ def load():
         ptr, ptr, i64,  # weights, index, index_size
         ptr, i64, i64,  # columns, width, slots
         ptr, i64, i64,  # uniforms, start, stop
-        ptr, i64, ptr, i64, i64,  # cells, ncells, trace, itemsize, row0
+        ptr, ptr,  # ubase, ustep
+        ptr, i64, i64,  # cells, ncells, row0
+        ptr, i64,  # trace, itemsize
+        ptr, ptr, ptr, i64,  # counts, strides, sample_lo, nsamples
+        ptr, i64,  # bases, last_row
         ptr,  # scratch
     ]
     return fn

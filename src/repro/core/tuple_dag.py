@@ -31,6 +31,7 @@ from .gibbs import (
     GibbsChain,
     GibbsEnsemble,
     GibbsSampler,
+    histogram_distributions,
     samples_to_distribution,
     trace_distributions,
 )
@@ -275,8 +276,12 @@ def ensemble_sampling(
     ``chains`` chains of every *distinct* tuple of every segment advance
     together in one fused :class:`~repro.core.gibbs.GibbsEnsemble`, so the
     whole call costs one batched CPD memo read per (sweep, missing-attribute
-    rank), and one histogram pass per missing pattern, counted straight
-    from the ensemble's sample trace.
+    rank).  Each tuple's histogram is counted in the compiled sweep loop
+    (:meth:`~repro.core.gibbs.GibbsEnsemble.counts`) where it can be, and
+    otherwise in one pass per missing pattern over the ensemble's sample
+    trace (:func:`~repro.core.gibbs.trace_distributions`); both routes
+    build blocks through :func:`~repro.core.gibbs.histogram_distributions`
+    and give the same bytes.
     Each segment draws from its own generator exactly as it would alone,
     so its blocks do not depend on which other segments share the call.
     Per-tuple samples are pooled across the tuple's chains — more chains
@@ -327,20 +332,29 @@ def ensemble_sampling(
         chains=chains,
     )
     bases = ensemble.bases
-    trace = ensemble.trace(num_samples, burn_in=burn_in)
+    sweeps = -(-num_samples // chains)
     stats = SamplingStats(
-        total_draws=(burn_in + trace.shape[0]) * chains * len(bases),
+        total_draws=(burn_in + sweeps) * chains * len(bases),
         burn_in_draws=burn_in * chains * len(bases),
     )
-    # Blocks counted straight from the trace, one pass per missing pattern
-    # (one contiguous block of trace columns).  Blocks over one outcomes
-    # tuple (a dense pattern's) pass the TupleBlock checks once.
+    # Blocks counted in the compiled loop when it can, else straight from
+    # the trace, one pass per missing pattern (one contiguous block of
+    # trace columns).  Blocks over one outcomes tuple (a dense pattern's)
+    # pass the TupleBlock checks once.
+    histograms = ensemble.counts(num_samples, burn_in=burn_in)
+    if histograms is None:
+        trace = ensemble.trace(num_samples, burn_in=burn_in)
     built: list[TupleBlock] = [None] * len(bases)  # type: ignore[list-item]
-    for missing, members, lo in ensemble.patterns:
-        hi = lo + len(members) * chains * len(missing)
-        dists = trace_distributions(
-            sampler.schema, missing, trace[:, lo:hi], chains, num_samples
-        )
+    for p, (missing, members, lo) in enumerate(ensemble.patterns):
+        if histograms is not None:
+            dists = histogram_distributions(
+                sampler.schema, missing, histograms[p], num_samples
+            )
+        else:
+            hi = lo + len(members) * chains * len(missing)
+            dists = trace_distributions(
+                sampler.schema, missing, trace[:, lo:hi], chains, num_samples
+            )
         checked: set[int] = set()
         for i, dist in zip(members, dists):
             if id(dist.outcomes) in checked:
