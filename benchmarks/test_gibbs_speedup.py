@@ -33,7 +33,10 @@ count every chain's rank steps (``sampler.steps == per_sweep * (burn_in
 + sweeps)``), add exactly ``num_samples`` samples into each tuple's
 histogram in the compiled loop, and never record a trace
 (``GibbsEnsemble.trace``) or gather uniforms into rank order
-(``GibbsEnsemble._uniforms``).
+(``GibbsEnsemble._uniforms``).  ``test_cold_work`` is its twin for a cold
+engine, on ``test_shard_speedup``'s workload: a serial derive and one
+fork-inherited worker fill each ensemble's CPD closure at its first miss
+and so take no engine step either.
 
 Samples differ between the kernels (different, equally admissible draws of
 the same randomized procedure — see docs/execution.md); the scalar-vs-
@@ -272,3 +275,94 @@ def test_gibbs_work(scale, monkeypatch, chains):
         tuples += len(ensemble.bases)
     assert tuples == len({t.codes.tobytes() for t in relation.incomplete_part()})
     assert result.sampling_stats.total_draws == tuples * chains * (20 + sweeps)
+
+
+#: ``groups_computed`` of a cold derive of ``test_shard_speedup``'s
+#: workload at the quick scale: every signature its single rows and Gibbs
+#: chains reach, each computed once, as the per-step route computes them.
+COLD_GROUPS = {"quick": 513}
+
+
+def test_cold_work(scale, monkeypatch):
+    """The work of a cold derive of ``test_shard_speedup``'s workload.
+
+    A cold serial derive, and one fork-inherited worker run in-process
+    through ``_process_worker_init`` and ``_process_run_shard`` over the
+    process plan's shards, each fill every Gibbs ensemble's CPD closure on
+    its first miss: no ``_engine_step``, the per-step route's signature
+    count, every chain's rank steps counted.  A second derive on the now
+    warm engine misses nothing and enumerates no closure."""
+    from test_shard_speedup import _setup as shard_setup
+
+    from repro.exec import work
+    from repro.exec.executors import ProcessExecutor
+
+    model, relation = shard_setup(scale)
+    config = DeriveConfig(
+        num_samples=1000 if scale == "quick" else 2000, burn_in=50, seed=2011
+    )
+    calls = {"_engine_step": 0, "fill": 0}
+    for cls, name in (
+        (GibbsEnsemble, "_engine_step"), (BatchInferenceEngine, "fill")
+    ):
+        original = getattr(cls, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    steps = []
+    run = GibbsEnsemble._run
+
+    def stepping(self, fused, record, sweeps, row0):
+        before = self.sampler.steps
+        run(self, fused, record, sweeps, row0)
+        steps.append((self.sampler.steps - before, self._per_sweep * sweeps))
+
+    monkeypatch.setattr(GibbsEnsemble, "_run", stepping)
+
+    def closures(computed, expected):
+        """Check one derive's work; return the closures it enumerated."""
+        assert calls["_engine_step"] == 0
+        assert steps and all(taken == per_run for taken, per_run in steps)
+        if expected is not None:
+            assert computed == expected
+        fills = calls["fill"]
+        calls.update(_engine_step=0, fill=0)
+        steps.clear()
+        return fills
+
+    engine = BatchInferenceEngine(model)
+    serial = derive_probabilistic_database(
+        relation, config=config, model=model, batch_engine=engine
+    )
+    cold = engine.groups_computed
+    assert closures(cold, COLD_GROUPS.get(scale)) > 0
+
+    # One inherited worker, in this process: the process executor plans,
+    # fingerprints and sets up the fork-inherited state as it does for a
+    # forked pool, and the worker runs every shard of the plan.
+    def in_process(self, plan, context, mp_context, initargs, encode):
+        assert initargs[0] is None, "not the inherited path"
+        work._process_worker_init(*initargs)
+        for shard in plan.shards:
+            yield work._process_run_shard(encode(shard)).bind(shard)
+
+    monkeypatch.setattr(work, "_WORKER_STATE", None)
+    monkeypatch.setattr(ProcessExecutor, "_run_pools", in_process)
+    monkeypatch.setattr("threading.active_count", lambda: 1)
+    inherited = derive_probabilistic_database(
+        relation,
+        config=config.replacing(executor="process", workers=2),
+        model=model,
+    )
+    assert closures(work._WORKER_STATE["engine"].groups_computed, cold) > 0
+    for a, b in zip(serial.database.blocks, inherited.database.blocks):
+        assert a.base == b.base
+        assert a.distribution.probs.tobytes() == b.distribution.probs.tobytes()
+
+    derive_probabilistic_database(
+        relation, config=config, model=model, batch_engine=engine
+    )
+    assert closures(engine.groups_computed, cold) == 0

@@ -25,6 +25,7 @@ index order reproduces the naive path's floating-point results bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from itertools import chain, combinations
 from typing import Hashable, Iterator
@@ -142,6 +143,7 @@ class CompiledMRSL:
         "_sub_starts",
         "_dominable",
         "_sum_tables",
+        "_digest",
     )
 
     def __init__(self, lattice: MRSL, cardinality: int):
@@ -193,11 +195,24 @@ class CompiledMRSL:
         # extra all-zero row (index R) that pads short voter lists.  Filled
         # on first use of the scheme.
         self._sum_tables: dict[VotingScheme, np.ndarray] = {}
+        self._digest: str | None = None
 
         # Attributes mentioned by any body: the evidence *signature* — two
         # code vectors agreeing on these attributes have identical voter sets.
         self.signature_attrs = np.unique(items[0::2]).astype(np.intp)
         self._build_shape_index(rule_attrs, rule_vals)
+
+    def digest(self) -> str:
+        """sha256 hex digest over the canonical rule order: bodies, CPD
+        bytes, weight bytes.  Computed once per lattice, so processes
+        forked after it was computed read it without hashing again."""
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(repr(self.bodies).encode())
+            h.update(np.ascontiguousarray(self.cpds).tobytes())
+            h.update(np.ascontiguousarray(self.weights).tobytes())
+            self._digest = h.hexdigest()
+        return self._digest
 
     def _build_shape_index(self, rule_attrs: np.ndarray, rule_vals: np.ndarray) -> None:
         """Key every rule by ``(shape, values)``, its body's attribute set

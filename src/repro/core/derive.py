@@ -73,6 +73,12 @@ class DeriveResult:
     #: the model's lattices as the run compiled them; a re-derive from this
     #: result reuses them instead of compiling the same model again
     compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
+    #: the engine the run's in-process shards used, with the CPDs they
+    #: computed (``None`` when pool workers ran every shard); a delta
+    #: re-derive from this result starts from a copy of its memos
+    engine: BatchInferenceEngine | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def single_missing_blocks(
@@ -152,9 +158,10 @@ def derive_probabilistic_database(
         are its compiled lattices unless ``batch_engine`` is given, and,
         under the ``"delta"`` ``config.update_policy``, blocks whose lineage
         the update did not touch are carried over verbatim while only dirty
-        shards execute — pinned to the previous run's base seed, so the
-        result is bit-identical to a from-scratch derive of the updated
-        relation under that seed.  The ``"full"`` policy re-derives
+        shards execute, starting from a copy of its engine's CPD memos —
+        pinned to the previous run's base seed, so the result is
+        bit-identical to a from-scratch derive of the updated relation
+        under that seed.  The ``"full"`` policy re-derives
         everything but still reuses the model and base seed, giving the
         same result the slow way.
     on_plan, on_shard, should_stop:
@@ -189,11 +196,18 @@ def derive_probabilistic_database(
             and previous.compiled is not None
             and previous.compiled.model is model
         ):
-            # A cold CPD cache over the lattices the previous run compiled:
-            # the same answers, without compiling the same model again.
-            batch_engine = BatchInferenceEngine(
-                model, cfg.v_choice, cfg.v_scheme, compiled=previous.compiled
-            )
+            if cfg.update_policy == "delta" and previous.engine is not None:
+                # A delta carries the CPDs the previous run computed, as it
+                # carries its blocks: a copy of its memos, so the previous
+                # result's engine never changes.
+                batch_engine = previous.engine.copy()
+            else:
+                # A cold CPD cache over the lattices the previous run
+                # compiled: the same answers, without compiling the same
+                # model again.
+                batch_engine = BatchInferenceEngine(
+                    model, cfg.v_choice, cfg.v_scheme, compiled=previous.compiled
+                )
     if rng is None:
         rng = cfg.seed
     learn_result = None
@@ -243,5 +257,6 @@ def derive_probabilistic_database(
         exec_report=outcome.report,
         base_seed=outcome.plan.base_seed,
         compiled=outcome.compiled,
+        engine=outcome.engine,
         layout=outcome.layout,
     )

@@ -166,6 +166,21 @@ class _CPDMemo:
     def __len__(self) -> int:
         return self.size
 
+    def copy(self) -> "_CPDMemo":
+        """A memo holding the same signatures, sharing no array that
+        either memo writes."""
+        memo = _CPDMemo.__new__(_CPDMemo)
+        memo.mult, memo.attrs, memo.size = self.mult, self.attrs, self.size
+        if self.index is None:
+            # Inserts replace ``keys`` and ``slots``; they never write them.
+            memo.index, memo.keys, memo.slots = None, self.keys, self.slots
+        else:
+            memo.index = self.index.copy()
+        memo.cpds = self.cpds.copy()
+        memo.cpds.setflags(write=False)
+        memo.cdfs = self.cdfs.copy()
+        return memo
+
     def pack(self, states: np.ndarray) -> np.ndarray:
         """Each code row's key: its packed signature, or its signature's
         int32 bytes when the space is too wide to pack."""
@@ -253,6 +268,17 @@ class BatchInferenceEngine:
         self.memo_hits = 0
         #: memo resets because all memos together outgrew ``cache_size``
         self.memo_resets = 0
+
+    def copy(self) -> "BatchInferenceEngine":
+        """An engine over the same compiled lattices whose memos start as
+        copies of this one's; its counters start at zero."""
+        engine = BatchInferenceEngine(
+            self.model, self.v_choice, self.v_scheme, self.cache_size, self.compiled
+        )
+        engine._sig_packers = dict(self._sig_packers)
+        engine._memos = {key: memo.copy() for key, memo in self._memos.items()}
+        engine._memo_rows = self._memo_rows
+        return engine
 
     def _voting(
         self,
@@ -374,6 +400,60 @@ class BatchInferenceEngine:
         """
         memo = self._memos.get((attr, choice, scheme))
         return None if memo is None or memo.mult is None else memo
+
+    def packs_dense(self, attr: int) -> bool:
+        """Whether ``attr``'s memo keys its signatures in a dense index,
+        which a rank-fused Gibbs sweep reads."""
+        packer = self._sig_packer(attr)
+        return packer is not None and packer[1] <= DENSE_INDEX_CAP
+
+    def holds(
+        self,
+        states: np.ndarray,
+        attr: int,
+        v_choice: VoterChoice | str | None = None,
+        v_scheme: VotingScheme | str | None = None,
+    ) -> bool:
+        """Whether ``attr``'s memo holds every row's signature; counts
+        nothing."""
+        memo = self._memos.get((attr, *self._voting(v_choice, v_scheme)))
+        return memo is not None and not (memo.find(memo.pack(states)) == _ABSENT).any()
+
+    def fill(
+        self,
+        batches: Sequence[tuple[int, np.ndarray]],
+        v_choice: VoterChoice | str | None = None,
+        v_scheme: VotingScheme | str | None = None,
+    ) -> bool:
+        """Compute every signature of the ``(attr, states)`` batches, one
+        per attribute, that no memo holds: all of them or none.
+
+        ``states`` are full code rows, as :meth:`conditional_probs_batch`
+        takes them.  Declines, changing nothing, when the new signatures
+        would not fit within ``cache_size`` beside the rows the memos
+        hold, so a fill never resets a memo.  Counts only the groups it
+        computes: it serves no row, so ``hits`` and ``tuples_served`` stay.
+        """
+        choice, scheme = self._voting(v_choice, v_scheme)
+        fills = []
+        for attr, states in batches:
+            key = (attr, choice, scheme)
+            memo = self._memos.get(key)
+            if memo is None:
+                memo = self._new_memo(attr)
+            packed = memo.pack(states)
+            absent = np.flatnonzero(memo.find(packed) == _ABSENT)
+            new, first = np.unique(packed[absent], return_index=True)
+            fills.append((key, memo, new, states[absent[first]]))
+        rows = self._memo_rows + sum(new.size for _, _, new, _ in fills)
+        if self.cache_size is not None and rows > self.cache_size:
+            return False
+        for key, memo, new, reps in fills:
+            if new.size:
+                memo.insert(new, self._answer(reps, *key))
+                self._memos[key] = memo
+        self._memo_rows = rows
+        return True
 
     def _new_memo(self, attr: int) -> _CPDMemo:
         compiled = self.compiled[attr]

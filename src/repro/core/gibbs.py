@@ -374,11 +374,13 @@ class GibbsEnsemble:
     float compares, so it draws the same integers; the NumPy steps stay
     its fallback and reference.
 
-    Misses fill per rank step.  A step that cannot run fused — a
-    signature some memo lacks, whose slot lies past every row so the draw
-    raises ``IndexError`` before anything is written, or no live dense
-    memos (a cold engine, sorted-key signature spaces) — runs through the
-    engine instead: its rows' full-width codes are rebuilt from their
+    The run's first step that lacks a signature fills the ensemble's whole
+    CPD closure (:meth:`_fill_closure`), after which no step misses.
+    Where the closure declines, misses fill per rank step.  A step that
+    cannot run fused — a signature some memo lacks, whose slot lies past
+    every row so the draw raises ``IndexError`` before anything is
+    written, or no live dense memos (a cold engine, sorted-key signature
+    spaces) — runs through the engine instead: its rows' full-width codes are rebuilt from their
     observed codes and the rank state, and each attribute the step draws
     gets one :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
     call for its rows, which fills that memo's misses.  No earlier step is
@@ -552,6 +554,9 @@ class GibbsEnsemble:
         self._rank_steps: list[tuple] | None = None
         self._tables: _RankTables | None = None
         self._stale = True
+        #: whether the CPD closure was filled (``True``) or declined
+        #: (``False``); ``None`` until the first rank step that misses
+        self._closure: bool | None = None
         #: each missing pattern's ``(missing, members, lo)``: the missing
         #: positions, the indices of the bases missing them (ascending),
         #: and the first trace column of their block, where each member
@@ -662,12 +667,16 @@ class GibbsEnsemble:
         while done < sweeps:
             block = min(self._block, sweeps - done)
             self._draw(block)
-            self._run_block(fused, record, block, row0 + done)
+            later = sweeps - done - block
+            self._run_block(fused, record, block, row0 + done, later)
             done += block
 
-    def _run_block(self, fused, record, sweeps: int, row0: int) -> None:
+    def _run_block(
+        self, fused, record, sweeps: int, row0: int, later: int
+    ) -> None:
         """Every sweep of the uniform block: fused rank steps where they
-        can run, the rest through the engine.
+        can run, the rest through the engine; ``later`` sweeps of the run
+        follow the block.
 
         Position ``at`` is rank step ``at % ranks`` of block sweep
         ``at // ranks``; block sweep ``s`` is recorded as sweep ``row0 +
@@ -677,7 +686,8 @@ class GibbsEnsemble:
         ``-(position + 1)`` when a key is out of the index's range.  A
         sweep an engine step completes is recorded by ``record(row)``,
         which ignores negative rows.  The counters of the fused steps are
-        kept here, for both.
+        kept here, for both.  At the run's first step that misses, the
+        CPD closure is filled (:meth:`_fill_closure`) and the step retried.
         """
         engine = self.sampler._engine
         ranks = len(self._rank_rows)
@@ -706,6 +716,11 @@ class GibbsEnsemble:
                     break
             # A signature some memo lacks, or no live dense memos.
             sweep, j = divmod(at, ranks)
+            if self._closure is None:
+                left = self._rows_before(stop) - self._rows_before(at)
+                left += later * self._per_sweep
+                if self._fill_closure(j, tables is not None, left):
+                    continue
             lo, hi = self._rank_lo[j], self._rank_lo[j + 1]
             self._engine_step(j, self._uniforms(sweep, lo, hi))
             at += 1
@@ -774,17 +789,88 @@ class GibbsEnsemble:
 
         return steps
 
-    def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
-        """Rank step ``j`` through the engine: per attribute it draws, one
-        ``conditional_probs_batch`` call over the rows drawing it, which
-        fills the memo's misses."""
-        sampler = self.sampler
+    def _step_codes(self, j: int) -> np.ndarray:
+        """Rank step ``j``'s rows as full-width code rows, plus the spare
+        column."""
         n = self._rank_rows[j]
         codes = self._observed[:n].copy()
         # Missing codes into place; padding ranks land in the spare column.
         np.put_along_axis(
             codes, self._rank_attrs[:n], self._rank_state[:n, :-1], axis=1
         )
+        return codes
+
+    def _fill_closure(self, j: int, missed: bool, left: int) -> bool:
+        """Fill the CPD closure if rank step ``j`` is the run's first that
+        misses — ``missed`` when a fused step found a signature lacking —
+        and report whether it did.
+
+        Step attribute ``a``'s closure is every state a chain can ask
+        ``a``'s CPD about: per distinct base row missing ``a``, its
+        observed codes with every assignment of its other missing
+        attributes.  Only ``a``'s signature attributes need to vary, and
+        rows agreeing on their observed signature codes are enumerated
+        once, per missing pattern.  The fill is one
+        :meth:`~repro.core.engine.BatchInferenceEngine.fill` batch per
+        attribute, after which the run never misses.  It is decided once
+        per ensemble, and declines — the steps then fill their own misses
+        through the engine — where some step attribute's signatures do not
+        pack into a dense index (no fused step could read them), where the
+        closure has more states than the run's ``left`` draws (counted
+        before any state is built), or where the engine declines it (no
+        room within its ``cache_size``).
+        """
+        sampler = self.sampler
+        engine = sampler._engine
+        choice, scheme = sampler.v_choice, sampler.v_scheme
+        if not all(engine.packs_dense(a) for a in self.attrs):
+            self._closure = False
+            return False
+        if not missed:
+            codes = self._step_codes(j)
+            if all(
+                engine.holds(codes[rows, :-1], attr, choice, scheme)
+                for attr, rows in self._step_attrs[j]
+            ):
+                return False
+        cards = sampler.schema.cardinalities
+        # Per (pattern, attribute): the members, and the attribute's
+        # signature columns they miss (varied) and observe (fixed).
+        plan = []
+        for missing, members, _ in self.patterns:
+            for a in missing:
+                signature = engine.compiled[a].signature_attrs.tolist()
+                vary = [b for b in signature if b in missing]
+                fixed = [b for b in signature if b not in missing]
+                plan.append((a, members, vary, fixed))
+        size = sum(
+            len(members) * prod(cards[b] for b in vary)
+            for _, members, vary, _ in plan
+        )
+        if size > left:
+            self._closure = False
+            return False
+        codes = np.stack([base.codes for base in self.bases])
+        states: dict[int, list[np.ndarray]] = {}
+        for a, members, vary, fixed in plan:
+            rows = codes[members]
+            rows = rows[unique_rows(rows[:, fixed])[0]]
+            dims = [cards[b] for b in vary]
+            grid = np.indices(dims).reshape(len(dims), prod(dims)).T
+            block = np.repeat(rows, grid.shape[0], axis=0)
+            block[:, vary] = np.tile(grid, (rows.shape[0], 1))
+            states.setdefault(a, []).append(block)
+        batches = [(a, np.concatenate(blocks)) for a, blocks in states.items()]
+        self._closure = engine.fill(batches, choice, scheme)
+        self._stale = True
+        return self._closure
+
+    def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
+        """Rank step ``j`` through the engine: per attribute it draws, one
+        ``conditional_probs_batch`` call over the rows drawing it, which
+        fills the memo's misses."""
+        sampler = self.sampler
+        codes = self._step_codes(j)
         for attr, rows in self._step_attrs[j]:
             # The engine's cached CDF rows — Generator.choice's
             # cumsum / cdf[-1], computed once per distinct signature.

@@ -15,7 +15,6 @@ can validate that its compiled structures match the ones the producer had.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Mapping
@@ -108,7 +107,11 @@ def compiled_metadata(
     rebuilt the parent's model.
 
     Pass an existing ``compiled`` model (e.g. a warm engine's) to avoid
-    compiling every attribute a second time just for the fingerprint.
+    compiling every attribute a second time just for the fingerprint.  Each
+    lattice hashes itself once (:meth:`CompiledMRSL.digest
+    <repro.core.compiled.CompiledMRSL.digest>`), so workers forked after
+    the parent fingerprinted its lattices compare the inherited digests,
+    while workers that rebuild the model hash their own.
     """
     if compiled is None:
         compiled = CompiledModel(model)
@@ -116,10 +119,6 @@ def compiled_metadata(
     for lattice in model:
         attr = lattice.head_attribute
         c = compiled[attr]
-        h = hashlib.sha256()
-        h.update(repr(c.bodies).encode())
-        h.update(np.ascontiguousarray(c.cpds).tobytes())
-        h.update(np.ascontiguousarray(c.weights).tobytes())
         attributes.append(
             {
                 "attribute": model.schema[attr].name,
@@ -127,7 +126,7 @@ def compiled_metadata(
                 "max_body": int(c.body_sizes.max()) if len(c) else 0,
                 "cpd_shape": [int(d) for d in c.cpds.shape],
                 "signature_attrs": [int(a) for a in c.signature_attrs],
-                "digest": h.hexdigest(),
+                "digest": c.digest(),
             }
         )
     return {"version": COMPILED_METADATA_VERSION, "attributes": attributes}

@@ -314,6 +314,11 @@ class ShardPlan:
     carried_blocks: "Mapping[int, TupleBlock]" = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: every multi segment, carried or planned, with its distinct rows, in
+    #: layout order
+    layout: "tuple[tuple[Segment, np.ndarray], ...]" = field(
+        default=(), repr=False, compare=False
+    )
 
     @property
     def carried_over(self) -> int:

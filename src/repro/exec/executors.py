@@ -399,6 +399,10 @@ class ProcessExecutor(Executor):
                 yield from self._drain(
                     pool, queue, inflight, attempts, faults, context, encode
                 )
+                # Join the idle pool: its manager and queue feeder threads
+                # would otherwise outlive the run and make the next run's
+                # parent look multithreaded (no fork).
+                pool.shutdown(wait=True)
                 return
             except _PoolDied as died:
                 pool_deaths += 1

@@ -275,11 +275,12 @@ def build_single_shards(
 ) -> list[Shard]:
     """Group single-missing distinct rows by signature and pack them.
 
-    ``ids`` are distinct-row numbers of ``workload``, ascending.  Per head
-    attribute, one :func:`unique_rows` over their signature columns
-    numbers the ``(attribute, evidence signature)`` groups in key order
-    (attributes ascending, signatures in memcmp order); a group weighs the
-    workload rows it covers.  Groups are packed largest first (ties: lower
+    ``ids`` are distinct-row numbers of ``workload``, ascending.  One
+    :func:`unique_rows` over each row's head attribute and its codes on
+    that attribute's signature columns (the others blanked) numbers the
+    ``(attribute, evidence signature)`` groups in key order (attributes
+    ascending, signatures in memcmp order); a group weighs the workload
+    rows it covers.  Groups are packed largest first (ties: lower
     key first) into the least-loaded of at most
     ``workers * SINGLE_SHARDS_PER_WORKER`` bins (ties: lower bin first),
     so the packing is deterministic for a given workload.  A shard lists
@@ -292,13 +293,15 @@ def build_single_shards(
     codes = workload.codes[ids]
     counts = workload.counts[ids]
     attrs = (codes == MISSING_CODE).argmax(axis=1)
-    group = np.empty(ids.size, dtype=np.intp)
-    num_groups = 0
+    # Each row's head attribute, then its codes with every column outside
+    # that attribute's signature blanked: one numbering, attribute-major,
+    # signatures in memcmp order within an attribute.
+    signature = np.zeros((codes.shape[1], codes.shape[1]), dtype=bool)
     for attr in np.unique(attrs).tolist():
-        rows = np.flatnonzero(attrs == attr)
-        first, inverse = unique_rows(codes[rows][:, compiled[attr].signature_attrs])
-        group[rows] = num_groups + inverse
-        num_groups += first.size
+        signature[attr, compiled[attr].signature_attrs] = True
+    keyed = np.where(signature[attrs], codes, MISSING_CODE)
+    first, group = unique_rows(np.column_stack([attrs.astype(np.int32), keyed]))
+    num_groups = first.size
     sizes = np.bincount(group, weights=counts, minlength=num_groups).astype(np.int64)
 
     num_bins = min(num_groups, workers * SINGLE_SHARDS_PER_WORKER)
@@ -537,7 +540,8 @@ def plan_shards(
     if carry is None:
         multi = np.flatnonzero(workload.missing > 1)
         single = np.flatnonzero(workload.missing == 1)
-        split = DeltaSplit(workload, {}, single, multi_layout(workload, multi), [], [])
+        layout = multi_layout(workload, multi)
+        split = DeltaSplit(workload, {}, single, layout, [], [], layout)
     else:
         split = carry.split(workload)
 
@@ -561,6 +565,7 @@ def plan_shards(
         base_seed=base_seed,
         carried=tuple(carried),
         carried_blocks=split.carried,
+        layout=tuple(split.layout),
     )
 
 

@@ -29,7 +29,6 @@ from .base import (
     DerivationCancelled,
     ExecReport,
     RetryPolicy,
-    Shard,
     ShardExecutionError,
     ShardPlan,
     ShardResult,
@@ -86,6 +85,9 @@ class ExecOutcome:
     plan: ShardPlan
     #: the parent's compiled lattices (:meth:`ExecContext.compiled_model`)
     compiled: "CompiledModel"
+    #: the engine the parent ran shards on, with the CPDs they computed
+    #: (``None`` when every shard ran on pool workers)
+    engine: "BatchInferenceEngine | None"
     #: what ran, by distinct row: a later delta re-derive's carry store
     layout: RunLayout
 
@@ -274,25 +276,12 @@ def execute_derivation(
         report=report,
         plan=plan,
         compiled=context.compiled_model(),
+        engine=context.batch_engine,
         layout=RunLayout.of(
             workload.codes, workload.missing, distinct,
-            _segments(plan.carried + plan.shards),
+            [(segment.key, rows) for segment, rows in plan.layout],
         ),
     )
-
-
-def _segments(shards: "Sequence[Shard]") -> "list[tuple[str, np.ndarray]]":
-    """Each multi segment's key and distinct rows, in run order: a multi
-    shard's rows are its segments' rows, concatenated."""
-    segments = []
-    for shard in shards:
-        if shard.kind == "multi":
-            cuts = np.cumsum([segment.distinct for segment in shard.segments])
-            rows = np.split(np.asarray(shard.indices, dtype=np.intp), cuts[:-1])
-            segments.extend(
-                (segment.key, r) for segment, r in zip(shard.segments, rows)
-            )
-    return segments
 
 
 def _expand(

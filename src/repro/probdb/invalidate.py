@@ -52,7 +52,8 @@ class DeltaSplit:
     the new layout whose key missed the store, ready to be seeded and
     fused into shards.  ``carried_single`` rows and ``carried_multi``
     segments (``(segment, rows)`` too) mirror the carried side so the
-    planner can account skipped work honestly.  A plan without a store
+    planner can account skipped work honestly.  ``layout`` holds every
+    segment, dirty or carried, in layout order.  A plan without a store
     splits nothing: every row is dirty.  The tuple counts are workload
     rows, duplicates included.
     """
@@ -63,6 +64,7 @@ class DeltaSplit:
     dirty_multi: "list[tuple[Segment, np.ndarray]]"
     carried_single: list[int]
     carried_multi: "list[tuple[Segment, np.ndarray]]"
+    layout: "list[tuple[Segment, np.ndarray]]"
 
     @property
     def num_carried_tuples(self) -> int:
@@ -79,16 +81,19 @@ class DeltaSplit:
 class RunLayout:
     """What one derivation ran, by distinct row of its workload.
 
-    ``missing`` and ``blocks`` hold each distinct row's missing-attribute
-    count and block; ``multi`` maps each multi segment's content key to
-    its :class:`SegmentBlocks`.  The planner already computed all of it,
-    so a delta re-derive rebuilds its :class:`CarryStore` from it
-    (:meth:`CarryStore.from_layout`) instead of replaying the layout over
-    the derived database.
+    ``codes``, ``missing`` and ``blocks`` hold each distinct row's codes,
+    missing-attribute count and block; ``segments`` each multi segment's
+    content key and distinct rows, in layout order, and ``multi`` maps
+    each key to its :class:`SegmentBlocks`.  The planner already computed
+    all of it, so a delta re-derive rebuilds its :class:`CarryStore` from
+    it (:meth:`CarryStore.from_layout`) instead of replaying the layout
+    over the derived database.
     """
 
+    codes: np.ndarray
     missing: np.ndarray
     blocks: "Sequence[TupleBlock]"
+    segments: "Sequence[tuple[str, np.ndarray]]"
     multi: "dict[str, SegmentBlocks]"
 
     @classmethod
@@ -100,12 +105,13 @@ class RunLayout:
         segments: "Sequence[tuple[str, np.ndarray]]",
     ) -> "RunLayout":
         """The layout of distinct rows ``codes``, given each multi
-        segment's key and distinct rows in the order they ran."""
+        segment's key and distinct rows in the order they ran, segments in
+        layout order."""
         multi = {
             key: SegmentBlocks(codes[rows], [blocks[i] for i in rows.tolist()])
             for key, rows in segments
         }
-        return cls(missing, blocks, multi)
+        return cls(codes, missing, blocks, segments, multi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,20 +142,24 @@ class CarryStore:
     seed the previous derivation's multi segments were derived under — the
     planner pins new segments to the same seed so the combined
     result equals a from-scratch run.  ``None`` when the previous run had
-    no multi-missing work.
+    no multi-missing work.  ``run`` is the previous run's
+    :class:`RunLayout` when the store was built from it: a split whose
+    multi rows are that run's reuses its segment layout.
     """
 
-    __slots__ = ("singles", "multi", "base_seed")
+    __slots__ = ("singles", "multi", "base_seed", "run")
 
     def __init__(
         self,
         singles: dict[RelTuple, TupleBlock],
         multi: "dict[str, SegmentBlocks]",
         base_seed: int | None,
+        run: RunLayout | None = None,
     ):
         self.singles = singles
         self.multi = multi
         self.base_seed = base_seed
+        self.run = run
 
     @classmethod
     def from_layout(cls, layout: RunLayout, base_seed: int | None) -> "CarryStore":
@@ -159,7 +169,9 @@ class CarryStore:
             blocks[i].base: blocks[i]
             for i in np.flatnonzero(layout.missing == 1).tolist()
         }
-        return cls(singles=singles, multi=layout.multi, base_seed=base_seed)
+        return cls(
+            singles=singles, multi=layout.multi, base_seed=base_seed, run=layout
+        )
 
     @classmethod
     def from_database(
@@ -260,7 +272,10 @@ class CarryStore:
         dirty_multi: list[tuple[Segment, np.ndarray]] = []
         carried_multi: list[tuple[Segment, np.ndarray]] = []
         multi = np.flatnonzero(workload.missing > 1)
-        for segment, rows in multi_layout(workload, multi):
+        layout = self._run_layout(workload, multi)
+        if layout is None:
+            layout = multi_layout(workload, multi)
+        for segment, rows in layout:
             blocks = self.multi.get(segment.key)
             # The key names the segment's set of rows, but the ensemble
             # draws them in turn from one generator: the blocks carry only
@@ -281,4 +296,28 @@ class CarryStore:
             dirty_multi=dirty_multi,
             carried_single=carried_single,
             carried_multi=carried_multi,
+            layout=layout,
         )
+
+    def _run_layout(
+        self, workload: "Workload", multi: np.ndarray
+    ) -> "list[tuple[Segment, np.ndarray]] | None":
+        """The previous run's multi layout over ``workload``'s distinct
+        rows ``multi``, when those are the previous run's multi rows in the
+        same order: the layout depends on nothing else, so the components
+        and content keys need no recomputing.  ``None`` otherwise."""
+        from ..exec.base import Segment
+
+        run = self.run
+        if run is None:
+            return None
+        before = np.flatnonzero(run.missing > 1)
+        if not np.array_equal(run.codes[before], workload.codes[multi]):
+            return None
+        moved = np.empty(run.missing.size, dtype=np.intp)
+        moved[before] = multi
+        counts = workload.counts
+        return [
+            (Segment(key, int(counts[moved[rows]].sum()), rows.size), moved[rows])
+            for key, rows in run.segments
+        ]

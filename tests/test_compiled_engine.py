@@ -408,6 +408,7 @@ def _reference_compile(lattice, cardinality):
     ref.body_sizes = np.fromiter(map(len, ref.bodies), dtype=np.int32, count=n)
     ref.root_index = ref._body_index.get((), -1)
     ref._sum_tables = {}
+    ref._digest = None
     attrs = sorted({attr for body in ref.bodies for attr, _ in body})
     ref.signature_attrs = np.array(attrs, dtype=np.intp)
     width = int(ref.body_sizes.max(initial=0))

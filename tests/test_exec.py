@@ -6,6 +6,7 @@ paper's Fig. 1 relation and a census sample.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -521,6 +522,28 @@ class TestCompiledMetadata:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="compiled model mismatch"):
             load_model(path)
+
+    def test_each_lattice_hashes_once(self, census_model, monkeypatch):
+        """A lattice keeps its digest: checking the same compiled lattices
+        again (a forked worker's inherited ones) hashes nothing, while
+        freshly compiled ones (a rebuilt model's) hash their own."""
+        from repro.core import compiled as compiled_module
+        from repro.core.compiled import CompiledModel
+
+        compiled = CompiledModel(census_model)
+        meta = compiled_metadata(census_model, compiled)
+
+        def refused(*args):
+            raise AssertionError("hashed a lattice again")
+
+        monkeypatch.setattr(
+            compiled_module, "hashlib", SimpleNamespace(sha256=refused)
+        )
+        verify_compiled_metadata(census_model, meta, compiled=compiled)
+        with pytest.raises(AssertionError, match="hashed a lattice again"):
+            verify_compiled_metadata(
+                census_model, meta, compiled=CompiledModel(census_model)
+            )
 
     def test_metadata_shape(self, census_model):
         meta = compiled_metadata(census_model)

@@ -204,20 +204,24 @@ def test_segment_stream_matches_per_call_reference(census, chains):
 
 
 #: ``cache_info()`` counters ``(hits, tuples_served, groups_computed)`` of
-#: the reset-safety workload, as the engine route counts them (misses
-#: batched per rank step and attribute); perfbench's
-#: ``engine.cpd_hit_rate`` reads these counters.
+#: the reset-safety workload, as the engine route counts them; perfbench's
+#: ``engine.cpd_hit_rate`` reads these counters.  Under the default bound
+#: the first miss fills the CPD closure, 173 signatures (11 of them never
+#: drawn from in this short run), and serves no row, so every row drawn
+#: after it is a hit.  At 3 and 40 the closure does not fit: misses batch
+#: per rank step and attribute.
 RESET_WORKLOAD_COUNTERS = {
-    DEFAULT_CPD_CACHE_SIZE: (1509, 1680, 162),
+    DEFAULT_CPD_CACHE_SIZE: (1680, 1680, 173),
     3: (0, 1680, 1461),
     40: (256, 1680, 1262),
 }
 
 
 def test_bound_steps_survive_memo_resets(census):
-    """Small CPD bounds reset memos mid-run: at 3 signatures every memo
-    resets and each batch that alone outgrows the bound drops its memo; at
-    40 resets mix with memo hits.  The fused rank steps, in the compiled
+    """Small CPD bounds reset memos mid-run: both are smaller than the
+    CPD closure, whose fill declines (a fill never resets a memo), so at 3
+    signatures every memo resets and each batch that alone outgrows the
+    bound drops its memo; at 40 resets mix with memo hits.  The fused rank steps, in the compiled
     loop (where it loads) and in NumPy, must notice, rebind and draw the
     same samples, counted as the engine route counts them (no memo to
     bind, every rank step one ``conditional_probs_batch`` call per

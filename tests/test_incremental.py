@@ -31,6 +31,7 @@ from repro.core.learning import learn_mrsl
 from repro.datasets.census import load_census
 from repro.probdb import CarryStore
 from repro.relational import ChangeSet, Relation, make_tuple, retract, update
+from repro.relational.tuples import MISSING_CODE, RelTuple
 from tests.conftest import FIG1_ROWS
 from tests.test_exec import assert_identical_databases
 
@@ -157,6 +158,31 @@ class TestDeltaDerive:
         assert delta.compiled is census_baseline.compiled
         assert full.compiled is census_baseline.compiled
 
+    def test_delta_starts_from_a_copy_of_the_previous_memos(
+        self, census_updated, census_baseline
+    ):
+        """A delta carries the previous run's CPDs as it carries its
+        blocks: its engine starts from a copy of the previous engine's
+        memos, computes only signatures those lack, and leaves the
+        previous engine as it was; the full policy starts cold."""
+        previous = census_baseline.engine
+        assert previous is not None
+        before = previous.cache_info()
+        delta = derive_probabilistic_database(
+            census_updated, config=CENSUS_CONFIG, previous=census_baseline
+        )
+        full = derive_probabilistic_database(
+            census_updated,
+            config=CENSUS_CONFIG.replacing(update_policy="full"),
+            previous=census_baseline,
+        )
+        assert previous.cache_info() == before
+        assert delta.engine is not previous
+        assert delta.engine.compiled is census_baseline.compiled
+        assert delta.engine.cache_info()["size"] >= before["size"]
+        assert 0 < delta.engine.groups_computed < full.engine.groups_computed
+        assert_identical_databases(delta.database, full.database)
+
     def test_compiled_lattices_stay_with_their_model(
         self, census_relation, census_baseline
     ):
@@ -277,12 +303,54 @@ class TestCarryStore:
             assert list(got.singles) == list(want.singles)
             assert all(got.singles[t] is b for t, b in want.singles.items())
             assert got.multi.keys() == want.multi.keys() != set()
+            assert [key for key, _ in got.run.segments] == [
+                key for key, _ in want.run.segments
+            ]
+            for (_, a), (_, b) in zip(got.run.segments, want.run.segments):
+                assert np.array_equal(a, b)
             for key, blocks in want.multi.items():
                 assert np.array_equal(got.multi[key].codes, blocks.codes)
                 assert len(got.multi[key].blocks) == len(blocks.blocks)
                 assert all(
                     a is b for a, b in zip(got.multi[key].blocks, blocks.blocks)
                 )
+
+    def test_split_reuses_the_run_layout_while_its_multi_rows_stand(
+        self, census_relation, census_baseline, monkeypatch
+    ):
+        """The multi layout is a function of the multi rows alone: a split
+        whose multi rows are the previous run's takes that run's segments
+        without laying the rows out again, and a touched multi row lays
+        them out afresh.  Either way the split equals one made without the
+        run's layout."""
+        from repro.exec import plan as plan_module
+
+        store = CarryStore.from_layout(
+            census_baseline.layout, census_baseline.base_seed
+        )
+        replayed = CarryStore(store.singles, store.multi, store.base_seed)
+        workload = list(census_relation.incomplete_part())
+        workload.sort(key=lambda t: t.num_missing > 1)
+        touched = list(workload)
+        target = next(i for i, t in enumerate(touched) if t.num_missing > 1)
+        codes = touched[target].codes.copy()
+        codes[np.flatnonzero(codes == MISSING_CODE)[0]] = 0
+        touched[target] = RelTuple(touched[target].schema, codes)
+        laid_out = []
+        component_roots = plan_module._component_roots
+        monkeypatch.setattr(
+            plan_module, "_component_roots",
+            lambda rows: laid_out.append(1) or component_roots(rows),
+        )
+        for rows, layouts in ((workload, 0), (touched, 1)):
+            split = store.split(rows)
+            assert len(laid_out) == layouts
+            want = replayed.split(rows)
+            assert [(g, r.tolist()) for g, r in split.layout] == [
+                (g, r.tolist()) for g, r in want.layout
+            ]
+            assert bool(split.dirty_multi) == bool(layouts)
+            laid_out.clear()
 
     def test_complete_tuples_rejected(self, census_relation, census_baseline):
         store = CarryStore.from_layout(

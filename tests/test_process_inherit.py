@@ -14,6 +14,7 @@ behind.
 import multiprocessing
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ def test_forked_workers_build_on_the_parents_lattices(
     _assert_rebound(out.blocks, serial.blocks, tuples)
 
 
+def test_forked_workers_compare_the_inherited_digests(
+    forked, monkeypatch, census, serial
+):
+    """Lattices the parent fingerprinted keep their digests: neither the
+    parent's handshake nor a forked worker's check hashes one again (a
+    worker that did would fail in its initializer)."""
+    from repro.core import compiled as compiled_module
+
+    model, tuples = census
+    engine = BatchInferenceEngine(model)
+    persistence.compiled_metadata(model, engine.compiled)
+
+    def refused(*args):
+        raise AssertionError("hashed a lattice again")
+
+    monkeypatch.setattr(
+        compiled_module, "hashlib", SimpleNamespace(sha256=refused)
+    )
+    out = execute_derivation(tuples, model, _config(), batch_engine=engine)
+    _assert_rebound(out.blocks, serial.blocks, tuples)
+
+
 def test_inherited_state_lives_only_while_the_pool_runs(
     monkeypatch, census
 ):
@@ -156,6 +179,22 @@ def test_inherited_state_lives_only_while_the_pool_runs(
     assert first.key in state.shards
     stream.close()
     assert work._INHERITED is None
+
+
+def test_a_process_derive_leaves_no_thread_behind(
+    start_methods, census, serial
+):
+    """The pool's manager and queue feeder threads are joined before a
+    run returns, so back-to-back derives in a single-threaded parent both
+    fork instead of racing those threads' exit."""
+    model, tuples = census
+    before = set(threading.enumerate())
+    for _ in range(2):
+        out = execute_derivation(tuples, model, _config())
+        _assert_rebound(out.blocks, serial.blocks, tuples)
+        assert set(threading.enumerate()) <= before
+    if before == {threading.main_thread()}:
+        assert start_methods == ["fork", "fork"]
 
 
 def test_an_interleaved_second_stream_rebuilds_from_json(

@@ -9,10 +9,12 @@ misses without redrawing earlier steps.  The guarantees:
 * Fused and engine-route steps draw the same samples and leave the same
   engine counters, memo inserts and resets, for any chain count, segment
   mix, missing depth, cache bound and engine warmth.
-* An engine step runs only where the fused one cannot: after a genuine
-  miss (the step then computes a signature), or without live dense
-  memos.  So the rank tables follow every memo the engine grows or
-  replaces, and a miss costs only the step it falls in.
+* The run's first miss fills the CPD closure where it fits, after which
+  no step misses; where it declines, an engine step runs only where the
+  fused one cannot: after a genuine miss (the step then computes a
+  signature), or without live dense memos.  So the rank tables follow
+  every memo the engine grows or replaces, and a miss costs only the step
+  it falls in.  Both give the same samples.
 * Blocks are histogrammed per missing pattern, byte-equal to the
   historical per-tuple counting loop, dense and sparse.
 * The rank-state layout (rows deepest first, uniforms gathered into rank
@@ -74,10 +76,14 @@ def _segments(pools):
     return [(mixed[:7], 101), (mixed[7:19], 202), (mixed[19:], 303)]
 
 
-def _run(model, segments, chains, cache_size, warm=None, engine_route=False):
+def _run(
+    model, segments, chains, cache_size, warm=None, engine_route=False,
+    per_step=False, samples=60, burn_in=8,
+):
     """Samples and ``(cache_info, memo_resets, steps)`` of one ensemble run,
-    plus the number of engine-route rank steps and of those that computed
-    nothing."""
+    plus the number of engine-route rank steps, of those that computed
+    nothing, and whether the CPD closure was filled.  ``per_step`` runs
+    with the closure declined, each miss filled by its own step."""
     engine = BatchInferenceEngine(model, cache_size=cache_size)
     if warm:
         ensemble_sampling(
@@ -97,9 +103,12 @@ def _run(model, segments, chains, cache_size, warm=None, engine_route=False):
         engine_steps["idle"] += engine.groups_computed == before
 
     ensemble._engine_step = counted
-    samples = ensemble.run(60, burn_in=8)
+    if per_step:
+        ensemble._closure = False
+    drawn = ensemble.run(samples, burn_in=burn_in)
     counters = (engine.cache_info(), engine.memo_resets, sampler.steps)
-    return samples, counters, engine_steps
+    engine_steps["closure"] = ensemble._closure
+    return drawn, counters, engine_steps
 
 
 def _assert_same_samples(a, b):
@@ -122,16 +131,27 @@ def test_fused_sweeps_equal_per_call_sweeps(census, chains, cache_size, warm):
     routed, routed_counters, _ = _run(
         model, segments, chains, cache_size, warm_tuples, engine_route=True
     )
+    per_step, _, per_step_engine = _run(
+        model, segments, chains, cache_size, warm_tuples, per_step=True
+    )
     _assert_same_samples(fused, routed)
+    _assert_same_samples(fused, per_step)
     assert counters == routed_counters
     # Every engine step was forced by a signature a memo lacked (or by a
     # memo not yet created), so it computed something; the rest of the run
     # stayed fused.
     assert engine_steps["idle"] == 0
+    assert per_step_engine["idle"] == 0
     steps = (8 + -(-60 // chains)) * 4
     if cache_size == DEFAULT_CPD_CACHE_SIZE:
-        assert engine_steps["steps"] < steps
-    if cache_size != DEFAULT_CPD_CACHE_SIZE:
+        # The first miss filled the closure: no step missed after it.
+        assert engine_steps["closure"] is True
+        assert engine_steps["steps"] == 0
+        assert 0 < per_step_engine["steps"] < steps
+    else:
+        # The closure outgrows the bound: each miss fills its own step.
+        assert engine_steps["closure"] is False
+        assert engine_steps["steps"] > 0
         assert counters[1] > 0  # memo resets mid-run
 
 
@@ -170,17 +190,90 @@ def test_warm_engine_sweeps_never_call_the_engine(census, monkeypatch):
         engine, "conditional_probs_batch",
         lambda *a, **k: calls.append(a[1]) or batch(*a, **k),
     )
+    monkeypatch.setattr(
+        engine, "fill", lambda *a, **k: calls.append("fill")
+    )
     again = GibbsEnsemble(sampler, segments).run(60, burn_in=8)
     _assert_same_samples(first, again)
     assert calls == []
 
 
+def test_the_first_miss_fills_the_closure_once(census, monkeypatch):
+    """The first miss fills every step attribute's closure in one
+    ``fill`` call: the run never misses again, computes no signature a
+    per-step run computes more of, and a second ensemble over the same
+    rows finds the engine warm and enumerates nothing."""
+    model, pools = census
+    segments = _segments(pools)
+    filled, counters, engine_steps = _run(
+        model, segments, 2, DEFAULT_CPD_CACHE_SIZE
+    )
+    per_step, per_step_counters, _ = _run(
+        model, segments, 2, DEFAULT_CPD_CACHE_SIZE, per_step=True
+    )
+    _assert_same_samples(filled, per_step)
+    assert engine_steps["closure"] is True and engine_steps["steps"] == 0
+    info, per_step_info = counters[0], per_step_counters[0]
+    # Every row a step draws in reads a filled memo: all hits.
+    assert info["hits"] == info["tuples_served"] == per_step_info["tuples_served"]
+    assert info["groups_computed"] >= per_step_info["groups_computed"]
+    assert counters[2] == per_step_counters[2]  # sampler.steps
+
+    engine = BatchInferenceEngine(model)
+    fills = []
+    fill = engine.fill
+    monkeypatch.setattr(
+        engine, "fill", lambda *a, **k: fills.append(1) or fill(*a, **k)
+    )
+    sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+    GibbsEnsemble(sampler, segments, chains=2).run(60, burn_in=8)
+    assert fills == [1]
+    again = GibbsEnsemble(sampler, segments, chains=2)
+    _assert_same_samples(again.run(60, burn_in=8), filled)
+    assert fills == [1] and again._closure is None
+
+
+@pytest.mark.parametrize("reason", ["bound", "sorted-keys", "draws"])
+def test_the_closure_declines_where_it_does_not_fit(census, monkeypatch, reason):
+    """A closure larger than the CPD bound, signature spaces keyed on
+    sorted keys, and a closure with more states than the run has draws
+    left each decline the fill: the run is the per-step route's, samples
+    and counters alike."""
+    model, pools = census
+    segments = _segments(pools)
+    cache_size, run = DEFAULT_CPD_CACHE_SIZE, {}
+    if reason == "bound":
+        _, counters, _ = _run(model, segments, 2, cache_size)
+        cache_size = counters[0]["groups_computed"] - 1
+    elif reason == "sorted-keys":
+        monkeypatch.setattr(engine_module, "DENSE_INDEX_CAP", 0)
+    else:
+        # One recorded sweep: 4 draws for a row missing 4 attributes,
+        # whose closure alone has more states.
+        run = {"samples": 1, "burn_in": 0}
+    declined, counters, engine_steps = _run(
+        model, segments, 2, cache_size, **run
+    )
+    per_step, per_step_counters, _ = _run(
+        model, segments, 2, cache_size, per_step=True, **run
+    )
+    assert engine_steps["closure"] is False
+    assert engine_steps["steps"] > 0
+    _assert_same_samples(declined, per_step)
+    assert counters == per_step_counters
+    monkeypatch.undo()
+    filled, _, _ = _run(
+        model, segments, 2, DEFAULT_CPD_CACHE_SIZE, **run
+    )
+    _assert_same_samples(declined, filled)
+
+
 def test_a_miss_costs_only_its_own_step(census, monkeypatch):
     """Rows missing ``(0, 1)`` draw attribute 0 in rank step 0 and
     attribute 1 in rank step 1.  With attribute 0's memo holding every
-    signature its steps can reach and attribute 1's live but nearly
-    empty, only attribute 1's steps go through the engine: no miss
-    redraws the step before it."""
+    signature its steps can reach, attribute 1's live but nearly empty
+    and the CPD closure declined, only attribute 1's steps go through the
+    engine: no miss redraws the step before it."""
     model, pools = census
     bases = pools[PATTERNS.index((0, 1))][:12]
     engine = BatchInferenceEngine(model)
@@ -198,17 +291,22 @@ def test_a_miss_costs_only_its_own_step(census, monkeypatch):
         lambda *a, **k: calls.append(a[1]) or batch(*a, **k),
     )
     sampler = GibbsSampler(model, rng=0, batch_engine=engine)
-    GibbsEnsemble(sampler, [(bases, 5)], chains=2).run(40, burn_in=4)
+    ensemble = GibbsEnsemble(sampler, [(bases, 5)], chains=2)
+    ensemble._closure = False
+    ensemble.run(40, burn_in=4)
     assert calls
     assert set(calls) == {1}
 
 
 def test_sorted_key_memos_skip_the_fused_path(census, monkeypatch):
-    """Memos without a dense index keep every rank step on the engine
-    route, drawing what the fused path draws."""
+    """Memos without a dense index decline the CPD closure and keep every
+    rank step on the engine route, drawing what the fused path draws and
+    counting what its per-step route counts."""
     model, pools = census
     segments = _segments(pools)
-    dense, dense_counters, _ = _run(model, segments, 2, DEFAULT_CPD_CACHE_SIZE)
+    dense, dense_counters, _ = _run(
+        model, segments, 2, DEFAULT_CPD_CACHE_SIZE, per_step=True
+    )
     draws = []
     column_draw = gibbs_module._column_draw
     monkeypatch.setattr(
@@ -220,6 +318,7 @@ def test_sorted_key_memos_skip_the_fused_path(census, monkeypatch):
         model, segments, 2, DEFAULT_CPD_CACHE_SIZE
     )
     assert draws == []
+    assert engine_steps["closure"] is False
     # Every rank step of every sweep: 8 + 30 sweeps of 4 rank steps.
     assert engine_steps["steps"] == (8 + 30) * 4
     _assert_same_samples(dense, sparse)
