@@ -9,6 +9,11 @@ the naive one, and gates the ratio of the two medians — the acceptance
 bar is >= 3x on the inference phase.  One ~40 ms compiled run is too
 noisy to gate on alone.
 
+``test_engine_work`` is the gate's load-independent twin: it checks the
+work the speedup rests on, with no clock.  A cold batch computes each
+distinct evidence signature once, and a warm repeat computes none and
+serves every row from the memo.
+
 ``test_single_kernel_layer`` records the single-missing kernel's layer
 time with no gate: cold ``CompiledMRSL.infer_many`` (compile, match, vote)
 over every distinct evidence signature of the ``bn7-single`` workload's
@@ -131,6 +136,23 @@ def test_engine_cache_amortization(report, scale):
     )
     assert info["groups_computed"] < len(masked)
     assert warm < cold
+
+
+def test_engine_work(scale):
+    """Each distinct signature computed once cold; nothing computed warm."""
+    model, masked = _setup(scale)
+    signatures = sum(len(codes) for codes in _signature_reps(model, masked).values())
+    engine = BatchInferenceEngine(model)
+    engine.infer_batch_codes(masked)
+    cold = engine.cache_info()
+    assert cold["groups_computed"] == signatures
+    assert cold["hits"] == 0
+    engine.infer_batch_codes(masked)
+    warm = engine.cache_info()
+    assert warm["groups_computed"] == signatures
+    assert warm["hits"] == len(masked)
+    if scale == "quick":
+        assert (signatures, len(masked)) == (496, 6000)
 
 
 def _bn7_setup():

@@ -30,7 +30,6 @@ from ..probdb.database import ProbabilisticDatabase
 from ..probdb.invalidate import CarryStore, RunLayout
 from ..relational.relation import Relation
 from ..relational.tuples import MISSING_CODE, trusted_rows
-from .compiled import CompiledModel
 from .engine import BatchInferenceEngine
 from .learning import LearnResult, learn_mrsl
 from .mrsl import MRSLModel
@@ -70,12 +69,10 @@ class DeriveResult:
     #: workload had no multi-missing tuples); a later delta re-derive pins
     #: its dirty shards to this seed so carried blocks stay consistent
     base_seed: int | None = None
-    #: the model's lattices as the run compiled them; a re-derive from this
-    #: result reuses them instead of compiling the same model again
-    compiled: CompiledModel | None = field(default=None, repr=False, compare=False)
-    #: the engine the run's in-process shards used, with the CPDs they
-    #: computed (``None`` when pool workers ran every shard); a delta
-    #: re-derive from this result starts from a copy of its memos
+    #: the run's engine: its compiled lattices, and the CPDs of the shards
+    #: the parent ran (empty when pool workers ran every shard); a
+    #: re-derive from this result reuses its lattices, and a delta
+    #: re-derive starts from a copy of its memos
     engine: BatchInferenceEngine | None = field(
         default=None, repr=False, compare=False
     )
@@ -193,10 +190,10 @@ def derive_probabilistic_database(
             rng = previous.base_seed
         if (
             batch_engine is None
-            and previous.compiled is not None
-            and previous.compiled.model is model
+            and previous.engine is not None
+            and previous.engine.model is model
         ):
-            if cfg.update_policy == "delta" and previous.engine is not None:
+            if cfg.update_policy == "delta":
                 # A delta carries the CPDs the previous run computed, as it
                 # carries its blocks: a copy of its memos, so the previous
                 # result's engine never changes.
@@ -206,7 +203,8 @@ def derive_probabilistic_database(
                 # compiled: the same answers, without compiling the same
                 # model again.
                 batch_engine = BatchInferenceEngine(
-                    model, cfg.v_choice, cfg.v_scheme, compiled=previous.compiled
+                    model, cfg.v_choice, cfg.v_scheme,
+                    compiled=previous.engine.compiled,
                 )
     if rng is None:
         rng = cfg.seed
@@ -256,7 +254,6 @@ def derive_probabilistic_database(
         sampling_stats=outcome.stats,
         exec_report=outcome.report,
         base_seed=outcome.plan.base_seed,
-        compiled=outcome.compiled,
         engine=outcome.engine,
         layout=outcome.layout,
     )

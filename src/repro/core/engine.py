@@ -299,28 +299,6 @@ class BatchInferenceEngine:
 
     # -- scalar entry points ---------------------------------------------------
 
-    def infer_codes(
-        self,
-        t: RelTuple,
-        attr: int | None = None,
-        v_choice: VoterChoice | str | None = None,
-        v_scheme: VotingScheme | str | None = None,
-    ) -> np.ndarray:
-        """CPD vector for one tuple's missing attribute (cached)."""
-        if attr is None:
-            missing = t.missing_positions
-            if len(missing) != 1:
-                raise ValueError(
-                    f"expected exactly one missing attribute, tuple has "
-                    f"{len(missing)}"
-                )
-            attr = missing[0]
-        elif t.codes[attr] != MISSING_CODE:
-            raise ValueError(
-                f"tuple already assigns attribute {self.schema[attr].name!r}"
-            )
-        return self.conditional_probs(t.codes, attr, v_choice, v_scheme)
-
     def conditional_probs(
         self,
         codes: np.ndarray,
@@ -406,18 +384,6 @@ class BatchInferenceEngine:
         which a rank-fused Gibbs sweep reads."""
         packer = self._sig_packer(attr)
         return packer is not None and packer[1] <= DENSE_INDEX_CAP
-
-    def holds(
-        self,
-        states: np.ndarray,
-        attr: int,
-        v_choice: VoterChoice | str | None = None,
-        v_scheme: VotingScheme | str | None = None,
-    ) -> bool:
-        """Whether ``attr``'s memo holds every row's signature; counts
-        nothing."""
-        memo = self._memos.get((attr, *self._voting(v_choice, v_scheme)))
-        return memo is not None and not (memo.find(memo.pack(states)) == _ABSENT).any()
 
     def fill(
         self,

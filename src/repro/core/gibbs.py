@@ -305,19 +305,17 @@ class _RankTables:
     last, side by side, narrower cardinalities padded with :data:`_PAD`.
     An absent key keeps slot :data:`~repro.core.engine._ABSENT`, so a draw
     from it raises ``IndexError``; ``columns`` is at least one column wide,
-    so that holds for cardinality-1 attributes too.  Valid while every
-    step attribute's live memo is ``memos[i]`` at ``sizes[i]`` rows.
+    so that holds for cardinality-1 attributes too.  Built when a run
+    starts and after a closure fill: a fused run changes no memo.
     ``loop_args`` are the compiled loop's arguments for them: the index's
     address and size, the columns' address and shape.
     """
 
-    __slots__ = ("memos", "sizes", "index", "columns", "loop_args")
+    __slots__ = ("index", "columns", "loop_args")
 
     def __init__(self, memos: list):
-        self.memos = memos
-        self.sizes = [memo.size for memo in memos]
         spaces = [memo.index.size for memo in memos]
-        rows = np.cumsum([0] + self.sizes)
+        rows = np.cumsum([0] + [memo.size for memo in memos])
         index = np.concatenate([memo.index for memo in memos])
         shifted = index + np.repeat(rows[:-1], spaces)
         self.index = np.where(index == _ABSENT, _ABSENT, shifted).astype(
@@ -330,13 +328,6 @@ class _RankTables:
         self.loop_args = (
             _address(self.index, np.int64), self.index.size,
             _address(self.columns, np.float64), *self.columns.shape,
-        )
-
-    def current(self, memos: list) -> bool:
-        """Whether these tables still mirror ``memos``."""
-        return all(
-            memo is held and memo.size == size
-            for memo, held, size in zip(memos, self.memos, self.sizes)
         )
 
 
@@ -365,8 +356,8 @@ class GibbsEnsemble:
     ``mult`` and index sizes, which a memo reset keeps).  The keys are
     looked up in that index and :func:`_column_draw` reduces the draws
     from one table of every attribute memo's CDF columns
-    (:class:`_RankTables`, rebuilt only after the engine replaces, drops
-    or grows a memo) straight into column ``j``: five NumPy calls per rank
+    (:class:`_RankTables`, built when a run starts and after a closure
+    fill) straight into column ``j``: five NumPy calls per rank
     step.  It needs every step attribute's memo live with a dense index,
     and every row's signature in it.  Where the compiled loop of
     :mod:`repro.core.native` loads, one call of it runs a whole uniform
@@ -374,15 +365,18 @@ class GibbsEnsemble:
     float compares, so it draws the same integers; the NumPy steps stay
     its fallback and reference.
 
-    The run's first step that lacks a signature fills the ensemble's whole
-    CPD closure (:meth:`_fill_closure`), after which no step misses.
-    Where the closure declines, misses fill per rank step.  A step that
-    cannot run fused — a signature some memo lacks, whose slot lies past
-    every row so the draw raises ``IndexError`` before anything is
-    written, or no live dense memos (a cold engine, sorted-key signature
-    spaces) — runs through the engine instead: its rows' full-width codes are rebuilt from their
-    observed codes and the rank state, and each attribute the step draws
-    gets one :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
+    A run sweeps fused until a step cannot — a signature some memo lacks,
+    whose slot lies past every row so the draw raises ``IndexError``
+    before anything is written, or no live dense memos (a cold engine,
+    sorted-key signature spaces) — and from that step on takes one route
+    to its end.  At the ensemble's first such step the whole CPD closure
+    is filled (:meth:`_fill_closure`), and the run stays fused: no step
+    misses after it.  Where the closure declines, was decided by an
+    earlier run, or leaves no dense tables live, every remaining step runs
+    through the engine (:meth:`_engine_step`): its rows' full-width codes
+    are rebuilt from their observed codes and the rank state, and each
+    attribute the step draws gets one
+    :meth:`~repro.core.engine.BatchInferenceEngine.conditional_probs_batch`
     call for its rows, which fills that memo's misses.  No earlier step is
     redrawn.  A CPD is a function of its signature, so both routes draw
     the same integers; every batch the engine computes, every memo insert
@@ -552,8 +546,6 @@ class GibbsEnsemble:
             for j, n in enumerate(self._rank_rows)
         ]
         self._rank_steps: list[tuple] | None = None
-        self._tables: _RankTables | None = None
-        self._stale = True
         #: whether the CPD closure was filled (``True``) or declined
         #: (``False``); ``None`` until the first rank step that misses
         self._closure: bool | None = None
@@ -648,35 +640,34 @@ class GibbsEnsemble:
         live = sampler._engine.live_memo
         choice, scheme = sampler.v_choice, sampler.v_scheme
         memos = [live(attr, choice, scheme) for attr in self.attrs]
-        tables = self._tables
-        if tables is None or not tables.current(memos):
-            if any(memo is None or memo.index is None for memo in memos):
-                return None
-            tables = self._tables = _RankTables(memos)
-            if self._rank_steps is None:
-                self._rank_steps = self._build_rank_steps(memos)
-        self._stale = False
-        return tables
+        if any(memo is None or memo.index is None for memo in memos):
+            return None
+        if self._rank_steps is None:
+            self._rank_steps = self._build_rank_steps(memos)
+        return _RankTables(memos)
 
     def _run(self, fused, record, sweeps: int, row0: int) -> None:
         """``sweeps`` sweeps, block sweep ``s`` of the run recorded as sweep
         ``row0 + s`` (burn-in sweeps below zero are not recorded), one
         uniform block of up to ``_block`` sweeps at a time."""
-        self._stale = True
+        tables = self._live_tables()
         done = 0
         while done < sweeps:
             block = min(self._block, sweeps - done)
             self._draw(block)
-            later = sweeps - done - block
-            self._run_block(fused, record, block, row0 + done, later)
+            tables = self._run_block(
+                fused, record, tables, block, row0 + done, sweeps - done
+            )
             done += block
 
     def _run_block(
-        self, fused, record, sweeps: int, row0: int, later: int
-    ) -> None:
-        """Every sweep of the uniform block: fused rank steps where they
-        can run, the rest through the engine; ``later`` sweeps of the run
-        follow the block.
+        self, fused, record, tables: _RankTables | None, sweeps: int,
+        row0: int, remaining: int,
+    ) -> _RankTables | None:
+        """Every sweep of the uniform block on the run's route, ``remaining``
+        sweeps of the run left, this block's included; returns the tables
+        the run's next block sweeps fused on, ``None`` once the run is on
+        the engine route.
 
         Position ``at`` is rank step ``at % ranks`` of block sweep
         ``at // ranks``; block sweep ``s`` is recorded as sweep ``row0 +
@@ -686,17 +677,13 @@ class GibbsEnsemble:
         ``-(position + 1)`` when a key is out of the index's range.  A
         sweep an engine step completes is recorded by ``record(row)``,
         which ignores negative rows.  The counters of the fused steps are
-        kept here, for both.  At the run's first step that misses, the
-        CPD closure is filled (:meth:`_fill_closure`) and the step retried.
+        kept here, for both.
         """
         engine = self.sampler._engine
         ranks = len(self._rank_rows)
         stop = sweeps * ranks
         at = 0
-        while at < stop:
-            # Memos change only in engine calls: the tables need checking
-            # after an engine step and when a run starts, not every step.
-            tables = self._live_tables() if self._stale else self._tables
+        while True:
             if tables is not None:
                 reached = fused(tables, at, stop, row0)
                 bad_key = reached < 0
@@ -711,33 +698,34 @@ class GibbsEnsemble:
                 self.sampler.steps += self._per_sweep * completed
                 at = reached
                 if bad_key:
-                    self._raise_key_error(at % ranks)
+                    self._raise_key_error(tables, at % ranks)
                 if at == stop:
-                    break
-            # A signature some memo lacks, or no live dense memos.
+                    return tables
+            if self._closure is not None:
+                break
+            # The ensemble's first step that misses.
+            left = remaining * self._per_sweep - self._rows_before(at)
+            tables = self._live_tables() if self._fill_closure(left) else None
+        while at < stop:
             sweep, j = divmod(at, ranks)
-            if self._closure is None:
-                left = self._rows_before(stop) - self._rows_before(at)
-                left += later * self._per_sweep
-                if self._fill_closure(j, tables is not None, left):
-                    continue
             lo, hi = self._rank_lo[j], self._rank_lo[j + 1]
             self._engine_step(j, self._uniforms(sweep, lo, hi))
             at += 1
             if j == ranks - 1:
                 record(row0 + sweep)
                 self.sampler.steps += self._per_sweep
+        return None
 
     def _rows_before(self, at: int) -> int:
         """Rows the rank steps before position ``at`` draw in."""
         sweeps, j = divmod(at, len(self._rank_rows))
         return sweeps * self._per_sweep + int(self._rank_lo[j])
 
-    def _raise_key_error(self, j: int) -> None:
+    def _raise_key_error(self, tables: _RankTables, j: int) -> None:
         """Raise the ``IndexError`` of rank step ``j``'s index lookup."""
         rows, weights, _ = self._rank_steps[j]
         keys = np.vecdot(rows, weights)
-        self._tables.index.take(keys)
+        tables.index.take(keys)
         raise IndexError(f"key {keys.min()} is out of bounds for the rank index")
 
     def _numpy_steps(
@@ -800,10 +788,9 @@ class GibbsEnsemble:
         )
         return codes
 
-    def _fill_closure(self, j: int, missed: bool, left: int) -> bool:
-        """Fill the CPD closure if rank step ``j`` is the run's first that
-        misses — ``missed`` when a fused step found a signature lacking —
-        and report whether it did.
+    def _fill_closure(self, left: int) -> bool:
+        """Fill the CPD closure, at the ensemble's first rank step that
+        misses, and report whether it did.
 
         Step attribute ``a``'s closure is every state a chain can ask
         ``a``'s CPD about: per distinct base row missing ``a``, its
@@ -813,12 +800,12 @@ class GibbsEnsemble:
         once, per missing pattern.  The fill is one
         :meth:`~repro.core.engine.BatchInferenceEngine.fill` batch per
         attribute, after which the run never misses.  It is decided once
-        per ensemble, and declines — the steps then fill their own misses
-        through the engine — where some step attribute's signatures do not
-        pack into a dense index (no fused step could read them), where the
-        closure has more states than the run's ``left`` draws (counted
-        before any state is built), or where the engine declines it (no
-        room within its ``cache_size``).
+        per ensemble, and declines — the run's remaining steps then fill
+        their own misses through the engine — where some step attribute's
+        signatures do not pack into a dense index (no fused step could
+        read them), where the closure has more states than the run's
+        ``left`` draws (counted before any state is built), or where the
+        engine declines it (no room within its ``cache_size``).
         """
         sampler = self.sampler
         engine = sampler._engine
@@ -826,13 +813,6 @@ class GibbsEnsemble:
         if not all(engine.packs_dense(a) for a in self.attrs):
             self._closure = False
             return False
-        if not missed:
-            codes = self._step_codes(j)
-            if all(
-                engine.holds(codes[rows, :-1], attr, choice, scheme)
-                for attr, rows in self._step_attrs[j]
-            ):
-                return False
         cards = sampler.schema.cardinalities
         # Per (pattern, attribute): the members, and the attribute's
         # signature columns they miss (varied) and observe (fixed).
@@ -862,7 +842,6 @@ class GibbsEnsemble:
             states.setdefault(a, []).append(block)
         batches = [(a, np.concatenate(blocks)) for a, blocks in states.items()]
         self._closure = engine.fill(batches, choice, scheme)
-        self._stale = True
         return self._closure
 
     def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
@@ -881,7 +860,6 @@ class GibbsEnsemble:
             # searchsorted(cdf, u, side="right") per row — the exact
             # arithmetic of Generator.choice(n, p=probs).
             self._rank_state[rows, j] = (cdf <= uniforms[rows, None]).sum(axis=1)
-        self._stale = True
 
     def _sweeps(self, num_samples: int, burn_in: int) -> int:
         """The recorded sweeps of a run, ``ceil(num_samples / chains)``."""

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
 
-from ..core.compiled import CompiledModel
 from ..core.engine import BatchInferenceEngine
 from .base import (
     DEFAULT_FAILURE_POLICY,
@@ -97,13 +96,12 @@ __all__ = [
 class ExecContext:
     """Everything an executor needs beyond the plan itself.
 
-    ``batch_engine`` is the caller's warm engine (the session path); serial
-    execution reuses it so its CPD cache keeps carrying over.  ``compiled``
-    is the parent's one :class:`~repro.core.compiled.CompiledModel` when
-    there is no warm engine (see :meth:`compiled_model`): the planner and
-    the process handshake share it.  ``model_doc`` and
-    ``compiled_metadata`` are built lazily by :class:`ProcessExecutor`
-    unless the caller supplies them.
+    ``batch_engine`` is the derive's one engine: the caller's warm engine
+    (the session path), whose CPD cache keeps carrying over, or a new one.
+    Its ``compiled`` lattices are the only ones the parent compiles: the
+    planner, the serial kernels, the process handshake and forked workers
+    all read them.  ``model_doc`` and ``compiled_metadata`` are built
+    lazily by :class:`ProcessExecutor` unless the caller supplies them.
 
     The failure knobs ride here too: ``retry`` and ``failure_policy`` come
     from the config, ``faults`` is an optional injected
@@ -116,8 +114,7 @@ class ExecContext:
 
     model: "MRSLModel"
     knobs: ShardKnobs
-    batch_engine: BatchInferenceEngine | None = None
-    compiled: CompiledModel | None = None
+    batch_engine: BatchInferenceEngine
     model_doc: Mapping[str, Any] | None = None
     compiled_metadata: Mapping[str, Any] | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -126,31 +123,6 @@ class ExecContext:
     failures: list[ShardFailure] = field(default_factory=list)
     degradations: list[str] = field(default_factory=list)
     pool_restarts: int = 0
-
-    def warm_engine(self) -> BatchInferenceEngine:
-        """The in-process engine for serial execution (built on first use).
-
-        Multi shards always run on it; single shards only under the
-        compiled engine.
-        """
-        if self.batch_engine is None:
-            self.batch_engine = BatchInferenceEngine(
-                self.model, self.knobs.v_choice, self.knobs.v_scheme
-            )
-        return self.batch_engine
-
-    def compiled_model(self) -> CompiledModel:
-        """The parent's compiled model: the warm engine's, or one built once.
-
-        Planning, the process workers' metadata check and their inherited
-        state all read it, so a derive compiles each lattice at most once
-        in the parent.
-        """
-        if self.batch_engine is not None:
-            return self.batch_engine.compiled
-        if self.compiled is None:
-            self.compiled = CompiledModel(self.model)
-        return self.compiled
 
     def record_failure(self, failure: ShardFailure) -> None:
         self.failures.append(failure)
@@ -250,10 +222,9 @@ class SerialExecutor(Executor):
     def run(
         self, plan: ShardPlan, context: ExecContext
     ) -> Iterator[ShardResult]:
-        engine = context.warm_engine()
         faults = bind_faults(context.faults, plan)
         for shard in plan.shards:
-            yield _retrying(shard, context, faults, engine)
+            yield _retrying(shard, context, faults, context.batch_engine)
 
 
 class _PoolDied(Exception):
@@ -280,7 +251,7 @@ class ProcessExecutor(Executor):
 
     * A single-threaded parent forks, and the workers inherit an
       :class:`~repro.exec.work.InheritedState`: the parent's model, its
-      warm engine (or its compiled lattices) and the plan's shards by key.
+      engine and the plan's shards by key.
       Nothing is serialized for the model, and a submission is the shard
       key.
     * A multithreaded parent (e.g. the HTTP server's job thread) uses
@@ -329,7 +300,7 @@ class ProcessExecutor(Executor):
 
         metadata = context.compiled_metadata
         if metadata is None and self.verify_rebuild:
-            metadata = compiled_metadata(context.model, context.compiled_model())
+            metadata = compiled_metadata(context.model, context.batch_engine.compiled)
         # Fork keeps worker startup cheap on POSIX, but forking a
         # multithreaded parent (e.g. a derive request inside the threaded
         # HTTP server) can inherit locks held by threads that do not exist
@@ -350,7 +321,6 @@ class ProcessExecutor(Executor):
                 InheritedState(
                     model=context.model,
                     engine=context.batch_engine,
-                    compiled=context.compiled_model(),
                     shards={s.key: s for s in plan.shards},
                 )
             )

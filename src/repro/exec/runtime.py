@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..core.engine import BatchInferenceEngine
 from ..core.tuple_dag import SamplingStats
 from ..probdb.blocks import TupleBlock
 from ..probdb.invalidate import RunLayout
@@ -40,8 +41,6 @@ from .plan import Workload, _as_workload, plan_shards
 from .work import ShardKnobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.compiled import CompiledModel
-    from ..core.engine import BatchInferenceEngine
     from ..core.mrsl import MRSLModel
     from ..probdb.invalidate import CarryStore
     from ..relational.tuples import RelTuple
@@ -60,10 +59,14 @@ def _context(
     batch_engine: "BatchInferenceEngine | None",
     faults: "FaultPlan | Any" = None,
 ) -> ExecContext:
-    """Build the executor context for ``config``, failure knobs included."""
+    """Build the executor context for ``config``, failure knobs included,
+    on ``batch_engine`` or a new engine."""
+    knobs = ShardKnobs.from_config(config)
+    if batch_engine is None:
+        batch_engine = BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
     return ExecContext(
         model=model,
-        knobs=ShardKnobs.from_config(config),
+        knobs=knobs,
         batch_engine=batch_engine,
         retry=RetryPolicy.from_config(config),
         failure_policy=config.failure_policy,
@@ -83,11 +86,10 @@ class ExecOutcome:
     #: per-shard timing / placement diagnostics
     report: ExecReport
     plan: ShardPlan
-    #: the parent's compiled lattices (:meth:`ExecContext.compiled_model`)
-    compiled: "CompiledModel"
-    #: the engine the parent ran shards on, with the CPDs they computed
-    #: (``None`` when every shard ran on pool workers)
-    engine: "BatchInferenceEngine | None"
+    #: the run's engine, with its compiled lattices and the CPDs of the
+    #: shards the parent ran (its memos stay empty when pool workers ran
+    #: every shard)
+    engine: BatchInferenceEngine
     #: what ran, by distinct row: a later delta re-derive's carry store
     layout: RunLayout
 
@@ -132,26 +134,20 @@ def _plan(
     context: ExecContext,
     carry: "CarryStore | None" = None,
 ) -> ShardPlan:
-    """Plan the workload on the context's one compiled model.
-
-    Serial execution warms the context's engine up front so the planner's
-    signature computation and the kernels share one compiled model; other
-    executors build it once on the context, where the process executor's
-    rebuild check finds it again.  Multi tuples are cut into seeded
-    segments (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`) that never
-    depend on the worker count, and consecutive segments fuse into at most
+    """Plan the workload on the context's engine's compiled lattices, the
+    ones its kernels and the process handshake read.  Multi tuples are
+    cut into seeded segments (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`)
+    that never depend on the worker count, and consecutive segments fuse into at most
     one shard per worker — so results stay identical across executors and
     pool sizes.  ``carry`` plans only the rows it does not carry.
     """
-    if chosen.name == "serial":
-        context.warm_engine()
     return plan_shards(
         workload,
         model,
         workers=chosen.effective_workers,
         seed=config.seed,
         rng=rng,
-        compiled=context.compiled_model(),
+        compiled=context.batch_engine.compiled,
         carry=carry,
     )
 
@@ -275,7 +271,6 @@ def execute_derivation(
         stats=stats,
         report=report,
         plan=plan,
-        compiled=context.compiled_model(),
         engine=context.batch_engine,
         layout=RunLayout.of(
             workload.codes, workload.missing, distinct,

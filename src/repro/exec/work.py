@@ -26,10 +26,10 @@ compiled-engine metadata before it serves a shard.  How the worker gets its
 state depends on how the pool starts:
 
 * **Forked pools inherit.**  The parent sets :data:`_INHERITED` (see
-  :func:`inheriting`) to an :class:`InheritedState` — its model, its warm
-  engine or compiled lattices, and the plan's shards by key — before the
-  pool starts.  A forked worker reads it from its copy of the parent's
-  memory: no model is rebuilt, and a submission is just the shard key.
+  :func:`inheriting`) to an :class:`InheritedState` — its model, its
+  engine, and the plan's shards by key — before the pool starts.  A
+  forked worker reads it from its copy of the parent's memory: no model
+  is rebuilt, and a submission is just the shard key.
 * **forkserver and spawn pools rebuild.**  The initializer receives the
   persisted model JSON (never a pickled live engine) and rebuilds the
   model, and shards cross the process boundary in columnar form.  A
@@ -57,7 +57,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..core.compiled import CompiledModel
 from ..core.engine import BatchInferenceEngine
 from ..core.inference import VoterChoice, VotingScheme, infer_single
 from ..core.mrsl import MRSLModel
@@ -351,16 +350,14 @@ class ShardOutput:
 class InheritedState:
     """The parent's state that forked pool workers take instead of a rebuild.
 
-    ``engine`` is the parent's warm engine when it has one (its CPD memo
-    comes along); otherwise workers build their engine on ``compiled``,
-    the parent's lattices.  ``shards`` maps each planned shard's key to the
-    parent's :class:`~repro.exec.base.Shard`, so a submission names its
-    shard instead of shipping its rows.
+    ``engine`` is the parent's engine: its compiled lattices and CPD memo
+    come along.  ``shards`` maps each planned shard's key to the parent's
+    :class:`~repro.exec.base.Shard`, so a submission names its shard
+    instead of shipping its rows.
     """
 
     model: MRSLModel
-    engine: BatchInferenceEngine | None
-    compiled: CompiledModel
+    engine: BatchInferenceEngine
     shards: Mapping[str, Shard]
 
 
@@ -394,8 +391,8 @@ def _process_worker_init(
     """Set up the worker's warm engine and validate it against the parent.
 
     With ``model_doc`` None the worker was forked under :func:`inheriting`
-    and reuses the parent's model, warm engine (or compiled lattices) and
-    shards from :data:`_INHERITED`.  Otherwise ``model_doc`` is
+    and reuses the parent's model, engine and shards from
+    :data:`_INHERITED`.  Otherwise ``model_doc`` is
     :func:`~repro.core.persistence.model_to_dict` output and the worker
     rebuilds the model from it.  Either way the worker's compiled
     structures must match the parent's ``expected_metadata`` before it
@@ -409,10 +406,6 @@ def _process_worker_init(
         if inherited is None:
             raise RuntimeError("forked worker found no inherited state")
         model, engine = inherited.model, inherited.engine
-        if engine is None:
-            engine = BatchInferenceEngine(
-                model, knobs.v_choice, knobs.v_scheme, compiled=inherited.compiled
-            )
         shards = inherited.shards
     else:
         model = model_from_dict(dict(model_doc))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
 
 from .relation import Relation
 from .schema import Attribute, Schema, SchemaError
@@ -83,14 +82,3 @@ def write_csv(relation: Relation, path: str | Path, delimiter: str = ",") -> Non
         for t in relation:
             writer.writerow(t.values())
 
-
-def write_rows(
-    schema: Schema, rows: Iterable[RelTuple], path: str | Path, delimiter: str = ","
-) -> None:
-    """Write an iterable of tuples without materializing a relation."""
-    path = Path(path)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f, delimiter=delimiter)
-        writer.writerow(schema.names)
-        for t in rows:
-            writer.writerow(t.values())

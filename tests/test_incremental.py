@@ -154,9 +154,9 @@ class TestDeltaDerive:
         assert_identical_databases(delta.database, full.database)
         assert full.exec_report.carried_over == 0
         # Both policies run on the lattices the previous run compiled.
-        assert census_baseline.compiled is not None
-        assert delta.compiled is census_baseline.compiled
-        assert full.compiled is census_baseline.compiled
+        assert census_baseline.engine.compiled is not None
+        assert delta.engine.compiled is census_baseline.engine.compiled
+        assert full.engine.compiled is census_baseline.engine.compiled
 
     def test_delta_starts_from_a_copy_of_the_previous_memos(
         self, census_updated, census_baseline
@@ -178,7 +178,7 @@ class TestDeltaDerive:
         )
         assert previous.cache_info() == before
         assert delta.engine is not previous
-        assert delta.engine.compiled is census_baseline.compiled
+        assert delta.engine.compiled is census_baseline.engine.compiled
         assert delta.engine.cache_info()["size"] >= before["size"]
         assert 0 < delta.engine.groups_computed < full.engine.groups_computed
         assert_identical_databases(delta.database, full.database)
@@ -188,7 +188,7 @@ class TestDeltaDerive:
     ):
         other = learn_mrsl(census_relation, support_threshold=0.05).model
         with pytest.raises(ValueError, match="different model"):
-            BatchInferenceEngine(other, compiled=census_baseline.compiled)
+            BatchInferenceEngine(other, compiled=census_baseline.engine.compiled)
         # A re-derive under another model compiles that model afresh.
         result = derive_probabilistic_database(
             census_relation,
@@ -196,7 +196,7 @@ class TestDeltaDerive:
             model=other,
             previous=census_baseline,
         )
-        assert result.compiled.model is other
+        assert result.engine.compiled.model is other
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_delta_equivalence_across_executors(

@@ -1,9 +1,9 @@
 """Process workers: fork-inherited state vs the JSON rebuild.
 
 A single-threaded parent forks its pool, and the workers inherit the
-parent's model, warm engine (or compiled lattices) and planned shards
-through :data:`repro.exec.work._INHERITED`: no model document is built or
-parsed, and a submission is just the shard key.  A multithreaded parent
+parent's model, its one engine and planned shards through
+:data:`repro.exec.work._INHERITED`: no model document is built or parsed,
+and a submission is just the shard key.  A multithreaded parent
 starts a forkserver or spawn pool, whose workers rebuild the model from its
 JSON form and receive :class:`~repro.exec.work.ShardTask` code matrices.
 Both paths must equal the serial executor block for block, survive the
@@ -116,33 +116,31 @@ def test_forked_workers_rebuild_nothing(forked, census, serial, workers):
     assert work._INHERITED is None
 
 
-def test_forked_workers_reuse_the_parents_warm_engine(
-    forked, monkeypatch, census, serial
+@pytest.mark.parametrize("caller_engine", [True, False], ids=["caller", "own"])
+def test_forked_workers_construct_no_engine(
+    forked, monkeypatch, census, serial, caller_engine
 ):
+    """Workers run on the parent's one engine, the caller's or the one the
+    derive built: an engine constructed in a worker raises there, which
+    would break the pool."""
     model, tuples = census
-    engine = BatchInferenceEngine(model)
-    monkeypatch.setattr(
-        work, "BatchInferenceEngine", _refuse("BatchInferenceEngine")
-    )
-    out = execute_derivation(
-        tuples, model, _config(), batch_engine=engine
-    )
+    parent = os.getpid()
+    construct = BatchInferenceEngine.__init__
+
+    def in_the_parent_only(self, *args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a forked worker constructed an engine")
+        construct(self, *args, **kwargs)
+
+    engine = BatchInferenceEngine(model) if caller_engine else None
+    monkeypatch.setattr(BatchInferenceEngine, "__init__", in_the_parent_only)
+    out = execute_derivation(tuples, model, _config(), batch_engine=engine)
     _assert_rebound(out.blocks, serial.blocks, tuples)
-
-
-def test_forked_workers_build_on_the_parents_lattices(
-    forked, monkeypatch, census, serial
-):
-    model, tuples = census
-    build = work.BatchInferenceEngine
-
-    def on_inherited_lattices(model, *args, compiled=None, **kwargs):
-        assert compiled is not None, "worker compiled its own lattices"
-        return build(model, *args, compiled=compiled, **kwargs)
-
-    monkeypatch.setattr(work, "BatchInferenceEngine", on_inherited_lattices)
-    out = execute_derivation(tuples, model, _config())
-    _assert_rebound(out.blocks, serial.blocks, tuples)
+    assert out.report.pool_restarts == 0 and not out.report.failures
+    if caller_engine:
+        assert out.engine is engine
+    else:
+        assert out.engine.model is model
 
 
 def test_forked_workers_compare_the_inherited_digests(

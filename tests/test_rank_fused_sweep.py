@@ -1,20 +1,19 @@
 """Rank-fused Gibbs sweeps and batched histograms.
 
 A fused rank step draws, in step ``j``, every row's ``j``-th missing
-attribute from one concatenated CDF table; a step that hits a signature
-some memo lacks runs through the engine instead (one
-``conditional_probs_batch`` call per attribute it draws), filling the
-misses without redrawing earlier steps.  The guarantees:
+attribute from one concatenated CDF table; an engine-route step runs
+through the engine instead (one ``conditional_probs_batch`` call per
+attribute it draws), filling the misses without redrawing earlier steps.
+The guarantees:
 
 * Fused and engine-route steps draw the same samples and leave the same
   engine counters, memo inserts and resets, for any chain count, segment
   mix, missing depth, cache bound and engine warmth.
-* The run's first miss fills the CPD closure where it fits, after which
-  no step misses; where it declines, an engine step runs only where the
-  fused one cannot: after a genuine miss (the step then computes a
-  signature), or without live dense memos.  So the rank tables follow
-  every memo the engine grows or replaces, and a miss costs only the step
-  it falls in.  Both give the same samples.
+* A run takes one route from its first miss to its end.  The ensemble's
+  first miss fills the CPD closure where it fits, and the run stays
+  fused; where the closure declines, was decided by an earlier run, or
+  no dense memos are live, every later step runs through the engine.
+  Both give the same samples.
 * Blocks are histogrammed per missing pattern, byte-equal to the
   historical per-tuple counting loop, dense and sparse.
 * The rank-state layout (rows deepest first, uniforms gathered into rank
@@ -81,9 +80,9 @@ def _run(
     per_step=False, samples=60, burn_in=8,
 ):
     """Samples and ``(cache_info, memo_resets, steps)`` of one ensemble run,
-    plus the number of engine-route rank steps, of those that computed
-    nothing, and whether the CPD closure was filled.  ``per_step`` runs
-    with the closure declined, each miss filled by its own step."""
+    plus the number of engine-route rank steps and whether the CPD closure
+    was filled.  ``per_step`` runs with the closure declined, so every
+    step from the run's first miss on runs through the engine."""
     engine = BatchInferenceEngine(model, cache_size=cache_size)
     if warm:
         ensemble_sampling(
@@ -93,14 +92,12 @@ def _run(
         engine.live_memo = lambda attr, choice, scheme: None
     sampler = GibbsSampler(model, rng=0, batch_engine=engine)
     ensemble = GibbsEnsemble(sampler, segments, chains=chains)
-    engine_steps = {"steps": 0, "idle": 0}
+    engine_steps = {"steps": 0}
     engine_step = ensemble._engine_step
 
     def counted(j, uniforms):
-        before = engine.groups_computed
         engine_step(j, uniforms)
         engine_steps["steps"] += 1
-        engine_steps["idle"] += engine.groups_computed == before
 
     ensemble._engine_step = counted
     if per_step:
@@ -137,19 +134,17 @@ def test_fused_sweeps_equal_per_call_sweeps(census, chains, cache_size, warm):
     _assert_same_samples(fused, routed)
     _assert_same_samples(fused, per_step)
     assert counters == routed_counters
-    # Every engine step was forced by a signature a memo lacked (or by a
-    # memo not yet created), so it computed something; the rest of the run
-    # stayed fused.
-    assert engine_steps["idle"] == 0
-    assert per_step_engine["idle"] == 0
     steps = (8 + -(-60 // chains)) * 4
     if cache_size == DEFAULT_CPD_CACHE_SIZE:
         # The first miss filled the closure: no step missed after it.
         assert engine_steps["closure"] is True
         assert engine_steps["steps"] == 0
-        assert 0 < per_step_engine["steps"] < steps
+        # The run's very first step misses, so with the closure declined
+        # it and every later step run through the engine.
+        assert per_step_engine["steps"] == steps
     else:
-        # The closure outgrows the bound: each miss fills its own step.
+        # The closure outgrows the bound: the rest of the run after the
+        # first miss goes through the engine.
         assert engine_steps["closure"] is False
         assert engine_steps["steps"] > 0
         assert counters[1] > 0  # memo resets mid-run
@@ -237,8 +232,8 @@ def test_the_first_miss_fills_the_closure_once(census, monkeypatch):
 def test_the_closure_declines_where_it_does_not_fit(census, monkeypatch, reason):
     """A closure larger than the CPD bound, signature spaces keyed on
     sorted keys, and a closure with more states than the run has draws
-    left each decline the fill: the run is the per-step route's, samples
-    and counters alike."""
+    left each decline the fill: from its first miss the run is the engine
+    route's, samples and counters alike."""
     model, pools = census
     segments = _segments(pools)
     cache_size, run = DEFAULT_CPD_CACHE_SIZE, {}
@@ -268,40 +263,97 @@ def test_the_closure_declines_where_it_does_not_fit(census, monkeypatch, reason)
     _assert_same_samples(declined, filled)
 
 
-def test_a_miss_costs_only_its_own_step(census, monkeypatch):
-    """Rows missing ``(0, 1)`` draw attribute 0 in rank step 0 and
-    attribute 1 in rank step 1.  With attribute 0's memo holding every
-    signature its steps can reach, attribute 1's live but nearly empty
-    and the CPD closure declined, only attribute 1's steps go through the
-    engine: no miss redraws the step before it."""
+def test_a_declined_closure_sends_the_rest_of_the_run_through_the_engine(census):
+    """Rows missing ``(0, 1)`` draw attribute 0 in rank step 0, which
+    their engine holds, and attribute 1 in rank step 1, which misses.
+    With the closure declined, the fused route ends at that miss and every
+    later step of the run, across uniform blocks, runs through the engine,
+    even once the memos hold what a fused step reads.  The samples equal
+    the closure-filled fused run's, and samples and counters equal those
+    of the run forced through the engine from its first step."""
     model, pools = census
     bases = pools[PATTERNS.index((0, 1))][:12]
-    engine = BatchInferenceEngine(model)
     # Every (base, attribute 1 value): all signatures attribute 0 reads.
     card = model.schema[1].cardinality
     codes = np.repeat(np.stack([t.codes for t in bases]), card, axis=0)
     codes[:, 0] = 0
     codes[:, 1] = np.tile(np.arange(card), len(bases))
-    engine.conditional_probs_batch(codes, 0)
-    engine.conditional_probs_batch(codes[:1], 1)
-    calls = []
-    batch = engine.conditional_probs_batch
-    monkeypatch.setattr(
-        engine, "conditional_probs_batch",
-        lambda *a, **k: calls.append(a[1]) or batch(*a, **k),
-    )
-    sampler = GibbsSampler(model, rng=0, batch_engine=engine)
-    ensemble = GibbsEnsemble(sampler, [(bases, 5)], chains=2)
-    ensemble._closure = False
-    ensemble.run(40, burn_in=4)
-    assert calls
-    assert set(calls) == {1}
+
+    def run(closure, engine_route=False):
+        engine = BatchInferenceEngine(model)
+        engine.conditional_probs_batch(codes, 0)
+        engine.conditional_probs_batch(codes[:1], 1)
+        if engine_route:
+            engine.live_memo = lambda attr, choice, scheme: None
+        sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+        ensemble = GibbsEnsemble(sampler, [(bases, 5)], chains=2)
+        ensemble._closure = closure
+        route = []
+        sweep, engine_step = ensemble._run, ensemble._engine_step
+
+        def spied_run(fused, record, sweeps, row0):
+            def spied(tables, at, stop, row):
+                reached = fused(tables, at, stop, row)
+                route.append(("fused", at, reached))
+                return reached
+
+            return sweep(spied, record, sweeps, row0)
+
+        def spied_step(j, uniforms):
+            route.append("engine")
+            engine_step(j, uniforms)
+
+        ensemble._run, ensemble._engine_step = spied_run, spied_step
+        samples = ensemble.run(40, burn_in=4)
+        return samples, engine.cache_info(), route
+
+    declined, info, route = run(False)
+    positions = (4 + 20) * 2
+    assert route == [("fused", 0, 1)] + ["engine"] * (positions - 1)
+    filled, _, filled_route = run(None)
+    assert "engine" not in filled_route
+    _assert_same_samples(declined, filled)
+    routed, routed_info, routed_route = run(False, engine_route=True)
+    assert routed_route == ["engine"] * positions
+    _assert_same_samples(declined, routed)
+    assert info == routed_info
+
+
+def test_a_filled_ensemble_rerun_after_a_memo_reset_matches_a_fresh_run(census):
+    """An ensemble whose closure was filled keeps it decided: after another
+    engine call resets a memo it read, its next run misses and finishes on
+    the engine route, drawing what the same run draws without the reset."""
+    model, pools = census
+    segments = _segments(pools)
+    _, counters, _ = _run(model, segments, 2, DEFAULT_CPD_CACHE_SIZE)
+    closure = counters[0]["groups_computed"]
+
+    def second_run(reset):
+        engine = BatchInferenceEngine(model, cache_size=closure)
+        sampler = GibbsSampler(model, rng=0, batch_engine=engine)
+        ensemble = GibbsEnsemble(sampler, segments, chains=2)
+        ensemble.run(30, burn_in=4)
+        assert ensemble._closure is True
+        if reset:
+            # A signature outside the closure overflows the bound.
+            state = np.full((1, len(model.schema)), MISSING_CODE, dtype=np.int32)
+            engine.conditional_probs_batch(state, 0)
+            assert engine.memo_resets == 1
+        steps = []
+        engine_step = ensemble._engine_step
+        ensemble._engine_step = lambda *a: steps.append(1) or engine_step(*a)
+        return ensemble.run(30, burn_in=4), len(steps)
+
+    fresh, fresh_steps = second_run(reset=False)
+    rerun, rerun_steps = second_run(reset=True)
+    assert fresh_steps == 0 and rerun_steps > 0
+    _assert_same_samples(rerun, fresh)
 
 
 def test_sorted_key_memos_skip_the_fused_path(census, monkeypatch):
     """Memos without a dense index decline the CPD closure and keep every
     rank step on the engine route, drawing what the fused path draws and
-    counting what its per-step route counts."""
+    counting what the engine route counts."""
     model, pools = census
     segments = _segments(pools)
     dense, dense_counters, _ = _run(
