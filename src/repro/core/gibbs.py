@@ -34,7 +34,7 @@ Two chain drivers share the sampler:
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -65,7 +65,6 @@ __all__ = [
     "histogram_distributions",
     "samples_to_distribution",
     "samples_to_distributions",
-    "trace_distributions",
 ]
 
 #: Outcome spaces larger than this are reported over observed outcomes only
@@ -410,8 +409,8 @@ class GibbsEnsemble:
     :attr:`trace_dtype` (the narrowest integer type holding the missing
     attributes' codes): a ``(sweeps, cells)`` trace whose columns are
     grouped by missing pattern (:attr:`patterns`); :meth:`run` cuts it
-    into per-tuple samples.  :meth:`counts` keeps no trace: the compiled
-    loop adds each recorded sweep's samples into per-pattern histograms.
+    into per-tuple samples.  :meth:`counts` keeps no trace: each recorded
+    sweep's samples are added into per-pattern histograms as it completes.
     """
 
     def __init__(
@@ -523,8 +522,7 @@ class GibbsEnsemble:
         # with ``width``, and its observed codes (missing ones zero) plus a
         # spare zero column ``width``: what the rank steps' multipliers
         # are built from, and what an engine step rebuilds full-width code
-        # rows from.  Per rank step its row count and, for the engine
-        # route, each attribute it draws with the prefix rows drawing it.
+        # rows from.  Per rank step its row count.
         self._rank_attrs = np.full((len(order), ranks), width, dtype=np.intp)
         self._rank_attrs.reshape(-1)[pos[cell_row] * ranks + rank] = cell_attr
         self._observed = np.zeros((len(order), width + 1), dtype=np.int64)
@@ -538,13 +536,6 @@ class GibbsEnsemble:
         self._weights = np.empty((self._per_sweep, ranks + 1), dtype=np.int64)
         #: one step's slots, for the compiled loop
         self._slots = np.empty(self._rank_rows[0], dtype=np.int64)
-        self._step_attrs = [
-            [
-                (attr, np.flatnonzero(self._rank_attrs[:n, j] == attr))
-                for attr in np.unique(self._rank_attrs[:n, j]).tolist()
-            ]
-            for j, n in enumerate(self._rank_rows)
-        ]
         self._rank_steps: list[tuple] | None = None
         #: whether the CPD closure was filled (``True``) or declined
         #: (``False``); ``None`` until the first rank step that misses
@@ -671,7 +662,7 @@ class GibbsEnsemble:
 
         Position ``at`` is rank step ``at % ranks`` of block sweep
         ``at // ranks``; block sweep ``s`` is recorded as sweep ``row0 +
-        s``.  ``fused`` (the compiled loop of :meth:`_native`, or
+        s``.  ``fused`` (from :meth:`_fused`: the compiled loop or
         :meth:`_numpy_steps`) runs fused steps from ``at`` until one cannot
         run, records the sweeps they complete, and returns its position,
         ``-(position + 1)`` when a key is out of the index's range.  A
@@ -751,12 +742,17 @@ class GibbsEnsemble:
                 record(row0 + sweep)
         return at
 
-    def _native(self, loop, sink: tuple):
-        """:meth:`_numpy_steps` as one call of the compiled loop, recording
-        into ``sink``: its trace, itemsize, counts, strides, sample bounds,
-        sample count, bases and last recorded sweep arguments.  The
+    def _fused(self, record, sink: tuple):
+        """A run's fused steps: :meth:`_numpy_steps` as one call of the
+        compiled loop, recording into ``sink`` (its trace, itemsize,
+        counts, strides, sample bounds, sample count, bases and last
+        recorded sweep arguments); where the loop does not load,
+        :meth:`_numpy_steps` itself, recording through ``record``.  The
         ensemble's own buffers are allocated once, so their addresses are
         read here, once per run, as the tables' are once per build."""
+        loop = native.rank_sweeps()
+        if loop is None:
+            return partial(self._numpy_steps, record)
         own = (
             _address(self._rank_state, np.int64), self._rank_state.shape[1],
             len(self._rank_rows), _address(self._rank_lo, np.int64),
@@ -844,6 +840,18 @@ class GibbsEnsemble:
         self._closure = engine.fill(batches, choice, scheme)
         return self._closure
 
+    @cached_property
+    def _step_attrs(self) -> list[list[tuple[int, np.ndarray]]]:
+        """Per rank step, each attribute it draws with the prefix rows
+        drawing it: built on the engine route's first step."""
+        return [
+            [
+                (attr, np.flatnonzero(self._rank_attrs[:n, j] == attr))
+                for attr in np.unique(self._rank_attrs[:n, j]).tolist()
+            ]
+            for j, n in enumerate(self._rank_rows)
+        ]
+
     def _engine_step(self, j: int, uniforms: np.ndarray) -> None:
         """Rank step ``j`` through the engine: per attribute it draws, one
         ``conditional_probs_batch`` call over the rows drawing it, which
@@ -882,16 +890,11 @@ class GibbsEnsemble:
             if row >= 0:
                 self._rank_flat.take(self._cells, out=trace[row])
 
-        loop = native.rank_sweeps()
-        if loop is None:
-            fused = partial(self._numpy_steps, record)
-        else:
-            sink = (
-                _address(trace, trace.dtype), trace.itemsize,
-                None, None, None, 0, None, -1,
-            )
-            fused = self._native(loop, sink)
-        self._run(fused, record, burn_in + sweeps, -burn_in)
+        sink = (
+            _address(trace, trace.dtype), trace.itemsize,
+            None, None, None, 0, None, -1,
+        )
+        self._run(self._fused(record, sink), record, burn_in + sweeps, -burn_in)
         return trace
 
     def counts(
@@ -902,25 +905,19 @@ class GibbsEnsemble:
         Returns one ``(len(members), space)`` int64 histogram per
         :attr:`patterns` entry, ``space`` the product of its missing
         attributes' cardinalities: row ``i`` counts member ``i``'s samples
-        (those :meth:`run` returns) at each outcome's row-major rank.
-        They equal the counts :func:`trace_distributions` takes from
-        :meth:`trace`, and the run consumes the same draws, but the
-        compiled loop adds each recorded sweep into them, so no trace is
-        kept.  Returns ``None``, drawing nothing, unless the compiled loop
-        is loaded, every pattern is dense (``space`` at most
-        :data:`MAX_DENSE_OUTCOMES`) and the histograms take no more bytes
-        than the trace; :meth:`trace` then serves.
+        (those :meth:`run` returns) at each outcome's row-major rank.  The
+        run consumes the same draws as :meth:`run`, but no trace is kept:
+        the compiled loop adds each recorded sweep into the histograms, and
+        where it does not load, or an engine step completes the sweep,
+        one NumPy scatter-add does.  Returns ``None``, drawing nothing,
+        when some pattern is sparse (``space`` over
+        :data:`MAX_DENSE_OUTCOMES`); :meth:`run` then serves.
         """
         sweeps = self._sweeps(num_samples, burn_in)
-        loop = native.rank_sweeps()
+        if max(self._spaces) > MAX_DENSE_OUTCOMES:
+            return None
         k = self.chains
         sizes = [len(p[1]) * space for p, space in zip(self.patterns, self._spaces)]
-        if (
-            loop is None
-            or max(self._spaces) > MAX_DENSE_OUTCOMES
-            or sum(sizes) * 8 > sweeps * self.cells * self.trace_dtype.itemsize
-        ):
-            return None
         # Per sample (a member's chain, in cell order): its cells' row-major
         # strides, its first cell and its histogram row's first count.
         cardinalities = self.sampler.schema.cardinalities
@@ -944,7 +941,7 @@ class GibbsEnsemble:
         counts = np.zeros(lo, dtype=np.int64)
 
         def record(row: int) -> None:
-            # A sweep an engine step completed: the loop's count, in NumPy.
+            # A sweep the NumPy or engine steps completed: the loop's count.
             if row < 0:
                 return
             base = bases[int(row == sweeps - 1)]
@@ -957,7 +954,7 @@ class GibbsEnsemble:
             _address(sample_lo, np.int64), first.size,
             _address(bases, np.int64), sweeps - 1,
         )
-        self._run(self._native(loop, sink), record, burn_in + sweeps, -burn_in)
+        self._run(self._fused(record, sink), record, burn_in + sweeps, -burn_in)
         return [
             block.reshape(-1, space)
             for block, space in zip(np.split(counts, np.cumsum(sizes)[:-1]), self._spaces)
@@ -1066,67 +1063,6 @@ def samples_to_distributions(
         probs = counts.reshape(len(chunk), space) / sizes[:, None]
         dists.extend(Distribution.stack(outcomes, np.maximum(probs, floor)))
     return dists
-
-
-def trace_distributions(
-    schema,
-    missing: Sequence[int],
-    block: np.ndarray,
-    chains: int,
-    num_samples: int,
-    floor: float = DEFAULT_SMOOTHING_FLOOR,
-) -> list[Distribution]:
-    """:func:`samples_to_distributions` counted straight from a trace.
-
-    ``block`` holds the ``(sweeps, n * chains * len(missing))`` trace
-    columns of ``n`` tuples missing ``missing`` (one
-    :attr:`GibbsEnsemble.patterns` block): per tuple its chains, per chain
-    its missing codes.  A tuple's samples are its cells sweep-major,
-    chain-minor, cut to ``num_samples`` — what :meth:`GibbsEnsemble.run`
-    returns — and each distribution equals, byte for byte,
-    :func:`samples_to_distributions` of them.  Dense spaces build no
-    per-tuple sample array: per :data:`HISTOGRAM_CELLS` chunk a
-    multiply-add per missing position packs every (sweep, tuple, chain)
-    sample into its row-major rank within the space, offset by its
-    tuple's number, in int64 without widening the trace first, and one
-    ``np.bincount`` counts them; the last sweep's chains past
-    ``num_samples`` count in one extra cell, which is dropped.  The counts
-    become distributions through :func:`histogram_distributions`, as
-    :meth:`GibbsEnsemble.counts` do.  Sparse spaces (over
-    :data:`MAX_DENSE_OUTCOMES`) cut the per-tuple samples and fall back to
-    :func:`samples_to_distributions`.
-    """
-    m = len(missing)
-    sweeps = block.shape[0]
-    n = block.shape[1] // (chains * m)
-    samples = block.reshape(sweeps, n, chains, m)
-    dims = [schema[attr].cardinality for attr in missing]
-    space = prod(dims)
-    if space > MAX_DENSE_OUTCOMES:
-        return samples_to_distributions(
-            schema,
-            missing,
-            [samples[:, i].reshape(-1, m)[:num_samples] for i in range(n)],
-            floor,
-        )
-    # Typed strides: an int8 column times a Python int would stay int8.
-    strides = [np.int64(prod(dims[i + 1 :])) for i in range(m)]
-    # Chains of the last sweep whose samples count.
-    kept = num_samples - (sweeps - 1) * chains
-    per_chunk = max(1, HISTOGRAM_CELLS // space)
-    counts = np.empty((n, space), dtype=np.int64)
-    for lo in range(0, n, per_chunk):
-        count = min(per_chunk, n - lo)
-        cells = count * space
-        chunk = samples[:, lo : lo + count]
-        packed = np.arange(0, cells, space)[:, None] + chunk[..., 0] * strides[0]
-        for i in range(1, m):
-            packed += chunk[..., i] * strides[i]
-        packed[-1, :, kept:] = cells
-        counts[lo : lo + count] = np.bincount(
-            packed.reshape(-1), minlength=cells + 1
-        )[:cells].reshape(count, space)
-    return histogram_distributions(schema, missing, counts, num_samples, floor)
 
 
 def histogram_distributions(

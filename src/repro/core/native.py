@@ -3,10 +3,10 @@
 :class:`~repro.core.gibbs.GibbsEnsemble` runs a uniform block's fused
 rank steps in one call of the C loop in ``rank_sweeps.c`` when it can
 load it, and through its NumPy rank steps otherwise (the reference the
-tests compare against).  Both draw the same integers.  Only the loop
-counts samples into histograms as it sweeps
-(:meth:`~repro.core.gibbs.GibbsEnsemble.counts`); without it, ensembles
-record a trace and count it afterwards.
+tests compare against).  Both draw the same integers, and both count
+samples into histograms as they sweep
+(:meth:`~repro.core.gibbs.GibbsEnsemble.counts`): the loop in C, the
+NumPy steps through one scatter-add per recorded sweep.
 
 The library is built with the host C compiler (:data:`COMPILER`, no
 ``-ffast-math``) on first use and cached in the per-user cache

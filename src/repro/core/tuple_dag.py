@@ -33,7 +33,7 @@ from .gibbs import (
     GibbsSampler,
     histogram_distributions,
     samples_to_distribution,
-    trace_distributions,
+    samples_to_distributions,
 )
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
@@ -276,12 +276,13 @@ def ensemble_sampling(
     ``chains`` chains of every *distinct* tuple of every segment advance
     together in one fused :class:`~repro.core.gibbs.GibbsEnsemble`, so the
     whole call costs one batched CPD memo read per (sweep, missing-attribute
-    rank).  Each tuple's histogram is counted in the compiled sweep loop
-    (:meth:`~repro.core.gibbs.GibbsEnsemble.counts`) where it can be, and
-    otherwise in one pass per missing pattern over the ensemble's sample
-    trace (:func:`~repro.core.gibbs.trace_distributions`); both routes
-    build blocks through :func:`~repro.core.gibbs.histogram_distributions`
-    and give the same bytes.
+    rank).  Each tuple's histogram is counted as its chains sweep
+    (:meth:`~repro.core.gibbs.GibbsEnsemble.counts`) and becomes its block
+    through :func:`~repro.core.gibbs.histogram_distributions`; where some
+    missing pattern's outcome space is sparse, the ensemble's samples
+    (:meth:`~repro.core.gibbs.GibbsEnsemble.run`) go through
+    :func:`~repro.core.gibbs.samples_to_distributions` instead, which gives
+    a dense pattern the same bytes.
     Each segment draws from its own generator exactly as it would alone,
     so its blocks do not depend on which other segments share the call.
     Per-tuple samples are pooled across the tuple's chains — more chains
@@ -337,24 +338,21 @@ def ensemble_sampling(
         total_draws=(burn_in + sweeps) * chains * len(bases),
         burn_in_draws=burn_in * chains * len(bases),
     )
-    # Blocks counted in the compiled loop when it can, else straight from
-    # the trace, one pass per missing pattern (one contiguous block of
-    # trace columns).  Blocks over one outcomes tuple (a dense pattern's)
-    # pass the TupleBlock checks once.
     histograms = ensemble.counts(num_samples, burn_in=burn_in)
     if histograms is None:
-        trace = ensemble.trace(num_samples, burn_in=burn_in)
+        samples = ensemble.run(num_samples, burn_in=burn_in)
     built: list[TupleBlock] = [None] * len(bases)  # type: ignore[list-item]
-    for p, (missing, members, lo) in enumerate(ensemble.patterns):
+    for p, (missing, members, _) in enumerate(ensemble.patterns):
         if histograms is not None:
             dists = histogram_distributions(
                 sampler.schema, missing, histograms[p], num_samples
             )
         else:
-            hi = lo + len(members) * chains * len(missing)
-            dists = trace_distributions(
-                sampler.schema, missing, trace[:, lo:hi], chains, num_samples
+            dists = samples_to_distributions(
+                sampler.schema, missing, [samples[i] for i in members]
             )
+        # Blocks over one outcomes tuple (a dense pattern's) pass the
+        # TupleBlock checks once.
         checked: set[int] = set()
         for i, dist in zip(members, dists):
             if id(dist.outcomes) in checked:

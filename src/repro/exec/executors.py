@@ -47,7 +47,6 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
@@ -67,7 +66,6 @@ from .base import (
     host_cpus,
     validate_workers,
 )
-from . import work
 from .faults import FaultPlan, ShardFault, bind_faults
 from .work import (
     InheritedState,
@@ -75,7 +73,6 @@ from .work import (
     ShardTask,
     _process_run_shard,
     _process_worker_init,
-    inheriting,
     run_shard,
 )
 
@@ -100,8 +97,7 @@ class ExecContext:
     (the session path), whose CPD cache keeps carrying over, or a new one.
     Its ``compiled`` lattices are the only ones the parent compiles: the
     planner, the serial kernels, the process handshake and forked workers
-    all read them.  ``model_doc`` and ``compiled_metadata`` are built
-    lazily by :class:`ProcessExecutor` unless the caller supplies them.
+    all read them.
 
     The failure knobs ride here too: ``retry`` and ``failure_policy`` come
     from the config, ``faults`` is an optional injected
@@ -115,8 +111,6 @@ class ExecContext:
     model: "MRSLModel"
     knobs: ShardKnobs
     batch_engine: BatchInferenceEngine
-    model_doc: Mapping[str, Any] | None = None
-    compiled_metadata: Mapping[str, Any] | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     failure_policy: str = DEFAULT_FAILURE_POLICY
     faults: FaultPlan | None = None
@@ -282,9 +276,6 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    #: validate workers' rebuilt compiled structures against the parent's
-    verify_rebuild = True
-
     #: pool rebuilds tolerated before degrading (or raising)
     max_pool_deaths = 2
 
@@ -298,9 +289,9 @@ class ProcessExecutor(Executor):
             return
         from ..core.persistence import compiled_metadata, model_to_dict
 
-        metadata = context.compiled_metadata
-        if metadata is None and self.verify_rebuild:
-            metadata = compiled_metadata(context.model, context.batch_engine.compiled)
+        # The handshake's fingerprint also compiles every lattice that a
+        # forked worker then inherits.
+        metadata = compiled_metadata(context.model, context.batch_engine.compiled)
         # Fork keeps worker startup cheap on POSIX, but forking a
         # multithreaded parent (e.g. a derive request inside the threaded
         # HTTP server) can inherit locks held by threads that do not exist
@@ -312,32 +303,22 @@ class ProcessExecutor(Executor):
             method = "forkserver"
         else:
             method = "spawn"
-        # A forked pool inherits the parent's state unless another forked
-        # pool of this process (an interleaved stream) holds the slot.
-        if method == "fork" and work._INHERITED is None:
-            model_doc = None
+        if method == "fork":
+            # Fork hands the initializer its arguments unpickled, so the
+            # workers get the parent's live state itself.
             encode: Callable[[Shard], Any] = attrgetter("key")
-            state = inheriting(
-                InheritedState(
-                    model=context.model,
-                    engine=context.batch_engine,
-                    shards={s.key: s for s in plan.shards},
-                )
+            state = InheritedState(
+                model=context.model,
+                engine=context.batch_engine,
+                shards={s.key: s for s in plan.shards},
             )
+            initargs = (None, context.knobs, metadata, state)
         else:
-            model_doc = context.model_doc
-            if model_doc is None:
-                model_doc = model_to_dict(context.model)
             encode = ShardTask.encode
-            state = nullcontext()
-        with state:
-            yield from self._run_pools(
-                plan,
-                context,
-                multiprocessing.get_context(method),
-                (model_doc, context.knobs, metadata),
-                encode,
-            )
+            initargs = (model_to_dict(context.model), context.knobs, metadata)
+        yield from self._run_pools(
+            plan, context, multiprocessing.get_context(method), initargs, encode
+        )
 
     def _run_pools(
         self,

@@ -25,11 +25,11 @@ protocol.  Each worker keeps one warm
 compiled-engine metadata before it serves a shard.  How the worker gets its
 state depends on how the pool starts:
 
-* **Forked pools inherit.**  The parent sets :data:`_INHERITED` (see
-  :func:`inheriting`) to an :class:`InheritedState` — its model, its
-  engine, and the plan's shards by key — before the pool starts.  A
-  forked worker reads it from its copy of the parent's memory: no model
-  is rebuilt, and a submission is just the shard key.
+* **Forked pools inherit.**  The pool initializer gets an
+  :class:`InheritedState` — the parent's model, its engine, and the
+  plan's shards by key — which fork hands the worker unpickled, in its
+  copy of the parent's memory: no model is rebuilt, and a submission is
+  just the shard key.
 * **forkserver and spawn pools rebuild.**  The initializer receives the
   persisted model JSON (never a pickled live engine) and rebuilds the
   model, and shards cross the process boundary in columnar form.  A
@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -77,7 +76,6 @@ __all__ = [
     "ShardTask",
     "single_shard_blocks",
     "multi_shard_blocks",
-    "inheriting",
     "run_shard",
 ]
 
@@ -361,23 +359,6 @@ class InheritedState:
     shards: Mapping[str, Shard]
 
 
-#: Set by the parent only while a forked pool runs; forked workers read
-#: their copy in :func:`_process_worker_init`.
-_INHERITED: InheritedState | None = None
-
-
-@contextmanager
-def inheriting(state: InheritedState) -> Iterator[None]:
-    """Expose ``state`` to workers forked inside the block, then clear it
-    — also when the block raises or its generator is closed."""
-    global _INHERITED
-    _INHERITED = state
-    try:
-        yield
-    finally:
-        _INHERITED = None
-
-
 #: Per-worker-process state: built once by the pool initializer, reused by
 #: every shard the worker runs (the "one warm engine per worker" invariant).
 _WORKER_STATE: dict[str, Any] | None = None
@@ -386,13 +367,13 @@ _WORKER_STATE: dict[str, Any] | None = None
 def _process_worker_init(
     model_doc: Mapping[str, Any] | None,
     knobs: ShardKnobs,
-    expected_metadata: Mapping[str, Any] | None,
+    expected_metadata: Mapping[str, Any],
+    inherited: InheritedState | None = None,
 ) -> None:
     """Set up the worker's warm engine and validate it against the parent.
 
-    With ``model_doc`` None the worker was forked under :func:`inheriting`
-    and reuses the parent's model, engine and shards from
-    :data:`_INHERITED`.  Otherwise ``model_doc`` is
+    A forked worker gets the parent's model, engine and shards as
+    ``inherited``, and ``model_doc`` None.  Otherwise ``model_doc`` is
     :func:`~repro.core.persistence.model_to_dict` output and the worker
     rebuilds the model from it.  Either way the worker's compiled
     structures must match the parent's ``expected_metadata`` before it
@@ -401,20 +382,16 @@ def _process_worker_init(
     global _WORKER_STATE
     from ..core.persistence import model_from_dict, verify_compiled_metadata
 
-    if model_doc is None:
-        inherited = _INHERITED
-        if inherited is None:
-            raise RuntimeError("forked worker found no inherited state")
+    if inherited is not None:
         model, engine = inherited.model, inherited.engine
         shards = inherited.shards
     else:
         model = model_from_dict(dict(model_doc))
         engine = BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
         shards = {}
-    if expected_metadata is not None:
-        # Validate (and warm) the engine's own compiled structures rather
-        # than compiling a throwaway second copy.
-        verify_compiled_metadata(model, expected_metadata, compiled=engine.compiled)
+    # Validate (and warm) the engine's own compiled structures rather than
+    # compiling a throwaway second copy.
+    verify_compiled_metadata(model, expected_metadata, compiled=engine.compiled)
     _WORKER_STATE = {
         "model": model, "engine": engine, "knobs": knobs, "shards": shards
     }

@@ -1,24 +1,25 @@
-"""Histograms counted in the compiled sweep loop against the trace route.
+"""Histograms counted as the chains sweep, against the sampled references.
 
-:meth:`~repro.core.gibbs.GibbsEnsemble.counts` runs the ensemble with the
-compiled loop adding each recorded sweep's samples straight into
-per-pattern histograms; :meth:`~repro.core.gibbs.GibbsEnsemble.trace`
-records every sweep instead and :func:`~repro.core.gibbs.trace_distributions`
-counts the trace afterwards.  The guarantees:
+:meth:`~repro.core.gibbs.GibbsEnsemble.counts` runs the ensemble adding
+each recorded sweep's samples straight into per-pattern histograms: in the
+compiled loop where it loads, and through NumPy where it does not or an
+engine step completes the sweep.  :meth:`~repro.core.gibbs.GibbsEnsemble.run`
+records the samples themselves.  The guarantees:
 
-* The counts equal, cell for cell, the histograms of the samples the NumPy
-  rank steps' trace holds, and their distributions equal
-  ``trace_distributions`` of that trace byte for byte, whatever the
-  segments, chains (``num_samples`` not a multiple of them), missing
-  depths, engine warmth, cache bound or burn-in: on the Hypothesis inputs
-  of ``tests/test_rank_fused_sweep.py`` and on named cases (burn-in across
+* The counts equal, cell for cell, the histograms of the samples ``run``
+  returns, and their distributions equal ``samples_to_distributions`` of
+  those samples byte for byte, whatever the segments, chains
+  (``num_samples`` not a multiple of them), missing depths, engine warmth,
+  cache bound or burn-in: on the Hypothesis inputs of
+  ``tests/test_rank_fused_sweep.py`` and on named cases (burn-in across
   uniform blocks, a miss mid-block, every step on the engine route, memo
-  resets).
-* Both runs leave every segment's generator, the rank state and the
+  resets, short runs).
+* The compiled loop's counts equal the NumPy steps' counts.
+* Every run leaves every segment's generator, the rank state and the
   engine counters in the same state.
-* Where the loop cannot count (not loaded, a sparse pattern, histograms
-  larger than the trace), ``counts`` returns ``None`` without drawing, and
-  ``ensemble_sampling`` gives the same blocks through the trace.
+* Only a sparse pattern makes ``counts`` return ``None``, drawing nothing;
+  ``ensemble_sampling`` then takes the blocks from ``run``'s samples, and
+  records a trace on no other ensemble.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.gibbs import (
     UNIFORM_BLOCK_SWEEPS,
     GibbsEnsemble,
     histogram_distributions,
-    trace_distributions,
+    samples_to_distributions,
 )
 from repro.relational.tuples import MISSING_CODE, RelTuple
 from tests import test_rank_fused_sweep as rank_fused
@@ -41,9 +42,8 @@ from tests.test_rank_fused_sweep import PATTERNS, _segments, rank_state_cases
 #: distinct tuples per pattern, and its complete test rows.
 census, census_rows = rank_fused.census, rank_fused.census_rows
 
-#: Samples past which every census pattern's histograms fit in the bytes of
-#: the trace they replace, so the loop counts: a row missing all five
-#: attributes has 324 outcomes (2,592 bytes) against 5 trace bytes a sweep.
+#: Samples per tuple of the named cases: more than one uniform block of
+#: recorded sweeps at every chain count tested.
 COUNTED = 600
 
 
@@ -85,56 +85,65 @@ def _after(engine, sampler, ensemble, generators):
     )
 
 
-def _reference_counts(ensemble, trace, num_samples):
-    """Each pattern's histograms of the samples :meth:`run` cuts from
-    ``trace``, counted one tuple at a time."""
+def _reference_counts(ensemble, samples):
+    """Each pattern's histograms of ``samples`` (what :meth:`run`
+    returns), counted one tuple at a time."""
     schema = ensemble.sampler.schema
-    k = ensemble.chains
     out = []
-    for missing, members, lo in ensemble.patterns:
+    for missing, members, _ in ensemble.patterns:
         dims = [schema[a].cardinality for a in missing]
         space = int(np.prod(dims))
-        rows = []
-        for i in range(len(members)):
-            at = lo + i * k * len(missing)
-            samples = trace[:, at : at + k * len(missing)].reshape(-1, len(missing))
-            packed = np.ravel_multi_index(tuple(samples[:num_samples].T.astype(np.int64)), dims)
-            rows.append(np.bincount(packed, minlength=space))
+        rows = [
+            np.bincount(
+                np.ravel_multi_index(tuple(samples[i].T.astype(np.int64)), dims),
+                minlength=space,
+            )
+            for i in members
+        ]
         out.append(np.stack(rows))
     return out
 
 
-def _assert_counts_equal_the_trace(model, segments, chains, num_samples, burn_in, **kw):
-    """The loop's counts against the NumPy steps' trace, and every state
-    both runs leave."""
+def _counted(model, segments, chains, num_samples, burn_in, enabled, **kw):
+    """``counts`` with the compiled loop on or off, and the states the run
+    leaves."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(native, "ENABLED", False)
+        mp.setattr(native, "ENABLED", enabled)
         built = _build(model, segments, chains, **kw)
-        trace = built[2].trace(num_samples, burn_in)
-        want_after = _after(*built)
-    reference = built[2]
+        counts = built[2].counts(num_samples, burn_in)
+        assert counts is not None, "a dense ensemble declined to count"
+        return counts, _after(*built)
+
+
+def _assert_counts_equal_the_samples(model, segments, chains, num_samples, burn_in, **kw):
+    """The compiled loop's and the NumPy steps' counts against the samples
+    :meth:`run` draws, and every state the three runs leave."""
     built = _build(model, segments, chains, **kw)
-    counts = built[2].counts(num_samples, burn_in)
-    assert counts is not None, "the loop declined to count"
-    assert _after(*built) == want_after
-    want = _reference_counts(reference, trace, num_samples)
-    assert len(counts) == len(want)
+    samples = built[2].run(num_samples, burn_in)
+    want_after = _after(*built)
+    reference = built[2]
+    want = _reference_counts(reference, samples)
     schema = model.schema
-    for (missing, members, lo), got, expected in zip(
-        reference.patterns, counts, want
-    ):
-        assert got.dtype == np.int64
-        assert got.tobytes() == expected.tobytes()
-        assert (got.sum(axis=1) == num_samples).all()
-        hi = lo + len(members) * chains * len(missing)
-        traced = trace_distributions(
-            schema, missing, trace[:, lo:hi], chains, num_samples
+    for enabled in (True, False):
+        counts, after = _counted(
+            model, segments, chains, num_samples, burn_in, enabled, **kw
         )
-        for a, b in zip(
-            histogram_distributions(schema, missing, got, num_samples), traced
+        assert after == want_after
+        assert len(counts) == len(want)
+        for (missing, members, _), got, expected in zip(
+            reference.patterns, counts, want
         ):
-            assert a.outcomes == b.outcomes
-            assert a.probs.tobytes() == b.probs.tobytes()
+            assert got.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
+            assert (got.sum(axis=1) == num_samples).all()
+            sampled = samples_to_distributions(
+                schema, missing, [samples[i] for i in members]
+            )
+            for a, b in zip(
+                histogram_distributions(schema, missing, got, num_samples), sampled
+            ):
+                assert a.outcomes == b.outcomes
+                assert a.probs.tobytes() == b.probs.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,7 +166,7 @@ def test_counts_equal_the_trace_on_the_rank_state_cases(census, census_rows, loo
             segments.append((bases, 400 + s))
     assume(segments)
     star = RelTuple(model.schema, np.full(5, MISSING_CODE, dtype=np.int32))
-    _assert_counts_equal_the_trace(
+    _assert_counts_equal_the_samples(
         model, segments, chains, COUNTED + extra, burn_in,
         cache_size=3 if warmth == "cache_size=3" else None,
         warm=list(seen | {star}) if warmth == "warm" else None,
@@ -168,7 +177,7 @@ def test_counts_equal_the_trace_on_the_rank_state_cases(census, census_rows, loo
 def test_chains_and_samples_not_a_multiple_of_them(census, loop, chains):
     model, pools = census
     warm = [t for pool in pools for t in pool[20:26]]
-    _assert_counts_equal_the_trace(
+    _assert_counts_equal_the_samples(
         model, _segments(pools), chains, COUNTED + 1, 5, warm=warm
     )
 
@@ -180,7 +189,7 @@ def test_chains_and_samples_not_a_multiple_of_them(census, loop, chains):
 def test_burn_in_across_uniform_blocks(census, loop, burn_in):
     model, pools = census
     warm = [t for pool in pools for t in pool[20:26]]
-    _assert_counts_equal_the_trace(
+    _assert_counts_equal_the_samples(
         model, _segments(pools), 2, COUNTED + 3, burn_in, warm=warm
     )
 
@@ -200,7 +209,7 @@ def test_a_miss_mid_block(census, loop):
         engine.conditional_probs_batch(codes, 0)
         engine.conditional_probs_batch(codes[:1], 1)
 
-    _assert_counts_equal_the_trace(
+    _assert_counts_equal_the_samples(
         model, [(bases, 5)], 2, COUNTED + 1, 4, prepare=prepare
     )
 
@@ -211,7 +220,7 @@ def test_every_step_on_the_engine_route(census, loop):
     def prepare(engine):
         engine.live_memo = lambda attr, choice, scheme: None
 
-    _assert_counts_equal_the_trace(
+    _assert_counts_equal_the_samples(
         model, _segments(pools), 2, COUNTED + 1, 3, prepare=prepare
     )
 
@@ -219,60 +228,107 @@ def test_every_step_on_the_engine_route(census, loop):
 @pytest.mark.parametrize("cache_size", [40, 3])
 def test_memo_resets(census, loop, cache_size):
     model, pools = census
-    _assert_counts_equal_the_trace(
+    _assert_counts_equal_the_samples(
         model, _segments(pools), 3, COUNTED + 2, 7, cache_size=cache_size
     )
 
 
-# -- where the loop does not count ----------------------------------------------
+# -- blocks -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("why", ["disabled", "sparse", "short run"])
-def test_counts_decline_without_drawing(census, loop, monkeypatch, why):
+def _blocks(blocks):
+    return [
+        (b.base, b.distribution.outcomes, b.distribution.probs.tobytes())
+        for b in blocks
+    ]
+
+
+def _reference_blocks(model, segments, chains, num_samples, burn_in):
+    """Per tuple, ``samples_to_distributions`` of the samples :meth:`run`
+    draws for it, as :func:`_blocks` lists them."""
+    schema = model.schema
+    ensemble = _build(model, segments, chains)[2]
+    samples = ensemble.run(num_samples, burn_in)
+    out = []
+    for base, arr in zip(ensemble.bases, samples):
+        (dist,) = samples_to_distributions(schema, base.missing_positions, [arr])
+        out.append((base, dist.outcomes, dist.probs.tobytes()))
+    return out
+
+
+@pytest.fixture()
+def traces(monkeypatch):
+    """One entry per :meth:`GibbsEnsemble.trace` call."""
+    calls = []
+    trace = GibbsEnsemble.trace
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(GibbsEnsemble, "trace", spy)
+    return calls
+
+
+@pytest.mark.parametrize("why", ["disabled", "short run"])
+def test_unloaded_loop_and_short_runs_count(census, loop, monkeypatch, traces, why):
+    """Without the compiled loop, and on a run shorter than one uniform
+    block, ``counts`` counts, and ``ensemble_sampling`` records no trace
+    and gives the reference blocks."""
     model, pools = census
     segments = _segments(pools)
     num_samples = 12 if why == "short run" else COUNTED
-    if why == "disabled":
-        monkeypatch.setattr(native, "ENABLED", False)
-    if why == "sparse":
-        monkeypatch.setattr(gibbs_module, "MAX_DENSE_OUTCOMES", 10)
-    built = _build(model, segments, 2)
-    before = _after(*built)
-    assert built[2].counts(num_samples, 3) is None
-    assert _after(*built) == before
-    blocks = []
-    for enabled in (True, False):
-        monkeypatch.setattr(native, "ENABLED", enabled and why != "disabled")
-        got, _ = ensemble_sampling(
-            model, segments, num_samples=num_samples, burn_in=3, chains=2
-        )
-        blocks.append([
-            (b.distribution.outcomes, b.distribution.probs.tobytes()) for b in got
-        ])
-    assert blocks[0] == blocks[1]
+    _assert_counts_equal_the_samples(model, segments, 2, num_samples, 3)
+    want = _reference_blocks(model, segments, 2, num_samples, 3)
+    traces.clear()
+    monkeypatch.setattr(native, "ENABLED", why != "disabled")
+    got, _ = ensemble_sampling(
+        model, segments, num_samples=num_samples, burn_in=3, chains=2
+    )
+    assert not traces
+    assert _blocks(got) == want
 
 
-def test_ensemble_sampling_counts_in_the_loop(census, loop, monkeypatch):
-    """A counting run reads no trace, and its blocks equal the NumPy
-    steps' byte for byte."""
+@pytest.mark.parametrize("why", ["sparse", "mixed"])
+def test_counts_decline_without_drawing(census, loop, monkeypatch, traces, why):
+    """A sparse pattern, alone or beside dense ones, makes ``counts``
+    decline without drawing; ``ensemble_sampling`` then records one trace
+    and gives the reference blocks, with the loop or without."""
     model, pools = census
     segments = _segments(pools)
-    blocks = []
+    # The census patterns span 3 to 108 outcomes: over 2 every one is
+    # sparse, over 10 those missing (2,) and (3, 4) stay dense.
+    dense = 2 if why == "sparse" else 10
+    monkeypatch.setattr(gibbs_module, "MAX_DENSE_OUTCOMES", dense)
+    built = _build(model, segments, 2)
+    spaces = built[2]._spaces
+    assert max(spaces) > dense
+    assert (min(spaces) > dense) == (why == "sparse")
+    before = _after(*built)
+    assert built[2].counts(COUNTED, 3) is None
+    assert _after(*built) == before
+    want = _reference_blocks(model, segments, 2, COUNTED, 3)
     for enabled in (True, False):
         monkeypatch.setattr(native, "ENABLED", enabled)
-        traces = []
-        trace = GibbsEnsemble.trace
-        monkeypatch.setattr(
-            GibbsEnsemble, "trace",
-            lambda self, *a, **k: traces.append(1) or trace(self, *a, **k),
+        traces.clear()
+        got, _ = ensemble_sampling(
+            model, segments, num_samples=COUNTED, burn_in=3, chains=2
         )
+        assert traces == [1]
+        assert _blocks(got) == want
+
+
+def test_ensemble_sampling_counts_in_the_loop(census, loop, monkeypatch, traces):
+    """A dense run records no trace, with the loop or without, and its
+    blocks equal the reference byte for byte."""
+    model, pools = census
+    segments = _segments(pools)
+    want = _reference_blocks(model, segments, 3, COUNTED + 1, 4)
+    for enabled in (True, False):
+        monkeypatch.setattr(native, "ENABLED", enabled)
+        traces.clear()
         got, _ = ensemble_sampling(
             model, segments, num_samples=COUNTED + 1, burn_in=4, chains=3
         )
-        monkeypatch.setattr(GibbsEnsemble, "trace", trace)
-        assert bool(traces) != enabled
-        blocks.append([
-            (b.base, b.distribution.outcomes, b.distribution.probs.tobytes())
-            for b in got
-        ])
-    assert blocks[0] == blocks[1]
+        assert not traces
+        assert _blocks(got) == want

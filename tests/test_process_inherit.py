@@ -1,14 +1,13 @@
 """Process workers: fork-inherited state vs the JSON rebuild.
 
 A single-threaded parent forks its pool, and the workers inherit the
-parent's model, its one engine and planned shards through
-:data:`repro.exec.work._INHERITED`: no model document is built or parsed,
-and a submission is just the shard key.  A multithreaded parent
+parent's model, its one engine and planned shards as the pool
+initializer's arguments, which fork hands over unpickled: no model
+document is built or parsed, and a submission is just the shard key.  A multithreaded parent
 starts a forkserver or spawn pool, whose workers rebuild the model from its
 JSON form and receive :class:`~repro.exec.work.ShardTask` code matrices.
-Both paths must equal the serial executor block for block, survive the
-pool-kill, hang and degrade chaos cases, and leave no inherited state
-behind.
+Both paths must equal the serial executor block for block and survive the
+pool-kill, hang and degrade chaos cases.
 """
 
 import multiprocessing
@@ -32,7 +31,6 @@ from repro.exec import (
     execute_derivation,
     stream_derivation,
 )
-from repro.exec import work
 from repro.exec.executors import ProcessExecutor, SerialExecutor, host_cpus
 from repro.exec.work import ShardTask
 from tests.test_process_wire import _assert_rebound, _live_thread
@@ -113,7 +111,6 @@ def test_forked_workers_rebuild_nothing(forked, census, serial, workers):
     out = execute_derivation(tuples, model, _config(workers=workers))
     _assert_rebound(out.blocks, serial.blocks, tuples)
     assert out.stats == serial.stats
-    assert work._INHERITED is None
 
 
 @pytest.mark.parametrize("caller_engine", [True, False], ids=["caller", "own"])
@@ -165,20 +162,6 @@ def test_forked_workers_compare_the_inherited_digests(
     _assert_rebound(out.blocks, serial.blocks, tuples)
 
 
-def test_inherited_state_lives_only_while_the_pool_runs(
-    monkeypatch, census
-):
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-    model, tuples = census
-    stream = stream_derivation(tuples, model, _config())
-    first = next(stream)
-    state = work._INHERITED
-    assert state is not None and state.model is model
-    assert first.key in state.shards
-    stream.close()
-    assert work._INHERITED is None
-
-
 def test_a_process_derive_leaves_no_thread_behind(
     start_methods, census, serial
 ):
@@ -195,23 +178,21 @@ def test_a_process_derive_leaves_no_thread_behind(
         assert start_methods == ["fork", "fork"]
 
 
-def test_an_interleaved_second_stream_rebuilds_from_json(
-    monkeypatch, start_methods, census, serial
-):
-    """A forked pool already holding the inherited slot leaves the second
-    stream of the same process on the JSON path, with equal output."""
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
+def test_an_interleaved_second_stream_also_inherits(forked, census, serial):
+    """A derive forked while another stream's pool still runs gets its own
+    inherited state: no model document is built (the ``forked`` fixture
+    makes ``model_to_dict`` raise), the derive equals the serial run, and
+    the first stream still runs every shard."""
     model, tuples = census
     first = stream_derivation(tuples, model, _config())
-    next(first)
-    held = work._INHERITED
+    results = [next(first)]
     try:
         out = execute_derivation(tuples, model, _config())
-        assert work._INHERITED is held
+        results.extend(first)
     finally:
         first.close()
-    assert work._INHERITED is None
     _assert_rebound(out.blocks, serial.blocks, tuples)
+    assert sorted(r.key for r in results) == sorted(s.key for s in out.plan.shards)
 
 
 # -- the JSON path ---------------------------------------------------------------
@@ -237,8 +218,7 @@ def test_multithreaded_parent_rebuilds_from_json(
     with _live_thread():
         assert threading.active_count() > 1
         out = execute_derivation(tuples, model, _config())
-        assert work._INHERITED is None
-    assert start_methods and "fork" not in start_methods
+        assert start_methods and "fork" not in start_methods
     assert calls.count("model_to_dict") == 1
     assert calls.count("encode") == len(out.plan.shards)
     _assert_rebound(out.blocks, serial.blocks, tuples)
@@ -256,7 +236,6 @@ def test_killed_pool_re_forks_with_the_same_state(forked, census, serial):
     _assert_rebound(out.blocks, serial.blocks, tuples)
     assert out.report.pool_restarts >= 1
     assert any("crash" in f.error for f in out.report.failures)
-    assert work._INHERITED is None
 
 
 def test_hung_shard_is_requeued_on_a_re_forked_pool(forked, census, serial):
@@ -269,7 +248,6 @@ def test_hung_shard_is_requeued_on_a_re_forked_pool(forked, census, serial):
     _assert_rebound(out.blocks, serial.blocks, tuples)
     assert out.report.pool_restarts >= 1
     assert any("deadline" in f.error for f in out.report.failures)
-    assert work._INHERITED is None
 
 
 _THREE_CRASHES = FaultPlan(faults=tuple(
@@ -287,17 +265,17 @@ def test_degrade_after_pool_deaths_equals_serial(forked, census, serial):
     _assert_rebound(out.blocks, serial.blocks, tuples)
     assert "process->serial" in out.report.degraded
     assert out.report.pool_restarts == 3
-    assert work._INHERITED is None
 
 
 def test_pool_error_clears_the_inherited_state(forked, census):
+    """A pool that dies past its retries raises on the fork path too; its
+    inherited state lived only in the pool's initializer arguments."""
     model, tuples = census
     with pytest.raises(WorkerPoolError):
         execute_derivation(
             tuples, model, _config(workers=1, shard_retries=5),
             faults=_THREE_CRASHES,
         )
-    assert work._INHERITED is None
 
 
 # -- the pool is sized to the host -----------------------------------------------
