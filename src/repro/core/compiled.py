@@ -500,7 +500,8 @@ class CompiledMRSL:
 
 
 class CompiledModel:
-    """Lazy per-attribute compilation of an :class:`MRSLModel`."""
+    """Lazy per-attribute compilation of an :class:`MRSLModel`; the
+    model's own copy is :attr:`MRSLModel.compiled`."""
 
     __slots__ = ("model", "_compiled")
 

@@ -69,10 +69,9 @@ class DeriveResult:
     #: workload had no multi-missing tuples); a later delta re-derive pins
     #: its dirty shards to this seed so carried blocks stay consistent
     base_seed: int | None = None
-    #: the run's engine: its compiled lattices, and the CPDs of the shards
-    #: the parent ran (empty when pool workers ran every shard); a
-    #: re-derive from this result reuses its lattices, and a delta
-    #: re-derive starts from a copy of its memos
+    #: the run's engine, with the CPDs of the shards the parent ran (empty
+    #: when pool workers ran every shard); a delta re-derive from this
+    #: result starts from a copy of its memos
     engine: BatchInferenceEngine | None = field(
         default=None, repr=False, compare=False
     )
@@ -151,8 +150,8 @@ def derive_probabilistic_database(
     previous:
         Incremental re-derivation after a base-table update.  ``previous``
         is the :class:`DeriveResult` of the pre-update table; its model is
-        reused (learning is skipped — updates never re-learn the MRSL), so
-        are its compiled lattices unless ``batch_engine`` is given, and,
+        reused (learning is skipped — updates never re-learn the MRSL) with
+        the lattices it compiled, and,
         under the ``"delta"`` ``config.update_policy``, blocks whose lineage
         the update did not touch are carried over verbatim while only dirty
         shards execute, starting from a copy of its engine's CPD memos —
@@ -190,22 +189,14 @@ def derive_probabilistic_database(
             rng = previous.base_seed
         if (
             batch_engine is None
+            and cfg.update_policy == "delta"
             and previous.engine is not None
             and previous.engine.model is model
         ):
-            if cfg.update_policy == "delta":
-                # A delta carries the CPDs the previous run computed, as it
-                # carries its blocks: a copy of its memos, so the previous
-                # result's engine never changes.
-                batch_engine = previous.engine.copy()
-            else:
-                # A cold CPD cache over the lattices the previous run
-                # compiled: the same answers, without compiling the same
-                # model again.
-                batch_engine = BatchInferenceEngine(
-                    model, cfg.v_choice, cfg.v_scheme,
-                    compiled=previous.engine.compiled,
-                )
+            # A delta carries the CPDs the previous run computed, as it
+            # carries its blocks: a copy of its memos, so the previous
+            # result's engine never changes.
+            batch_engine = previous.engine.copy()
     if rng is None:
         rng = cfg.seed
     learn_result = None

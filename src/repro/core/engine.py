@@ -33,7 +33,7 @@ import numpy as np
 
 from ..probdb.distribution import Distribution
 from ..relational.tuples import MISSING_CODE, RelTuple
-from .compiled import DENSE_INDEX_CAP, CompiledModel
+from .compiled import DENSE_INDEX_CAP
 from .inference import VoterChoice, VotingScheme
 from .mrsl import MRSLModel
 
@@ -78,7 +78,7 @@ def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     When every code lies between ``MISSING_CODE`` and 255, an integer's
     bytes compare as its value does, except that ``MISSING_CODE`` (all
     ones) sorts above every other code.  Such a row then packs into one
-    mixed-radix int64 key, first column most significant, whose digit is
+    mixed-radix 64-bit key, first column most significant, whose digit is
     the code, ``MISSING_CODE`` mapped to its column's largest code plus
     one, provided the product of the radices (column maxima plus two)
     stays below ``2**62``; keys sort as the rows' bytes do, and sorting
@@ -87,19 +87,24 @@ def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, width = matrix.shape
     if width == 0:
         return np.zeros(min(n, 1), dtype=np.intp), np.zeros(n, dtype=np.intp)
-    top = matrix.max(axis=0, initial=MISSING_CODE).astype(np.int64)
-    radix = top + 2
+    top = matrix.max(axis=0, initial=MISSING_CODE).tolist()
+    # Place values, last column first, and the radix product, in Python
+    # ints: a few columns cost less here than in array calls.
+    place, span = [], 1
+    for code in reversed(top):
+        place.append(span)
+        span *= code + 2
     if (
-        top.max() <= 255
+        max(top) <= 255
+        and span < 2**62
         and matrix.min(initial=MISSING_CODE) >= MISSING_CODE
-        and np.prod(radix.astype(np.float64)) < 2.0**62
     ):
-        # Column by column, so the temporaries stay one column wide; a
-        # code modulo its radix is the code, MISSING_CODE the top digit.
-        keys = np.zeros(n, dtype=np.int64)
-        for column, base in zip(matrix.T, radix.tolist()):
-            keys *= base
-            keys += column % base
+        # Read unsigned, MISSING_CODE is the largest value, so the minimum
+        # with a column's largest code plus one is the column's digit; one
+        # matrix-vector product then packs every row (no division).
+        unsigned = matrix.view(f"u{matrix.itemsize}")
+        digits = np.minimum(unsigned, np.add(top, 1).astype(unsigned.dtype))
+        keys = digits.dot(np.array(place[::-1], dtype=np.uint64))
     else:
         matrix = np.ascontiguousarray(matrix)
         keys = matrix.view(np.dtype((np.void, matrix.itemsize * width))).reshape(n)
@@ -225,12 +230,12 @@ class _CPDMemo:
 class BatchInferenceEngine:
     """Serves Algorithm 2 CPDs for batches of single-missing tuples.
 
-    One engine wraps one :class:`MRSLModel`; per-attribute lattices are
-    compiled lazily on first use, into ``compiled`` when given (another
-    engine's :attr:`compiled` over the same model, so the two share the
-    work).  The default voting configuration given at construction can be
-    overridden per call.  ``cache_size`` bounds the signatures all memos
-    hold together (``None``: unbounded).
+    One engine wraps one :class:`MRSLModel` and reads its lattices from
+    the model's own :attr:`MRSLModel.compiled`, so every engine over a
+    model shares one compile; the CPD memos are the engine's own.  The
+    default voting configuration given at construction can be overridden
+    per call.  ``cache_size`` bounds the signatures all memos hold
+    together (``None``: unbounded).
     """
 
     def __init__(
@@ -239,17 +244,14 @@ class BatchInferenceEngine:
         v_choice: VoterChoice | str = VoterChoice.BEST,
         v_scheme: VotingScheme | str = VotingScheme.AVERAGED,
         cache_size: int | None = DEFAULT_CPD_CACHE_SIZE,
-        compiled: CompiledModel | None = None,
     ):
-        if compiled is not None and compiled.model is not model:
-            raise ValueError("compiled lattices belong to a different model")
         if cache_size is not None and cache_size < 1:
             raise ValueError("maxsize must be positive (or None for unbounded)")
         self.model = model
         self.schema = model.schema
         self.v_choice = VoterChoice(v_choice)
         self.v_scheme = VotingScheme(v_scheme)
-        self.compiled = CompiledModel(model) if compiled is None else compiled
+        self.compiled = model.compiled
         self.cache_size = cache_size
         # Per-attribute mixed-radix multipliers for packing signature
         # columns into one integer per row, with the packed space's size
@@ -270,10 +272,10 @@ class BatchInferenceEngine:
         self.memo_resets = 0
 
     def copy(self) -> "BatchInferenceEngine":
-        """An engine over the same compiled lattices whose memos start as
-        copies of this one's; its counters start at zero."""
+        """An engine over the same model whose memos start as copies of
+        this one's; its counters start at zero."""
         engine = BatchInferenceEngine(
-            self.model, self.v_choice, self.v_scheme, self.cache_size, self.compiled
+            self.model, self.v_choice, self.v_scheme, self.cache_size
         )
         engine._sig_packers = dict(self._sig_packers)
         engine._memos = {key: memo.copy() for key, memo in self._memos.items()}

@@ -17,13 +17,17 @@ exist).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..relational.schema import Schema
 from ..relational.tuples import MISSING_CODE, RelTuple
 from .itemsets import Item, Itemset
 from .metarule import MetaRule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .compiled import CompiledModel
 
 __all__ = ["MRSL", "MRSLModel"]
 
@@ -186,6 +190,15 @@ class MRSLModel:
 
     def __len__(self) -> int:
         return len(self._by_attr)
+
+    @cached_property
+    def compiled(self) -> "CompiledModel":
+        """The model's compiled lattices, each built on first use and kept
+        as long as the model: every engine, plan and compiled-metadata
+        handshake over this model reads this one copy."""
+        from .compiled import CompiledModel  # compiled imports this module
+
+        return CompiledModel(self)
 
     def size(self) -> int:
         """Total number of meta-rules — the "model size" of Fig. 4(c)."""

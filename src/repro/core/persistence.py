@@ -22,7 +22,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..relational.schema import Attribute, Schema
-from .compiled import CompiledModel
 from .metarule import MetaRule
 from .mrsl import MRSL, MRSLModel
 
@@ -93,9 +92,7 @@ def model_from_dict(data: dict[str, Any]) -> MRSLModel:
     return MRSLModel(schema, lattices)
 
 
-def compiled_metadata(
-    model: MRSLModel, compiled: CompiledModel | None = None
-) -> dict[str, Any]:
+def compiled_metadata(model: MRSLModel) -> dict[str, Any]:
     """Fingerprint the compiled form of every per-attribute semi-lattice.
 
     For each attribute: rule count, maximum body size, stacked CPD matrix
@@ -106,15 +103,14 @@ def compiled_metadata(
     :class:`~repro.exec.executors.ProcessExecutor` workers use to prove they
     rebuilt the parent's model.
 
-    Pass an existing ``compiled`` model (e.g. a warm engine's) to avoid
-    compiling every attribute a second time just for the fingerprint.  Each
-    lattice hashes itself once (:meth:`CompiledMRSL.digest
-    <repro.core.compiled.CompiledMRSL.digest>`), so workers forked after
-    the parent fingerprinted its lattices compare the inherited digests,
+    It reads the model's own compiled lattices (:attr:`MRSLModel.compiled
+    <repro.core.mrsl.MRSLModel.compiled>`), which every engine over the
+    model shares.  Each lattice hashes itself once (:meth:`CompiledMRSL.digest
+    <repro.core.compiled.CompiledMRSL.digest>`), so a later fingerprint of
+    the same model, and workers forked after it, compare the kept digests,
     while workers that rebuild the model hash their own.
     """
-    if compiled is None:
-        compiled = CompiledModel(model)
+    compiled = model.compiled
     attributes = []
     for lattice in model:
         attr = lattice.head_attribute
@@ -133,23 +129,19 @@ def compiled_metadata(
 
 
 def verify_compiled_metadata(
-    model: MRSLModel,
-    expected: Mapping[str, Any],
-    compiled: CompiledModel | None = None,
+    model: MRSLModel, expected: Mapping[str, Any]
 ) -> None:
     """Raise :class:`ValueError` unless ``model`` compiles to ``expected``.
 
     Used by process-pool workers after rebuilding a model from JSON, and by
-    :func:`load_model` when the saved document carries metadata.  Pass
-    ``compiled`` to fingerprint existing compiled structures instead of
-    recompiling.
+    :func:`load_model` when the saved document carries metadata.
     """
     if expected.get("version") != COMPILED_METADATA_VERSION:
         raise ValueError(
             "unsupported compiled metadata version "
             f"{expected.get('version')!r}"
         )
-    actual = compiled_metadata(model, compiled)
+    actual = compiled_metadata(model)
     for mine, theirs in zip(actual["attributes"], expected["attributes"]):
         if mine != theirs:
             raise ValueError(

@@ -49,7 +49,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Generator, Iterator, Mapping, TYPE_CHECKING
 
 from ..core.engine import BatchInferenceEngine
 from .base import (
@@ -95,9 +95,9 @@ class ExecContext:
 
     ``batch_engine`` is the derive's one engine: the caller's warm engine
     (the session path), whose CPD cache keeps carrying over, or a new one.
-    Its ``compiled`` lattices are the only ones the parent compiles: the
-    planner, the serial kernels, the process handshake and forked workers
-    all read them.
+    The lattices are the model's own (``model.compiled``), compiled once
+    per model: the planner, the serial kernels, the process handshake and
+    forked workers all read them.
 
     The failure knobs ride here too: ``retry`` and ``failure_policy`` come
     from the config, ``faults`` is an optional injected
@@ -260,6 +260,9 @@ class ProcessExecutor(Executor):
     :meth:`~repro.exec.work.ShardOutput.bind`.  Shards are submitted multi
     first, so the long Gibbs shards start before the single shards fill
     the gaps; blocks land by index, so the order never changes a result.
+    Once the last shard is submitted the pool winds down: its workers exit
+    and are joined while the parent binds and assembles the last results,
+    and the run joins what is left before it returns.
 
     Fault domains: at most ``effective_workers`` shards are in flight at a
     time, each stamped with its submission time.  A broken pool
@@ -289,9 +292,9 @@ class ProcessExecutor(Executor):
             return
         from ..core.persistence import compiled_metadata, model_to_dict
 
-        # The handshake's fingerprint also compiles every lattice that a
-        # forked worker then inherits.
-        metadata = compiled_metadata(context.model, context.batch_engine.compiled)
+        # The handshake's fingerprint compiles and hashes each lattice the
+        # model has not yet, which a forked worker then inherits.
+        metadata = compiled_metadata(context.model)
         # Fork keeps worker startup cheap on POSIX, but forking a
         # multithreaded parent (e.g. a derive request inside the threaded
         # HTTP server) can inherit locks held by threads that do not exist
@@ -345,20 +348,25 @@ class ProcessExecutor(Executor):
                 initializer=_process_worker_init,
                 initargs=initargs,
             )
+            # The pool forgets its workers once wound down (see _drain);
+            # killing a hung one then still needs them.
+            processes = pool._processes
             inflight: "dict[Future, tuple[Shard, float]]" = {}
             try:
-                yield from self._drain(
+                manager = yield from self._drain(
                     pool, queue, inflight, attempts, faults, context, encode
                 )
-                # Join the idle pool: its manager and queue feeder threads
-                # would otherwise outlive the run and make the next run's
-                # parent look multithreaded (no fork).
-                pool.shutdown(wait=True)
-                return
+                # Join the wound-down pool's manager thread, which joins
+                # the workers and the queue feeder thread: they would
+                # otherwise outlive the run and make the next run's parent
+                # look multithreaded (no fork).  A shard that failed in
+                # band after the wind-down is queued again and runs on a
+                # new pool, which is no pool death.
+                manager.join()
             except _PoolDied as died:
                 pool_deaths += 1
                 context.pool_restarts += 1
-                self._kill_pool(pool)
+                self._kill_pool(pool, processes)
                 # Requeue the in-flight shards — completed work stands.
                 # The failure is charged to the culprits' retry budgets;
                 # innocent bystanders get their attempt back.
@@ -410,7 +418,7 @@ class ProcessExecutor(Executor):
         faults: Mapping[tuple[str, int], ShardFault],
         context: ExecContext,
         encode: Callable[[Shard], Any],
-    ) -> Iterator[ShardResult]:
+    ) -> Generator[ShardResult, None, threading.Thread]:
         """Pump shards through one pool until it is empty — or dies.
 
         ``encode`` turns a shard into its submission: its key on an
@@ -419,14 +427,22 @@ class ProcessExecutor(Executor):
         :class:`~repro.exec.base.Shard`.  Submission is windowed to
         ``effective_workers`` so a submitted future is
         (to a close approximation) a *running* future, which is what makes
-        the per-shard deadline meaningful.  Raises :class:`_PoolDied` on a
-        broken pool or an overdue shard; the in-flight map is left intact
-        for the caller's requeue logic.
+        the per-shard deadline meaningful.
+
+        Once the queue is empty the pool is wound down
+        (``shutdown(wait=False)``): its workers exit as they finish, and
+        its manager thread joins them while the parent binds and assembles
+        the last results.  A shard that fails in band after that stays
+        queued for the caller's next pool.  Returns the manager thread, for
+        the caller to join.  Raises :class:`_PoolDied` on a broken pool or
+        an overdue shard; the in-flight map is left intact for the caller's
+        requeue logic.
         """
         retry = context.retry
         window = self.effective_workers
-        while queue or inflight:
-            while queue and len(inflight) < window:
+        manager: threading.Thread | None = None
+        while inflight or (queue and manager is None):
+            while queue and manager is None and len(inflight) < window:
                 shard = queue.popleft()
                 attempts[shard.key] += 1
                 fault = faults.get((shard.key, attempts[shard.key]))
@@ -445,6 +461,10 @@ class ProcessExecutor(Executor):
                         [s.key for s, _ in inflight.values()],
                     ) from exc
                 inflight[future] = (shard, time.monotonic())
+            if not queue and manager is None:
+                # Shutdown drops the pool's handle on its manager thread.
+                manager = pool._executor_manager_thread
+                pool.shutdown(wait=False)
             timeout = self._wait_timeout(inflight, retry.deadline)
             done, _ = wait(
                 set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
@@ -499,6 +519,7 @@ class ProcessExecutor(Executor):
                     if attempts[shard.key] > 1:
                         result = replace(result, attempts=attempts[shard.key])
                     yield result
+        return manager
 
     def _wait_timeout(
         self,
@@ -530,9 +551,9 @@ class ProcessExecutor(Executor):
         ]
 
     @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate a pool's workers without waiting on hung ones."""
-        processes = getattr(pool, "_processes", None) or {}
+    def _kill_pool(pool: ProcessPoolExecutor, processes: Mapping) -> None:
+        """Terminate a pool's workers (``processes``, its pid -> process
+        map) without waiting on hung ones."""
         for process in list(processes.values()):
             try:
                 process.terminate()

@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.compiled import CompiledModel
 from ..core.engine import unique_rows
 from ..probdb.invalidate import DeltaSplit
 from ..relational.tuples import MISSING_CODE, RelTuple, trusted_rows
@@ -77,10 +76,6 @@ __all__ = [
     "resolve_base_seed",
     "shard_seed",
 ]
-
-#: Target single shards per worker; >1 smooths load imbalance between
-#: unevenly sized signature groups without shrinking groups themselves.
-SINGLE_SHARDS_PER_WORKER = 2
 
 #: Distinct tuples per multi segment: the seed unit.  Read at call time (so
 #: tests may patch it), and deliberately *not* worker-dependent so segment
@@ -270,7 +265,7 @@ def _pack_largest_first(sizes: np.ndarray, num_bins: int) -> np.ndarray:
 def build_single_shards(
     workload: Workload,
     ids: Sequence[int],
-    compiled: CompiledModel,
+    model: "MRSLModel",
     workers: int,
 ) -> list[Shard]:
     """Group single-missing distinct rows by signature and pack them.
@@ -281,9 +276,11 @@ def build_single_shards(
     ``(attribute, evidence signature)`` groups in key order (attributes
     ascending, signatures in memcmp order); a group weighs the workload
     rows it covers.  Groups are packed largest first (ties: lower
-    key first) into the least-loaded of at most
-    ``workers * SINGLE_SHARDS_PER_WORKER`` bins (ties: lower bin first),
-    so the packing is deterministic for a given workload.  A shard lists
+    key first) into the least-loaded of at most ``workers`` bins (ties:
+    lower bin first), so the packing is deterministic for a given
+    workload.  One shard per worker: a single shard is a few milliseconds
+    of work, less than a further shard's round trip to a pool worker costs,
+    so splitting finer buys no balance.  A shard lists
     its distinct rows in workload order and is keyed by its bin and the
     bag of its workload rows.
     """
@@ -298,13 +295,13 @@ def build_single_shards(
     # signatures in memcmp order within an attribute.
     signature = np.zeros((codes.shape[1], codes.shape[1]), dtype=bool)
     for attr in np.unique(attrs).tolist():
-        signature[attr, compiled[attr].signature_attrs] = True
+        signature[attr, model.compiled[attr].signature_attrs] = True
     keyed = np.where(signature[attrs], codes, MISSING_CODE)
     first, group = unique_rows(np.column_stack([attrs.astype(np.int32), keyed]))
     num_groups = first.size
     sizes = np.bincount(group, weights=counts, minlength=num_groups).astype(np.int64)
 
-    num_bins = min(num_groups, workers * SINGLE_SHARDS_PER_WORKER)
+    num_bins = min(num_groups, workers)
     bin_of = _pack_largest_first(sizes, num_bins)
     bin_groups = np.bincount(bin_of, minlength=num_bins)
 
@@ -511,7 +508,6 @@ def plan_shards(
     workers: int = DEFAULT_WORKERS,
     seed: int | None = None,
     rng: np.random.Generator | int | None = None,
-    compiled: CompiledModel | None = None,
     carry: "CarryStore | None" = None,
 ) -> ShardPlan:
     """Partition a workload (mixed single- and multi-missing) into shards.
@@ -545,10 +541,8 @@ def plan_shards(
     else:
         split = carry.split(workload)
 
-    if compiled is None and (len(split.dirty_single) or split.carried_single):
-        compiled = CompiledModel(model)
-    shards = build_single_shards(workload, split.dirty_single, compiled, workers)
-    carried = build_single_shards(workload, split.carried_single, compiled, workers)
+    shards = build_single_shards(workload, split.dirty_single, model, workers)
+    carried = build_single_shards(workload, split.carried_single, model, workers)
 
     base_seed: int | None = None
     if split.dirty_multi or split.carried_multi:

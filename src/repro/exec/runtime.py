@@ -121,7 +121,7 @@ def stream_derivation(
     )
     context = _context(model, config, batch_engine, faults)
     if plan is None:
-        plan = _plan(_as_workload(tuples), model, config, rng, chosen, context)
+        plan = _plan(_as_workload(tuples), model, config, rng, chosen)
     yield from chosen.run(plan, context)
 
 
@@ -131,11 +131,10 @@ def _plan(
     config,
     rng,
     chosen: Executor,
-    context: ExecContext,
     carry: "CarryStore | None" = None,
 ) -> ShardPlan:
-    """Plan the workload on the context's engine's compiled lattices, the
-    ones its kernels and the process handshake read.  Multi tuples are
+    """Plan the workload on the model's compiled lattices, the ones the
+    kernels and the process handshake read.  Multi tuples are
     cut into seeded segments (:data:`~repro.exec.plan.MULTI_TUPLES_PER_SHARD`)
     that never depend on the worker count, and consecutive segments fuse into at most
     one shard per worker — so results stay identical across executors and
@@ -147,7 +146,6 @@ def _plan(
         workers=chosen.effective_workers,
         seed=config.seed,
         rng=rng,
-        compiled=context.batch_engine.compiled,
         carry=carry,
     )
 
@@ -205,7 +203,7 @@ def execute_derivation(
     )
     context = _context(model, config, batch_engine, faults)
     workload = _as_workload(tuples)
-    plan = _plan(workload, model, config, rng, chosen, context, carry)
+    plan = _plan(workload, model, config, rng, chosen, carry)
     if on_plan is not None:
         on_plan(plan)
     report = ExecReport(

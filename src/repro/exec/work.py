@@ -389,9 +389,9 @@ def _process_worker_init(
         model = model_from_dict(dict(model_doc))
         engine = BatchInferenceEngine(model, knobs.v_choice, knobs.v_scheme)
         shards = {}
-    # Validate (and warm) the engine's own compiled structures rather than
-    # compiling a throwaway second copy.
-    verify_compiled_metadata(model, expected_metadata, compiled=engine.compiled)
+    # Validates (and warms) the model's compiled lattices, the ones the
+    # engine reads.
+    verify_compiled_metadata(model, expected_metadata)
     _WORKER_STATE = {
         "model": model, "engine": engine, "knobs": knobs, "shards": shards
     }

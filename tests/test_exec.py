@@ -528,10 +528,10 @@ class TestCompiledMetadata:
         again (a forked worker's inherited ones) hashes nothing, while
         freshly compiled ones (a rebuilt model's) hash their own."""
         from repro.core import compiled as compiled_module
-        from repro.core.compiled import CompiledModel
+        from repro.core.persistence import model_from_dict, model_to_dict
 
-        compiled = CompiledModel(census_model)
-        meta = compiled_metadata(census_model, compiled)
+        meta = compiled_metadata(census_model)
+        rebuilt = model_from_dict(model_to_dict(census_model))
 
         def refused(*args):
             raise AssertionError("hashed a lattice again")
@@ -539,11 +539,9 @@ class TestCompiledMetadata:
         monkeypatch.setattr(
             compiled_module, "hashlib", SimpleNamespace(sha256=refused)
         )
-        verify_compiled_metadata(census_model, meta, compiled=compiled)
+        verify_compiled_metadata(census_model, meta)
         with pytest.raises(AssertionError, match="hashed a lattice again"):
-            verify_compiled_metadata(
-                census_model, meta, compiled=CompiledModel(census_model)
-            )
+            verify_compiled_metadata(rebuilt, meta)
 
     def test_metadata_shape(self, census_model):
         meta = compiled_metadata(census_model)

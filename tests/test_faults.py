@@ -177,6 +177,96 @@ class TestErrorRetry:
             )
 
 
+# -- faults after the pool is wound down -------------------------------------
+
+
+def _last_submitted_key(tuples, model):
+    """The key of the shard a process run submits last: multi shards go
+    first, so it is the plan's last single shard when it has one.  Its
+    submission empties the queue and winds the pool down, so any fault on
+    its first attempt strikes after the wind-down."""
+    from repro.exec.base import effective_workers
+
+    plan = plan_shards(
+        tuples, model, workers=effective_workers("process", 2), seed=11
+    )
+    assert len(plan.shards) > 1
+    return sorted(plan.shards, key=lambda s: s.kind != "multi")[-1].key
+
+
+def _attempts(report):
+    return {t.key: t.attempts for t in report.timings}
+
+
+class TestAfterWindDown:
+    def test_error_on_the_last_submitted_shard_is_retried(
+        self, fig1_tuples, fig1_model, baseline
+    ):
+        """A shard requeued after the wind-down still runs, on a new pool
+        that is no pool death: blocks, attempts, failures and restarts
+        are those of the same fault on the serial executor."""
+        key = _last_submitted_key(fig1_tuples, fig1_model)
+        faults = FaultPlan(faults=(ShardFault(kind="error", key=key),))
+        runs = {
+            executor: execute_derivation(
+                fig1_tuples, fig1_model,
+                _config(executor=executor, workers=2, shard_retries=1),
+                faults=faults,
+            )
+            for executor in ("serial", "process")
+        }
+        assert_identical_blocks(runs["process"].blocks, baseline.blocks)
+        serial, process = runs["serial"].report, runs["process"].report
+        for report in (serial, process):
+            assert [(f.key, f.attempt, f.fatal) for f in report.failures] == [
+                (key, 1, False)
+            ]
+            assert report.pool_restarts == 0
+        assert [
+            (f.key, f.kind, f.attempt, f.backoff, f.fatal)
+            for f in process.failures
+        ] == [
+            (f.key, f.kind, f.attempt, f.backoff, f.fatal)
+            for f in serial.failures
+        ]
+        assert _attempts(process) == _attempts(serial)
+        assert _attempts(process)[key] == 2
+
+    def test_crash_on_the_last_submitted_shard_rebuilds_the_pool(
+        self, fig1_tuples, fig1_model, baseline
+    ):
+        key = _last_submitted_key(fig1_tuples, fig1_model)
+        out = execute_derivation(
+            fig1_tuples, fig1_model,
+            _config(executor="process", workers=2, shard_retries=1),
+            faults=FaultPlan(faults=(ShardFault(kind="crash", key=key),)),
+        )
+        assert_identical_blocks(out.blocks, baseline.blocks)
+        assert out.report.pool_restarts == 1
+        assert any(f.key == key and "crash" in f.error for f in out.report.failures)
+
+    def test_hang_on_the_last_submitted_shard_is_killed(
+        self, fig1_tuples, fig1_model, baseline
+    ):
+        """The wound-down pool no longer lists its workers; the hung one
+        is killed all the same, and reaped."""
+        key = _last_submitted_key(fig1_tuples, fig1_model)
+        out = execute_derivation(
+            fig1_tuples, fig1_model,
+            _config(
+                executor="process", workers=2,
+                shard_retries=1, shard_deadline=1.0,
+            ),
+            faults=FaultPlan(
+                faults=(ShardFault(kind="hang", key=key, delay=30.0),)
+            ),
+        )
+        assert_identical_blocks(out.blocks, baseline.blocks)
+        assert out.report.pool_restarts == 1
+        assert any(f.key == key and "deadline" in f.error for f in out.report.failures)
+        assert _workers_reaped()
+
+
 # -- worker-crash recovery ---------------------------------------------------
 
 

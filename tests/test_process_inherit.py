@@ -150,7 +150,7 @@ def test_forked_workers_compare_the_inherited_digests(
 
     model, tuples = census
     engine = BatchInferenceEngine(model)
-    persistence.compiled_metadata(model, engine.compiled)
+    persistence.compiled_metadata(model)
 
     def refused(*args):
         raise AssertionError("hashed a lattice again")

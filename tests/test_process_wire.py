@@ -23,8 +23,9 @@ import pytest
 
 from repro.api.config import DeriveConfig
 from repro.bench.masking import mask_relation
-from repro.core.compiled import CompiledModel, CompiledMRSL
+from repro.core.compiled import CompiledMRSL
 from repro.core.learning import learn_mrsl
+from repro.core.persistence import model_from_dict, model_to_dict
 from repro.datasets.census import load_census
 from repro.exec import (
     FaultPlan,
@@ -72,7 +73,7 @@ def _edge_workload():
     rows = [(0, i % 6, (i // 6) % 2) for i in range(24)]
     train = Relation.from_codes(schema, np.asarray(rows, dtype=np.int32))
     model = learn_mrsl(train, support_threshold=0.6).model
-    assert CompiledModel(model)[0].signature_attrs.size == 0
+    assert model.compiled[0].signature_attrs.size == 0
     tuples = [
         RelTuple(schema, codes)
         for codes in (
@@ -187,8 +188,13 @@ def test_multithreaded_parent_uses_a_non_fork_pool(
 def test_one_compiled_model_serves_planner_and_handshake(
     monkeypatch, workloads
 ):
-    """A process derive compiles each lattice at most once in the parent."""
+    """A process derive compiles each lattice at most once in the parent.
+
+    The model is rebuilt from its JSON form, so none of its lattices is
+    compiled yet whatever ran before (a model keeps its lattices).
+    """
     model, tuples = workloads["duplicates"]
+    model = model_from_dict(model_to_dict(model))
     built = []
     init = CompiledMRSL.__init__
 

@@ -20,13 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.config import DeriveConfig
-from repro.core.compiled import CompiledModel
 from repro.core.derive import derive_probabilistic_database
 from repro.core.engine import BatchInferenceEngine, unique_rows
 from repro.core.inference import infer_single_codes
 from repro.core.learning import learn_mrsl
 from repro.exec import execute_derivation
-from repro.exec.plan import SINGLE_SHARDS_PER_WORKER, Workload, plan_shards
+from repro.exec.plan import Workload, plan_shards
 from repro.exec.runtime import execute_delta
 from repro.exec.work import ShardKnobs, single_shard_blocks
 from repro.jobs import JobStore
@@ -64,7 +63,7 @@ def _reference_single_shards(entries, compiled, workers):
     groups = sorted(grouped.items(), key=lambda item: item[0])
     if not groups:
         return []
-    num_bins = min(len(groups), workers * SINGLE_SHARDS_PER_WORKER)
+    num_bins = min(len(groups), workers)
     bins = [[] for _ in range(num_bins)]
     bin_groups = [0] * num_bins
     order = sorted(
@@ -172,7 +171,7 @@ def _edge_workload():
     rows = [(0, i % 6, (i // 6) % 2) for i in range(24)]
     train = _relation([2, 6, 2], rows)
     model = learn_mrsl(train, support_threshold=0.6).model
-    compiled = CompiledModel(model)
+    compiled = model.compiled
     assert len(model[0]) == 1 and compiled[0].signature_attrs.size == 0
     assert len(model[1]) == 0 and len(model[2]) == 0
     tuples = [
@@ -197,11 +196,11 @@ def _assert_kernel_matches_naive(model, tuples):
 
 
 def _assert_planner_matches_reference(model, tuples):
-    compiled = CompiledModel(model)
+    compiled = model.compiled
     entries = list(enumerate(tuples))
     workload = Workload.from_tuples(tuples)
     for workers in (1, 2, 3):
-        plan = plan_shards(tuples, model, workers=workers, compiled=compiled)
+        plan = plan_shards(tuples, model, workers=workers)
         _same_rows(
             _shard_rows(plan.shards),
             _distinct_rows(
@@ -211,9 +210,9 @@ def _assert_planner_matches_reference(model, tuples):
 
 
 def _assert_signatures_share_distributions(model, tuples):
-    compiled = CompiledModel(model)
+    compiled = model.compiled
     engine = BatchInferenceEngine(model)
-    for shard in plan_shards(tuples, model, workers=2, compiled=compiled).shards:
+    for shard in plan_shards(tuples, model, workers=2).shards:
         blocks = single_shard_blocks(shard.tuples, model, KNOBS, engine)
         by_key = {}
         for t, block in zip(shard.tuples, blocks):
@@ -225,7 +224,7 @@ def _assert_signatures_share_distributions(model, tuples):
 
 def _assert_delta_planner_matches_reference(model, tuples):
     """Dirty and carried singles of ``execute_delta`` pack like the reference."""
-    compiled = CompiledModel(model)
+    compiled = model.compiled
     previous = single_shard_blocks(tuples, model, KNOBS)
     carry = CarryStore(
         singles={t: b for t, b in zip(tuples[::2], previous[::2])},
